@@ -26,7 +26,7 @@ import yaml
 from . import __version__
 from .basis import KnotVector, evaluate_basis, make_knots
 from .errors import ConvergenceError, DataError, DomainError
-from .incidence import compute_surfaces, in_support, support_hull, to_age_coordinates, surfaces_at_points
+from .incidence import compute_surfaces, surfaces_at_points, to_age_coordinates
 from .lexis import BinnedData, LexisGrid, bin_records, build_grid, read_records_csv, write_records_csv
 from .pclm import CompositionSpec, composition_matrix, select_pclm_smoothing, ungroup_events, ungroup_exposure
 from .simulate import ScenarioSpec, grouped_view, hazard_family, simulate_cohort
@@ -251,7 +251,7 @@ def save_model(path, cfg: RunConfig, grid: LexisGrid, fits: dict, Sigmas: dict):
     """Serialize fitted models as one human-inspectable JSON document."""
     causes = {}
     for ell, fit in sorted(fits.items()):
-        kind, data = support_hull(fit)
+        kind, data = fit.hull
         causes[str(ell)] = {
             "knots_u": _knots_payload(fit.kv_u),
             "knots_s": _knots_payload(fit.kv_s),
@@ -276,20 +276,21 @@ def save_model(path, cfg: RunConfig, grid: LexisGrid, fits: dict, Sigmas: dict):
 
 
 def load_model(path):
-    """Rebuild evaluation-ready fits, covariances, and support hulls."""
+    """Rebuild evaluation-ready fits (support hulls included) and covariances."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if payload.get("format") != "hazard2ts-model":
         raise DataError(f"{path}: not a model file")
     grid = LexisGrid(u_edges=np.asarray(payload["grid"]["u_edges"]),
                      s_edges=np.asarray(payload["grid"]["s_edges"]))
-    fits, Sigmas, hulls = {}, {}, {}
+    fits, Sigmas = {}, {}
     for key, entry in payload["causes"].items():
         ell = int(key)
         ku, ks = entry["knots_u"], entry["knots_s"]
         kv_u = make_knots(ku["lo"], ku["hi"], ku["n_segments"], ku["degree"])
         kv_s = make_knots(ks["lo"], ks["hi"], ks["n_segments"], ks["degree"])
         pen = entry["penalty"]
+        sup = entry["support"]
         fits[ell] = FittedHazard(
             A=np.asarray(entry["coefficients"]),
             penalty=PenaltyConfig(log10_rho_u=pen["log10_rho_u"],
@@ -298,14 +299,12 @@ def load_model(path):
             W_hat=None, deviance=entry["deviance"], ed=entry["ed"],
             aic=entry["aic"], bic=entry["bic"], n_bin=entry["n_bin"],
             converged=True, n_iter=entry["iterations"], score_rel=0.0,
-            gram=None, factor=None, support=None,
+            gram=None, factor=None,
+            hull=(sup["kind"], np.asarray(sup["data"]) if sup["kind"] == "polygon"
+                  else tuple(sup["data"])),
         )
         Sigmas[ell] = np.asarray(entry["covariance"])
-        sup = entry["support"]
-        hulls[ell] = (sup["kind"],
-                      np.asarray(sup["data"]) if sup["kind"] == "polygon"
-                      else tuple(sup["data"]))
-    return payload, grid, fits, Sigmas, hulls
+    return payload, grid, fits, Sigmas
 
 
 # --------------------------------------------------------------------------
@@ -380,12 +379,12 @@ def run_fit_pipeline(cfg: RunConfig, records, outdir: Path):
     u_pts, s_pts = grid.u_mid, grid.s_mid
     surf = compute_surfaces(fits, u_pts, s_pts, delta=delta)
     mc = MonteCarloConfig(n_draws=cfg.montecarlo.n_draws, seed=cfg.seed)
+    cif_se = cif_standard_errors(fits, Sigmas, u_pts, s_pts, mc=mc, delta=delta)
 
     for ell in CAUSES:
         sub = outdir / f"cause{ell}"
         sub.mkdir(exist_ok=True)
         se_eta = se_log_hazard(fits[ell], Sigmas[ell], u_pts, s_pts)
-        cif_se = cif_standard_errors(fits, Sigmas, ell, u_pts, s_pts, mc=mc, delta=delta)
         write_long_csv(sub / "hazard.csv", u_pts, s_pts, surf.hazard[ell],
                        surf.extrapolated, name="hazard")
         write_long_csv(sub / "log_hazard_se.csv", u_pts, s_pts, se_eta,
@@ -394,7 +393,7 @@ def run_fit_pipeline(cfg: RunConfig, records, outdir: Path):
                        surf.extrapolated, name="cumhaz")
         write_long_csv(sub / "cif.csv", u_pts, s_pts, surf.cif[ell],
                        surf.extrapolated, name="cif")
-        write_long_csv(sub / "cif_se.csv", u_pts, s_pts, cif_se,
+        write_long_csv(sub / "cif_se.csv", u_pts, s_pts, cif_se[ell],
                        surf.extrapolated, name="cif_se")
     write_long_csv(outdir / "survival.csv", u_pts, s_pts, surf.survival,
                    surf.extrapolated, name="survival")
@@ -540,7 +539,7 @@ def _read_points(path, coords):
 
 
 def run_predict_pipeline(model_path, points_csv, coords, out_csv):
-    payload, grid, fits, Sigmas, hulls = load_model(model_path)
+    payload, grid, fits, Sigmas = load_model(model_path)
     first, s_arr = _read_points(points_csv, coords)
     cfg = payload["config"]
     delta = cfg.get("delta") or grid.h_s / 10.0
@@ -554,8 +553,6 @@ def run_predict_pipeline(model_path, points_csv, coords, out_csv):
 
     se_eta = {ell: se_log_hazard_points(fits[ell], Sigmas[ell], u_arr, s_arr)
               for ell in fits}
-    hull = hulls[sorted(hulls)[0]]
-    extrapolated = np.array([not in_support(hull, u, s) for u, s in zip(u_arr, s_arr)])
 
     with open(out_csv, "w", encoding="utf-8", newline="") as fh:
         cols = ["u", "s"] + (["t"] if coords == "ts" else [])
@@ -571,7 +568,7 @@ def run_predict_pipeline(model_path, points_csv, coords, out_csv):
                 lam = surf.hazard[ell][i, 0]
                 row += [_fmt(lam), _fmt(se_eta[ell][i]), _fmt(lam * se_eta[ell][i]),
                         _fmt(surf.cif[ell][i, 0])]
-            row += [_fmt(surf.survival[i, 0]), "true" if extrapolated[i] else "false"]
+            row += [_fmt(surf.survival[i, 0]), "true" if surf.extrapolated[i] else "false"]
             fh.write(",".join(row) + "\n")
     return out_csv
 

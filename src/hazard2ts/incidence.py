@@ -1,12 +1,20 @@
 """Hazard evaluation and derived surfaces (cumulative hazard, survival, CIF).
 
-Fitted surfaces can be evaluated anywhere inside the basis domains; the
-cumulative quantities are left-rectangle sums over nodes ``k * delta``,
-``k = 0 .. K-1`` with ``K = floor(s / delta)``, so an evaluation at s = 0 is
-exactly zero.  Working in (u, s) = (age at diagnosis, time since diagnosis)
-is the native parametrization; (t, s) = (attained age, time since diagnosis)
-points are handled by re-evaluating the basis at u = t - s, never by
-interpolating stored grids.
+Fitted surfaces can be evaluated anywhere inside the basis domains.  Every
+cumulative quantity comes from one quadrature kernel: left-rectangle sums
+over nodes ``k * delta``, ``k = 0 .. K-1`` with ``K = floor(s / delta)``, so
+an evaluation at s = 0 is exactly zero.  The kernel takes per-cause u-basis
+rows and coefficient matrices that may carry a leading draw axis, and works
+through the rows in fixed-size chunks, so memory does not grow with the
+number of points or draws.  The product grid (``compute_surfaces``), paired
+points (``surfaces_at_points`` and the single-point helpers) and the
+Monte-Carlo CIF standard errors in :mod:`.uncertainty` all run through it.
+
+Working in (u, s) = (age at diagnosis, time since diagnosis) is the native
+parametrization; (t, s) = (attained age, time since diagnosis) points are
+handled by re-evaluating the basis at u = t - s, never by interpolating stored
+grids.  Extrapolation flags test points against the support hull each fit
+carries (``FittedHazard.hull``) with one vectorized half-plane test.
 """
 
 from __future__ import annotations
@@ -14,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.spatial
 
 from .basis import evaluate_basis
 from .errors import DomainError
@@ -22,6 +29,8 @@ from .smooth2d import FittedHazard
 
 # slack (in units of delta) when counting quadrature nodes below s
 _NODE_EPS = 1e-9
+# rows (times draws) per quadrature pass; temporaries are _CHUNK x K_max
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -64,126 +73,107 @@ def default_eval_grid(fit: FittedHazard, delta: float = None) -> EvalGrid:
     return EvalGrid(u_points=fit.grid.u_mid.copy(), s_points=fit.grid.s_mid.copy(), delta=delta)
 
 
-def evaluate_hazard(fit: FittedHazard, u_points, s_points) -> np.ndarray:
-    """Hazard matrix exp(Bu(u) A Bs(s)') over the product of the point sets."""
-    Bu = evaluate_basis(u_points, fit.kv_u).values
-    Bs = evaluate_basis(s_points, fit.kv_s).values
-    return np.exp(Bu @ fit.A @ Bs.T)
-
-
 def evaluate_log_hazard(fit: FittedHazard, u_points, s_points) -> np.ndarray:
+    """Log-hazard matrix Bu(u) A Bs(s)' over the product of the point sets."""
     Bu = evaluate_basis(u_points, fit.kv_u).values
     Bs = evaluate_basis(s_points, fit.kv_s).values
     return Bu @ fit.A @ Bs.T
 
 
-def _n_nodes(s: float, delta: float) -> int:
-    return int(np.floor(s / delta + _NODE_EPS))
+def evaluate_hazard(fit: FittedHazard, u_points, s_points) -> np.ndarray:
+    """Hazard matrix exp(Bu(u) A Bs(s)') over the product of the point sets."""
+    return np.exp(evaluate_log_hazard(fit, u_points, s_points))
 
 
-def _check_quadrature_domain(fit: FittedHazard, s_max: float):
-    if fit.kv_s.boundary_lo > 1e-12:
-        raise DomainError(
-            f"cumulative quantities integrate from s=0 but the basis starts at "
-            f"{fit.kv_s.boundary_lo}"
-        )
-    if s_max > fit.kv_s.boundary_hi * (1 + 1e-12):
-        raise DomainError(f"s={s_max} beyond the basis domain upper end {fit.kv_s.boundary_hi}")
+def _n_nodes(s: np.ndarray, delta: float) -> np.ndarray:
+    return np.floor(s / delta + _NODE_EPS).astype(int)
 
 
-def cumulative_hazard(fit: FittedHazard, u: float, s: float, delta: float) -> float:
-    """Left-rectangle cumulative hazard of one cause at a single point."""
-    _check_quadrature_domain(fit, s)
-    K = _n_nodes(s, delta)
-    if K == 0:
-        return 0.0
-    nodes = delta * np.arange(K)
-    lam = evaluate_hazard(fit, [u], nodes)[0]
-    return float(np.sum(lam) * delta)
-
-
-def overall_survival(fits: dict, u: float, s: float, delta: float) -> float:
-    """exp(-sum of cumulated cause-specific hazards) at a single point."""
-    total = sum(cumulative_hazard(fit, u, s, delta) for fit in fits.values())
-    return float(np.exp(-total))
-
-
-def cumulative_incidence(fits: dict, cause: int, u: float, s: float, delta: float) -> float:
-    """Probability of failing from ``cause`` by s, at a single (u, s) point."""
-    surfaces = compute_surfaces(fits, [u], [s], delta, extrapolation=False)
-    return float(surfaces.cif[cause][0, 0])
-
-
-def compute_surfaces(
-    fits: dict,
-    u_points,
-    s_points,
-    delta: float = None,
-    extrapolation: bool = True,
-) -> Surfaces:
-    """All derived surfaces on the product grid ``u_points x s_points``.
-
-    The survival factor inside the CIF sums reuses the quadrature node set,
-    so one pass over the node ladder serves every requested s.
-    """
-    causes = sorted(fits)
-    ref = fits[causes[0]]
+def _prepare(fits: dict, u_points, s_points, delta):
+    """Point arrays, quadrature step and per-cause u-basis rows, domain-checked."""
+    ref = fits[min(fits)]
     if delta is None:
         delta = ref.grid.h_s / 10.0
-    u_points = np.atleast_1d(np.asarray(u_points, dtype=float))
-    s_points = np.atleast_1d(np.asarray(s_points, dtype=float))
-    _check_quadrature_domain(ref, float(np.max(s_points)))
-
-    Bu = {ell: evaluate_basis(u_points, fits[ell].kv_u).values for ell in causes}
-    Bs_pts = {ell: evaluate_basis(s_points, fits[ell].kv_s).values for ell in causes}
-    hazard = {ell: np.exp(Bu[ell] @ fits[ell].A @ Bs_pts[ell].T) for ell in causes}
-
-    K_per_s = np.array([_n_nodes(s, delta) for s in s_points])
-    K_max = int(K_per_s.max()) if len(K_per_s) else 0
-    n_up = len(u_points)
-
-    if K_max == 0:
-        zeros = np.zeros((n_up, len(s_points)))
-        cumhaz = {ell: zeros.copy() for ell in causes}
-        cif = {ell: zeros.copy() for ell in causes}
-        survival = np.ones((n_up, len(s_points)))
-    else:
-        nodes = delta * np.arange(K_max)
-        lam_nodes = {}
-        for ell in causes:
-            Bs_nodes = evaluate_basis(nodes, fits[ell].kv_s).values
-            lam_nodes[ell] = np.exp(Bu[ell] @ fits[ell].A @ Bs_nodes.T)  # n_up x K_max
-        lam_tot = sum(lam_nodes.values())
-        # exclusive prefix of the total cumulative hazard at each node
-        cum_tot = np.concatenate(
-            [np.zeros((n_up, 1)), np.cumsum(lam_tot * delta, axis=1)], axis=1
+    u = np.atleast_1d(np.asarray(u_points, dtype=float))
+    s = np.atleast_1d(np.asarray(s_points, dtype=float))
+    if ref.kv_s.boundary_lo > 1e-12:
+        raise DomainError(
+            f"cumulative quantities integrate from s=0 but the basis starts at "
+            f"{ref.kv_s.boundary_lo}"
         )
-        S_nodes = np.exp(-cum_tot[:, :K_max])
-        # inclusive partial sums, with a zero column for K = 0
-        cum_partial = {
-            ell: np.concatenate(
-                [np.zeros((n_up, 1)), np.cumsum(lam_nodes[ell] * delta, axis=1)], axis=1
-            )
-            for ell in causes
-        }
-        cif_partial = {
-            ell: np.concatenate(
-                [np.zeros((n_up, 1)), np.cumsum(lam_nodes[ell] * S_nodes * delta, axis=1)],
-                axis=1,
-            )
-            for ell in causes
-        }
-        cumhaz = {ell: cum_partial[ell][:, K_per_s] for ell in causes}
-        cif = {ell: cif_partial[ell][:, K_per_s] for ell in causes}
-        survival = np.exp(-sum(cumhaz.values()))
+    s_max = float(np.max(s)) if s.size else 0.0
+    if s_max > ref.kv_s.boundary_hi * (1 + 1e-12):
+        raise DomainError(f"s={s_max} beyond the basis domain upper end {ref.kv_s.boundary_hi}")
+    Bu = {ell: evaluate_basis(u, fits[ell].kv_u).values for ell in sorted(fits)}
+    return u, s, delta, Bu
 
-    extrapolated = None
-    if extrapolation:
-        extrapolated = extrapolation_mask(ref, u_points, s_points)
+
+def _prefix(x: np.ndarray) -> np.ndarray:
+    """Inclusive partial sums along the last axis, led by a zero (K = 0) entry."""
+    zero = np.zeros(x.shape[:-1] + (1,))
+    return np.concatenate([zero, np.cumsum(x, axis=-1)], axis=-1)
+
+
+def _quadrature(fits: dict, Bu: dict, K: np.ndarray, delta: float, coefs: dict = None):
+    """Cumulative hazards and CIFs of every cause over the node ladder.
+
+    ``Bu[ell]`` holds u-basis rows (n_rows x c_u); ``K`` holds the node
+    counts to read off, shaped (n_rows, n_cols) or broadcastable to it: one
+    row for a product grid, one column for paired points.  ``coefs[ell]``
+    defaults to the fitted coefficient matrix and may carry a leading draw
+    axis (b x c_u x c_s), which then leads both outputs.  Partial sums are
+    formed _CHUNK row-draws at a time and read off at ``K`` right away.
+    """
+    causes = sorted(fits)
+    if coefs is None:
+        coefs = {ell: fits[ell].A for ell in causes}
+    lead = coefs[causes[0]].shape[:-2]
+    K = np.broadcast_to(K, (len(Bu[causes[0]]), K.shape[-1]))
+    cumhaz = {ell: np.zeros(lead + K.shape) for ell in causes}
+    cif = {ell: np.zeros(lead + K.shape) for ell in causes}
+    K_max = int(K.max()) if K.size else 0
+    if K_max == 0:
+        return cumhaz, cif
+    nodes = delta * np.arange(K_max)
+    Bs_nodes = {ell: evaluate_basis(nodes, fits[ell].kv_s).values for ell in causes}
+    step = max(1, _CHUNK // int(np.prod(lead)))
+    for lo in range(0, len(K), step):
+        rows = slice(lo, lo + step)
+        lam = {ell: np.exp(Bu[ell][rows] @ coefs[ell] @ Bs_nodes[ell].T) for ell in causes}
+        # survival just before each node: exclusive prefix of the total hazard
+        S_nodes = np.exp(-_prefix(sum(lam.values()) * delta)[..., :K_max])
+        at = K[rows]
+        r = np.arange(len(at))[:, None]
+        for ell in causes:
+            cumhaz[ell][..., rows, :] = _prefix(lam[ell] * delta)[..., r, at]
+            cif[ell][..., rows, :] = _prefix(lam[ell] * S_nodes * delta)[..., r, at]
+    return cumhaz, cif
+
+
+def _surfaces(fits: dict, u_points, s_points, delta, paired: bool, coords: str = "us"):
+    """Hazards, quadrature surfaces and extrapolation flags, on a grid or at paired points."""
+    u, s, delta, Bu = _prepare(fits, u_points, s_points, delta)
+    if paired and u.shape != s.shape:
+        raise ValueError("u and s point arrays must have equal length")
+    Bs = {ell: evaluate_basis(s, fits[ell].kv_s).values for ell in Bu}
+    if paired:
+        hazard = {ell: np.exp(np.sum((Bu[ell] @ fits[ell].A) * Bs[ell], axis=1))[:, None]
+                  for ell in Bu}
+        K = _n_nodes(s, delta)[:, None]
+    else:
+        hazard = {ell: np.exp(Bu[ell] @ fits[ell].A @ Bs[ell].T) for ell in Bu}
+        K = _n_nodes(s, delta)[None, :]
+    cumhaz, cif = _quadrature(fits, Bu, K, delta)
     return Surfaces(
-        u_points=u_points, s_points=s_points, hazard=hazard, cumhaz=cumhaz,
-        survival=survival, cif=cif, delta=delta, coords="us", extrapolated=extrapolated,
+        u_points=u, s_points=s, hazard=hazard, cumhaz=cumhaz,
+        survival=np.exp(-sum(cumhaz.values())), cif=cif, delta=delta, coords=coords,
+        extrapolated=extrapolation_mask(fits[min(fits)], u, s, paired=paired),
     )
+
+
+def compute_surfaces(fits: dict, u_points, s_points, delta: float = None) -> Surfaces:
+    """All derived surfaces on the product grid ``u_points x s_points``."""
+    return _surfaces(fits, u_points, s_points, delta, paired=False)
 
 
 def surfaces_at_points(
@@ -197,118 +187,66 @@ def surfaces_at_points(
 
     Returns a Surfaces object whose matrices have shape (n_points, 1).
     """
-    causes = sorted(fits)
-    ref = fits[causes[0]]
-    if delta is None:
-        delta = ref.grid.h_s / 10.0
-    u_arr = np.atleast_1d(np.asarray(u_arr, dtype=float))
-    s_arr = np.atleast_1d(np.asarray(s_arr, dtype=float))
-    if u_arr.shape != s_arr.shape:
-        raise ValueError("u and s point arrays must have equal length")
-    _check_quadrature_domain(ref, float(np.max(s_arr)) if s_arr.size else 0.0)
+    return _surfaces(fits, u_arr, s_arr, delta, paired=True, coords=coords)
 
-    n_pts = len(u_arr)
-    K_per_pt = np.array([_n_nodes(s, delta) for s in s_arr])
-    K_max = int(K_per_pt.max()) if n_pts else 0
 
-    hazard = {}
-    lam_nodes = {}
-    for ell in causes:
-        Bu_pts = evaluate_basis(u_arr, fits[ell].kv_u).values
-        Bs_own = evaluate_basis(s_arr, fits[ell].kv_s).values
-        hazard[ell] = np.einsum("pl,lm,pm->p", Bu_pts, fits[ell].A, Bs_own)[:, None]
-        hazard[ell] = np.exp(hazard[ell])
-        if K_max > 0:
-            Bs_nodes = evaluate_basis(delta * np.arange(K_max), fits[ell].kv_s).values
-            lam_nodes[ell] = np.exp(Bu_pts @ fits[ell].A @ Bs_nodes.T)
+def cumulative_hazard(fit: FittedHazard, u: float, s: float, delta: float) -> float:
+    """Left-rectangle cumulative hazard of one cause at a single point."""
+    return float(surfaces_at_points({0: fit}, u, s, delta).cumhaz[0][0, 0])
 
-    if K_max == 0:
-        cumhaz = {ell: np.zeros((n_pts, 1)) for ell in causes}
-        cif = {ell: np.zeros((n_pts, 1)) for ell in causes}
-        survival = np.ones((n_pts, 1))
-    else:
-        lam_tot = sum(lam_nodes.values())
-        cum_tot = np.concatenate(
-            [np.zeros((n_pts, 1)), np.cumsum(lam_tot * delta, axis=1)], axis=1
-        )
-        S_nodes = np.exp(-cum_tot[:, :K_max])
-        rows = np.arange(n_pts)
-        cumhaz = {}
-        cif = {}
-        for ell in causes:
-            part = np.concatenate(
-                [np.zeros((n_pts, 1)), np.cumsum(lam_nodes[ell] * delta, axis=1)], axis=1
-            )
-            cumhaz[ell] = part[rows, K_per_pt][:, None]
-            part_cif = np.concatenate(
-                [np.zeros((n_pts, 1)), np.cumsum(lam_nodes[ell] * S_nodes * delta, axis=1)],
-                axis=1,
-            )
-            cif[ell] = part_cif[rows, K_per_pt][:, None]
-        survival = np.exp(-sum(cumhaz.values()))
 
-    extrapolated = extrapolation_mask(ref, u_arr, s_arr, paired=True)
-    return Surfaces(
-        u_points=u_arr, s_points=s_arr, hazard=hazard, cumhaz=cumhaz,
-        survival=survival, cif=cif, delta=delta, coords=coords, extrapolated=extrapolated,
-    )
+def overall_survival(fits: dict, u: float, s: float, delta: float) -> float:
+    """exp(-sum of cumulated cause-specific hazards) at a single point."""
+    return float(surfaces_at_points(fits, u, s, delta).survival[0, 0])
+
+
+def cumulative_incidence(fits: dict, cause: int, u: float, s: float, delta: float) -> float:
+    """Probability of failing from ``cause`` by s, at a single (u, s) point."""
+    return float(surfaces_at_points(fits, u, s, delta).cif[cause][0, 0])
 
 
 def to_age_coordinates(fits: dict, t_arr, s_arr, delta: float = None) -> Surfaces:
     """Evaluate at attained-age points (t, s) by re-evaluating at u = t - s."""
     t_arr = np.atleast_1d(np.asarray(t_arr, dtype=float))
     s_arr = np.atleast_1d(np.asarray(s_arr, dtype=float))
-    bad = [(float(t), float(s)) for t, s in zip(t_arr, s_arr) if t <= s]
-    if bad:
+    bad = t_arr <= s_arr
+    if bad.any():
+        bad = list(zip(t_arr[bad].tolist(), s_arr[bad].tolist()))
         raise DomainError(f"attained age must exceed time since diagnosis at {bad[:10]}",
                           points=bad)
     return surfaces_at_points(fits, t_arr - s_arr, s_arr, delta=delta, coords="ts")
 
 
 def support_hull(fit: FittedHazard):
-    """Convex hull of the positive-exposure bin midpoints, for extrapolation flags.
+    """The fit's support hull: ("polygon", counterclockwise vertices) or, for
+    degenerate point sets, ("box", (u_min, u_max, s_min, s_max))."""
+    return fit.hull
 
-    Returns ("polygon", vertices) or, for degenerate point sets, ("box",
-    (u_min, u_max, s_min, s_max)).
+
+def in_support(hull, u, s, atol: float = 1e-9):
+    """Point-in-convex-polygon test, elementwise over (broadcast) u and s.
+
+    A point is inside when it lies on the inner side of every edge of the
+    counterclockwise polygon, up to ``atol`` relative to the vertex scale.
     """
-    uu, ss = np.meshgrid(fit.grid.u_mid, fit.grid.s_mid, indexing="ij")
-    pts = np.column_stack([uu[fit.support], ss[fit.support]])
-    if len(pts) >= 3:
-        try:
-            hull = scipy.spatial.ConvexHull(pts)
-            return "polygon", pts[hull.vertices]
-        except scipy.spatial.QhullError:
-            pass
-    return "box", (pts[:, 0].min(), pts[:, 0].max(), pts[:, 1].min(), pts[:, 1].max())
-
-
-def in_support(hull, u, s, atol: float = 1e-9) -> bool:
-    """Point-in-convex-polygon test (vertices in counterclockwise order)."""
     kind, data = hull
+    u = np.asarray(u, dtype=float)
+    s = np.asarray(s, dtype=float)
     if kind == "box":
         u_min, u_max, s_min, s_max = data
-        return bool(u_min - atol <= u <= u_max + atol and s_min - atol <= s <= s_max + atol)
+        return (u_min - atol <= u) & (u <= u_max + atol) & (s_min - atol <= s) & (s <= s_max + atol)
     verts = np.asarray(data)
-    n = len(verts)
     scale = max(np.abs(verts).max(), 1.0)
-    for i in range(n):
-        ax, ay = verts[i]
-        bx, by = verts[(i + 1) % n]
-        cross = (bx - ax) * (s - ay) - (by - ay) * (u - ax)
-        if cross < -atol * scale:
-            return False
-    return True
+    inside = np.ones(np.broadcast(u, s).shape, dtype=bool)
+    for (ax, ay), (bx, by) in zip(verts, np.roll(verts, -1, axis=0)):
+        inside &= (bx - ax) * (s - ay) - (by - ay) * (u - ax) >= -atol * scale
+    return inside
 
 
 def extrapolation_mask(fit: FittedHazard, u_points, s_points, paired: bool = False) -> np.ndarray:
     """True where an evaluation point lies outside the data-supported hull."""
-    hull = support_hull(fit)
     u_points = np.atleast_1d(u_points)
     s_points = np.atleast_1d(s_points)
-    if paired:
-        return np.array([not in_support(hull, u, s) for u, s in zip(u_points, s_points)])
-    mask = np.empty((len(u_points), len(s_points)), dtype=bool)
-    for i, u in enumerate(u_points):
-        for j, s in enumerate(s_points):
-            mask[i, j] = not in_support(hull, u, s)
-    return mask
+    if not paired:
+        u_points, s_points = np.meshgrid(u_points, s_points, indexing="ij")
+    return ~in_support(fit.hull, u_points, s_points)

@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .basis import BasisMatrix, difference_matrix
+from .basis import BasisMatrix
 from .errors import ConvergenceError, DataError
-from .smooth2d import FitControl, _factor_spd
+from .smooth2d import FitControl, PenaltyConfig, _factor_spd, penalty_matrix
 
 
 @dataclass(frozen=True)
@@ -63,17 +63,6 @@ class PclmFit:
     converged: bool
     n_iter: int
     candidates: list = field(default_factory=list)  # (log10_phi_u, log10_phi_s, aic) per search point
-
-
-def _pclm_penalty(c_u: int, c_s: int, d: int, phi_u: float, phi_s: float) -> np.ndarray:
-    P = np.zeros((c_u * c_s, c_u * c_s))
-    if phi_u > 0:
-        Du = difference_matrix(c_u, d).values
-        P += phi_u * np.kron(np.eye(c_s), Du.T @ Du)
-    if phi_s > 0:
-        Ds = difference_matrix(c_s, d).values
-        P += phi_s * np.kron(Ds.T @ Ds, np.eye(c_u))
-    return P
 
 
 class _PclmContext:
@@ -147,7 +136,7 @@ class _PclmContext:
 
 
 def _fit_pclm_core(ctx: _PclmContext, phis, ctrl: FitControl, theta_init=None) -> PclmFit:
-    P = _pclm_penalty(ctx.c_u, ctx.c_s, ctx.d, 10.0 ** phis[0], 10.0 ** phis[1])
+    P = penalty_matrix(ctx.c_u, ctx.c_s, PenaltyConfig(phis[0], phis[1], ctx.d))
     theta = ctx.theta0.copy() if theta_init is None else np.asarray(theta_init, dtype=float).copy()
 
     Gamma, Psi, dev, pen_dev = ctx.state(theta, P)

@@ -11,12 +11,11 @@ followed by a pattern-search refinement on the log10 scale.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.spatial
 
 from . import glam
 from .basis import KnotVector, difference_matrix, evaluate_basis
@@ -85,7 +84,7 @@ class FittedHazard:
     score_rel: float
     gram: np.ndarray = field(repr=False)             # B' W_hat B at convergence
     factor: tuple = field(repr=False)                # Cholesky factor of gram + P
-    support: np.ndarray = field(repr=False)          # boolean mask of positive-exposure bins
+    hull: tuple = field(repr=False)                  # convex hull of positive-exposure bins
 
     @property
     def coef(self) -> np.ndarray:
@@ -107,6 +106,22 @@ def penalty_matrix(c_u: int, c_s: int, penalty: PenaltyConfig) -> np.ndarray:
         Ds = difference_matrix(c_s, d).values
         P += penalty.rho_s * np.kron(Ds.T @ Ds, np.eye(c_u))
     return P
+
+
+def _support_hull(grid, mask: np.ndarray):
+    """Convex hull of the positive-exposure bin midpoints, for extrapolation flags.
+
+    Returns ("polygon", counterclockwise vertices) or, for degenerate point
+    sets, ("box", (u_min, u_max, s_min, s_max)).
+    """
+    uu, ss = np.meshgrid(grid.u_mid, grid.s_mid, indexing="ij")
+    pts = np.column_stack([uu[mask], ss[mask]])
+    if len(pts) >= 3:
+        try:
+            return "polygon", pts[scipy.spatial.ConvexHull(pts).vertices]
+        except scipy.spatial.QhullError:
+            pass
+    return "box", (pts[:, 0].min(), pts[:, 0].max(), pts[:, 1].min(), pts[:, 1].max())
 
 
 def _factor_spd(M: np.ndarray):
@@ -279,7 +294,7 @@ def fit_hazard(
         score_rel=score_rel,
         gram=gram,
         factor=factor,
-        support=mask,
+        hull=_support_hull(data.grid, mask),
     )
     fit.ed = effective_dimension(fit)
     fit.aic, fit.bic = information_criteria(fit)
@@ -311,13 +326,6 @@ class SearchConfig:
     coarse_step: float = 1.0
     refine_resolution: float = 0.1
     max_evals: int = 400
-
-
-def _search_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("HAZARD2TS_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def select_smoothing(
@@ -370,10 +378,6 @@ def select_smoothing(
     grid_s = np.arange(lo_s, hi_s + 1e-9, search.coarse_step)
     candidates = [(lu, ls) for lu in grid_u for ls in grid_s]
 
-    workers = _search_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda p: evaluate(*p), candidates))
     best = None
     for lu, ls in candidates:
         value, fit = evaluate(lu, ls)

@@ -2,23 +2,29 @@
 
 The coefficient covariance is the inverse of the penalized information at
 convergence.  SEs of the log-hazard at a point follow from the quadratic
-form with the tensor basis row; hazard SEs are the delta-method transform
-through exp.  CIF standard errors come from repeatedly drawing coefficient
-vectors from their asymptotic normal distribution (independently per cause)
-and recomputing the CIF for every draw.
+form x' Sigma x with the tensor basis row x; one chunked row-wise kernel
+serves paired points and, on the meshgrid, product grids.  Hazard SEs are
+the delta-method transform through exp.  CIF standard errors come from
+repeatedly drawing coefficient vectors from their asymptotic normal
+distribution (independently per cause) and passing the draws, a fixed-size
+batch at a time, through the quadrature kernel of :mod:`.incidence`; one set
+of draws yields the SEs of every cause.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .basis import evaluate_basis
 from .errors import Hazard2tsError
-from .incidence import compute_surfaces
+from .incidence import _CHUNK, _n_nodes, _prepare, _quadrature, evaluate_hazard
 from .smooth2d import FittedHazard
+
+# coefficient draws per quadrature pass
+_DRAW_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -40,40 +46,37 @@ def coefficient_covariance(fit: FittedHazard) -> np.ndarray:
     return 0.5 * (Sigma + Sigma.T)
 
 
-def _tensor_rows(fit: FittedHazard, u_points, s_points) -> np.ndarray:
-    """Model-matrix rows for every grid point, shaped (n_u_pts, n_s_pts, n_coef).
+def _row_variance(Bu: np.ndarray, Bs: np.ndarray, Sigma: np.ndarray) -> np.ndarray:
+    """Quadratic forms x_i' Sigma x_i for the tensor rows x_i = Bs[i] (x) Bu[i].
 
     The coefficient index is column-major over (l, m), i.e. m * c_u + l,
-    matching the vectorization used by the fitting kernels.
+    matching the vectorization used by the fitting kernels.  Rows are formed
+    _CHUNK at a time.
     """
-    Bu = evaluate_basis(u_points, fit.kv_u).values
-    Bs = evaluate_basis(s_points, fit.kv_s).values
-    rows = Bs[None, :, :, None] * Bu[:, None, None, :]  # (nu, ns, c_s, c_u)
-    return rows.reshape(len(Bu), len(Bs), -1)
+    var = np.empty(len(Bu))
+    for lo in range(0, len(Bu), _CHUNK):
+        sl = slice(lo, lo + _CHUNK)
+        rows = (Bs[sl, :, None] * Bu[sl, None, :]).reshape(-1, Bs.shape[1] * Bu.shape[1])
+        var[sl] = np.einsum("ip,ip->i", rows @ Sigma, rows)
+    return var
+
+
+def se_log_hazard_points(fit: FittedHazard, Sigma: np.ndarray, u_arr, s_arr) -> np.ndarray:
+    """Delta-method SE of the log-hazard at paired points (u_i, s_i)."""
+    Bu = evaluate_basis(u_arr, fit.kv_u).values
+    Bs = evaluate_basis(s_arr, fit.kv_s).values
+    return np.sqrt(np.maximum(_row_variance(Bu, Bs, Sigma), 0.0))
 
 
 def se_log_hazard(fit: FittedHazard, Sigma: np.ndarray, u_points, s_points) -> np.ndarray:
     """Delta-method SE of the log-hazard on the product grid of the points."""
-    rows = _tensor_rows(fit, u_points, s_points)
-    var = np.einsum("ijp,pq,ijq->ij", rows, Sigma, rows)
-    return np.sqrt(np.maximum(var, 0.0))
-
-
-def se_log_hazard_points(fit: FittedHazard, Sigma: np.ndarray, u_arr, s_arr) -> np.ndarray:
-    """Log-hazard SE at paired points (u_i, s_i) instead of a product grid."""
-    Bu = evaluate_basis(u_arr, fit.kv_u).values
-    Bs = evaluate_basis(s_arr, fit.kv_s).values
-    rows = (Bs[:, :, None] * Bu[:, None, :]).reshape(len(Bu), -1)
-    var = np.einsum("ip,pq,iq->i", rows, Sigma, rows)
-    return np.sqrt(np.maximum(var, 0.0))
+    uu, ss = np.meshgrid(u_points, s_points, indexing="ij")
+    return se_log_hazard_points(fit, Sigma, uu.ravel(), ss.ravel()).reshape(uu.shape)
 
 
 def se_hazard(fit: FittedHazard, Sigma: np.ndarray, u_points, s_points) -> np.ndarray:
     """SE of the hazard itself: hazard times the log-hazard SE, elementwise."""
-    Bu = evaluate_basis(u_points, fit.kv_u).values
-    Bs = evaluate_basis(s_points, fit.kv_s).values
-    lam = np.exp(Bu @ fit.A @ Bs.T)
-    return lam * se_log_hazard(fit, Sigma, u_points, s_points)
+    return evaluate_hazard(fit, u_points, s_points) * se_log_hazard(fit, Sigma, u_points, s_points)
 
 
 def sample_coefficients(mean: np.ndarray, Sigma: np.ndarray, n_draws: int,
@@ -103,18 +106,19 @@ def sample_coefficients(mean: np.ndarray, Sigma: np.ndarray, n_draws: int,
 def cif_standard_errors(
     fits: dict,
     Sigmas: dict,
-    cause: int,
     u_points,
     s_points,
     mc: MonteCarloConfig = MonteCarloConfig(),
     delta: float = None,
-) -> np.ndarray:
-    """Monte-Carlo SE of one cause's CIF on the product grid of the points.
+) -> dict:
+    """Monte-Carlo SEs of every cause's CIF on the product grid of the points.
 
-    Coefficient draws are independent across causes (the causes are fitted
-    separately; only the exposures are shared).  The empirical standard
-    deviation uses divisor n_draws - 1 and is bitwise reproducible for a
-    given seed.
+    Returns ``{cause: se}``.  Coefficient draws are independent across causes
+    (the causes are fitted separately; only the exposures are shared), and one
+    set of draws serves all causes.  Draws go through the quadrature kernel
+    _DRAW_CHUNK at a time; the empirical standard deviation (divisor
+    n_draws - 1) is accumulated draw by draw in draw order and is bitwise
+    reproducible for a given seed.
     """
     causes = sorted(fits)
     rng = np.random.default_rng(mc.seed)
@@ -122,21 +126,21 @@ def cif_standard_errors(
         ell: sample_coefficients(fits[ell].coef, Sigmas[ell], mc.n_draws, rng)
         for ell in causes
     }
+    u_points, s_points, delta, Bu = _prepare(fits, u_points, s_points, delta)
+    K = _n_nodes(s_points, delta)[None, :]
 
-    mean = None
-    m2 = None
-    for k in range(mc.n_draws):
-        perturbed = {
-            ell: replace(fits[ell], A=draws[ell][k].reshape(fits[ell].A.shape, order="F"))
-            for ell in causes
-        }
-        surf = compute_surfaces(perturbed, u_points, s_points, delta=delta,
-                                extrapolation=False)
-        value = surf.cif[cause]
-        if mean is None:
-            mean = np.zeros_like(value)
-            m2 = np.zeros_like(value)
-        d1 = value - mean
-        mean += d1 / (k + 1)
-        m2 += d1 * (value - mean)
-    return np.sqrt(m2 / (mc.n_draws - 1))
+    mean = {ell: np.zeros((len(u_points), len(s_points))) for ell in causes}
+    m2 = {ell: np.zeros((len(u_points), len(s_points))) for ell in causes}
+    for lo in range(0, mc.n_draws, _DRAW_CHUNK):
+        # vec(A) is column-major: draw k holds A[l, m] at index m * c_u + l
+        coefs = {ell: draws[ell][lo:lo + _DRAW_CHUNK]
+                 .reshape(-1, *fits[ell].A.shape[::-1]).transpose(0, 2, 1)
+                 for ell in causes}
+        _, cif = _quadrature(fits, Bu, K, delta, coefs)
+        for j in range(len(coefs[causes[0]])):
+            for ell in causes:
+                value = cif[ell][j]
+                d1 = value - mean[ell]
+                mean[ell] += d1 / (lo + j + 1)
+                m2[ell] += d1 * (value - mean[ell])
+    return {ell: np.sqrt(m2[ell] / (mc.n_draws - 1)) for ell in causes}

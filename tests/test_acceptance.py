@@ -135,7 +135,7 @@ def test_quadrature_conservation(constant_fits, default_grid):
     violations = {}
     for d in (delta, delta / 2.0):
         surf = h.compute_surfaces(constant_fits, default_grid.u_mid,
-                                  default_grid.s_mid, d, extrapolation=False)
+                                  default_grid.s_mid, d)
         gap = np.abs(surf.survival + surf.cif[1] + surf.cif[2] - 1.0)
         max_lam = max(lam.max() for lam in surf.hazard.values())
         violations[d] = (gap.max(), 3.0 * d * max_lam)
@@ -217,8 +217,8 @@ def test_monte_carlo_se_calibration(scalar_toy):
     se_delta = math.sqrt(g1**2 * Sigmas[1][0, 0] + g2**2 * Sigmas[2][0, 0])
 
     mc = h.MonteCarloConfig(n_draws=10_000, seed=2024)
-    se_mc = h.cif_standard_errors(fits, Sigmas, 1, [0.5], [1.0], mc=mc, delta=0.01)
-    se_mc_again = h.cif_standard_errors(fits, Sigmas, 1, [0.5], [1.0], mc=mc, delta=0.01)
+    se_mc = h.cif_standard_errors(fits, Sigmas, [0.5], [1.0], mc=mc, delta=0.01)[1]
+    se_mc_again = h.cif_standard_errors(fits, Sigmas, [0.5], [1.0], mc=mc, delta=0.01)[1]
     rel = abs(se_mc[0, 0] - se_delta) / se_delta
     deterministic = np.array_equal(se_mc, se_mc_again)
     _report("monte-carlo-se-calibration", rel < 0.05 and deterministic,

@@ -1,0 +1,206 @@
+"""The shared evaluation layer: quadrature and delta-SE kernels, the support
+hull test, and models restored from model.json."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import hazard2ts as h
+from hazard2ts import incidence, uncertainty
+from hazard2ts.cli import load_config, load_model, save_model
+from hazard2ts.incidence import in_support
+from hazard2ts.smooth2d import _support_hull
+
+
+# -- oracles ------------------------------------------------------------------
+
+def in_support_scalar(hull, u, s, atol=1e-9):
+    """One point at a time, edge by edge: the reference for the vectorized test."""
+    kind, data = hull
+    if kind == "box":
+        u_min, u_max, s_min, s_max = data
+        return bool(u_min - atol <= u <= u_max + atol and s_min - atol <= s <= s_max + atol)
+    verts = np.asarray(data)
+    n = len(verts)
+    scale = max(np.abs(verts).max(), 1.0)
+    for i in range(n):
+        ax, ay = verts[i]
+        bx, by = verts[(i + 1) % n]
+        cross = (bx - ax) * (s - ay) - (by - ay) * (u - ax)
+        if cross < -atol * scale:
+            return False
+    return True
+
+
+def dense_paired(fits, u, s, delta):
+    """Cumulative hazards, CIFs and survival at paired points, all rows at once."""
+    K = np.floor(s / delta + 1e-9).astype(int)
+    nodes = delta * np.arange(K.max())
+    lam = {ell: np.exp(h.evaluate_basis(u, f.kv_u).values @ f.A
+                       @ h.evaluate_basis(nodes, f.kv_s).values.T)
+           for ell, f in fits.items()}
+    before = np.arange(len(nodes))[None, :] < K[:, None]       # nodes below each s
+    lam_tot = sum(lam.values())
+    S_nodes = np.exp(-(np.cumsum(lam_tot * delta, axis=1) - lam_tot * delta))
+    cumhaz = {ell: np.sum(np.where(before, lam[ell] * delta, 0.0), axis=1) for ell in fits}
+    cif = {ell: np.sum(np.where(before, lam[ell] * S_nodes * delta, 0.0), axis=1)
+           for ell in fits}
+    return cumhaz, cif, np.exp(-sum(cumhaz.values()))
+
+
+def triangular_fits():
+    """Two fits on exposure confined to a lower triangle of a 10 x 10 grid."""
+    grid = h.build_grid(0, 10, 1, 0, 10, 1)
+    R = np.zeros((10, 10))
+    for i in range(10):
+        R[i, : max(1, 10 - i)] = 20.0
+    rng = np.random.default_rng(3)
+    kv = h.make_knots(0, 10, 4, 3)
+    Y = {ell: np.where(R > 0, rng.poisson(lam * 20.0, size=R.shape), 0).astype(float)
+         for ell, lam in ((1, 0.2), (2, 0.1))}
+    data = h.BinnedData(grid=grid, Y=Y, R=R)
+    fits = {ell: h.fit_hazard(data, ell, kv, kv, h.PenaltyConfig(2.0, 2.0, 2)) for ell in (1, 2)}
+    return grid, fits
+
+
+@pytest.fixture(scope="module")
+def tri():
+    grid, fits = triangular_fits()
+    return grid, fits, {ell: h.coefficient_covariance(f) for ell, f in fits.items()}
+
+
+# -- support hull ---------------------------------------------------------------
+
+small_grid = h.build_grid(0, 6, 1, 0, 5, 1)
+
+
+def _cells_mask(cells):
+    mask = np.zeros((6, 5), dtype=bool)
+    mask[tuple(np.array(list(cells)).T)] = True
+    return mask
+
+
+# dense random supports (polygons) and one to three cells (mostly boxes)
+masks = st.one_of(
+    st.lists(st.booleans(), min_size=30, max_size=30).filter(any).map(
+        lambda bits: np.array(bits).reshape(6, 5)),
+    st.sets(st.tuples(st.integers(0, 5), st.integers(0, 4)), min_size=1, max_size=3).map(
+        _cells_mask),
+)
+coords = st.floats(-1.0, 7.0, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mask=masks, u=st.lists(coords, min_size=1, max_size=40),
+       s=st.lists(coords, min_size=1, max_size=40))
+def test_vectorized_support_matches_scalar_on_random_points(mask, u, s):
+    hull = _support_hull(small_grid, mask)
+    n = min(len(u), len(s))
+    u, s = np.array(u[:n]), np.array(s[:n])
+    want = [in_support_scalar(hull, a, b) for a, b in zip(u, s)]
+    assert in_support(hull, u, s).tolist() == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(mask=masks, frac=st.floats(0.0, 1.0), shift=st.sampled_from([0.0, 1e-12, -1e-12, 1e-6]))
+def test_vectorized_support_matches_scalar_on_vertices_and_edges(mask, frac, shift):
+    hull = _support_hull(small_grid, mask)
+    kind, data = hull
+    if kind == "box":
+        u_min, u_max, s_min, s_max = data
+        verts = np.array([[u_min, s_min], [u_max, s_min], [u_max, s_max], [u_min, s_max]])
+    else:
+        verts = np.asarray(data)
+    edge = verts + frac * (np.roll(verts, -1, axis=0) - verts)
+    pts = np.vstack([verts, edge]) + shift
+    want = [in_support_scalar(hull, a, b) for a, b in pts]
+    assert in_support(hull, pts[:, 0], pts[:, 1]).tolist() == want
+
+
+def test_box_hull_for_collinear_support():
+    mask = np.zeros((6, 5), dtype=bool)
+    mask[:, 2] = True                      # one column of bins: a segment
+    hull = _support_hull(small_grid, mask)
+    assert hull[0] == "box"
+    u = np.array([0.5, 5.5, 3.0, 3.0, 0.5 - 1e-6, 0.5 - 1e-12, 5.5 + 1e-12])
+    s = np.array([2.5, 2.5, 2.5, 2.6, 2.5, 2.5 + 1e-12, 2.5 - 1e-12])
+    assert in_support(hull, u, s).tolist() == [in_support_scalar(hull, a, b)
+                                               for a, b in zip(u, s)]
+
+
+# -- chunked kernels --------------------------------------------------------------
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_paired_kernel_matches_dense_at_chunk_boundary(tri, offset):
+    grid, fits, _ = tri
+    n = incidence._CHUNK + offset
+    rng = np.random.default_rng(n)
+    u, s = rng.uniform(0, 10, n), rng.uniform(0, 10, n)
+    surf = h.surfaces_at_points(fits, u, s, 0.05)
+    cumhaz, cif, survival = dense_paired(fits, u, s, 0.05)
+    for ell in fits:
+        np.testing.assert_allclose(surf.cumhaz[ell][:, 0], cumhaz[ell], rtol=1e-12, atol=1e-300)
+        np.testing.assert_allclose(surf.cif[ell][:, 0], cif[ell], rtol=1e-12, atol=1e-300)
+    np.testing.assert_allclose(surf.survival[:, 0], survival, rtol=1e-12)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_se_kernel_matches_dense_at_chunk_boundary(tri, offset):
+    grid, fits, Sigmas = tri
+    n = incidence._CHUNK + offset
+    rng = np.random.default_rng(n)
+    u, s = rng.uniform(0, 10, n), rng.uniform(0, 10, n)
+    Bu = h.evaluate_basis(u, fits[1].kv_u).values
+    Bs = h.evaluate_basis(s, fits[1].kv_s).values
+    X = np.stack([np.kron(Bs[i], Bu[i]) for i in range(n)])
+    dense = np.sqrt(np.sum((X @ Sigmas[1]) * X, axis=1))
+    got = h.se_log_hazard_points(fits[1], Sigmas[1], u, s)
+    np.testing.assert_allclose(got, dense, rtol=1e-12)
+
+
+@pytest.mark.parametrize("n_draws", [uncertainty._DRAW_CHUNK - 1, uncertainty._DRAW_CHUNK,
+                                     uncertainty._DRAW_CHUNK + 1])
+def test_mc_se_matches_per_draw_loop(tri, n_draws):
+    grid, fits, Sigmas = tri
+    # more u rows than one draw batch covers, so rows are chunked as well
+    u_pts = np.linspace(0, 10, incidence._CHUNK // uncertainty._DRAW_CHUNK + 1)
+    s_pts = grid.s_mid[:4]
+    mc = h.MonteCarloConfig(n_draws=n_draws, seed=11)
+    got = h.cif_standard_errors(fits, Sigmas, u_pts, s_pts, mc=mc, delta=0.05)
+
+    rng = np.random.default_rng(mc.seed)
+    draws = {ell: h.sample_coefficients(fits[ell].coef, Sigmas[ell], n_draws, rng)
+             for ell in (1, 2)}
+    values = {1: [], 2: []}
+    for k in range(n_draws):
+        perturbed = {ell: dataclasses.replace(
+            fits[ell], A=draws[ell][k].reshape(fits[ell].A.shape, order="F")) for ell in (1, 2)}
+        surf = h.compute_surfaces(perturbed, u_pts, s_pts, 0.05)
+        for ell in (1, 2):
+            values[ell].append(surf.cif[ell])
+    for ell in (1, 2):
+        want = np.std(np.array(values[ell]), axis=0, ddof=1)
+        np.testing.assert_allclose(got[ell], want, rtol=1e-10, atol=1e-15)
+
+
+# -- models restored from model.json ----------------------------------------------
+
+def test_loaded_model_evaluates_like_in_memory_fits(tri, tmp_path):
+    grid, fits, Sigmas = tri
+    save_model(tmp_path / "model.json", load_config(None), grid, fits, Sigmas)
+    loaded = load_model(tmp_path / "model.json")[2]
+    u = np.array([0.5, 2.5, 5.5, 9.5, 9.5])
+    s = np.array([0.5, 6.5, 2.5, 0.5, 9.5])
+    pairs = [(h.surfaces_at_points(fits, u, s, 0.05), h.surfaces_at_points(loaded, u, s, 0.05)),
+             (h.to_age_coordinates(fits, u + s, s, 0.05),
+              h.to_age_coordinates(loaded, u + s, s, 0.05))]
+    for mem, disk in pairs:
+        assert disk.extrapolated.tolist() == mem.extrapolated.tolist()
+        assert mem.extrapolated.tolist() == [False, False, False, False, True]
+        assert np.array_equal(disk.survival, mem.survival)
+        for ell in (1, 2):
+            assert np.array_equal(disk.hazard[ell], mem.hazard[ell])
+            assert np.array_equal(disk.cif[ell], mem.cif[ell])
+            assert np.array_equal(disk.cumhaz[ell], mem.cumhaz[ell])

@@ -157,32 +157,32 @@ class TestCifStandardErrors:
     def test_zero_covariance_gives_zero_se(self, scalar_toy):
         fits, _ = scalar_toy
         Sigmas = {1: np.zeros((1, 1)), 2: np.zeros((1, 1))}
-        se = h.cif_standard_errors(fits, Sigmas, 1, [0.5], [1.0],
-                                   mc=h.MonteCarloConfig(n_draws=100, seed=0), delta=0.05)
+        se = h.cif_standard_errors(fits, Sigmas, [0.5], [1.0],
+                                   mc=h.MonteCarloConfig(n_draws=100, seed=0), delta=0.05)[1]
         assert np.all(se == 0.0)
 
     def test_matches_delta_method_oracle(self, scalar_toy):
         fits, Sigmas = scalar_toy
         mc = h.MonteCarloConfig(n_draws=10_000, seed=2024)
-        se_mc = h.cif_standard_errors(fits, Sigmas, 1, [0.5], [1.0], mc=mc, delta=0.01)
+        se_mc = h.cif_standard_errors(fits, Sigmas, [0.5], [1.0], mc=mc, delta=0.01)[1]
         se_ref = delta_method_cif_se(0.1, 0.05, Sigmas[1][0, 0], Sigmas[2][0, 0], 1.0)
         assert abs(se_mc[0, 0] - se_ref) / se_ref < 0.05
 
     def test_seed_reproducibility_bitwise(self, scalar_toy):
         fits, Sigmas = scalar_toy
         mc = h.MonteCarloConfig(n_draws=500, seed=7)
-        a = h.cif_standard_errors(fits, Sigmas, 1, [0.5], [1.0], mc=mc, delta=0.02)
-        b = h.cif_standard_errors(fits, Sigmas, 1, [0.5], [1.0], mc=mc, delta=0.02)
+        a = h.cif_standard_errors(fits, Sigmas, [0.5], [1.0], mc=mc, delta=0.02)[1]
+        b = h.cif_standard_errors(fits, Sigmas, [0.5], [1.0], mc=mc, delta=0.02)[1]
         assert np.array_equal(a, b)
 
     def test_stable_between_5000_and_10000_draws(self, scalar_toy):
         fits, Sigmas = scalar_toy
-        se5 = h.cif_standard_errors(fits, Sigmas, 1, [0.5], [1.0],
+        se5 = h.cif_standard_errors(fits, Sigmas, [0.5], [1.0],
                                     mc=h.MonteCarloConfig(n_draws=5_000, seed=3),
-                                    delta=0.02)
-        se10 = h.cif_standard_errors(fits, Sigmas, 1, [0.5], [1.0],
+                                    delta=0.02)[1]
+        se10 = h.cif_standard_errors(fits, Sigmas, [0.5], [1.0],
                                      mc=h.MonteCarloConfig(n_draws=10_000, seed=4),
-                                     delta=0.02)
+                                     delta=0.02)[1]
         assert abs(se10[0, 0] - se5[0, 0]) / se10[0, 0] < 0.10
 
     def test_minimum_draws_enforced(self):
