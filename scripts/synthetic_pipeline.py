@@ -13,6 +13,7 @@ Usage:
 """
 
 import argparse
+import dataclasses
 import time
 from pathlib import Path
 
@@ -39,15 +40,12 @@ def main():
     t0 = time.perf_counter()
     records = h.simulate_cohort(spec)
     print(f"simulated {len(records)} subjects "
-          f"({sum(1 for r in records if r.cause == 1)} cause-1 events, "
-          f"{sum(1 for r in records if r.cause == 2)} cause-2 events) "
+          f"({np.count_nonzero(records.cause == 1)} cause-1 events, "
+          f"{np.count_nonzero(records.cause == 2)} cause-2 events) "
           f"in {time.perf_counter() - t0:.1f}s")
 
     # register-style coarsening: ages 90+ recorded only as the group boundary
-    coarsened = [
-        h.IndividualRecord(r.id, min(r.u, 90.0), r.s_entry, r.s_exit, r.cause)
-        for r in records
-    ]
+    coarsened = dataclasses.replace(records, u=np.minimum(records.u, 90.0))
 
     cfg = RunConfig()
     cfg.pclm.enabled = True

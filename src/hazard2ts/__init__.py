@@ -31,6 +31,7 @@ from .lexis import (
     BinnedData,
     IndividualRecord,
     LexisGrid,
+    RecordTable,
     bin_records,
     build_grid,
     read_records_csv,

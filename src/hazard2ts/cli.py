@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 data or domain errors, 3 non-convergence.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import sys
@@ -518,23 +519,31 @@ def cmd_predict(model_path, points_csv, coords, out_csv):
 
 
 def _read_points(path, coords):
-    import csv as _csv
-
     first = "u" if coords == "us" else "t"
-    a_vals, s_vals = [], []
+    a_vals, s_vals, problems = [], [], []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = _csv.DictReader(fh)
-        if reader.fieldnames is None or first not in reader.fieldnames or "s" not in reader.fieldnames:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or first not in header or "s" not in header:
             raise DataError(f"{path}: need columns {first!r} and 's'")
-        problems = []
-        for rownum, row in enumerate(reader, start=2):
+        col = {name: i for i, name in enumerate(header)}
+        i_a, i_s = col[first], col["s"]
+        for row in reader:
+            if not row:
+                continue
             try:
-                a_vals.append(float(row[first]))
-                s_vals.append(float(row["s"]))
-            except (TypeError, ValueError) as exc:
-                problems.append(f"row {rownum}: {exc}")
-        if problems:
-            raise DataError(f"{path}: {len(problems)} bad row(s)", details=problems)
+                a, s = float(row[i_a]), float(row[i_s])
+            except ValueError as exc:
+                problems.append(f"row {reader.line_num}: {exc}")
+                continue
+            except IndexError:
+                problems.append(f"row {reader.line_num}: {len(row)} field(s), "
+                                f"the header has {len(header)}")
+                continue
+            a_vals.append(a)
+            s_vals.append(s)
+    if problems:
+        raise DataError(f"{path}: {len(problems)} bad row(s)", details=problems)
     return np.asarray(a_vals), np.asarray(s_vals)
 
 

@@ -7,10 +7,14 @@ containing the exit time, and its exposure is the exact overlap of
 time exactly on a bin edge belongs to the bin below the edge (the event
 closes the elapsed interval), while a u exactly on an edge belongs to the
 bin above it except at the top boundary.
+
+Records are held column-wise in a :class:`RecordTable`; reading, validation,
+binning and at-risk counting work on its arrays, never per record.
 """
 
 from __future__ import annotations
 
+import array
 import csv
 import math
 from dataclasses import dataclass, field
@@ -23,6 +27,8 @@ CAUSES = (1, 2)
 
 # Absolute slack for edge comparisons on the time axes (units: years).
 _EDGE_ATOL = 1e-12
+# Records per exposure chunk: bounds the (record, s-bin) pairs held at once.
+_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -39,15 +45,80 @@ class IndividualRecord:
     s_exit: float
     cause: int
 
+
+@dataclass(frozen=True, eq=False)
+class RecordTable:
+    """Records as five equal-length columns (``id`` str, ``u``, ``s_entry``,
+    ``s_exit`` float64, ``cause`` int64).
+
+    Iterating yields :class:`IndividualRecord` rows.  Tables compare by
+    identity; compare ``list(table)`` for row equality.
+    """
+
+    id: np.ndarray
+    u: np.ndarray
+    s_entry: np.ndarray
+    s_exit: np.ndarray
+    cause: np.ndarray
+
+    def __post_init__(self):
+        cols = {"id": np.asarray(self.id, dtype=str),
+                "u": np.asarray(self.u, dtype=np.float64),
+                "s_entry": np.asarray(self.s_entry, dtype=np.float64),
+                "s_exit": np.asarray(self.s_exit, dtype=np.float64),
+                "cause": np.asarray(self.cause, dtype=np.int64)}
+        for name, col in cols.items():
+            if col.shape != cols["id"].shape or col.ndim != 1:
+                raise ValueError("record columns must be 1-D and of equal length")
+            object.__setattr__(self, name, col)
+
+    def __len__(self):
+        return len(self.id)
+
+    def __iter__(self):
+        return map(IndividualRecord, self.id.tolist(), self.u.tolist(),
+                   self.s_entry.tolist(), self.s_exit.tolist(), self.cause.tolist())
+
+    @classmethod
+    def from_records(cls, records) -> "RecordTable":
+        """``records`` itself if it is a table, else a table of its :class:`IndividualRecord` rows."""
+        if isinstance(records, cls):
+            return records
+        rows = [(r.id, r.u, r.s_entry, r.s_exit, r.cause) for r in records]
+        return cls(*(zip(*rows) if rows else [()] * 5))
+
+    def _problems(self) -> list:
+        """``(index, message)`` for every invalid record, in record order.
+
+        Each record is reported once, for the first check it fails.
+        """
+        u, s_entry, s_exit, cause = self.u, self.s_entry, self.s_exit, self.cause
+        bad_u = ~((u > 0) & np.isfinite(u))
+        bad_s = ~bad_u & ~((0 <= s_entry) & (s_entry < s_exit))
+        bad_cause = ~bad_u & ~bad_s & ~np.isin(cause, (0, 1, 2))
+        out = []
+        for i in np.flatnonzero(bad_u | bad_s | bad_cause).tolist():
+            rid = str(self.id[i])
+            if bad_u[i]:
+                why = f"u must be positive and finite, got {float(u[i])}"
+            elif bad_s[i]:
+                why = f"need 0 <= s_entry < s_exit, got ({float(s_entry[i])}, {float(s_exit[i])})"
+            else:
+                why = f"cause must be 0, 1 or 2, got {int(cause[i])}"
+            out.append((i, f"record {rid!r}: {why}"))
+        return out
+
     def validate(self):
-        if not (self.u > 0 and math.isfinite(self.u)):
-            raise DataError(f"record {self.id!r}: u must be positive and finite, got {self.u}")
-        if not (0 <= self.s_entry < self.s_exit):
-            raise DataError(
-                f"record {self.id!r}: need 0 <= s_entry < s_exit, got ({self.s_entry}, {self.s_exit})"
-            )
-        if self.cause not in (0, 1, 2):
-            raise DataError(f"record {self.id!r}: cause must be 0, 1 or 2, got {self.cause}")
+        """Raise :class:`DataError` listing every invalid record (``details``: their ids)."""
+        bad = self._problems()
+        if bad:
+            raise DataError(f"{len(bad)} invalid record(s): {_listing([m for _, m in bad])}",
+                            details=[str(self.id[i]) for i, _ in bad])
+
+
+def _listing(items, limit=20) -> str:
+    more = "" if len(items) <= limit else f" (+{len(items) - limit} more)"
+    return "; ".join(items[:limit]) + more
 
 
 @dataclass(frozen=True)
@@ -128,100 +199,131 @@ def build_grid(u_lo: float, u_hi: float, h_u: float, s_lo: float, s_hi: float, h
     return LexisGrid(u_edges=edges[0], s_edges=edges[1])
 
 
-def _row_index(u: float, grid: LexisGrid) -> int:
-    """u-row containing ``u``; an edge value belongs to the bin above, except the top edge."""
-    lo, hi = grid.u_edges[0], grid.u_edges[-1]
-    if u < lo - _EDGE_ATOL or u > hi + _EDGE_ATOL:
-        return -1
-    j = int(math.floor((u - lo) / grid.h_u + _EDGE_ATOL))
-    return min(j, grid.n_u - 1)
+def _row_index(u: np.ndarray, grid: LexisGrid) -> np.ndarray:
+    """u-row of each value; an edge value belongs to the bin above, except the top edge."""
+    j = np.floor((u - grid.u_edges[0]) / grid.h_u + _EDGE_ATOL).astype(np.int64)
+    return np.minimum(j, grid.n_u - 1)
 
 
-def _exit_col(s_exit: float, grid: LexisGrid) -> int:
-    """s-bin containing the exit time; an edge value belongs to the bin below."""
-    lo = grid.s_edges[0]
-    k = int(math.ceil((s_exit - lo) / grid.h_s - _EDGE_ATOL)) - 1
-    return min(max(k, 0), grid.n_s - 1)
+def _exit_col(s_exit: np.ndarray, grid: LexisGrid) -> np.ndarray:
+    """s-bin containing each exit time; an edge value belongs to the bin below."""
+    k = np.ceil((s_exit - grid.s_edges[0]) / grid.h_s - _EDGE_ATOL).astype(np.int64) - 1
+    return np.clip(k, 0, grid.n_s - 1)
+
+
+def _grid_rows(records, grid: LexisGrid):
+    """Validated table of ``records`` and the u-row of each record.
+
+    Raises :class:`DataError` listing every offending record id if any
+    record falls outside the grid (no silent clipping).
+    """
+    table = RecordTable.from_records(records)
+    table.validate()
+    u_lo, u_hi = grid.u_edges[0], grid.u_edges[-1]
+    s_lo, s_hi = grid.s_edges[0], grid.s_edges[-1]
+    out_u = (table.u < u_lo - _EDGE_ATOL) | (table.u > u_hi + _EDGE_ATOL)
+    out_s = (table.s_exit > s_hi + _EDGE_ATOL) | (table.s_entry < s_lo - _EDGE_ATOL)
+    bad = np.flatnonzero(out_u | out_s).tolist()
+    if bad:
+        why = [f"u={float(table.u[i])} outside [{u_lo}, {u_hi}]" if out_u[i] else
+               f"[s_entry, s_exit]=[{float(table.s_entry[i])}, {float(table.s_exit[i])}] "
+               f"outside [{s_lo}, {s_hi}]" for i in bad]
+        ids = [str(table.id[i]) for i in bad]
+        raise DataError(f"{len(bad)} record(s) outside the grid: "
+                        f"{_listing([f'{rid}: {w}' for rid, w in zip(ids, why)])}",
+                        details=ids)
+    return table, _row_index(table.u, grid)
 
 
 def bin_records(records, grid: LexisGrid) -> BinnedData:
     """Aggregate records into event-count and exposure matrices.
 
-    Raises :class:`DataError` listing every offending record id if any
-    record falls outside the grid (no silent clipping).
+    ``records`` is a :class:`RecordTable` or an iterable of
+    :class:`IndividualRecord`.  Raises :class:`DataError` listing every
+    invalid record, or every record outside the grid, by id.
     """
+    table, j = _grid_rows(records, grid)
     n_u, n_s = grid.n_u, grid.n_s
-    Y = {ell: np.zeros((n_u, n_s)) for ell in CAUSES}
-    R = np.zeros((n_u, n_s))
-    s_lo_edge, s_hi_edge = grid.s_edges[0], grid.s_edges[-1]
+    cell = j * n_s + _exit_col(table.s_exit, grid)
+    Y = {ell: np.bincount(cell[table.cause == ell], minlength=n_u * n_s)
+              .reshape(n_u, n_s).astype(np.float64)
+         for ell in CAUSES}
 
-    bad = []
-    for rec in records:
-        rec.validate()
-        j = _row_index(rec.u, grid)
-        if j < 0:
-            bad.append((rec.id, f"u={rec.u} outside [{grid.u_edges[0]}, {grid.u_edges[-1]}]"))
-            continue
-        if rec.s_exit > s_hi_edge + _EDGE_ATOL or rec.s_entry < s_lo_edge - _EDGE_ATOL:
-            bad.append((rec.id, f"[s_entry, s_exit]=[{rec.s_entry}, {rec.s_exit}] outside "
-                                f"[{s_lo_edge}, {s_hi_edge}]"))
-            continue
-        if rec.cause in CAUSES:
-            Y[rec.cause][j, _exit_col(rec.s_exit, grid)] += 1.0
-        # exact overlap of [s_entry, s_exit) with every s-bin of row j
-        overlap = np.minimum(rec.s_exit, grid.s_edges[1:]) - np.maximum(rec.s_entry, grid.s_edges[:-1])
-        R[j, :] += np.maximum(overlap, 0.0)
-
-    if bad:
-        listing = "; ".join(f"{rid}: {why}" for rid, why in bad[:20])
-        more = "" if len(bad) <= 20 else f" (+{len(bad) - 20} more)"
-        raise DataError(f"{len(bad)} record(s) outside the grid: {listing}{more}",
-                        details=[rid for rid, _ in bad])
-    return BinnedData(grid=grid, Y=Y, R=R)
+    # Exact overlap of [s_entry, s_exit) with each s-bin it touches, added in
+    # record order so every bin sums in the same order as a per-record loop.
+    lower, upper = grid.s_edges[:-1], grid.s_edges[1:]
+    R = np.zeros(n_u * n_s)
+    for start in range(0, len(table), _CHUNK):
+        part = slice(start, start + _CHUNK)
+        entry, exit_ = table.s_entry[part], table.s_exit[part]
+        first = np.searchsorted(upper, entry, side="right")
+        count = np.searchsorted(lower, exit_, side="left") - first
+        rec = np.repeat(np.arange(len(entry)), count)
+        col = first[rec] + np.arange(len(rec)) - np.repeat(np.cumsum(count) - count, count)
+        overlap = np.minimum(exit_[rec], upper[col]) - np.maximum(entry[rec], lower[col])
+        np.add.at(R, j[part][rec] * n_s + col, overlap)
+    return BinnedData(grid=grid, Y=Y, R=R.reshape(n_u, n_s))
 
 
-def read_records_csv(path) -> list:
+def read_records_csv(path) -> RecordTable:
     """Read records from a CSV with header ``id,u,s_entry,s_exit,cause``.
 
-    A missing/empty s_entry is treated as 0.  Malformed rows raise
-    :class:`DataError` with 1-based row numbers (header = row 1).
+    A missing/empty s_entry is treated as 0.  Blank lines are skipped.
+    Malformed or invalid rows raise :class:`DataError` naming their
+    physical line numbers (header = row 1).
     """
-    records = []
-    problems = []
+    # numeric columns go into typed arrays, which keep no per-row objects
+    lines, cause = array.array("q"), array.array("q")
+    u, s_entry, s_exit = array.array("d"), array.array("d"), array.array("d")
+    ids = []
+    problems = []  # (line, message)
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"id", "u", "s_exit", "cause"}
-        if reader.fieldnames is None or not required.issubset(set(reader.fieldnames)):
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        col = {name: i for i, name in enumerate(header or ())}
+        if not {"id", "u", "s_exit", "cause"}.issubset(col):
             raise DataError(
-                f"{path}: header must contain id,u,s_entry,s_exit,cause "
-                f"(got {reader.fieldnames})"
+                f"{path}: header must contain id,u,s_entry,s_exit,cause (got {header})"
             )
-        for rownum, row in enumerate(reader, start=2):
+        i_id, i_u, i_exit, i_cause = col["id"], col["u"], col["s_exit"], col["cause"]
+        i_entry = col.get("s_entry")
+        for row in reader:
+            if not row:
+                continue
             try:
-                s_entry_raw = (row.get("s_entry") or "").strip()
-                rec = IndividualRecord(
-                    id=row["id"],
-                    u=float(row["u"]),
-                    s_entry=float(s_entry_raw) if s_entry_raw else 0.0,
-                    s_exit=float(row["s_exit"]),
-                    cause=int(row["cause"]),
-                )
-                rec.validate()
-                records.append(rec)
-            except (DataError, KeyError, TypeError, ValueError) as exc:
-                problems.append(f"row {rownum}: {exc}")
+                entry = row[i_entry].strip() if i_entry is not None else ""
+                rid, u_i, entry_i, exit_i = (row[i_id], float(row[i_u]),
+                                             float(entry) if entry else 0.0, float(row[i_exit]))
+                cause.append(int(row[i_cause]))  # may overflow int64: append before the other columns
+            except (ValueError, OverflowError) as exc:
+                problems.append((reader.line_num, str(exc)))
+                continue
+            except IndexError:
+                problems.append((reader.line_num,
+                                 f"{len(row)} field(s), the header has {len(header)}"))
+                continue
+            lines.append(reader.line_num)
+            ids.append(rid)
+            u.append(u_i)
+            s_entry.append(entry_i)
+            s_exit.append(exit_i)
+    table = RecordTable(ids, u, s_entry, s_exit, cause)
+    problems += [(lines[i], msg) for i, msg in table._problems()]
     if problems:
-        listing = "; ".join(problems[:20])
-        more = "" if len(problems) <= 20 else f" (+{len(problems) - 20} more)"
-        raise DataError(f"{path}: {len(problems)} bad row(s): {listing}{more}", details=problems)
-    return records
+        listing = [f"row {line}: {msg}" for line, msg in sorted(problems, key=lambda p: p[0])]
+        raise DataError(f"{path}: {len(listing)} bad row(s): {_listing(listing)}", details=listing)
+    return table
 
 
 def write_records_csv(path, records):
     """Write records in the same CSV schema that :func:`read_records_csv` ingests."""
+    table = RecordTable.from_records(records)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "u", "s_entry", "s_exit", "cause"])
-        for rec in records:
-            writer.writerow([rec.id, f"{rec.u:.17g}", f"{rec.s_entry:.17g}",
-                             f"{rec.s_exit:.17g}", rec.cause])
+        writer.writerows(
+            (rid, f"{u:.17g}", f"{s_entry:.17g}", f"{s_exit:.17g}", cause)
+            for rid, u, s_entry, s_exit, cause in zip(
+                table.id.tolist(), table.u.tolist(), table.s_entry.tolist(),
+                table.s_exit.tolist(), table.cause.tolist())
+        )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .lexis import BinnedData, IndividualRecord, LexisGrid, bin_records
+from .lexis import _EDGE_ATOL, LexisGrid, RecordTable, _grid_rows, bin_records
 
 _MAX_STEP_PROB = 0.1
 
@@ -111,7 +111,7 @@ def _draw_ages(spec: ScenarioSpec, rng: np.random.Generator) -> np.ndarray:
     return edges[slices] + rng.uniform(0.0, edges[1] - edges[0], size=spec.n)
 
 
-def simulate_cohort(spec: ScenarioSpec) -> list:
+def simulate_cohort(spec: ScenarioSpec) -> RecordTable:
     """Generate records; deterministic for a given seed."""
     rng = np.random.default_rng(spec.seed)
     u = _draw_ages(spec, rng)
@@ -147,16 +147,8 @@ def simulate_cohort(spec: ScenarioSpec) -> list:
             alive = alive[~any_hit]
 
     width = len(str(n))
-    return [
-        IndividualRecord(
-            id=f"sim-{i:0{width}d}",
-            u=float(u[i]),
-            s_entry=0.0,
-            s_exit=float(s_exit[i]),
-            cause=int(cause[i]),
-        )
-        for i in range(n)
-    ]
+    return RecordTable(id=[f"sim-{i:0{width}d}" for i in range(n)], u=u,
+                       s_entry=np.zeros(n), s_exit=s_exit, cause=cause)
 
 
 @dataclass
@@ -176,19 +168,22 @@ class GroupedCounts:
 
 
 def at_risk_matrix(records, grid: LexisGrid) -> np.ndarray:
-    """Fine-grid at-risk counts: n_u rows, n_s + 1 columns (see GroupedCounts)."""
+    """Fine-grid at-risk counts: n_u rows, n_s + 1 columns (see GroupedCounts).
+
+    Records are checked against the grid as in :func:`bin_records`.
+    """
+    table, j = _grid_rows(records, grid)
     n_u, n_s = grid.n_u, grid.n_s
-    N = np.zeros((n_u, n_s + 1))
     entry_edges = grid.s_edges[:-1]
-    top = grid.s_edges[-1]
-    for rec in records:
-        j = int(np.floor((rec.u - grid.u_edges[0]) / grid.h_u + 1e-12))
-        j = min(j, n_u - 1)
-        k_lo = np.searchsorted(entry_edges, rec.s_entry, side="left")
-        k_hi = np.searchsorted(entry_edges, rec.s_exit, side="left")
-        N[j, k_lo:k_hi] += 1.0
-        if rec.cause == 0 and rec.s_exit >= top - 1e-12:
-            N[j, n_s] += 1.0
+    # a record is at risk at the starts of bins k_lo .. k_hi - 1: +1 / -1 steps, summed along s
+    k_lo = np.searchsorted(entry_edges, table.s_entry, side="left")
+    k_hi = np.searchsorted(entry_edges, table.s_exit, side="left")
+    size = n_u * (n_s + 1)
+    steps = (np.bincount(j * (n_s + 1) + k_lo, minlength=size)
+             - np.bincount(j * (n_s + 1) + k_hi, minlength=size))
+    N = np.cumsum(steps.reshape(n_u, n_s + 1), axis=1).astype(np.float64)
+    survivors = (table.cause == 0) & (table.s_exit >= grid.s_edges[-1] - _EDGE_ATOL)
+    N[:, n_s] = np.bincount(j[survivors], minlength=n_u)
     return N
 
 
@@ -198,6 +193,7 @@ def grouped_view(records, grid: LexisGrid, first_grouped_age: float):
     Returns ``(GroupedCounts, BinnedData)`` where the second element is the
     exact fine-grid binning, kept as the ground truth for recovery checks.
     """
+    records = RecordTable.from_records(records)
     fine = bin_records(records, grid)
     offsets = np.abs(grid.u_edges - first_grouped_age)
     cut = int(np.argmin(offsets))

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -245,10 +246,8 @@ class TestUngroupCommand:
             hazard2=h.hazard_family("constant", level=0.10),
             u_lo=50.0, u_hi=100.0, s_max=10.5, n=2500, seed=13,
         )
-        records = [
-            h.IndividualRecord(r.id, min(r.u, 90.0), r.s_entry, r.s_exit, r.cause)
-            for r in h.simulate_cohort(spec)
-        ]
+        table = h.simulate_cohort(spec)
+        records = dataclasses.replace(table, u=np.minimum(table.u, 90.0))
         csv_path = tmp_path / "grouped.csv"
         h.write_records_csv(csv_path, records)
         cfg = tmp_path / "cfg.yaml"

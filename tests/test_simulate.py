@@ -71,7 +71,7 @@ class TestSimulateCohort:
     def test_seed_determinism_bitwise(self):
         a = h.simulate_cohort(constant_spec(n=300, seed=21, s_max=10.0))
         b = h.simulate_cohort(constant_spec(n=300, seed=21, s_max=10.0))
-        assert a == b
+        assert list(a) == list(b)
 
     def test_halving_step_changes_fraction_within_noise(self):
         rec1 = h.simulate_cohort(constant_spec(n=4000, seed=31, s_max=30.0, step=1e-3))
@@ -97,7 +97,7 @@ class TestSimulateCohort:
         records = h.simulate_cohort(constant_spec(n=50, seed=5, s_max=5.0))
         path = tmp_path / "sim.csv"
         h.write_records_csv(path, records)
-        assert h.read_records_csv(path) == records
+        assert list(h.read_records_csv(path)) == list(records)
 
 
 class TestGroupedView:
@@ -131,6 +131,14 @@ class TestGroupedView:
         assert tail[1] == 2.0           # c left exactly at 0.5, b still at risk
         assert tail[2] == 1.0           # only a remains
         assert tail[-1] == 1.0          # a survives to the end of follow-up
+
+    def test_at_risk_rejects_records_outside_the_grid(self, default_grid):
+        # age 30 lies below the grid; it must not wrap around into the age-80 row
+        records = [h.IndividualRecord("young", 30.0, 0.0, 1.0, 1),
+                   h.IndividualRecord("ok", 60.0, 0.0, 1.0, 1)]
+        with pytest.raises(DataError) as err:
+            at_risk_matrix(records, default_grid)
+        assert err.value.details == ["young"]
 
     def test_exposure_reconstruction_identities(self):
         # half-bin rule on exact at-risk counts: survivors full width, exits half
