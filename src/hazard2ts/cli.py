@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 data or domain errors, 3 non-convergence.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import sys
@@ -28,7 +27,8 @@ from . import __version__
 from .basis import KnotVector, evaluate_basis, make_knots
 from .errors import ConvergenceError, DataError, DomainError
 from .incidence import compute_surfaces, surfaces_at_points, to_age_coordinates
-from .lexis import BinnedData, LexisGrid, bin_records, build_grid, read_records_csv, write_records_csv
+from .lexis import (BinnedData, LexisGrid, _parse_csv, bin_records, build_grid, read_records_csv,
+                    write_records_csv)
 from .pclm import CompositionSpec, composition_matrix, select_pclm_smoothing, ungroup_events, ungroup_exposure
 from .simulate import ScenarioSpec, grouped_view, hazard_family, simulate_cohort
 from .smooth2d import FitControl, FittedHazard, PenaltyConfig, SearchConfig, select_smoothing
@@ -520,30 +520,21 @@ def cmd_predict(model_path, points_csv, coords, out_csv):
 
 def _read_points(path, coords):
     first = "u" if coords == "us" else "t"
-    a_vals, s_vals, problems = [], [], []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or first not in header or "s" not in header:
-            raise DataError(f"{path}: need columns {first!r} and 's'")
-        col = {name: i for i, name in enumerate(header)}
+    a_vals, s_vals = [], []
+
+    def make_parser(col):
         i_a, i_s = col[first], col["s"]
-        for row in reader:
-            if not row:
-                continue
-            try:
-                a, s = float(row[i_a]), float(row[i_s])
-            except ValueError as exc:
-                problems.append(f"row {reader.line_num}: {exc}")
-                continue
-            except IndexError:
-                problems.append(f"row {reader.line_num}: {len(row)} field(s), "
-                                f"the header has {len(header)}")
-                continue
+
+        def parse(row):
+            a, s = float(row[i_a]), float(row[i_s])
             a_vals.append(a)
             s_vals.append(s)
+        return parse
+
+    _, problems = _parse_csv(path, (first, "s"), f"need columns {first!r} and 's'", make_parser)
     if problems:
-        raise DataError(f"{path}: {len(problems)} bad row(s)", details=problems)
+        raise DataError(f"{path}: {len(problems)} bad row(s)",
+                        details=[f"row {line}: {msg}" for line, msg in problems])
     return np.asarray(a_vals), np.asarray(s_vals)
 
 

@@ -62,7 +62,8 @@ class RecordTable:
     cause: np.ndarray
 
     def __post_init__(self):
-        cols = {"id": np.asarray(self.id, dtype=str),
+        # object ids: a fixed-width str column would size every entry by the longest id
+        cols = {"id": np.asarray(self.id, dtype=object),
                 "u": np.asarray(self.u, dtype=np.float64),
                 "s_entry": np.asarray(self.s_entry, dtype=np.float64),
                 "s_exit": np.asarray(self.s_exit, dtype=np.float64),
@@ -219,9 +220,11 @@ def _grid_rows(records, grid: LexisGrid):
     """
     table = RecordTable.from_records(records)
     table.validate()
+    j = _row_index(table.u, grid)
     u_lo, u_hi = grid.u_edges[0], grid.u_edges[-1]
     s_lo, s_hi = grid.s_edges[0], grid.s_edges[-1]
-    out_u = (table.u < u_lo - _EDGE_ATOL) | (table.u > u_hi + _EDGE_ATOL)
+    # j < 0: within the slack below the lowest edge, but still floored to row -1
+    out_u = (table.u < u_lo - _EDGE_ATOL) | (table.u > u_hi + _EDGE_ATOL) | (j < 0)
     out_s = (table.s_exit > s_hi + _EDGE_ATOL) | (table.s_entry < s_lo - _EDGE_ATOL)
     bad = np.flatnonzero(out_u | out_s).tolist()
     if bad:
@@ -232,7 +235,7 @@ def _grid_rows(records, grid: LexisGrid):
         raise DataError(f"{len(bad)} record(s) outside the grid: "
                         f"{_listing([f'{rid}: {w}' for rid, w in zip(ids, why)])}",
                         details=ids)
-    return table, _row_index(table.u, grid)
+    return table, j
 
 
 def bin_records(records, grid: LexisGrid) -> BinnedData:
@@ -265,6 +268,40 @@ def bin_records(records, grid: LexisGrid) -> BinnedData:
     return BinnedData(grid=grid, Y=Y, R=R.reshape(n_u, n_s))
 
 
+def _parse_csv(path, required, header_error, make_parser) -> tuple:
+    """Parse every non-blank data row of the CSV file ``path``.
+
+    The header must name every column in ``required``, else
+    :class:`DataError` with ``header_error`` (``{header}`` is filled in).
+    ``make_parser(col)``, given the header name -> column index map, returns
+    the per-row function; it stores what it parses and raises ``ValueError``
+    or ``OverflowError`` on a bad field.  Returns ``(lines, problems)``: the
+    physical line number (header = 1) of each parsed row, and ``(line,
+    message)`` for each bad row, a short one included.
+    """
+    lines, problems = array.array("q"), []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        col = {name: i for i, name in enumerate(header or ())}
+        if not set(required).issubset(col):
+            raise DataError(f"{path}: " + header_error.format(header=header))
+        parse = make_parser(col)
+        for row in reader:
+            if not row:
+                continue
+            try:
+                parse(row)
+            except (ValueError, OverflowError) as exc:
+                problems.append((reader.line_num, str(exc)))
+            except IndexError:
+                problems.append((reader.line_num,
+                                 f"{len(row)} field(s), the header has {len(header)}"))
+            else:
+                lines.append(reader.line_num)
+    return lines, problems
+
+
 def read_records_csv(path) -> RecordTable:
     """Read records from a CSV with header ``id,u,s_entry,s_exit,cause``.
 
@@ -273,40 +310,27 @@ def read_records_csv(path) -> RecordTable:
     physical line numbers (header = row 1).
     """
     # numeric columns go into typed arrays, which keep no per-row objects
-    lines, cause = array.array("q"), array.array("q")
+    ids, cause = [], array.array("q")
     u, s_entry, s_exit = array.array("d"), array.array("d"), array.array("d")
-    ids = []
-    problems = []  # (line, message)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        col = {name: i for i, name in enumerate(header or ())}
-        if not {"id", "u", "s_exit", "cause"}.issubset(col):
-            raise DataError(
-                f"{path}: header must contain id,u,s_entry,s_exit,cause (got {header})"
-            )
+
+    def make_parser(col):
         i_id, i_u, i_exit, i_cause = col["id"], col["u"], col["s_exit"], col["cause"]
         i_entry = col.get("s_entry")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                entry = row[i_entry].strip() if i_entry is not None else ""
-                rid, u_i, entry_i, exit_i = (row[i_id], float(row[i_u]),
-                                             float(entry) if entry else 0.0, float(row[i_exit]))
-                cause.append(int(row[i_cause]))  # may overflow int64: append before the other columns
-            except (ValueError, OverflowError) as exc:
-                problems.append((reader.line_num, str(exc)))
-                continue
-            except IndexError:
-                problems.append((reader.line_num,
-                                 f"{len(row)} field(s), the header has {len(header)}"))
-                continue
-            lines.append(reader.line_num)
+
+        def parse(row):
+            entry = row[i_entry].strip() if i_entry is not None else ""
+            rid, u_i, entry_i, exit_i = (row[i_id], float(row[i_u]),
+                                         float(entry) if entry else 0.0, float(row[i_exit]))
+            cause.append(int(row[i_cause]))  # may overflow int64: append before the other columns
             ids.append(rid)
             u.append(u_i)
             s_entry.append(entry_i)
             s_exit.append(exit_i)
+        return parse
+
+    lines, problems = _parse_csv(
+        path, ("id", "u", "s_exit", "cause"),
+        "header must contain id,u,s_entry,s_exit,cause (got {header})", make_parser)
     table = RecordTable(ids, u, s_entry, s_exit, cause)
     problems += [(lines[i], msg) for i, msg in table._problems()]
     if problems:

@@ -178,3 +178,29 @@ def test_reader_reports_parse_and_validation_errors_in_line_order(tmp_path):
     assert rows == ["row 3", "row 5", "row 6", "row 7", "row 8"]
     assert err.value.details[-1] == "row 8: 2 field(s), the header has 5"
     assert "record 'b': need 0 <= s_entry < s_exit" in err.value.details[0]
+
+
+@pytest.mark.parametrize("grid", [GRIDS[0], h.build_grid(50, 52, 0.25, 0, 1, 0.5)],
+                         ids=["default", "quarter-years"])
+@pytest.mark.parametrize("cause", [0, 1, 2])
+def test_age_just_below_the_lowest_edge_is_outside_the_grid(grid, cause):
+    # within the edge slack, but floored to row -1: the per-record code refused it
+    u = float(grid.u_edges[0]) - 1e-12
+    assert oracle_row_index(u, grid) == -1
+    records = [h.IndividualRecord("ok", float(grid.u_edges[1]), 0.0, 1.0, 1),
+               h.IndividualRecord("low", u, 0.0, 1.0, cause)]
+    for stage in (h.bin_records, at_risk_matrix):
+        with pytest.raises(DataError) as err:
+            stage(records, grid)
+        assert err.value.details == ["low"]
+
+
+def test_long_ids_are_kept_whole(tmp_path):
+    ids = ["x" * 100_000, "b", "nul\x00"]
+    table = h.RecordTable(ids, [60.0] * 3, [0.0] * 3, [1.0] * 3, [0, 1, 2])
+    # object column: no entry is padded to the longest id
+    assert table.id.dtype == object
+    assert [r.id for r in table] == ids
+    path = tmp_path / "records.csv"
+    h.write_records_csv(path, list(table)[:2])
+    assert h.read_records_csv(path).id.tolist() == ids[:2]
