@@ -149,6 +149,14 @@ def load_config(path=None) -> RunConfig:
         raise DataError(
             f"pclm.closing_age ({cfg.pclm.closing_age}) must equal grid.u_hi ({cfg.grid.u_hi})"
         )
+    if str(cfg.selection.criterion).upper() not in ("AIC", "BIC"):
+        raise DataError(f"selection.criterion must be AIC or BIC, got {cfg.selection.criterion!r}")
+    try:
+        cfg.search_config()
+        if not (cfg.pclm.log10_phi_step > 0 and cfg.pclm.grid().size):
+            raise ValueError(f"empty pclm log10 phi grid from {dataclasses.asdict(cfg.pclm)}")
+    except (TypeError, ValueError) as exc:   # a non-numeric value compares with a TypeError
+        raise DataError(f"bad search settings: {exc}") from None
     return cfg
 
 
@@ -183,21 +191,28 @@ def assemble_ungrouped(grouped, body_R, kv_u, kv_s, d, phi_grid, ctrl):
     for ell, Z in sorted(grouped.Z.items()):
         Y[ell], fit = ungroup_events(Z, spec, Bu_mid, Bs_mid, d=d,
                                      log10_phi_grid=phi_grid, ctrl=ctrl)
-        diagnostics[f"cause{ell}"] = _pclm_diag(fit)
+        diagnostics[f"cause{ell}"] = _pclm_diag(fit, phi_grid)
 
     C_u = composition_matrix(spec)
     at_risk_fit = select_pclm_smoothing(grouped.at_risk, C_u, Bu_mid, Bs_edges, d=d,
                                         log10_phi_grid=phi_grid, ctrl=ctrl)
-    diagnostics["at_risk"] = _pclm_diag(at_risk_fit)
+    diagnostics["at_risk"] = _pclm_diag(at_risk_fit, phi_grid)
     tail_exposure = ungroup_exposure(at_risk_fit.Gamma[spec.g - 1:], grid.h_s)
     R = np.vstack([np.asarray(body_R), tail_exposure])
     return BinnedData(grid=grid, Y=Y, R=R), diagnostics
 
 
-def _pclm_diag(fit):
+def _on_edge(value, bounds) -> bool:
+    """Whether a selected log10 smoothing parameter sits on an end of its search range."""
+    return bool(min(abs(value - min(bounds)), abs(value - max(bounds))) <= 1e-6)
+
+
+def _pclm_diag(fit, phi_grid):
     return {
         "log10_phi_u": fit.phis[0],
         "log10_phi_s": fit.phis[1],
+        "log10_phi_u_on_edge": _on_edge(fit.phis[0], phi_grid),
+        "log10_phi_s_on_edge": _on_edge(fit.phis[1], phi_grid),
         "aic": fit.aic,
         "ed": fit.ed,
         "deviance": fit.deviance,
@@ -408,6 +423,10 @@ def run_fit_pipeline(cfg: RunConfig, records, outdir: Path):
             str(ell): {
                 "log10_rho_u": fits[ell].penalty.log10_rho_u,
                 "log10_rho_s": fits[ell].penalty.log10_rho_s,
+                "log10_rho_u_on_edge": _on_edge(fits[ell].penalty.log10_rho_u,
+                                                cfg.selection.log10_rho_u_range),
+                "log10_rho_s_on_edge": _on_edge(fits[ell].penalty.log10_rho_s,
+                                                cfg.selection.log10_rho_s_range),
                 "ed": fits[ell].ed,
                 "deviance": fits[ell].deviance,
                 "aic": fits[ell].aic,

@@ -63,13 +63,12 @@ class RecordTable:
 
     def __post_init__(self):
         # object ids: a fixed-width str column would size every entry by the longest id
-        cols = {"id": np.asarray(self.id, dtype=object),
-                "u": np.asarray(self.u, dtype=np.float64),
-                "s_entry": np.asarray(self.s_entry, dtype=np.float64),
-                "s_exit": np.asarray(self.s_exit, dtype=np.float64),
-                "cause": np.asarray(self.cause, dtype=np.int64)}
-        for name, col in cols.items():
-            if col.shape != cols["id"].shape or col.ndim != 1:
+        ids = np.asarray(self.id, dtype=object)
+        cols = {name: _column(ids, name, getattr(self, name), dtype) for name, dtype in
+                (("u", np.float64), ("s_entry", np.float64), ("s_exit", np.float64),
+                 ("cause", np.int64))}
+        for name, col in {"id": ids, **cols}.items():
+            if col.shape != ids.shape or col.ndim != 1:
                 raise ValueError("record columns must be 1-D and of equal length")
             object.__setattr__(self, name, col)
 
@@ -115,6 +114,20 @@ class RecordTable:
         if bad:
             raise DataError(f"{len(bad)} invalid record(s): {_listing([m for _, m in bad])}",
                             details=[str(self.id[i]) for i, _ in bad])
+
+
+def _column(ids, name, values, dtype) -> np.ndarray:
+    """``values`` as a ``dtype`` array, else :class:`DataError` naming the first bad record."""
+    try:
+        return np.asarray(values, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        for rid, value in zip(ids.tolist(), values):
+            try:
+                dtype(value)
+            except (TypeError, ValueError, OverflowError):
+                raise DataError(f"record {rid!r}: {name} is not {np.dtype(dtype).name}, "
+                                f"got {value!r}", details=[str(rid)]) from None
+        raise DataError(f"record column {name}: {exc}") from None
 
 
 def _listing(items, limit=20) -> str:

@@ -3,14 +3,19 @@
 The log-hazard on the bin grid is a tensor-product spline surface; event
 counts are Poisson with mean ``exposure * exp(log_hazard)``.  Anisotropic
 difference penalties on the coefficient matrix control smoothness along each
-axis.  Fitting is Newton/IWLS through the array kernels in :mod:`.glam`;
-smoothing parameters are chosen by AIC or BIC with a coarse grid search
-followed by a pattern-search refinement on the log10 scale.
+axis.  Smoothing parameters are chosen by AIC or BIC with a coarse grid
+search followed by a pattern-search refinement on the log10 scale.
+
+One damped Newton engine (``_newton`` on a ``_PoissonProblem``) fits every
+penalized Poisson model of the package, through the array kernels in
+:mod:`.glam`: the hazard surfaces here and, with a row-composition matrix in
+front of the means, the composite link ungrouping in :mod:`.pclm`.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -142,46 +147,83 @@ def poisson_deviance(y: np.ndarray, mu: np.ndarray, mask: np.ndarray) -> float:
     return float(2.0 * np.sum(term - (y - mu)))
 
 
-def _initial_coef(ws: glam.ArrayModelWorkspace, y: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Project ln((y + 0.5) / (r + 1)) onto the basis by unpenalized least squares."""
-    eta0 = np.log((y + 0.5) / (r + 1.0))
-    G = glam.weighted_inner(ws, np.ones_like(y))
-    rhs = glam.weighted_rhs(ws, eta0)
-    ridge = 1e-8 * np.trace(G) / G.shape[0]
-    return scipy.linalg.solve(G + ridge * np.eye(G.shape[0]), rhs, assume_a="pos")
+class _PoissonProblem:
+    """Poisson likelihood of counts whose means are sums of ``exposure * exp(B alpha)``.
 
-
-def fit_hazard(
-    data: BinnedData,
-    cause: int,
-    kv_u: KnotVector,
-    kv_s: KnotVector,
-    penalty: PenaltyConfig,
-    ctrl: FitControl = FitControl(),
-) -> FittedHazard:
-    """Fit one cause-specific hazard surface at fixed smoothing parameters.
-
-    Zero-exposure bins stay in the array but carry weight zero and do not
-    enter the deviance.  Convergence requires both a relative change of the
-    penalized deviance below ``ctrl.dev_rel_tol`` and the penalized score
-    equation satisfied to ``ctrl.score_rel_tol`` relative to ``|B'y|_inf``.
+    Row i of the 0/1 composition matrix ``C`` (observed rows x fine rows of
+    ``ws``) marks the fine rows that observed count row i sums; ``None``
+    observes every fine row on its own.  Rows that are one fine row enter
+    through the GLAM kernels with the log-exposure offset, zero-exposure
+    bins with weight zero.  Each summed row i contributes, per data column
+    k, the rank-one information ``v v' / psi[i, k]`` with ``v = kron(Bs[k],
+    C[i] (mu[:, k] * Bu))`` (Currie, Durban & Eilers 2006; Eilers 2007).
     """
-    if cause not in data.Y:
-        raise DataError(f"cause {cause} not present in the binned data")
-    y = np.asarray(data.Y[cause], dtype=float)
-    r = np.asarray(data.R, dtype=float)
-    mask = r > 0
-    if not np.any(mask):
-        raise DataError("no positive exposure anywhere on the grid")
-    if np.any(y[~mask] > 0):
-        raise DataError("events recorded in bins with zero exposure")
-    if y.sum() <= 0:
-        raise DataError(f"no events of cause {cause}: hazard is unidentified")
 
-    Bu = evaluate_basis(data.grid.u_mid, kv_u)
-    Bs = evaluate_basis(data.grid.s_mid, kv_s)
-    ws = glam.ArrayModelWorkspace(Bu, Bs)
-    c_u, c_s = ws.c_u, ws.c_s
+    def __init__(self, ws: glam.ArrayModelWorkspace, counts, exposure, C=None):
+        C = np.eye(ws.n_u) if C is None else C
+        single = C.sum(axis=1) == 1
+        self.ws = ws
+        self.y = np.zeros((ws.n_u, ws.n_s))
+        self.y[C[single].argmax(axis=1)] = counts[single]
+        self.C, self.Z = C[~single], counts[~single]
+        self.mask = (exposure > 0) & C[single].any(axis=0)[:, None]
+        self.log_r = np.where(self.mask, np.log(np.where(self.mask, exposure, 1.0)), 0.0)
+        # grouped counts spread evenly over their fine rows give the score scale and
+        # the default start: ln((y0 + 0.5) / (exposure + 1)) by unpenalized least squares
+        y0 = self.y + self.C.T @ (self.Z / self.C.sum(axis=1)[:, None])
+        self.score_scale = max(np.max(np.abs(glam.weighted_rhs(ws, y0))), 1.0)
+        G = glam.weighted_inner(ws, np.ones_like(y0))
+        rhs = glam.weighted_rhs(ws, np.log((y0 + 0.5) / (exposure + 1.0)))
+        ridge = 1e-8 * np.trace(G) / G.shape[0]
+        self.start = scipy.linalg.solve(G + ridge * np.eye(G.shape[0]), rhs, assume_a="pos")
+
+    def state(self, alpha: np.ndarray):
+        """``(means on the fine grid, masked means, grouped means, deviance)`` at alpha."""
+        A = alpha.reshape(self.ws.c_u, self.ws.c_s, order="F")
+        full = np.exp(np.clip(glam.linear_predictor(self.ws, A) + self.log_r, -700, 700))
+        mu = np.where(self.mask, full, 0.0)
+        psi = np.maximum(self.C @ full, 1e-300)
+        dev = (poisson_deviance(self.y, mu, self.mask)
+               + poisson_deviance(self.Z, psi, np.ones(self.Z.shape, dtype=bool)))
+        return full, mu, psi, dev
+
+    def score(self, state) -> np.ndarray:
+        """Log-likelihood gradient ``Q'((z - psi) / psi)`` at a :meth:`state`."""
+        full, mu, psi, _ = state
+        resid = np.where(self.mask, self.y - mu, 0.0) + full * (self.C.T @ (self.Z / psi - 1.0))
+        return glam.weighted_rhs(self.ws, resid)
+
+    def information(self, state) -> np.ndarray:
+        """Fisher information ``Q' diag(1 / psi) Q`` at a :meth:`state`."""
+        ws, (full, mu, psi, _) = self.ws, state
+        info = glam.weighted_inner(ws, mu)
+        if len(self.C):
+            rows = (self.C[:, :, None] * full).transpose(0, 2, 1) @ ws.Bu  # (groups, n_s, c_u)
+            V = (ws.Bs[None, :, :, None] * rows[:, :, None, :]).reshape(-1, ws.n_coef)
+            # not V'V: numpy's syrk leaves its BLAS threads spinning against
+            # scipy's during the Cholesky that follows (30x slower on 2 cores)
+            H = V.T @ (V / psi.reshape(-1, 1))
+            info += 0.5 * (H + H.T)
+        return info
+
+
+# a converged fit: coefficients, means on the fine grid and of the singly observed bins
+# (0 elsewhere), deviance, steps, relative score, information, factor of information + P
+_NewtonFit = namedtuple("_NewtonFit", "alpha full mu deviance n_iter score_rel gram factor")
+
+
+def _newton(prob: _PoissonProblem, penalty: PenaltyConfig, ctrl: FitControl,
+            start=None) -> _NewtonFit:
+    """Damped Newton (Fisher scoring) for the penalized Poisson likelihood.
+
+    Steps are halved while the penalized deviance worsens.  Convergence needs
+    a relative change of the penalized deviance below ``ctrl.dev_rel_tol`` and
+    the penalized score below ``ctrl.score_rel_tol`` relative to ``|Q'y|_inf``
+    (grouped counts spread evenly over their fine rows); one polishing step
+    follows, kept only if it lowers the score.  Starts from ``start``, else
+    from the problem's projection of ``ln((y + 0.5) / (exposure + 1))``.
+    """
+    c_u, c_s = prob.ws.c_u, prob.ws.c_s
     P = penalty_matrix(c_u, c_s, penalty)
 
     # factored penalty pieces: at strong smoothing the differences D @ A are
@@ -207,94 +249,102 @@ def fit_hazard(
             val += rho_s * float(np.sum((A @ Ds.T) ** 2))
         return val
 
-    alpha = _initial_coef(ws, y, r)
-    score_scale = max(np.max(np.abs(glam.weighted_rhs(ws, y))), 1.0)
+    def evaluate(alpha):
+        st = prob.state(alpha)
+        return st, st[3] + pen_value(alpha.reshape(c_u, c_s, order="F"))
 
-    log_r = np.where(mask, np.log(np.where(mask, r, 1.0)), 0.0)
+    def score_of(alpha, st):
+        return prob.score(st) - pen_grad(alpha.reshape(c_u, c_s, order="F"))
 
-    def state(alpha_vec):
-        A = alpha_vec.reshape(c_u, c_s, order="F")
-        eta = glam.linear_predictor(ws, A)
-        mu = np.where(mask, np.exp(np.clip(eta + log_r, -700, 700)), 0.0)
-        dev = poisson_deviance(y, mu, mask)
-        return eta, mu, dev, dev + pen_value(A)
-
-    def score_of(alpha_vec, mu_mat):
-        resid = np.where(mask, y - mu_mat, 0.0)
-        return (glam.weighted_rhs(ws, resid)
-                - pen_grad(alpha_vec.reshape(c_u, c_s, order="F")))
-
-    eta, mu, dev, pen_dev = state(alpha)
+    alpha = prob.start if start is None else start
+    st, pen_dev = evaluate(alpha)
+    score = score_of(alpha, st)
+    score_rel = np.max(np.abs(score)) / prob.score_scale
     converged = False
-    score_rel = np.inf
-    gram = None
     it = 0
-    for it in range(1, ctrl.max_iter + 1):
-        score = score_of(alpha, mu)
-        score_rel = np.max(np.abs(score)) / score_scale
-
-        gram = glam.weighted_inner(ws, mu)
+    while converged or it < ctrl.max_iter:
+        gram = prob.information(st)
         factor = _factor_spd(gram + P)
         step = scipy.linalg.cho_solve(factor, score)
+        if converged:
+            break
+        it += 1
 
         # damped Newton: halve the step while the penalized deviance worsens
         new_alpha = alpha + step
-        _, _, _, new_pen_dev = state(new_alpha)
+        new_st, new_pen_dev = evaluate(new_alpha)
         n_halved = 0
         while new_pen_dev > pen_dev + 1e-10 * (1 + abs(pen_dev)) and n_halved < 10:
             step *= 0.5
             new_alpha = alpha + step
-            _, _, _, new_pen_dev = state(new_alpha)
+            new_st, new_pen_dev = evaluate(new_alpha)
             n_halved += 1
 
         rel_change = abs(new_pen_dev - pen_dev) / (1.0 + abs(new_pen_dev))
-        alpha = new_alpha
-        eta, mu, dev, pen_dev = state(alpha)
-        score_rel = np.max(np.abs(score_of(alpha, mu))) / score_scale
-        if rel_change < ctrl.dev_rel_tol and score_rel < ctrl.score_rel_tol:
-            converged = True
-            # one polishing step: quadratic convergence leaves wide margin
-            # under the score tolerance; kept only if it actually improves
-            gram = glam.weighted_inner(ws, mu)
-            factor = _factor_spd(gram + P)
-            polish = alpha + scipy.linalg.cho_solve(factor, score_of(alpha, mu))
-            p_eta, p_mu, p_dev, p_pen_dev = state(polish)
-            p_score = np.max(np.abs(score_of(polish, p_mu))) / score_scale
-            if p_score < score_rel and np.isfinite(p_pen_dev):
-                alpha, eta, mu, dev, pen_dev, score_rel = (
-                    polish, p_eta, p_mu, p_dev, p_pen_dev, p_score)
-            break
+        alpha, st, pen_dev = new_alpha, new_st, new_pen_dev
+        score = score_of(alpha, st)
+        score_rel = np.max(np.abs(score)) / prob.score_scale
+        converged = rel_change < ctrl.dev_rel_tol and score_rel < ctrl.score_rel_tol
 
     if not converged:
         raise ConvergenceError(
             f"IWLS did not converge in {it} iterations "
             f"(relative score {score_rel:.3e}, tolerance {ctrl.score_rel_tol:.1e})",
-            last_coef=alpha.reshape(c_u, c_s, order="F"),
-            score_norm=score_rel,
-            n_iter=it,
-        )
+            last_coef=alpha.reshape(c_u, c_s, order="F"), score_norm=score_rel, n_iter=it)
 
-    gram = glam.weighted_inner(ws, mu)
-    factor = _factor_spd(gram + P)
-    n_bin = int(mask.sum())
+    # one polishing step: quadratic convergence leaves wide margin under the
+    # score tolerance; kept only if it actually improves
+    polish = alpha + step
+    p_st, p_pen_dev = evaluate(polish)
+    p_score_rel = np.max(np.abs(score_of(polish, p_st))) / prob.score_scale
+    if p_score_rel < score_rel and np.isfinite(p_pen_dev):
+        alpha, st, score_rel = polish, p_st, p_score_rel
+        gram = prob.information(st)
+        factor = _factor_spd(gram + P)
+    return _NewtonFit(alpha, st[0], st[1], st[3], it, score_rel, gram, factor)
+
+
+def _hat_trace(factor, gram) -> float:
+    """``tr{(G + P)^-1 G}`` from the factor of G + P, clamped to [0, n_coef]."""
+    ed = float(np.trace(scipy.linalg.cho_solve(factor, gram)))
+    return min(max(ed, 0.0), float(gram.shape[0]))
+
+
+def fit_hazard(
+    data: BinnedData,
+    cause: int,
+    kv_u: KnotVector,
+    kv_s: KnotVector,
+    penalty: PenaltyConfig,
+    ctrl: FitControl = FitControl(),
+) -> FittedHazard:
+    """Fit one cause-specific hazard surface at fixed smoothing parameters.
+
+    Zero-exposure bins stay in the array but carry weight zero and do not
+    enter the deviance.  The fit is the damped Newton iteration of
+    :func:`_newton`; it raises :class:`ConvergenceError` if that does not
+    converge within ``ctrl.max_iter`` steps.
+    """
+    if cause not in data.Y:
+        raise DataError(f"cause {cause} not present in the binned data")
+    y = np.asarray(data.Y[cause], dtype=float)
+    r = np.asarray(data.R, dtype=float)
+    mask = r > 0
+    if not np.any(mask):
+        raise DataError("no positive exposure anywhere on the grid")
+    if np.any(y[~mask] > 0):
+        raise DataError("events recorded in bins with zero exposure")
+    if y.sum() <= 0:
+        raise DataError(f"no events of cause {cause}: hazard is unidentified")
+
+    ws = glam.ArrayModelWorkspace(evaluate_basis(data.grid.u_mid, kv_u),
+                                  evaluate_basis(data.grid.s_mid, kv_s))
+    res = _newton(_PoissonProblem(ws, y, r), penalty, ctrl)
     fit = FittedHazard(
-        A=alpha.reshape(c_u, c_s, order="F"),
-        penalty=penalty,
-        kv_u=kv_u,
-        kv_s=kv_s,
-        grid=data.grid,
-        W_hat=mu,
-        deviance=dev,
-        ed=np.nan,
-        aic=np.nan,
-        bic=np.nan,
-        n_bin=n_bin,
-        converged=True,
-        n_iter=it,
-        score_rel=score_rel,
-        gram=gram,
-        factor=factor,
-        hull=_support_hull(data.grid, mask),
+        A=res.alpha.reshape(ws.c_u, ws.c_s, order="F"), penalty=penalty, kv_u=kv_u, kv_s=kv_s,
+        grid=data.grid, W_hat=res.mu, deviance=res.deviance, ed=np.nan, aic=np.nan, bic=np.nan,
+        n_bin=int(mask.sum()), converged=True, n_iter=res.n_iter, score_rel=res.score_rel,
+        gram=res.gram, factor=res.factor, hull=_support_hull(data.grid, mask),
     )
     fit.ed = effective_dimension(fit)
     fit.aic, fit.bic = information_criteria(fit)
@@ -305,8 +355,7 @@ def effective_dimension(fit: FittedHazard) -> float:
     """Trace of the hat matrix, ``tr{(B'WB + P)^-1 B'WB}``, clamped to [0, n_coef]."""
     if not fit.converged:
         raise ConvergenceError("effective dimension requires a converged fit")
-    ed = float(np.trace(scipy.linalg.cho_solve(fit.factor, fit.gram)))
-    return min(max(ed, 0.0), float(fit.n_coef))
+    return _hat_trace(fit.factor, fit.gram)
 
 
 def information_criteria(fit: FittedHazard):
@@ -326,6 +375,14 @@ class SearchConfig:
     coarse_step: float = 1.0
     refine_resolution: float = 0.1
     max_evals: int = 400
+
+    def __post_init__(self):
+        # a zero step would never finish refining (or divide by zero)
+        (lo_u, hi_u), (lo_s, hi_s) = self.log10_rho_u_range, self.log10_rho_s_range
+        if not (self.coarse_step > 0 and self.refine_resolution > 0
+                and lo_u <= hi_u and lo_s <= hi_s):
+            raise ValueError("need positive coarse_step and refine_resolution and log10 ranges "
+                             f"(lo, hi) with lo <= hi, got {self}")
 
 
 def select_smoothing(

@@ -86,6 +86,29 @@ class TestConfig:
         assert cfg.grid.h_u == 2.5 and cfg.seed == 5
         assert cfg.grid.h_s == 0.5  # untouched default
 
+    @pytest.mark.parametrize("block", [
+        {"selection": {"criterion": "GCV"}},
+        {"selection": {"coarse_step": 0}},
+        {"selection": {"refine_resolution": 0.0}},
+        {"selection": {"log10_rho_u_range": [3.0, 1.0]}},
+        {"pclm": {"log10_phi_step": 0}},
+        {"pclm": {"log10_phi_step": "abc"}},
+        {"pclm": {"log10_phi_lo": 2.0, "log10_phi_hi": 1.0}},
+    ])
+    def test_bad_search_settings_exit_2_before_reading_input(self, runner, tmp_path, block):
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(block))
+        with pytest.raises(DataError):
+            load_config(path)
+        # the input has a bad row too: the config error comes first
+        bad = tmp_path / "bad.csv"
+        bad.write_text("id,u,s_entry,s_exit,cause\nx,55,0,notanumber,1\n")
+        for command in ("fit", "ungroup"):
+            result = runner.invoke(main, [command, str(bad), "--config", str(path),
+                                          "--out", str(tmp_path / "o")])
+            assert result.exit_code == 2, result.output
+            assert "row 2" not in result.output
+
     def test_closing_age_must_match_grid_top(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("pclm: {enabled: true, closing_age: 95}\n")
@@ -111,6 +134,10 @@ class TestFit:
             for key in ("log10_rho_u", "log10_rho_s", "ed", "deviance",
                         "aic", "bic", "n_bin", "iterations"):
                 assert key in block
+            for axis in ("u", "s"):
+                lo, hi = FAST_CONFIG["selection"][f"log10_rho_{axis}_range"]
+                value = block[f"log10_rho_{axis}"]
+                assert block[f"log10_rho_{axis}_on_edge"] is (value in (lo, hi))
         assert summary["criterion"] == "BIC"
         assert isinstance(summary["extrapolation_mask"], list)
 
@@ -266,5 +293,9 @@ class TestUngroupCommand:
         assert set(diag) == {"cause1", "cause2", "at_risk"}
         # exhaustive grid: 7 x 7 candidates at step 0.5 over [-1, 2] squared
         assert len(diag["cause1"]["candidates"]) == 49
+        for block in diag.values():
+            for axis in ("u", "s"):
+                on_edge = block[f"log10_phi_{axis}"] in (-1.0, 2.0)
+                assert block[f"log10_phi_{axis}_on_edge"] is on_edge
         exposure = read_csv(outdir / "ungrouped_exposure.csv")
         assert len(exposure) == 50 * 21

@@ -204,3 +204,17 @@ def test_long_ids_are_kept_whole(tmp_path):
     path = tmp_path / "records.csv"
     h.write_records_csv(path, list(table)[:2])
     assert h.read_records_csv(path).id.tolist() == ids[:2]
+
+
+def test_unconvertible_values_are_data_errors_naming_the_record():
+    # a cause beyond int64 and a non-numeric age: the reader reports these as
+    # bad rows, and building a table from library values names the record too
+    with pytest.raises(DataError) as err:
+        h.RecordTable.from_records([h.IndividualRecord("ok", 60.0, 0.0, 1.0, 1),
+                                    h.IndividualRecord("a", 60.0, 0.0, 1.0, 10**20)])
+    assert err.value.details == ["a"]
+    assert "record 'a': cause" in str(err.value)
+    with pytest.raises(DataError) as err:
+        h.RecordTable(["x", "y"], ["abc", 61.0], [0.0, 0.0], [1.0, 1.0], [1, 2])
+    assert err.value.details == ["x"]
+    assert "record 'x': u" in str(err.value)

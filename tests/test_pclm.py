@@ -3,14 +3,14 @@ import pytest
 
 import hazard2ts as h
 from hazard2ts.errors import DataError
-from hazard2ts.pclm import _PclmContext
+from hazard2ts.pclm import _problem
 
 
 # -- dense oracle for the composite link kernels -----------------------------
 
-def dense_pieces(ctx, Gamma, Psi):
-    B = np.kron(ctx.Bs, ctx.Bu)
-    C = np.kron(np.eye(ctx.n_cols), ctx.C_u)
+def dense_pieces(Bu, Bs, C_u, Gamma, Psi):
+    B = np.kron(Bs.values, Bu.values)
+    C = np.kron(np.eye(Bs.values.shape[0]), C_u)
     gam = Gamma.flatten(order="F")
     psi = Psi.flatten(order="F")
     Q = C @ (gam[:, None] * B)
@@ -79,20 +79,50 @@ class TestFitPclm:
         data = h.BinnedData(grid=grid, Y={1: Z, 2: np.ones_like(Z)}, R=np.ones_like(Z))
         hf = h.fit_hazard(data, 1, kv_u, kv_s, h.PenaltyConfig(0.5, 0.5, 2), ctrl)
         assert np.abs(pf.Gamma - hf.W_hat).max() < 1e-8
+        # one engine: the same problem gives the same iterates, bit for bit
+        assert np.array_equal(pf.theta, hf.coef)
+        assert np.array_equal(pf.Gamma, hf.W_hat)
+        assert (pf.deviance, pf.ed, pf.n_iter) == (hf.deviance, hf.ed, hf.n_iter)
 
     def test_kernels_match_dense_formulation(self):
         _, _, spec, C, Z, Bu, Bs = small_problem(seed=4)
-        ctx = _PclmContext(Z, C, Bu, Bs, 2)
+        prob = _problem(Z, C, Bu, Bs)
         fit = h.fit_pclm(Z, C, Bu, Bs, phis=(0.0, 0.0))
-        B, Cd, Q, gam, psi = dense_pieces(ctx, fit.Gamma, fit.Psi)
         z = Z.flatten(order="F")
-        score = ctx._score_vec(ctx._gk(fit.Gamma), (Z - fit.Psi) / fit.Psi)
-        score_dense = Q.T @ ((z - psi) / psi)
-        scale = max(np.abs(score_dense).max(), 1.0)
-        assert np.abs(score - score_dense).max() < 1e-10 * scale
-        info = ctx._gram(fit.Gamma, 1.0 / fit.Psi)
-        info_dense = Q.T @ (Q / psi[:, None])
-        assert np.abs(info - info_dense).max() < 1e-10 * np.abs(info_dense).max()
+        rng = np.random.default_rng(40)
+        # at the fit and away from it, where the score is far from zero
+        for theta in (fit.theta, fit.theta + 0.3 * rng.standard_normal(fit.theta.size)):
+            state = prob.state(theta)
+            B, Cd, Q, gam, psi_d = dense_pieces(Bu, Bs, C, state[0], C @ state[0])
+            score = prob.score(state)
+            score_dense = Q.T @ ((z - psi_d) / psi_d)
+            scale = max(np.abs(score_dense).max(), 1.0)
+            assert np.abs(score - score_dense).max() < 1e-10 * scale
+            info = prob.information(state)
+            info_dense = Q.T @ (Q / psi_d[:, None])
+            assert np.abs(info - info_dense).max() < 1e-10 * np.abs(info_dense).max()
+
+    def test_tight_fit_is_stationary_with_dense_effective_dimension(self):
+        _, _, spec, C, Z, Bu, Bs = small_problem(seed=14)
+        ctrl = h.FitControl(max_iter=400, dev_rel_tol=1e-14, score_rel_tol=1e-10)
+        phis = (0.5, -0.5)
+        fit = h.fit_pclm(Z, C, Bu, Bs, d=2, phis=phis, ctrl=ctrl)
+        B, Cd, Q, gam, psi = dense_pieces(Bu, Bs, C, fit.Gamma, fit.Psi)
+        z = Z.flatten(order="F")
+        P = h.penalty_matrix(Bu.values.shape[1], Bs.values.shape[1], h.PenaltyConfig(*phis, 2))
+        score = Q.T @ ((z - psi) / psi) - P @ fit.theta
+        scale = max(np.abs(Q.T @ (z / psi)).max(), 1.0)
+        assert np.abs(score).max() < 1e-9 * scale
+        info = Q.T @ (Q / psi[:, None])
+        ed = np.trace(np.linalg.solve(info + P, info))
+        assert abs(fit.ed - ed) < 1e-8 * ed
+        assert abs(fit.aic - (fit.deviance + 2.0 * ed)) < 1e-8 * fit.aic
+
+    def test_composition_must_be_zero_one_and_disjoint(self):
+        _, _, spec, C, Z, Bu, Bs = small_problem(seed=15)
+        for bad in (0.5 * C, np.vstack([C[:-1], C[-1] + C[0]])):
+            with pytest.raises(ValueError, match="composition"):
+                h.fit_pclm(Z, bad, Bu, Bs)
 
     def test_round_trip_recovers_fine_counts(self):
         grid, y_true, spec, C, Z, Bu, Bs = small_problem(seed=5)

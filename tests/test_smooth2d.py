@@ -191,6 +191,18 @@ class TestSelectSmoothing:
         fit = h.select_smoothing(data, 1, kv_u, kv_s, criterion="AIC", search=search)
         assert fit.converged
 
+    @pytest.mark.parametrize("kwargs", [
+        {"refine_resolution": 0.0},      # never finished refining
+        {"refine_resolution": -0.1},
+        {"coarse_step": 0.0},            # divided by zero
+        {"coarse_step": float("nan")},
+        {"log10_rho_u_range": (3.0, -1.0)},
+        {"log10_rho_s_range": (1.0, 0.0)},
+    ])
+    def test_search_config_refuses_bad_steps_and_ranges(self, kwargs):
+        with pytest.raises(ValueError):
+            h.SearchConfig(**kwargs)
+
     def test_unknown_criterion_rejected(self):
         rng = np.random.default_rng(11)
         data = toy_data(rng)
