@@ -14,6 +14,7 @@ front of the means, the composite link ungrouping in :mod:`.pclm`.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -100,16 +101,30 @@ class FittedHazard:
         return self.A.size
 
 
+@functools.lru_cache(maxsize=8)
+def _penalty_block(c_u: int, c_s: int, d: int, axis: str) -> np.ndarray:
+    """``kron(I, Du'Du)`` (axis "u") or ``kron(Ds'Ds, I)`` (axis "s"), read-only.
+
+    Built once per basis shape and difference order: every candidate of a
+    smoothing search shares it.
+    """
+    if axis == "u":
+        Du = difference_matrix(c_u, d).values
+        block = np.kron(np.eye(c_s), Du.T @ Du)
+    else:
+        Ds = difference_matrix(c_s, d).values
+        block = np.kron(Ds.T @ Ds, np.eye(c_u))
+    block.flags.writeable = False
+    return block
+
+
 def penalty_matrix(c_u: int, c_s: int, penalty: PenaltyConfig) -> np.ndarray:
     """Assemble ``rho_u * kron(I, Du'Du) + rho_s * kron(Ds'Ds, I)``."""
-    d = penalty.d
     P = np.zeros((c_u * c_s, c_u * c_s))
     if penalty.rho_u > 0:
-        Du = difference_matrix(c_u, d).values
-        P += penalty.rho_u * np.kron(np.eye(c_s), Du.T @ Du)
+        P += penalty.rho_u * _penalty_block(c_u, c_s, penalty.d, "u")
     if penalty.rho_s > 0:
-        Ds = difference_matrix(c_s, d).values
-        P += penalty.rho_s * np.kron(Ds.T @ Ds, np.eye(c_u))
+        P += penalty.rho_s * _penalty_block(c_u, c_s, penalty.d, "s")
     return P
 
 
@@ -310,21 +325,13 @@ def _hat_trace(factor, gram) -> float:
     return min(max(ed, 0.0), float(gram.shape[0]))
 
 
-def fit_hazard(
-    data: BinnedData,
-    cause: int,
-    kv_u: KnotVector,
-    kv_s: KnotVector,
-    penalty: PenaltyConfig,
-    ctrl: FitControl = FitControl(),
-) -> FittedHazard:
-    """Fit one cause-specific hazard surface at fixed smoothing parameters.
+# the penalty-free part of one cause's fits: the Poisson problem (workspace, start,
+# score scale), the number of positive-exposure bins and their support hull
+_HazardSetup = namedtuple("_HazardSetup", "prob n_bin hull")
 
-    Zero-exposure bins stay in the array but carry weight zero and do not
-    enter the deviance.  The fit is the damped Newton iteration of
-    :func:`_newton`; it raises :class:`ConvergenceError` if that does not
-    converge within ``ctrl.max_iter`` steps.
-    """
+
+def _prepare(data: BinnedData, cause: int, kv_u: KnotVector, kv_s: KnotVector) -> _HazardSetup:
+    """Validate one cause's binned data and build what every fit of it shares."""
     if cause not in data.Y:
         raise DataError(f"cause {cause} not present in the binned data")
     y = np.asarray(data.Y[cause], dtype=float)
@@ -339,12 +346,38 @@ def fit_hazard(
 
     ws = glam.ArrayModelWorkspace(evaluate_basis(data.grid.u_mid, kv_u),
                                   evaluate_basis(data.grid.s_mid, kv_s))
-    res = _newton(_PoissonProblem(ws, y, r), penalty, ctrl)
+    return _HazardSetup(_PoissonProblem(ws, y, r), int(mask.sum()),
+                        _support_hull(data.grid, mask))
+
+
+def fit_hazard(
+    data: BinnedData,
+    cause: int,
+    kv_u: KnotVector,
+    kv_s: KnotVector,
+    penalty: PenaltyConfig,
+    ctrl: FitControl = FitControl(),
+    *,
+    _setup: _HazardSetup = None,
+    _start: np.ndarray = None,
+) -> FittedHazard:
+    """Fit one cause-specific hazard surface at fixed smoothing parameters.
+
+    Zero-exposure bins stay in the array but carry weight zero and do not
+    enter the deviance.  The fit is the damped Newton iteration of
+    :func:`_newton`; it raises :class:`ConvergenceError` if that does not
+    converge within ``ctrl.max_iter`` steps.  :func:`select_smoothing`
+    passes the ``_prepare`` result of ``(data, cause, kv_u, kv_s)`` as
+    ``_setup`` and a warm start as ``_start``.
+    """
+    setup = _prepare(data, cause, kv_u, kv_s) if _setup is None else _setup
+    ws = setup.prob.ws
+    res = _newton(setup.prob, penalty, ctrl, _start)
     fit = FittedHazard(
         A=res.alpha.reshape(ws.c_u, ws.c_s, order="F"), penalty=penalty, kv_u=kv_u, kv_s=kv_s,
         grid=data.grid, W_hat=res.mu, deviance=res.deviance, ed=np.nan, aic=np.nan, bic=np.nan,
-        n_bin=int(mask.sum()), converged=True, n_iter=res.n_iter, score_rel=res.score_rel,
-        gram=res.gram, factor=res.factor, hull=_support_hull(data.grid, mask),
+        n_bin=setup.n_bin, converged=True, n_iter=res.n_iter, score_rel=res.score_rel,
+        gram=res.gram, factor=res.factor, hull=setup.hull,
     )
     fit.ed = effective_dimension(fit)
     fit.aic, fit.bic = information_criteria(fit)
@@ -406,6 +439,7 @@ def select_smoothing(
     if criterion not in ("AIC", "BIC"):
         raise ValueError(f"criterion must be AIC or BIC, got {criterion!r}")
 
+    setup = _prepare(data, cause, kv_u, kv_s)
     cache = {}
 
     def key(lu, ls):
@@ -416,7 +450,8 @@ def select_smoothing(
         if k not in cache:
             try:
                 fit = fit_hazard(data, cause, kv_u, kv_s,
-                                 PenaltyConfig(log10_rho_u=lu, log10_rho_s=ls, d=d), ctrl)
+                                 PenaltyConfig(log10_rho_u=lu, log10_rho_s=ls, d=d), ctrl,
+                                 _setup=setup)
                 value = fit.aic if criterion == "AIC" else fit.bic
                 cache[k] = (value, fit)
             except ConvergenceError:
