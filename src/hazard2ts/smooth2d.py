@@ -91,6 +91,8 @@ class FittedHazard:
     gram: np.ndarray = field(repr=False)             # B' W_hat B at convergence
     factor: tuple = field(repr=False)                # Cholesky factor of gram + P
     hull: tuple = field(repr=False)                  # convex hull of positive-exposure bins
+    # select_smoothing: (log10 rho_u, log10 rho_s, criterion or inf, Newton steps, cold retry)
+    candidates: list = field(default_factory=list, repr=False)
 
     @property
     def coef(self) -> np.ndarray:
@@ -103,17 +105,9 @@ class FittedHazard:
 
 @functools.lru_cache(maxsize=8)
 def _penalty_block(c_u: int, c_s: int, d: int, axis: str) -> np.ndarray:
-    """``kron(I, Du'Du)`` (axis "u") or ``kron(Ds'Ds, I)`` (axis "s"), read-only.
-
-    Built once per basis shape and difference order: every candidate of a
-    smoothing search shares it.
-    """
-    if axis == "u":
-        Du = difference_matrix(c_u, d).values
-        block = np.kron(np.eye(c_s), Du.T @ Du)
-    else:
-        Ds = difference_matrix(c_s, d).values
-        block = np.kron(Ds.T @ Ds, np.eye(c_u))
+    """Read-only ``kron(I, Du'Du)`` (axis "u") or ``kron(Ds'Ds, I)``, built once per shape."""
+    D = difference_matrix(c_u if axis == "u" else c_s, d).values
+    block = np.kron(np.eye(c_s), D.T @ D) if axis == "u" else np.kron(D.T @ D, np.eye(c_u))
     block.flags.writeable = False
     return block
 
@@ -121,10 +115,9 @@ def _penalty_block(c_u: int, c_s: int, d: int, axis: str) -> np.ndarray:
 def penalty_matrix(c_u: int, c_s: int, penalty: PenaltyConfig) -> np.ndarray:
     """Assemble ``rho_u * kron(I, Du'Du) + rho_s * kron(Ds'Ds, I)``."""
     P = np.zeros((c_u * c_s, c_u * c_s))
-    if penalty.rho_u > 0:
-        P += penalty.rho_u * _penalty_block(c_u, c_s, penalty.d, "u")
-    if penalty.rho_s > 0:
-        P += penalty.rho_s * _penalty_block(c_u, c_s, penalty.d, "s")
+    for rho, axis in ((penalty.rho_u, "u"), (penalty.rho_s, "s")):
+        if rho > 0:
+            P += rho * _penalty_block(c_u, c_s, penalty.d, axis)
     return P
 
 
@@ -325,13 +318,12 @@ def _hat_trace(factor, gram) -> float:
     return min(max(ed, 0.0), float(gram.shape[0]))
 
 
-# the penalty-free part of one cause's fits: the Poisson problem (workspace, start,
-# score scale), the number of positive-exposure bins and their support hull
 _HazardSetup = namedtuple("_HazardSetup", "prob n_bin hull")
 
 
 def _prepare(data: BinnedData, cause: int, kv_u: KnotVector, kv_s: KnotVector) -> _HazardSetup:
-    """Validate one cause's binned data and build what every fit of it shares."""
+    """Check one cause's binned data and build what every fit of it shares: the Poisson
+    problem (workspace, default start, score scale), the bin count and the support hull."""
     if cause not in data.Y:
         raise DataError(f"cause {cause} not present in the binned data")
     y = np.asarray(data.Y[cause], dtype=float)
@@ -343,32 +335,21 @@ def _prepare(data: BinnedData, cause: int, kv_u: KnotVector, kv_s: KnotVector) -
         raise DataError("events recorded in bins with zero exposure")
     if y.sum() <= 0:
         raise DataError(f"no events of cause {cause}: hazard is unidentified")
-
     ws = glam.ArrayModelWorkspace(evaluate_basis(data.grid.u_mid, kv_u),
                                   evaluate_basis(data.grid.s_mid, kv_s))
-    return _HazardSetup(_PoissonProblem(ws, y, r), int(mask.sum()),
-                        _support_hull(data.grid, mask))
+    return _HazardSetup(_PoissonProblem(ws, y, r), int(mask.sum()), _support_hull(data.grid, mask))
 
 
-def fit_hazard(
-    data: BinnedData,
-    cause: int,
-    kv_u: KnotVector,
-    kv_s: KnotVector,
-    penalty: PenaltyConfig,
-    ctrl: FitControl = FitControl(),
-    *,
-    _setup: _HazardSetup = None,
-    _start: np.ndarray = None,
-) -> FittedHazard:
+def fit_hazard(data: BinnedData, cause: int, kv_u: KnotVector, kv_s: KnotVector,
+               penalty: PenaltyConfig, ctrl: FitControl = FitControl(), *,
+               _setup: _HazardSetup = None, _start: np.ndarray = None) -> FittedHazard:
     """Fit one cause-specific hazard surface at fixed smoothing parameters.
 
     Zero-exposure bins stay in the array but carry weight zero and do not
     enter the deviance.  The fit is the damped Newton iteration of
     :func:`_newton`; it raises :class:`ConvergenceError` if that does not
-    converge within ``ctrl.max_iter`` steps.  :func:`select_smoothing`
-    passes the ``_prepare`` result of ``(data, cause, kv_u, kv_s)`` as
-    ``_setup`` and a warm start as ``_start``.
+    converge within ``ctrl.max_iter`` steps.  :func:`select_smoothing` passes
+    ``_prepare(data, cause, kv_u, kv_s)`` as ``_setup`` and a warm start.
     """
     setup = _prepare(data, cause, kv_u, kv_s) if _setup is None else _setup
     ws = setup.prob.ws
@@ -418,89 +399,73 @@ class SearchConfig:
                              f"(lo, hi) with lo <= hi, got {self}")
 
 
-def select_smoothing(
-    data: BinnedData,
-    cause: int,
-    kv_u: KnotVector,
-    kv_s: KnotVector,
-    d: int = 2,
-    criterion: str = "BIC",
-    search: SearchConfig = SearchConfig(),
-    ctrl: FitControl = FitControl(),
-) -> FittedHazard:
+def select_smoothing(data: BinnedData, cause: int, kv_u: KnotVector, kv_s: KnotVector,
+                     d: int = 2, criterion: str = "BIC", search: SearchConfig = SearchConfig(),
+                     ctrl: FitControl = FitControl()) -> FittedHazard:
     """Pick (rho_u, rho_s) minimizing AIC or BIC and return the winning fit.
 
     Stage one evaluates a coarse grid of log10 values; stage two runs a
     pattern search (axis moves with step halving down to
     ``refine_resolution``) from the grid optimum.  Ties prefer the smoother
-    fit, i.e. the larger rho_u + rho_s.
+    fit, i.e. the larger rho_u + rho_s.  Candidates share one prepared problem
+    and start from a converged neighbour: the coarse grid runs row by row
+    (fixed rho_u), each candidate from the last converged one in its row, each
+    row from the first converged fit of the row before; refinement moves start
+    from the current best.  A failed warm start is retried once from the
+    default start.  The winner's ``candidates`` lists every candidate tried.
     """
     criterion = criterion.upper()
     if criterion not in ("AIC", "BIC"):
         raise ValueError(f"criterion must be AIC or BIC, got {criterion!r}")
-
     setup = _prepare(data, cause, kv_u, kv_s)
-    cache = {}
+    cache, table = {}, []         # key -> (criterion, coefficients or None); table rows
+    best = None                   # (criterion, -(rho_u + rho_s), key, fit): smaller wins
 
-    def key(lu, ls):
-        return (round(lu, 6), round(ls, 6))
-
-    def evaluate(lu, ls):
-        k = key(lu, ls)
+    def evaluate(lu, ls, start):
+        """Fit one candidate (once), keeping it if it beats the best; its coefficients or None."""
+        nonlocal best
+        k = (round(lu, 6), round(ls, 6))
         if k not in cache:
-            try:
-                fit = fit_hazard(data, cause, kv_u, kv_s,
-                                 PenaltyConfig(log10_rho_u=lu, log10_rho_s=ls, d=d), ctrl,
-                                 _setup=setup)
-                value = fit.aic if criterion == "AIC" else fit.bic
-                cache[k] = (value, fit)
-            except ConvergenceError:
-                cache[k] = (np.inf, None)
-        return cache[k]
+            fit, steps = None, 0
+            for attempt in (start, None) if start is not None else (None,):
+                try:
+                    fit = fit_hazard(data, cause, kv_u, kv_s, PenaltyConfig(lu, ls, d), ctrl,
+                                     _setup=setup, _start=attempt)
+                    break
+                except ConvergenceError as exc:
+                    steps += exc.n_iter
+            value = np.inf if fit is None else (fit.aic if criterion == "AIC" else fit.bic)
+            steps += 0 if fit is None else fit.n_iter
+            retried = start is not None and attempt is None
+            table.append((float(lu), float(ls), value, steps, retried))
+            cache[k] = (value, None if fit is None else fit.coef)
+            cand = (value, -(10.0**lu + 10.0**ls), k, fit)
+            if fit is not None and (best is None or cand[:2] < best[:2]):
+                best = cand
+        return cache[k][1]
 
-    def better(cand, best):
-        """cand/best = (value, rho_sum, key); smaller value wins, ties prefer smoother."""
-        if cand[0] != best[0]:
-            return cand[0] < best[0]
-        return cand[1] > best[1]
-
-    lo_u, hi_u = search.log10_rho_u_range
-    lo_s, hi_s = search.log10_rho_s_range
-    grid_u = np.arange(lo_u, hi_u + 1e-9, search.coarse_step)
-    grid_s = np.arange(lo_s, hi_s + 1e-9, search.coarse_step)
-    candidates = [(lu, ls) for lu in grid_u for ls in grid_s]
-
-    best = None
-    for lu, ls in candidates:
-        value, fit = evaluate(lu, ls)
-        if fit is None:
-            continue
-        cand = (value, 10.0**lu + 10.0**ls, key(lu, ls))
-        if best is None or better(cand, best):
-            best = cand
+    (lo_u, hi_u), (lo_s, hi_s) = search.log10_rho_u_range, search.log10_rho_s_range
+    row_start = None
+    for lu in np.arange(lo_u, hi_u + 1e-9, search.coarse_step):
+        warm, first = row_start, None
+        for ls in np.arange(lo_s, hi_s + 1e-9, search.coarse_step):
+            coef = evaluate(lu, ls, warm)
+            if coef is not None:
+                warm = coef
+                first = coef if first is None else first
+        row_start = first
     if best is None:
         raise ConvergenceError("smoothing search exhausted without any convergent fit")
 
     # pattern search around the grid optimum, confined to the search ranges
     step = search.coarse_step / 2.0
-    cur_lu, cur_ls = best[2]
-    n_evals = len(cache)
-    while step >= search.refine_resolution - 1e-12 and n_evals < search.max_evals:
-        moved = False
+    while step >= search.refine_resolution - 1e-12 and len(cache) < search.max_evals:
+        origin = best[2]
         for dlu, dls in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
-            lu, ls = cur_lu + dlu, cur_ls + dls
-            if not (lo_u - 1e-9 <= lu <= hi_u + 1e-9 and lo_s - 1e-9 <= ls <= hi_s + 1e-9):
-                continue
-            value, fit = evaluate(lu, ls)
-            n_evals = len(cache)
-            if fit is None:
-                continue
-            cand = (value, 10.0**lu + 10.0**ls, key(lu, ls))
-            if better(cand, best):
-                best = cand
-                cur_lu, cur_ls = key(lu, ls)
-                moved = True
-        if not moved:
+            lu, ls = best[2][0] + dlu, best[2][1] + dls
+            if lo_u - 1e-9 <= lu <= hi_u + 1e-9 and lo_s - 1e-9 <= ls <= hi_s + 1e-9:
+                evaluate(lu, ls, best[3].coef)
+        if best[2] == origin:     # no move improved: refine the step
             step /= 2.0
-
-    return cache[best[2]][1]
+    best[3].candidates = table
+    return best[3]

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hazard2ts as h
+from hazard2ts import smooth2d
 from hazard2ts.errors import ConvergenceError, DataError
-from hazard2ts.smooth2d import penalty_matrix
+from hazard2ts.smooth2d import _prepare, penalty_matrix
 
 
 def toy_data(rng, n_u=8, n_s=6, lam=0.2, r_scale=30.0):
@@ -209,3 +212,193 @@ class TestSelectSmoothing:
         kv_u, kv_s = toy_knots()
         with pytest.raises(ValueError):
             h.select_smoothing(data, 1, kv_u, kv_s, criterion="GCV")
+
+
+def cold_search(data, cause, kv_u, kv_s, d, criterion, search, ctrl):
+    """The search as it was before warm starts, kept as the oracle: every candidate a
+    standalone ``fit_hazard`` from the default start.  Returns the selected
+    (log10 rho_u, log10 rho_s) and the criterion of every candidate (inf if it failed)."""
+    cache = {}
+
+    def key(lu, ls):
+        return (round(lu, 6), round(ls, 6))
+
+    def evaluate(lu, ls):
+        k = key(lu, ls)
+        if k not in cache:
+            try:
+                fit = h.fit_hazard(data, cause, kv_u, kv_s, h.PenaltyConfig(lu, ls, d), ctrl)
+                cache[k] = fit.aic if criterion == "AIC" else fit.bic
+            except ConvergenceError:
+                cache[k] = np.inf
+        return cache[k]
+
+    def better(cand, best):
+        if cand[0] != best[0]:
+            return cand[0] < best[0]
+        return cand[1] > best[1]
+
+    lo_u, hi_u = search.log10_rho_u_range
+    lo_s, hi_s = search.log10_rho_s_range
+    best = None
+    for lu in np.arange(lo_u, hi_u + 1e-9, search.coarse_step):
+        for ls in np.arange(lo_s, hi_s + 1e-9, search.coarse_step):
+            value = evaluate(lu, ls)
+            cand = (value, 10.0**lu + 10.0**ls, key(lu, ls))
+            if np.isfinite(value) and (best is None or better(cand, best)):
+                best = cand
+    step = search.coarse_step / 2.0
+    cur_lu, cur_ls = best[2]
+    while step >= search.refine_resolution - 1e-12 and len(cache) < search.max_evals:
+        moved = False
+        for dlu, dls in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
+            lu, ls = cur_lu + dlu, cur_ls + dls
+            if not (lo_u - 1e-9 <= lu <= hi_u + 1e-9 and lo_s - 1e-9 <= ls <= hi_s + 1e-9):
+                continue
+            value = evaluate(lu, ls)
+            cand = (value, 10.0**lu + 10.0**ls, key(lu, ls))
+            if np.isfinite(value) and better(cand, best):
+                best = cand
+                cur_lu, cur_ls = key(lu, ls)
+                moved = True
+        if not moved:
+            step /= 2.0
+    return best[2], cache
+
+
+def fits_equal(a, b):
+    """Every field of two FittedHazards equal (arrays elementwise, factors included)."""
+    for name in ("A", "W_hat", "gram"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert np.array_equal(a.factor[0], b.factor[0]) and a.factor[1] == b.factor[1]
+    assert a.hull[0] == b.hull[0] and np.array_equal(a.hull[1], b.hull[1])
+    for name in ("penalty", "deviance", "ed", "aic", "bic", "n_bin", "n_iter", "score_rel"):
+        assert getattr(a, name) == getattr(b, name), name
+
+
+class TestWarmStartedSearch:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**16), n_u=st.integers(5, 9), n_s=st.integers(4, 7),
+           lam=st.sampled_from([0.05, 0.2, 1.0]), empty_corner=st.booleans(),
+           lo_u=st.sampled_from([-2.0, 0.0, 1.5]), lo_s=st.sampled_from([-2.0, 0.0, 1.5]),
+           width=st.sampled_from([2.0, 3.0, 5.0]), coarse_step=st.sampled_from([1.0, 1.5, 2.5]),
+           refine=st.sampled_from([0.25, 0.5]), criterion=st.sampled_from(["AIC", "BIC"]))
+    def test_matches_cold_search(self, seed, n_u, n_s, lam, empty_corner, lo_u, lo_s, width,
+                                 coarse_step, refine, criterion):
+        data = toy_data(np.random.default_rng(seed), n_u, n_s, lam)
+        if empty_corner:                      # zero-exposure bins, weight zero in every fit
+            data.R[:2, :2] = 0.0
+            data.Y[1][:2, :2] = 0.0
+        kv_u, kv_s = toy_knots(n_u, n_s)
+        search = h.SearchConfig(log10_rho_u_range=(lo_u, lo_u + width),
+                                log10_rho_s_range=(lo_s, lo_s + width + 1.0),
+                                coarse_step=coarse_step, refine_resolution=refine)
+        ctrl = h.FitControl()
+        fit = h.select_smoothing(data, 1, kv_u, kv_s, criterion=criterion, search=search)
+        chosen, cold = cold_search(data, 1, kv_u, kv_s, 2, criterion, search, ctrl)
+
+        assert (round(fit.penalty.log10_rho_u, 6), round(fit.penalty.log10_rho_s, 6)) == chosen
+        table = {(round(lu, 6), round(ls, 6)): value for lu, ls, value, _, _ in fit.candidates}
+        assert len(table) == len(fit.candidates)
+        assert table.keys() == cold.keys()
+        assert ({k for k, v in table.items() if not np.isfinite(v)}
+                == {k for k, v in cold.items() if not np.isfinite(v)})
+        for k, value in table.items():
+            if np.isfinite(value):
+                assert value == pytest.approx(cold[k], rel=1e-8, abs=0.0), k
+        # the first candidate has no converged neighbour: it starts cold, bitwise as alone
+        first = fit.candidates[0]
+        assert first[2] == cold[(round(first[0], 6), round(first[1], 6))]
+
+    def test_failed_warm_start_is_retried_cold(self, monkeypatch):
+        data = toy_data(np.random.default_rng(12))
+        kv_u, kv_s = toy_knots()
+        search = h.SearchConfig(log10_rho_u_range=(0.0, 2.0), log10_rho_s_range=(0.0, 2.0),
+                                coarse_step=1.0, refine_resolution=0.5)
+        fit_hazard = smooth2d.fit_hazard
+        doomed = {(1.0, 1.0): "warm", (2.0, 0.0): "both"}   # which attempts fail there
+
+        def failing(data, cause, kv_u, kv_s, penalty, ctrl=h.FitControl(), **kw):
+            mode = doomed.get((penalty.log10_rho_u, penalty.log10_rho_s))
+            if mode == "both" or (mode == "warm" and kw["_start"] is not None):
+                raise ConvergenceError("injected", n_iter=ctrl.max_iter)
+            return fit_hazard(data, cause, kv_u, kv_s, penalty, ctrl, **kw)
+
+        monkeypatch.setattr(smooth2d, "fit_hazard", failing)
+        fit = h.select_smoothing(data, 1, kv_u, kv_s, search=search)
+        rows = {(lu, ls): (value, steps, retried) for lu, ls, value, steps, retried
+                in fit.candidates}
+        cold = fit_hazard(data, 1, kv_u, kv_s, h.PenaltyConfig(1.0, 1.0, 2))
+        # retried from the default start: exactly the cold fit, after 50 failed steps
+        assert rows[(1.0, 1.0)] == (cold.bic, 50 + cold.n_iter, True)
+        # failing from both starts drops the candidate
+        assert rows[(2.0, 0.0)] == (np.inf, 100, True)
+        assert sum(retried for _, _, retried in rows.values()) == 2
+
+    def test_warm_starts_follow_neighbours(self, monkeypatch):
+        data = toy_data(np.random.default_rng(15))
+        kv_u, kv_s = toy_knots()
+        search = h.SearchConfig(log10_rho_u_range=(-1.0, 2.0), log10_rho_s_range=(0.0, 2.0),
+                                coarse_step=1.0, refine_resolution=0.25)
+        fit_hazard, calls = smooth2d.fit_hazard, []
+
+        def recording(*args, **kw):
+            fit = fit_hazard(*args, **kw)
+            calls.append(((args[4].log10_rho_u, args[4].log10_rho_s), kw["_start"], fit))
+            return fit
+
+        monkeypatch.setattr(smooth2d, "fit_hazard", recording)
+        h.select_smoothing(data, 1, kv_u, kv_s, search=search)
+        coef = {k: fit.coef for k, _, fit in calls}
+        rows, cols = np.arange(-1.0, 2.1), np.arange(0.0, 2.1)
+        assert [k for k, _, _ in calls[:12]] == [(lu, ls) for lu in rows for ls in cols]
+        assert calls[0][1] is None
+        for (lu, ls), start, _ in calls[1:12]:
+            # the previous candidate in the row, or the first one of the row before
+            source = (lu, ls - 1.0) if ls > 0.0 else (lu - 1.0, 0.0)
+            assert np.array_equal(start, coef[source]), (lu, ls)
+        for i, (k, start, _) in enumerate(calls[12:], start=12):
+            best = min(calls[:i], key=lambda c: (c[2].bic, -(10.0**c[0][0] + 10.0**c[0][1])))
+            assert np.array_equal(start, best[2].coef), k
+
+    def test_candidate_table_lists_every_fit_once(self):
+        data = toy_data(np.random.default_rng(13))
+        kv_u, kv_s = toy_knots()
+        search = h.SearchConfig(log10_rho_u_range=(-1.0, 3.0), log10_rho_s_range=(-1.0, 3.0),
+                                coarse_step=1.0)
+        fit = h.select_smoothing(data, 1, kv_u, kv_s, search=search)
+        coarse = [(lu, ls) for lu in np.arange(-1.0, 3.1) for ls in np.arange(-1.0, 3.1)]
+        assert [(lu, ls) for lu, ls, *_ in fit.candidates[:len(coarse)]] == coarse
+        assert len({(round(lu, 6), round(ls, 6)) for lu, ls, *_ in fit.candidates}) == \
+            len(fit.candidates)
+        assert min(c[2] for c in fit.candidates) == fit.bic
+        assert all(steps >= 1 and retried is False for _, _, _, steps, retried in fit.candidates)
+        assert fit.n_iter == next(c[3] for c in fit.candidates if c[2] == fit.bic)
+
+    @pytest.mark.parametrize("lrho", [(-math.inf, -math.inf), (-2.0, 0.0), (1.0, 1.0), (6.0, 3.0)])
+    def test_fit_hazard_on_prepared_problem_is_identical(self, lrho):
+        data = toy_data(np.random.default_rng(14))
+        data.R[0, :3] = 0.0
+        data.Y[1][0, :3] = 0.0
+        kv_u, kv_s = toy_knots()
+        pen = h.PenaltyConfig(*lrho, 2)
+        setup = _prepare(data, 1, kv_u, kv_s)
+        fits_equal(h.fit_hazard(data, 1, kv_u, kv_s, pen),
+                   h.fit_hazard(data, 1, kv_u, kv_s, pen, _setup=setup))
+        # and the search's first candidate is that same cold fit
+        search = h.SearchConfig(log10_rho_u_range=(lrho[0], lrho[0] + 1.0),
+                                log10_rho_s_range=(lrho[1], lrho[1] + 1.0))
+        if np.isfinite(lrho[0]):
+            first = h.select_smoothing(data, 1, kv_u, kv_s, search=search).candidates[0]
+            assert first[2] == h.fit_hazard(data, 1, kv_u, kv_s, pen).bic
+
+    def test_penalty_matrix_unchanged_by_shared_blocks(self):
+        pen = h.PenaltyConfig(1.5, -0.5, 2)
+        Du = h.difference_matrix(6, 2).values
+        Ds = h.difference_matrix(5, 2).values
+        expected = (pen.rho_u * np.kron(np.eye(5), Du.T @ Du)
+                    + pen.rho_s * np.kron(Ds.T @ Ds, np.eye(6)))
+        for _ in range(2):                    # built once, then reused
+            P = penalty_matrix(6, 5, pen)
+            assert np.array_equal(P, expected)
+            P += 1.0                          # the caller's copy, not the shared block
