@@ -108,13 +108,15 @@ def _prepare(fits: dict, u_points, s_points, delta):
     return u, s, delta, Bu
 
 
-def _prefix(x: np.ndarray) -> np.ndarray:
-    """Inclusive partial sums along the last axis, led by a zero (K = 0) entry."""
-    zero = np.zeros(x.shape[:-1] + (1,))
-    return np.concatenate([zero, np.cumsum(x, axis=-1)], axis=-1)
+def _prefix(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Inclusive partial sums along the last axis, led by a zero (K = 0) entry, into ``out``."""
+    out[..., 0] = 0.0
+    np.cumsum(x, axis=-1, out=out[..., 1:])
+    return out
 
 
-def _quadrature(fits: dict, Bu: dict, K: np.ndarray, delta: float, coefs: dict = None):
+def _quadrature(fits: dict, Bu: dict, K: np.ndarray, delta: float, coefs: dict = None,
+                work: dict = None):
     """Cumulative hazards and CIFs of every cause over the node ladder.
 
     ``Bu[ell]`` holds u-basis rows (n_rows x c_u); ``K`` holds the node
@@ -122,7 +124,9 @@ def _quadrature(fits: dict, Bu: dict, K: np.ndarray, delta: float, coefs: dict =
     row for a product grid, one column for paired points.  ``coefs[ell]``
     defaults to the fitted coefficient matrix and may carry a leading draw
     axis (b x c_u x c_s), which then leads both outputs.  Partial sums are
-    formed _CHUNK row-draws at a time and read off at ``K`` right away.
+    formed _CHUNK row-draws at a time and read off at ``K`` right away.  The
+    chunk arrays live in ``work``: a caller that passes one dict to repeated
+    calls reuses them, where fresh arrays would page-fault in every call.
     """
     causes = sorted(fits)
     if coefs is None:
@@ -137,16 +141,30 @@ def _quadrature(fits: dict, Bu: dict, K: np.ndarray, delta: float, coefs: dict =
     nodes = delta * np.arange(K_max)
     Bs_nodes = {ell: evaluate_basis(nodes, fits[ell].kv_s).values for ell in causes}
     step = max(1, _CHUNK // int(np.prod(lead)))
+    work = {} if work is None else work
     for lo in range(0, len(K), step):
         rows = slice(lo, lo + step)
-        lam = {ell: np.exp(Bu[ell][rows] @ coefs[ell] @ Bs_nodes[ell].T) for ell in causes}
-        # survival just before each node: exclusive prefix of the total hazard
-        S_nodes = np.exp(-_prefix(sum(lam.values()) * delta)[..., :K_max])
         at = K[rows]
+        shape = lead + (len(at), K_max)
+        if work.get("key") != (shape, causes):
+            work.update({name: np.empty(shape) for name in ("tot", "S", *causes)},
+                        key=(shape, causes), pre=np.empty(shape[:-1] + (K_max + 1,)))
+        lam = {ell: np.matmul(Bu[ell][rows] @ coefs[ell], Bs_nodes[ell].T, out=work[ell])
+               for ell in causes}
+        tot, S, pre = work["tot"], work["S"], work["pre"]
+        np.copyto(tot, np.exp(lam[causes[0]], out=lam[causes[0]]))
+        for ell in causes[1:]:
+            tot += np.exp(lam[ell], out=lam[ell])
+        tot *= delta
+        # survival just before each node: exclusive prefix of the total hazard
+        np.exp(np.negative(_prefix(tot, pre)[..., :K_max], out=S), out=S)
         r = np.arange(len(at))[:, None]
         for ell in causes:
-            cumhaz[ell][..., rows, :] = _prefix(lam[ell] * delta)[..., r, at]
-            cif[ell][..., rows, :] = _prefix(lam[ell] * S_nodes * delta)[..., r, at]
+            np.multiply(lam[ell], delta, out=tot)
+            cumhaz[ell][..., rows, :] = _prefix(tot, pre)[..., r, at]
+            np.multiply(lam[ell], S, out=tot)
+            tot *= delta
+            cif[ell][..., rows, :] = _prefix(tot, pre)[..., r, at]
     return cumhaz, cif
 
 

@@ -131,12 +131,13 @@ def cif_standard_errors(
 
     mean = {ell: np.zeros((len(u_points), len(s_points))) for ell in causes}
     m2 = {ell: np.zeros((len(u_points), len(s_points))) for ell in causes}
+    work = {}                     # the kernel's chunk arrays, reused by every batch
     for lo in range(0, mc.n_draws, _DRAW_CHUNK):
         # vec(A) is column-major: draw k holds A[l, m] at index m * c_u + l
         coefs = {ell: draws[ell][lo:lo + _DRAW_CHUNK]
                  .reshape(-1, *fits[ell].A.shape[::-1]).transpose(0, 2, 1)
                  for ell in causes}
-        _, cif = _quadrature(fits, Bu, K, delta, coefs)
+        _, cif = _quadrature(fits, Bu, K, delta, coefs, work)
         for j in range(len(coefs[causes[0]])):
             for ell in causes:
                 value = cif[ell][j]
