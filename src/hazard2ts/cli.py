@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -126,15 +127,50 @@ class RunConfig:
         return self.grid.h_s / 10.0 if self.delta is None else self.delta
 
 
+def _is_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
+# what a config value of each declared field type must be
+_VALUE_KINDS = {
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "float": ("a number", _is_number),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "tuple": ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v))),
+}
+
+
 def _update_dataclass(obj, data, prefix=""):
+    fields = {f.name: f for f in dataclasses.fields(obj)}
     for key, val in data.items():
-        if not hasattr(obj, key):
+        if key not in fields:
             raise DataError(f"unknown config key {prefix}{key!r}")
         cur = getattr(obj, key)
-        if dataclasses.is_dataclass(cur) and isinstance(val, dict):
+        if dataclasses.is_dataclass(cur):
+            if not isinstance(val, dict):
+                raise DataError(f"config key {prefix}{key} must be a mapping, got {val!r}")
             _update_dataclass(cur, val, prefix=f"{prefix}{key}.")
-        else:
-            setattr(obj, key, tuple(val) if isinstance(val, list) else val)
+            continue
+        kind, ok = _VALUE_KINDS[fields[key].type]
+        if not (ok(val) or (val is None and fields[key].default is None)):
+            raise DataError(f"config key {prefix}{key} must be {kind}, got {val!r}")
+        setattr(obj, key, tuple(val) if isinstance(val, list) else val)
+
+
+def _check_run_settings(cfg: RunConfig):
+    """Refuse a difference order, quadrature step, seed or draw count that no run can use."""
+    problems = []
+    if cfg.d < 1:
+        problems.append(f"d must be at least 1, got {cfg.d}")
+    if cfg.delta is not None and not (math.isfinite(cfg.delta) and cfg.delta > 0):
+        problems.append(f"delta must be a positive number or null, got {cfg.delta}")
+    if cfg.seed < 0:
+        problems.append(f"seed must not be negative, got {cfg.seed}")
+    if cfg.montecarlo.n_draws < 2:
+        problems.append(f"montecarlo.n_draws must be at least 2, got {cfg.montecarlo.n_draws}")
+    if problems:
+        raise DataError("bad run settings: " + "; ".join(problems))
 
 
 def load_config(path=None) -> RunConfig:
@@ -155,8 +191,9 @@ def load_config(path=None) -> RunConfig:
         cfg.search_config()
         if not (cfg.pclm.log10_phi_step > 0 and cfg.pclm.grid().size):
             raise ValueError(f"empty pclm log10 phi grid from {dataclasses.asdict(cfg.pclm)}")
-    except (TypeError, ValueError) as exc:   # a non-numeric value compares with a TypeError
+    except ValueError as exc:
         raise DataError(f"bad search settings: {exc}") from None
+    _check_run_settings(cfg)
     return cfg
 
 
@@ -359,6 +396,7 @@ def cmd_fit(input_csv, config_path, outdir, seed, draws):
             cfg.seed = seed
         if draws is not None:
             cfg.montecarlo.n_draws = draws
+        _check_run_settings(cfg)
         records = read_records_csv(input_csv)
         run_fit_pipeline(cfg, records, Path(outdir))
     except (DataError, DomainError) as exc:

@@ -94,6 +94,23 @@ class TestConfig:
         {"pclm": {"log10_phi_step": 0}},
         {"pclm": {"log10_phi_step": "abc"}},
         {"pclm": {"log10_phi_lo": 2.0, "log10_phi_hi": 1.0}},
+        # values of the wrong type, once TypeError tracebacks with exit 1
+        {"grid": {"h_u": "abc"}},
+        {"basis": {"c_u": "x"}},
+        {"basis": {"degree": 2.5}},
+        {"d": "two"},
+        {"delta": "x"},
+        {"seed": "x"},
+        {"montecarlo": {"n_draws": "x"}},
+        {"selection": {"log10_rho_s_range": [1.0, "x"]}},
+        {"convergence": {"max_iter": True}},
+        {"grid": 5},
+        # out of range, once failing only after the smoothing search
+        {"delta": 0},
+        {"delta": -0.1},
+        {"seed": -1},
+        {"montecarlo": {"n_draws": 1}},
+        {"d": 0},
     ])
     def test_bad_search_settings_exit_2_before_reading_input(self, runner, tmp_path, block):
         path = tmp_path / "bad.yaml"
@@ -108,6 +125,15 @@ class TestConfig:
                                           "--out", str(tmp_path / "o")])
             assert result.exit_code == 2, result.output
             assert "row 2" not in result.output
+
+    @pytest.mark.parametrize("option", [["--seed", "-1"], ["--draws", "1"], ["--draws", "0"]])
+    def test_bad_seed_or_draws_option_exit_2_before_reading_input(self, runner, tmp_path,
+                                                                  option):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("id,u,s_entry,s_exit,cause\nx,55,0,notanumber,1\n")
+        result = runner.invoke(main, ["fit", str(bad), "--out", str(tmp_path / "o"), *option])
+        assert result.exit_code == 2, result.output
+        assert "bad run settings" in result.output and "row 2" not in result.output
 
     def test_closing_age_must_match_grid_top(self, tmp_path):
         path = tmp_path / "bad.yaml"
