@@ -15,12 +15,10 @@ from .basis import BasisMatrix, DiffMatrix, KnotVector, difference_matrix, evalu
 from .errors import ConvergenceError, DataError, DomainError, Hazard2tsError
 from .glam import ArrayModelWorkspace, linear_predictor, weighted_inner, weighted_rhs
 from .incidence import (
-    EvalGrid,
     Surfaces,
     compute_surfaces,
     cumulative_hazard,
     cumulative_incidence,
-    default_eval_grid,
     evaluate_hazard,
     evaluate_log_hazard,
     overall_survival,

@@ -42,7 +42,6 @@ from .uncertainty import (
 )
 
 CAUSES = (1, 2)
-_FMT = "{:.17g}"
 
 
 # --------------------------------------------------------------------------
@@ -126,6 +125,15 @@ class RunConfig:
     def quadrature_delta(self) -> float:
         return self.grid.h_s / 10.0 if self.delta is None else self.delta
 
+    def grid_and_knots(self):
+        """The bin grid and the (u, s) knot vectors; DataError if no grid or basis fits."""
+        g = self.grid
+        try:
+            grid = build_grid(g.u_lo, g.u_hi, g.h_u, g.s_lo, g.s_hi, g.h_s)
+            return (grid, *make_bases(grid, self.basis))
+        except ValueError as exc:
+            raise DataError(f"bad grid or basis settings: {exc}") from None
+
 
 def _is_number(val) -> bool:
     return isinstance(val, (int, float)) and not isinstance(val, bool)
@@ -194,6 +202,7 @@ def load_config(path=None) -> RunConfig:
     except ValueError as exc:
         raise DataError(f"bad search settings: {exc}") from None
     _check_run_settings(cfg)
+    cfg.grid_and_knots()
     return cfg
 
 
@@ -264,21 +273,24 @@ def _pclm_diag(fit, phi_grid):
 # --------------------------------------------------------------------------
 # output helpers
 
-def _fmt(x) -> str:
-    return _FMT.format(float(x))
+def _write_table(path, header, columns, flags=None):
+    """CSV of equal-length float columns at 17 significant digits, then an optional
+    true/false column.  ``%.17g`` gives the same text as ``"{:.17g}".format``."""
+    cells = [np.asarray(col, dtype=float).ravel().tolist() for col in columns]
+    template = ",".join(["%.17g"] * len(cells))
+    if flags is not None:
+        template += ",%s"
+        cells.append(["true" if f else "false" for f in np.ravel(flags)])
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(template % row + "\n" for row in zip(*cells))
 
 
 def write_long_csv(path, u_points, s_points, values, extrapolated=None, name="value"):
     """Long-format table over the product grid: u, s, value[, extrapolated]."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        header = ["u", "s", name] + (["extrapolated"] if extrapolated is not None else [])
-        fh.write(",".join(header) + "\n")
-        for i, u in enumerate(u_points):
-            for j, s in enumerate(s_points):
-                row = [_fmt(u), _fmt(s), _fmt(values[i, j])]
-                if extrapolated is not None:
-                    row.append("true" if extrapolated[i, j] else "false")
-                fh.write(",".join(row) + "\n")
+    columns = (np.repeat(u_points, len(s_points)), np.tile(s_points, len(u_points)), values)
+    _write_table(path, ["u", "s", name] + (["extrapolated"] if extrapolated is not None else []),
+                 columns, extrapolated)
 
 
 def _json_default(obj):
@@ -408,9 +420,7 @@ def cmd_fit(input_csv, config_path, outdir, seed, draws):
 def run_fit_pipeline(cfg: RunConfig, records, outdir: Path):
     """Everything cmd_fit does after argument parsing (importable for tests)."""
     outdir.mkdir(parents=True, exist_ok=True)
-    g = cfg.grid
-    grid = build_grid(g.u_lo, g.u_hi, g.h_u, g.s_lo, g.s_hi, g.h_s)
-    kv_u, kv_s = make_bases(grid, cfg.basis)
+    grid, kv_u, kv_s = cfg.grid_and_knots()
     ctrl = cfg.fit_control()
 
     pclm_diag = None
@@ -504,9 +514,7 @@ def cmd_ungroup(input_csv, config_path, outdir):
 
 def run_ungroup_pipeline(cfg: RunConfig, records, outdir: Path):
     outdir.mkdir(parents=True, exist_ok=True)
-    g = cfg.grid
-    grid = build_grid(g.u_lo, g.u_hi, g.h_u, g.s_lo, g.s_hi, g.h_s)
-    kv_u, kv_s = make_bases(grid, cfg.basis)
+    grid, kv_u, kv_s = cfg.grid_and_knots()
     grouped, fine = grouped_view(records, grid, cfg.pclm.first_grouped_age)
     binned, diagnostics = assemble_ungrouped(
         grouped, fine.R[: grouped.g - 1], kv_u, kv_s, cfg.d, cfg.pclm.grid(),
@@ -611,22 +619,16 @@ def run_predict_pipeline(model_path, points_csv, coords, out_csv):
     se_eta = {ell: se_log_hazard_points(fits[ell], Sigmas[ell], u_arr, s_arr)
               for ell in fits}
 
-    with open(out_csv, "w", encoding="utf-8", newline="") as fh:
-        cols = ["u", "s"] + (["t"] if coords == "ts" else [])
-        for ell in sorted(fits):
-            cols += [f"hazard{ell}", f"log_hazard_se{ell}", f"hazard_se{ell}", f"cif{ell}"]
-        cols += ["survival", "extrapolated"]
-        fh.write(",".join(cols) + "\n")
-        for i in range(len(u_arr)):
-            row = [_fmt(u_arr[i]), _fmt(s_arr[i])]
-            if coords == "ts":
-                row.append(_fmt(first[i]))
-            for ell in sorted(fits):
-                lam = surf.hazard[ell][i, 0]
-                row += [_fmt(lam), _fmt(se_eta[ell][i]), _fmt(lam * se_eta[ell][i]),
-                        _fmt(surf.cif[ell][i, 0])]
-            row += [_fmt(surf.survival[i, 0]), "true" if surf.extrapolated[i] else "false"]
-            fh.write(",".join(row) + "\n")
+    cols, columns = ["u", "s"], [u_arr, s_arr]
+    if coords == "ts":
+        cols.append("t")
+        columns.append(first)
+    for ell in sorted(fits):
+        lam = surf.hazard[ell][:, 0]
+        cols += [f"hazard{ell}", f"log_hazard_se{ell}", f"hazard_se{ell}", f"cif{ell}"]
+        columns += [lam, se_eta[ell], lam * se_eta[ell], surf.cif[ell][:, 0]]
+    _write_table(out_csv, cols + ["survival", "extrapolated"],
+                 columns + [surf.survival[:, 0]], surf.extrapolated)
     return out_csv
 
 

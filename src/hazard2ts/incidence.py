@@ -33,19 +33,6 @@ _NODE_EPS = 1e-9
 _CHUNK = 4096
 
 
-@dataclass(frozen=True)
-class EvalGrid:
-    """Evaluation abscissae and the quadrature step for derived surfaces."""
-
-    u_points: np.ndarray
-    s_points: np.ndarray
-    delta: float
-
-    def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError(f"quadrature step must be positive, got {self.delta}")
-
-
 @dataclass
 class Surfaces:
     """Per-cause hazard/cumulative-hazard/CIF plus survival on a point grid.
@@ -64,13 +51,6 @@ class Surfaces:
     delta: float
     coords: str = "us"
     extrapolated: np.ndarray = None
-
-
-def default_eval_grid(fit: FittedHazard, delta: float = None) -> EvalGrid:
-    """Bin midpoints of the training grid, with delta defaulting to h_s / 10."""
-    if delta is None:
-        delta = fit.grid.h_s / 10.0
-    return EvalGrid(u_points=fit.grid.u_mid.copy(), s_points=fit.grid.s_mid.copy(), delta=delta)
 
 
 def evaluate_log_hazard(fit: FittedHazard, u_points, s_points) -> np.ndarray:
@@ -233,12 +213,6 @@ def to_age_coordinates(fits: dict, t_arr, s_arr, delta: float = None) -> Surface
         raise DomainError(f"attained age must exceed time since diagnosis at {bad[:10]}",
                           points=bad)
     return surfaces_at_points(fits, t_arr - s_arr, s_arr, delta=delta, coords="ts")
-
-
-def support_hull(fit: FittedHazard):
-    """The fit's support hull: ("polygon", counterclockwise vertices) or, for
-    degenerate point sets, ("box", (u_min, u_max, s_min, s_max))."""
-    return fit.hull
 
 
 def in_support(hull, u, s, atol: float = 1e-9):

@@ -7,7 +7,8 @@ sums the fine rows belonging to the final wide interval.  Gamma is
 difference penalties.  This is the penalized Poisson likelihood of the
 hazard fits with a row-composition matrix in front of the means, so theta
 is estimated by the same damped Newton engine (``smooth2d._newton``, unit
-exposure) and the smoothing parameters by an exhaustive AIC grid search.
+exposure) and the smoothing parameters by the hazard fits' grid search
+(``smooth2d._GridSearch``) over an exhaustive AIC grid.
 
 Columns are never grouped (the composition along the second axis is the
 identity), which keeps the problem in array form: observed rows that are a
@@ -20,7 +21,6 @@ canonical tail-grouping one.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -28,8 +28,8 @@ import numpy as np
 
 from . import glam
 from .basis import BasisMatrix
-from .errors import ConvergenceError, DataError
-from .smooth2d import FitControl, PenaltyConfig, _hat_trace, _newton, _PoissonProblem
+from .errors import DataError
+from .smooth2d import FitControl, PenaltyConfig, _GridSearch, _hat_trace, _newton, _PoissonProblem
 
 
 @dataclass(frozen=True)
@@ -89,12 +89,14 @@ def _problem(Z, C_u, Bu: BasisMatrix, Bs: BasisMatrix) -> _PoissonProblem:
     return _PoissonProblem(glam.ArrayModelWorkspace(Bu, Bs), Z, np.ones((n_u, Z.shape[1])), C_u)
 
 
-def _fit(prob: _PoissonProblem, C_u, phis, d: int, ctrl: FitControl, start=None) -> PclmFit:
+def _fit(prob: _PoissonProblem, C_u, phis, d: int, ctrl: FitControl, start=None):
+    """One fit as a search candidate: ``(aic, coefficients, PclmFit)``."""
     res = _newton(prob, PenaltyConfig(phis[0], phis[1], d), ctrl, start)
     ed = _hat_trace(res.factor, res.gram)
-    return PclmFit(Gamma=res.full, Psi=np.maximum(np.asarray(C_u, dtype=float) @ res.full, 1e-300),
-                   theta=res.alpha, phis=tuple(phis), deviance=res.deviance, ed=ed,
-                   aic=res.deviance + 2.0 * ed, converged=True, n_iter=res.n_iter)
+    fit = PclmFit(Gamma=res.full, Psi=np.maximum(np.asarray(C_u, dtype=float) @ res.full, 1e-300),
+                  theta=res.alpha, phis=tuple(phis), deviance=res.deviance, ed=ed,
+                  aic=res.deviance + 2.0 * ed, converged=True, n_iter=res.n_iter)
+    return fit.aic, fit.theta, fit
 
 
 def fit_pclm(
@@ -122,7 +124,7 @@ def fit_pclm(
     phis : tuple
         (log10 phi_u, log10 phi_s) smoothing parameters.
     """
-    return _fit(_problem(Z, C_u, Bu, Bs), C_u, phis, d, ctrl)
+    return _fit(_problem(Z, C_u, Bu, Bs), C_u, phis, d, ctrl)[2]
 
 
 def select_pclm_smoothing(
@@ -136,42 +138,21 @@ def select_pclm_smoothing(
 ) -> PclmFit:
     """Exhaustive AIC grid search over (log10 phi_u, log10 phi_s).
 
-    The default grid spans [-1, 2] in steps of 0.5 on both axes.  Ties are
-    broken toward the larger phi_u + phi_s (the smoother fit).  The returned
-    fit carries the full candidate list in ``fit.candidates``.
+    The default grid spans [-1, 2] in steps of 0.5 on both axes.  The search is the hazard
+    search's grid (``smooth2d._GridSearch``: warm starts, one cold retry, ties toward the
+    larger phi_u + phi_s); ``fit.candidates`` lists (log10 phi_u, log10 phi_s, aic or inf).
     """
     if log10_phi_grid is None:
         log10_phi_grid = np.arange(-1.0, 2.0 + 1e-9, 0.5)
     log10_phi_grid = np.asarray(log10_phi_grid, dtype=float)
     if log10_phi_grid.size == 0:
         raise ValueError("empty smoothing-parameter grid")
-
     prob = _problem(Z, C_u, Bu, Bs)
-    best = None                   # (aic, -(phi_u + phi_s), fit)
-    candidates = []
-    warm = None
-    for lpu in log10_phi_grid:
-        row_start = None
-        for lps in log10_phi_grid:
-            try:
-                fit = _fit(prob, C_u, (float(lpu), float(lps)), d, ctrl, start=warm)
-            except ConvergenceError:
-                candidates.append((float(lpu), float(lps), math.inf))
-                warm = None
-                continue
-            # warm-start the next candidate; restart each row from its first fit
-            warm = fit.theta
-            if row_start is None:
-                row_start = fit.theta
-            candidates.append((float(lpu), float(lps), fit.aic))
-            cand = (fit.aic, -(10.0**lpu + 10.0**lps))
-            if best is None or cand < best[:2]:
-                best = (*cand, fit)
-        warm = row_start
-    if best is None:
-        raise ConvergenceError("no smoothing-parameter candidate converged")
-    best[2].candidates = candidates
-    return best[2]
+    grid = _GridSearch(lambda lpu, lps, start: _fit(prob, C_u, (float(lpu), float(lps)), d,
+                                                    ctrl, start))
+    best = grid.run_grid(log10_phi_grid, log10_phi_grid).fit
+    best.candidates = [row[:3] for row in grid.table]
+    return best
 
 
 def ungroup_events(

@@ -399,73 +399,90 @@ class SearchConfig:
                              f"(lo, hi) with lo <= hi, got {self}")
 
 
+_Best = namedtuple("_Best", "value tie key coef fit")   # tie = -(a + b): smaller wins
+
+
+class _GridSearch:
+    """The smoothing search of both smoothers over candidates (log10 a, log10 b).
+
+    ``fit_one(la, lb, start)`` fits a candidate from coefficients ``start`` (None: cold) and
+    returns ``(criterion, coefficients, fit with n_iter)`` or raises ConvergenceError.  A key
+    (6 digits) is fitted once, a failed warm start refitted once cold.  ``best`` has the least
+    criterion, ties to the larger a + b.  ``table`` rows, in the order tried: (log10 a,
+    log10 b, criterion or inf, Newton steps, cold retry)."""
+
+    def __init__(self, fit_one):
+        self._fit_one, self._cache, self.table, self.best = fit_one, {}, [], None
+
+    def evaluate(self, la, lb, start):
+        """Fit one candidate (once), keeping it if it beats the best; its coefficients or None."""
+        k = (round(la, 6), round(lb, 6))
+        if k not in self._cache:
+            value, coef, fit, steps = np.inf, None, None, 0
+            for attempt in (start, None) if start is not None else (None,):
+                try:
+                    value, coef, fit = self._fit_one(la, lb, attempt)
+                    steps += fit.n_iter
+                    break
+                except ConvergenceError as exc:
+                    steps += exc.n_iter
+            self.table.append((float(la), float(lb), value, steps,
+                               start is not None and attempt is None))
+            self._cache[k] = coef
+            cand = _Best(value, -(10.0**la + 10.0**lb), k, coef, fit)
+            if fit is not None and (self.best is None or cand[:2] < self.best[:2]):
+                self.best = cand
+        return self._cache[k]
+
+    def run_grid(self, rows, cols):
+        """Fit every (row, col) candidate row by row, each from the last converged one of its row
+        (failures do not reset it), each row from the first converged fit of the row before."""
+        row_start = None
+        for la in rows:
+            done = []                 # converged coefficients of this row
+            for lb in cols:
+                coef = self.evaluate(la, lb, done[-1] if done else row_start)
+                done += [] if coef is None else [coef]
+            row_start = done[0] if done else None
+        if self.best is None:
+            raise ConvergenceError("smoothing search exhausted without any convergent fit")
+        return self.best
+
+
 def select_smoothing(data: BinnedData, cause: int, kv_u: KnotVector, kv_s: KnotVector,
                      d: int = 2, criterion: str = "BIC", search: SearchConfig = SearchConfig(),
                      ctrl: FitControl = FitControl()) -> FittedHazard:
     """Pick (rho_u, rho_s) minimizing AIC or BIC and return the winning fit.
 
-    Stage one evaluates a coarse grid of log10 values; stage two runs a
-    pattern search (axis moves with step halving down to
-    ``refine_resolution``) from the grid optimum.  Ties prefer the smoother
-    fit, i.e. the larger rho_u + rho_s.  Candidates share one prepared problem
-    and start from a converged neighbour: the coarse grid runs row by row
-    (fixed rho_u), each candidate from the last converged one in its row, each
-    row from the first converged fit of the row before; refinement moves start
-    from the current best.  A failed warm start is retried once from the
-    default start.  The winner's ``candidates`` lists every candidate tried.
+    Stage one is the coarse log10 grid of :class:`_GridSearch` (warm starts, one cold retry,
+    ties toward the larger rho_u + rho_s); stage two a pattern search (axis moves, step
+    halving down to ``refine_resolution``) from the grid optimum, each move warm-started from
+    the current best.  Candidates share one prepared problem; ``candidates`` lists them all.
     """
     criterion = criterion.upper()
     if criterion not in ("AIC", "BIC"):
         raise ValueError(f"criterion must be AIC or BIC, got {criterion!r}")
     setup = _prepare(data, cause, kv_u, kv_s)
-    cache, table = {}, []         # key -> (criterion, coefficients or None); table rows
-    best = None                   # (criterion, -(rho_u + rho_s), key, fit): smaller wins
 
-    def evaluate(lu, ls, start):
-        """Fit one candidate (once), keeping it if it beats the best; its coefficients or None."""
-        nonlocal best
-        k = (round(lu, 6), round(ls, 6))
-        if k not in cache:
-            fit, steps = None, 0
-            for attempt in (start, None) if start is not None else (None,):
-                try:
-                    fit = fit_hazard(data, cause, kv_u, kv_s, PenaltyConfig(lu, ls, d), ctrl,
-                                     _setup=setup, _start=attempt)
-                    break
-                except ConvergenceError as exc:
-                    steps += exc.n_iter
-            value = np.inf if fit is None else (fit.aic if criterion == "AIC" else fit.bic)
-            steps += 0 if fit is None else fit.n_iter
-            retried = start is not None and attempt is None
-            table.append((float(lu), float(ls), value, steps, retried))
-            cache[k] = (value, None if fit is None else fit.coef)
-            cand = (value, -(10.0**lu + 10.0**ls), k, fit)
-            if fit is not None and (best is None or cand[:2] < best[:2]):
-                best = cand
-        return cache[k][1]
+    def fit_one(lu, ls, start):
+        fit = fit_hazard(data, cause, kv_u, kv_s, PenaltyConfig(lu, ls, d), ctrl,
+                         _setup=setup, _start=start)
+        return (fit.aic if criterion == "AIC" else fit.bic), fit.coef, fit
 
     (lo_u, hi_u), (lo_s, hi_s) = search.log10_rho_u_range, search.log10_rho_s_range
-    row_start = None
-    for lu in np.arange(lo_u, hi_u + 1e-9, search.coarse_step):
-        warm, first = row_start, None
-        for ls in np.arange(lo_s, hi_s + 1e-9, search.coarse_step):
-            coef = evaluate(lu, ls, warm)
-            if coef is not None:
-                warm = coef
-                first = coef if first is None else first
-        row_start = first
-    if best is None:
-        raise ConvergenceError("smoothing search exhausted without any convergent fit")
+    grid = _GridSearch(fit_one)
+    grid.run_grid(np.arange(lo_u, hi_u + 1e-9, search.coarse_step),
+                  np.arange(lo_s, hi_s + 1e-9, search.coarse_step))
 
     # pattern search around the grid optimum, confined to the search ranges
     step = search.coarse_step / 2.0
-    while step >= search.refine_resolution - 1e-12 and len(cache) < search.max_evals:
-        origin = best[2]
+    while step >= search.refine_resolution - 1e-12 and len(grid.table) < search.max_evals:
+        origin = grid.best.key
         for dlu, dls in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
-            lu, ls = best[2][0] + dlu, best[2][1] + dls
+            lu, ls = grid.best.key[0] + dlu, grid.best.key[1] + dls
             if lo_u - 1e-9 <= lu <= hi_u + 1e-9 and lo_s - 1e-9 <= ls <= hi_s + 1e-9:
-                evaluate(lu, ls, best[3].coef)
-        if best[2] == origin:     # no move improved: refine the step
+                grid.evaluate(lu, ls, grid.best.coef)
+        if grid.best.key == origin:   # no move improved: refine the step
             step /= 2.0
-    best[3].candidates = table
-    return best[3]
+    grid.best.fit.candidates = grid.table
+    return grid.best.fit

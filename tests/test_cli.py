@@ -8,7 +8,7 @@ import yaml
 from click.testing import CliRunner
 
 import hazard2ts as h
-from hazard2ts.cli import load_config, main
+from hazard2ts.cli import _write_table, load_config, main
 from hazard2ts.errors import DataError
 
 FAST_CONFIG = {
@@ -111,6 +111,11 @@ class TestConfig:
         {"seed": -1},
         {"montecarlo": {"n_draws": 1}},
         {"d": 0},
+        # no grid or basis fits, once ValueError tracebacks (exit 1) after the whole read
+        {"grid": {"h_u": 0}},
+        {"grid": {"u_lo": 100.0}},
+        {"basis": {"degree": -1}},
+        {"basis": {"c_u": 3}},
     ])
     def test_bad_search_settings_exit_2_before_reading_input(self, runner, tmp_path, block):
         path = tmp_path / "bad.yaml"
@@ -140,6 +145,28 @@ class TestConfig:
         path.write_text("pclm: {enabled: true, closing_age: 95}\n")
         with pytest.raises(DataError, match="closing_age"):
             load_config(path)
+
+
+class TestTableWriter:
+    @pytest.mark.parametrize("with_flags", [True, False])
+    def test_bytes_match_per_field_format(self, tmp_path, with_flags):
+        rng = np.random.default_rng(21)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                            1e308, 2.2250738585072014e-308, 0.1, 1 / 3, 123456789012345678.0])
+        bits = rng.integers(0, 2**63, size=3000, dtype=np.int64).view(np.float64)
+        values = np.concatenate([special, bits, rng.standard_normal(1000)])
+        columns = [values, values[::-1], 10.0 ** rng.uniform(-310, 308, values.size)]
+        flags = rng.random(values.size) < 0.5 if with_flags else None
+        path = tmp_path / "t.csv"
+        _write_table(path, ["a", "b", "c"] + (["f"] if with_flags else []), columns, flags)
+
+        lines = ["a,b,c" + (",f" if with_flags else "")]
+        for i in range(values.size):
+            row = ["{:.17g}".format(float(col[i])) for col in columns]
+            if with_flags:
+                row.append("true" if flags[i] else "false")
+            lines.append(",".join(row))
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
 
 class TestFit:

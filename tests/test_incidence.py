@@ -3,7 +3,7 @@ import pytest
 
 import hazard2ts as h
 from hazard2ts.errors import DomainError
-from hazard2ts.incidence import extrapolation_mask, in_support, support_hull
+from hazard2ts.incidence import extrapolation_mask, in_support
 
 
 # -- closed-form oracles ------------------------------------------------------
@@ -194,6 +194,6 @@ class TestExtrapolationFlag:
 
     def test_support_hull_membership(self):
         grid, fits = make_flat_fits()
-        hull = support_hull(fits[1])
+        hull = fits[1].hull
         assert in_support(hull, 5.0, 5.0)
         assert not in_support(hull, 5.0, 11.9)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hazard2ts as h
-from hazard2ts.errors import DataError
+from hazard2ts import pclm
+from hazard2ts.errors import ConvergenceError, DataError
 from hazard2ts.pclm import _problem
 
 
@@ -173,6 +176,76 @@ class TestSelectPclmSmoothing:
         _, _, spec, C, Z, Bu, Bs = small_problem(seed=12)
         with pytest.raises(ValueError):
             h.select_pclm_smoothing(Z, C, Bu, Bs, log10_phi_grid=[])
+
+
+def cold_pclm_search(Z, C, Bu, Bs, phi_grid, ctrl):
+    """The oracle: every candidate fitted alone by ``fit_pclm`` from the default start.
+    Returns the selected (log10 phi_u, log10 phi_s) and the AIC of every candidate."""
+    aic = {(lu, ls): h.fit_pclm(Z, C, Bu, Bs, phis=(lu, ls), ctrl=ctrl).aic
+           for lu in phi_grid for ls in phi_grid}
+    return min(aic, key=lambda k: (aic[k], -(10.0**k[0] + 10.0**k[1]))), aic
+
+
+class TestSharedSearch:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**16), n_u=st.integers(7, 10), n_s=st.integers(4, 6),
+           tail=st.integers(2, 4), lo=st.sampled_from([-1.0, 0.0, 0.5]),
+           step=st.sampled_from([0.5, 1.0]), n_phi=st.integers(2, 4))
+    def test_matches_cold_search(self, seed, n_u, n_s, tail, lo, step, n_phi):
+        _, _, spec, C, Z, Bu, Bs = small_problem(seed=seed, g=n_u - tail, n_u=n_u, n_s=n_s)
+        phi_grid = [lo + step * i for i in range(n_phi)]
+        ctrl = h.FitControl(max_iter=400, dev_rel_tol=1e-14, score_rel_tol=1e-10)
+        fit = h.select_pclm_smoothing(Z, C, Bu, Bs, log10_phi_grid=phi_grid, ctrl=ctrl)
+        chosen, cold = cold_pclm_search(Z, C, Bu, Bs, phi_grid, ctrl)
+
+        assert fit.phis == chosen
+        assert [(lu, ls) for lu, ls, _ in fit.candidates] == list(cold)
+        for lu, ls, aic in fit.candidates:
+            assert aic == pytest.approx(cold[(lu, ls)], rel=1e-8, abs=0.0), (lu, ls)
+
+    @staticmethod
+    def recording(monkeypatch, doomed):
+        """Patch the search's per-candidate fit to fail where ``doomed`` says ("warm": only
+        from a warm start, "both": always) and to record every attempt's (phis, start)."""
+        fit_once, calls = pclm._fit, []
+
+        def fit(prob, C_u, phis, d, ctrl, start=None):
+            calls.append((tuple(phis), start))
+            mode = doomed.get(tuple(phis))
+            if mode == "both" or (mode == "warm" and start is not None):
+                raise ConvergenceError("injected", n_iter=ctrl.max_iter)
+            return fit_once(prob, C_u, phis, d, ctrl, start)
+
+        monkeypatch.setattr(pclm, "_fit", fit)
+        return calls
+
+    def test_failed_warm_start_is_retried_cold(self, monkeypatch):
+        _, _, spec, C, Z, Bu, Bs = small_problem(seed=16)
+        calls = self.recording(monkeypatch, {(0.0, 0.5): "warm", (0.5, 0.0): "both"})
+        fit = h.select_pclm_smoothing(Z, C, Bu, Bs, log10_phi_grid=[0.0, 0.5, 1.0])
+        aic = {(lu, ls): value for lu, ls, value in fit.candidates}
+        tries = {}
+        for phis, start in calls:
+            tries.setdefault(phis, []).append(start is None)
+        # the failed warm start is refitted from the default start: exactly the lone fit
+        assert tries[(0.0, 0.5)] == [False, True]
+        assert aic[(0.0, 0.5)] == h.fit_pclm(Z, C, Bu, Bs, phis=(0.0, 0.5)).aic
+        # failing from both starts drops the candidate
+        assert tries[(0.5, 0.0)] == [False, True] and aic[(0.5, 0.0)] == np.inf
+        assert len(fit.candidates) == 9 and np.isfinite(fit.aic)
+
+    def test_failed_candidate_keeps_the_warm_start(self, monkeypatch):
+        _, _, spec, C, Z, Bu, Bs = small_problem(seed=17)
+        calls = self.recording(monkeypatch, {(0.0, 0.5): "both"})
+        h.select_pclm_smoothing(Z, C, Bu, Bs, log10_phi_grid=[0.0, 0.5, 1.0])
+        starts = {}
+        for phis, start in calls:
+            starts.setdefault(phis, start)          # each candidate's first attempt
+        warm = starts[(0.0, 0.5)]                   # (0, 0)'s coefficients
+        assert starts[(0.0, 0.0)] is None and warm is not None
+        # after the failed (0, 0.5) the row goes on from its last converged fit, (0, 0)
+        assert np.array_equal(starts[(0.0, 1.0)], warm)
+        assert np.array_equal(starts[(0.5, 0.0)], warm)   # and so does the next row
 
 
 class TestUngroupEvents:
