@@ -63,9 +63,8 @@ def main():
               f"{fit.penalty.log10_rho_s:.2f}), ED = {fit.ed:.1f}, "
               f"BIC = {fit.bic:.1f}")
 
-    grid = h.build_grid(cfg.grid.u_lo, cfg.grid.u_hi, cfg.grid.h_u,
-                        cfg.grid.s_lo, cfg.grid.s_hi, cfg.grid.h_s)
-    uu, ss = np.meshgrid(grid.u_mid, grid.s_mid, indexing="ij")
+    run = cfg.setup()
+    uu, ss = np.meshgrid(run.grid.u_mid, run.grid.s_mid, indexing="ij")
     interior = (slice(5, 45), slice(2, 19))
     print("\nfitted vs true hazard (median absolute relative error, interior):")
     for ell, closure in ((1, hazard1), (2, hazard2)):
@@ -77,9 +76,9 @@ def main():
     s_line = 10.0
     print(f"\ncumulative incidence at s = {s_line} by age at diagnosis:")
     for u in (55.0, 70.0, 85.0):
-        cif1 = h.cumulative_incidence(fits, 1, u, s_line, cfg.quadrature_delta())
-        cif2 = h.cumulative_incidence(fits, 2, u, s_line, cfg.quadrature_delta())
-        surv = h.overall_survival(fits, u, s_line, cfg.quadrature_delta())
+        cif1 = h.cumulative_incidence(fits, 1, u, s_line, run.delta)
+        cif2 = h.cumulative_incidence(fits, 2, u, s_line, run.delta)
+        surv = h.overall_survival(fits, u, s_line, run.delta)
         print(f"  u = {u:5.1f}: CIF1 = {cif1:.3f}, CIF2 = {cif2:.3f}, "
               f"S = {surv:.3f}, sum = {cif1 + cif2 + surv:.4f}")
 

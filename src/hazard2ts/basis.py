@@ -100,16 +100,17 @@ def make_knots(lo: float, hi: float, n_segments: int, degree: int = 3) -> KnotVe
 def evaluate_basis(points, kv: KnotVector) -> BasisMatrix:
     """Evaluate all basis functions of ``kv`` at the given points.
 
-    Every point must lie in [boundary_lo, boundary_hi]; the upper boundary
-    maps to the last interval (intervals are half-open, closed at the top of
-    the domain).  Rows of the returned matrix sum to one.
+    Every point must lie in [boundary_lo, boundary_hi] (NaN does not); the
+    upper boundary maps to the last interval (intervals are half-open, closed
+    at the top of the domain).  Rows of the returned matrix sum to one; no
+    points give a matrix of no rows.
     """
     x = np.atleast_1d(np.asarray(points, dtype=float)).copy()
     if x.ndim != 1:
         raise ValueError("points must be one-dimensional")
     lo, hi = kv.boundary_lo, kv.boundary_hi
     slack = _EDGE_RTOL * max(abs(lo), abs(hi), 1.0)
-    outside = (x < lo - slack) | (x > hi + slack)
+    outside = ~((x >= lo - slack) & (x <= hi + slack))   # NaN is outside too
     if np.any(outside):
         bad = x[outside].tolist()
         raise DomainError(
@@ -118,6 +119,8 @@ def evaluate_basis(points, kv: KnotVector) -> BasisMatrix:
             points=bad,
         )
     np.clip(x, lo, hi, out=x)
+    if not x.size:
+        return BasisMatrix(values=np.zeros((0, kv.n_basis)), points=x)
     values = BSpline.design_matrix(x, kv.knots, kv.degree).toarray()
     return BasisMatrix(values=values, points=x)
 

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,14 +25,15 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .basis import KnotVector, evaluate_basis, make_knots
+from .basis import KnotVector, difference_matrix, evaluate_basis, make_knots
 from .errors import ConvergenceError, DataError, DomainError
-from .incidence import compute_surfaces, surfaces_at_points, to_age_coordinates
+from .incidence import compute_surfaces, quadrature_step, surfaces_at_points, to_age_coordinates
 from .lexis import (BinnedData, LexisGrid, _parse_csv, bin_records, build_grid, read_records_csv,
                     write_records_csv)
 from .pclm import CompositionSpec, composition_matrix, select_pclm_smoothing, ungroup_events, ungroup_exposure
 from .simulate import ScenarioSpec, grouped_view, hazard_family, simulate_cohort
-from .smooth2d import FitControl, FittedHazard, PenaltyConfig, SearchConfig, select_smoothing
+from .smooth2d import (FitControl, FittedHazard, PenaltyConfig, SearchConfig, check_criterion,
+                       select_smoothing)
 from .uncertainty import (
     MonteCarloConfig,
     cif_standard_errors,
@@ -87,15 +88,12 @@ class PclmConfig:
 
 
 @dataclass
-class ConvergenceConfig:
-    max_iter: int = 50
-    dev_rel_tol: float = 1e-8
-    score_rel_tol: float = 1e-6
-
-
-@dataclass
 class MonteCarloBlock:
     n_draws: int = 1000
+
+
+# what a run uses, built from a RunConfig by RunConfig.setup
+RunSetup = namedtuple("RunSetup", "grid kv_u kv_s criterion search mc phi_grid delta")
 
 
 @dataclass
@@ -105,34 +103,34 @@ class RunConfig:
     d: int = 2
     selection: SelectionConfig = field(default_factory=SelectionConfig)
     pclm: PclmConfig = field(default_factory=PclmConfig)
-    convergence: ConvergenceConfig = field(default_factory=ConvergenceConfig)
+    convergence: FitControl = field(default_factory=FitControl)
     montecarlo: MonteCarloBlock = field(default_factory=MonteCarloBlock)
     delta: float = None  # quadrature step; None means h_s / 10
     seed: int = 20120501
 
-    def fit_control(self) -> FitControl:
-        return FitControl(max_iter=self.convergence.max_iter,
-                          dev_rel_tol=self.convergence.dev_rel_tol,
-                          score_rel_tol=self.convergence.score_rel_tol)
-
-    def search_config(self) -> SearchConfig:
-        sel = self.selection
-        return SearchConfig(log10_rho_u_range=tuple(sel.log10_rho_u_range),
-                            log10_rho_s_range=tuple(sel.log10_rho_s_range),
-                            coarse_step=sel.coarse_step,
-                            refine_resolution=sel.refine_resolution)
-
-    def quadrature_delta(self) -> float:
-        return self.grid.h_s / 10.0 if self.delta is None else self.delta
-
-    def grid_and_knots(self):
-        """The bin grid and the (u, s) knot vectors; DataError if no grid or basis fits."""
-        g = self.grid
-        try:
-            grid = build_grid(g.u_lo, g.u_hi, g.h_u, g.s_lo, g.s_hi, g.h_s)
-            return (grid, *make_bases(grid, self.basis))
-        except ValueError as exc:
-            raise DataError(f"bad grid or basis settings: {exc}") from None
+    def setup(self, ungroup: bool = False) -> RunSetup:
+        """Build the library objects a run uses, each of which checks its own settings (ValueError
+        or ArithmeticError).  The PCLM band is checked when the run ungroups: ``ungroup``, or
+        ``pclm.enabled``."""
+        g, sel, pclm = self.grid, self.selection, self.pclm
+        grid = build_grid(g.u_lo, g.u_hi, g.h_u, g.s_lo, g.s_hi, g.h_s)
+        kv_u, kv_s = make_bases(grid, self.basis)
+        for kv in (kv_u, kv_s):
+            difference_matrix(kv.n_basis, self.d)
+        search = SearchConfig(tuple(sel.log10_rho_u_range), tuple(sel.log10_rho_s_range),
+                              sel.coarse_step, sel.refine_resolution)
+        phi_grid = pclm.grid()
+        if not phi_grid.size:
+            raise ValueError(f"empty pclm log10 phi grid from {dataclasses.asdict(pclm)}")
+        PenaltyConfig(phi_grid[-1], phi_grid[-1])   # the largest phi is a float
+        if ungroup or pclm.enabled:
+            if abs(pclm.closing_age - g.u_hi) > 1e-9:
+                raise ValueError(f"pclm.closing_age ({pclm.closing_age}) must equal "
+                                 f"grid.u_hi ({g.u_hi})")
+            grid.first_grouped_row(pclm.first_grouped_age)
+        return RunSetup(grid, kv_u, kv_s, check_criterion(sel.criterion), search,
+                        MonteCarloConfig(self.montecarlo.n_draws, self.seed), phi_grid,
+                        quadrature_step(self.delta, grid.h_s))
 
 
 def _is_number(val) -> bool:
@@ -150,7 +148,9 @@ _VALUE_KINDS = {
 
 
 def _update_dataclass(obj, data, prefix=""):
+    """A copy of ``obj`` with the values of ``data``; frozen blocks check theirs when built."""
     fields = {f.name: f for f in dataclasses.fields(obj)}
+    changes = {}
     for key, val in data.items():
         if key not in fields:
             raise DataError(f"unknown config key {prefix}{key!r}")
@@ -158,62 +158,40 @@ def _update_dataclass(obj, data, prefix=""):
         if dataclasses.is_dataclass(cur):
             if not isinstance(val, dict):
                 raise DataError(f"config key {prefix}{key} must be a mapping, got {val!r}")
-            _update_dataclass(cur, val, prefix=f"{prefix}{key}.")
+            changes[key] = _update_dataclass(cur, val, prefix=f"{prefix}{key}.")
             continue
         kind, ok = _VALUE_KINDS[fields[key].type]
         if not (ok(val) or (val is None and fields[key].default is None)):
             raise DataError(f"config key {prefix}{key} must be {kind}, got {val!r}")
-        setattr(obj, key, tuple(val) if isinstance(val, list) else val)
+        changes[key] = tuple(val) if isinstance(val, list) else val
+    return dataclasses.replace(obj, **changes)
 
 
-def _check_run_settings(cfg: RunConfig):
-    """Refuse a difference order, quadrature step, seed or draw count that no run can use."""
-    problems = []
-    if cfg.d < 1:
-        problems.append(f"d must be at least 1, got {cfg.d}")
-    if cfg.delta is not None and not (math.isfinite(cfg.delta) and cfg.delta > 0):
-        problems.append(f"delta must be a positive number or null, got {cfg.delta}")
-    if cfg.seed < 0:
-        problems.append(f"seed must not be negative, got {cfg.seed}")
-    if cfg.montecarlo.n_draws < 2:
-        problems.append(f"montecarlo.n_draws must be at least 2, got {cfg.montecarlo.n_draws}")
-    if problems:
-        raise DataError("bad run settings: " + "; ".join(problems))
-
-
-def load_config(path=None) -> RunConfig:
-    cfg = RunConfig()
+def load_config(path=None, seed=None, draws=None, ungroup=False) -> RunConfig:
+    """The config of a YAML file (defaults when None) with the ``--seed`` and ``--draws``
+    overrides; DataError, before any input is read, for settings that no run can use."""
+    data = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             data = yaml.safe_load(fh) or {}
         if not isinstance(data, dict):
             raise DataError(f"{path}: config must be a mapping")
-        _update_dataclass(cfg, data)
-    if cfg.pclm.enabled and abs(cfg.pclm.closing_age - cfg.grid.u_hi) > 1e-9:
-        raise DataError(
-            f"pclm.closing_age ({cfg.pclm.closing_age}) must equal grid.u_hi ({cfg.grid.u_hi})"
-        )
-    if str(cfg.selection.criterion).upper() not in ("AIC", "BIC"):
-        raise DataError(f"selection.criterion must be AIC or BIC, got {cfg.selection.criterion!r}")
     try:
-        cfg.search_config()
-        if not (cfg.pclm.log10_phi_step > 0 and cfg.pclm.grid().size):
-            raise ValueError(f"empty pclm log10 phi grid from {dataclasses.asdict(cfg.pclm)}")
-    except ValueError as exc:
-        raise DataError(f"bad search settings: {exc}") from None
-    _check_run_settings(cfg)
-    cfg.grid_and_knots()
+        cfg = _update_dataclass(RunConfig(), data)
+        if seed is not None:
+            cfg.seed = seed
+        if draws is not None:
+            cfg.montecarlo.n_draws = draws
+        cfg.setup(ungroup)
+    except (ValueError, ArithmeticError) as exc:   # ArithmeticError: a zero phi step
+        raise DataError(f"bad run settings: {exc}") from None
     return cfg
 
 
 def make_bases(grid: LexisGrid, basis_cfg: BasisConfig):
-    if basis_cfg.c_u <= basis_cfg.degree or basis_cfg.c_s <= basis_cfg.degree:
-        raise DataError("basis size must exceed the spline degree")
-    kv_u = make_knots(grid.u_edges[0], grid.u_edges[-1],
-                      basis_cfg.c_u - basis_cfg.degree, basis_cfg.degree)
-    kv_s = make_knots(grid.s_edges[0], grid.s_edges[-1],
-                      basis_cfg.c_s - basis_cfg.degree, basis_cfg.degree)
-    return kv_u, kv_s
+    """The (u, s) knot vectors of ``c_u`` and ``c_s`` basis functions over the grid."""
+    return tuple(make_knots(edges[0], edges[-1], c - basis_cfg.degree, basis_cfg.degree)
+                 for edges, c in ((grid.u_edges, basis_cfg.c_u), (grid.s_edges, basis_cfg.c_s)))
 
 
 # --------------------------------------------------------------------------
@@ -403,12 +381,7 @@ def cmd_fit(input_csv, config_path, outdir, seed, draws):
     """Fit both cause-specific hazards from an individual-record CSV and
     write hazard, SE, cumulative-hazard, CIF, and survival tables."""
     try:
-        cfg = load_config(config_path)
-        if seed is not None:
-            cfg.seed = seed
-        if draws is not None:
-            cfg.montecarlo.n_draws = draws
-        _check_run_settings(cfg)
+        cfg = load_config(config_path, seed=seed, draws=draws)
         records = read_records_csv(input_csv)
         run_fit_pipeline(cfg, records, Path(outdir))
     except (DataError, DomainError) as exc:
@@ -420,29 +393,25 @@ def cmd_fit(input_csv, config_path, outdir, seed, draws):
 def run_fit_pipeline(cfg: RunConfig, records, outdir: Path):
     """Everything cmd_fit does after argument parsing (importable for tests)."""
     outdir.mkdir(parents=True, exist_ok=True)
-    grid, kv_u, kv_s = cfg.grid_and_knots()
-    ctrl = cfg.fit_control()
+    grid, kv_u, kv_s, criterion, search, mc, phi_grid, delta = cfg.setup()
 
     pclm_diag = None
     if cfg.pclm.enabled:
         grouped, fine = grouped_view(records, grid, cfg.pclm.first_grouped_age)
         binned, pclm_diag = assemble_ungrouped(
-            grouped, fine.R[: grouped.g - 1], kv_u, kv_s, cfg.d, cfg.pclm.grid(), ctrl
+            grouped, fine.R[: grouped.g - 1], kv_u, kv_s, cfg.d, phi_grid, cfg.convergence
         )
     else:
         binned = bin_records(records, grid)
 
     fits = {}
     for ell in CAUSES:
-        fits[ell] = select_smoothing(binned, ell, kv_u, kv_s, d=cfg.d,
-                                     criterion=cfg.selection.criterion,
-                                     search=cfg.search_config(), ctrl=ctrl)
+        fits[ell] = select_smoothing(binned, ell, kv_u, kv_s, d=cfg.d, criterion=criterion,
+                                     search=search, ctrl=cfg.convergence)
     Sigmas = {ell: coefficient_covariance(fits[ell]) for ell in CAUSES}
 
-    delta = cfg.quadrature_delta()
     u_pts, s_pts = grid.u_mid, grid.s_mid
     surf = compute_surfaces(fits, u_pts, s_pts, delta=delta)
-    mc = MonteCarloConfig(n_draws=cfg.montecarlo.n_draws, seed=cfg.seed)
     cif_se = cif_standard_errors(fits, Sigmas, u_pts, s_pts, mc=mc, delta=delta)
 
     for ell in CAUSES:
@@ -503,7 +472,7 @@ def cmd_ungroup(input_csv, config_path, outdir):
     (records in the grouped tail carry any age at or above the first grouped
     age), writing fine-grid event counts, exposures, and search diagnostics."""
     try:
-        cfg = load_config(config_path)
+        cfg = load_config(config_path, ungroup=True)
         records = read_records_csv(input_csv)
         run_ungroup_pipeline(cfg, records, Path(outdir))
     except (DataError, DomainError) as exc:
@@ -514,11 +483,12 @@ def cmd_ungroup(input_csv, config_path, outdir):
 
 def run_ungroup_pipeline(cfg: RunConfig, records, outdir: Path):
     outdir.mkdir(parents=True, exist_ok=True)
-    grid, kv_u, kv_s = cfg.grid_and_knots()
+    run = cfg.setup(ungroup=True)
+    grid = run.grid
     grouped, fine = grouped_view(records, grid, cfg.pclm.first_grouped_age)
     binned, diagnostics = assemble_ungrouped(
-        grouped, fine.R[: grouped.g - 1], kv_u, kv_s, cfg.d, cfg.pclm.grid(),
-        cfg.fit_control(),
+        grouped, fine.R[: grouped.g - 1], run.kv_u, run.kv_s, cfg.d, run.phi_grid,
+        cfg.convergence,
     )
     for ell in CAUSES:
         write_long_csv(outdir / f"ungrouped_events_cause{ell}.csv",

@@ -21,8 +21,7 @@ class ArrayModelWorkspace:
     """Holds the marginal bases and their precomputed row-tensor expansions.
 
     The expansions (n_u x c_u^2 and n_s x c_s^2) are the only large scratch
-    objects; one workspace serves any number of calls but must not be shared
-    between concurrent fits that mutate it.
+    objects; one workspace serves any number of calls and is never mutated.
     """
 
     def __init__(self, Bu: BasisMatrix, Bs: BasisMatrix):

@@ -19,6 +19,7 @@ carries (``FittedHazard.hull``) with one vectorized half-plane test.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,11 +70,18 @@ def _n_nodes(s: np.ndarray, delta: float) -> np.ndarray:
     return np.floor(s / delta + _NODE_EPS).astype(int)
 
 
+def quadrature_step(delta, h_s: float) -> float:
+    """``delta``, or h_s / 10 when None; ValueError unless it is finite and positive."""
+    delta = h_s / 10.0 if delta is None else delta
+    if not 0 < delta < math.inf:
+        raise ValueError(f"quadrature step delta must be finite and positive, got {delta}")
+    return delta
+
+
 def _prepare(fits: dict, u_points, s_points, delta):
     """Point arrays, quadrature step and per-cause u-basis rows, domain-checked."""
     ref = fits[min(fits)]
-    if delta is None:
-        delta = ref.grid.h_s / 10.0
+    delta = quadrature_step(delta, ref.grid.h_s)
     u = np.atleast_1d(np.asarray(u_points, dtype=float))
     s = np.atleast_1d(np.asarray(s_points, dtype=float))
     if ref.kv_s.boundary_lo > 1e-12:

@@ -174,6 +174,15 @@ class LexisGrid:
     def s_mid(self) -> np.ndarray:
         return 0.5 * (self.s_edges[:-1] + self.s_edges[1:])
 
+    def first_grouped_row(self, first_grouped_age: float) -> int:
+        """The u-row starting at ``first_grouped_age``; DataError unless it is an interior edge."""
+        offsets = np.abs(self.u_edges - first_grouped_age)
+        cut = int(np.argmin(offsets))
+        if offsets[cut] > 1e-9 or cut == 0 or cut >= self.n_u:
+            raise DataError(f"first grouped age {first_grouped_age} must be an interior "
+                            "u-bin edge")
+        return cut
+
 
 @dataclass
 class BinnedData:
@@ -204,6 +213,8 @@ def build_grid(u_lo: float, u_hi: float, h_u: float, s_lo: float, s_hi: float, h
     """Build the bin mesh; upper edges are extended to the next bin multiple."""
     edges = []
     for lo, hi, h, name in ((u_lo, u_hi, h_u, "u"), (s_lo, s_hi, h_s, "s")):
+        if not all(map(math.isfinite, (lo, hi, h))):
+            raise ValueError(f"{name} bounds and bin width must be finite, got {(lo, hi, h)}")
         if h <= 0:
             raise ValueError(f"bin width h_{name} must be positive, got {h}")
         if hi <= lo:

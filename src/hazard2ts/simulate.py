@@ -194,13 +194,8 @@ def grouped_view(records, grid: LexisGrid, first_grouped_age: float):
     exact fine-grid binning, kept as the ground truth for recovery checks.
     """
     records = RecordTable.from_records(records)
+    cut = grid.first_grouped_row(first_grouped_age)
     fine = bin_records(records, grid)
-    offsets = np.abs(grid.u_edges - first_grouped_age)
-    cut = int(np.argmin(offsets))
-    if offsets[cut] > 1e-9 or cut == 0 or cut >= grid.n_u:
-        raise DataError(
-            f"first grouped age {first_grouped_age} must be an interior u-bin edge"
-        )
     g = cut + 1
     Z = {
         ell: np.vstack([fine.Y[ell][:cut], fine.Y[ell][cut:].sum(axis=0, keepdims=True)])

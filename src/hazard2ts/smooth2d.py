@@ -33,19 +33,18 @@ from .lexis import BinnedData
 class PenaltyConfig:
     """Difference order and per-axis smoothing parameters (log10 scale).
 
-    ``log10_rho = -inf`` switches the penalty off for that axis (rho = 0).
+    ``log10_rho = -inf`` switches the penalty off for that axis (rho = 0); above 308.25,
+    ``10**log10_rho`` is no float.
     """
 
     log10_rho_u: float
     log10_rho_s: float
     d: int = 2
 
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"difference order must be >= 1, got {self.d}")
+    def __post_init__(self):   # d is checked by difference_matrix, once rho > 0 uses it
         for val in (self.log10_rho_u, self.log10_rho_s):
-            if math.isnan(val) or val == math.inf:
-                raise ValueError(f"log10 smoothing parameter must not be {val}")
+            if not -math.inf <= val <= 308.25:
+                raise ValueError(f"log10 rho must lie in [-inf, 308.25], got {val}")
 
     @property
     def rho_u(self) -> float:
@@ -68,6 +67,11 @@ class FitControl:
     max_iter: int = 50
     dev_rel_tol: float = 1e-8
     score_rel_tol: float = 1e-6
+
+    def __post_init__(self):
+        tols = (self.dev_rel_tol, self.score_rel_tol)
+        if not (self.max_iter >= 1 and all(0 < t < math.inf for t in tols)):
+            raise ValueError(f"need max_iter >= 1 and finite positive tolerances, got {self}")
 
 
 @dataclass
@@ -391,12 +395,16 @@ class SearchConfig:
     max_evals: int = 400
 
     def __post_init__(self):
-        # a zero step would never finish refining (or divide by zero)
+        # a zero or infinite step would never finish refining (or divide by zero); np.arange
+        # enumerates finite ranges only, so rho = 0 is the one infinite range (-inf, -inf)
         (lo_u, hi_u), (lo_s, hi_s) = self.log10_rho_u_range, self.log10_rho_s_range
-        if not (self.coarse_step > 0 and self.refine_resolution > 0
-                and lo_u <= hi_u and lo_s <= hi_s):
-            raise ValueError("need positive coarse_step and refine_resolution and log10 ranges "
-                             f"(lo, hi) with lo <= hi, got {self}")
+        PenaltyConfig(hi_u, hi_s)   # the largest rho of the search is a float
+        steps = (self.coarse_step, self.refine_resolution)
+        if not (all(0 < x < math.inf for x in steps) and all(
+                math.isfinite(lo) and lo <= hi or lo == hi == -math.inf
+                for lo, hi in ((lo_u, hi_u), (lo_s, hi_s)))):
+            raise ValueError("need finite positive coarse_step and refine_resolution and finite "
+                             f"log10 ranges (lo, hi) with lo <= hi, got {self}")
 
 
 _Best = namedtuple("_Best", "value tie key coef fit")   # tie = -(a + b): smaller wins
@@ -449,6 +457,13 @@ class _GridSearch:
         return self.best
 
 
+def check_criterion(criterion: str) -> str:
+    """``criterion`` in upper case; ValueError unless it names AIC or BIC."""
+    if criterion.upper() not in ("AIC", "BIC"):
+        raise ValueError(f"criterion must be AIC or BIC, got {criterion!r}")
+    return criterion.upper()
+
+
 def select_smoothing(data: BinnedData, cause: int, kv_u: KnotVector, kv_s: KnotVector,
                      d: int = 2, criterion: str = "BIC", search: SearchConfig = SearchConfig(),
                      ctrl: FitControl = FitControl()) -> FittedHazard:
@@ -459,9 +474,7 @@ def select_smoothing(data: BinnedData, cause: int, kv_u: KnotVector, kv_s: KnotV
     halving down to ``refine_resolution``) from the grid optimum, each move warm-started from
     the current best.  Candidates share one prepared problem; ``candidates`` lists them all.
     """
-    criterion = criterion.upper()
-    if criterion not in ("AIC", "BIC"):
-        raise ValueError(f"criterion must be AIC or BIC, got {criterion!r}")
+    criterion = check_criterion(criterion)
     setup = _prepare(data, cause, kv_u, kv_s)
 
     def fit_one(lu, ls, start):

@@ -35,8 +35,8 @@ class MonteCarloConfig:
     seed: int = 20120501
 
     def __post_init__(self):
-        if self.n_draws < 2:
-            raise ValueError(f"need at least 2 draws, got {self.n_draws}")
+        if self.n_draws < 2 or self.seed < 0:
+            raise ValueError(f"need at least 2 draws and a nonnegative seed, got {self}")
 
 
 def coefficient_covariance(fit: FittedHazard) -> np.ndarray:

@@ -67,6 +67,17 @@ class TestEvaluateBasis:
             h.evaluate_basis([-0.5, 3.0, 11.0], kv)
         assert len(err.value.points) == 2
 
+    def test_nan_point_is_outside_the_domain(self):
+        kv = h.make_knots(0, 10, 7, 3)
+        with pytest.raises(DomainError) as err:
+            h.evaluate_basis([3.0, float("nan")], kv)
+        assert len(err.value.points) == 1 and np.isnan(err.value.points[0])
+
+    def test_no_points_give_no_rows(self):
+        kv = h.make_knots(0, 10, 7, 3)
+        B = h.evaluate_basis([], kv)
+        assert B.values.shape == (0, kv.n_basis) and B.points.shape == (0,)
+
     def test_identity_reproduction(self):
         # degree >= 1 bases contain the identity function on the domain
         kv = h.make_knots(0, 10, 7, 3)

@@ -116,6 +116,17 @@ class TestConfig:
         {"grid": {"u_lo": 100.0}},
         {"basis": {"degree": -1}},
         {"basis": {"c_u": 3}},
+        # unusable by the library objects, once a hang, a traceback (exit 1) or exit 3,
+        # each only after the whole read
+        {"selection": {"coarse_step": float("inf")}},
+        {"selection": {"log10_rho_u_range": [0.0, 400.0]}},
+        {"selection": {"log10_rho_u_range": [-float("inf"), 7.0]}},
+        {"grid": {"u_hi": float("inf")}},
+        {"d": 12},
+        {"basis": {"c_s": 4}, "d": 4},
+        {"convergence": {"max_iter": 0}},
+        {"convergence": {"dev_rel_tol": -1.0}},
+        {"pclm": {"enabled": True, "first_grouped_age": 90.5}},
     ])
     def test_bad_search_settings_exit_2_before_reading_input(self, runner, tmp_path, block):
         path = tmp_path / "bad.yaml"
@@ -130,6 +141,19 @@ class TestConfig:
                                           "--out", str(tmp_path / "o")])
             assert result.exit_code == 2, result.output
             assert "row 2" not in result.output
+
+    def test_ungroup_checks_the_grouped_band_before_reading_input(self, runner, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text("pclm: {first_grouped_age: 90.5}\n")   # pclm.enabled stays false
+        assert load_config(path).pclm.first_grouped_age == 90.5   # fit does not ungroup
+        with pytest.raises(DataError, match="interior u-bin edge"):
+            load_config(path, ungroup=True)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("id,u,s_entry,s_exit,cause\nx,55,0,notanumber,1\n")
+        result = runner.invoke(main, ["ungroup", str(bad), "--config", str(path),
+                                      "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2, result.output
+        assert "interior u-bin edge" in result.output and "row 2" not in result.output
 
     @pytest.mark.parametrize("option", [["--seed", "-1"], ["--draws", "1"], ["--draws", "0"]])
     def test_bad_seed_or_draws_option_exit_2_before_reading_input(self, runner, tmp_path,
@@ -267,6 +291,27 @@ class TestPredict:
         result = runner.invoke(main, ["predict", "--model", str(fit_outputs / "model.json"),
                                       "--points", str(pts), "--out", str(tmp_path / "o.csv")])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("coords", ["us", "ts"])
+    def test_no_points_write_a_header_only_table(self, runner, fit_outputs, tmp_path, coords):
+        pts = tmp_path / "empty.csv"
+        pts.write_text("u,s\n" if coords == "us" else "t,s\n")
+        out = tmp_path / "pred.csv"
+        result = runner.invoke(main, ["predict", "--model", str(fit_outputs / "model.json"),
+                                      "--points", str(pts), "--coords", coords,
+                                      "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        header, *rows = out.read_text().splitlines()
+        assert rows == [] and header.startswith("u,s,") and header.endswith(",extrapolated")
+
+    @pytest.mark.parametrize("text", ["u,s\nnan,1.0\n", "u,s\n60,1\n60,nan\n"])
+    def test_nan_point_is_out_of_domain_exit_2(self, runner, fit_outputs, tmp_path, text):
+        pts = tmp_path / "nan.csv"
+        pts.write_text(text)
+        result = runner.invoke(main, ["predict", "--model", str(fit_outputs / "model.json"),
+                                      "--points", str(pts), "--out", str(tmp_path / "o.csv")])
+        assert result.exit_code == 2, result.output
+        assert "out of domain: nan" in result.output
 
     def test_extrapolated_flag_in_output(self, runner, fit_outputs, tmp_path):
         pts = tmp_path / "edge.csv"

@@ -93,6 +93,12 @@ class TestCumulativeHazard:
             got = h.cumulative_hazard(fit, 5.0, s_eval, delta)
             assert abs(got - exact) < 1.0 * delta  # O(delta) rectangle error
 
+    @pytest.mark.parametrize("delta", [0.0, -0.05, float("nan"), float("inf")])
+    def test_unusable_step_rejected(self, delta):
+        _, fits = make_flat_fits()
+        with pytest.raises(ValueError, match="quadrature step"):
+            h.compute_surfaces(fits, [1.0], [2.0], delta=delta)
+
     def test_quadrature_error_halves_with_delta(self):
         grid, fits = make_flat_fits()
         fit = fits[1]

@@ -32,6 +32,14 @@ class TestBuildGrid:
         with pytest.raises(ValueError):
             h.build_grid(0, 1, 1, 0, 1, -0.5)
 
+    @pytest.mark.parametrize("args", [(50, float("inf"), 1, 0, 10, 0.5),
+                                      (50, 100, 1, float("-inf"), 10, 0.5),
+                                      (50, 100, float("nan"), 0, 10, 0.5),
+                                      (50, 100, 1, 0, 10, float("inf"))])
+    def test_non_finite_bounds_or_widths(self, args):
+        with pytest.raises(ValueError, match="finite"):   # not an OverflowError
+            h.build_grid(*args)
+
 
 class TestBinRecords:
     def test_single_record_events_and_exposure(self):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hazard2ts as h
@@ -180,9 +180,15 @@ class TestSelectPclmSmoothing:
 
 def cold_pclm_search(Z, C, Bu, Bs, phi_grid, ctrl):
     """The oracle: every candidate fitted alone by ``fit_pclm`` from the default start.
-    Returns the selected (log10 phi_u, log10 phi_s) and the AIC of every candidate."""
-    aic = {(lu, ls): h.fit_pclm(Z, C, Bu, Bs, phis=(lu, ls), ctrl=ctrl).aic
-           for lu in phi_grid for ls in phi_grid}
+    Returns the selected (log10 phi_u, log10 phi_s) and the AIC of every candidate (inf if
+    it failed, as the search records it)."""
+    aic = {}
+    for lu in phi_grid:
+        for ls in phi_grid:
+            try:
+                aic[(lu, ls)] = h.fit_pclm(Z, C, Bu, Bs, phis=(lu, ls), ctrl=ctrl).aic
+            except ConvergenceError:
+                aic[(lu, ls)] = np.inf
     return min(aic, key=lambda k: (aic[k], -(10.0**k[0] + 10.0**k[1]))), aic
 
 
@@ -191,6 +197,8 @@ class TestSharedSearch:
     @given(seed=st.integers(0, 2**16), n_u=st.integers(7, 10), n_s=st.integers(4, 6),
            tail=st.integers(2, 4), lo=st.sampled_from([-1.0, 0.0, 0.5]),
            step=st.sampled_from([0.5, 1.0]), n_phi=st.integers(2, 4))
+    # candidate (-1, 1) stalls at relative score 2e-6 from either start: both drop it
+    @example(seed=0, n_u=7, n_s=5, tail=4, lo=-1.0, step=1.0, n_phi=3)
     def test_matches_cold_search(self, seed, n_u, n_s, tail, lo, step, n_phi):
         _, _, spec, C, Z, Bu, Bs = small_problem(seed=seed, g=n_u - tail, n_u=n_u, n_s=n_s)
         phi_grid = [lo + step * i for i in range(n_phi)]

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hazard2ts as h
@@ -201,10 +201,30 @@ class TestSelectSmoothing:
         {"coarse_step": float("nan")},
         {"log10_rho_u_range": (3.0, -1.0)},
         {"log10_rho_s_range": (1.0, 0.0)},
+        {"coarse_step": math.inf},       # never fell below refine_resolution: a hang
+        {"refine_resolution": math.inf},
+        {"refine_resolution": math.nan},
+        {"log10_rho_u_range": (-math.inf, 7.0)},    # np.arange cannot enumerate these
+        {"log10_rho_s_range": (0.0, math.inf)},
+        {"log10_rho_u_range": (math.nan, 1.0)},
+        {"log10_rho_s_range": (0.0, 400.0)},        # 10**400 is no float
     ])
     def test_search_config_refuses_bad_steps_and_ranges(self, kwargs):
         with pytest.raises(ValueError):
             h.SearchConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"max_iter": 0}, {"max_iter": -3}, {"dev_rel_tol": -1.0}, {"dev_rel_tol": 0.0},
+        {"score_rel_tol": math.nan}, {"score_rel_tol": math.inf},
+    ])
+    def test_fit_control_refuses_settings_no_fit_can_meet(self, kwargs):
+        with pytest.raises(ValueError):
+            h.FitControl(**kwargs)
+
+    @pytest.mark.parametrize("lrho", [(400.0, 0.0), (0.0, math.inf), (math.nan, 0.0)])
+    def test_penalty_config_refuses_rho_that_is_no_float(self, lrho):
+        with pytest.raises(ValueError):
+            h.PenaltyConfig(*lrho)
 
     def test_unknown_criterion_rejected(self):
         rng = np.random.default_rng(11)
@@ -283,6 +303,12 @@ class TestWarmStartedSearch:
            lo_u=st.sampled_from([-2.0, 0.0, 1.5]), lo_s=st.sampled_from([-2.0, 0.0, 1.5]),
            width=st.sampled_from([2.0, 3.0, 5.0]), coarse_step=st.sampled_from([1.0, 1.5, 2.5]),
            refine=st.sampled_from([0.25, 0.5]), criterion=st.sampled_from(["AIC", "BIC"]))
+    # a near-flat AIC: at the default control the two searches stop on rounding noise, the
+    # warm one at (5, 7.25) and the cold one at (5, 7.0); at the tighter control below both
+    # pick (5, 7.25).  Tighter still (score_rel_tol 1e-10) some candidates converge from one
+    # start only, so the sets of failed candidates differ.
+    @example(seed=5, n_u=5, n_s=4, lam=0.2, empty_corner=True, lo_u=0.0, lo_s=1.5, width=5.0,
+             coarse_step=1.0, refine=0.25, criterion="AIC")
     def test_matches_cold_search(self, seed, n_u, n_s, lam, empty_corner, lo_u, lo_s, width,
                                  coarse_step, refine, criterion):
         data = toy_data(np.random.default_rng(seed), n_u, n_s, lam)
@@ -293,8 +319,9 @@ class TestWarmStartedSearch:
         search = h.SearchConfig(log10_rho_u_range=(lo_u, lo_u + width),
                                 log10_rho_s_range=(lo_s, lo_s + width + 1.0),
                                 coarse_step=coarse_step, refine_resolution=refine)
-        ctrl = h.FitControl()
-        fit = h.select_smoothing(data, 1, kv_u, kv_s, criterion=criterion, search=search)
+        ctrl = h.FitControl(max_iter=400, dev_rel_tol=1e-12, score_rel_tol=1e-8)
+        fit = h.select_smoothing(data, 1, kv_u, kv_s, criterion=criterion, search=search,
+                                 ctrl=ctrl)
         chosen, cold = cold_search(data, 1, kv_u, kv_s, 2, criterion, search, ctrl)
 
         assert (round(fit.penalty.log10_rho_u, 6), round(fit.penalty.log10_rho_s, 6)) == chosen

@@ -153,6 +153,13 @@ class TestSampleCoefficients:
         assert np.isfinite(draws).all()
 
 
+class TestMonteCarloConfig:
+    @pytest.mark.parametrize("kwargs", [{"seed": -1}, {"n_draws": 1}])
+    def test_refuses_what_no_draw_can_use(self, kwargs):
+        with pytest.raises(ValueError):
+            h.MonteCarloConfig(**kwargs)
+
+
 class TestCifStandardErrors:
     def test_zero_covariance_gives_zero_se(self, scalar_toy):
         fits, _ = scalar_toy
