@@ -1,7 +1,7 @@
 """Marginal spline bases and difference penalties.
 
 Uniform B-spline bases on an interval, evaluated with the Cox-de Boor
-recursion (via scipy), plus the forward-difference matrices that define the
+recursion, plus the forward-difference matrices that define the
 roughness penalties.  The knot grid is extended past each boundary by
 ``degree`` extra uniformly spaced knots (no knot repetition), so that every
 point of the domain is covered by exactly ``degree + 1`` basis functions and
@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 from .errors import DomainError
 
@@ -119,9 +118,20 @@ def evaluate_basis(points, kv: KnotVector) -> BasisMatrix:
             points=bad,
         )
     np.clip(x, lo, hi, out=x)
-    if not x.size:
-        return BasisMatrix(values=np.zeros((0, kv.n_basis)), points=x)
-    values = BSpline.design_matrix(x, kv.knots, kv.degree).toarray()
+    # x lies in knot interval [t_i, t_i+1), i = degree + seg, at local coordinate r in [0, 1].
+    # On uniform knots the degree-k functions j = i-k..i there (c = j - i + k) take the values
+    # b_k[c] = ((r + k - c) b_k-1[c-1] + (c + 1 - r) b_k-1[c]) / k, each term >= 0.
+    p, n_seg = kv.degree, kv.n_basis - kv.degree
+    seg = np.clip(np.searchsorted(kv.knots, x, side="right") - 1 - p, 0, n_seg - 1)
+    r = np.clip((x - kv.knots[seg + p]) / kv.spacing, 0.0, 1.0)
+    b = [np.ones(len(x))]
+    for k in range(1, p + 1):
+        b = [0.0, *b, 0.0]
+        b = [((r + k - c) * b[c] + (c + 1 - r) * b[c + 1]) / k for c in range(k + 1)]
+    values = np.zeros((len(x), kv.n_basis))
+    rows = np.arange(len(x))
+    for c in range(p + 1):
+        values[rows, seg + c] = b[c]
     return BasisMatrix(values=values, points=x)
 
 

@@ -342,7 +342,7 @@ def load_model(path):
             W_hat=None, deviance=entry["deviance"], ed=entry["ed"],
             aic=entry["aic"], bic=entry["bic"], n_bin=entry["n_bin"],
             converged=True, n_iter=entry["iterations"], score_rel=0.0,
-            gram=None, factor=None,
+            gram=None, inverse=None,
             hull=(sup["kind"], np.asarray(sup["data"]) if sup["kind"] == "polygon"
                   else tuple(sup["data"])),
         )

@@ -92,7 +92,7 @@ def _problem(Z, C_u, Bu: BasisMatrix, Bs: BasisMatrix) -> _PoissonProblem:
 def _fit(prob: _PoissonProblem, C_u, phis, d: int, ctrl: FitControl, start=None):
     """One fit as a search candidate: ``(aic, coefficients, PclmFit)``."""
     res = _newton(prob, PenaltyConfig(phis[0], phis[1], d), ctrl, start)
-    ed = _hat_trace(res.factor, res.gram)
+    ed = _hat_trace(res.inverse, res.gram)
     fit = PclmFit(Gamma=res.full, Psi=np.maximum(np.asarray(C_u, dtype=float) @ res.full, 1e-300),
                   theta=res.alpha, phis=tuple(phis), deviance=res.deviance, ed=ed,
                   aic=res.deviance + 2.0 * ed, converged=True, n_iter=res.n_iter)

@@ -20,8 +20,6 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.spatial
 
 from . import glam
 from .basis import KnotVector, difference_matrix, evaluate_basis
@@ -93,7 +91,7 @@ class FittedHazard:
     n_iter: int
     score_rel: float
     gram: np.ndarray = field(repr=False)             # B' W_hat B at convergence
-    factor: tuple = field(repr=False)                # Cholesky factor of gram + P
+    inverse: np.ndarray = field(repr=False)          # (gram + P)^-1
     hull: tuple = field(repr=False)                  # convex hull of positive-exposure bins
     # select_smoothing: (log10 rho_u, log10 rho_s, criterion or inf, Newton steps, cold retry)
     candidates: list = field(default_factory=list, repr=False)
@@ -133,21 +131,60 @@ def _support_hull(grid, mask: np.ndarray):
     """
     uu, ss = np.meshgrid(grid.u_mid, grid.s_mid, indexing="ij")
     pts = np.column_stack([uu[mask], ss[mask]])
-    if len(pts) >= 3:
-        try:
-            return "polygon", pts[scipy.spatial.ConvexHull(pts).vertices]
-        except scipy.spatial.QhullError:
-            pass
+    hull = _convex_hull(pts)
+    if len(hull) >= 3:
+        return "polygon", hull
     return "box", (pts[:, 0].min(), pts[:, 0].max(), pts[:, 1].min(), pts[:, 1].max())
 
 
-def _factor_spd(M: np.ndarray):
-    """Cholesky with a single trace-scaled ridge retry on failure."""
+def _convex_hull(pts: np.ndarray) -> np.ndarray:
+    """Counterclockwise hull vertices of 2-D points from the lexicographically least (Andrew's
+    monotone chain); a point within 1e-12 of the vertex scale of the line through its neighbours
+    is dropped as collinear, and all-collinear points give fewer than 3 vertices."""
+    uniq = [tuple(p) for p in np.unique(pts, axis=0)]   # sorted by u, then s
+    tol = 1e-12 * max(np.abs(pts).max(initial=0.0), 1.0)
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and ((out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
+                                     - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])
+                                     <= tol * math.dist(p, out[-2])):
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return np.array(chain(uniq) + chain(uniq[::-1]), dtype=float).reshape(-1, 2)
+
+
+def _ridge_retry(solve, M: np.ndarray):
+    """``solve(M)``, retried once as ``solve(M + ridge I)`` with a trace-scaled ridge when it
+    raises LinAlgError (a singular or, by round-off, indefinite penalized information)."""
     try:
-        return scipy.linalg.cho_factor(M, lower=True)
-    except scipy.linalg.LinAlgError:
-        ridge = 1e-10 * np.trace(M) / M.shape[0]
-        return scipy.linalg.cho_factor(M + ridge * np.eye(M.shape[0]), lower=True)
+        return solve(M)
+    except np.linalg.LinAlgError:
+        return solve(M + 1e-10 * np.trace(M) / M.shape[0] * np.eye(M.shape[0]))
+
+
+def _inverse_spd(M: np.ndarray) -> np.ndarray:
+    """``M^-1 = L^-T L^-1`` from the Cholesky factor ``L`` of a symmetric positive definite
+    ``M``; LinAlgError where there is none."""
+    L_inv = _lower_inverse(np.linalg.cholesky(M))
+    return L_inv.T @ L_inv
+
+
+def _lower_inverse(L: np.ndarray) -> np.ndarray:
+    """Inverse of a lower triangular ``L`` by halves, ``[[A, 0], [C, D]]^-1 = [[A^-1, 0],
+    [-D^-1 C A^-1, D^-1]]``: matrix products in place of a general LU of ``L``."""
+    n = len(L)
+    if n <= 48:
+        return np.linalg.inv(L)
+    k = n // 2
+    A_inv, D_inv = _lower_inverse(L[:k, :k]), _lower_inverse(L[k:, k:])
+    out = np.zeros_like(L)
+    out[:k, :k], out[k:, k:] = A_inv, D_inv
+    out[k:, :k] = -D_inv @ (L[k:, :k] @ A_inv)
+    return out
 
 
 def poisson_deviance(y: np.ndarray, mu: np.ndarray, mask: np.ndarray) -> float:
@@ -187,7 +224,7 @@ class _PoissonProblem:
         G = glam.weighted_inner(ws, np.ones_like(y0))
         rhs = glam.weighted_rhs(ws, np.log((y0 + 0.5) / (exposure + 1.0)))
         ridge = 1e-8 * np.trace(G) / G.shape[0]
-        self.start = scipy.linalg.solve(G + ridge * np.eye(G.shape[0]), rhs, assume_a="pos")
+        self.start = np.linalg.solve(G + ridge * np.eye(G.shape[0]), rhs)
 
     def state(self, alpha: np.ndarray):
         """``(means on the fine grid, masked means, grouped means, deviance)`` at alpha."""
@@ -212,16 +249,16 @@ class _PoissonProblem:
         if len(self.C):
             rows = (self.C[:, :, None] * full).transpose(0, 2, 1) @ ws.Bu  # (groups, n_s, c_u)
             V = (ws.Bs[None, :, :, None] * rows[:, :, None, :]).reshape(-1, ws.n_coef)
-            # not V'V: numpy's syrk leaves its BLAS threads spinning against
-            # scipy's during the Cholesky that follows (30x slower on 2 cores)
+            # V' (V / psi) by a general product, symmetrized below; W'W with
+            # W = V / sqrt(psi) would round differently and move every fit's last bits
             H = V.T @ (V / psi.reshape(-1, 1))
             info += 0.5 * (H + H.T)
         return info
 
 
 # a converged fit: coefficients, means on the fine grid and of the singly observed bins
-# (0 elsewhere), deviance, steps, relative score, information, factor of information + P
-_NewtonFit = namedtuple("_NewtonFit", "alpha full mu deviance n_iter score_rel gram factor")
+# (0 elsewhere), deviance, steps, relative score, information, (information + P)^-1
+_NewtonFit = namedtuple("_NewtonFit", "alpha full mu deviance n_iter score_rel gram inverse")
 
 
 def _newton(prob: _PoissonProblem, penalty: PenaltyConfig, ctrl: FitControl,
@@ -276,8 +313,7 @@ def _newton(prob: _PoissonProblem, penalty: PenaltyConfig, ctrl: FitControl,
     it = 0
     while converged or it < ctrl.max_iter:
         gram = prob.information(st)
-        factor = _factor_spd(gram + P)
-        step = scipy.linalg.cho_solve(factor, score)
+        step = _ridge_retry(lambda M: np.linalg.solve(M, score), gram + P)
         if converged:
             break
         it += 1
@@ -312,13 +348,13 @@ def _newton(prob: _PoissonProblem, penalty: PenaltyConfig, ctrl: FitControl,
     if p_score_rel < score_rel and np.isfinite(p_pen_dev):
         alpha, st, score_rel = polish, p_st, p_score_rel
         gram = prob.information(st)
-        factor = _factor_spd(gram + P)
-    return _NewtonFit(alpha, st[0], st[1], st[3], it, score_rel, gram, factor)
+    return _NewtonFit(alpha, st[0], st[1], st[3], it, score_rel, gram,
+                      _ridge_retry(_inverse_spd, gram + P))
 
 
-def _hat_trace(factor, gram) -> float:
-    """``tr{(G + P)^-1 G}`` from the factor of G + P, clamped to [0, n_coef]."""
-    ed = float(np.trace(scipy.linalg.cho_solve(factor, gram)))
+def _hat_trace(inverse, gram) -> float:
+    """``tr{(G + P)^-1 G}`` from the symmetric inverse of G + P, clamped to [0, n_coef]."""
+    ed = float(np.sum(inverse * gram))
     return min(max(ed, 0.0), float(gram.shape[0]))
 
 
@@ -362,7 +398,7 @@ def fit_hazard(data: BinnedData, cause: int, kv_u: KnotVector, kv_s: KnotVector,
         A=res.alpha.reshape(ws.c_u, ws.c_s, order="F"), penalty=penalty, kv_u=kv_u, kv_s=kv_s,
         grid=data.grid, W_hat=res.mu, deviance=res.deviance, ed=np.nan, aic=np.nan, bic=np.nan,
         n_bin=setup.n_bin, converged=True, n_iter=res.n_iter, score_rel=res.score_rel,
-        gram=res.gram, factor=res.factor, hull=setup.hull,
+        gram=res.gram, inverse=res.inverse, hull=setup.hull,
     )
     fit.ed = effective_dimension(fit)
     fit.aic, fit.bic = information_criteria(fit)
@@ -373,7 +409,7 @@ def effective_dimension(fit: FittedHazard) -> float:
     """Trace of the hat matrix, ``tr{(B'WB + P)^-1 B'WB}``, clamped to [0, n_coef]."""
     if not fit.converged:
         raise ConvergenceError("effective dimension requires a converged fit")
-    return _hat_trace(fit.factor, fit.gram)
+    return _hat_trace(fit.inverse, fit.gram)
 
 
 def information_criteria(fit: FittedHazard):
@@ -405,6 +441,12 @@ class SearchConfig:
                 for lo, hi in ((lo_u, hi_u), (lo_s, hi_s)))):
             raise ValueError("need finite positive coarse_step and refine_resolution and finite "
                              f"log10 ranges (lo, hi) with lo <= hi, got {self}")
+        # len(np.arange(lo, hi + 1e-9, coarse_step)) per axis, without building it
+        n_coarse = math.prod(math.ceil((hi + 1e-9 - lo) / self.coarse_step) if lo > -math.inf
+                             else 1 for lo, hi in ((lo_u, hi_u), (lo_s, hi_s)))
+        if n_coarse > self.max_evals:
+            raise ValueError(f"the coarse grid has {n_coarse} candidates, more than max_evals "
+                             f"({self.max_evals}), got {self}")
 
 
 _Best = namedtuple("_Best", "value tie key coef fit")   # tie = -(a + b): smaller wins

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .basis import evaluate_basis
 from .errors import Hazard2tsError
@@ -41,9 +40,7 @@ class MonteCarloConfig:
 
 def coefficient_covariance(fit: FittedHazard) -> np.ndarray:
     """Covariance of the coefficient vector: (B'WB + P)^-1, symmetrized."""
-    n = fit.n_coef
-    Sigma = scipy.linalg.cho_solve(fit.factor, np.eye(n))
-    return 0.5 * (Sigma + Sigma.T)
+    return 0.5 * (fit.inverse + fit.inverse.T)
 
 
 def _row_variance(Bu: np.ndarray, Bs: np.ndarray, Sigma: np.ndarray) -> np.ndarray:

@@ -1,6 +1,10 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,6 +65,17 @@ def fit_outputs(runner, cohort_csv, config_yaml, tmp_path_factory):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def test_cli_import_loads_no_scipy():
+    """The runtime needs numpy, click and yaml only; scipy serves the tests as an oracle."""
+    src = str(Path(h.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, hazard2ts.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 class TestConfig:
@@ -127,6 +142,8 @@ class TestConfig:
         {"convergence": {"max_iter": 0}},
         {"convergence": {"dev_rel_tol": -1.0}},
         {"pclm": {"enabled": True, "first_grouped_age": 90.5}},
+        # 1,000,008 x 10 coarse candidates, more than max_evals: once a fit that did not end
+        {"selection": {"log10_rho_u_range": [-1000000.0, 7.0]}},
     ])
     def test_bad_search_settings_exit_2_before_reading_input(self, runner, tmp_path, block):
         path = tmp_path / "bad.yaml"

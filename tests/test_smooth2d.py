@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -152,6 +153,51 @@ class TestEffectiveDimension:
         assert all(a >= b - 1e-6 for a, b in zip(eds_s, eds_s[1:]))
 
 
+class TestInverseSpd:
+    @pytest.mark.parametrize("n", [1, 2, 48, 49, 97, 160])
+    def test_matches_the_inverse(self, n):
+        X = np.random.default_rng(n).standard_normal((2 * n + 3, n))
+        M = X.T @ X
+        inv = smooth2d._inverse_spd(M)
+        assert np.array_equal(inv, inv.T)
+        assert np.max(np.abs(inv @ M - np.eye(n))) < 1e-9
+
+    def test_ridge_retry_inverts_psd_matrices_cholesky_rejects(self):
+        inverse = functools.partial(smooth2d._ridge_retry, smooth2d._inverse_spd)
+        M = np.diag([2.0, 1.0, 0.0])
+        with pytest.raises(np.linalg.LinAlgError):
+            smooth2d._inverse_spd(M)
+        ridge = 1e-10 * 3.0 / 3
+        assert np.allclose(inverse(M), np.diag(1.0 / (np.diag(M) + ridge)), rtol=1e-12, atol=0)
+        # a coefficient no bin informs: a zero row and column in a larger information
+        X = np.random.default_rng(3).standard_normal((150, 60))
+        X[:, -1] = 0.0
+        M = X.T @ X
+        with pytest.raises(np.linalg.LinAlgError):
+            smooth2d._inverse_spd(M)
+        ridge = 1e-10 * np.trace(M) / 60
+        inv = inverse(M)
+        assert inv[-1, -1] == pytest.approx(1.0 / ridge, rel=1e-12)
+        assert np.all(inv[-1, :-1] == 0.0)
+        expected = np.linalg.inv(M[:-1, :-1] + ridge * np.eye(59))
+        assert np.max(np.abs(inv[:-1, :-1] - expected)) < 1e-9 * np.max(np.abs(expected))
+
+    def test_indefinite_matrix_still_raises(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            smooth2d._ridge_retry(smooth2d._inverse_spd, np.diag([1.0, 1.0, -0.5]))
+
+    def test_unpenalized_coefficient_without_data_is_ridged_in_every_step(self):
+        # the corner coefficient's support has no exposure and rho = 0: the information
+        # is singular at every Newton step, and the fit holds it at its start
+        data = toy_data(np.random.default_rng(0))
+        data.R[:3, :3] = 0.0
+        data.Y[1][:3, :3] = 0.0
+        kv_u, kv_s = toy_knots()
+        fit = h.fit_hazard(data, 1, kv_u, kv_s, h.zero_penalty())
+        assert fit.ed == pytest.approx(fit.n_coef - 1, abs=1e-6)
+        assert np.all(np.isfinite(fit.inverse))
+
+
 class TestInformationCriteria:
     def test_hand_computed_values(self):
         rng = np.random.default_rng(7)
@@ -208,10 +254,21 @@ class TestSelectSmoothing:
         {"log10_rho_s_range": (0.0, math.inf)},
         {"log10_rho_u_range": (math.nan, 1.0)},
         {"log10_rho_s_range": (0.0, 400.0)},        # 10**400 is no float
+        {"log10_rho_u_range": (-1e6, 7.0)},         # coarse grids past max_evals: a hang
+        {"coarse_step": 0.01},
+        {"max_evals": 99},
     ])
     def test_search_config_refuses_bad_steps_and_ranges(self, kwargs):
         with pytest.raises(ValueError):
             h.SearchConfig(**kwargs)
+
+    def test_max_evals_caps_the_coarse_grid(self):
+        assert h.SearchConfig(max_evals=100).max_evals == 100        # 10 x 10 candidates
+        with pytest.raises(ValueError, match="101 candidates"):
+            h.SearchConfig(log10_rho_u_range=(-2.0, 98.0), log10_rho_s_range=(0.0, 0.0),
+                           max_evals=100)
+        # rho_u = 0 is one candidate per column
+        h.SearchConfig(log10_rho_u_range=(-math.inf, -math.inf), max_evals=10)
 
     @pytest.mark.parametrize("kwargs", [
         {"max_iter": 0}, {"max_iter": -3}, {"dev_rel_tol": -1.0}, {"dev_rel_tol": 0.0},
@@ -287,10 +344,9 @@ def cold_search(data, cause, kv_u, kv_s, d, criterion, search, ctrl):
 
 
 def fits_equal(a, b):
-    """Every field of two FittedHazards equal (arrays elementwise, factors included)."""
-    for name in ("A", "W_hat", "gram"):
+    """Every field of two FittedHazards equal (arrays elementwise, inverses included)."""
+    for name in ("A", "W_hat", "gram", "inverse"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
-    assert np.array_equal(a.factor[0], b.factor[0]) and a.factor[1] == b.factor[1]
     assert a.hull[0] == b.hull[0] and np.array_equal(a.hull[1], b.hull[1])
     for name in ("penalty", "deviance", "ed", "aic", "bic", "n_bin", "n_iter", "score_rel"):
         assert getattr(a, name) == getattr(b, name), name
