@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import sys
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -119,6 +120,11 @@ class RunConfig:
             difference_matrix(kv.n_basis, self.d)
         search = SearchConfig(tuple(sel.log10_rho_u_range), tuple(sel.log10_rho_s_range),
                               sel.coarse_step, sel.refine_resolution)
+        # len(pclm.grid()) per axis of the phi search, without building it
+        n_phi = math.ceil((pclm.log10_phi_hi + 1e-9 - pclm.log10_phi_lo) / pclm.log10_phi_step)
+        if n_phi > 0 and n_phi ** 2 > search.max_evals:
+            raise ValueError(f"the pclm log10 phi grid has {n_phi ** 2} candidates, more than "
+                             f"max_evals ({search.max_evals}), got {dataclasses.asdict(pclm)}")
         phi_grid = pclm.grid()
         if not phi_grid.size:
             raise ValueError(f"empty pclm log10 phi grid from {dataclasses.asdict(pclm)}")
@@ -228,7 +234,8 @@ def assemble_ungrouped(grouped, body_R, kv_u, kv_s, d, phi_grid, ctrl):
 
 def _on_edge(value, bounds) -> bool:
     """Whether a selected log10 smoothing parameter sits on an end of its search range."""
-    return bool(min(abs(value - min(bounds)), abs(value - max(bounds))) <= 1e-6)
+    ends = (min(bounds), max(bounds))        # compared exactly first: the rho = 0 range is -inf
+    return bool(value in ends or min(abs(value - end) for end in ends) <= 1e-6)
 
 
 def _pclm_diag(fit, phi_grid):

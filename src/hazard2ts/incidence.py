@@ -30,7 +30,7 @@ from .smooth2d import FittedHazard
 
 # slack (in units of delta) when counting quadrature nodes below s
 _NODE_EPS = 1e-9
-# rows (times draws) per quadrature pass; temporaries are _CHUNK x K_max
+# rows (times draws) per quadrature pass; temporaries are at most _CHUNK x (K_max + 1)
 _CHUNK = 4096
 
 
@@ -96,6 +96,11 @@ def _prepare(fits: dict, u_points, s_points, delta):
     return u, s, delta, Bu
 
 
+def _view(buffer: np.ndarray, shape: tuple) -> np.ndarray:
+    """The contiguous leading part of a flat buffer, shaped ``shape``."""
+    return buffer[:math.prod(shape)].reshape(shape)
+
+
 def _prefix(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Inclusive partial sums along the last axis, led by a zero (K = 0) entry, into ``out``."""
     out[..., 0] = 0.0
@@ -111,10 +116,13 @@ def _quadrature(fits: dict, Bu: dict, K: np.ndarray, delta: float, coefs: dict =
     counts to read off, shaped (n_rows, n_cols) or broadcastable to it: one
     row for a product grid, one column for paired points.  ``coefs[ell]``
     defaults to the fitted coefficient matrix and may carry a leading draw
-    axis (b x c_u x c_s), which then leads both outputs.  Partial sums are
-    formed _CHUNK row-draws at a time and read off at ``K`` right away.  The
-    chunk arrays live in ``work``: a caller that passes one dict to repeated
-    calls reuses them, where fresh arrays would page-fault in every call.
+    axis (b x c_u x c_s), which then leads both outputs.  Rows go in order of
+    their largest node count (a stable sort: the identity when all rows share
+    one ``K``), _CHUNK row-draws at a time; each chunk forms partial sums up
+    to its own largest count and reads them off at ``K`` right away.  The node
+    basis and the chunk arrays (prefix views of buffers sized for the largest
+    chunk) live in ``work``: a caller that passes one dict to repeated calls
+    on one set of fits reuses them, where fresh arrays would page-fault.
     """
     causes = sorted(fits)
     if coefs is None:
@@ -123,30 +131,37 @@ def _quadrature(fits: dict, Bu: dict, K: np.ndarray, delta: float, coefs: dict =
     K = np.broadcast_to(K, (len(Bu[causes[0]]), K.shape[-1]))
     cumhaz = {ell: np.zeros(lead + K.shape) for ell in causes}
     cif = {ell: np.zeros(lead + K.shape) for ell in causes}
-    K_max = int(K.max()) if K.size else 0
+    K_row = K.max(axis=1, initial=0)
+    K_max = int(K_row.max(initial=0))
     if K_max == 0:
         return cumhaz, cif
-    nodes = delta * np.arange(K_max)
-    Bs_nodes = {ell: evaluate_basis(nodes, fits[ell].kv_s).values for ell in causes}
-    step = max(1, _CHUNK // int(np.prod(lead)))
+    step = max(1, _CHUNK // math.prod(lead))
+    ladder, size = (K_max, delta, causes), math.prod(lead) * min(step, len(K)) * (K_max + 1)
     work = {} if work is None else work
+    if work.get("ladder") != ladder or work["size"] < size:
+        nodes = delta * np.arange(K_max)
+        work.update({name: np.empty(size) for name in ("tot", "S", "pre", *causes)},
+                    ladder=ladder, size=size,
+                    Bs_nodes={ell: evaluate_basis(nodes, fits[ell].kv_s).values for ell in causes})
+    order = np.argsort(K_row, kind="stable")
     for lo in range(0, len(K), step):
-        rows = slice(lo, lo + step)
-        at = K[rows]
-        shape = lead + (len(at), K_max)
-        if work.get("key") != (shape, causes):
-            work.update({name: np.empty(shape) for name in ("tot", "S", *causes)},
-                        key=(shape, causes), pre=np.empty(shape[:-1] + (K_max + 1,)))
-        lam = {ell: np.matmul(Bu[ell][rows] @ coefs[ell], Bs_nodes[ell].T, out=work[ell])
+        rows = order[lo:lo + step]
+        K_c = int(K_row[rows[-1]])
+        if K_c == 0:
+            continue
+        shape = lead + (len(rows), K_c)
+        lam = {ell: np.matmul(Bu[ell][rows] @ coefs[ell], work["Bs_nodes"][ell][:K_c].T,
+                              out=_view(work[ell], shape))
                for ell in causes}
-        tot, S, pre = work["tot"], work["S"], work["pre"]
+        tot, S = _view(work["tot"], shape), _view(work["S"], shape)
+        pre = _view(work["pre"], shape[:-1] + (K_c + 1,))
         np.copyto(tot, np.exp(lam[causes[0]], out=lam[causes[0]]))
         for ell in causes[1:]:
             tot += np.exp(lam[ell], out=lam[ell])
         tot *= delta
         # survival just before each node: exclusive prefix of the total hazard
-        np.exp(np.negative(_prefix(tot, pre)[..., :K_max], out=S), out=S)
-        r = np.arange(len(at))[:, None]
+        np.exp(np.negative(_prefix(tot, pre)[..., :K_c], out=S), out=S)
+        r, at = np.arange(len(rows))[:, None], K[rows]
         for ell in causes:
             np.multiply(lam[ell], delta, out=tot)
             cumhaz[ell][..., rows, :] = _prefix(tot, pre)[..., r, at]
@@ -182,17 +197,9 @@ def compute_surfaces(fits: dict, u_points, s_points, delta: float = None) -> Sur
     return _surfaces(fits, u_points, s_points, delta, paired=False)
 
 
-def surfaces_at_points(
-    fits: dict,
-    u_arr,
-    s_arr,
-    delta: float = None,
-    coords: str = "us",
-) -> Surfaces:
-    """Derived quantities at paired points (u_i, s_i) rather than a grid.
-
-    Returns a Surfaces object whose matrices have shape (n_points, 1).
-    """
+def surfaces_at_points(fits: dict, u_arr, s_arr, delta: float = None,
+                       coords: str = "us") -> Surfaces:
+    """Derived quantities at paired points (u_i, s_i), as (n_points, 1) matrices."""
     return _surfaces(fits, u_arr, s_arr, delta, paired=True, coords=coords)
 
 

@@ -526,8 +526,9 @@ def select_smoothing(data: BinnedData, cause: int, kv_u: KnotVector, kv_s: KnotV
 
     (lo_u, hi_u), (lo_s, hi_s) = search.log10_rho_u_range, search.log10_rho_s_range
     grid = _GridSearch(fit_one)
-    grid.run_grid(np.arange(lo_u, hi_u + 1e-9, search.coarse_step),
-                  np.arange(lo_s, hi_s + 1e-9, search.coarse_step))
+    # the rho = 0 range (-inf, -inf) is the one value -inf; np.arange cannot enumerate it
+    grid.run_grid(*(np.arange(lo, hi + 1e-9, search.coarse_step) if lo > -math.inf
+                    else np.array([lo]) for lo, hi in ((lo_u, hi_u), (lo_s, hi_s))))
 
     # pattern search around the grid optimum, confined to the search ranges
     step = search.coarse_step / 2.0

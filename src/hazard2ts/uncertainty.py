@@ -43,18 +43,33 @@ def coefficient_covariance(fit: FittedHazard) -> np.ndarray:
     return 0.5 * (fit.inverse + fit.inverse.T)
 
 
-def _row_variance(Bu: np.ndarray, Bs: np.ndarray, Sigma: np.ndarray) -> np.ndarray:
+def _window(B: np.ndarray, degree: int):
+    """Start column and values of each row's ``degree + 1`` columns holding its nonzeros."""
+    start = np.minimum(np.argmax(B != 0, axis=1), B.shape[1] - degree - 1)
+    return start, np.take_along_axis(B, start[:, None] + np.arange(degree + 1), axis=1)
+
+
+def _row_variance(Bu: np.ndarray, Bs: np.ndarray, Sigma: np.ndarray, p_u: int,
+                  p_s: int) -> np.ndarray:
     """Quadratic forms x_i' Sigma x_i for the tensor rows x_i = Bs[i] (x) Bu[i].
 
     The coefficient index is column-major over (l, m), i.e. m * c_u + l,
-    matching the vectorization used by the fitting kernels.  Rows are formed
-    _CHUNK at a time.
+    matching the vectorization used by the fitting kernels.  A row of a
+    degree-p basis is zero outside p + 1 adjacent columns, so x_i is zero
+    outside a (p_u + 1)(p_s + 1) window and only the matching block of Sigma
+    enters.  Points are taken window by window, _CHUNK at a time.
     """
-    var = np.empty(len(Bu))
-    for lo in range(0, len(Bu), _CHUNK):
-        sl = slice(lo, lo + _CHUNK)
-        rows = (Bs[sl, :, None] * Bu[sl, None, :]).reshape(-1, Bs.shape[1] * Bu.shape[1])
-        var[sl] = np.einsum("ip,ip->i", rows @ Sigma, rows)
+    c_u = Bu.shape[1]
+    (ju, wu), (js, ws) = _window(Bu, p_u), _window(Bs, p_s)
+    key = js * c_u + ju               # the coefficient index of each window's first entry
+    order = np.argsort(key, kind="stable")
+    var = np.empty(len(key))
+    for group in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
+        for lo in range(0, len(group), _CHUNK):
+            i = group[lo:lo + _CHUNK]
+            cols = (key[i[0]] + c_u * np.arange(p_s + 1)[:, None] + np.arange(p_u + 1)).ravel()
+            x = (ws[i, :, None] * wu[i, None, :]).reshape(len(i), -1)
+            var[i] = np.einsum("ip,ip->i", x @ Sigma[np.ix_(cols, cols)], x)
     return var
 
 
@@ -62,7 +77,8 @@ def se_log_hazard_points(fit: FittedHazard, Sigma: np.ndarray, u_arr, s_arr) -> 
     """Delta-method SE of the log-hazard at paired points (u_i, s_i)."""
     Bu = evaluate_basis(u_arr, fit.kv_u).values
     Bs = evaluate_basis(s_arr, fit.kv_s).values
-    return np.sqrt(np.maximum(_row_variance(Bu, Bs, Sigma), 0.0))
+    return np.sqrt(np.maximum(_row_variance(Bu, Bs, Sigma, fit.kv_u.degree, fit.kv_s.degree),
+                              0.0))
 
 
 def se_log_hazard(fit: FittedHazard, Sigma: np.ndarray, u_points, s_points) -> np.ndarray:

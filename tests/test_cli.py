@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -144,6 +145,8 @@ class TestConfig:
         {"pclm": {"enabled": True, "first_grouped_age": 90.5}},
         # 1,000,008 x 10 coarse candidates, more than max_evals: once a fit that did not end
         {"selection": {"log10_rho_u_range": [-1000000.0, 7.0]}},
+        # 200,005 phi values per axis, more than max_evals candidates: once a fit that did not end
+        {"pclm": {"enabled": True, "log10_phi_lo": -100000.0}},
     ])
     def test_bad_search_settings_exit_2_before_reading_input(self, runner, tmp_path, block):
         path = tmp_path / "bad.yaml"
@@ -180,6 +183,14 @@ class TestConfig:
         result = runner.invoke(main, ["fit", str(bad), "--out", str(tmp_path / "o"), *option])
         assert result.exit_code == 2, result.output
         assert "bad run settings" in result.output and "row 2" not in result.output
+
+    def test_phi_grid_is_capped_at_max_evals_candidates(self, tmp_path):
+        path = tmp_path / "phi.yaml"
+        path.write_text("pclm: {log10_phi_lo: 0.0, log10_phi_hi: 9.5}\n")   # 20 x 20 candidates
+        assert len(load_config(path).pclm.grid()) == 20
+        path.write_text("pclm: {log10_phi_lo: 0.0, log10_phi_hi: 10.0}\n")
+        with pytest.raises(DataError, match="441 candidates"):
+            load_config(path)
 
     def test_closing_age_must_match_grid_top(self, tmp_path):
         path = tmp_path / "bad.yaml"
@@ -267,6 +278,25 @@ class TestFit:
         result = runner.invoke(main, ["fit", str(cohort_csv), "--config", str(path),
                                       "--out", str(tmp_path / "o")])
         assert result.exit_code == 3
+
+
+    def test_rho_zero_range_fits_and_predicts(self, runner, cohort_csv, tmp_path):
+        cfg = {**FAST_CONFIG, "selection": {**FAST_CONFIG["selection"],
+                                            "log10_rho_u_range": [-math.inf, -math.inf]}}
+        path = tmp_path / "rho0.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        result = runner.invoke(main, ["fit", str(cohort_csv), "--config", str(path),
+                                      "--out", str(tmp_path / "o")])
+        assert result.exit_code == 0, result.output
+        summary = json.loads((tmp_path / "o" / "fit_summary.json").read_text())
+        for block in summary["causes"].values():
+            assert block["log10_rho_u"] == -math.inf and block["log10_rho_u_on_edge"] is True
+        pts = tmp_path / "pts.csv"
+        pts.write_text("u,s\n60,2\n")
+        result = runner.invoke(main, ["predict", "--model", str(tmp_path / "o" / "model.json"),
+                                      "--points", str(pts), "--coords", "us",
+                                      "--out", str(tmp_path / "pred.csv")])
+        assert result.exit_code == 0, result.output
 
 
 class TestPredict:

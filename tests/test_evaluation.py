@@ -5,7 +5,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import hazard2ts as h
 from hazard2ts import incidence, uncertainty
@@ -183,6 +183,73 @@ def test_mc_se_matches_per_draw_loop(tri, n_draws):
     for ell in (1, 2):
         want = np.std(np.array(values[ell]), axis=0, ddof=1)
         np.testing.assert_allclose(got[ell], want, rtol=1e-10, atol=1e-15)
+
+
+# node values of s (delta = 0.05 on [0, 10]): no node, first nodes, a node edge, the top
+node_s = st.one_of(st.sampled_from([0.0, 0.01, 0.0499, 0.05, 0.1, 9.95, 10.0]),
+                   st.floats(0.0, 10.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(base=st.lists(st.tuples(st.floats(0.0, 10.0), node_s), min_size=1, max_size=12),
+       picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=40), chunk=st.integers(1, 9))
+@example(base=[(1.0, 0.0), (2.0, 10.0), (3.0, 0.02), (4.0, 5.0)],
+         picks=[1, 0, 3, 2, 1, 0, 0, 2, 1, 3, 1], chunk=2)
+def test_paired_kernel_matches_dense_on_unsorted_repeated_points(tri, base, picks, chunk):
+    grid, fits, _ = tri
+    u, s = np.array([base[i % len(base)] for i in picks]).T
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(incidence, "_CHUNK", chunk)
+        surf = h.surfaces_at_points(fits, u, s, 0.05)
+    cumhaz, cif, survival = dense_paired(fits, u, s, 0.05)
+    for ell in fits:
+        np.testing.assert_allclose(surf.cumhaz[ell][:, 0], cumhaz[ell], rtol=1e-12, atol=1e-300)
+        np.testing.assert_allclose(surf.cif[ell][:, 0], cif[ell], rtol=1e-12, atol=1e-300)
+    np.testing.assert_allclose(surf.survival[:, 0], survival, rtol=1e-12)
+
+
+def test_mc_se_unchanged_by_cached_node_basis(tri, monkeypatch):
+    grid, fits, Sigmas = tri
+    args = (fits, Sigmas, np.linspace(0, 10, 7), grid.s_mid,
+            h.MonteCarloConfig(n_draws=3 * uncertainty._DRAW_CHUNK + 5, seed=4), 0.05)
+    sizes, evaluate_basis = [], incidence.evaluate_basis
+    monkeypatch.setattr(incidence, "evaluate_basis",
+                        lambda x, kv: sizes.append(np.size(x)) or evaluate_basis(x, kv))
+    cached = h.cif_standard_errors(*args)
+    # u rows, then the node ladder (s up to 9.5: 190 nodes), once per cause
+    assert sizes == [7, 7, 190, 190]
+    # a fresh work dict per batch: node basis and chunk arrays built anew every time
+    quadrature = uncertainty._quadrature
+    monkeypatch.setattr(uncertainty, "_quadrature",
+                        lambda fits, Bu, K, delta, coefs, work: quadrature(fits, Bu, K, delta,
+                                                                           coefs, {}))
+    fresh = h.cif_standard_errors(*args)
+    for ell in fits:
+        assert np.array_equal(cached[ell], fresh[ell])
+
+
+@settings(max_examples=80, deadline=None)
+@given(p_u=st.integers(0, 4), p_s=st.integers(0, 4), seg_u=st.integers(1, 5),
+       seg_s=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       n_random=st.integers(0, 30), chunk=st.integers(1, 7))
+def test_windowed_se_kernel_matches_dense_quadratic_form(p_u, p_s, seg_u, seg_s, seed,
+                                                         n_random, chunk):
+    kv_u, kv_s = h.make_knots(0, 10, seg_u, p_u), h.make_knots(0, 5, seg_s, p_s)
+    rng = np.random.default_rng(seed)
+    # random points, then every pair of knots: domain ends and corners included, where
+    # windows hold exact zeros
+    knots_u, knots_s = np.linspace(0, 10, seg_u + 1), np.linspace(0, 5, seg_s + 1)
+    u = np.concatenate([rng.uniform(0, 10, n_random), np.repeat(knots_u, len(knots_s))])
+    s = np.concatenate([rng.uniform(0, 5, n_random), np.tile(knots_s, len(knots_u))])
+    Bu, Bs = h.evaluate_basis(u, kv_u).values, h.evaluate_basis(s, kv_s).values
+    n_coef = kv_u.n_basis * kv_s.n_basis
+    M = rng.standard_normal((n_coef, n_coef))
+    Sigma = M @ M.T / n_coef + np.eye(n_coef)
+    X = np.stack([np.kron(Bs[i], Bu[i]) for i in range(len(u))])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(uncertainty, "_CHUNK", chunk)
+        got = uncertainty._row_variance(Bu, Bs, Sigma, p_u, p_s)
+    np.testing.assert_allclose(got, np.sum((X @ Sigma) * X, axis=1), rtol=1e-12)
 
 
 # -- models restored from model.json ----------------------------------------------

@@ -270,6 +270,24 @@ class TestSelectSmoothing:
         # rho_u = 0 is one candidate per column
         h.SearchConfig(log10_rho_u_range=(-math.inf, -math.inf), max_evals=10)
 
+    def test_rho_zero_range_is_searched_as_minus_inf(self):
+        data = toy_data(np.random.default_rng(12))
+        kv_u, kv_s = toy_knots()
+        search = h.SearchConfig(log10_rho_u_range=(-math.inf, -math.inf),
+                                log10_rho_s_range=(0.0, 2.0), coarse_step=1.0)
+        fit = h.select_smoothing(data, 1, kv_u, kv_s, search=search)
+        assert fit.penalty.log10_rho_u == -math.inf
+        assert {lu for lu, *_ in fit.candidates} == {-math.inf}
+        for ls in (0.0, 1.0, 2.0):
+            assert fit.bic <= h.fit_hazard(data, 1, kv_u, kv_s,
+                                           h.PenaltyConfig(-math.inf, ls, 2)).bic + 1e-9
+        # both axes unpenalized: the one candidate is the cold fit
+        search = h.SearchConfig(log10_rho_u_range=(-math.inf, -math.inf),
+                                log10_rho_s_range=(-math.inf, -math.inf))
+        fit = h.select_smoothing(data, 1, kv_u, kv_s, search=search)
+        assert [c[:2] for c in fit.candidates] == [(-math.inf, -math.inf)]
+        fits_equal(fit, h.fit_hazard(data, 1, kv_u, kv_s, h.PenaltyConfig(-math.inf, -math.inf, 2)))
+
     @pytest.mark.parametrize("kwargs", [
         {"max_iter": 0}, {"max_iter": -3}, {"dev_rel_tol": -1.0}, {"dev_rel_tol": 0.0},
         {"score_rel_tol": math.nan}, {"score_rel_tol": math.inf},
