@@ -197,9 +197,17 @@ def compute_surfaces(fits: dict, u_points, s_points, delta: float = None) -> Sur
     return _surfaces(fits, u_points, s_points, delta, paired=False)
 
 
-def surfaces_at_points(fits: dict, u_arr, s_arr, delta: float = None,
-                       coords: str = "us") -> Surfaces:
-    """Derived quantities at paired points (u_i, s_i), as (n_points, 1) matrices."""
+def surfaces_at_points(
+    fits: dict,
+    u_arr,
+    s_arr,
+    delta: float = None,
+    coords: str = "us",
+) -> Surfaces:
+    """Derived quantities at paired points (u_i, s_i) rather than a grid.
+
+    Returns a Surfaces object whose matrices have shape (n_points, 1).
+    """
     return _surfaces(fits, u_arr, s_arr, delta, paired=True, coords=coords)
 
 
