@@ -11,6 +11,15 @@ age interval onto the fine grid.
 
 __version__ = "0.1.0"
 
+import os
+
+# One BLAS thread, set before numpy loads its BLAS: the matrices here have at most a few
+# hundred rows, where a second thread costs more in wake-ups than it saves, and the
+# independent smoothing searches run in forked worker processes (hazard2ts.cli), which
+# would each start their own BLAS threads.  A value the user has set wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .basis import BasisMatrix, DiffMatrix, KnotVector, difference_matrix, evaluate_basis, make_knots
 from .errors import ConvergenceError, DataError, DomainError, Hazard2tsError
 from .glam import ArrayModelWorkspace, linear_predictor, weighted_inner, weighted_rhs

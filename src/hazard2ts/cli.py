@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import sys
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -201,6 +202,27 @@ def make_bases(grid: LexisGrid, basis_cfg: BasisConfig):
 
 
 # --------------------------------------------------------------------------
+# independent searches in worker processes
+
+def _call(task):
+    fn, args, kwargs = task
+    return fn(*args, **kwargs)
+
+
+def _run_tasks(tasks):
+    """``[fn(*args, **kwargs) for fn, args, kwargs in tasks]``, the calls made in forked
+    worker processes, one per usable CPU at most.  ``fn`` is a module-level function and its
+    arguments are pickled.  An exception is raised as the first failing task (in task order)
+    raised it.  Each worker runs the serial library code on one BLAS thread, so the results
+    are those of the calls made in this process."""
+    import multiprocessing      # here: the import would cost every command ~20 ms
+
+    with multiprocessing.get_context("fork").Pool(
+            min(len(tasks), len(os.sched_getaffinity(0)))) as pool:
+        return list(pool.imap(_call, tasks))
+
+
+# --------------------------------------------------------------------------
 # grouped-tail assembly
 
 def assemble_ungrouped(grouped, body_R, kv_u, kv_s, d, phi_grid, ctrl):
@@ -208,7 +230,8 @@ def assemble_ungrouped(grouped, body_R, kv_u, kv_s, d, phi_grid, ctrl):
 
     Event tails come from composite-link fits per cause; the exposure tail
     is reconstructed from the ungrouped at-risk numbers by the half-bin
-    rule.  Returns (BinnedData, diagnostics dict).
+    rule.  The three searches are independent and run in worker processes.
+    Returns (BinnedData, diagnostics dict).
     """
     grid = grouped.grid
     spec = CompositionSpec(g=grouped.g, n_u=grid.n_u)
@@ -216,16 +239,15 @@ def assemble_ungrouped(grouped, body_R, kv_u, kv_s, d, phi_grid, ctrl):
     Bs_mid = evaluate_basis(grid.s_mid, kv_s)
     Bs_edges = evaluate_basis(grid.s_edges, kv_s)
 
-    diagnostics = {}
-    Y = {}
-    for ell, Z in sorted(grouped.Z.items()):
-        Y[ell], fit = ungroup_events(Z, spec, Bu_mid, Bs_mid, d=d,
-                                     log10_phi_grid=phi_grid, ctrl=ctrl)
-        diagnostics[f"cause{ell}"] = _pclm_diag(fit, phi_grid)
-
-    C_u = composition_matrix(spec)
-    at_risk_fit = select_pclm_smoothing(grouped.at_risk, C_u, Bu_mid, Bs_edges, d=d,
-                                        log10_phi_grid=phi_grid, ctrl=ctrl)
+    search = {"d": d, "log10_phi_grid": phi_grid, "ctrl": ctrl}
+    causes = sorted(grouped.Z)
+    *events, at_risk_fit = _run_tasks(
+        [(ungroup_events, (grouped.Z[ell], spec, Bu_mid, Bs_mid), search) for ell in causes]
+        + [(select_pclm_smoothing, (grouped.at_risk, composition_matrix(spec), Bu_mid, Bs_edges),
+            search)])
+    Y = {ell: Y_ell for ell, (Y_ell, _) in zip(causes, events)}
+    diagnostics = {f"cause{ell}": _pclm_diag(fit, phi_grid)
+                   for ell, (_, fit) in zip(causes, events)}
     diagnostics["at_risk"] = _pclm_diag(at_risk_fit, phi_grid)
     tail_exposure = ungroup_exposure(at_risk_fit.Gamma[spec.g - 1:], grid.h_s)
     R = np.vstack([np.asarray(body_R), tail_exposure])
@@ -278,17 +300,43 @@ def write_long_csv(path, u_points, s_points, values, extrapolated=None, name="va
                  columns, extrapolated)
 
 
-def _json_default(obj):
+# RFC 8259 JSON has no number for a non-finite float (log10 rho = -inf, the AIC of a
+# non-convergent candidate): they are written as these strings, as protobuf's JSON mapping does
+_NONFINITE = {"Infinity": math.inf, "-Infinity": -math.inf, "NaN": math.nan}
+
+
+def _json_value(obj):
+    """``obj`` as plain JSON values, non-finite floats as the strings of ``_NONFINITE``."""
+    if isinstance(obj, dict):
+        return {key: _json_value(val) for key, val in obj.items()}
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not JSON-serializable: {type(obj)}")
+        if obj.dtype.kind != "f" or np.isfinite(obj).all():
+            return obj.tolist()
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [_json_value(val) for val in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "NaN" if math.isnan(obj) else ("Infinity" if obj > 0 else "-Infinity")
+    return obj
+
+
+def _read_nonfinite(val):
+    """A JSON value with the strings of ``_NONFINITE`` read back as floats; a list of numbers
+    only, however long, is returned as it is."""
+    if isinstance(val, str):
+        return _NONFINITE.get(val, val)
+    if isinstance(val, list) and not all(type(v) in (float, int) for v in val):
+        return [_read_nonfinite(v) for v in val]
+    if isinstance(val, dict):
+        return {key: _read_nonfinite(v) for key, v in val.items()}
+    return val
 
 
 def write_json(path, payload):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(_json_value(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -305,15 +353,14 @@ def save_model(path, cfg: RunConfig, grid: LexisGrid, fits: dict, Sigmas: dict):
         causes[str(ell)] = {
             "knots_u": _knots_payload(fit.kv_u),
             "knots_s": _knots_payload(fit.kv_s),
-            "coefficients": fit.A.tolist(),
-            "covariance": np.asarray(Sigmas[ell]).tolist(),
+            "coefficients": fit.A,
+            "covariance": np.asarray(Sigmas[ell]),
             "penalty": {"d": fit.penalty.d,
                         "log10_rho_u": fit.penalty.log10_rho_u,
                         "log10_rho_s": fit.penalty.log10_rho_s},
             "deviance": fit.deviance, "ed": fit.ed, "aic": fit.aic, "bic": fit.bic,
             "n_bin": fit.n_bin, "iterations": fit.n_iter,
-            "support": {"kind": kind,
-                        "data": np.asarray(data).tolist()},
+            "support": {"kind": kind, "data": np.asarray(data)},
         }
     payload = {
         "format": "hazard2ts-model",
@@ -328,7 +375,7 @@ def save_model(path, cfg: RunConfig, grid: LexisGrid, fits: dict, Sigmas: dict):
 def load_model(path):
     """Rebuild evaluation-ready fits (support hulls included) and covariances."""
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        payload = _read_nonfinite(json.load(fh))
     if payload.get("format") != "hazard2ts-model":
         raise DataError(f"{path}: not a model file")
     grid = LexisGrid(u_edges=np.asarray(payload["grid"]["u_edges"]),
@@ -411,10 +458,9 @@ def run_fit_pipeline(cfg: RunConfig, records, outdir: Path):
     else:
         binned = bin_records(records, grid)
 
-    fits = {}
-    for ell in CAUSES:
-        fits[ell] = select_smoothing(binned, ell, kv_u, kv_s, d=cfg.d, criterion=criterion,
-                                     search=search, ctrl=cfg.convergence)
+    options = {"d": cfg.d, "criterion": criterion, "search": search, "ctrl": cfg.convergence}
+    fits = dict(zip(CAUSES, _run_tasks([(select_smoothing, (binned, ell, kv_u, kv_s), options)
+                                        for ell in CAUSES])))
     Sigmas = {ell: coefficient_covariance(fits[ell]) for ell in CAUSES}
 
     u_pts, s_pts = grid.u_mid, grid.s_mid
@@ -460,7 +506,7 @@ def run_fit_pipeline(cfg: RunConfig, records, outdir: Path):
             }
             for ell in CAUSES
         },
-        "extrapolation_mask": surf.extrapolated.astype(int).tolist(),
+        "extrapolation_mask": surf.extrapolated.astype(int),
     }
     if pclm_diag is not None:
         summary["pclm"] = pclm_diag

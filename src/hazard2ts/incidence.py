@@ -108,26 +108,36 @@ def _prefix(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _read_off(x: np.ndarray, take: np.ndarray, shared: bool) -> np.ndarray:
+    """Sums of ``x`` over the first K nodes of each entry: ``take`` is the 0/1 (K_c x n_cols)
+    matrix of a shared ``K`` row, or the 0/1 (n_rows x K_c) mask of paired points."""
+    return x @ take if shared else np.einsum("...k,...k->...", x, take)[..., None]
+
+
 def _quadrature(fits: dict, Bu: dict, K: np.ndarray, delta: float, coefs: dict = None,
                 work: dict = None):
     """Cumulative hazards and CIFs of every cause over the node ladder.
 
     ``Bu[ell]`` holds u-basis rows (n_rows x c_u); ``K`` holds the node
-    counts to read off, shaped (n_rows, n_cols) or broadcastable to it: one
-    row for a product grid, one column for paired points.  ``coefs[ell]``
+    counts to read off: one row (1 x n_cols) shared by every row for a product
+    grid, or one column (n_rows x 1) for paired points.  ``coefs[ell]``
     defaults to the fitted coefficient matrix and may carry a leading draw
     axis (b x c_u x c_s), which then leads both outputs.  Rows go in order of
     their largest node count (a stable sort: the identity when all rows share
-    one ``K``), _CHUNK row-draws at a time; each chunk forms partial sums up
-    to its own largest count and reads them off at ``K`` right away.  The node
-    basis and the chunk arrays (prefix views of buffers sized for the largest
-    chunk) live in ``work``: a caller that passes one dict to repeated calls
-    on one set of fits reuses them, where fresh arrays would page-fault.
+    one ``K``), _CHUNK row-draws at a time; each chunk works up to its own
+    largest count.  Survival before each node is the one exclusive prefix sum;
+    the cumulative hazards and CIFs are read off at ``K`` as sums over the
+    first ``K`` nodes, by a 0/1 (K_c x n_cols) matrix for a shared ``K`` row
+    and by a masked row sum for paired points.  The node basis and the chunk
+    arrays (prefix views of buffers sized for the largest chunk) live in
+    ``work``: a caller that passes one dict to repeated calls on one set of
+    fits reuses them, where fresh arrays would page-fault.
     """
     causes = sorted(fits)
     if coefs is None:
         coefs = {ell: fits[ell].A for ell in causes}
     lead = coefs[causes[0]].shape[:-2]
+    shared = len(K) == 1
     K = np.broadcast_to(K, (len(Bu[causes[0]]), K.shape[-1]))
     cumhaz = {ell: np.zeros(lead + K.shape) for ell in causes}
     cif = {ell: np.zeros(lead + K.shape) for ell in causes}
@@ -161,13 +171,15 @@ def _quadrature(fits: dict, Bu: dict, K: np.ndarray, delta: float, coefs: dict =
         tot *= delta
         # survival just before each node: exclusive prefix of the total hazard
         np.exp(np.negative(_prefix(tot, pre)[..., :K_c], out=S), out=S)
-        r, at = np.arange(len(rows))[:, None], K[rows]
+        if shared:
+            take = (np.arange(K_c)[:, None] < K[0]).astype(float)
+        else:
+            take = (np.arange(K_c) < K[rows]).astype(float)
         for ell in causes:
             np.multiply(lam[ell], delta, out=tot)
-            cumhaz[ell][..., rows, :] = _prefix(tot, pre)[..., r, at]
-            np.multiply(lam[ell], S, out=tot)
-            tot *= delta
-            cif[ell][..., rows, :] = _prefix(tot, pre)[..., r, at]
+            cumhaz[ell][..., rows, :] = _read_off(tot, take, shared)
+            tot *= S
+            cif[ell][..., rows, :] = _read_off(tot, take, shared)
     return cumhaz, cif
 
 

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import yaml
 from click.testing import CliRunner
 
 import hazard2ts as h
+from hazard2ts import cli
 from hazard2ts.cli import _write_table, load_config, main
 from hazard2ts.errors import DataError
 
@@ -290,7 +292,7 @@ class TestFit:
         assert result.exit_code == 0, result.output
         summary = json.loads((tmp_path / "o" / "fit_summary.json").read_text())
         for block in summary["causes"].values():
-            assert block["log10_rho_u"] == -math.inf and block["log10_rho_u_on_edge"] is True
+            assert block["log10_rho_u"] == "-Infinity" and block["log10_rho_u_on_edge"] is True
         pts = tmp_path / "pts.csv"
         pts.write_text("u,s\n60,2\n")
         result = runner.invoke(main, ["predict", "--model", str(tmp_path / "o" / "model.json"),
@@ -444,3 +446,151 @@ class TestUngroupCommand:
                 assert block[f"log10_phi_{axis}_on_edge"] is on_edge
         exposure = read_csv(outdir / "ungrouped_exposure.csv")
         assert len(exposure) == 50 * 21
+
+
+def _serial(tasks):
+    """The worker-pool helper's calls made in this process, in task order."""
+    return [fn(*args, **kwargs) for fn, args, kwargs in tasks]
+
+
+def _tree(outdir):
+    return {str(p.relative_to(outdir)): p.read_bytes() for p in sorted(outdir.rglob("*"))
+            if p.is_file()}
+
+
+class TestWorkerProcesses:
+    """The independent smoothing searches run in forked workers, and change nothing."""
+
+    @pytest.fixture(scope="class")
+    def grouped_csv(self, tmp_path_factory):
+        """A small cohort whose ages at or above 90 are reported as 90."""
+        spec = h.ScenarioSpec(
+            hazard1=h.hazard_family("constant", level=0.15),
+            hazard2=h.hazard_family("constant", level=0.10),
+            u_lo=50.0, u_hi=100.0, s_max=10.5, n=2500, seed=13,
+        )
+        table = h.simulate_cohort(spec)
+        path = tmp_path_factory.mktemp("pool") / "grouped.csv"
+        h.write_records_csv(path, dataclasses.replace(table, u=np.minimum(table.u, 90.0)))
+        return path
+
+    def run_both(self, runner, monkeypatch, tmp_path, args):
+        """The command through the worker pool and through the serial reference."""
+        results = {}
+        for mode in ("pool", "serial"):
+            with monkeypatch.context() as mp:
+                if mode == "serial":
+                    mp.setattr(cli, "_run_tasks", _serial)
+                out = tmp_path / mode
+                results[mode] = (runner.invoke(main, args + ["--out", str(out)]), out)
+        return results
+
+    @pytest.mark.parametrize("command,pclm", [("fit", False), ("fit", True), ("ungroup", True)])
+    def test_pool_and_serial_artefacts_are_byte_identical(self, runner, monkeypatch, tmp_path,
+                                                          grouped_csv, command, pclm):
+        cfg = {**FAST_CONFIG, "montecarlo": {"n_draws": 10},
+               "pclm": {"enabled": pclm, "log10_phi_step": 1.0}}
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        results = self.run_both(runner, monkeypatch, tmp_path,
+                                [command, str(grouped_csv), "--config", str(path)])
+        for result, _ in results.values():
+            assert result.exit_code == 0, result.output
+        pool, serial = (_tree(out) for _, out in results.values())
+        assert len(pool) == (13 if command == "fit" else 4)
+        assert pool == serial
+
+    @pytest.mark.parametrize("pclm", [False, True])
+    def test_data_error_in_a_worker_exits_2_as_serial(self, runner, monkeypatch, tmp_path,
+                                                      cohort_csv, pclm):
+        """A cause with no events fails its search (the hazard search, or with PCLM the
+        ungrouping of its grouped counts) inside a worker."""
+        table = h.read_records_csv(cohort_csv)
+        csv_path = tmp_path / "one_cause.csv"
+        h.write_records_csv(csv_path, dataclasses.replace(table, cause=np.where(
+            table.cause == 2, 0, table.cause)))
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump({**FAST_CONFIG, "pclm": {"enabled": pclm}}))
+        results = self.run_both(runner, monkeypatch, tmp_path,
+                                ["fit", str(csv_path), "--config", str(path)])
+        (pool, _), (serial, _) = results.values()
+        assert pool.exit_code == serial.exit_code == 2
+        assert "error: " in pool.output and pool.output == serial.output
+
+    def test_convergence_error_in_a_worker_exits_3_as_serial(self, runner, monkeypatch,
+                                                             tmp_path, cohort_csv):
+        path = tmp_path / "strict.yaml"
+        path.write_text(yaml.safe_dump({**FAST_CONFIG, "convergence": {"max_iter": 1}}))
+        results = self.run_both(runner, monkeypatch, tmp_path,
+                                ["fit", str(cohort_csv), "--config", str(path)])
+        (pool, _), (serial, _) = results.values()
+        assert pool.exit_code == serial.exit_code == 3
+        assert "error: " in pool.output and pool.output == serial.output
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1, 2, 3}])
+    def test_results_and_first_error_come_in_task_order(self, monkeypatch, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        tasks = [(math.sqrt, (float(x),), {}) for x in range(6)]
+        assert cli._run_tasks(tasks) == [math.sqrt(x) for x in range(6)]
+        failing = [(math.sqrt, (4.0,), {}), (math.sqrt, (-1.0,), {}),
+                   (operator.truediv, (1.0, 0.0), {})]
+        with pytest.raises(ValueError, match="math domain error"):
+            cli._run_tasks(failing)
+
+    def test_error_details_survive_the_worker(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("id,u,s_entry,s_exit,cause\nx,55,0,notanumber,1\ny,56,0,1,7\n")
+        with pytest.raises(DataError) as local:
+            h.read_records_csv(bad)
+        with pytest.raises(DataError) as remote:
+            cli._run_tasks([(h.read_records_csv, (bad,), {})])
+        assert str(remote.value) == str(local.value)
+        assert remote.value.details == local.value.details and len(local.value.details) == 2
+
+
+@pytest.mark.parametrize("user_value", [None, "2"])
+def test_import_pins_blas_threads_and_loads_no_multiprocessing(user_value):
+    """Importing the command line sets one BLAS thread unless the user chose a number, and
+    leaves multiprocessing to the pool helper that needs it."""
+    src = str(Path(h.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env.pop(var, None)
+    if user_value is not None:
+        env["OPENBLAS_NUM_THREADS"] = user_value
+    code = ("import json, os, sys, hazard2ts.cli; print(json.dumps([os.environ.get(v) for v in "
+            "('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS', 'MKL_NUM_THREADS')] + "
+            "[sorted(m for m in sys.modules if m.startswith('multiprocessing'))]))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert json.loads(out.stdout) == [user_value or "1", "1", "1", []]
+
+
+def test_nonfinite_values_are_written_as_strict_json(runner, cohort_csv, tmp_path):
+    """log10 rho = -inf has no RFC 8259 number: both files parse without the
+    non-standard constants, and the model still loads and predicts."""
+    cfg = {**FAST_CONFIG, "selection": {**FAST_CONFIG["selection"],
+                                        "log10_rho_u_range": [-math.inf, -math.inf]}}
+    path = tmp_path / "rho0.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    out = tmp_path / "o"
+    result = runner.invoke(main, ["fit", str(cohort_csv), "--config", str(path),
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    summary = json.loads((out / "fit_summary.json").read_text(), parse_constant=refuse)
+    model = json.loads((out / "model.json").read_text(), parse_constant=refuse)
+    assert summary["config"]["selection"]["log10_rho_u_range"] == ["-Infinity", "-Infinity"]
+    assert model["causes"]["1"]["penalty"]["log10_rho_u"] == "-Infinity"
+    payload, _, fits, _ = cli.load_model(out / "model.json")
+    assert payload["config"]["selection"]["log10_rho_u_range"] == [-math.inf, -math.inf]
+    for fit in fits.values():
+        assert fit.penalty.log10_rho_u == -math.inf
+    pts = tmp_path / "pts.csv"
+    pts.write_text("u,s\n60,2\n")
+    result = runner.invoke(main, ["predict", "--model", str(out / "model.json"),
+                                  "--points", str(pts), "--out", str(tmp_path / "pred.csv")])
+    assert result.exit_code == 0, result.output
