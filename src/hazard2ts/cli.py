@@ -212,14 +212,18 @@ def _call(task):
 def _run_tasks(tasks):
     """``[fn(*args, **kwargs) for fn, args, kwargs in tasks]``, the calls made in forked
     worker processes, one per usable CPU at most.  ``fn`` is a module-level function and its
-    arguments are pickled.  An exception is raised as the first failing task (in task order)
-    raised it.  Each worker runs the serial library code on one BLAS thread, so the results
-    are those of the calls made in this process."""
-    import multiprocessing      # here: the import would cost every command ~20 ms
+    arguments are pickled.  The first failing task in task order raises its exception here;
+    a worker that dies raises BrokenProcessPool.  Each worker runs the serial library code on
+    one BLAS thread, so the results are those of the calls made in this process."""
+    import multiprocessing      # here: the imports would cost every command ~20 ms
+    from concurrent.futures import ProcessPoolExecutor
 
-    with multiprocessing.get_context("fork").Pool(
-            min(len(tasks), len(os.sched_getaffinity(0)))) as pool:
-        return list(pool.imap(_call, tasks))
+    pool = ProcessPoolExecutor(min(len(tasks), len(os.sched_getaffinity(0))),
+                               mp_context=multiprocessing.get_context("fork"))
+    try:
+        return list(pool.map(_call, tasks))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # --------------------------------------------------------------------------
@@ -307,31 +311,27 @@ _NONFINITE = {"Infinity": math.inf, "-Infinity": -math.inf, "NaN": math.nan}
 
 def _json_value(obj):
     """``obj`` as plain JSON values, non-finite floats as the strings of ``_NONFINITE``."""
+    if isinstance(obj, np.ndarray) and np.isfinite(obj).all():
+        return obj.tolist()
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return _json_value(obj.tolist())
     if isinstance(obj, dict):
         return {key: _json_value(val) for key, val in obj.items()}
-    if isinstance(obj, np.ndarray):
-        if obj.dtype.kind != "f" or np.isfinite(obj).all():
-            return obj.tolist()
-        obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         return [_json_value(val) for val in obj]
-    if isinstance(obj, np.generic):
-        obj = obj.item()
     if isinstance(obj, float) and not math.isfinite(obj):
         return "NaN" if math.isnan(obj) else ("Infinity" if obj > 0 else "-Infinity")
     return obj
 
 
 def _read_nonfinite(val):
-    """A JSON value with the strings of ``_NONFINITE`` read back as floats; a list of numbers
-    only, however long, is returned as it is."""
-    if isinstance(val, str):
-        return _NONFINITE.get(val, val)
-    if isinstance(val, list) and not all(type(v) in (float, int) for v in val):
-        return [_read_nonfinite(v) for v in val]
+    """A JSON value with the strings of ``_NONFINITE`` read back as floats.  A list of
+    numbers alone is returned as it is, so a covariance is not walked entry by entry."""
     if isinstance(val, dict):
         return {key: _read_nonfinite(v) for key, v in val.items()}
-    return val
+    if isinstance(val, list) and not all(type(v) in (float, int) for v in val):
+        return [_read_nonfinite(v) for v in val]
+    return _NONFINITE.get(val, val) if isinstance(val, str) else val
 
 
 def write_json(path, payload):

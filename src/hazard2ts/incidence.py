@@ -171,10 +171,8 @@ def _quadrature(fits: dict, Bu: dict, K: np.ndarray, delta: float, coefs: dict =
         tot *= delta
         # survival just before each node: exclusive prefix of the total hazard
         np.exp(np.negative(_prefix(tot, pre)[..., :K_c], out=S), out=S)
-        if shared:
-            take = (np.arange(K_c)[:, None] < K[0]).astype(float)
-        else:
-            take = (np.arange(K_c) < K[rows]).astype(float)
+        k = np.arange(K_c)
+        take = (k[:, None] < K[0] if shared else k < K[rows]).astype(float)
         for ell in causes:
             np.multiply(lam[ell], delta, out=tot)
             cumhaz[ell][..., rows, :] = _read_off(tot, take, shared)

@@ -6,6 +6,7 @@ import operator
 import os
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -536,6 +537,10 @@ class TestWorkerProcesses:
                    (operator.truediv, (1.0, 0.0), {})]
         with pytest.raises(ValueError, match="math domain error"):
             cli._run_tasks(failing)
+
+    def test_a_worker_that_dies_raises_instead_of_hanging(self):
+        with pytest.raises(BrokenProcessPool):
+            cli._run_tasks([(math.sqrt, (4.0,), {}), (os._exit, (3,), {})])
 
     def test_error_details_survive_the_worker(self, tmp_path):
         bad = tmp_path / "bad.csv"
