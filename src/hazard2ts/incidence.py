@@ -101,13 +101,6 @@ def _view(buffer: np.ndarray, shape: tuple) -> np.ndarray:
     return buffer[:math.prod(shape)].reshape(shape)
 
 
-def _prefix(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Inclusive partial sums along the last axis, led by a zero (K = 0) entry, into ``out``."""
-    out[..., 0] = 0.0
-    np.cumsum(x, axis=-1, out=out[..., 1:])
-    return out
-
-
 def _read_off(x: np.ndarray, take: np.ndarray, shared: bool) -> np.ndarray:
     """Sums of ``x`` over the first K nodes of each entry: ``take`` is the 0/1 (K_c x n_cols)
     matrix of a shared ``K`` row, or the 0/1 (n_rows x K_c) mask of paired points."""
@@ -125,7 +118,7 @@ def _quadrature(fits: dict, Bu: dict, K: np.ndarray, delta: float, coefs: dict =
     axis (b x c_u x c_s), which then leads both outputs.  Rows go in order of
     their largest node count (a stable sort: the identity when all rows share
     one ``K``), _CHUNK row-draws at a time; each chunk works up to its own
-    largest count.  Survival before each node is the one exclusive prefix sum;
+    largest count.  Survival before each node comes from the one prefix sum;
     the cumulative hazards and CIFs are read off at ``K`` as sums over the
     first ``K`` nodes, by a 0/1 (K_c x n_cols) matrix for a shared ``K`` row
     and by a masked row sum for paired points.  The node basis and the chunk
@@ -146,11 +139,11 @@ def _quadrature(fits: dict, Bu: dict, K: np.ndarray, delta: float, coefs: dict =
     if K_max == 0:
         return cumhaz, cif
     step = max(1, _CHUNK // math.prod(lead))
-    ladder, size = (K_max, delta, causes), math.prod(lead) * min(step, len(K)) * (K_max + 1)
+    ladder, size = (K_max, delta, causes), math.prod(lead) * min(step, len(K)) * K_max
     work = {} if work is None else work
     if work.get("ladder") != ladder or work["size"] < size:
         nodes = delta * np.arange(K_max)
-        work.update({name: np.empty(size) for name in ("tot", "S", "pre", *causes)},
+        work.update({name: np.empty(size) for name in ("tot", "S", *causes)},
                     ladder=ladder, size=size,
                     Bs_nodes={ell: evaluate_basis(nodes, fits[ell].kv_s).values for ell in causes})
     order = np.argsort(K_row, kind="stable")
@@ -164,13 +157,14 @@ def _quadrature(fits: dict, Bu: dict, K: np.ndarray, delta: float, coefs: dict =
                               out=_view(work[ell], shape))
                for ell in causes}
         tot, S = _view(work["tot"], shape), _view(work["S"], shape)
-        pre = _view(work["pre"], shape[:-1] + (K_c + 1,))
         np.copyto(tot, np.exp(lam[causes[0]], out=lam[causes[0]]))
         for ell in causes[1:]:
             tot += np.exp(lam[ell], out=lam[ell])
         tot *= delta
-        # survival just before each node: exclusive prefix of the total hazard
-        np.exp(np.negative(_prefix(tot, pre)[..., :K_c], out=S), out=S)
+        # survival just before each node: exp(-exclusive prefix sum of the total hazard)
+        S[..., 0] = 0.0
+        np.cumsum(tot[..., :-1], axis=-1, out=S[..., 1:])
+        np.exp(np.negative(S, out=S), out=S)
         k = np.arange(K_c)
         take = (k[:, None] < K[0] if shared else k < K[rows]).astype(float)
         for ell in causes:
