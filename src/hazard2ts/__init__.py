@@ -13,10 +13,10 @@ __version__ = "0.1.0"
 
 import os
 
-# One BLAS thread, set before numpy loads its BLAS: the matrices here have at most a few
-# hundred rows, where a second thread costs more in wake-ups than it saves, and the
-# independent smoothing searches run in forked worker processes (hazard2ts.cli), which
-# would each start their own BLAS threads.  A value the user has set wins.
+# One BLAS thread, set before numpy loads its BLAS: a second thread gains little on
+# matrices of at most a few hundred rows, and the independent smoothing searches run in
+# forked worker processes (hazard2ts.cli), which would each start their own BLAS threads
+# and compete for the cores.  A value the user has set wins.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
