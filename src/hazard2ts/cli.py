@@ -85,9 +85,6 @@ class PclmConfig:
     log10_phi_hi: float = 2.0
     log10_phi_step: float = 0.5
 
-    def grid(self) -> np.ndarray:
-        return np.arange(self.log10_phi_lo, self.log10_phi_hi + 1e-9, self.log10_phi_step)
-
 
 @dataclass
 class MonteCarloBlock:
@@ -95,7 +92,7 @@ class MonteCarloBlock:
 
 
 # what a run uses, built from a RunConfig by RunConfig.setup
-RunSetup = namedtuple("RunSetup", "grid kv_u kv_s criterion search mc phi_grid delta")
+RunSetup = namedtuple("RunSetup", "grid kv_u kv_s criterion search mc phi_search delta")
 
 
 @dataclass
@@ -121,22 +118,17 @@ class RunConfig:
             difference_matrix(kv.n_basis, self.d)
         search = SearchConfig(tuple(sel.log10_rho_u_range), tuple(sel.log10_rho_s_range),
                               sel.coarse_step, sel.refine_resolution)
-        # len(pclm.grid()) per axis of the phi search, without building it
-        n_phi = math.ceil((pclm.log10_phi_hi + 1e-9 - pclm.log10_phi_lo) / pclm.log10_phi_step)
-        if n_phi > 0 and n_phi ** 2 > search.max_evals:
-            raise ValueError(f"the pclm log10 phi grid has {n_phi ** 2} candidates, more than "
-                             f"max_evals ({search.max_evals}), got {dataclasses.asdict(pclm)}")
-        phi_grid = pclm.grid()
-        if not phi_grid.size:
-            raise ValueError(f"empty pclm log10 phi grid from {dataclasses.asdict(pclm)}")
-        PenaltyConfig(phi_grid[-1], phi_grid[-1])   # the largest phi is a float
+        phi = (pclm.log10_phi_lo, pclm.log10_phi_hi)   # searched unrefined: resolution = step
+        phi_search = SearchConfig(phi, phi, pclm.log10_phi_step, pclm.log10_phi_step)
+        if phi[0] == -math.inf:   # phi = 0: no unpenalized composite link fits the tail rows
+            raise ValueError(f"pclm log10 phi range must be finite, got {phi}")
         if ungroup or pclm.enabled:
             if abs(pclm.closing_age - g.u_hi) > 1e-9:
                 raise ValueError(f"pclm.closing_age ({pclm.closing_age}) must equal "
                                  f"grid.u_hi ({g.u_hi})")
             grid.first_grouped_row(pclm.first_grouped_age)
         return RunSetup(grid, kv_u, kv_s, check_criterion(sel.criterion), search,
-                        MonteCarloConfig(self.montecarlo.n_draws, self.seed), phi_grid,
+                        MonteCarloConfig(self.montecarlo.n_draws, self.seed), phi_search,
                         quadrature_step(self.delta, grid.h_s))
 
 
@@ -190,7 +182,7 @@ def load_config(path=None, seed=None, draws=None, ungroup=False) -> RunConfig:
         if draws is not None:
             cfg.montecarlo.n_draws = draws
         cfg.setup(ungroup)
-    except (ValueError, ArithmeticError) as exc:   # ArithmeticError: a zero phi step
+    except (ValueError, ArithmeticError) as exc:   # ArithmeticError: a grid count past floats
         raise DataError(f"bad run settings: {exc}") from None
     return cfg
 
@@ -229,7 +221,7 @@ def _run_tasks(tasks):
 # --------------------------------------------------------------------------
 # grouped-tail assembly
 
-def assemble_ungrouped(grouped, body_R, kv_u, kv_s, d, phi_grid, ctrl):
+def assemble_ungrouped(grouped, body_R, kv_u, kv_s, d, phi_search, ctrl):
     """Build a full fine-grid BinnedData from grouped counts and body exposure.
 
     Event tails come from composite-link fits per cause; the exposure tail
@@ -243,16 +235,16 @@ def assemble_ungrouped(grouped, body_R, kv_u, kv_s, d, phi_grid, ctrl):
     Bs_mid = evaluate_basis(grid.s_mid, kv_s)
     Bs_edges = evaluate_basis(grid.s_edges, kv_s)
 
-    search = {"d": d, "log10_phi_grid": phi_grid, "ctrl": ctrl}
+    options = {"d": d, "search": phi_search, "ctrl": ctrl}
     causes = sorted(grouped.Z)
     *events, at_risk_fit = _run_tasks(
-        [(ungroup_events, (grouped.Z[ell], spec, Bu_mid, Bs_mid), search) for ell in causes]
+        [(ungroup_events, (grouped.Z[ell], spec, Bu_mid, Bs_mid), options) for ell in causes]
         + [(select_pclm_smoothing, (grouped.at_risk, composition_matrix(spec), Bu_mid, Bs_edges),
-            search)])
+            options)])
     Y = {ell: Y_ell for ell, (Y_ell, _) in zip(causes, events)}
-    diagnostics = {f"cause{ell}": _pclm_diag(fit, phi_grid)
-                   for ell, (_, fit) in zip(causes, events)}
-    diagnostics["at_risk"] = _pclm_diag(at_risk_fit, phi_grid)
+    axes = phi_search.axes()
+    diagnostics = {f"cause{ell}": _pclm_diag(fit, axes) for ell, (_, fit) in zip(causes, events)}
+    diagnostics["at_risk"] = _pclm_diag(at_risk_fit, axes)
     tail_exposure = ungroup_exposure(at_risk_fit.Gamma[spec.g - 1:], grid.h_s)
     R = np.vstack([np.asarray(body_R), tail_exposure])
     return BinnedData(grid=grid, Y=Y, R=R), diagnostics
@@ -264,12 +256,13 @@ def _on_edge(value, bounds) -> bool:
     return bool(value in ends or min(abs(value - end) for end in ends) <= 1e-6)
 
 
-def _pclm_diag(fit, phi_grid):
+def _pclm_diag(fit, axes):
+    """A PCLM fit's summary; "on edge" is judged against the ends of the searched ``axes``."""
     return {
         "log10_phi_u": fit.phis[0],
         "log10_phi_s": fit.phis[1],
-        "log10_phi_u_on_edge": _on_edge(fit.phis[0], phi_grid),
-        "log10_phi_s_on_edge": _on_edge(fit.phis[1], phi_grid),
+        "log10_phi_u_on_edge": _on_edge(fit.phis[0], axes[0]),
+        "log10_phi_s_on_edge": _on_edge(fit.phis[1], axes[1]),
         "aic": fit.aic,
         "ed": fit.ed,
         "deviance": fit.deviance,
@@ -395,7 +388,7 @@ def load_model(path):
             kv_u=kv_u, kv_s=kv_s, grid=grid,
             W_hat=None, deviance=entry["deviance"], ed=entry["ed"],
             aic=entry["aic"], bic=entry["bic"], n_bin=entry["n_bin"],
-            converged=True, n_iter=entry["iterations"], score_rel=0.0,
+            n_iter=entry["iterations"], score_rel=0.0,
             gram=None, inverse=None,
             hull=(sup["kind"], np.asarray(sup["data"]) if sup["kind"] == "polygon"
                   else tuple(sup["data"])),
@@ -447,13 +440,13 @@ def cmd_fit(input_csv, config_path, outdir, seed, draws):
 def run_fit_pipeline(cfg: RunConfig, records, outdir: Path):
     """Everything cmd_fit does after argument parsing (importable for tests)."""
     outdir.mkdir(parents=True, exist_ok=True)
-    grid, kv_u, kv_s, criterion, search, mc, phi_grid, delta = cfg.setup()
+    grid, kv_u, kv_s, criterion, search, mc, phi_search, delta = cfg.setup()
 
     pclm_diag = None
     if cfg.pclm.enabled:
         grouped, fine = grouped_view(records, grid, cfg.pclm.first_grouped_age)
         binned, pclm_diag = assemble_ungrouped(
-            grouped, fine.R[: grouped.g - 1], kv_u, kv_s, cfg.d, phi_grid, cfg.convergence
+            grouped, fine.R[: grouped.g - 1], kv_u, kv_s, cfg.d, phi_search, cfg.convergence
         )
     else:
         binned = bin_records(records, grid)
@@ -540,7 +533,7 @@ def run_ungroup_pipeline(cfg: RunConfig, records, outdir: Path):
     grid = run.grid
     grouped, fine = grouped_view(records, grid, cfg.pclm.first_grouped_age)
     binned, diagnostics = assemble_ungrouped(
-        grouped, fine.R[: grouped.g - 1], run.kv_u, run.kv_s, cfg.d, run.phi_grid,
+        grouped, fine.R[: grouped.g - 1], run.kv_u, run.kv_s, cfg.d, run.phi_search,
         cfg.convergence,
     )
     for ell in CAUSES:
@@ -572,11 +565,17 @@ def cmd_simulate(scenario_yaml, out_csv, n, seed):
 
 
 def scenario_from_dict(raw: dict, n_override=None, seed_override=None) -> ScenarioSpec:
+    """The scenario of a parsed YAML document; DataError where it or a block is no mapping."""
     def closure(block):
         block = dict(block)
         return hazard_family(block.pop("name"), **block)
 
+    if not isinstance(raw, dict):
+        raise DataError(f"scenario must be a mapping, got {raw!r}")
     age = raw.get("age", {})
+    for key, block in (("age", age), ("cause1", raw["cause1"]), ("cause2", raw["cause2"])):
+        if not isinstance(block, dict):
+            raise DataError(f"scenario key {key} must be a mapping, got {block!r}")
     return ScenarioSpec(
         hazard1=closure(raw["cause1"]),
         hazard2=closure(raw["cause2"]),
@@ -627,10 +626,9 @@ def _read_points(path, coords):
 
 
 def run_predict_pipeline(model_path, points_csv, coords, out_csv):
-    payload, grid, fits, Sigmas = load_model(model_path)
+    payload, _, fits, Sigmas = load_model(model_path)
     first, s_arr = _read_points(points_csv, coords)
-    cfg = payload["config"]
-    delta = cfg.get("delta") or grid.h_s / 10.0
+    delta = payload["config"].get("delta")   # None: the default step of the quadrature
 
     if coords == "ts":
         surf = to_age_coordinates(fits, first, s_arr, delta=delta)

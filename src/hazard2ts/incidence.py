@@ -38,9 +38,8 @@ _CHUNK = 4096
 class Surfaces:
     """Per-cause hazard/cumulative-hazard/CIF plus survival on a point grid.
 
-    ``coords`` records whether the first axis is age at diagnosis ("us") or
-    attained age ("ts").  ``extrapolated`` flags points outside the convex
-    hull of the positive-exposure bins the fit saw.
+    ``u_points`` are ages at diagnosis.  ``extrapolated`` flags points outside
+    the convex hull of the positive-exposure bins the fit saw.
     """
 
     u_points: np.ndarray
@@ -50,7 +49,6 @@ class Surfaces:
     survival: np.ndarray
     cif: dict
     delta: float
-    coords: str = "us"
     extrapolated: np.ndarray = None
 
 
@@ -175,7 +173,7 @@ def _quadrature(fits: dict, Bu: dict, K: np.ndarray, delta: float, coefs: dict =
     return cumhaz, cif
 
 
-def _surfaces(fits: dict, u_points, s_points, delta, paired: bool, coords: str = "us"):
+def _surfaces(fits: dict, u_points, s_points, delta, paired: bool):
     """Hazards, quadrature surfaces and extrapolation flags, on a grid or at paired points."""
     u, s, delta, Bu = _prepare(fits, u_points, s_points, delta)
     if paired and u.shape != s.shape:
@@ -191,7 +189,7 @@ def _surfaces(fits: dict, u_points, s_points, delta, paired: bool, coords: str =
     cumhaz, cif = _quadrature(fits, Bu, K, delta)
     return Surfaces(
         u_points=u, s_points=s, hazard=hazard, cumhaz=cumhaz,
-        survival=np.exp(-sum(cumhaz.values())), cif=cif, delta=delta, coords=coords,
+        survival=np.exp(-sum(cumhaz.values())), cif=cif, delta=delta,
         extrapolated=extrapolation_mask(fits[min(fits)], u, s, paired=paired),
     )
 
@@ -201,18 +199,12 @@ def compute_surfaces(fits: dict, u_points, s_points, delta: float = None) -> Sur
     return _surfaces(fits, u_points, s_points, delta, paired=False)
 
 
-def surfaces_at_points(
-    fits: dict,
-    u_arr,
-    s_arr,
-    delta: float = None,
-    coords: str = "us",
-) -> Surfaces:
+def surfaces_at_points(fits: dict, u_arr, s_arr, delta: float = None) -> Surfaces:
     """Derived quantities at paired points (u_i, s_i) rather than a grid.
 
     Returns a Surfaces object whose matrices have shape (n_points, 1).
     """
-    return _surfaces(fits, u_arr, s_arr, delta, paired=True, coords=coords)
+    return _surfaces(fits, u_arr, s_arr, delta, paired=True)
 
 
 def cumulative_hazard(fit: FittedHazard, u: float, s: float, delta: float) -> float:
@@ -239,7 +231,7 @@ def to_age_coordinates(fits: dict, t_arr, s_arr, delta: float = None) -> Surface
         bad = list(zip(t_arr[bad].tolist(), s_arr[bad].tolist()))
         raise DomainError(f"attained age must exceed time since diagnosis at {bad[:10]}",
                           points=bad)
-    return surfaces_at_points(fits, t_arr - s_arr, s_arr, delta=delta, coords="ts")
+    return surfaces_at_points(fits, t_arr - s_arr, s_arr, delta=delta)
 
 
 def in_support(hull, u, s, atol: float = 1e-9):

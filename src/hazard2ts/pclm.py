@@ -7,8 +7,8 @@ sums the fine rows belonging to the final wide interval.  Gamma is
 difference penalties.  This is the penalized Poisson likelihood of the
 hazard fits with a row-composition matrix in front of the means, so theta
 is estimated by the same damped Newton engine (``smooth2d._newton``, unit
-exposure) and the smoothing parameters by the hazard fits' grid search
-(``smooth2d._GridSearch``) over an exhaustive AIC grid.
+exposure) and the smoothing parameters by AIC with the hazard fits' search
+(``smooth2d._GridSearch`` over a ``SearchConfig``), its resolution its step.
 
 Columns are never grouped (the composition along the second axis is the
 identity), which keeps the problem in array form: observed rows that are a
@@ -29,7 +29,8 @@ import numpy as np
 from . import glam
 from .basis import BasisMatrix
 from .errors import DataError
-from .smooth2d import FitControl, PenaltyConfig, _GridSearch, _hat_trace, _newton, _PoissonProblem
+from .smooth2d import (FitControl, PenaltyConfig, SearchConfig, _GridSearch, _hat_trace, _newton,
+                       _PoissonProblem)
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,9 @@ class CompositionSpec:
     def __post_init__(self):
         if not (2 <= self.g < self.n_u):
             raise ValueError(f"need 2 <= g < n_u, got g={self.g}, n_u={self.n_u}")
+
+
+PHI_SEARCH = SearchConfig((-1.0, 2.0), (-1.0, 2.0), 0.5, 0.5)   # default: [-1, 2] by 0.5, unrefined
 
 
 def composition_matrix(spec: CompositionSpec) -> np.ndarray:
@@ -64,7 +68,6 @@ class PclmFit:
     deviance: float
     ed: float
     aic: float
-    converged: bool
     n_iter: int
     candidates: list = field(default_factory=list)  # (log10_phi_u, log10_phi_s, aic) per search point
 
@@ -95,7 +98,7 @@ def _fit(prob: _PoissonProblem, C_u, phis, d: int, ctrl: FitControl, start=None)
     ed = _hat_trace(res.inverse, res.gram)
     fit = PclmFit(Gamma=res.full, Psi=np.maximum(np.asarray(C_u, dtype=float) @ res.full, 1e-300),
                   theta=res.alpha, phis=tuple(phis), deviance=res.deviance, ed=ed,
-                  aic=res.deviance + 2.0 * ed, converged=True, n_iter=res.n_iter)
+                  aic=res.deviance + 2.0 * ed, n_iter=res.n_iter)
     return fit.aic, fit.theta, fit
 
 
@@ -133,24 +136,20 @@ def select_pclm_smoothing(
     Bu: BasisMatrix,
     Bs: BasisMatrix,
     d: int = 2,
-    log10_phi_grid=None,
+    search: SearchConfig = PHI_SEARCH,
     ctrl: FitControl = FitControl(),
 ) -> PclmFit:
-    """Exhaustive AIC grid search over (log10 phi_u, log10 phi_s).
+    """AIC search over (log10 phi_u, log10 phi_s), the ranges of ``search`` read as phi's.
 
-    The default grid spans [-1, 2] in steps of 0.5 on both axes.  The search is the hazard
-    search's grid (``smooth2d._GridSearch``: warm starts, one cold retry, ties toward the
-    larger phi_u + phi_s); ``fit.candidates`` lists (log10 phi_u, log10 phi_s, aic or inf).
+    The search is the hazard search (``smooth2d._GridSearch.run``: warm starts, one cold
+    retry, ties toward the larger phi_u + phi_s, pattern refinement down to
+    ``refine_resolution``); the default, :data:`PHI_SEARCH`, is an exhaustive grid.
+    ``fit.candidates`` lists (log10 phi_u, log10 phi_s, aic or inf).
     """
-    if log10_phi_grid is None:
-        log10_phi_grid = np.arange(-1.0, 2.0 + 1e-9, 0.5)
-    log10_phi_grid = np.asarray(log10_phi_grid, dtype=float)
-    if log10_phi_grid.size == 0:
-        raise ValueError("empty smoothing-parameter grid")
     prob = _problem(Z, C_u, Bu, Bs)
     grid = _GridSearch(lambda lpu, lps, start: _fit(prob, C_u, (float(lpu), float(lps)), d,
                                                     ctrl, start))
-    best = grid.run_grid(log10_phi_grid, log10_phi_grid).fit
+    best = grid.run(search).fit
     best.candidates = [row[:3] for row in grid.table]
     return best
 
@@ -161,7 +160,7 @@ def ungroup_events(
     Bu: BasisMatrix,
     Bs: BasisMatrix,
     d: int = 2,
-    log10_phi_grid=None,
+    search: SearchConfig = PHI_SEARCH,
     ctrl: FitControl = FitControl(),
 ):
     """Replace the grouped tail rows of a count matrix by fitted fine rows.
@@ -172,7 +171,7 @@ def ungroup_events(
     tail row by construction.
     """
     C_u = composition_matrix(spec)
-    fit = select_pclm_smoothing(Z, C_u, Bu, Bs, d=d, log10_phi_grid=log10_phi_grid, ctrl=ctrl)
+    fit = select_pclm_smoothing(Z, C_u, Bu, Bs, d=d, search=search, ctrl=ctrl)
     Y_full = np.empty((spec.n_u, Z.shape[1]))
     Y_full[: spec.g - 1] = Z[: spec.g - 1]
     Y_full[spec.g - 1:] = fit.Gamma[spec.g - 1:]

@@ -164,7 +164,6 @@ class GroupedCounts:
     at_risk: np.ndarray
     grid: LexisGrid
     g: int
-    first_grouped_age: float
 
 
 def at_risk_matrix(records, grid: LexisGrid) -> np.ndarray:
@@ -203,5 +202,5 @@ def grouped_view(records, grid: LexisGrid, first_grouped_age: float):
     }
     N_fine = at_risk_matrix(records, grid)
     N = np.vstack([N_fine[:cut], N_fine[cut:].sum(axis=0, keepdims=True)])
-    grouped = GroupedCounts(Z=Z, at_risk=N, grid=grid, g=g, first_grouped_age=first_grouped_age)
+    grouped = GroupedCounts(Z=Z, at_risk=N, grid=grid, g=g)
     return grouped, fine

@@ -87,7 +87,6 @@ class FittedHazard:
     aic: float
     bic: float
     n_bin: int
-    converged: bool
     n_iter: int
     score_rel: float
     gram: np.ndarray = field(repr=False)             # B' W_hat B at convergence
@@ -394,30 +393,24 @@ def fit_hazard(data: BinnedData, cause: int, kv_u: KnotVector, kv_s: KnotVector,
     setup = _prepare(data, cause, kv_u, kv_s) if _setup is None else _setup
     ws = setup.prob.ws
     res = _newton(setup.prob, penalty, ctrl, _start)
-    fit = FittedHazard(
+    ed = _hat_trace(res.inverse, res.gram)
+    return FittedHazard(
         A=res.alpha.reshape(ws.c_u, ws.c_s, order="F"), penalty=penalty, kv_u=kv_u, kv_s=kv_s,
-        grid=data.grid, W_hat=res.mu, deviance=res.deviance, ed=np.nan, aic=np.nan, bic=np.nan,
-        n_bin=setup.n_bin, converged=True, n_iter=res.n_iter, score_rel=res.score_rel,
-        gram=res.gram, inverse=res.inverse, hull=setup.hull,
+        grid=data.grid, W_hat=res.mu, deviance=res.deviance, ed=ed, aic=res.deviance + 2.0 * ed,
+        bic=res.deviance + math.log(setup.n_bin) * ed, n_bin=setup.n_bin, n_iter=res.n_iter,
+        score_rel=res.score_rel, gram=res.gram, inverse=res.inverse, hull=setup.hull,
     )
-    fit.ed = effective_dimension(fit)
-    fit.aic, fit.bic = information_criteria(fit)
-    return fit
 
 
 def effective_dimension(fit: FittedHazard) -> float:
     """Trace of the hat matrix, ``tr{(B'WB + P)^-1 B'WB}``, clamped to [0, n_coef]."""
-    if not fit.converged:
-        raise ConvergenceError("effective dimension requires a converged fit")
     return _hat_trace(fit.inverse, fit.gram)
 
 
 def information_criteria(fit: FittedHazard):
     """AIC and BIC from deviance, effective dimension, and the bin count."""
-    ed = fit.ed if np.isfinite(fit.ed) else effective_dimension(fit)
-    aic = fit.deviance + 2.0 * ed
-    bic = fit.deviance + math.log(fit.n_bin) * ed
-    return float(aic), float(bic)
+    return (float(fit.deviance + 2.0 * fit.ed),
+            float(fit.deviance + math.log(fit.n_bin) * fit.ed))
 
 
 @dataclass(frozen=True)
@@ -431,22 +424,27 @@ class SearchConfig:
     max_evals: int = 400
 
     def __post_init__(self):
-        # a zero or infinite step would never finish refining (or divide by zero); np.arange
-        # enumerates finite ranges only, so rho = 0 is the one infinite range (-inf, -inf)
+        # a zero or infinite step would never finish refining (or divide by zero), nor would
+        # a resolution below the 6 decimals candidates are told apart by; np.arange enumerates
+        # finite ranges only, so rho = 0 is the one infinite range (-inf, -inf)
         (lo_u, hi_u), (lo_s, hi_s) = self.log10_rho_u_range, self.log10_rho_s_range
         PenaltyConfig(hi_u, hi_s)   # the largest rho of the search is a float
-        steps = (self.coarse_step, self.refine_resolution)
-        if not (all(0 < x < math.inf for x in steps) and all(
-                math.isfinite(lo) and lo <= hi or lo == hi == -math.inf
-                for lo, hi in ((lo_u, hi_u), (lo_s, hi_s)))):
-            raise ValueError("need finite positive coarse_step and refine_resolution and finite "
-                             f"log10 ranges (lo, hi) with lo <= hi, got {self}")
-        # len(np.arange(lo, hi + 1e-9, coarse_step)) per axis, without building it
+        if not (0 < self.coarse_step < math.inf and 1e-6 <= self.refine_resolution < math.inf
+                and all(math.isfinite(lo) and lo <= hi or lo == hi == -math.inf
+                        for lo, hi in ((lo_u, hi_u), (lo_s, hi_s)))):
+            raise ValueError("need a finite positive coarse_step, a finite refine_resolution of at "
+                             f"least 1e-6 and log10 ranges (lo, hi) with lo <= hi, got {self}")
+        # len(axis) of each of self.axes(), without building it
         n_coarse = math.prod(math.ceil((hi + 1e-9 - lo) / self.coarse_step) if lo > -math.inf
                              else 1 for lo, hi in ((lo_u, hi_u), (lo_s, hi_s)))
         if n_coarse > self.max_evals:
             raise ValueError(f"the coarse grid has {n_coarse} candidates, more than max_evals "
                              f"({self.max_evals}), got {self}")
+
+    def axes(self) -> tuple:
+        """Per axis the coarse log10 values, ``np.arange(lo, hi + 1e-9, coarse_step)`` or -inf."""
+        return tuple(np.arange(lo, hi + 1e-9, self.coarse_step) if lo > -math.inf else
+                     np.array([lo]) for lo, hi in (self.log10_rho_u_range, self.log10_rho_s_range))
 
 
 _Best = namedtuple("_Best", "value tie key coef fit")   # tie = -(a + b): smaller wins
@@ -484,9 +482,12 @@ class _GridSearch:
                 self.best = cand
         return self._cache[k]
 
-    def run_grid(self, rows, cols):
-        """Fit every (row, col) candidate row by row, each from the last converged one of its row
-        (failures do not reset it), each row from the first converged fit of the row before."""
+    def run(self, search: SearchConfig) -> _Best:
+        """Fit ``search.axes()`` row by row, each candidate from the last converged one of its row
+        (failures do not reset it), each row from the first converged fit of the row before; then
+        pattern-search from the best (axis moves in the ranges, the step halved when none improves)
+        while the step is at least ``refine_resolution`` and under ``max_evals`` were fitted."""
+        rows, cols = search.axes()
         row_start = None
         for la in rows:
             done = []                 # converged coefficients of this row
@@ -496,6 +497,17 @@ class _GridSearch:
             row_start = done[0] if done else None
         if self.best is None:
             raise ConvergenceError("smoothing search exhausted without any convergent fit")
+
+        (lo_a, hi_a), (lo_b, hi_b) = search.log10_rho_u_range, search.log10_rho_s_range
+        step = search.coarse_step / 2.0
+        while step >= search.refine_resolution - 1e-12 and len(self.table) < search.max_evals:
+            origin = self.best.key
+            for da, db in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
+                la, lb = self.best.key[0] + da, self.best.key[1] + db
+                if lo_a - 1e-9 <= la <= hi_a + 1e-9 and lo_b - 1e-9 <= lb <= hi_b + 1e-9:
+                    self.evaluate(la, lb, self.best.coef)
+            if self.best.key == origin:   # no move improved: refine the step
+                step /= 2.0
         return self.best
 
 
@@ -511,10 +523,9 @@ def select_smoothing(data: BinnedData, cause: int, kv_u: KnotVector, kv_s: KnotV
                      ctrl: FitControl = FitControl()) -> FittedHazard:
     """Pick (rho_u, rho_s) minimizing AIC or BIC and return the winning fit.
 
-    Stage one is the coarse log10 grid of :class:`_GridSearch` (warm starts, one cold retry,
-    ties toward the larger rho_u + rho_s); stage two a pattern search (axis moves, step
-    halving down to ``refine_resolution``) from the grid optimum, each move warm-started from
-    the current best.  Candidates share one prepared problem; ``candidates`` lists them all.
+    The search is :meth:`_GridSearch.run` over ``search``: the coarse log10 grid (warm starts,
+    one cold retry, ties toward the larger rho_u + rho_s), then pattern refinement down to
+    ``refine_resolution``.  Candidates share one prepared problem; ``candidates`` lists them.
     """
     criterion = check_criterion(criterion)
     setup = _prepare(data, cause, kv_u, kv_s)
@@ -524,21 +535,7 @@ def select_smoothing(data: BinnedData, cause: int, kv_u: KnotVector, kv_s: KnotV
                          _setup=setup, _start=start)
         return (fit.aic if criterion == "AIC" else fit.bic), fit.coef, fit
 
-    (lo_u, hi_u), (lo_s, hi_s) = search.log10_rho_u_range, search.log10_rho_s_range
     grid = _GridSearch(fit_one)
-    # the rho = 0 range (-inf, -inf) is the one value -inf; np.arange cannot enumerate it
-    grid.run_grid(*(np.arange(lo, hi + 1e-9, search.coarse_step) if lo > -math.inf
-                    else np.array([lo]) for lo, hi in ((lo_u, hi_u), (lo_s, hi_s))))
-
-    # pattern search around the grid optimum, confined to the search ranges
-    step = search.coarse_step / 2.0
-    while step >= search.refine_resolution - 1e-12 and len(grid.table) < search.max_evals:
-        origin = grid.best.key
-        for dlu, dls in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
-            lu, ls = grid.best.key[0] + dlu, grid.best.key[1] + dls
-            if lo_u - 1e-9 <= lu <= hi_u + 1e-9 and lo_s - 1e-9 <= ls <= hi_s + 1e-9:
-                grid.evaluate(lu, ls, grid.best.coef)
-        if grid.best.key == origin:   # no move improved: refine the step
-            step /= 2.0
-    grid.best.fit.candidates = grid.table
-    return grid.best.fit
+    best = grid.run(search).fit
+    best.candidates = grid.table
+    return best

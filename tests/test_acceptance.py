@@ -188,7 +188,8 @@ def test_ungrouping_sensitivity():
     fine = h.bin_records(records, grid)
     grouped, _ = h.grouped_view(records, grid, 90.0)
     ungrouped, _ = assemble_ungrouped(grouped, fine.R[: grouped.g - 1], kv_u, kv_s,
-                                      2, np.arange(-1.0, 2.01, 0.5), h.FitControl())
+                                      2, h.SearchConfig((-1.0, 2.0), (-1.0, 2.0), 0.5, 0.5),
+                                      h.FitControl())
 
     below = (fine.R > 0) & (grid.u_mid[:, None] < 90.0)
     worst_rms = 0.0
@@ -244,7 +245,7 @@ def test_standard_configuration_structure():
         "tail spans 10 rows": C[-1].sum() == 10.0,
         "difference order 2": cfg.d == 2,
         "criterion BIC": cfg.selection.criterion == "BIC",
-        "phi grid [-1,2] step 0.5": len(cfg.pclm.grid()) == 7,
+        "phi grid [-1,2] step 0.5": [len(a) for a in cfg.setup().phi_search.axes()] == [7, 7],
     }
     failed = [k for k, v in checks.items() if not v]
     _report("standard-configuration-structure", not failed,

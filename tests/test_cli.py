@@ -90,7 +90,7 @@ class TestConfig:
         assert cfg.d == 2 and cfg.selection.criterion == "BIC"
         assert (cfg.pclm.log10_phi_lo, cfg.pclm.log10_phi_hi) == (-1.0, 2.0)
         assert cfg.pclm.closing_age == 100.0
-        assert len(cfg.pclm.grid()) == 7
+        assert [len(a) for a in cfg.setup().phi_search.axes()] == [7, 7]
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.yaml"
@@ -150,6 +150,10 @@ class TestConfig:
         {"selection": {"log10_rho_u_range": [-1000000.0, 7.0]}},
         # 200,005 phi values per axis, more than max_evals candidates: once a fit that did not end
         {"pclm": {"enabled": True, "log10_phi_lo": -100000.0}},
+        # phi = 0: an unpenalized composite link model cannot identify the tail rows
+        {"pclm": {"log10_phi_lo": -math.inf, "log10_phi_hi": -math.inf}},
+        # a pattern search that never ended: its moves below 6 decimals refit nothing
+        {"selection": {"refine_resolution": 1e-13}},
     ])
     def test_bad_search_settings_exit_2_before_reading_input(self, runner, tmp_path, block):
         path = tmp_path / "bad.yaml"
@@ -190,7 +194,7 @@ class TestConfig:
     def test_phi_grid_is_capped_at_max_evals_candidates(self, tmp_path):
         path = tmp_path / "phi.yaml"
         path.write_text("pclm: {log10_phi_lo: 0.0, log10_phi_hi: 9.5}\n")   # 20 x 20 candidates
-        assert len(load_config(path).pclm.grid()) == 20
+        assert [len(a) for a in load_config(path).setup().phi_search.axes()] == [20, 20]
         path.write_text("pclm: {log10_phi_lo: 0.0, log10_phi_hi: 10.0}\n")
         with pytest.raises(DataError, match="441 candidates"):
             load_config(path)
@@ -397,6 +401,21 @@ class TestSimulateCommand:
         result = runner.invoke(main, ["simulate", str(scen), "--out", str(tmp_path / "c.csv")])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("text,name", [
+        ("- 1\n- 2\n", "scenario"),
+        ("age: 5\ncause1: {name: constant, level: 0.1}\ncause2: {name: constant, level: 0.1}\n",
+         "scenario key age"),
+        ("cause1: 5\ncause2: {name: constant, level: 0.1}\n", "scenario key cause1"),
+    ], ids=["list", "age", "cause1"])
+    def test_scenario_that_is_no_mapping_exits_2(self, runner, tmp_path, text, name):
+        """Once an AttributeError or TypeError traceback with exit 1."""
+        scen = tmp_path / "scen.yaml"
+        scen.write_text(text)
+        result = runner.invoke(main, ["simulate", str(scen), "--out", str(tmp_path / "c.csv")])
+        assert result.exit_code == 2, result.output
+        assert f"error: {name} must be a mapping" in result.output
+        assert not (tmp_path / "c.csv").exists()
+
     def test_constant_scenario_cause_fraction(self, runner, tmp_path):
         scen = tmp_path / "scen.yaml"
         scen.write_text(yaml.safe_dump({
@@ -413,25 +432,28 @@ class TestSimulateCommand:
         assert abs(frac - 2 / 3) < 3 * np.sqrt((2 / 9) / len(events))
 
 
+@pytest.fixture(scope="module")
+def grouped_csv(tmp_path_factory):
+    """A small cohort whose ages at or above 90 are reported as 90."""
+    spec = h.ScenarioSpec(
+        hazard1=h.hazard_family("constant", level=0.15),
+        hazard2=h.hazard_family("constant", level=0.10),
+        u_lo=50.0, u_hi=100.0, s_max=10.5, n=2500, seed=13,
+    )
+    table = h.simulate_cohort(spec)
+    path = tmp_path_factory.mktemp("grouped") / "grouped.csv"
+    h.write_records_csv(path, dataclasses.replace(table, u=np.minimum(table.u, 90.0)))
+    return path
+
+
 class TestUngroupCommand:
-    def test_outputs_and_diagnostics(self, runner, tmp_path):
-        # cohort whose tail ages are coded at the group boundary
-        spec = h.ScenarioSpec(
-            hazard1=h.hazard_family("constant", level=0.15),
-            hazard2=h.hazard_family("constant", level=0.10),
-            u_lo=50.0, u_hi=100.0, s_max=10.5, n=2500, seed=13,
-        )
-        table = h.simulate_cohort(spec)
-        records = dataclasses.replace(table, u=np.minimum(table.u, 90.0))
-        csv_path = tmp_path / "grouped.csv"
-        h.write_records_csv(csv_path, records)
+    @staticmethod
+    def ungroup(runner, tmp_path, grouped_csv, pclm):
+        """``ungroup`` of the grouped cohort with the pclm block ``pclm``; its diagnostics."""
         cfg = tmp_path / "cfg.yaml"
-        cfg.write_text(yaml.safe_dump({
-            "pclm": {"enabled": True, "first_grouped_age": 90, "closing_age": 100},
-            "basis": {"c_u": 10, "c_s": 6, "degree": 3},
-        }))
+        cfg.write_text(yaml.safe_dump({"pclm": pclm, "basis": {"c_u": 10, "c_s": 6, "degree": 3}}))
         outdir = tmp_path / "ug"
-        result = runner.invoke(main, ["ungroup", str(csv_path), "--config", str(cfg),
+        result = runner.invoke(main, ["ungroup", str(grouped_csv), "--config", str(cfg),
                                       "--out", str(outdir)])
         assert result.exit_code == 0, result.output
         for name in ("ungrouped_events_cause1.csv", "ungrouped_events_cause2.csv",
@@ -439,6 +461,11 @@ class TestUngroupCommand:
             assert (outdir / name).exists()
         diag = json.loads((outdir / "ungroup_diagnostics.json").read_text())
         assert set(diag) == {"cause1", "cause2", "at_risk"}
+        return outdir, diag
+
+    def test_outputs_and_diagnostics(self, runner, tmp_path, grouped_csv):
+        outdir, diag = self.ungroup(runner, tmp_path, grouped_csv,
+                                    {"enabled": True, "first_grouped_age": 90, "closing_age": 100})
         # exhaustive grid: 7 x 7 candidates at step 0.5 over [-1, 2] squared
         assert len(diag["cause1"]["candidates"]) == 49
         for block in diag.values():
@@ -447,6 +474,19 @@ class TestUngroupCommand:
                 assert block[f"log10_phi_{axis}_on_edge"] is on_edge
         exposure = read_csv(outdir / "ungrouped_exposure.csv")
         assert len(exposure) == 50 * 21
+
+    def test_on_edge_means_an_end_of_the_searched_grid(self, runner, tmp_path, grouped_csv):
+        """A step of 0.7 does not divide [-1, 2]: the grid stops at 1.8, its top edge."""
+        _, diag = self.ungroup(runner, tmp_path, grouped_csv, {"log10_phi_step": 0.7})
+        assert len(diag["cause1"]["candidates"]) == 25
+        tops = 0
+        for block in diag.values():
+            for axis in ("u", "s"):
+                value = block[f"log10_phi_{axis}"]
+                on_edge = min(abs(value - end) for end in (-1.0, 1.8)) <= 1e-6
+                assert block[f"log10_phi_{axis}_on_edge"] is on_edge
+                tops += abs(value - 1.8) <= 1e-6
+        assert tops >= 1   # the case the rule is about occurs
 
 
 def _serial(tasks):
@@ -461,19 +501,6 @@ def _tree(outdir):
 
 class TestWorkerProcesses:
     """The independent smoothing searches run in forked workers, and change nothing."""
-
-    @pytest.fixture(scope="class")
-    def grouped_csv(self, tmp_path_factory):
-        """A small cohort whose ages at or above 90 are reported as 90."""
-        spec = h.ScenarioSpec(
-            hazard1=h.hazard_family("constant", level=0.15),
-            hazard2=h.hazard_family("constant", level=0.10),
-            u_lo=50.0, u_hi=100.0, s_max=10.5, n=2500, seed=13,
-        )
-        table = h.simulate_cohort(spec)
-        path = tmp_path_factory.mktemp("pool") / "grouped.csv"
-        h.write_records_csv(path, dataclasses.replace(table, u=np.minimum(table.u, 90.0)))
-        return path
 
     def run_both(self, runner, monkeypatch, tmp_path, args):
         """The command through the worker pool and through the serial reference."""

@@ -156,7 +156,8 @@ class TestFitPclm:
 class TestSelectPclmSmoothing:
     def test_single_point_grid(self):
         _, _, spec, C, Z, Bu, Bs = small_problem(seed=9)
-        fit = h.select_pclm_smoothing(Z, C, Bu, Bs, log10_phi_grid=[0.5])
+        fit = h.select_pclm_smoothing(Z, C, Bu, Bs, search=h.SearchConfig((0.5, 0.5), (0.5, 0.5),
+                                                                          0.5, 0.5))
         assert fit.phis == (0.5, 0.5)
         assert len(fit.candidates) == 1
 
@@ -175,7 +176,8 @@ class TestSelectPclmSmoothing:
     def test_empty_grid_rejected(self):
         _, _, spec, C, Z, Bu, Bs = small_problem(seed=12)
         with pytest.raises(ValueError):
-            h.select_pclm_smoothing(Z, C, Bu, Bs, log10_phi_grid=[])
+            h.select_pclm_smoothing(Z, C, Bu, Bs, search=h.SearchConfig((1.0, 0.5), (1.0, 0.5),
+                                                                        0.5, 0.5))
 
 
 def cold_pclm_search(Z, C, Bu, Bs, phi_grid, ctrl):
@@ -202,14 +204,17 @@ class TestSharedSearch:
     def test_matches_cold_search(self, seed, n_u, n_s, tail, lo, step, n_phi):
         _, _, spec, C, Z, Bu, Bs = small_problem(seed=seed, g=n_u - tail, n_u=n_u, n_s=n_s)
         phi_grid = [lo + step * i for i in range(n_phi)]
+        search = h.SearchConfig((lo, phi_grid[-1]), (lo, phi_grid[-1]), step, step)
         ctrl = h.FitControl(max_iter=400, dev_rel_tol=1e-14, score_rel_tol=1e-10)
-        fit = h.select_pclm_smoothing(Z, C, Bu, Bs, log10_phi_grid=phi_grid, ctrl=ctrl)
+        fit = h.select_pclm_smoothing(Z, C, Bu, Bs, search=search, ctrl=ctrl)
         chosen, cold = cold_pclm_search(Z, C, Bu, Bs, phi_grid, ctrl)
 
         assert fit.phis == chosen
         assert [(lu, ls) for lu, ls, _ in fit.candidates] == list(cold)
         for lu, ls, aic in fit.candidates:
             assert aic == pytest.approx(cold[(lu, ls)], rel=1e-8, abs=0.0), (lu, ls)
+
+    SEARCH = h.SearchConfig((0.0, 1.0), (0.0, 1.0), 0.5, 0.5)   # the grid 0, 0.5, 1 squared
 
     @staticmethod
     def recording(monkeypatch, doomed):
@@ -230,7 +235,7 @@ class TestSharedSearch:
     def test_failed_warm_start_is_retried_cold(self, monkeypatch):
         _, _, spec, C, Z, Bu, Bs = small_problem(seed=16)
         calls = self.recording(monkeypatch, {(0.0, 0.5): "warm", (0.5, 0.0): "both"})
-        fit = h.select_pclm_smoothing(Z, C, Bu, Bs, log10_phi_grid=[0.0, 0.5, 1.0])
+        fit = h.select_pclm_smoothing(Z, C, Bu, Bs, search=self.SEARCH)
         aic = {(lu, ls): value for lu, ls, value in fit.candidates}
         tries = {}
         for phis, start in calls:
@@ -245,7 +250,7 @@ class TestSharedSearch:
     def test_failed_candidate_keeps_the_warm_start(self, monkeypatch):
         _, _, spec, C, Z, Bu, Bs = small_problem(seed=17)
         calls = self.recording(monkeypatch, {(0.0, 0.5): "both"})
-        h.select_pclm_smoothing(Z, C, Bu, Bs, log10_phi_grid=[0.0, 0.5, 1.0])
+        h.select_pclm_smoothing(Z, C, Bu, Bs, search=self.SEARCH)
         starts = {}
         for phis, start in calls:
             starts.setdefault(phis, start)          # each candidate's first attempt

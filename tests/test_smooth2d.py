@@ -238,7 +238,20 @@ class TestSelectSmoothing:
         search = h.SearchConfig(log10_rho_u_range=(0.0, 2.0),
                                 log10_rho_s_range=(0.0, 2.0), coarse_step=1.0)
         fit = h.select_smoothing(data, 1, kv_u, kv_s, criterion="AIC", search=search)
-        assert fit.converged
+        assert fit.aic == min(c[2] for c in fit.candidates)
+
+    @pytest.mark.parametrize("refine", [1.0, 2.5])
+    def test_no_refinement_below_the_coarse_step(self, refine):
+        """With refine_resolution >= coarse_step the first refinement step, half the coarse
+        step, is below the resolution: the candidates are the coarse grid alone."""
+        data = toy_data(np.random.default_rng(16))
+        kv_u, kv_s = toy_knots()
+        search = h.SearchConfig(log10_rho_u_range=(-1.0, 2.0), log10_rho_s_range=(0.0, 2.0),
+                                coarse_step=1.0, refine_resolution=refine)
+        fit = h.select_smoothing(data, 1, kv_u, kv_s, search=search)
+        assert [c[:2] for c in fit.candidates] == [(lu, ls) for lu in (-1.0, 0.0, 1.0, 2.0)
+                                                   for ls in (0.0, 1.0, 2.0)]
+        assert fit.bic == min(c[2] for c in fit.candidates)
 
     @pytest.mark.parametrize("kwargs", [
         {"refine_resolution": 0.0},      # never finished refining
@@ -257,6 +270,7 @@ class TestSelectSmoothing:
         {"log10_rho_u_range": (-1e6, 7.0)},         # coarse grids past max_evals: a hang
         {"coarse_step": 0.01},
         {"max_evals": 99},
+        {"refine_resolution": 1e-13},    # moves below 6 decimals refit nothing: a hang
     ])
     def test_search_config_refuses_bad_steps_and_ranges(self, kwargs):
         with pytest.raises(ValueError):
