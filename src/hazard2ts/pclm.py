@@ -8,7 +8,7 @@ difference penalties.  This is the penalized Poisson likelihood of the
 hazard fits with a row-composition matrix in front of the means, so theta
 is estimated by the same damped Newton engine (``smooth2d._newton``, unit
 exposure) and the smoothing parameters by AIC with the hazard fits' search
-(``smooth2d._GridSearch`` over a ``SearchConfig``), its resolution its step.
+(``smooth2d._GridSearch``), over a ``SearchConfig`` whose resolution is its step.
 
 Columns are never grouped (the composition along the second axis is the
 identity), which keeps the problem in array form: observed rows that are a
