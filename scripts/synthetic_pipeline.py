@@ -53,7 +53,7 @@ def main():
     cfg.montecarlo.n_draws = args.draws
 
     t0 = time.perf_counter()
-    fits, Sigmas, surf = run_fit_pipeline(cfg, coarsened, args.out)
+    fits, surf = run_fit_pipeline(cfg, coarsened, args.out)
     print(f"pipeline finished in {time.perf_counter() - t0:.1f}s; "
           f"artifacts in {args.out}")
 

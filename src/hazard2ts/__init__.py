@@ -20,7 +20,7 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-from .basis import BasisMatrix, DiffMatrix, KnotVector, difference_matrix, evaluate_basis, make_knots
+from .basis import KnotVector, difference_matrix, evaluate_basis, make_knots
 from .errors import ConvergenceError, DataError, DomainError, Hazard2tsError
 from .glam import ArrayModelWorkspace, linear_predictor, weighted_inner, weighted_rhs
 from .incidence import (
@@ -59,7 +59,6 @@ from .smooth2d import (
     FittedHazard,
     PenaltyConfig,
     SearchConfig,
-    effective_dimension,
     fit_hazard,
     information_criteria,
     penalty_matrix,
@@ -69,7 +68,6 @@ from .smooth2d import (
 from .uncertainty import (
     MonteCarloConfig,
     cif_standard_errors,
-    coefficient_covariance,
     sample_coefficients,
     se_hazard,
     se_log_hazard,

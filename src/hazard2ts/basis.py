@@ -42,26 +42,6 @@ class KnotVector:
         return float(self.knots[1] - self.knots[0])
 
 
-@dataclass(frozen=True)
-class BasisMatrix:
-    """B-spline basis evaluated at a set of points (rows sum to one)."""
-
-    values: np.ndarray
-    points: np.ndarray
-
-    @property
-    def n_basis(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass(frozen=True)
-class DiffMatrix:
-    """Forward-difference operator of a given order on coefficient vectors."""
-
-    order: int
-    values: np.ndarray
-
-
 def make_knots(lo: float, hi: float, n_segments: int, degree: int = 3) -> KnotVector:
     """Build a uniform knot vector with ``degree`` extension knots per side.
 
@@ -96,7 +76,7 @@ def make_knots(lo: float, hi: float, n_segments: int, degree: int = 3) -> KnotVe
     return KnotVector(degree=degree, boundary_lo=float(lo), boundary_hi=float(hi), knots=knots)
 
 
-def evaluate_basis(points, kv: KnotVector) -> BasisMatrix:
+def evaluate_basis(points, kv: KnotVector) -> np.ndarray:
     """Evaluate all basis functions of ``kv`` at the given points.
 
     Every point must lie in [boundary_lo, boundary_hi] (NaN does not); the
@@ -132,10 +112,10 @@ def evaluate_basis(points, kv: KnotVector) -> BasisMatrix:
     rows = np.arange(len(x))
     for c in range(p + 1):
         values[rows, seg + c] = b[c]
-    return BasisMatrix(values=values, points=x)
+    return values
 
 
-def difference_matrix(c: int, d: int) -> DiffMatrix:
+def difference_matrix(c: int, d: int) -> np.ndarray:
     """Forward-difference matrix of order ``d`` acting on ``c`` coefficients.
 
     Row ``r`` holds the order-``d`` difference stencil starting at column
@@ -146,5 +126,4 @@ def difference_matrix(c: int, d: int) -> DiffMatrix:
         raise ValueError(f"difference order must be >= 1, got {d}")
     if c <= d:
         raise ValueError(f"need more coefficients than the difference order, got c={c}, d={d}")
-    values = np.diff(np.eye(c), n=d, axis=0)
-    return DiffMatrix(order=d, values=values)
+    return np.diff(np.eye(c), n=d, axis=0)

@@ -36,13 +36,7 @@ from .pclm import CompositionSpec, composition_matrix, select_pclm_smoothing, un
 from .simulate import ScenarioSpec, grouped_view, hazard_family, simulate_cohort
 from .smooth2d import (FitControl, FittedHazard, PenaltyConfig, SearchConfig, check_criterion,
                        select_smoothing)
-from .uncertainty import (
-    MonteCarloConfig,
-    cif_standard_errors,
-    coefficient_covariance,
-    se_log_hazard,
-    se_log_hazard_points,
-)
+from .uncertainty import MonteCarloConfig, cif_standard_errors, se_log_hazard, se_log_hazard_points
 
 CAUSES = (1, 2)
 
@@ -166,13 +160,21 @@ def _update_dataclass(obj, data, prefix=""):
     return dataclasses.replace(obj, **changes)
 
 
+def _read_yaml(path):
+    """The document of a YAML file, {} when it is empty; DataError where it does not parse."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return yaml.safe_load(fh) or {}
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: not a YAML document: {exc}") from None
+
+
 def load_config(path=None, seed=None, draws=None, ungroup=False) -> RunConfig:
     """The config of a YAML file (defaults when None) with the ``--seed`` and ``--draws``
     overrides; DataError, before any input is read, for settings that no run can use."""
     data = {}
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh) or {}
+        data = _read_yaml(path)
         if not isinstance(data, dict):
             raise DataError(f"{path}: config must be a mapping")
     try:
@@ -242,27 +244,28 @@ def assemble_ungrouped(grouped, body_R, kv_u, kv_s, d, phi_search, ctrl):
         + [(select_pclm_smoothing, (grouped.at_risk, composition_matrix(spec), Bu_mid, Bs_edges),
             options)])
     Y = {ell: Y_ell for ell, (Y_ell, _) in zip(causes, events)}
-    axes = phi_search.axes()
-    diagnostics = {f"cause{ell}": _pclm_diag(fit, axes) for ell, (_, fit) in zip(causes, events)}
-    diagnostics["at_risk"] = _pclm_diag(at_risk_fit, axes)
+    diagnostics = {f"cause{ell}": _pclm_diag(fit, phi_search)
+                   for ell, (_, fit) in zip(causes, events)}
+    diagnostics["at_risk"] = _pclm_diag(at_risk_fit, phi_search)
     tail_exposure = ungroup_exposure(at_risk_fit.Gamma[spec.g - 1:], grid.h_s)
     R = np.vstack([np.asarray(body_R), tail_exposure])
     return BinnedData(grid=grid, Y=Y, R=R), diagnostics
 
 
-def _on_edge(value, bounds) -> bool:
-    """Whether a selected log10 smoothing parameter sits on an end of its search range."""
-    ends = (min(bounds), max(bounds))        # compared exactly first: the rho = 0 range is -inf
+def _on_edge(value, ends) -> bool:
+    """Whether a selected log10 smoothing parameter is one of an axis's ``SearchConfig.ends``."""
+    # compared exactly first: the rho = 0 axis is -inf
     return bool(value in ends or min(abs(value - end) for end in ends) <= 1e-6)
 
 
-def _pclm_diag(fit, axes):
-    """A PCLM fit's summary; "on edge" is judged against the ends of the searched ``axes``."""
+def _pclm_diag(fit, search: SearchConfig):
+    """A PCLM fit's summary; "on edge" is judged against the ends the ``search`` can reach."""
+    ends = search.ends()
     return {
         "log10_phi_u": fit.phis[0],
         "log10_phi_s": fit.phis[1],
-        "log10_phi_u_on_edge": _on_edge(fit.phis[0], axes[0]),
-        "log10_phi_s_on_edge": _on_edge(fit.phis[1], axes[1]),
+        "log10_phi_u_on_edge": _on_edge(fit.phis[0], ends[0]),
+        "log10_phi_s_on_edge": _on_edge(fit.phis[1], ends[1]),
         "aic": fit.aic,
         "ed": fit.ed,
         "deviance": fit.deviance,
@@ -338,8 +341,8 @@ def _knots_payload(kv: KnotVector):
             "n_segments": kv.n_basis - kv.degree}
 
 
-def save_model(path, cfg: RunConfig, grid: LexisGrid, fits: dict, Sigmas: dict):
-    """Serialize fitted models as one human-inspectable JSON document."""
+def save_model(path, cfg: RunConfig, fits: dict):
+    """Serialize fitted models, which share one grid, as one human-inspectable JSON document."""
     causes = {}
     for ell, fit in sorted(fits.items()):
         kind, data = fit.hull
@@ -347,7 +350,7 @@ def save_model(path, cfg: RunConfig, grid: LexisGrid, fits: dict, Sigmas: dict):
             "knots_u": _knots_payload(fit.kv_u),
             "knots_s": _knots_payload(fit.kv_s),
             "coefficients": fit.A,
-            "covariance": np.asarray(Sigmas[ell]),
+            "covariance": fit.covariance,
             "penalty": {"d": fit.penalty.d,
                         "log10_rho_u": fit.penalty.log10_rho_u,
                         "log10_rho_s": fit.penalty.log10_rho_s},
@@ -355,6 +358,7 @@ def save_model(path, cfg: RunConfig, grid: LexisGrid, fits: dict, Sigmas: dict):
             "n_bin": fit.n_bin, "iterations": fit.n_iter,
             "support": {"kind": kind, "data": np.asarray(data)},
         }
+    grid = fits[min(fits)].grid
     payload = {
         "format": "hazard2ts-model",
         "version": __version__,
@@ -366,35 +370,42 @@ def save_model(path, cfg: RunConfig, grid: LexisGrid, fits: dict, Sigmas: dict):
 
 
 def load_model(path):
-    """Rebuild evaluation-ready fits (support hulls included) and covariances."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = _read_nonfinite(json.load(fh))
-    if payload.get("format") != "hazard2ts-model":
+    """The payload of a model file and its fits, every field restored (``candidates`` empty,
+    as ``fit_hazard`` leaves it); DataError, naming the path, where the file is no model."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = _read_nonfinite(json.load(fh))
+    except ValueError as exc:   # JSONDecodeError, UnicodeDecodeError
+        raise DataError(f"{path}: not a model file: {exc}") from None
+    if not isinstance(payload, dict) or payload.get("format") != "hazard2ts-model":
         raise DataError(f"{path}: not a model file")
-    grid = LexisGrid(u_edges=np.asarray(payload["grid"]["u_edges"]),
-                     s_edges=np.asarray(payload["grid"]["s_edges"]))
-    fits, Sigmas = {}, {}
-    for key, entry in payload["causes"].items():
-        ell = int(key)
-        ku, ks = entry["knots_u"], entry["knots_s"]
-        kv_u = make_knots(ku["lo"], ku["hi"], ku["n_segments"], ku["degree"])
-        kv_s = make_knots(ks["lo"], ks["hi"], ks["n_segments"], ks["degree"])
-        pen = entry["penalty"]
-        sup = entry["support"]
-        fits[ell] = FittedHazard(
-            A=np.asarray(entry["coefficients"]),
-            penalty=PenaltyConfig(log10_rho_u=pen["log10_rho_u"],
-                                  log10_rho_s=pen["log10_rho_s"], d=pen["d"]),
-            kv_u=kv_u, kv_s=kv_s, grid=grid,
-            W_hat=None, deviance=entry["deviance"], ed=entry["ed"],
-            aic=entry["aic"], bic=entry["bic"], n_bin=entry["n_bin"],
-            n_iter=entry["iterations"], score_rel=0.0,
-            gram=None, inverse=None,
-            hull=(sup["kind"], np.asarray(sup["data"]) if sup["kind"] == "polygon"
-                  else tuple(sup["data"])),
-        )
-        Sigmas[ell] = np.asarray(entry["covariance"])
-    return payload, grid, fits, Sigmas
+    try:
+        grid = LexisGrid(u_edges=np.asarray(payload["grid"]["u_edges"]),
+                         s_edges=np.asarray(payload["grid"]["s_edges"]))
+        fits = {}
+        for key, entry in payload["causes"].items():
+            ku, ks = entry["knots_u"], entry["knots_s"]
+            pen, sup = entry["penalty"], entry["support"]
+            fits[int(key)] = FittedHazard(
+                A=np.asarray(entry["coefficients"], dtype=float),
+                penalty=PenaltyConfig(log10_rho_u=pen["log10_rho_u"],
+                                      log10_rho_s=pen["log10_rho_s"], d=pen["d"]),
+                kv_u=make_knots(ku["lo"], ku["hi"], ku["n_segments"], ku["degree"]),
+                kv_s=make_knots(ks["lo"], ks["hi"], ks["n_segments"], ks["degree"]),
+                grid=grid, deviance=entry["deviance"], ed=entry["ed"], aic=entry["aic"],
+                bic=entry["bic"], n_bin=entry["n_bin"], n_iter=entry["iterations"],
+                covariance=np.asarray(entry["covariance"], dtype=float),
+                hull=(sup["kind"], np.asarray(sup["data"]) if sup["kind"] == "polygon"
+                      else tuple(sup["data"])),
+            )
+        quadrature_step(payload["config"]["delta"], grid.h_s)   # the step predict integrates by
+    except KeyError as exc:
+        raise DataError(f"{path}: model file has no key {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: bad model file entry: {exc}") from None
+    if not fits:
+        raise DataError(f"{path}: model file holds no cause")
+    return payload, fits
 
 
 # --------------------------------------------------------------------------
@@ -454,16 +465,15 @@ def run_fit_pipeline(cfg: RunConfig, records, outdir: Path):
     options = {"d": cfg.d, "criterion": criterion, "search": search, "ctrl": cfg.convergence}
     fits = dict(zip(CAUSES, _run_tasks([(select_smoothing, (binned, ell, kv_u, kv_s), options)
                                         for ell in CAUSES])))
-    Sigmas = {ell: coefficient_covariance(fits[ell]) for ell in CAUSES}
 
     u_pts, s_pts = grid.u_mid, grid.s_mid
     surf = compute_surfaces(fits, u_pts, s_pts, delta=delta)
-    cif_se = cif_standard_errors(fits, Sigmas, u_pts, s_pts, mc=mc, delta=delta)
+    cif_se = cif_standard_errors(fits, u_pts, s_pts, mc=mc, delta=delta)
 
     for ell in CAUSES:
         sub = outdir / f"cause{ell}"
         sub.mkdir(exist_ok=True)
-        se_eta = se_log_hazard(fits[ell], Sigmas[ell], u_pts, s_pts)
+        se_eta = se_log_hazard(fits[ell], u_pts, s_pts)
         write_long_csv(sub / "hazard.csv", u_pts, s_pts, surf.hazard[ell],
                        surf.extrapolated, name="hazard")
         write_long_csv(sub / "log_hazard_se.csv", u_pts, s_pts, se_eta,
@@ -477,6 +487,7 @@ def run_fit_pipeline(cfg: RunConfig, records, outdir: Path):
     write_long_csv(outdir / "survival.csv", u_pts, s_pts, surf.survival,
                    surf.extrapolated, name="survival")
 
+    ends = search.ends()
     summary = {
         "criterion": cfg.selection.criterion,
         "quadrature_delta": delta,
@@ -486,10 +497,8 @@ def run_fit_pipeline(cfg: RunConfig, records, outdir: Path):
             str(ell): {
                 "log10_rho_u": fits[ell].penalty.log10_rho_u,
                 "log10_rho_s": fits[ell].penalty.log10_rho_s,
-                "log10_rho_u_on_edge": _on_edge(fits[ell].penalty.log10_rho_u,
-                                                cfg.selection.log10_rho_u_range),
-                "log10_rho_s_on_edge": _on_edge(fits[ell].penalty.log10_rho_s,
-                                                cfg.selection.log10_rho_s_range),
+                "log10_rho_u_on_edge": _on_edge(fits[ell].penalty.log10_rho_u, ends[0]),
+                "log10_rho_s_on_edge": _on_edge(fits[ell].penalty.log10_rho_s, ends[1]),
                 "ed": fits[ell].ed,
                 "deviance": fits[ell].deviance,
                 "aic": fits[ell].aic,
@@ -504,8 +513,8 @@ def run_fit_pipeline(cfg: RunConfig, records, outdir: Path):
     if pclm_diag is not None:
         summary["pclm"] = pclm_diag
     write_json(outdir / "fit_summary.json", summary)
-    save_model(outdir / "model.json", cfg, grid, fits, Sigmas)
-    return fits, Sigmas, surf
+    save_model(outdir / "model.json", cfg, fits)
+    return fits, surf
 
 
 @main.command("ungroup")
@@ -554,38 +563,58 @@ def cmd_simulate(scenario_yaml, out_csv, n, seed):
     """Draw a synthetic cohort from configured hazard closures and write it
     in the same CSV schema that `fit` ingests."""
     try:
-        with open(scenario_yaml, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh) or {}
-        spec = scenario_from_dict(raw, n_override=n, seed_override=seed)
+        spec = scenario_from_dict(_read_yaml(scenario_yaml), n_override=n, seed_override=seed)
         records = simulate_cohort(spec)
         write_records_csv(out_csv, records)
         click.echo(f"wrote {len(records)} records to {out_csv}")
-    except (DataError, DomainError, KeyError, ValueError) as exc:
+    except (DataError, DomainError, ValueError) as exc:
         _fail(exc, 2)
 
 
 def scenario_from_dict(raw: dict, n_override=None, seed_override=None) -> ScenarioSpec:
-    """The scenario of a parsed YAML document; DataError where it or a block is no mapping."""
-    def closure(block):
-        block = dict(block)
-        return hazard_family(block.pop("name"), **block)
-
+    """The scenario of a parsed YAML document; DataError naming the key, or the hazard family
+    parameter, that is missing or is no mapping or number where one is needed."""
     if not isinstance(raw, dict):
         raise DataError(f"scenario must be a mapping, got {raw!r}")
-    age = raw.get("age", {})
-    for key, block in (("age", age), ("cause1", raw["cause1"]), ("cause2", raw["cause2"])):
+    blocks = {"age": raw.get("age", {}), "cause1": raw.get("cause1"), "cause2": raw.get("cause2")}
+    for key, block in blocks.items():
         if not isinstance(block, dict):
             raise DataError(f"scenario key {key} must be a mapping, got {block!r}")
+
+    def closure(key):
+        params = dict(blocks[key])
+        name = params.pop("name", None)
+        for param, val in params.items():
+            if not _is_number(val):
+                raise DataError(f"scenario key {key}.{param} must be a number, got {val!r}")
+        try:
+            return hazard_family(name, **params)
+        except KeyError as exc:
+            raise DataError(f"scenario key {key}: hazard family {name!r} needs parameter "
+                            f"{exc}") from None
+        except (TypeError, ValueError) as exc:   # a parameter name that is no string, a family
+            raise DataError(f"scenario key {key}: {exc}") from None
+
+    def number(key, default, kind=float, block=raw, prefix=""):
+        val = block.get(key, default)
+        if not _is_number(val):
+            raise DataError(f"scenario key {prefix}{key} must be a number, got {val!r}")
+        return kind(val)
+
+    age = blocks["age"]
+    weights = age.get("weights")
+    if weights is not None and not (isinstance(weights, list) and all(map(_is_number, weights))):
+        raise DataError(f"scenario key age.weights must be a list of numbers, got {weights!r}")
     return ScenarioSpec(
-        hazard1=closure(raw["cause1"]),
-        hazard2=closure(raw["cause2"]),
-        u_lo=float(age.get("lo", 50.0)),
-        u_hi=float(age.get("hi", 100.0)),
-        s_max=float(raw.get("s_max", 10.5)),
-        n=int(n_override if n_override is not None else raw.get("n", 1000)),
-        seed=int(seed_override if seed_override is not None else raw.get("seed", 1)),
-        step=float(raw.get("step", 1e-3)),
-        age_weights=age.get("weights"),
+        hazard1=closure("cause1"),
+        hazard2=closure("cause2"),
+        u_lo=number("lo", 50.0, block=age, prefix="age."),
+        u_hi=number("hi", 100.0, block=age, prefix="age."),
+        s_max=number("s_max", 10.5),
+        n=n_override if n_override is not None else number("n", 1000, int),
+        seed=seed_override if seed_override is not None else number("seed", 1, int),
+        step=number("step", 1e-3),
+        age_weights=weights,
     )
 
 
@@ -626,7 +655,7 @@ def _read_points(path, coords):
 
 
 def run_predict_pipeline(model_path, points_csv, coords, out_csv):
-    payload, _, fits, Sigmas = load_model(model_path)
+    payload, fits = load_model(model_path)
     first, s_arr = _read_points(points_csv, coords)
     delta = payload["config"].get("delta")   # None: the default step of the quadrature
 
@@ -637,8 +666,7 @@ def run_predict_pipeline(model_path, points_csv, coords, out_csv):
         surf = surfaces_at_points(fits, first, s_arr, delta=delta)
         u_arr = first
 
-    se_eta = {ell: se_log_hazard_points(fits[ell], Sigmas[ell], u_arr, s_arr)
-              for ell in fits}
+    se_eta = {ell: se_log_hazard_points(fits[ell], u_arr, s_arr) for ell in fits}
 
     cols, columns = ["u", "s"], [u_arr, s_arr]
     if coords == "ts":

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .basis import BasisMatrix
-
 
 class ArrayModelWorkspace:
     """Holds the marginal bases and their precomputed row-tensor expansions.
@@ -24,9 +22,9 @@ class ArrayModelWorkspace:
     objects; one workspace serves any number of calls and is never mutated.
     """
 
-    def __init__(self, Bu: BasisMatrix, Bs: BasisMatrix):
-        self.Bu = np.asarray(Bu.values, dtype=float)
-        self.Bs = np.asarray(Bs.values, dtype=float)
+    def __init__(self, Bu: np.ndarray, Bs: np.ndarray):
+        self.Bu = np.asarray(Bu, dtype=float)
+        self.Bs = np.asarray(Bs, dtype=float)
         self.n_u, self.c_u = self.Bu.shape
         self.n_s, self.c_s = self.Bs.shape
         # row r of the expansion is the outer product of basis row r with itself

@@ -54,8 +54,8 @@ class Surfaces:
 
 def evaluate_log_hazard(fit: FittedHazard, u_points, s_points) -> np.ndarray:
     """Log-hazard matrix Bu(u) A Bs(s)' over the product of the point sets."""
-    Bu = evaluate_basis(u_points, fit.kv_u).values
-    Bs = evaluate_basis(s_points, fit.kv_s).values
+    Bu = evaluate_basis(u_points, fit.kv_u)
+    Bs = evaluate_basis(s_points, fit.kv_s)
     return Bu @ fit.A @ Bs.T
 
 
@@ -90,7 +90,7 @@ def _prepare(fits: dict, u_points, s_points, delta):
     s_max = float(np.max(s)) if s.size else 0.0
     if s_max > ref.kv_s.boundary_hi * (1 + 1e-12):
         raise DomainError(f"s={s_max} beyond the basis domain upper end {ref.kv_s.boundary_hi}")
-    Bu = {ell: evaluate_basis(u, fits[ell].kv_u).values for ell in sorted(fits)}
+    Bu = {ell: evaluate_basis(u, fits[ell].kv_u) for ell in sorted(fits)}
     return u, s, delta, Bu
 
 
@@ -143,7 +143,7 @@ def _quadrature(fits: dict, Bu: dict, K: np.ndarray, delta: float, coefs: dict =
         nodes = delta * np.arange(K_max)
         work.update({name: np.empty(size) for name in ("tot", "S", *causes)},
                     ladder=ladder, size=size,
-                    Bs_nodes={ell: evaluate_basis(nodes, fits[ell].kv_s).values for ell in causes})
+                    Bs_nodes={ell: evaluate_basis(nodes, fits[ell].kv_s) for ell in causes})
     order = np.argsort(K_row, kind="stable")
     for lo in range(0, len(K), step):
         rows = order[lo:lo + step]
@@ -178,7 +178,7 @@ def _surfaces(fits: dict, u_points, s_points, delta, paired: bool):
     u, s, delta, Bu = _prepare(fits, u_points, s_points, delta)
     if paired and u.shape != s.shape:
         raise ValueError("u and s point arrays must have equal length")
-    Bs = {ell: evaluate_basis(s, fits[ell].kv_s).values for ell in Bu}
+    Bs = {ell: evaluate_basis(s, fits[ell].kv_s) for ell in Bu}
     if paired:
         hazard = {ell: np.exp(np.sum((Bu[ell] @ fits[ell].A) * Bs[ell], axis=1))[:, None]
                   for ell in Bu}

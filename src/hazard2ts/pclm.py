@@ -27,10 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import glam
-from .basis import BasisMatrix
 from .errors import DataError
-from .smooth2d import (FitControl, PenaltyConfig, SearchConfig, _GridSearch, _hat_trace, _newton,
-                       _PoissonProblem)
+from .smooth2d import FitControl, PenaltyConfig, SearchConfig, _GridSearch, _newton, _PoissonProblem
 
 
 @dataclass(frozen=True)
@@ -72,7 +70,7 @@ class PclmFit:
     candidates: list = field(default_factory=list)  # (log10_phi_u, log10_phi_s, aic) per search point
 
 
-def _problem(Z, C_u, Bu: BasisMatrix, Bs: BasisMatrix) -> _PoissonProblem:
+def _problem(Z, C_u, Bu: np.ndarray, Bs: np.ndarray) -> _PoissonProblem:
     """Validated composite link problem: grouped counts Z over the fine grid of Bu x Bs."""
     Z = np.asarray(Z, dtype=float)
     C_u = np.asarray(C_u, dtype=float)
@@ -83,7 +81,7 @@ def _problem(Z, C_u, Bu: BasisMatrix, Bs: BasisMatrix) -> _PoissonProblem:
         raise DataError("grouped counts must be nonnegative and finite")
     if Z.sum() <= 0:
         raise DataError("all grouped counts are zero: nothing to ungroup")
-    if Bu.values.shape[0] != n_u or Bs.values.shape[0] != Z.shape[1]:
+    if Bu.shape[0] != n_u or Bs.shape[0] != Z.shape[1]:
         raise ValueError("basis rows must match the fine grid (Bu) and the data columns (Bs)")
     if not (np.all((C_u == 0) | (C_u == 1)) and np.all(C_u.sum(axis=1) >= 1)
             and np.all(C_u.sum(axis=0) <= 1)):
@@ -95,18 +93,17 @@ def _problem(Z, C_u, Bu: BasisMatrix, Bs: BasisMatrix) -> _PoissonProblem:
 def _fit(prob: _PoissonProblem, C_u, phis, d: int, ctrl: FitControl, start=None):
     """One fit as a search candidate: ``(aic, coefficients, PclmFit)``."""
     res = _newton(prob, PenaltyConfig(phis[0], phis[1], d), ctrl, start)
-    ed = _hat_trace(res.inverse, res.gram)
     fit = PclmFit(Gamma=res.full, Psi=np.maximum(np.asarray(C_u, dtype=float) @ res.full, 1e-300),
-                  theta=res.alpha, phis=tuple(phis), deviance=res.deviance, ed=ed,
-                  aic=res.deviance + 2.0 * ed, n_iter=res.n_iter)
+                  theta=res.alpha, phis=tuple(phis), deviance=res.deviance, ed=res.ed,
+                  aic=res.deviance + 2.0 * res.ed, n_iter=res.n_iter)
     return fit.aic, fit.theta, fit
 
 
 def fit_pclm(
     Z: np.ndarray,
     C_u: np.ndarray,
-    Bu: BasisMatrix,
-    Bs: BasisMatrix,
+    Bu: np.ndarray,
+    Bs: np.ndarray,
     d: int = 2,
     phis: tuple = (0.0, 0.0),
     ctrl: FitControl = FitControl(),
@@ -121,7 +118,7 @@ def fit_pclm(
         0/1 row-composition matrix, each fine row in at most one observed
         row; ``np.eye(n_u)`` reduces the model to a plain penalized Poisson
         smooth of Z.
-    Bu, Bs : BasisMatrix
+    Bu, Bs : ndarray
         Marginal bases at the fine row midpoints and at the column
         evaluation points (n_u and n_cols rows respectively).
     phis : tuple
@@ -133,8 +130,8 @@ def fit_pclm(
 def select_pclm_smoothing(
     Z: np.ndarray,
     C_u: np.ndarray,
-    Bu: BasisMatrix,
-    Bs: BasisMatrix,
+    Bu: np.ndarray,
+    Bs: np.ndarray,
     d: int = 2,
     search: SearchConfig = PHI_SEARCH,
     ctrl: FitControl = FitControl(),
@@ -157,8 +154,8 @@ def select_pclm_smoothing(
 def ungroup_events(
     Z: np.ndarray,
     spec: CompositionSpec,
-    Bu: BasisMatrix,
-    Bs: BasisMatrix,
+    Bu: np.ndarray,
+    Bs: np.ndarray,
     d: int = 2,
     search: SearchConfig = PHI_SEARCH,
     ctrl: FitControl = FitControl(),

@@ -74,23 +74,21 @@ class FitControl:
 
 @dataclass
 class FittedHazard:
-    """One converged cause-specific hazard surface and its fit diagnostics."""
+    """One converged cause-specific hazard surface: everything that evaluates it, its standard
+    errors and its extrapolation flags, and its fit diagnostics."""
 
     A: np.ndarray                 # c_u x c_s coefficient matrix
     penalty: PenaltyConfig
     kv_u: KnotVector
     kv_s: KnotVector
     grid: object                  # LexisGrid the fit was computed on
-    W_hat: np.ndarray             # fitted Poisson means on the grid
     deviance: float
     ed: float
     aic: float
     bic: float
     n_bin: int
     n_iter: int
-    score_rel: float
-    gram: np.ndarray = field(repr=False)             # B' W_hat B at convergence
-    inverse: np.ndarray = field(repr=False)          # (gram + P)^-1
+    covariance: np.ndarray = field(repr=False)       # (B'WB + P)^-1 at convergence, symmetrized
     hull: tuple = field(repr=False)                  # convex hull of positive-exposure bins
     # select_smoothing: (log10 rho_u, log10 rho_s, criterion or inf, Newton steps, cold retry)
     candidates: list = field(default_factory=list, repr=False)
@@ -107,7 +105,7 @@ class FittedHazard:
 @functools.lru_cache(maxsize=8)
 def _penalty_block(c_u: int, c_s: int, d: int, axis: str) -> np.ndarray:
     """Read-only ``kron(I, Du'Du)`` (axis "u") or ``kron(Ds'Ds, I)``, built once per shape."""
-    D = difference_matrix(c_u if axis == "u" else c_s, d).values
+    D = difference_matrix(c_u if axis == "u" else c_s, d)
     block = np.kron(np.eye(c_s), D.T @ D) if axis == "u" else np.kron(D.T @ D, np.eye(c_u))
     block.flags.writeable = False
     return block
@@ -255,9 +253,9 @@ class _PoissonProblem:
         return info
 
 
-# a converged fit: coefficients, means on the fine grid and of the singly observed bins
-# (0 elsewhere), deviance, steps, relative score, information, (information + P)^-1
-_NewtonFit = namedtuple("_NewtonFit", "alpha full mu deviance n_iter score_rel gram inverse")
+# a converged fit: coefficients, means on the fine grid, deviance, steps, effective dimension
+# tr{(information + P)^-1 information}, (information + P)^-1
+_NewtonFit = namedtuple("_NewtonFit", "alpha full deviance n_iter ed inverse")
 
 
 def _newton(prob: _PoissonProblem, penalty: PenaltyConfig, ctrl: FitControl,
@@ -278,8 +276,8 @@ def _newton(prob: _PoissonProblem, penalty: PenaltyConfig, ctrl: FitControl,
     # tiny while P's entries are huge, so P @ alpha loses precision to
     # cancellation; rho * D'(D A) keeps all intermediates small
     rho_u, rho_s = penalty.rho_u, penalty.rho_s
-    Du = difference_matrix(c_u, penalty.d).values if rho_u > 0 else None
-    Ds = difference_matrix(c_s, penalty.d).values if rho_s > 0 else None
+    Du = difference_matrix(c_u, penalty.d) if rho_u > 0 else None
+    Ds = difference_matrix(c_s, penalty.d) if rho_s > 0 else None
 
     def pen_grad(A):
         out = np.zeros_like(A)
@@ -345,16 +343,12 @@ def _newton(prob: _PoissonProblem, penalty: PenaltyConfig, ctrl: FitControl,
     p_st, p_pen_dev = evaluate(polish)
     p_score_rel = np.max(np.abs(score_of(polish, p_st))) / prob.score_scale
     if p_score_rel < score_rel and np.isfinite(p_pen_dev):
-        alpha, st, score_rel = polish, p_st, p_score_rel
+        alpha, st = polish, p_st
         gram = prob.information(st)
-    return _NewtonFit(alpha, st[0], st[1], st[3], it, score_rel, gram,
-                      _ridge_retry(_inverse_spd, gram + P))
-
-
-def _hat_trace(inverse, gram) -> float:
-    """``tr{(G + P)^-1 G}`` from the symmetric inverse of G + P, clamped to [0, n_coef]."""
-    ed = float(np.sum(inverse * gram))
-    return min(max(ed, 0.0), float(gram.shape[0]))
+    inverse = _ridge_retry(_inverse_spd, gram + P)
+    # tr{(G + P)^-1 G} from the symmetric inverse, clamped to [0, n_coef]
+    ed = min(max(float(np.sum(inverse * gram)), 0.0), float(gram.shape[0]))
+    return _NewtonFit(alpha, st[0], st[3], it, ed, inverse)
 
 
 _HazardSetup = namedtuple("_HazardSetup", "prob n_bin hull")
@@ -393,18 +387,12 @@ def fit_hazard(data: BinnedData, cause: int, kv_u: KnotVector, kv_s: KnotVector,
     setup = _prepare(data, cause, kv_u, kv_s) if _setup is None else _setup
     ws = setup.prob.ws
     res = _newton(setup.prob, penalty, ctrl, _start)
-    ed = _hat_trace(res.inverse, res.gram)
     return FittedHazard(
         A=res.alpha.reshape(ws.c_u, ws.c_s, order="F"), penalty=penalty, kv_u=kv_u, kv_s=kv_s,
-        grid=data.grid, W_hat=res.mu, deviance=res.deviance, ed=ed, aic=res.deviance + 2.0 * ed,
-        bic=res.deviance + math.log(setup.n_bin) * ed, n_bin=setup.n_bin, n_iter=res.n_iter,
-        score_rel=res.score_rel, gram=res.gram, inverse=res.inverse, hull=setup.hull,
+        grid=data.grid, deviance=res.deviance, ed=res.ed, aic=res.deviance + 2.0 * res.ed,
+        bic=res.deviance + math.log(setup.n_bin) * res.ed, n_bin=setup.n_bin, n_iter=res.n_iter,
+        covariance=0.5 * (res.inverse + res.inverse.T), hull=setup.hull,
     )
-
-
-def effective_dimension(fit: FittedHazard) -> float:
-    """Trace of the hat matrix, ``tr{(B'WB + P)^-1 B'WB}``, clamped to [0, n_coef]."""
-    return _hat_trace(fit.inverse, fit.gram)
 
 
 def information_criteria(fit: FittedHazard):
@@ -445,6 +433,17 @@ class SearchConfig:
         """Per axis the coarse log10 values, ``np.arange(lo, hi + 1e-9, coarse_step)`` or -inf."""
         return tuple(np.arange(lo, hi + 1e-9, self.coarse_step) if lo > -math.inf else
                      np.array([lo]) for lo, hi in (self.log10_rho_u_range, self.log10_rho_s_range))
+
+    def ends(self) -> tuple:
+        """Per axis the (lowest, highest) log10 value the search can reach: the first coarse
+        value, and the top inside the range of the lattice of the finest refinement step."""
+        step = self.coarse_step
+        while step / 2.0 >= self.refine_resolution - 1e-12:   # as _GridSearch.run halves it
+            step /= 2.0
+        return tuple((axis[0], axis[-1] + step * math.floor((hi + 1e-9 - axis[-1]) / step)
+                      if axis[-1] > -math.inf else axis[-1])
+                     for axis, (_, hi) in zip(self.axes(), (self.log10_rho_u_range,
+                                                           self.log10_rho_s_range)))
 
 
 _Best = namedtuple("_Best", "value tie key coef fit")   # tie = -(a + b): smaller wins

@@ -1,8 +1,9 @@
 """Standard errors: delta method for (log-)hazards, simulation for CIFs.
 
 The coefficient covariance is the inverse of the penalized information at
-convergence.  SEs of the log-hazard at a point follow from the quadratic
-form x' Sigma x with the tensor basis row x; one chunked row-wise kernel
+convergence, which each fit carries (``FittedHazard.covariance``).  SEs of
+the log-hazard at a point follow from the quadratic form x' Sigma x with the
+tensor basis row x; one chunked row-wise kernel
 serves paired points and, on the meshgrid, product grids.  Hazard SEs are
 the delta-method transform through exp.  CIF standard errors come from
 repeatedly drawing coefficient vectors from their asymptotic normal
@@ -38,11 +39,6 @@ class MonteCarloConfig:
             raise ValueError(f"need at least 2 draws and a nonnegative seed, got {self}")
 
 
-def coefficient_covariance(fit: FittedHazard) -> np.ndarray:
-    """Covariance of the coefficient vector: (B'WB + P)^-1, symmetrized."""
-    return 0.5 * (fit.inverse + fit.inverse.T)
-
-
 def _window(B: np.ndarray, degree: int):
     """Start column and values of each row's ``degree + 1`` columns holding its nonzeros."""
     start = np.minimum(np.argmax(B != 0, axis=1), B.shape[1] - degree - 1)
@@ -73,23 +69,23 @@ def _row_variance(Bu: np.ndarray, Bs: np.ndarray, Sigma: np.ndarray, p_u: int,
     return var
 
 
-def se_log_hazard_points(fit: FittedHazard, Sigma: np.ndarray, u_arr, s_arr) -> np.ndarray:
+def se_log_hazard_points(fit: FittedHazard, u_arr, s_arr) -> np.ndarray:
     """Delta-method SE of the log-hazard at paired points (u_i, s_i)."""
-    Bu = evaluate_basis(u_arr, fit.kv_u).values
-    Bs = evaluate_basis(s_arr, fit.kv_s).values
-    return np.sqrt(np.maximum(_row_variance(Bu, Bs, Sigma, fit.kv_u.degree, fit.kv_s.degree),
-                              0.0))
+    Bu = evaluate_basis(u_arr, fit.kv_u)
+    Bs = evaluate_basis(s_arr, fit.kv_s)
+    var = _row_variance(Bu, Bs, fit.covariance, fit.kv_u.degree, fit.kv_s.degree)
+    return np.sqrt(np.maximum(var, 0.0))
 
 
-def se_log_hazard(fit: FittedHazard, Sigma: np.ndarray, u_points, s_points) -> np.ndarray:
+def se_log_hazard(fit: FittedHazard, u_points, s_points) -> np.ndarray:
     """Delta-method SE of the log-hazard on the product grid of the points."""
     uu, ss = np.meshgrid(u_points, s_points, indexing="ij")
-    return se_log_hazard_points(fit, Sigma, uu.ravel(), ss.ravel()).reshape(uu.shape)
+    return se_log_hazard_points(fit, uu.ravel(), ss.ravel()).reshape(uu.shape)
 
 
-def se_hazard(fit: FittedHazard, Sigma: np.ndarray, u_points, s_points) -> np.ndarray:
+def se_hazard(fit: FittedHazard, u_points, s_points) -> np.ndarray:
     """SE of the hazard itself: hazard times the log-hazard SE, elementwise."""
-    return evaluate_hazard(fit, u_points, s_points) * se_log_hazard(fit, Sigma, u_points, s_points)
+    return evaluate_hazard(fit, u_points, s_points) * se_log_hazard(fit, u_points, s_points)
 
 
 def sample_coefficients(mean: np.ndarray, Sigma: np.ndarray, n_draws: int,
@@ -118,7 +114,6 @@ def sample_coefficients(mean: np.ndarray, Sigma: np.ndarray, n_draws: int,
 
 def cif_standard_errors(
     fits: dict,
-    Sigmas: dict,
     u_points,
     s_points,
     mc: MonteCarloConfig = MonteCarloConfig(),
@@ -126,9 +121,10 @@ def cif_standard_errors(
 ) -> dict:
     """Monte-Carlo SEs of every cause's CIF on the product grid of the points.
 
-    Returns ``{cause: se}``.  Coefficient draws are independent across causes
-    (the causes are fitted separately; only the exposures are shared), and one
-    set of draws serves all causes.  Draws go through the quadrature kernel
+    Returns ``{cause: se}``.  Coefficients are drawn from N(``fit.coef``,
+    ``fit.covariance``), independently across causes (the causes are fitted
+    separately; only the exposures are shared), and one set of draws serves
+    all causes.  Draws go through the quadrature kernel
     _DRAW_CHUNK at a time; the empirical standard deviation (divisor
     n_draws - 1) is accumulated draw by draw in draw order and is bitwise
     reproducible for a given seed.
@@ -136,7 +132,7 @@ def cif_standard_errors(
     causes = sorted(fits)
     rng = np.random.default_rng(mc.seed)
     draws = {
-        ell: sample_coefficients(fits[ell].coef, Sigmas[ell], mc.n_draws, rng)
+        ell: sample_coefficients(fits[ell].coef, fits[ell].covariance, mc.n_draws, rng)
         for ell in causes
     }
     u_points, s_points, delta, Bu = _prepare(fits, u_points, s_points, delta)

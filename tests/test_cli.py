@@ -182,6 +182,22 @@ class TestConfig:
         assert result.exit_code == 2, result.output
         assert "interior u-bin edge" in result.output and "row 2" not in result.output
 
+    @pytest.mark.parametrize("content", [b"grid: {u_lo: 50\n", b"grid:\n  h_u: 1\n h_s: 2\n",
+                                         b"\xff\xfe\x00"], ids=["unclosed", "indent", "binary"])
+    def test_config_that_does_not_parse_exits_2_before_reading_input(self, runner, tmp_path,
+                                                                     content):
+        """Once a YAML scanner or decoding traceback with exit 1."""
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(content)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("id,u,s_entry,s_exit,cause\nx,55,0,notanumber,1\n")
+        for command in ("fit", "ungroup"):
+            result = runner.invoke(main, [command, str(bad), "--config", str(path),
+                                          "--out", str(tmp_path / "o")])
+            assert result.exit_code == 2, result.output
+            assert f"error: {path}: not a YAML document" in result.output
+            assert "row 2" not in result.output
+
     @pytest.mark.parametrize("option", [["--seed", "-1"], ["--draws", "1"], ["--draws", "0"]])
     def test_bad_seed_or_draws_option_exit_2_before_reading_input(self, runner, tmp_path,
                                                                   option):
@@ -277,6 +293,26 @@ class TestFit:
         assert result.exit_code == 2
         assert "row 2" in result.output
 
+    def test_on_edge_means_an_end_the_search_can_reach(self, runner, cohort_csv, tmp_path):
+        """[1, 4.6] by 2, refined down to 0.5: the search reaches 4.5 at most, its top end."""
+        cfg = {**FAST_CONFIG, "selection": {**FAST_CONFIG["selection"],
+                                            "log10_rho_u_range": [1.0, 4.6],
+                                            "log10_rho_s_range": [1.0, 4.6]}}
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        result = runner.invoke(main, ["fit", str(cohort_csv), "--config", str(path),
+                                      "--out", str(tmp_path / "o")])
+        assert result.exit_code == 0, result.output
+        summary = json.loads((tmp_path / "o" / "fit_summary.json").read_text())
+        tops = 0
+        for block in summary["causes"].values():
+            for axis in ("u", "s"):
+                value = block[f"log10_rho_{axis}"]
+                on_edge = min(abs(value - end) for end in (1.0, 4.5)) <= 1e-6
+                assert block[f"log10_rho_{axis}_on_edge"] is on_edge
+                tops += abs(value - 4.5) <= 1e-6
+        assert tops >= 1   # the case the rule is about occurs
+
     def test_nonconvergence_exit_3(self, runner, cohort_csv, tmp_path):
         cfg = dict(FAST_CONFIG)
         cfg["convergence"] = {"max_iter": 1}
@@ -367,6 +403,46 @@ class TestPredict:
         assert result.exit_code == 2, result.output
         assert "out of domain: nan" in result.output
 
+    @pytest.mark.parametrize("damage,message", [
+        ("truncated", "not a model file: "),
+        ("csv", "not a model file: "),
+        ("binary", "not a model file: "),
+        ("list", "not a model file"),
+        ("no-causes", "model file has no key 'causes'"),
+        ("no-covariance", "model file has no key 'covariance'"),
+        ("causes-list", "bad model file entry: "),
+        ("empty-causes", "model file holds no cause"),
+        ("no-config", "model file has no key 'config'"),
+        ("bad-delta", "bad model file entry: quadrature step delta must be finite and positive"),
+    ])
+    def test_model_file_that_does_not_parse_exits_2(self, runner, fit_outputs, tmp_path,
+                                                    damage, message):
+        """Once JSONDecodeError, UnicodeDecodeError or KeyError tracebacks with exit 1."""
+        text = (fit_outputs / "model.json").read_text()
+        payload = json.loads(text)
+        no_covariance = json.loads(text)
+        del no_covariance["causes"]["2"]["covariance"]
+        content = {"truncated": text[: len(text) // 2], "csv": "u,s\n60,5\n", "list": "[1, 2]",
+                   "no-causes": {k: v for k, v in payload.items() if k != "causes"},
+                   "no-covariance": no_covariance,
+                   "causes-list": {**payload, "causes": [1]},
+                   "empty-causes": {**payload, "causes": {}},
+                   "no-config": {k: v for k, v in payload.items() if k != "config"},
+                   "bad-delta": {**payload, "config": {**payload["config"], "delta": -1.0}}
+                   }.get(damage)
+        model = tmp_path / "model.json"
+        if damage == "binary":
+            model.write_bytes(b"\xff\xfe\x00{")
+        else:
+            model.write_text(content if isinstance(content, str) else json.dumps(content))
+        pts = tmp_path / "pts.csv"
+        pts.write_text("u,s\n60,5\n")
+        result = runner.invoke(main, ["predict", "--model", str(model), "--points", str(pts),
+                                      "--out", str(tmp_path / "o.csv")])
+        assert result.exit_code == 2, result.output
+        assert f"error: {model}: {message}" in result.output
+        assert not (tmp_path / "o.csv").exists()
+
     def test_extrapolated_flag_in_output(self, runner, fit_outputs, tmp_path):
         pts = tmp_path / "edge.csv"
         pts.write_text("u,s\n75,5\n")
@@ -401,19 +477,37 @@ class TestSimulateCommand:
         result = runner.invoke(main, ["simulate", str(scen), "--out", str(tmp_path / "c.csv")])
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize("text,name", [
-        ("- 1\n- 2\n", "scenario"),
-        ("age: 5\ncause1: {name: constant, level: 0.1}\ncause2: {name: constant, level: 0.1}\n",
-         "scenario key age"),
-        ("cause1: 5\ncause2: {name: constant, level: 0.1}\n", "scenario key cause1"),
-    ], ids=["list", "age", "cause1"])
-    def test_scenario_that_is_no_mapping_exits_2(self, runner, tmp_path, text, name):
-        """Once an AttributeError or TypeError traceback with exit 1."""
+    CAUSES = "cause1: {name: constant, level: 0.1}\ncause2: {name: constant, level: 0.1}\n"
+
+    @pytest.mark.parametrize("text,message", [
+        ("- 1\n- 2\n", "scenario must be a mapping"),
+        ("age: 5\n" + CAUSES, "scenario key age must be a mapping"),
+        ("cause1: 5\ncause2: {name: constant, level: 0.1}\n",
+         "scenario key cause1 must be a mapping"),
+        ("cause2: {name: constant, level: 0.1}\n", "scenario key cause1 must be a mapping"),
+        ("age: {lo: [1]}\n" + CAUSES, "scenario key age.lo must be a number, got [1]"),
+        ("n: [5]\n" + CAUSES, "scenario key n must be a number, got [5]"),
+        ("age: {weights: 5}\n" + CAUSES, "scenario key age.weights must be a list of numbers"),
+        ("age: {weights: [1, [2]]}\n" + CAUSES,
+         "scenario key age.weights must be a list of numbers"),
+        ("cause1: {name: constant, lvl: 0.1}\ncause2: {name: constant, level: 0.1}\n",
+         "scenario key cause1: hazard family 'constant' needs parameter 'level'"),
+        ("cause1: {name: constant, level: [1]}\ncause2: {name: constant, level: 0.1}\n",
+         "scenario key cause1.level must be a number, got [1]"),
+        ("cause1: {name: linear, level: 0.1}\ncause2: {name: constant, level: 0.1}\n",
+         "scenario key cause1: unknown hazard family 'linear'"),
+        ("cause1: {name: constant\n", "{path}: not a YAML document"),
+    ], ids=["list", "age", "cause1", "no-cause1", "age-lo", "n", "weights", "nested-weight",
+            "family-parameter", "parameter-type", "family", "yaml"])
+    def test_scenario_that_is_no_mapping_exits_2(self, runner, tmp_path, text, message):
+        """A scenario, a block or a value of the wrong kind, a missing key or family parameter
+        and a document that does not parse: once AttributeError, TypeError, KeyError or YAML
+        scanner tracebacks with exit 1, or a bare ``error: 'level'``."""
         scen = tmp_path / "scen.yaml"
         scen.write_text(text)
         result = runner.invoke(main, ["simulate", str(scen), "--out", str(tmp_path / "c.csv")])
         assert result.exit_code == 2, result.output
-        assert f"error: {name} must be a mapping" in result.output
+        assert f"error: {message.format(path=scen)}" in result.output
         assert not (tmp_path / "c.csv").exists()
 
     def test_constant_scenario_cause_fraction(self, runner, tmp_path):
@@ -617,7 +711,7 @@ def test_nonfinite_values_are_written_as_strict_json(runner, cohort_csv, tmp_pat
     model = json.loads((out / "model.json").read_text(), parse_constant=refuse)
     assert summary["config"]["selection"]["log10_rho_u_range"] == ["-Infinity", "-Infinity"]
     assert model["causes"]["1"]["penalty"]["log10_rho_u"] == "-Infinity"
-    payload, _, fits, _ = cli.load_model(out / "model.json")
+    payload, fits = cli.load_model(out / "model.json")
     assert payload["config"]["selection"]["log10_rho_u_range"] == [-math.inf, -math.inf]
     for fit in fits.values():
         assert fit.penalty.log10_rho_u == -math.inf

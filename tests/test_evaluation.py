@@ -38,8 +38,7 @@ def dense_paired(fits, u, s, delta):
     """Cumulative hazards, CIFs and survival at paired points, all rows at once."""
     K = np.floor(s / delta + 1e-9).astype(int)
     nodes = delta * np.arange(K.max())
-    lam = {ell: np.exp(h.evaluate_basis(u, f.kv_u).values @ f.A
-                       @ h.evaluate_basis(nodes, f.kv_s).values.T)
+    lam = {ell: np.exp(h.evaluate_basis(u, f.kv_u) @ f.A @ h.evaluate_basis(nodes, f.kv_s).T)
            for ell, f in fits.items()}
     before = np.arange(len(nodes))[None, :] < K[:, None]       # nodes below each s
     lam_tot = sum(lam.values())
@@ -67,8 +66,7 @@ def triangular_fits():
 
 @pytest.fixture(scope="module")
 def tri():
-    grid, fits = triangular_fits()
-    return grid, fits, {ell: h.coefficient_covariance(f) for ell, f in fits.items()}
+    return triangular_fits()
 
 
 # -- support hull ---------------------------------------------------------------
@@ -134,7 +132,7 @@ def test_box_hull_for_collinear_support():
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_paired_kernel_matches_dense_at_chunk_boundary(tri, offset):
-    grid, fits, _ = tri
+    grid, fits = tri
     n = incidence._CHUNK + offset
     rng = np.random.default_rng(n)
     u, s = rng.uniform(0, 10, n), rng.uniform(0, 10, n)
@@ -148,30 +146,30 @@ def test_paired_kernel_matches_dense_at_chunk_boundary(tri, offset):
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_se_kernel_matches_dense_at_chunk_boundary(tri, offset):
-    grid, fits, Sigmas = tri
+    grid, fits = tri
     n = incidence._CHUNK + offset
     rng = np.random.default_rng(n)
     u, s = rng.uniform(0, 10, n), rng.uniform(0, 10, n)
-    Bu = h.evaluate_basis(u, fits[1].kv_u).values
-    Bs = h.evaluate_basis(s, fits[1].kv_s).values
+    Bu = h.evaluate_basis(u, fits[1].kv_u)
+    Bs = h.evaluate_basis(s, fits[1].kv_s)
     X = np.stack([np.kron(Bs[i], Bu[i]) for i in range(n)])
-    dense = np.sqrt(np.sum((X @ Sigmas[1]) * X, axis=1))
-    got = h.se_log_hazard_points(fits[1], Sigmas[1], u, s)
+    dense = np.sqrt(np.sum((X @ fits[1].covariance) * X, axis=1))
+    got = h.se_log_hazard_points(fits[1], u, s)
     np.testing.assert_allclose(got, dense, rtol=1e-12)
 
 
 @pytest.mark.parametrize("n_draws", [uncertainty._DRAW_CHUNK - 1, uncertainty._DRAW_CHUNK,
                                      uncertainty._DRAW_CHUNK + 1])
 def test_mc_se_matches_per_draw_loop(tri, n_draws):
-    grid, fits, Sigmas = tri
+    grid, fits = tri
     # more u rows than one draw batch covers, so rows are chunked as well
     u_pts = np.linspace(0, 10, incidence._CHUNK // uncertainty._DRAW_CHUNK + 1)
     s_pts = grid.s_mid[:4]
     mc = h.MonteCarloConfig(n_draws=n_draws, seed=11)
-    got = h.cif_standard_errors(fits, Sigmas, u_pts, s_pts, mc=mc, delta=0.05)
+    got = h.cif_standard_errors(fits, u_pts, s_pts, mc=mc, delta=0.05)
 
     rng = np.random.default_rng(mc.seed)
-    draws = {ell: h.sample_coefficients(fits[ell].coef, Sigmas[ell], n_draws, rng)
+    draws = {ell: h.sample_coefficients(fits[ell].coef, fits[ell].covariance, n_draws, rng)
              for ell in (1, 2)}
     values = {1: [], 2: []}
     for k in range(n_draws):
@@ -196,7 +194,7 @@ node_s = st.one_of(st.sampled_from([0.0, 0.01, 0.0499, 0.05, 0.1, 9.95, 10.0]),
 @example(base=[(1.0, 0.0), (2.0, 10.0), (3.0, 0.02), (4.0, 5.0)],
          picks=[1, 0, 3, 2, 1, 0, 0, 2, 1, 3, 1], chunk=2)
 def test_paired_kernel_matches_dense_on_unsorted_repeated_points(tri, base, picks, chunk):
-    grid, fits, _ = tri
+    grid, fits = tri
     u, s = np.array([base[i % len(base)] for i in picks]).T
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(incidence, "_CHUNK", chunk)
@@ -209,8 +207,8 @@ def test_paired_kernel_matches_dense_on_unsorted_repeated_points(tri, base, pick
 
 
 def test_mc_se_unchanged_by_cached_node_basis(tri, monkeypatch):
-    grid, fits, Sigmas = tri
-    args = (fits, Sigmas, np.linspace(0, 10, 7), grid.s_mid,
+    grid, fits = tri
+    args = (fits, np.linspace(0, 10, 7), grid.s_mid,
             h.MonteCarloConfig(n_draws=3 * uncertainty._DRAW_CHUNK + 5, seed=4), 0.05)
     sizes, evaluate_basis = [], incidence.evaluate_basis
     monkeypatch.setattr(incidence, "evaluate_basis",
@@ -241,7 +239,7 @@ def test_windowed_se_kernel_matches_dense_quadratic_form(p_u, p_s, seg_u, seg_s,
     knots_u, knots_s = np.linspace(0, 10, seg_u + 1), np.linspace(0, 5, seg_s + 1)
     u = np.concatenate([rng.uniform(0, 10, n_random), np.repeat(knots_u, len(knots_s))])
     s = np.concatenate([rng.uniform(0, 5, n_random), np.tile(knots_s, len(knots_u))])
-    Bu, Bs = h.evaluate_basis(u, kv_u).values, h.evaluate_basis(s, kv_s).values
+    Bu, Bs = h.evaluate_basis(u, kv_u), h.evaluate_basis(s, kv_s)
     n_coef = kv_u.n_basis * kv_s.n_basis
     M = rng.standard_normal((n_coef, n_coef))
     Sigma = M @ M.T / n_coef + np.eye(n_coef)
@@ -254,20 +252,65 @@ def test_windowed_se_kernel_matches_dense_quadratic_form(p_u, p_s, seg_u, seg_s,
 
 # -- models restored from model.json ----------------------------------------------
 
-def test_loaded_model_evaluates_like_in_memory_fits(tri, tmp_path):
-    grid, fits, Sigmas = tri
-    save_model(tmp_path / "model.json", load_config(None), grid, fits, Sigmas)
-    loaded = load_model(tmp_path / "model.json")[2]
-    u = np.array([0.5, 2.5, 5.5, 9.5, 9.5])
-    s = np.array([0.5, 6.5, 2.5, 0.5, 9.5])
+def assert_bitwise_equal(a, b, where="fit"):
+    """``a`` and ``b`` equal field by field, item by item, and arrays byte for byte."""
+    if dataclasses.is_dataclass(a):
+        assert type(a) is type(b), where
+        for f in dataclasses.fields(a):
+            assert_bitwise_equal(getattr(a, f.name), getattr(b, f.name), f"{where}.{f.name}")
+    elif isinstance(a, (dict, list, tuple)):
+        assert type(a) is type(b) and len(a) == len(b), where
+        for key in (a if isinstance(a, dict) else range(len(a))):
+            assert_bitwise_equal(a[key], b[key], f"{where}[{key!r}]")
+    elif isinstance(a, np.ndarray):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), where
+    else:
+        assert a == b, where
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_u=st.integers(3, 9), n_s=st.integers(3, 7), c=st.tuples(*[st.integers(3, 9)] * 2),
+       degree=st.tuples(*[st.integers(0, 3)] * 2), seed=st.integers(0, 2**16),
+       log10_rho=st.tuples(*[st.sampled_from([-np.inf, 0.5, 2.0])] * 2),
+       corner=st.integers(0, 2))
+@example(n_u=6, n_s=5, c=(3, 3), degree=(2, 1), seed=0, log10_rho=(-np.inf, 2.0), corner=2)
+def test_loaded_model_evaluates_like_in_memory_fits(tmp_path_factory, n_u, n_s, c, degree, seed,
+                                                     log10_rho, corner):
+    """Toy fits of any degree and knot count, a rho = 0 axis and a zero-exposure corner among
+    them: the fits ``load_model`` restores from ``save_model`` hold every field of the fits in
+    memory, bit for bit, and evaluate, flag and give standard errors bit for bit alike."""
+    # more than d = 2 basis functions, at most one per bin, of a degree below their count
+    c_u, c_s = min(c[0], n_u), min(c[1], n_s)
+    deg_u, deg_s = min(degree[0], c_u - 1), min(degree[1], c_s - 1)
+    grid = h.build_grid(0, n_u, 1, 0, n_s, 1)
+    rng = np.random.default_rng(seed)
+    R = np.full((n_u, n_s), 30.0)
+    R[:corner, :corner] = 0.0
+    Y = {ell: np.where(R > 0, rng.poisson(lam * R), 0).astype(float)
+         for ell, lam in ((1, 0.2), (2, 0.1))}
+    binned = h.BinnedData(grid=grid, Y=Y, R=R)
+    kv_u, kv_s = h.make_knots(0, n_u, c_u - deg_u, deg_u), h.make_knots(0, n_s, c_s - deg_s, deg_s)
+    fits = {ell: h.fit_hazard(binned, ell, kv_u, kv_s, h.PenaltyConfig(*log10_rho, 2))
+            for ell in (1, 2)}
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    save_model(path, load_config(None), fits)
+    loaded = load_model(path)[1]
+    assert_bitwise_equal(loaded, fits)
+
+    # a corner point off the hull of the bin midpoints, interior points and the domain's top
+    u = np.array([0.1, n_u / 2, n_u - 0.5, n_u, n_u / 2])
+    s = np.array([0.1, n_s / 2, 0.5, n_s, 0.0])
     pairs = [(h.surfaces_at_points(fits, u, s, 0.05), h.surfaces_at_points(loaded, u, s, 0.05)),
              (h.to_age_coordinates(fits, u + s, s, 0.05),
               h.to_age_coordinates(loaded, u + s, s, 0.05))]
     for mem, disk in pairs:
-        assert disk.extrapolated.tolist() == mem.extrapolated.tolist()
-        assert mem.extrapolated.tolist() == [False, False, False, False, True]
-        assert np.array_equal(disk.survival, mem.survival)
-        for ell in (1, 2):
-            assert np.array_equal(disk.hazard[ell], mem.hazard[ell])
-            assert np.array_equal(disk.cif[ell], mem.cif[ell])
-            assert np.array_equal(disk.cumhaz[ell], mem.cumhaz[ell])
+        assert_bitwise_equal(disk, mem, "surfaces")
+        assert mem.extrapolated[0]
+    for ell in (1, 2):
+        assert_bitwise_equal(h.se_log_hazard_points(loaded[ell], u, s),
+                             h.se_log_hazard_points(fits[ell], u, s), "se_log_hazard_points")
+        assert_bitwise_equal(h.se_hazard(loaded[ell], u, s), h.se_hazard(fits[ell], u, s),
+                             "se_hazard")
+    mc = h.MonteCarloConfig(n_draws=20, seed=seed)
+    assert_bitwise_equal(h.cif_standard_errors(loaded, u, s, mc=mc, delta=0.05),
+                         h.cif_standard_errors(fits, u, s, mc=mc, delta=0.05), "cif_se")

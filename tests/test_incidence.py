@@ -53,8 +53,8 @@ class TestEvaluateHazard:
         rng = np.random.default_rng(0)
         fit.A = rng.normal(size=fit.A.shape)
         u_dot, s_dot = 3.21, 6.78
-        bu = h.evaluate_basis([u_dot], fit.kv_u).values[0]
-        bs = h.evaluate_basis([s_dot], fit.kv_s).values[0]
+        bu = h.evaluate_basis([u_dot], fit.kv_u)[0]
+        bs = h.evaluate_basis([s_dot], fit.kv_s)[0]
         # oracle: explicit double sum over basis indices
         eta = sum(bu[l] * bs[m] * fit.A[l, m]
                   for l in range(len(bu)) for m in range(len(bs)))

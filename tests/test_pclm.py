@@ -12,8 +12,8 @@ from hazard2ts.pclm import _problem
 # -- dense oracle for the composite link kernels -----------------------------
 
 def dense_pieces(Bu, Bs, C_u, Gamma, Psi):
-    B = np.kron(Bs.values, Bu.values)
-    C = np.kron(np.eye(Bs.values.shape[0]), C_u)
+    B = np.kron(Bs, Bu)
+    C = np.kron(np.eye(Bs.shape[0]), C_u)
     gam = Gamma.flatten(order="F")
     psi = Psi.flatten(order="F")
     Q = C @ (gam[:, None] * B)
@@ -81,10 +81,11 @@ class TestFitPclm:
         pf = h.fit_pclm(Z, np.eye(10), Bu, Bs, d=2, phis=(0.5, 0.5), ctrl=ctrl)
         data = h.BinnedData(grid=grid, Y={1: Z, 2: np.ones_like(Z)}, R=np.ones_like(Z))
         hf = h.fit_hazard(data, 1, kv_u, kv_s, h.PenaltyConfig(0.5, 0.5, 2), ctrl)
-        assert np.abs(pf.Gamma - hf.W_hat).max() < 1e-8
+        mu = h.evaluate_hazard(hf, grid.u_mid, grid.s_mid)   # the fitted means at exposure 1
+        assert np.abs(pf.Gamma - mu).max() < 1e-8
         # one engine: the same problem gives the same iterates, bit for bit
         assert np.array_equal(pf.theta, hf.coef)
-        assert np.array_equal(pf.Gamma, hf.W_hat)
+        assert np.array_equal(pf.Gamma, mu)
         assert (pf.deviance, pf.ed, pf.n_iter) == (hf.deviance, hf.ed, hf.n_iter)
 
     def test_kernels_match_dense_formulation(self):
@@ -112,7 +113,7 @@ class TestFitPclm:
         fit = h.fit_pclm(Z, C, Bu, Bs, d=2, phis=phis, ctrl=ctrl)
         B, Cd, Q, gam, psi = dense_pieces(Bu, Bs, C, fit.Gamma, fit.Psi)
         z = Z.flatten(order="F")
-        P = h.penalty_matrix(Bu.values.shape[1], Bs.values.shape[1], h.PenaltyConfig(*phis, 2))
+        P = h.penalty_matrix(Bu.shape[1], Bs.shape[1], h.PenaltyConfig(*phis, 2))
         score = Q.T @ ((z - psi) / psi) - P @ fit.theta
         scale = max(np.abs(Q.T @ (z / psi)).max(), 1.0)
         assert np.abs(score).max() < 1e-9 * scale

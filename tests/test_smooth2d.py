@@ -1,5 +1,6 @@
 import functools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,13 +26,19 @@ def toy_knots(n_u=8, n_s=6, c_u=5, c_s=4, degree=2):
             h.make_knots(0, n_s, c_s - degree, degree))
 
 
+def dense_means(fit, data):
+    """The fitted Poisson means on the grid, exposure times hazard, through ``np.kron``."""
+    K = np.kron(h.evaluate_basis(data.grid.s_mid, fit.kv_s),
+                h.evaluate_basis(data.grid.u_mid, fit.kv_u))
+    return data.R * np.exp(K @ fit.coef).reshape(data.R.shape, order="F")
+
+
 def recompute_score_rel(fit, data, cause):
     """Independent stationarity check through dense matrices."""
-    Bu = h.evaluate_basis(data.grid.u_mid, fit.kv_u).values
-    Bs = h.evaluate_basis(data.grid.s_mid, fit.kv_s).values
-    K = np.kron(Bs, Bu)
+    K = np.kron(h.evaluate_basis(data.grid.s_mid, fit.kv_s),
+                h.evaluate_basis(data.grid.u_mid, fit.kv_u))
     y = data.Y[cause].flatten(order="F")
-    mu = fit.W_hat.flatten(order="F")
+    mu = data.R.flatten(order="F") * np.exp(K @ fit.coef)
     P = penalty_matrix(fit.A.shape[0], fit.A.shape[1], fit.penalty)
     score = K.T @ (y - mu) - P @ fit.coef
     return np.abs(score).max() / np.abs(K.T @ y).max()
@@ -45,7 +52,7 @@ class TestFitHazard:
         kv = h.make_knots(0, 1, 1, 0)
         fit = h.fit_hazard(data, 1, kv, kv, h.zero_penalty())
         assert np.exp(fit.A[0, 0]) == pytest.approx(0.5, abs=1e-12)
-        assert fit.W_hat[0, 0] == pytest.approx(5.0, abs=1e-10)
+        assert dense_means(fit, data)[0, 0] == pytest.approx(5.0, abs=1e-10)
         assert fit.ed == pytest.approx(1.0, abs=1e-10)
 
     def test_constant_hazard_recovery(self, constant_fits, default_grid):
@@ -69,7 +76,8 @@ class TestFitHazard:
         data.Y[1][0, 0] = 0.0
         kv_u, kv_s = toy_knots()
         fit = h.fit_hazard(data, 1, kv_u, kv_s, h.PenaltyConfig(0.0, 0.0, 2))
-        assert fit.W_hat[0, 0] == 0.0
+        # the engine's masked means at the fit, which weight the information
+        assert _prepare(data, 1, kv_u, kv_s).prob.state(fit.coef)[1][0, 0] == 0.0
         assert fit.n_bin == data.R.size - 1
 
     def test_stationarity_verified_externally(self):
@@ -195,7 +203,7 @@ class TestInverseSpd:
         kv_u, kv_s = toy_knots()
         fit = h.fit_hazard(data, 1, kv_u, kv_s, h.zero_penalty())
         assert fit.ed == pytest.approx(fit.n_coef - 1, abs=1e-6)
-        assert np.all(np.isfinite(fit.inverse))
+        assert np.all(np.isfinite(fit.covariance))
 
 
 class TestInformationCriteria:
@@ -283,6 +291,32 @@ class TestSelectSmoothing:
                            max_evals=100)
         # rho_u = 0 is one candidate per column
         h.SearchConfig(log10_rho_u_range=(-math.inf, -math.inf), max_evals=10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(lo=st.sampled_from([-2.0, -0.5, 0.0, 1.25]), width=st.floats(0.0, 6.0),
+           coarse_step=st.sampled_from([0.5, 1.0, 1.5, 2.0]),
+           refine=st.sampled_from([0.05, 0.1, 0.3, 0.5, 1.0, 2.5]), sign=st.sampled_from([1, -1]))
+    @example(lo=-2.0, width=8.3, coarse_step=1.0, refine=0.1, sign=1)   # [-2, 6.3]: top 6.25
+    def test_ends_are_what_the_search_reaches(self, lo, width, coarse_step, refine, sign):
+        """A criterion that falls (sign 1) or rises (sign -1) along both axes leads the search
+        to the high or the low ends, and no candidate lies beyond them."""
+        search = h.SearchConfig((lo, lo + width), (lo, lo + width), coarse_step, refine)
+        fit = SimpleNamespace(n_iter=1)
+        grid = smooth2d._GridSearch(lambda a, b, start: (-sign * (a + b), np.zeros(1), fit))
+        best = grid.run(search)
+        ends = search.ends()
+        assert best.key == tuple(round(end[sign == 1], 6) for end in ends)
+        for row in grid.table:
+            for value, (low, high) in zip(row[:2], ends):
+                assert low - 1e-9 <= value <= high + 1e-9
+
+    def test_ends_of_the_phi_search_are_its_grid_ends(self):
+        """A phi search is unrefined (resolution = step): its ends are those of its axes."""
+        search = h.SearchConfig((-1.0, 2.0), (-1.0, 2.0), 0.7, 0.7)
+        assert search.ends() == ((search.axes()[0][0], search.axes()[0][-1]),) * 2
+        assert search.ends()[0][1] == pytest.approx(1.8)
+        rho0 = h.SearchConfig((-math.inf, -math.inf), (0.0, 2.0))
+        assert rho0.ends() == ((-math.inf, -math.inf), (0.0, 2.0))
 
     def test_rho_zero_range_is_searched_as_minus_inf(self):
         data = toy_data(np.random.default_rng(12))
@@ -376,11 +410,11 @@ def cold_search(data, cause, kv_u, kv_s, d, criterion, search, ctrl):
 
 
 def fits_equal(a, b):
-    """Every field of two FittedHazards equal (arrays elementwise, inverses included)."""
-    for name in ("A", "W_hat", "gram", "inverse"):
+    """Every field of two FittedHazards equal (arrays elementwise, covariances included)."""
+    for name in ("A", "covariance"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     assert a.hull[0] == b.hull[0] and np.array_equal(a.hull[1], b.hull[1])
-    for name in ("penalty", "deviance", "ed", "aic", "bic", "n_bin", "n_iter", "score_rel"):
+    for name in ("penalty", "deviance", "ed", "aic", "bic", "n_bin", "n_iter"):
         assert getattr(a, name) == getattr(b, name), name
 
 
@@ -509,8 +543,8 @@ class TestWarmStartedSearch:
 
     def test_penalty_matrix_unchanged_by_shared_blocks(self):
         pen = h.PenaltyConfig(1.5, -0.5, 2)
-        Du = h.difference_matrix(6, 2).values
-        Ds = h.difference_matrix(5, 2).values
+        Du = h.difference_matrix(6, 2)
+        Ds = h.difference_matrix(5, 2)
         expected = (pen.rho_u * np.kron(np.eye(5), Du.T @ Du)
                     + pen.rho_s * np.kron(Ds.T @ Ds, np.eye(6)))
         for _ in range(2):                    # built once, then reused

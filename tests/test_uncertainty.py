@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,17 +23,21 @@ def delta_method_cif_se(lam1, lam2, var1, var2, s):
 
 class TestCoefficientCovariance:
     def test_scalar_inverse_fisher_information(self, scalar_toy):
-        fits, Sigmas = scalar_toy
+        fits = scalar_toy
         # single Poisson coefficient: variance = 1 / fitted mean
-        assert Sigmas[1][0, 0] == pytest.approx(1.0 / 40.0, rel=1e-10)
-        assert Sigmas[2][0, 0] == pytest.approx(1.0 / 20.0, rel=1e-10)
+        assert fits[1].covariance[0, 0] == pytest.approx(1.0 / 40.0, rel=1e-10)
+        assert fits[2].covariance[0, 0] == pytest.approx(1.0 / 20.0, rel=1e-10)
 
     def test_matches_explicit_inverse(self, constant_binned, default_knots):
         kv_u, kv_s = default_knots
         fit = h.fit_hazard(constant_binned, 1, kv_u, kv_s, h.PenaltyConfig(2.0, 2.0, 2))
-        Sigma = h.coefficient_covariance(fit)
+        Sigma = fit.covariance
         P = h.penalty_matrix(fit.A.shape[0], fit.A.shape[1], fit.penalty)
-        explicit = np.linalg.inv(fit.gram + P)
+        # the information B'WB at the fit, through the dense model matrix
+        grid = constant_binned.grid
+        K = np.kron(h.evaluate_basis(grid.s_mid, kv_s), h.evaluate_basis(grid.u_mid, kv_u))
+        mu = constant_binned.R.flatten(order="F") * np.exp(K @ fit.coef)
+        explicit = np.linalg.inv(K.T @ (mu[:, None] * K) + P)
         assert np.abs(Sigma - explicit).max() < 1e-10 * np.abs(explicit).max()
         assert np.array_equal(Sigma, Sigma.T)
 
@@ -41,42 +47,37 @@ class TestCoefficientCovariance:
         for lrho in (-1.0, 1.0, 3.0, 5.0):
             fit = h.fit_hazard(constant_binned, 1, kv_u, kv_s,
                                h.PenaltyConfig(lrho, lrho, 2))
-            diags.append(np.diag(h.coefficient_covariance(fit)).mean())
+            diags.append(np.diag(fit.covariance).mean())
         assert all(a >= b for a, b in zip(diags, diags[1:]))
 
 
 class TestSeLogHazard:
     def test_scalar_case(self, scalar_toy):
-        fits, Sigmas = scalar_toy
-        se = h.se_log_hazard(fits[1], Sigmas[1], [0.5], [0.5])
+        se = h.se_log_hazard(scalar_toy[1], [0.5], [0.5])
         assert se[0, 0] == pytest.approx(np.sqrt(1.0 / 40.0), rel=1e-12)
 
     def test_matches_dense_kronecker_rows(self, constant_fits, default_grid):
         fit = constant_fits[1]
-        Sigma = h.coefficient_covariance(fit)
         u_pts = default_grid.u_mid[:7]
         s_pts = default_grid.s_mid[:5]
-        se = h.se_log_hazard(fit, Sigma, u_pts, s_pts)
-        Bu = h.evaluate_basis(u_pts, fit.kv_u).values
-        Bs = h.evaluate_basis(s_pts, fit.kv_s).values
+        se = h.se_log_hazard(fit, u_pts, s_pts)
+        Bu = h.evaluate_basis(u_pts, fit.kv_u)
+        Bs = h.evaluate_basis(s_pts, fit.kv_s)
         for i in range(len(u_pts)):
             for j in range(len(s_pts)):
                 row = np.kron(Bs[j], Bu[i])
-                assert se[i, j] == pytest.approx(np.sqrt(row @ Sigma @ row), abs=1e-12)
+                assert se[i, j] == pytest.approx(np.sqrt(row @ fit.covariance @ row), abs=1e-12)
 
     def test_paired_points_variant_agrees(self, constant_fits, default_grid):
         fit = constant_fits[1]
-        Sigma = h.coefficient_covariance(fit)
         u = default_grid.u_mid[[3, 10, 40]]
         s = default_grid.s_mid[[1, 5, 20]]
-        paired = h.se_log_hazard_points(fit, Sigma, u, s)
-        grid_se = h.se_log_hazard(fit, Sigma, u, s)
+        paired = h.se_log_hazard_points(fit, u, s)
+        grid_se = h.se_log_hazard(fit, u, s)
         assert np.allclose(paired, np.diag(grid_se), atol=1e-14)
 
     def test_strictly_positive(self, constant_fits, default_grid):
-        fit = constant_fits[1]
-        Sigma = h.coefficient_covariance(fit)
-        se = h.se_log_hazard(fit, Sigma, default_grid.u_mid, default_grid.s_mid)
+        se = h.se_log_hazard(constant_fits[1], default_grid.u_mid, default_grid.s_mid)
         assert np.all(se > 0)
 
     def test_sparse_corner_has_larger_se_than_dense_center(self):
@@ -92,8 +93,7 @@ class TestSeLogHazard:
         data = h.BinnedData(grid=grid, Y={1: Y, 2: Y}, R=R)
         kv = h.make_knots(0, 12, 5, 3)
         fit = h.fit_hazard(data, 1, kv, kv, h.PenaltyConfig(1.0, 1.0, 2))
-        Sigma = h.coefficient_covariance(fit)
-        se = h.se_log_hazard(fit, Sigma, grid.u_mid, grid.s_mid)
+        se = h.se_log_hazard(fit, grid.u_mid, grid.s_mid)
         assert se[11, 11] > 3.0 * se[4, 4]
 
 
@@ -101,33 +101,30 @@ class TestSeHazard:
     def test_unit_hazard_point(self, scalar_toy):
         import copy
 
-        fits, Sigmas = scalar_toy
-        fit_zero = copy.deepcopy(fits[1])
+        fit_zero = copy.deepcopy(scalar_toy[1])
         fit_zero.A = np.zeros_like(fit_zero.A)  # hazard exactly 1
-        se_eta = h.se_log_hazard(fit_zero, Sigmas[1], [0.5], [0.5])
-        se_lam = h.se_hazard(fit_zero, Sigmas[1], [0.5], [0.5])
+        se_eta = h.se_log_hazard(fit_zero, [0.5], [0.5])
+        se_lam = h.se_hazard(fit_zero, [0.5], [0.5])
         assert se_lam[0, 0] == pytest.approx(se_eta[0, 0], rel=1e-14)
 
     def test_coefficient_shift_scales_hazard_se_only(self, constant_fits, default_grid):
         import copy
 
         fit = copy.deepcopy(constant_fits[1])
-        Sigma = h.coefficient_covariance(constant_fits[1])
         u_pts, s_pts = default_grid.u_mid[:4], default_grid.s_mid[:4]
-        se_eta0 = h.se_log_hazard(fit, Sigma, u_pts, s_pts)
-        se_lam0 = h.se_hazard(fit, Sigma, u_pts, s_pts)
+        se_eta0 = h.se_log_hazard(fit, u_pts, s_pts)
+        se_lam0 = h.se_hazard(fit, u_pts, s_pts)
         fit.A = fit.A + 0.7
-        se_eta1 = h.se_log_hazard(fit, Sigma, u_pts, s_pts)
-        se_lam1 = h.se_hazard(fit, Sigma, u_pts, s_pts)
+        se_eta1 = h.se_log_hazard(fit, u_pts, s_pts)
+        se_lam1 = h.se_hazard(fit, u_pts, s_pts)
         assert np.allclose(se_eta1, se_eta0, atol=1e-14)
         assert np.allclose(se_lam1, np.exp(0.7) * se_lam0, rtol=1e-12)
 
     def test_ratio_identity(self, constant_fits, default_grid):
         fit = constant_fits[1]
-        Sigma = h.coefficient_covariance(fit)
         u_pts, s_pts = default_grid.u_mid[:6], default_grid.s_mid[:6]
-        se_eta = h.se_log_hazard(fit, Sigma, u_pts, s_pts)
-        se_lam = h.se_hazard(fit, Sigma, u_pts, s_pts)
+        se_eta = h.se_log_hazard(fit, u_pts, s_pts)
+        se_lam = h.se_hazard(fit, u_pts, s_pts)
         lam = h.evaluate_hazard(fit, u_pts, s_pts)
         assert np.abs(se_lam / se_eta - lam).max() < 1e-14 * lam.max()
 
@@ -162,32 +159,31 @@ class TestMonteCarloConfig:
 
 class TestCifStandardErrors:
     def test_zero_covariance_gives_zero_se(self, scalar_toy):
-        fits, _ = scalar_toy
-        Sigmas = {1: np.zeros((1, 1)), 2: np.zeros((1, 1))}
-        se = h.cif_standard_errors(fits, Sigmas, [0.5], [1.0],
+        fits = {ell: dataclasses.replace(fit, covariance=np.zeros((1, 1)))
+                for ell, fit in scalar_toy.items()}
+        se = h.cif_standard_errors(fits, [0.5], [1.0],
                                    mc=h.MonteCarloConfig(n_draws=100, seed=0), delta=0.05)[1]
         assert np.all(se == 0.0)
 
     def test_matches_delta_method_oracle(self, scalar_toy):
-        fits, Sigmas = scalar_toy
+        fits = scalar_toy
         mc = h.MonteCarloConfig(n_draws=10_000, seed=2024)
-        se_mc = h.cif_standard_errors(fits, Sigmas, [0.5], [1.0], mc=mc, delta=0.01)[1]
-        se_ref = delta_method_cif_se(0.1, 0.05, Sigmas[1][0, 0], Sigmas[2][0, 0], 1.0)
+        se_mc = h.cif_standard_errors(fits, [0.5], [1.0], mc=mc, delta=0.01)[1]
+        se_ref = delta_method_cif_se(0.1, 0.05, fits[1].covariance[0, 0],
+                                     fits[2].covariance[0, 0], 1.0)
         assert abs(se_mc[0, 0] - se_ref) / se_ref < 0.05
 
     def test_seed_reproducibility_bitwise(self, scalar_toy):
-        fits, Sigmas = scalar_toy
         mc = h.MonteCarloConfig(n_draws=500, seed=7)
-        a = h.cif_standard_errors(fits, Sigmas, [0.5], [1.0], mc=mc, delta=0.02)[1]
-        b = h.cif_standard_errors(fits, Sigmas, [0.5], [1.0], mc=mc, delta=0.02)[1]
+        a = h.cif_standard_errors(scalar_toy, [0.5], [1.0], mc=mc, delta=0.02)[1]
+        b = h.cif_standard_errors(scalar_toy, [0.5], [1.0], mc=mc, delta=0.02)[1]
         assert np.array_equal(a, b)
 
     def test_stable_between_5000_and_10000_draws(self, scalar_toy):
-        fits, Sigmas = scalar_toy
-        se5 = h.cif_standard_errors(fits, Sigmas, [0.5], [1.0],
+        se5 = h.cif_standard_errors(scalar_toy, [0.5], [1.0],
                                     mc=h.MonteCarloConfig(n_draws=5_000, seed=3),
                                     delta=0.02)[1]
-        se10 = h.cif_standard_errors(fits, Sigmas, [0.5], [1.0],
+        se10 = h.cif_standard_errors(scalar_toy, [0.5], [1.0],
                                      mc=h.MonteCarloConfig(n_draws=10_000, seed=4),
                                      delta=0.02)[1]
         assert abs(se10[0, 0] - se5[0, 0]) / se10[0, 0] < 0.10
