@@ -581,12 +581,17 @@ def scenario_from_dict(raw: dict, n_override=None, seed_override=None) -> Scenar
         if not isinstance(block, dict):
             raise DataError(f"scenario key {key} must be a mapping, got {block!r}")
 
+    def number(key, default, kind=float, block=raw, prefix=""):
+        val = block.get(key, default)
+        try:
+            return kind(val)
+        except (TypeError, ValueError):
+            raise DataError(f"scenario key {prefix}{key} must be a number, got {val!r}") from None
+
     def closure(key):
         params = dict(blocks[key])
         name = params.pop("name", None)
-        for param, val in params.items():
-            if not _is_number(val):
-                raise DataError(f"scenario key {key}.{param} must be a number, got {val!r}")
+        params = {param: number(param, None, block=params, prefix=f"{key}.") for param in params}
         try:
             return hazard_family(name, **params)
         except KeyError as exc:
@@ -595,16 +600,16 @@ def scenario_from_dict(raw: dict, n_override=None, seed_override=None) -> Scenar
         except (TypeError, ValueError) as exc:   # a parameter name that is no string, a family
             raise DataError(f"scenario key {key}: {exc}") from None
 
-    def number(key, default, kind=float, block=raw, prefix=""):
-        val = block.get(key, default)
-        if not _is_number(val):
-            raise DataError(f"scenario key {prefix}{key} must be a number, got {val!r}")
-        return kind(val)
-
     age = blocks["age"]
     weights = age.get("weights")
-    if weights is not None and not (isinstance(weights, list) and all(map(_is_number, weights))):
-        raise DataError(f"scenario key age.weights must be a list of numbers, got {weights!r}")
+    if weights is not None:
+        try:
+            weights = np.asarray(weights, dtype=float)
+            if weights.ndim != 1:
+                raise ValueError
+        except (TypeError, ValueError):
+            raise DataError(f"scenario key age.weights must be a list of numbers, "
+                            f"got {age['weights']!r}") from None
     return ScenarioSpec(
         hazard1=closure("cause1"),
         hazard2=closure("cause2"),

@@ -434,12 +434,18 @@ class SearchConfig:
         return tuple(np.arange(lo, hi + 1e-9, self.coarse_step) if lo > -math.inf else
                      np.array([lo]) for lo, hi in (self.log10_rho_u_range, self.log10_rho_s_range))
 
+    def refine_steps(self) -> list:
+        """The steps of the pattern search in turn: ``coarse_step`` halved while the half is at
+        least ``refine_resolution``."""
+        steps = [self.coarse_step / 2.0]
+        while steps[-1] >= self.refine_resolution - 1e-12:
+            steps.append(steps[-1] / 2.0)
+        return steps[:-1]
+
     def ends(self) -> tuple:
         """Per axis the (lowest, highest) log10 value the search can reach: the first coarse
         value, and the top inside the range of the lattice of the finest refinement step."""
-        step = self.coarse_step
-        while step / 2.0 >= self.refine_resolution - 1e-12:   # as _GridSearch.run halves it
-            step /= 2.0
+        step = (self.refine_steps() or [self.coarse_step])[-1]
         return tuple((axis[0], axis[-1] + step * math.floor((hi + 1e-9 - axis[-1]) / step)
                       if axis[-1] > -math.inf else axis[-1])
                      for axis, (_, hi) in zip(self.axes(), (self.log10_rho_u_range,
@@ -484,8 +490,8 @@ class _GridSearch:
     def run(self, search: SearchConfig) -> _Best:
         """Fit ``search.axes()`` row by row, each candidate from the last converged one of its row
         (failures do not reset it), each row from the first converged fit of the row before; then
-        pattern-search from the best (axis moves in the ranges, the step halved when none improves)
-        while the step is at least ``refine_resolution`` and under ``max_evals`` were fitted."""
+        pattern-search from the best (axis moves in the ranges, on to the next of
+        ``search.refine_steps()`` when none improves) while under ``max_evals`` were fitted."""
         rows, cols = search.axes()
         row_start = None
         for la in rows:
@@ -498,15 +504,15 @@ class _GridSearch:
             raise ConvergenceError("smoothing search exhausted without any convergent fit")
 
         (lo_a, hi_a), (lo_b, hi_b) = search.log10_rho_u_range, search.log10_rho_s_range
-        step = search.coarse_step / 2.0
-        while step >= search.refine_resolution - 1e-12 and len(self.table) < search.max_evals:
-            origin = self.best.key
-            for da, db in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
-                la, lb = self.best.key[0] + da, self.best.key[1] + db
-                if lo_a - 1e-9 <= la <= hi_a + 1e-9 and lo_b - 1e-9 <= lb <= hi_b + 1e-9:
-                    self.evaluate(la, lb, self.best.coef)
-            if self.best.key == origin:   # no move improved: refine the step
-                step /= 2.0
+        for step in search.refine_steps():
+            while len(self.table) < search.max_evals:
+                origin = self.best.key
+                for da, db in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
+                    la, lb = self.best.key[0] + da, self.best.key[1] + db
+                    if lo_a - 1e-9 <= la <= hi_a + 1e-9 and lo_b - 1e-9 <= lb <= hi_b + 1e-9:
+                        self.evaluate(la, lb, self.best.coef)
+                if self.best.key == origin:   # no move improved: refine the step
+                    break
         return self.best
 
 

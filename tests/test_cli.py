@@ -510,6 +510,24 @@ class TestSimulateCommand:
         assert f"error: {message.format(path=scen)}" in result.output
         assert not (tmp_path / "c.csv").exists()
 
+    def test_numbers_yaml_reads_as_strings_simulate_as_numbers(self, runner, tmp_path):
+        """PyYAML reads ``1e-3`` and quoted numbers as strings; they convert as numbers do."""
+        as_strings = ('n: 200\nstep: 1e-3\nage: {lo: "50", weights: [1, 2e0]}\n'
+                      'cause1: {name: constant, level: 5e-3}\n'
+                      'cause2: {name: constant, level: "0.1"}\n')
+        as_numbers = ("n: 200\nstep: 0.001\nage: {lo: 50, weights: [1, 2.0]}\n"
+                      "cause1: {name: constant, level: 0.005}\n"
+                      "cause2: {name: constant, level: 0.1}\n")
+        assert isinstance(yaml.safe_load(as_strings)["step"], str)
+        outs = []
+        for i, text in enumerate((as_strings, as_numbers)):
+            scen, out = tmp_path / f"scen{i}.yaml", tmp_path / f"c{i}.csv"
+            scen.write_text(text)
+            result = runner.invoke(main, ["simulate", str(scen), "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_constant_scenario_cause_fraction(self, runner, tmp_path):
         scen = tmp_path / "scen.yaml"
         scen.write_text(yaml.safe_dump({

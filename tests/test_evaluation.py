@@ -297,15 +297,18 @@ def test_loaded_model_evaluates_like_in_memory_fits(tmp_path_factory, n_u, n_s, 
     loaded = load_model(path)[1]
     assert_bitwise_equal(loaded, fits)
 
-    # a corner point off the hull of the bin midpoints, interior points and the domain's top
-    u = np.array([0.1, n_u / 2, n_u - 0.5, n_u, n_u / 2])
-    s = np.array([0.1, n_s / 2, 0.5, n_s, 0.0])
+    # a corner point off the hull of the bin midpoints, interior points, the domain's top, a
+    # point strictly inside the hull, and one inside the midpoints' bounding box that the
+    # zero-exposure corner cuts off the hull (inside it when there is no corner)
+    u = np.array([0.1, n_u / 2, n_u - 0.5, n_u, n_u / 2, n_u - 1, 0.6])
+    s = np.array([0.1, n_s / 2, 0.5, n_s, 0.0, n_s - 1, 0.6])
     pairs = [(h.surfaces_at_points(fits, u, s, 0.05), h.surfaces_at_points(loaded, u, s, 0.05)),
              (h.to_age_coordinates(fits, u + s, s, 0.05),
               h.to_age_coordinates(loaded, u + s, s, 0.05))]
     for mem, disk in pairs:
         assert_bitwise_equal(disk, mem, "surfaces")
-        assert mem.extrapolated[0]
+        assert mem.extrapolated[[0, 3, 4]].all()
+        assert mem.extrapolated[5:].tolist() == [False, corner > 0]
     for ell in (1, 2):
         assert_bitwise_equal(h.se_log_hazard_points(loaded[ell], u, s),
                              h.se_log_hazard_points(fits[ell], u, s), "se_log_hazard_points")
@@ -314,3 +317,20 @@ def test_loaded_model_evaluates_like_in_memory_fits(tmp_path_factory, n_u, n_s, 
     mc = h.MonteCarloConfig(n_draws=20, seed=seed)
     assert_bitwise_equal(h.cif_standard_errors(loaded, u, s, mc=mc, delta=0.05),
                          h.cif_standard_errors(fits, u, s, mc=mc, delta=0.05), "cif_se")
+
+
+def test_loaded_triangular_model_flags_the_cut_off_corner(tri, tmp_path):
+    """The triangular fits round trip: interior points unflagged, and (9.5, 9.5), inside the
+    bounding box but outside the triangular hull, flagged on disk as in memory."""
+    grid, fits = tri
+    save_model(tmp_path / "model.json", load_config(None), fits)
+    loaded = load_model(tmp_path / "model.json")[1]
+    assert_bitwise_equal(loaded, fits)
+    u = np.array([0.5, 2.5, 5.5, 9.5, 9.5])
+    s = np.array([0.5, 6.5, 2.5, 0.5, 9.5])
+    pairs = [(h.surfaces_at_points(fits, u, s, 0.05), h.surfaces_at_points(loaded, u, s, 0.05)),
+             (h.to_age_coordinates(fits, u + s, s, 0.05),
+              h.to_age_coordinates(loaded, u + s, s, 0.05))]
+    for mem, disk in pairs:
+        assert_bitwise_equal(disk, mem, "surfaces")
+        assert mem.extrapolated.tolist() == [False, False, False, False, True]
