@@ -24,7 +24,9 @@ from .basis import KnotVector, difference_matrix, evaluate_basis, make_knots
 from .errors import ConvergenceError, DataError, DomainError, Hazard2tsError
 from .glam import ArrayModelWorkspace, linear_predictor, weighted_inner, weighted_rhs
 from .incidence import (
+    BasisRows,
     Surfaces,
+    age_at_diagnosis,
     compute_surfaces,
     cumulative_hazard,
     cumulative_incidence,

@@ -29,9 +29,10 @@ import yaml
 from . import __version__
 from .basis import KnotVector, difference_matrix, evaluate_basis, make_knots
 from .errors import ConvergenceError, DataError, DomainError
-from .incidence import compute_surfaces, quadrature_step, surfaces_at_points, to_age_coordinates
-from .lexis import (BinnedData, LexisGrid, _parse_csv, bin_records, build_grid, read_records_csv,
-                    write_records_csv)
+from .incidence import (BasisRows, age_at_diagnosis, compute_surfaces, quadrature_step,
+                        surfaces_at_points)
+from .lexis import (BinnedData, LexisGrid, _load_columns, _parse_csv, bin_records, build_grid,
+                    read_records_csv, write_records_csv)
 from .pclm import CompositionSpec, composition_matrix, select_pclm_smoothing, ungroup_events, ungroup_exposure
 from .simulate import ScenarioSpec, grouped_view, hazard_family, simulate_cohort
 from .smooth2d import (FitControl, FittedHazard, PenaltyConfig, SearchConfig, check_criterion,
@@ -203,17 +204,53 @@ def _call(task):
     return fn(*args, **kwargs)
 
 
+def _openblas(name) -> list:
+    """The ``name`` function (``"set_num_threads"``, ``"get_num_threads"``) of each OpenBLAS
+    build loaded in this process: numpy's, and scipy's once scipy is loaded."""
+    import ctypes               # here: only the worker pool uses it
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return []
+    found = []
+    for lib in map(ctypes.CDLL, libs):
+        for symbol in (f"{prefix}{name}{suffix}" for prefix in ("scipy_openblas_", "openblas_")
+                       for suffix in ("64_", "")):
+            if hasattr(lib, symbol):
+                found.append(getattr(lib, symbol))
+                break
+    return found
+
+
+def _set_blas_threads(value):
+    """Run each OpenBLAS loaded in this process on ``value`` threads (the text of
+    ``OPENBLAS_NUM_THREADS``), also where it was loaded before the variable was set."""
+    import ctypes
+
+    if value.isdigit() and int(value) > 0:     # else OpenBLAS kept its default: so does this
+        for fn in _openblas("set_num_threads"):
+            fn.argtypes, fn.restype = [ctypes.c_int], None
+            fn(int(value))
+
+
 def _run_tasks(tasks):
     """``[fn(*args, **kwargs) for fn, args, kwargs in tasks]``, the calls made in forked
     worker processes, one per usable CPU at most.  ``fn`` is a module-level function and its
     arguments are pickled.  The first failing task in task order raises its exception here;
     a worker that dies raises BrokenProcessPool.  Each worker runs the serial library code on
-    one BLAS thread, so the results are those of the calls made in this process."""
+    the BLAS threads of ``OPENBLAS_NUM_THREADS`` (one, as importing the package sets it), set
+    in the worker: a program that imported numpy before the package started numpy's default
+    count, which forked workers would inherit.  The results are those of the calls made in
+    this process."""
     import multiprocessing      # here: the imports would cost every command ~20 ms
     from concurrent.futures import ProcessPoolExecutor
 
     pool = ProcessPoolExecutor(min(len(tasks), len(os.sched_getaffinity(0))),
-                               mp_context=multiprocessing.get_context("fork"))
+                               mp_context=multiprocessing.get_context("fork"),
+                               initializer=_set_blas_threads,
+                               initargs=(os.environ.get("OPENBLAS_NUM_THREADS", ""),))
     try:
         return list(pool.map(_call, tasks))
     finally:
@@ -280,17 +317,33 @@ def _pclm_diag(fit, search: SearchConfig):
 # --------------------------------------------------------------------------
 # output helpers
 
+# rows per formatting task: a table of more rows is formatted on the worker pool
+_BLOCK_ROWS = 4096
+
+
+def _format_rows(template, columns, flags) -> str:
+    """The CSV lines of equal-length float columns and optional flags, by ``template``."""
+    cells = [col.tolist() for col in columns]
+    if flags is not None:
+        cells.append(["true" if f else "false" for f in flags])
+    return "".join([template % row + "\n" for row in zip(*cells)])
+
+
 def _write_table(path, header, columns, flags=None):
     """CSV of equal-length float columns at 17 significant digits, then an optional
-    true/false column.  ``%.17g`` gives the same text as ``"{:.17g}".format``."""
-    cells = [np.asarray(col, dtype=float).ravel().tolist() for col in columns]
-    template = ",".join(["%.17g"] * len(cells))
-    if flags is not None:
-        template += ",%s"
-        cells.append(["true" if f else "false" for f in np.ravel(flags)])
+    true/false column.  ``%.17g`` gives the same text as ``"{:.17g}".format``.  The rows are
+    formatted _BLOCK_ROWS at a time, the blocks on the worker pool when there are several,
+    and written in order."""
+    columns = [np.asarray(col, dtype=float).ravel() for col in columns]
+    template = ",".join(["%.17g"] * len(columns)) + (",%s" if flags is not None else "")
+    flags = None if flags is None else np.ravel(flags)
+    blocks = [(_format_rows, (template, [col[lo:lo + _BLOCK_ROWS] for col in columns],
+                              None if flags is None else flags[lo:lo + _BLOCK_ROWS]), {})
+              for lo in range(0, len(columns[0]), _BLOCK_ROWS)]
+    text = _run_tasks(blocks) if len(blocks) > 1 else [_call(task) for task in blocks]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(template % row + "\n" for row in zip(*cells))
+        fh.writelines(text)
 
 
 def write_long_csv(path, u_points, s_points, values, extrapolated=None, name="value"):
@@ -640,6 +693,16 @@ def cmd_predict(model_path, points_csv, coords, out_csv):
 
 
 def _read_points(path, coords):
+    """The point columns of a points CSV: ``u`` (``t`` for ``coords == "ts"``) and ``s``, from
+    one C-level pass; a file that pass cannot read is read again row by row."""
+    names = ("u" if coords == "us" else "t", "s")
+    cols = _load_columns(path, names, f"need columns {names[0]!r} and 's'",
+                         dict.fromkeys(names, np.float64))
+    return (cols[names[0]], cols["s"]) if cols is not None else _read_points_rows(path, coords)
+
+
+def _read_points_rows(path, coords):
+    """:func:`_read_points` one row at a time, naming every bad row."""
     first = "u" if coords == "us" else "t"
     a_vals, s_vals = [], []
 
@@ -664,14 +727,11 @@ def run_predict_pipeline(model_path, points_csv, coords, out_csv):
     first, s_arr = _read_points(points_csv, coords)
     delta = payload["config"].get("delta")   # None: the default step of the quadrature
 
-    if coords == "ts":
-        surf = to_age_coordinates(fits, first, s_arr, delta=delta)
-        u_arr = first - s_arr
-    else:
-        surf = surfaces_at_points(fits, first, s_arr, delta=delta)
-        u_arr = first
-
-    se_eta = {ell: se_log_hazard_points(fits[ell], u_arr, s_arr) for ell in fits}
+    u_arr = age_at_diagnosis(first, s_arr) if coords == "ts" else first
+    # one point set: each distinct knot vector's rows serve the surfaces and the SEs
+    u_rows, s_rows = BasisRows(u_arr), BasisRows(s_arr)
+    surf = surfaces_at_points(fits, u_rows, s_rows, delta=delta)
+    se_eta = {ell: se_log_hazard_points(fits[ell], u_rows, s_rows) for ell in fits}
 
     cols, columns = ["u", "s"], [u_arr, s_arr]
     if coords == "ts":

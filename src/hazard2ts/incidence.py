@@ -3,8 +3,9 @@
 Fitted surfaces can be evaluated anywhere inside the basis domains.  Every
 cumulative quantity comes from one quadrature kernel: left-rectangle sums
 over nodes ``k * delta``, ``k = 0 .. K-1`` with ``K = floor(s / delta)``, so
-an evaluation at s = 0 is exactly zero.  The kernel takes per-cause u-basis
-rows and coefficient matrices that may carry a leading draw axis, and works
+an evaluation at s = 0 is exactly zero.  The kernel takes the u-basis rows of
+a point set (a :class:`BasisRows`, which evaluates them once per distinct
+knot vector) and coefficient matrices that may carry a leading draw axis, and works
 through the rows in fixed-size chunks, so memory does not grow with the
 number of points or draws.  The product grid (``compute_surfaces``), paired
 points (``surfaces_at_points`` and the single-point helpers) and the
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import evaluate_basis
+from .basis import KnotVector, evaluate_basis
 from .errors import DomainError
 from .smooth2d import FittedHazard
 
@@ -76,22 +77,54 @@ def quadrature_step(delta, h_s: float) -> float:
     return delta
 
 
+class BasisRows:
+    """One point set and its basis rows, evaluated once for each distinct knot vector.
+
+    Calls that evaluate fits at the same points share one object, so fits with equal knots
+    (the causes of one model) share one evaluation, and the hazards, the quadrature and the
+    standard errors share it too.  ``rows(kv)`` gives the dense rows; ``window(kv)`` the start
+    column and values of the ``degree + 1`` columns that hold each row's nonzeros.
+    """
+
+    def __init__(self, points):
+        self.points = np.atleast_1d(np.asarray(points, dtype=float))
+        self._rows, self._windows = {}, {}
+
+    @classmethod
+    def of(cls, points) -> "BasisRows":
+        """``points`` itself if it is a BasisRows, else a BasisRows of them."""
+        return points if isinstance(points, cls) else cls(points)
+
+    def rows(self, kv: KnotVector) -> np.ndarray:
+        key = (kv.degree, kv.boundary_lo, kv.boundary_hi, kv.knots.tobytes())
+        if key not in self._rows:
+            self._rows[key] = evaluate_basis(self.points, kv)
+        return self._rows[key]
+
+    def window(self, kv: KnotVector) -> tuple:
+        key = (kv.degree, kv.boundary_lo, kv.boundary_hi, kv.knots.tobytes())
+        if key not in self._windows:
+            B = self.rows(kv)
+            start = np.minimum(np.argmax(B != 0, axis=1), B.shape[1] - kv.degree - 1)
+            self._windows[key] = (start, np.take_along_axis(
+                B, start[:, None] + np.arange(kv.degree + 1), axis=1))
+        return self._windows[key]
+
+
 def _prepare(fits: dict, u_points, s_points, delta):
-    """Point arrays, quadrature step and per-cause u-basis rows, domain-checked."""
+    """Basis rows of both point sets and the quadrature step, domain-checked."""
     ref = fits[min(fits)]
     delta = quadrature_step(delta, ref.grid.h_s)
-    u = np.atleast_1d(np.asarray(u_points, dtype=float))
-    s = np.atleast_1d(np.asarray(s_points, dtype=float))
+    u, s = BasisRows.of(u_points), BasisRows.of(s_points)
     if ref.kv_s.boundary_lo > 1e-12:
         raise DomainError(
             f"cumulative quantities integrate from s=0 but the basis starts at "
             f"{ref.kv_s.boundary_lo}"
         )
-    s_max = float(np.max(s)) if s.size else 0.0
+    s_max = float(np.max(s.points)) if s.points.size else 0.0
     if s_max > ref.kv_s.boundary_hi * (1 + 1e-12):
         raise DomainError(f"s={s_max} beyond the basis domain upper end {ref.kv_s.boundary_hi}")
-    Bu = {ell: evaluate_basis(u, fits[ell].kv_u) for ell in sorted(fits)}
-    return u, s, delta, Bu
+    return u, s, delta
 
 
 def _view(buffer: np.ndarray, shape: tuple) -> np.ndarray:
@@ -105,11 +138,11 @@ def _read_off(x: np.ndarray, take: np.ndarray, shared: bool) -> np.ndarray:
     return x @ take if shared else np.einsum("...k,...k->...", x, take)[..., None]
 
 
-def _quadrature(fits: dict, Bu: dict, K: np.ndarray, delta: float, coefs: dict = None,
+def _quadrature(fits: dict, u: BasisRows, K: np.ndarray, delta: float, coefs: dict = None,
                 work: dict = None):
     """Cumulative hazards and CIFs of every cause over the node ladder.
 
-    ``Bu[ell]`` holds u-basis rows (n_rows x c_u); ``K`` holds the node
+    ``u`` holds the u-basis rows (n_rows x c_u) of every cause; ``K`` holds the node
     counts to read off: one row (1 x n_cols) shared by every row for a product
     grid, or one column (n_rows x 1) for paired points.  ``coefs[ell]``
     defaults to the fitted coefficient matrix and may carry a leading draw
@@ -127,9 +160,10 @@ def _quadrature(fits: dict, Bu: dict, K: np.ndarray, delta: float, coefs: dict =
     causes = sorted(fits)
     if coefs is None:
         coefs = {ell: fits[ell].A for ell in causes}
+    Bu = {ell: u.rows(fits[ell].kv_u) for ell in causes}
     lead = coefs[causes[0]].shape[:-2]
     shared = len(K) == 1
-    K = np.broadcast_to(K, (len(Bu[causes[0]]), K.shape[-1]))
+    K = np.broadcast_to(K, (len(u.points), K.shape[-1]))
     cumhaz = {ell: np.zeros(lead + K.shape) for ell in causes}
     cif = {ell: np.zeros(lead + K.shape) for ell in causes}
     K_row = K.max(axis=1, initial=0)
@@ -140,10 +174,10 @@ def _quadrature(fits: dict, Bu: dict, K: np.ndarray, delta: float, coefs: dict =
     ladder, size = (K_max, delta, causes), math.prod(lead) * min(step, len(K)) * K_max
     work = {} if work is None else work
     if work.get("ladder") != ladder or work["size"] < size:
-        nodes = delta * np.arange(K_max)
+        nodes = BasisRows(delta * np.arange(K_max))
         work.update({name: np.empty(size) for name in ("tot", "S", *causes)},
                     ladder=ladder, size=size,
-                    Bs_nodes={ell: evaluate_basis(nodes, fits[ell].kv_s) for ell in causes})
+                    Bs_nodes={ell: nodes.rows(fits[ell].kv_s) for ell in causes})
     order = np.argsort(K_row, kind="stable")
     for lo in range(0, len(K), step):
         rows = order[lo:lo + step]
@@ -175,10 +209,12 @@ def _quadrature(fits: dict, Bu: dict, K: np.ndarray, delta: float, coefs: dict =
 
 def _surfaces(fits: dict, u_points, s_points, delta, paired: bool):
     """Hazards, quadrature surfaces and extrapolation flags, on a grid or at paired points."""
-    u, s, delta, Bu = _prepare(fits, u_points, s_points, delta)
+    u_rows, s_rows, delta = _prepare(fits, u_points, s_points, delta)
+    Bu = {ell: u_rows.rows(fits[ell].kv_u) for ell in sorted(fits)}
+    u, s = u_rows.points, s_rows.points
     if paired and u.shape != s.shape:
         raise ValueError("u and s point arrays must have equal length")
-    Bs = {ell: evaluate_basis(s, fits[ell].kv_s) for ell in Bu}
+    Bs = {ell: s_rows.rows(fits[ell].kv_s) for ell in Bu}
     if paired:
         hazard = {ell: np.exp(np.sum((Bu[ell] @ fits[ell].A) * Bs[ell], axis=1))[:, None]
                   for ell in Bu}
@@ -186,7 +222,7 @@ def _surfaces(fits: dict, u_points, s_points, delta, paired: bool):
     else:
         hazard = {ell: np.exp(Bu[ell] @ fits[ell].A @ Bs[ell].T) for ell in Bu}
         K = _n_nodes(s, delta)[None, :]
-    cumhaz, cif = _quadrature(fits, Bu, K, delta)
+    cumhaz, cif = _quadrature(fits, u_rows, K, delta)
     return Surfaces(
         u_points=u, s_points=s, hazard=hazard, cumhaz=cumhaz,
         survival=np.exp(-sum(cumhaz.values())), cif=cif, delta=delta,
@@ -202,7 +238,8 @@ def compute_surfaces(fits: dict, u_points, s_points, delta: float = None) -> Sur
 def surfaces_at_points(fits: dict, u_arr, s_arr, delta: float = None) -> Surfaces:
     """Derived quantities at paired points (u_i, s_i) rather than a grid.
 
-    Returns a Surfaces object whose matrices have shape (n_points, 1).
+    ``u_arr`` and ``s_arr`` may be :class:`BasisRows` shared with other calls at the same
+    points.  Returns a Surfaces object whose matrices have shape (n_points, 1).
     """
     return _surfaces(fits, u_arr, s_arr, delta, paired=True)
 
@@ -222,8 +259,8 @@ def cumulative_incidence(fits: dict, cause: int, u: float, s: float, delta: floa
     return float(surfaces_at_points(fits, u, s, delta).cif[cause][0, 0])
 
 
-def to_age_coordinates(fits: dict, t_arr, s_arr, delta: float = None) -> Surfaces:
-    """Evaluate at attained-age points (t, s) by re-evaluating at u = t - s."""
+def age_at_diagnosis(t_arr, s_arr) -> np.ndarray:
+    """u = t - s of attained-age points (t, s); DomainError where t <= s."""
     t_arr = np.atleast_1d(np.asarray(t_arr, dtype=float))
     s_arr = np.atleast_1d(np.asarray(s_arr, dtype=float))
     bad = t_arr <= s_arr
@@ -231,7 +268,12 @@ def to_age_coordinates(fits: dict, t_arr, s_arr, delta: float = None) -> Surface
         bad = list(zip(t_arr[bad].tolist(), s_arr[bad].tolist()))
         raise DomainError(f"attained age must exceed time since diagnosis at {bad[:10]}",
                           points=bad)
-    return surfaces_at_points(fits, t_arr - s_arr, s_arr, delta=delta)
+    return t_arr - s_arr
+
+
+def to_age_coordinates(fits: dict, t_arr, s_arr, delta: float = None) -> Surfaces:
+    """Evaluate at attained-age points (t, s) by re-evaluating at u = t - s."""
+    return surfaces_at_points(fits, age_at_diagnosis(t_arr, s_arr), s_arr, delta=delta)
 
 
 def in_support(hull, u, s, atol: float = 1e-9):

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import evaluate_basis
+from .basis import KnotVector
 from .errors import Hazard2tsError
-from .incidence import _CHUNK, _n_nodes, _prepare, _quadrature, evaluate_hazard
+from .incidence import _CHUNK, BasisRows, _n_nodes, _prepare, _quadrature, evaluate_hazard
 from .smooth2d import FittedHazard
 
 # coefficient draws per quadrature pass
@@ -39,24 +39,18 @@ class MonteCarloConfig:
             raise ValueError(f"need at least 2 draws and a nonnegative seed, got {self}")
 
 
-def _window(B: np.ndarray, degree: int):
-    """Start column and values of each row's ``degree + 1`` columns holding its nonzeros."""
-    start = np.minimum(np.argmax(B != 0, axis=1), B.shape[1] - degree - 1)
-    return start, np.take_along_axis(B, start[:, None] + np.arange(degree + 1), axis=1)
-
-
-def _row_variance(Bu: np.ndarray, Bs: np.ndarray, Sigma: np.ndarray, p_u: int,
-                  p_s: int) -> np.ndarray:
+def _row_variance(u: BasisRows, s: BasisRows, kv_u: KnotVector, kv_s: KnotVector,
+                  Sigma: np.ndarray) -> np.ndarray:
     """Quadratic forms x_i' Sigma x_i for the tensor rows x_i = Bs[i] (x) Bu[i].
 
     The coefficient index is column-major over (l, m), i.e. m * c_u + l,
     matching the vectorization used by the fitting kernels.  A row of a
-    degree-p basis is zero outside p + 1 adjacent columns, so x_i is zero
-    outside a (p_u + 1)(p_s + 1) window and only the matching block of Sigma
-    enters.  Points are taken window by window, _CHUNK at a time.
+    degree-p basis is zero outside p + 1 adjacent columns (``BasisRows.window``),
+    so x_i is zero outside a (p_u + 1)(p_s + 1) window and only the matching
+    block of Sigma enters.  Points are taken window by window, _CHUNK at a time.
     """
-    c_u = Bu.shape[1]
-    (ju, wu), (js, ws) = _window(Bu, p_u), _window(Bs, p_s)
+    c_u, p_u, p_s = kv_u.n_basis, kv_u.degree, kv_s.degree
+    (ju, wu), (js, ws) = u.window(kv_u), s.window(kv_s)
     key = js * c_u + ju               # the coefficient index of each window's first entry
     order = np.argsort(key, kind="stable")
     var = np.empty(len(key))
@@ -70,10 +64,10 @@ def _row_variance(Bu: np.ndarray, Bs: np.ndarray, Sigma: np.ndarray, p_u: int,
 
 
 def se_log_hazard_points(fit: FittedHazard, u_arr, s_arr) -> np.ndarray:
-    """Delta-method SE of the log-hazard at paired points (u_i, s_i)."""
-    Bu = evaluate_basis(u_arr, fit.kv_u)
-    Bs = evaluate_basis(s_arr, fit.kv_s)
-    var = _row_variance(Bu, Bs, fit.covariance, fit.kv_u.degree, fit.kv_s.degree)
+    """Delta-method SE of the log-hazard at paired points (u_i, s_i); ``u_arr`` and ``s_arr``
+    may be :class:`BasisRows` shared with other calls at the same points."""
+    var = _row_variance(BasisRows.of(u_arr), BasisRows.of(s_arr), fit.kv_u, fit.kv_s,
+                        fit.covariance)
     return np.sqrt(np.maximum(var, 0.0))
 
 
@@ -135,18 +129,18 @@ def cif_standard_errors(
         ell: sample_coefficients(fits[ell].coef, fits[ell].covariance, mc.n_draws, rng)
         for ell in causes
     }
-    u_points, s_points, delta, Bu = _prepare(fits, u_points, s_points, delta)
-    K = _n_nodes(s_points, delta)[None, :]
+    u, s, delta = _prepare(fits, u_points, s_points, delta)
+    K = _n_nodes(s.points, delta)[None, :]
 
-    mean = {ell: np.zeros((len(u_points), len(s_points))) for ell in causes}
-    m2 = {ell: np.zeros((len(u_points), len(s_points))) for ell in causes}
+    mean = {ell: np.zeros((len(u.points), len(s.points))) for ell in causes}
+    m2 = {ell: np.zeros((len(u.points), len(s.points))) for ell in causes}
     work = {}                     # the kernel's chunk arrays, reused by every batch
     for lo in range(0, mc.n_draws, _DRAW_CHUNK):
         # vec(A) is column-major: draw k holds A[l, m] at index m * c_u + l
         coefs = {ell: draws[ell][lo:lo + _DRAW_CHUNK]
                  .reshape(-1, *fits[ell].A.shape[::-1]).transpose(0, 2, 1)
                  for ell in causes}
-        _, cif = _quadrature(fits, Bu, K, delta, coefs, work)
+        _, cif = _quadrature(fits, u, K, delta, coefs, work)
         for j in range(len(coefs[causes[0]])):
             for ell in causes:
                 value = cif[ell][j]

@@ -244,6 +244,30 @@ class TestTableWriter:
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
 
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1, 2}])
+    @pytest.mark.parametrize("n_rows", [0, 1, 99, 100, 101, 1001])
+    def test_blocks_on_the_pool_give_the_bytes_of_one_block(self, tmp_path, monkeypatch, cpus,
+                                                            n_rows):
+        """Rows are formatted 100 at a time: several blocks on the pool (of one worker on one
+        CPU), written in order, and one block in this process."""
+        rng = np.random.default_rng(n_rows)
+        columns = [rng.standard_normal(n_rows), 10.0 ** rng.uniform(-310, 308, n_rows)]
+        flags = rng.random(n_rows) < 0.5
+        whole = tmp_path / "whole.csv"
+        _write_table(whole, ["a", "b", "f"], columns, flags)
+        pooled = []
+        run_tasks = cli._run_tasks
+        monkeypatch.setattr(cli, "_run_tasks", lambda tasks: pooled.append(len(tasks))
+                            or run_tasks(tasks))
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 100)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        blocks = tmp_path / "blocks.csv"
+        _write_table(blocks, ["a", "b", "f"], columns, flags)
+        assert blocks.read_bytes() == whole.read_bytes()
+        assert len(whole.read_text().splitlines()) == n_rows + 1
+        assert pooled == ([] if n_rows <= 100 else [math.ceil(n_rows / 100)])
+
+
 class TestFit:
     def test_artifacts_exist(self, fit_outputs):
         for ell in (1, 2):
@@ -708,6 +732,31 @@ def test_import_pins_blas_threads_and_loads_no_multiprocessing(user_value):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120)
     assert json.loads(out.stdout) == [user_value or "1", "1", "1", []]
+
+
+def test_workers_run_one_blas_thread_when_numpy_was_imported_first():
+    """numpy imported before the package has started its BLAS with numpy's default threads,
+    which forked workers would inherit: each task runs on one BLAS thread, or in this
+    process."""
+    src = str(Path(h.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env.pop(var, None)
+    code = ("import ctypes, json, os, numpy, hazard2ts.cli as cli\n"
+            "def report():\n"
+            "    fns = cli._openblas('get_num_threads')\n"
+            "    for fn in fns:\n"
+            "        fn.restype = ctypes.c_int\n"
+            "    return os.getpid(), [fn() for fn in fns]\n"
+            "print(json.dumps([report(), cli._run_tasks([(report, (), {})] * 2)]))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    (parent, loaded), tasks = json.loads(out.stdout)
+    if not loaded:
+        pytest.skip("numpy's BLAS is no OpenBLAS")
+    assert len(tasks) == 2
+    for pid, threads in tasks:
+        assert pid == parent or threads == [1] * len(loaded)
 
 
 def test_nonfinite_values_are_written_as_strict_json(runner, cohort_csv, tmp_path):

@@ -214,8 +214,11 @@ def test_mc_se_unchanged_by_cached_node_basis(tri, monkeypatch):
     monkeypatch.setattr(incidence, "evaluate_basis",
                         lambda x, kv: sizes.append(np.size(x)) or evaluate_basis(x, kv))
     cached = h.cif_standard_errors(*args)
-    # u rows, then the node ladder (s up to 9.5: 190 nodes), once per cause
-    assert sizes == [7, 7, 190, 190]
+    # u rows, then the node ladder (s up to 9.5: 190 nodes), each once: both causes have
+    # equal knots
+    assert np.array_equal(fits[1].kv_u.knots, fits[2].kv_u.knots)
+    assert np.array_equal(fits[1].kv_s.knots, fits[2].kv_s.knots)
+    assert sizes == [7, 190]
     # a fresh work dict per batch: node basis and chunk arrays built anew every time
     quadrature = uncertainty._quadrature
     monkeypatch.setattr(uncertainty, "_quadrature",
@@ -246,7 +249,7 @@ def test_windowed_se_kernel_matches_dense_quadratic_form(p_u, p_s, seg_u, seg_s,
     X = np.stack([np.kron(Bs[i], Bu[i]) for i in range(len(u))])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(uncertainty, "_CHUNK", chunk)
-        got = uncertainty._row_variance(Bu, Bs, Sigma, p_u, p_s)
+        got = uncertainty._row_variance(h.BasisRows(u), h.BasisRows(s), kv_u, kv_s, Sigma)
     np.testing.assert_allclose(got, np.sum((X @ Sigma) * X, axis=1), rtol=1e-12)
 
 
