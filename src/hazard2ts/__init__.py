@@ -38,7 +38,6 @@ from .incidence import (
 )
 from .lexis import (
     BinnedData,
-    IndividualRecord,
     LexisGrid,
     RecordTable,
     bin_records,

@@ -24,7 +24,6 @@ from pathlib import Path
 
 import click
 import numpy as np
-import yaml
 
 from . import __version__
 from .basis import KnotVector, difference_matrix, evaluate_basis, make_knots
@@ -163,6 +162,8 @@ def _update_dataclass(obj, data, prefix=""):
 
 def _read_yaml(path):
     """The document of a YAML file, {} when it is empty; DataError where it does not parse."""
+    import yaml                 # here: `predict`, and `fit` without --config, read no YAML
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return yaml.safe_load(fh) or {}

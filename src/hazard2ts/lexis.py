@@ -8,8 +8,9 @@ time exactly on a bin edge belongs to the bin below the edge (the event
 closes the elapsed interval), while a u exactly on an edge belongs to the
 bin above it except at the top boundary.
 
-Records are held column-wise in a :class:`RecordTable`; reading, validation,
-binning and at-risk counting work on its arrays, never per record.
+Records are held column-wise in a :class:`RecordTable`, which checks them when
+it is built; reading, binning and at-risk counting work on its arrays, never
+per record.
 """
 
 from __future__ import annotations
@@ -33,30 +34,18 @@ _CHUNK = 8192
 # Rows per C-level CSV read: no whole-file temporary beside the columns it fills (one
 # pass over 300k records raised the peak memory of a fit from 80 to 87 MB).
 _READ_ROWS = 65536
-
-
-@dataclass(frozen=True)
-class IndividualRecord:
-    """One subject: entry/exit on the s-scale and the terminating cause.
-
-    ``cause`` is 0 for right-censoring, 1 for the cause of interest, 2 for
-    the competing cause.
-    """
-
-    id: str
-    u: float
-    s_entry: float
-    s_exit: float
-    cause: int
+_SHAPE_ERROR = "record columns must be 1-D and of equal length"
 
 
 @dataclass(frozen=True, eq=False)
 class RecordTable:
     """Records as five equal-length columns (``id`` str, ``u``, ``s_entry``,
-    ``s_exit`` float64, ``cause`` int64).
+    ``s_exit`` float64, ``cause`` int64); ``cause`` is 0 for right-censoring,
+    1 for the cause of interest, 2 for the competing cause.
 
-    Iterating yields :class:`IndividualRecord` rows.  Tables compare by
-    identity; compare ``list(table)`` for row equality.
+    Building a table checks it: :class:`DataError` lists every invalid record
+    (``details``: their ids).  Tables compare by identity; compare them column
+    by column.
     """
 
     id: np.ndarray
@@ -68,70 +57,67 @@ class RecordTable:
     def __post_init__(self):
         # object ids: a fixed-width str column would size every entry by the longest id
         ids = np.asarray(self.id, dtype=object)
-        cols = {name: _column(ids, name, getattr(self, name), dtype) for name, dtype in
-                (("u", np.float64), ("s_entry", np.float64), ("s_exit", np.float64),
-                 ("cause", np.int64))}
-        for name, col in {"id": ids, **cols}.items():
-            if col.shape != ids.shape or col.ndim != 1:
-                raise ValueError("record columns must be 1-D and of equal length")
-            object.__setattr__(self, name, col)
+        if ids.ndim != 1:
+            raise ValueError(_SHAPE_ERROR)
+        object.__setattr__(self, "id", ids)
+        for name, dtype in (("u", np.float64), ("s_entry", np.float64),
+                            ("s_exit", np.float64), ("cause", np.int64)):
+            object.__setattr__(self, name, _column(ids, name, getattr(self, name), dtype))
+        bad = _problems(ids, self.u, self.s_entry, self.s_exit, self.cause)
+        if bad:
+            raise DataError(f"{len(bad)} invalid record(s): {_listing([m for _, m in bad])}",
+                            details=[str(ids[i]) for i, _ in bad])
 
     def __len__(self):
         return len(self.id)
 
-    def __iter__(self):
-        return map(IndividualRecord, self.id.tolist(), self.u.tolist(),
-                   self.s_entry.tolist(), self.s_exit.tolist(), self.cause.tolist())
 
-    @classmethod
-    def from_records(cls, records) -> "RecordTable":
-        """``records`` itself if it is a table, else a table of its :class:`IndividualRecord` rows."""
-        if isinstance(records, cls):
-            return records
-        rows = [(r.id, r.u, r.s_entry, r.s_exit, r.cause) for r in records]
-        return cls(*(zip(*rows) if rows else [()] * 5))
+def _problems(ids, u, s_entry, s_exit, cause) -> list:
+    """``(index, message)`` for every invalid record of the columns, in record order.
 
-    def _problems(self) -> list:
-        """``(index, message)`` for every invalid record, in record order.
-
-        Each record is reported once, for the first check it fails.
-        """
-        u, s_entry, s_exit, cause = self.u, self.s_entry, self.s_exit, self.cause
-        bad_u = ~((u > 0) & np.isfinite(u))
-        bad_s = ~bad_u & ~((0 <= s_entry) & (s_entry < s_exit))
-        bad_cause = ~bad_u & ~bad_s & ~np.isin(cause, (0, 1, 2))
-        out = []
-        for i in np.flatnonzero(bad_u | bad_s | bad_cause).tolist():
-            rid = str(self.id[i])
-            if bad_u[i]:
-                why = f"u must be positive and finite, got {float(u[i])}"
-            elif bad_s[i]:
-                why = f"need 0 <= s_entry < s_exit, got ({float(s_entry[i])}, {float(s_exit[i])})"
-            else:
-                why = f"cause must be 0, 1 or 2, got {int(cause[i])}"
-            out.append((i, f"record {rid!r}: {why}"))
-        return out
-
-    def validate(self):
-        """Raise :class:`DataError` listing every invalid record (``details``: their ids)."""
-        bad = self._problems()
-        if bad:
-            raise DataError(f"{len(bad)} invalid record(s): {_listing([m for _, m in bad])}",
-                            details=[str(self.id[i]) for i, _ in bad])
+    Each record is reported once, for the first check it fails.
+    """
+    bad_u = ~((u > 0) & np.isfinite(u))
+    bad_s = ~bad_u & ~((0 <= s_entry) & (s_entry < s_exit))
+    bad_cause = ~bad_u & ~bad_s & ~np.isin(cause, (0, 1, 2))
+    out = []
+    for i in np.flatnonzero(bad_u | bad_s | bad_cause).tolist():
+        if bad_u[i]:
+            why = f"u must be positive and finite, got {float(u[i])}"
+        elif bad_s[i]:
+            why = f"need 0 <= s_entry < s_exit, got ({float(s_entry[i])}, {float(s_exit[i])})"
+        else:
+            why = f"cause must be 0, 1 or 2, got {int(cause[i])}"
+        out.append((i, f"record {str(ids[i])!r}: {why}"))
+    return out
 
 
 def _column(ids, name, values, dtype) -> np.ndarray:
-    """``values`` as a ``dtype`` array, else :class:`DataError` naming the first bad record."""
+    """``values`` as a ``dtype`` array, else :class:`DataError` naming the first record
+    whose value does not convert, or would change in converting (a fractional cause)."""
     try:
-        return np.asarray(values, dtype=dtype)
+        with np.errstate(invalid="ignore"):   # a NaN cause: refused below
+            col = np.asarray(values, dtype=dtype)
     except (TypeError, ValueError, OverflowError) as exc:
         for rid, value in zip(ids.tolist(), values):
             try:
                 dtype(value)
             except (TypeError, ValueError, OverflowError):
-                raise DataError(f"record {rid!r}: {name} is not {np.dtype(dtype).name}, "
-                                f"got {value!r}", details=[str(rid)]) from None
+                raise _not_of_type(rid, name, dtype, value) from None
         raise DataError(f"record column {name}: {exc}") from None
+    if col.shape != ids.shape:
+        raise ValueError(_SHAPE_ERROR)
+    src = np.asarray(values)
+    if src.dtype.kind in "biufc" and not np.can_cast(src.dtype, dtype):
+        changed = np.flatnonzero(col != src)
+        if changed.size:
+            raise _not_of_type(ids[changed[0]], name, dtype, src[changed[0]].item())
+    return col
+
+
+def _not_of_type(rid, name, dtype, value) -> DataError:
+    return DataError(f"record {rid!r}: {name} is not {np.dtype(dtype).name}, got {value!r}",
+                     details=[str(rid)])
 
 
 def _listing(items, limit=20) -> str:
@@ -240,14 +226,12 @@ def _exit_col(s_exit: np.ndarray, grid: LexisGrid) -> np.ndarray:
     return np.clip(k, 0, grid.n_s - 1)
 
 
-def _grid_rows(records, grid: LexisGrid):
-    """Validated table of ``records`` and the u-row of each record.
+def _grid_rows(table: RecordTable, grid: LexisGrid) -> np.ndarray:
+    """The u-row of each record of ``table``.
 
     Raises :class:`DataError` listing every offending record id if any
     record falls outside the grid (no silent clipping).
     """
-    table = RecordTable.from_records(records)
-    table.validate()
     j = _row_index(table.u, grid)
     u_lo, u_hi = grid.u_edges[0], grid.u_edges[-1]
     s_lo, s_hi = grid.s_edges[0], grid.s_edges[-1]
@@ -263,17 +247,15 @@ def _grid_rows(records, grid: LexisGrid):
         raise DataError(f"{len(bad)} record(s) outside the grid: "
                         f"{_listing([f'{rid}: {w}' for rid, w in zip(ids, why)])}",
                         details=ids)
-    return table, j
+    return j
 
 
-def bin_records(records, grid: LexisGrid) -> BinnedData:
-    """Aggregate records into event-count and exposure matrices.
+def bin_records(table: RecordTable, grid: LexisGrid) -> BinnedData:
+    """Aggregate the records of ``table`` into event-count and exposure matrices.
 
-    ``records`` is a :class:`RecordTable` or an iterable of
-    :class:`IndividualRecord`.  Raises :class:`DataError` listing every
-    invalid record, or every record outside the grid, by id.
+    Raises :class:`DataError` listing every record outside the grid by id.
     """
-    table, j = _grid_rows(records, grid)
+    j = _grid_rows(table, grid)
     n_u, n_s = grid.n_u, grid.n_s
     cell = j * n_s + _exit_col(table.s_exit, grid)
     Y = {ell: np.bincount(cell[table.cause == ell], minlength=n_u * n_s)
@@ -371,17 +353,19 @@ def read_records_csv(path) -> RecordTable:
     A missing/empty s_entry is treated as 0.  Blank lines are skipped.
     Malformed or invalid rows raise :class:`DataError` naming their
     physical line numbers (header = row 1).  The file is read in one C-level
-    pass; a file that pass cannot read (an empty s_entry field, a bad row) is
-    read again row by row, which gives the values or names the bad rows.
+    pass and checked as it becomes a table; a file that pass cannot read (an
+    empty s_entry field, a bad row) or whose table does not build is read again
+    row by row, which gives the values or names the bad rows.
     """
     cols = _load_columns(path, *_RECORD_HEADER, {"id": object, "u": np.float64,
                                                  "s_entry": np.float64, "s_exit": np.float64,
                                                  "cause": np.int64})
     if cols is not None:
         s_entry = cols.get("s_entry", np.zeros(len(cols["u"])))
-        table = RecordTable(cols["id"], cols["u"], s_entry, cols["s_exit"], cols["cause"])
-        if not table._problems():
-            return table
+        try:
+            return RecordTable(cols["id"], cols["u"], s_entry, cols["s_exit"], cols["cause"])
+        except DataError:
+            pass
     return _read_records_rows(path)
 
 
@@ -407,17 +391,19 @@ def _read_records_rows(path) -> RecordTable:
         return parse
 
     lines, problems = _parse_csv(path, *_RECORD_HEADER, make_parser)
-    table = RecordTable(ids, u, s_entry, s_exit, cause)
-    problems += [(lines[i], msg) for i, msg in table._problems()]
+    cols = (np.asarray(ids, dtype=object), *map(np.asarray, (u, s_entry, s_exit, cause)))
+    try:
+        table = RecordTable(*cols)
+    except DataError:   # name the invalid records by their lines
+        problems += [(lines[i], msg) for i, msg in _problems(*cols)]
     if problems:
         listing = [f"row {line}: {msg}" for line, msg in sorted(problems, key=lambda p: p[0])]
         raise DataError(f"{path}: {len(listing)} bad row(s): {_listing(listing)}", details=listing)
     return table
 
 
-def write_records_csv(path, records):
-    """Write records in the same CSV schema that :func:`read_records_csv` ingests."""
-    table = RecordTable.from_records(records)
+def write_records_csv(path, table: RecordTable):
+    """Write a table in the same CSV schema that :func:`read_records_csv` ingests."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "u", "s_entry", "s_exit", "cause"])

@@ -166,12 +166,12 @@ class GroupedCounts:
     g: int
 
 
-def at_risk_matrix(records, grid: LexisGrid) -> np.ndarray:
+def at_risk_matrix(table: RecordTable, grid: LexisGrid) -> np.ndarray:
     """Fine-grid at-risk counts: n_u rows, n_s + 1 columns (see GroupedCounts).
 
     Records are checked against the grid as in :func:`bin_records`.
     """
-    table, j = _grid_rows(records, grid)
+    j = _grid_rows(table, grid)
     n_u, n_s = grid.n_u, grid.n_s
     entry_edges = grid.s_edges[:-1]
     # a record is at risk at the starts of bins k_lo .. k_hi - 1: +1 / -1 steps, summed along s
@@ -186,21 +186,20 @@ def at_risk_matrix(records, grid: LexisGrid) -> np.ndarray:
     return N
 
 
-def grouped_view(records, grid: LexisGrid, first_grouped_age: float):
+def grouped_view(table: RecordTable, grid: LexisGrid, first_grouped_age: float):
     """Collapse all rows at or above ``first_grouped_age`` into one observed row.
 
     Returns ``(GroupedCounts, BinnedData)`` where the second element is the
     exact fine-grid binning, kept as the ground truth for recovery checks.
     """
-    records = RecordTable.from_records(records)
     cut = grid.first_grouped_row(first_grouped_age)
-    fine = bin_records(records, grid)
+    fine = bin_records(table, grid)
     g = cut + 1
     Z = {
         ell: np.vstack([fine.Y[ell][:cut], fine.Y[ell][cut:].sum(axis=0, keepdims=True)])
         for ell in fine.Y
     }
-    N_fine = at_risk_matrix(records, grid)
+    N_fine = at_risk_matrix(table, grid)
     N = np.vstack([N_fine[:cut], N_fine[cut:].sum(axis=0, keepdims=True)])
     grouped = GroupedCounts(Z=Z, at_risk=N, grid=grid, g=g)
     return grouped, fine

@@ -15,7 +15,7 @@ import yaml
 from click.testing import CliRunner
 
 import hazard2ts as h
-from hazard2ts import cli
+from hazard2ts import cli, lexis
 from hazard2ts.cli import _write_table, load_config, main
 from hazard2ts.errors import DataError
 
@@ -72,11 +72,12 @@ def read_csv(path):
 
 
 def test_cli_import_loads_no_scipy():
-    """The runtime needs numpy, click and yaml only; scipy serves the tests as an oracle."""
+    """The runtime needs numpy, click and yaml only; scipy serves the tests as an oracle,
+    and yaml is imported only where a YAML file is read."""
     src = str(Path(h.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = ("import sys, hazard2ts.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    code = ("import sys, hazard2ts.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'yaml', '_yaml')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120)
     assert out.stdout.strip() == "[]"
@@ -563,9 +564,9 @@ class TestSimulateCommand:
         result = runner.invoke(main, ["simulate", str(scen), "--out", str(out)])
         assert result.exit_code == 0
         records = h.read_records_csv(out)
-        events = [r for r in records if r.cause != 0]
-        frac = sum(1 for r in events if r.cause == 1) / len(events)
-        assert abs(frac - 2 / 3) < 3 * np.sqrt((2 / 9) / len(events))
+        n_events = np.count_nonzero(records.cause != 0)
+        frac = np.count_nonzero(records.cause == 1) / n_events
+        assert abs(frac - 2 / 3) < 3 * np.sqrt((2 / 9) / n_events)
 
 
 @pytest.fixture(scope="module")
@@ -633,6 +634,24 @@ def _serial(tasks):
 def _tree(outdir):
     return {str(p.relative_to(outdir)): p.read_bytes() for p in sorted(outdir.rglob("*"))
             if p.is_file()}
+
+
+def test_pclm_fit_checks_the_records_only_when_the_table_is_read(monkeypatch, tmp_path,
+                                                                  grouped_csv):
+    """Grouping, binning and at-risk counting take the checked table as it is."""
+    checked = []
+    check = lexis._problems
+    monkeypatch.setattr(lexis, "_problems", lambda *cols: checked.append(len(cols[0]))
+                        or check(*cols))
+    monkeypatch.setattr(cli, "_run_tasks", _serial)   # every stage in this process
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({**FAST_CONFIG, "montecarlo": {"n_draws": 10},
+                                    "pclm": {"enabled": True, "log10_phi_step": 1.0}}))
+    cfg = load_config(path)
+    table = h.read_records_csv(grouped_csv)
+    assert checked == [len(table)]
+    cli.run_fit_pipeline(cfg, table, tmp_path / "out")
+    assert checked == [len(table)]
 
 
 class TestWorkerProcesses:

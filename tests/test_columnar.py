@@ -18,6 +18,16 @@ from hazard2ts.errors import DataError
 from hazard2ts.simulate import at_risk_matrix
 
 _EDGE_ATOL = 1e-12
+FIELDS = ("id", "u", "s_entry", "s_exit", "cause")
+
+
+def rows_of(table):
+    """The records of ``table`` as (id, u, s_entry, s_exit, cause) rows of Python values."""
+    return list(zip(*(getattr(table, name).tolist() for name in FIELDS)))
+
+
+def table_of(rows):
+    return h.RecordTable(*(list(zip(*rows)) or [()] * 5))
 
 
 def oracle_row_index(u, grid):
@@ -34,32 +44,32 @@ def oracle_exit_col(s_exit, grid):
     return min(max(k, 0), grid.n_s - 1)
 
 
-def oracle_bin_records(records, grid):
+def oracle_bin_records(table, grid):
     """Per-record loop; records are valid and inside the grid."""
     Y = {ell: np.zeros((grid.n_u, grid.n_s)) for ell in (1, 2)}
     R = np.zeros((grid.n_u, grid.n_s))
-    for rec in records:
-        j = oracle_row_index(rec.u, grid)
+    for _, u, s_entry, s_exit, cause in rows_of(table):
+        j = oracle_row_index(u, grid)
         assert j >= 0
-        if rec.cause in (1, 2):
-            Y[rec.cause][j, oracle_exit_col(rec.s_exit, grid)] += 1.0
-        overlap = np.minimum(rec.s_exit, grid.s_edges[1:]) - np.maximum(rec.s_entry, grid.s_edges[:-1])
+        if cause in (1, 2):
+            Y[cause][j, oracle_exit_col(s_exit, grid)] += 1.0
+        overlap = np.minimum(s_exit, grid.s_edges[1:]) - np.maximum(s_entry, grid.s_edges[:-1])
         R[j, :] += np.maximum(overlap, 0.0)
     return Y, R
 
 
-def oracle_at_risk(records, grid):
+def oracle_at_risk(table, grid):
     n_u, n_s = grid.n_u, grid.n_s
     N = np.zeros((n_u, n_s + 1))
     entry_edges = grid.s_edges[:-1]
     top = grid.s_edges[-1]
-    for rec in records:
-        j = int(np.floor((rec.u - grid.u_edges[0]) / grid.h_u + 1e-12))
+    for _, u, s_entry, s_exit, cause in rows_of(table):
+        j = int(np.floor((u - grid.u_edges[0]) / grid.h_u + 1e-12))
         j = min(j, n_u - 1)
-        k_lo = np.searchsorted(entry_edges, rec.s_entry, side="left")
-        k_hi = np.searchsorted(entry_edges, rec.s_exit, side="left")
+        k_lo = np.searchsorted(entry_edges, s_entry, side="left")
+        k_hi = np.searchsorted(entry_edges, s_exit, side="left")
         N[j, k_lo:k_hi] += 1.0
-        if rec.cause == 0 and rec.s_exit >= top - 1e-12:
+        if cause == 0 and s_exit >= top - 1e-12:
             N[j, n_s] += 1.0
     return N
 
@@ -87,17 +97,17 @@ def record_tables(draw, grid, max_size):
         later = [e for e in s_edges if e > s_entry]
         s_exit = draw(st.one_of(st.sampled_from(later),
                                 st.floats(min_value=s_entry, max_value=s_hi, exclude_min=True)))
-        rows.append(h.IndividualRecord(f"r{i}", u, s_entry, s_exit, draw(st.integers(0, 2))))
-    return rows
+        rows.append((f"r{i}", u, s_entry, s_exit, draw(st.integers(0, 2))))
+    return table_of(rows)
 
 
-def assert_matches_oracle(records, grid):
-    binned = h.bin_records(records, grid)
-    Y, R = oracle_bin_records(records, grid)
+def assert_matches_oracle(table, grid):
+    binned = h.bin_records(table, grid)
+    Y, R = oracle_bin_records(table, grid)
     for ell in (1, 2):
         assert np.array_equal(binned.Y[ell], Y[ell])
     assert np.array_equal(binned.R, R)
-    assert np.array_equal(at_risk_matrix(records, grid), oracle_at_risk(records, grid))
+    assert np.array_equal(at_risk_matrix(table, grid), oracle_at_risk(table, grid))
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=["default", "tenths", "single"])
@@ -125,41 +135,80 @@ def test_records_around_the_chunk_size_match_per_record_loops(offset):
     assert_matches_oracle(table, grid)
 
 
-@given(records=st.lists(st.builds(
-    h.IndividualRecord,
-    id=st.text(alphabet="abc ,\"'\n-", min_size=1, max_size=6),
-    u=st.floats(min_value=1e-300, max_value=1e300),
-    s_entry=st.floats(min_value=0.0, max_value=1e6),
-    s_exit=st.floats(min_value=0.0, max_value=1e6),
-    cause=st.integers(0, 2),
+@given(rows=st.lists(st.tuples(
+    st.text(alphabet="abc ,\"'\n-", min_size=1, max_size=6),
+    st.floats(min_value=1e-300, max_value=1e300),
+    st.floats(min_value=0.0, max_value=1e6),
+    st.floats(min_value=0.0, max_value=1e6),
+    st.integers(0, 2),
 ), max_size=20))
 @settings(max_examples=50, deadline=None)
-def test_csv_round_trip_gives_back_the_table(records, tmp_path_factory):
-    records = [r for r in records if r.s_entry < r.s_exit]
-    table = h.RecordTable.from_records(records)
-    assert h.RecordTable.from_records(table) is table
+def test_csv_round_trip_gives_back_the_table(rows, tmp_path_factory):
+    rows = [r for r in rows if r[2] < r[3]]
+    table = table_of(rows)
     path = tmp_path_factory.mktemp("rt") / "records.csv"
     h.write_records_csv(path, table)
     back = h.read_records_csv(path)
-    for name in ("id", "u", "s_entry", "s_exit", "cause"):
+    for name in FIELDS:
         assert np.array_equal(getattr(back, name), getattr(table, name))
-    assert list(back) == records
+    assert rows_of(back) == rows
 
 
 def test_validate_lists_every_invalid_record():
-    table = h.RecordTable.from_records([
-        h.IndividualRecord("neg-age", -1.0, 0.0, 1.0, 1),
-        h.IndividualRecord("ok", 60.0, 0.0, 1.0, 1),
-        h.IndividualRecord("backwards", 60.0, 2.0, 1.0, 0),
-        h.IndividualRecord("bad-cause", 60.0, 0.0, 1.0, 7),
-    ])
+    # the table checks its records when it is built
     with pytest.raises(DataError) as err:
-        table.validate()
+        table_of([
+            ("neg-age", -1.0, 0.0, 1.0, 1),
+            ("ok", 60.0, 0.0, 1.0, 1),
+            ("backwards", 60.0, 2.0, 1.0, 0),
+            ("bad-cause", 60.0, 0.0, 1.0, 7),
+        ])
     assert err.value.details == ["neg-age", "backwards", "bad-cause"]
     message = str(err.value)
     assert "record 'neg-age': u must be positive and finite, got -1.0" in message
     assert "record 'backwards': need 0 <= s_entry < s_exit, got (2.0, 1.0)" in message
     assert "record 'bad-cause': cause must be 0, 1 or 2, got 7" in message
+
+
+def oracle_problem(rid, u, s_entry, s_exit, cause):
+    """The per-record check of the earlier dataclass rows: the message for the first
+    check the record fails, or None."""
+    if not (u > 0 and math.isfinite(u)):
+        return f"record {rid!r}: u must be positive and finite, got {u}"
+    if not (0 <= s_entry < s_exit):
+        return f"record {rid!r}: need 0 <= s_entry < s_exit, got ({s_entry}, {s_exit})"
+    if cause not in (0, 1, 2):
+        return f"record {rid!r}: cause must be 0, 1 or 2, got {cause}"
+    return None
+
+
+times = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, math.nan]),
+                  st.floats(min_value=-2.0, max_value=3.0))
+
+
+@given(rows=st.lists(st.tuples(st.text(max_size=4),
+                               st.one_of(times, st.sampled_from([1e-300, -math.inf])),
+                               times, times, st.integers(-2, 4)),
+                     max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_a_table_builds_exactly_when_the_column_check_finds_no_problem(rows):
+    ids = np.asarray([r[0] for r in rows], dtype=object)
+    u, s_entry, s_exit, cause = (np.asarray([r[k] for r in rows], dtype=dtype) for k, dtype in
+                                 ((1, np.float64), (2, np.float64), (3, np.float64),
+                                  (4, np.int64)))
+    problems = lexis._problems(ids, u, s_entry, s_exit, cause)
+    expected = [(i, m) for i, m in enumerate(oracle_problem(*r) for r in rows) if m]
+    assert problems == expected
+    if not problems:
+        assert rows_of(table_of(rows)) == rows
+        return
+    with pytest.raises(DataError) as err:
+        table_of(rows)
+    messages = [m for _, m in expected]
+    more = f" (+{len(messages) - 20} more)" if len(messages) > 20 else ""
+    assert str(err.value) == (f"{len(messages)} invalid record(s): "
+                              + "; ".join(messages[:20]) + more)
+    assert err.value.details == [rows[i][0] for i, _ in expected]
 
 
 def test_reader_reports_parse_and_validation_errors_in_line_order(tmp_path):
@@ -187,8 +236,8 @@ def test_age_just_below_the_lowest_edge_is_outside_the_grid(grid, cause):
     # within the edge slack, but floored to row -1: the per-record code refused it
     u = float(grid.u_edges[0]) - 1e-12
     assert oracle_row_index(u, grid) == -1
-    records = [h.IndividualRecord("ok", float(grid.u_edges[1]), 0.0, 1.0, 1),
-               h.IndividualRecord("low", u, 0.0, 1.0, cause)]
+    records = table_of([("ok", float(grid.u_edges[1]), 0.0, 1.0, 1),
+                        ("low", u, 0.0, 1.0, cause)])
     for stage in (h.bin_records, at_risk_matrix):
         with pytest.raises(DataError) as err:
             stage(records, grid)
@@ -200,9 +249,9 @@ def test_long_ids_are_kept_whole(tmp_path):
     table = h.RecordTable(ids, [60.0] * 3, [0.0] * 3, [1.0] * 3, [0, 1, 2])
     # object column: no entry is padded to the longest id
     assert table.id.dtype == object
-    assert [r.id for r in table] == ids
+    assert table.id.tolist() == ids
     path = tmp_path / "records.csv"
-    h.write_records_csv(path, list(table)[:2])
+    h.write_records_csv(path, table_of(rows_of(table)[:2]))
     assert h.read_records_csv(path).id.tolist() == ids[:2]
 
 
@@ -210,11 +259,30 @@ def test_unconvertible_values_are_data_errors_naming_the_record():
     # a cause beyond int64 and a non-numeric age: the reader reports these as
     # bad rows, and building a table from library values names the record too
     with pytest.raises(DataError) as err:
-        h.RecordTable.from_records([h.IndividualRecord("ok", 60.0, 0.0, 1.0, 1),
-                                    h.IndividualRecord("a", 60.0, 0.0, 1.0, 10**20)])
+        table_of([("ok", 60.0, 0.0, 1.0, 1), ("a", 60.0, 0.0, 1.0, 10**20)])
     assert err.value.details == ["a"]
     assert "record 'a': cause" in str(err.value)
     with pytest.raises(DataError) as err:
         h.RecordTable(["x", "y"], ["abc", 61.0], [0.0, 0.0], [1.0, 1.0], [1, 2])
     assert err.value.details == ["x"]
     assert "record 'x': u" in str(err.value)
+
+
+@pytest.mark.parametrize("cause,bad", [([1.5, 2.9], "'a': cause is not int64, got 1.5"),
+                                       ([1, 2.9], "'b': cause is not int64, got 2.9"),
+                                       (np.array([1.0, 2.9]), "'b': cause is not int64, got 2.9"),
+                                       (np.array([1.0, np.nan]), "'b': cause is not int64, got nan"),
+                                       (np.array([2, 2**63], dtype=np.uint64),
+                                        f"'b': cause is not int64, got {2**63}")],
+                         ids=["floats", "int-and-float", "array", "nan", "uint64"])
+def test_a_cause_that_changes_in_conversion_is_refused(cause, bad):
+    # a value np.int64 would truncate (2.9 to 2) or wrap is refused, not converted
+    with pytest.raises(DataError) as err:
+        h.RecordTable(["a", "b"], [60.0, 61.0], [0.0, 0.0], [1.0, 2.0], cause)
+    assert str(err.value) == f"record {bad}"
+    assert err.value.details == [bad[1]]
+
+
+def test_integral_float_causes_are_kept():
+    table = h.RecordTable(["a", "b"], [60.0, 61.0], [0.0, 0.0], [1.0, 2.0], [1.0, np.float32(2)])
+    assert table.cause.dtype == np.int64 and table.cause.tolist() == [1, 2]

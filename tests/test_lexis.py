@@ -8,7 +8,12 @@ from hazard2ts.errors import DataError
 
 
 def rec(id="r0", u=52.3, s_entry=0.0, s_exit=1.2, cause=1):
-    return h.IndividualRecord(id=id, u=u, s_entry=s_entry, s_exit=s_exit, cause=cause)
+    """One record as a row: (id, u, s_entry, s_exit, cause)."""
+    return (id, u, s_entry, s_exit, cause)
+
+
+def table(*rows):
+    return h.RecordTable(*zip(*rows))
 
 
 class TestBuildGrid:
@@ -44,7 +49,7 @@ class TestBuildGrid:
 class TestBinRecords:
     def test_single_record_events_and_exposure(self):
         grid = h.build_grid(50, 100, 1, 0, 10.5, 0.5)
-        out = h.bin_records([rec()], grid)
+        out = h.bin_records(table(rec()), grid)
         # u = 52.3 sits in the third age row, exit 1.2 in the third s-bin
         assert out.Y[1][2, 2] == 1.0
         assert out.Y[2].sum() == 0.0
@@ -55,29 +60,30 @@ class TestBinRecords:
 
     def test_censored_record_adds_no_events(self):
         grid = h.build_grid(50, 100, 1, 0, 10.5, 0.5)
-        out = h.bin_records([rec(cause=0)], grid)
+        out = h.bin_records(table(rec(cause=0)), grid)
         assert out.Y[1].sum() == 0.0 and out.Y[2].sum() == 0.0
         assert out.R.sum() == pytest.approx(1.2, abs=1e-12)
 
     def test_exit_on_edge_goes_below(self):
         grid = h.build_grid(50, 100, 1, 0, 10.5, 0.5)
-        out = h.bin_records([rec(s_exit=1.0)], grid)
+        out = h.bin_records(table(rec(s_exit=1.0)), grid)
         assert out.Y[1][2, 1] == 1.0  # bin [0.5, 1.0), not [1.0, 1.5)
 
     def test_u_on_edge_goes_above_except_top(self):
         grid = h.build_grid(50, 100, 1, 0, 10.5, 0.5)
-        out = h.bin_records([rec(u=52.0), rec(id="r1", u=100.0)], grid)
+        out = h.bin_records(table(rec(u=52.0), rec(id="r1", u=100.0)), grid)
         assert out.R[2].sum() > 0       # 52.0 -> [52, 53)
         assert out.R[49].sum() > 0      # 100.0 -> top bin [99, 100]
 
     def test_exposure_conservation_against_direct_sum(self, constant_cohort, default_grid):
         # oracle: direct summation of follow-up over the records
-        records = list(constant_cohort)[:1000]
-        out = h.bin_records(records, default_grid)
-        total = sum(r.s_exit - r.s_entry for r in records)
+        first = h.RecordTable(*(getattr(constant_cohort, name)[:1000] for name in
+                                ("id", "u", "s_entry", "s_exit", "cause")))
+        out = h.bin_records(first, default_grid)
+        total = sum((first.s_exit - first.s_entry).tolist())
         assert out.R.sum() == pytest.approx(total, abs=1e-9)
         for ell in (1, 2):
-            assert out.Y[ell].sum() == sum(1 for r in records if r.cause == ell)
+            assert out.Y[ell].sum() == np.count_nonzero(first.cause == ell)
 
     def test_event_implies_exposure(self, constant_binned):
         for ell in (1, 2):
@@ -85,28 +91,29 @@ class TestBinRecords:
 
     def test_out_of_grid_lists_ids(self):
         grid = h.build_grid(50, 100, 1, 0, 10.5, 0.5)
-        bad = [rec(id="too-young", u=30.0), rec(id="ok", u=60.0),
-               rec(id="too-long", s_exit=11.0)]
+        bad = table(rec(id="too-young", u=30.0), rec(id="ok", u=60.0),
+                    rec(id="too-long", s_exit=11.0))
         with pytest.raises(DataError) as err:
             h.bin_records(bad, grid)
         assert set(err.value.details) == {"too-young", "too-long"}
 
     def test_invalid_record_fields(self):
-        grid = h.build_grid(50, 100, 1, 0, 10.5, 0.5)
-        with pytest.raises(DataError):
-            h.bin_records([rec(s_entry=2.0, s_exit=1.0)], grid)
-        with pytest.raises(DataError):
-            h.bin_records([rec(cause=7)], grid)
+        # refused where the table is built, before any binning
+        with pytest.raises(DataError, match="need 0 <= s_entry < s_exit"):
+            table(rec(s_entry=2.0, s_exit=1.0))
+        with pytest.raises(DataError, match="cause must be 0, 1 or 2"):
+            table(rec(cause=7))
 
     @given(shift=st.integers(min_value=0, max_value=10))
     @settings(max_examples=20, deadline=None)
     def test_translation_equivariance_on_exact_bins(self, shift):
         # shifting s_entry/s_exit by multiples of h_s shifts the columns
         grid = h.build_grid(0, 10, 1, 0, 20, 0.5)
-        base = [rec(id="a", u=4.2, s_entry=0.0, s_exit=2.0, cause=1),
+        rows = [rec(id="a", u=4.2, s_entry=0.0, s_exit=2.0, cause=1),
                 rec(id="b", u=4.7, s_entry=0.5, s_exit=3.25, cause=2)]
-        moved = [h.IndividualRecord(r.id, r.u, r.s_entry + shift * 0.5,
-                                    r.s_exit + shift * 0.5, r.cause) for r in base]
+        base = table(*rows)
+        moved = table(*((rid, u, s_entry + shift * 0.5, s_exit + shift * 0.5, cause)
+                        for rid, u, s_entry, s_exit, cause in rows))
         out0 = h.bin_records(base, grid)
         out1 = h.bin_records(moved, grid)
         n = grid.n_s - shift
@@ -119,17 +126,18 @@ class TestBinRecords:
     @settings(max_examples=50, deadline=None)
     def test_single_row_occupancy(self, u, s_exit):
         grid = h.build_grid(50, 100, 1, 0, 10.5, 0.5)
-        out = h.bin_records([rec(u=u, s_exit=s_exit)], grid)
+        out = h.bin_records(table(rec(u=u, s_exit=s_exit)), grid)
         assert (out.R.sum(axis=1) > 0).sum() == 1
 
 
 class TestCsvIO:
     def test_round_trip(self, tmp_path):
-        records = [rec(), rec(id="r1", u=60.0, s_exit=3.0, cause=0)]
+        rows = [rec(), rec(id="r1", u=60.0, s_exit=3.0, cause=0)]
         path = tmp_path / "cohort.csv"
-        h.write_records_csv(path, records)
+        h.write_records_csv(path, table(*rows))
         back = h.read_records_csv(path)
-        assert list(back) == records
+        assert list(zip(back.id.tolist(), back.u.tolist(), back.s_entry.tolist(),
+                        back.s_exit.tolist(), back.cause.tolist())) == rows
 
     def test_missing_s_entry_is_zero(self, tmp_path):
         path = tmp_path / "cohort.csv"

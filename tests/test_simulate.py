@@ -8,6 +8,13 @@ from hazard2ts.errors import DataError
 from hazard2ts.simulate import at_risk_matrix
 
 
+FIELDS = ("id", "u", "s_entry", "s_exit", "cause")
+
+
+def columns(table):
+    return [getattr(table, name).tolist() for name in FIELDS]
+
+
 def constant_spec(n=2000, seed=1, lam1=0.1, lam2=0.05, s_max=100.0, step=1e-3):
     return h.ScenarioSpec(
         hazard1=h.hazard_family("constant", level=lam1),
@@ -52,35 +59,34 @@ class TestSimulateCohort:
             u_lo=50.0, u_hi=60.0, s_max=5.0, n=50, seed=3,
         )
         records = h.simulate_cohort(spec)
-        assert all(r.cause == 0 and r.s_exit == 5.0 for r in records)
+        assert np.all(records.cause == 0) and np.all(records.s_exit == 5.0)
 
     def test_cause_fraction_closed_form(self):
         # P(cause 1 | any event) = lam1 / (lam1 + lam2) = 2/3
         records = h.simulate_cohort(constant_spec(n=2000, seed=11))
-        events = [r for r in records if r.cause != 0]
-        frac = sum(1 for r in events if r.cause == 1) / len(events)
-        tol = 3.0 * math.sqrt((2.0 / 9.0) / len(events))
+        n_events = np.count_nonzero(records.cause != 0)
+        frac = np.count_nonzero(records.cause == 1) / n_events
+        tol = 3.0 * math.sqrt((2.0 / 9.0) / n_events)
         assert abs(frac - 2.0 / 3.0) < tol
 
     def test_survival_closed_form_at_one_year(self):
         records = h.simulate_cohort(constant_spec(n=5000, seed=12, s_max=10.0))
-        surv = sum(1 for r in records if r.s_exit > 1.0) / len(records)
+        surv = np.count_nonzero(records.s_exit > 1.0) / len(records)
         se = math.sqrt(math.exp(-0.15) * (1 - math.exp(-0.15)) / len(records))
         assert abs(surv - math.exp(-0.15)) < 4 * se
 
     def test_seed_determinism_bitwise(self):
         a = h.simulate_cohort(constant_spec(n=300, seed=21, s_max=10.0))
         b = h.simulate_cohort(constant_spec(n=300, seed=21, s_max=10.0))
-        assert list(a) == list(b)
+        assert columns(a) == columns(b)
 
     def test_halving_step_changes_fraction_within_noise(self):
         rec1 = h.simulate_cohort(constant_spec(n=4000, seed=31, s_max=30.0, step=1e-3))
         rec2 = h.simulate_cohort(constant_spec(n=4000, seed=31, s_max=30.0, step=5e-4))
         fracs = []
         for recs in (rec1, rec2):
-            ev = [r for r in recs if r.cause != 0]
-            fracs.append(sum(1 for r in ev if r.cause == 1) / len(ev))
-        n_ev = min(sum(1 for r in recs if r.cause != 0) for recs in (rec1, rec2))
+            fracs.append(np.count_nonzero(recs.cause == 1) / np.count_nonzero(recs.cause != 0))
+        n_ev = min(np.count_nonzero(recs.cause != 0) for recs in (rec1, rec2))
         se_diff = math.sqrt(2.0 * (2.0 / 9.0) / n_ev)
         assert abs(fracs[0] - fracs[1]) < 2 * se_diff
 
@@ -97,7 +103,7 @@ class TestSimulateCohort:
         records = h.simulate_cohort(constant_spec(n=50, seed=5, s_max=5.0))
         path = tmp_path / "sim.csv"
         h.write_records_csv(path, records)
-        assert list(h.read_records_csv(path)) == list(records)
+        assert columns(h.read_records_csv(path)) == columns(records)
 
 
 class TestGroupedView:
@@ -109,7 +115,9 @@ class TestGroupedView:
 
     def test_no_tail_records_gives_zero_tail_row(self, default_grid):
         spec = constant_spec(n=200, seed=8, s_max=10.5)
-        records = [r for r in h.simulate_cohort(spec) if r.u < 85.0]
+        cohort = h.simulate_cohort(spec)
+        young = cohort.u < 85.0
+        records = h.RecordTable(*(getattr(cohort, name)[young] for name in FIELDS))
         grouped, _ = h.grouped_view(records, default_grid, 90.0)
         for ell in (1, 2):
             assert grouped.Z[ell][-1].sum() == 0.0
@@ -120,11 +128,11 @@ class TestGroupedView:
             h.grouped_view(constant_cohort, default_grid, 90.25)
 
     def test_at_risk_counts_are_consistent(self, default_grid):
-        records = [
-            h.IndividualRecord("a", 91.0, 0.0, 10.5, 0),   # survives everything
-            h.IndividualRecord("b", 92.0, 0.0, 0.75, 1),   # exits in bin 2
-            h.IndividualRecord("c", 93.0, 0.0, 0.5, 2),    # exits exactly at an edge
-        ]
+        records = h.RecordTable(*zip(
+            ("a", 91.0, 0.0, 10.5, 0),   # survives everything
+            ("b", 92.0, 0.0, 0.75, 1),   # exits in bin 2
+            ("c", 93.0, 0.0, 0.5, 2),    # exits exactly at an edge
+        ))
         N = at_risk_matrix(records, default_grid)
         tail = N[40:].sum(axis=0)
         assert tail[0] == 3.0           # all at risk at s = 0
@@ -134,8 +142,7 @@ class TestGroupedView:
 
     def test_at_risk_rejects_records_outside_the_grid(self, default_grid):
         # age 30 lies below the grid; it must not wrap around into the age-80 row
-        records = [h.IndividualRecord("young", 30.0, 0.0, 1.0, 1),
-                   h.IndividualRecord("ok", 60.0, 0.0, 1.0, 1)]
+        records = h.RecordTable(*zip(("young", 30.0, 0.0, 1.0, 1), ("ok", 60.0, 0.0, 1.0, 1)))
         with pytest.raises(DataError) as err:
             at_risk_matrix(records, default_grid)
         assert err.value.details == ["young"]
