@@ -61,7 +61,6 @@ from .smooth2d import (
     PenaltyConfig,
     SearchConfig,
     fit_hazard,
-    information_criteria,
     penalty_matrix,
     select_smoothing,
     zero_penalty,

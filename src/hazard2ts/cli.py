@@ -637,10 +637,13 @@ def scenario_from_dict(raw: dict, n_override=None, seed_override=None) -> Scenar
 
     def number(key, default, kind=float, block=raw, prefix=""):
         val = block.get(key, default)
-        try:
+        try:   # a bool, or a number int() truncates, would read as another value: refused
+            if isinstance(val, bool) or kind is int and _is_number(val) and int(val) != val:
+                raise ValueError
             return kind(val)
-        except (TypeError, ValueError):
-            raise DataError(f"scenario key {prefix}{key} must be a number, got {val!r}") from None
+        except (TypeError, ValueError, OverflowError):   # OverflowError: int(inf)
+            what = "an integer" if kind is int and _is_number(val) else "a number"
+            raise DataError(f"scenario key {prefix}{key} must be {what}, got {val!r}") from None
 
     def closure(key):
         params = dict(blocks[key])

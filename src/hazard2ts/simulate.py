@@ -73,8 +73,6 @@ def hazard_family(name: str, **params):
 
     else:
         raise ValueError(f"unknown hazard family {name!r}")
-
-    fn.family = {"name": name, **{k: float(v) for k, v in params.items()}}
     return fn
 
 

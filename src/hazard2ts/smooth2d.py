@@ -154,15 +154,6 @@ def _convex_hull(pts: np.ndarray) -> np.ndarray:
     return np.array(chain(uniq) + chain(uniq[::-1]), dtype=float).reshape(-1, 2)
 
 
-def _ridge_retry(solve, M: np.ndarray):
-    """``solve(M)``, retried once as ``solve(M + ridge I)`` with a trace-scaled ridge when it
-    raises LinAlgError (a singular or, by round-off, indefinite penalized information)."""
-    try:
-        return solve(M)
-    except np.linalg.LinAlgError:
-        return solve(M + 1e-10 * np.trace(M) / M.shape[0] * np.eye(M.shape[0]))
-
-
 def _inverse_spd(M: np.ndarray) -> np.ndarray:
     """``M^-1 = L^-T L^-1`` from the Cholesky factor ``L`` of a symmetric positive definite
     ``M``; LinAlgError where there is none."""
@@ -222,6 +213,7 @@ class _PoissonProblem:
         rhs = glam.weighted_rhs(ws, np.log((y0 + 0.5) / (exposure + 1.0)))
         ridge = 1e-8 * np.trace(G) / G.shape[0]
         self.start = np.linalg.solve(G + ridge * np.eye(G.shape[0]), rhs)
+        self._undetermined = {}          # undetermined(): per (rho_u > 0, rho_s > 0, d)
 
     def state(self, alpha: np.ndarray):
         """``(means on the fine grid, masked means, grouped means, deviance)`` at alpha."""
@@ -252,6 +244,20 @@ class _PoissonProblem:
             info += 0.5 * (H + H.T)
         return info
 
+    def undetermined(self, penalty: PenaltyConfig) -> int:
+        """How many coefficients neither the data nor the penalty determine (Eilers & Marx 1996):
+        the eigenvalues at most 1e-10 of the largest of the :meth:`information` at unit means plus
+        each penalized axis's block at rho = 1, found once per (rho_u > 0, rho_s > 0, d)."""
+        key = (penalty.rho_u > 0, penalty.rho_s > 0, penalty.d)
+        if key not in self._undetermined:
+            M = self.information((np.ones_like(self.y), self.mask.astype(float),
+                                  np.ones_like(self.Z), None))
+            M += sum(_penalty_block(self.ws.c_u, self.ws.c_s, penalty.d, axis)
+                     for axis, on in zip("us", key) if on)
+            eig = np.linalg.eigvalsh(M)
+            self._undetermined[key] = int(np.sum(eig <= 1e-10 * eig[-1]))
+        return self._undetermined[key]
+
 
 # a converged fit: coefficients, means on the fine grid, deviance, steps, effective dimension
 # tr{(information + P)^-1 information}, (information + P)^-1
@@ -271,6 +277,9 @@ def _newton(prob: _PoissonProblem, penalty: PenaltyConfig, ctrl: FitControl,
     """
     c_u, c_s = prob.ws.c_u, prob.ws.c_s
     P = penalty_matrix(c_u, c_s, penalty)
+    if n_free := prob.undetermined(penalty):
+        raise DataError(f"{n_free} of {c_u * c_s} coefficients are determined by neither the data "
+                        "nor the penalty: penalize that axis or fit a grid the data cover")
 
     # factored penalty pieces: at strong smoothing the differences D @ A are
     # tiny while P's entries are huge, so P @ alpha loses precision to
@@ -302,15 +311,20 @@ def _newton(prob: _PoissonProblem, penalty: PenaltyConfig, ctrl: FitControl,
     def score_of(alpha, st):
         return prob.score(st) - pen_grad(alpha.reshape(c_u, c_s, order="F"))
 
+    def linalg(fn, *args):      # a LinAlgError ends the fit as a ConvergenceError
+        try:
+            return fn(*args)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"IWLS: {exc} after {it} iterations", n_iter=it) from None
+
     alpha = prob.start if start is None else start
     st, pen_dev = evaluate(alpha)
     score = score_of(alpha, st)
     score_rel = np.max(np.abs(score)) / prob.score_scale
-    converged = False
-    it = 0
+    converged, it = False, 0
     while converged or it < ctrl.max_iter:
         gram = prob.information(st)
-        step = _ridge_retry(lambda M: np.linalg.solve(M, score), gram + P)
+        step = linalg(np.linalg.solve, gram + P, score)
         if converged:
             break
         it += 1
@@ -345,7 +359,7 @@ def _newton(prob: _PoissonProblem, penalty: PenaltyConfig, ctrl: FitControl,
     if p_score_rel < score_rel and np.isfinite(p_pen_dev):
         alpha, st = polish, p_st
         gram = prob.information(st)
-    inverse = _ridge_retry(_inverse_spd, gram + P)
+    inverse = linalg(_inverse_spd, gram + P)
     # tr{(G + P)^-1 G} from the symmetric inverse, clamped to [0, n_coef]
     ed = min(max(float(np.sum(inverse * gram)), 0.0), float(gram.shape[0]))
     return _NewtonFit(alpha, st[0], st[3], it, ed, inverse)
@@ -380,8 +394,8 @@ def fit_hazard(data: BinnedData, cause: int, kv_u: KnotVector, kv_s: KnotVector,
 
     Zero-exposure bins stay in the array but carry weight zero and do not
     enter the deviance.  The fit is the damped Newton iteration of
-    :func:`_newton`; it raises :class:`ConvergenceError` if that does not
-    converge within ``ctrl.max_iter`` steps.  :func:`select_smoothing` passes
+    :func:`_newton`: DataError where coefficients are undetermined, ConvergenceError
+    where it does not converge in ``ctrl.max_iter`` steps.  :func:`select_smoothing` passes
     ``_prepare(data, cause, kv_u, kv_s)`` as ``_setup`` and a warm start.
     """
     setup = _prepare(data, cause, kv_u, kv_s) if _setup is None else _setup
@@ -393,12 +407,6 @@ def fit_hazard(data: BinnedData, cause: int, kv_u: KnotVector, kv_s: KnotVector,
         bic=res.deviance + math.log(setup.n_bin) * res.ed, n_bin=setup.n_bin, n_iter=res.n_iter,
         covariance=0.5 * (res.inverse + res.inverse.T), hull=setup.hull,
     )
-
-
-def information_criteria(fit: FittedHazard):
-    """AIC and BIC from deviance, effective dimension, and the bin count."""
-    return (float(fit.deviance + 2.0 * fit.ed),
-            float(fit.deviance + math.log(fit.n_bin) * fit.ed))
 
 
 @dataclass(frozen=True)

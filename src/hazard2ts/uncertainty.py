@@ -84,25 +84,17 @@ def se_hazard(fit: FittedHazard, u_points, s_points) -> np.ndarray:
 
 def sample_coefficients(mean: np.ndarray, Sigma: np.ndarray, n_draws: int,
                         rng: np.random.Generator) -> np.ndarray:
-    """Draw from N(mean, Sigma) via Cholesky, with one jitter retry.
-
-    Returns an (n_draws, len(mean)) array; raises if Sigma is not positive
-    semidefinite even after adding 1e-10 * trace jitter.
-    """
+    """An (n_draws, len(mean)) array of draws from N(mean, Sigma) via the Cholesky factor of
+    Sigma, ``mean`` in every row for a zero Sigma; Hazard2tsError where Sigma is not positive
+    definite."""
     Sigma = np.asarray(Sigma, dtype=float)
-    n = len(mean)
     if np.max(np.abs(Sigma)) == 0.0:
         return np.tile(mean, (n_draws, 1))
     try:
         L = np.linalg.cholesky(Sigma)
     except np.linalg.LinAlgError:
-        jitter = 1e-10 * np.trace(Sigma) / n
-        try:
-            L = np.linalg.cholesky(Sigma + jitter * np.eye(n))
-        except np.linalg.LinAlgError:
-            raise Hazard2tsError("coefficient covariance not positive semidefinite "
-                                 "after jitter") from None
-    z = rng.standard_normal((n_draws, n))
+        raise Hazard2tsError("coefficient covariance not positive definite") from None
+    z = rng.standard_normal((n_draws, len(mean)))
     return mean[None, :] + z @ L.T
 
 

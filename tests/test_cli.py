@@ -366,6 +366,26 @@ class TestFit:
                                       "--out", str(tmp_path / "pred.csv")])
         assert result.exit_code == 0, result.output
 
+    def test_rho_zero_axis_over_a_data_hole_exits_2(self, runner, tmp_path):
+        """Records aged 70-100 on the default 50-100 grid leave 5 u-rows of coefficients
+        without data.  With rho_u = 0 only the s-penalty ties each row, which leaves its d = 2
+        polynomial coefficients free: 10 of 160.  Such a fit was once reported converged, with
+        hazards off the data in the thousands per year and more."""
+        spec = h.ScenarioSpec(hazard1=h.hazard_family("constant", level=0.1),
+                              hazard2=h.hazard_family("constant", level=0.05),
+                              u_lo=70.0, u_hi=100.0, s_max=10.5, n=4000, seed=7)
+        csv_path = tmp_path / "aged_70.csv"
+        h.write_records_csv(csv_path, h.simulate_cohort(spec))
+        path = tmp_path / "rho0.yaml"
+        path.write_text(yaml.safe_dump({"selection": {"log10_rho_u_range": [-math.inf,
+                                                                            -math.inf]}}))
+        result = runner.invoke(main, ["fit", str(csv_path), "--config", str(path),
+                                      "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2, result.output
+        assert ("error: 10 of 160 coefficients are determined by neither the data nor the "
+                "penalty: penalize that axis or fit a grid the data cover") in result.output
+        assert not (tmp_path / "o" / "model.json").exists()
+
 
 class TestPredict:
     def test_midpoints_reproduce_training_values(self, runner, fit_outputs, tmp_path):
@@ -534,6 +554,34 @@ class TestSimulateCommand:
         assert result.exit_code == 2, result.output
         assert f"error: {message.format(path=scen)}" in result.output
         assert not (tmp_path / "c.csv").exists()
+
+    @pytest.mark.parametrize("line,message", [
+        ("n: 300.9", "scenario key n must be an integer, got 300.9"),
+        ("seed: 5.7", "scenario key seed must be an integer, got 5.7"),
+        ("seed: .inf", "scenario key seed must be an integer, got inf"),
+        ("n: true", "scenario key n must be a number, got True"),
+        ("step: true", "scenario key step must be a number, got True"),
+        ("age: {lo: false}", "scenario key age.lo must be a number, got False"),
+    ], ids=["fractional-n", "fractional-seed", "infinite-seed", "bool-n", "bool-step",
+            "bool-age-lo"])
+    def test_number_that_changes_in_converting_exits_2(self, runner, tmp_path, line, message):
+        """Once read as 300 records, seed 5, an OverflowError traceback, 1 record, step 1.0 and
+        age 0."""
+        scen = tmp_path / "scen.yaml"
+        scen.write_text(f"{line}\n{self.CAUSES}")
+        result = runner.invoke(main, ["simulate", str(scen), "--out", str(tmp_path / "c.csv")])
+        assert result.exit_code == 2, result.output
+        assert f"error: {message}\n" in result.output
+        assert not (tmp_path / "c.csv").exists()
+
+    @pytest.mark.parametrize("n", ["25", "25.0", "'25'"])
+    def test_integral_or_text_cohort_size_is_kept(self, runner, tmp_path, n):
+        scen = tmp_path / "scen.yaml"
+        scen.write_text(f"n: {n}\n{self.CAUSES}")
+        out = tmp_path / "c.csv"
+        result = runner.invoke(main, ["simulate", str(scen), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert len(h.read_records_csv(out)) == 25
 
     def test_numbers_yaml_reads_as_strings_simulate_as_numbers(self, runner, tmp_path):
         """PyYAML reads ``1e-3`` and quoted numbers as strings; they convert as numbers do."""

@@ -277,11 +277,17 @@ def assert_bitwise_equal(a, b, where="fit"):
        log10_rho=st.tuples(*[st.sampled_from([-np.inf, 0.5, 2.0])] * 2),
        corner=st.integers(0, 2))
 @example(n_u=6, n_s=5, c=(3, 3), degree=(2, 1), seed=0, log10_rho=(-np.inf, 2.0), corner=2)
+@example(n_u=6, n_s=6, c=(6, 6), degree=(3, 3), seed=0, log10_rho=(-np.inf, -np.inf), corner=2)
+@example(n_u=3, n_s=3, c=(3, 3), degree=(0, 2), seed=0, log10_rho=(0.5, -np.inf), corner=2)
 def test_loaded_model_evaluates_like_in_memory_fits(tmp_path_factory, n_u, n_s, c, degree, seed,
                                                      log10_rho, corner):
     """Toy fits of any degree and knot count, a rho = 0 axis and a zero-exposure corner among
     them: the fits ``load_model`` restores from ``save_model`` hold every field of the fits in
-    memory, bit for bit, and evaluate, flag and give standard errors bit for bit alike."""
+    memory, bit for bit, and evaluate, flag and give standard errors bit for bit alike.  A
+    draw that leaves coefficients undetermined is refused instead, exactly where the dense
+    rank of the positive-exposure tensor rows and the penalized axes' difference rows, at
+    singular values above 1e-5 of the largest, falls short (the last two examples: 4 of 36
+    and 2 of 9)."""
     # more than d = 2 basis functions, at most one per bin, of a degree below their count
     c_u, c_s = min(c[0], n_u), min(c[1], n_s)
     deg_u, deg_s = min(degree[0], c_u - 1), min(degree[1], c_s - 1)
@@ -293,6 +299,22 @@ def test_loaded_model_evaluates_like_in_memory_fits(tmp_path_factory, n_u, n_s, 
          for ell, lam in ((1, 0.2), (2, 0.1))}
     binned = h.BinnedData(grid=grid, Y=Y, R=R)
     kv_u, kv_s = h.make_knots(0, n_u, c_u - deg_u, deg_u), h.make_knots(0, n_s, c_s - deg_s, deg_s)
+    Bu, Bs = h.evaluate_basis(grid.u_mid, kv_u), h.evaluate_basis(grid.s_mid, kv_s)
+    rows = [np.kron(Bs[k], Bu[j]) for j, k in zip(*np.nonzero(R > 0))]
+    if log10_rho[0] > -np.inf:
+        rows += list(np.kron(np.eye(c_s), h.difference_matrix(c_u, 2)))
+    if log10_rho[1] > -np.inf:
+        rows += list(np.kron(h.difference_matrix(c_s, 2), np.eye(c_u)))
+    # the singular values of the rows are the square roots of the eigenvalues of the structural
+    # information, so the check's 1e-10 relative to the largest eigenvalue is 1e-5 here
+    rows = np.array(rows)
+    undetermined = c_u * c_s - np.linalg.matrix_rank(rows, tol=1e-5 * np.linalg.norm(rows, 2))
+    if undetermined:
+        for ell in (1, 2):
+            with pytest.raises(h.DataError, match=f"^{undetermined} of {c_u * c_s} coefficients "
+                                                  "are determined by neither"):
+                h.fit_hazard(binned, ell, kv_u, kv_s, h.PenaltyConfig(*log10_rho, 2))
+        return
     fits = {ell: h.fit_hazard(binned, ell, kv_u, kv_s, h.PenaltyConfig(*log10_rho, 2))
             for ell in (1, 2)}
     path = tmp_path_factory.mktemp("model") / "model.json"

@@ -1,4 +1,3 @@
-import functools
 import math
 from types import SimpleNamespace
 
@@ -8,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hazard2ts as h
-from hazard2ts import smooth2d
+from hazard2ts import glam, smooth2d
 from hazard2ts.errors import ConvergenceError, DataError
 from hazard2ts.smooth2d import _prepare, penalty_matrix
 
@@ -170,40 +169,94 @@ class TestInverseSpd:
         assert np.array_equal(inv, inv.T)
         assert np.max(np.abs(inv @ M - np.eye(n))) < 1e-9
 
-    def test_ridge_retry_inverts_psd_matrices_cholesky_rejects(self):
-        inverse = functools.partial(smooth2d._ridge_retry, smooth2d._inverse_spd)
-        M = np.diag([2.0, 1.0, 0.0])
+    def test_cholesky_rejects_singular_psd_matrices(self):
         with pytest.raises(np.linalg.LinAlgError):
-            smooth2d._inverse_spd(M)
-        ridge = 1e-10 * 3.0 / 3
-        assert np.allclose(inverse(M), np.diag(1.0 / (np.diag(M) + ridge)), rtol=1e-12, atol=0)
+            smooth2d._inverse_spd(np.diag([2.0, 1.0, 0.0]))
         # a coefficient no bin informs: a zero row and column in a larger information
         X = np.random.default_rng(3).standard_normal((150, 60))
         X[:, -1] = 0.0
-        M = X.T @ X
         with pytest.raises(np.linalg.LinAlgError):
-            smooth2d._inverse_spd(M)
-        ridge = 1e-10 * np.trace(M) / 60
-        inv = inverse(M)
-        assert inv[-1, -1] == pytest.approx(1.0 / ridge, rel=1e-12)
-        assert np.all(inv[-1, :-1] == 0.0)
-        expected = np.linalg.inv(M[:-1, :-1] + ridge * np.eye(59))
-        assert np.max(np.abs(inv[:-1, :-1] - expected)) < 1e-9 * np.max(np.abs(expected))
+            smooth2d._inverse_spd(X.T @ X)
 
     def test_indefinite_matrix_still_raises(self):
         with pytest.raises(np.linalg.LinAlgError):
-            smooth2d._ridge_retry(smooth2d._inverse_spd, np.diag([1.0, 1.0, -0.5]))
+            smooth2d._inverse_spd(np.diag([1.0, 1.0, -0.5]))
 
-    def test_unpenalized_coefficient_without_data_is_ridged_in_every_step(self):
-        # the corner coefficient's support has no exposure and rho = 0: the information
-        # is singular at every Newton step, and the fit holds it at its start
+    def test_unpenalized_coefficient_without_data_is_refused(self):
+        # the corner coefficient's support has no exposure and rho = 0: nothing determines it,
+        # and the fit is refused before its first step
         data = toy_data(np.random.default_rng(0))
         data.R[:3, :3] = 0.0
         data.Y[1][:3, :3] = 0.0
         kv_u, kv_s = toy_knots()
-        fit = h.fit_hazard(data, 1, kv_u, kv_s, h.zero_penalty())
-        assert fit.ed == pytest.approx(fit.n_coef - 1, abs=1e-6)
-        assert np.all(np.isfinite(fit.covariance))
+        with pytest.raises(DataError, match="^1 of 20 coefficients are determined by neither "
+                                            "the data nor the penalty"):
+            h.fit_hazard(data, 1, kv_u, kv_s, h.zero_penalty())
+        # a penalty on either axis ties it to its neighbours
+        for penalty in (h.PenaltyConfig(-math.inf, 0.0), h.PenaltyConfig(0.0, -math.inf)):
+            assert np.isfinite(h.fit_hazard(data, 1, kv_u, kv_s, penalty).covariance).all()
+
+    @pytest.mark.parametrize("target", ["solve", "inverse"])
+    def test_information_that_does_not_invert_is_a_convergence_error(self, monkeypatch,
+                                                                     target):
+        """A LinAlgError of the Newton step's solve or of the final inverse ends the fit as a
+        ConvergenceError with its step count, which a search drops as inf."""
+        data = toy_data(np.random.default_rng(1))
+        kv_u, kv_s = toy_knots()
+        setup = _prepare(data, 1, kv_u, kv_s)
+        want = h.fit_hazard(data, 1, kv_u, kv_s, h.PenaltyConfig(1.0, 1.0), _setup=setup)
+
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        if target == "solve":
+            monkeypatch.setattr(np.linalg, "solve", singular)
+        else:
+            monkeypatch.setattr(smooth2d, "_inverse_spd", singular)
+        with pytest.raises(ConvergenceError,
+                           match=r"^IWLS: Singular matrix after \d+ iterations$") as exc:
+            h.fit_hazard(data, 1, kv_u, kv_s, h.PenaltyConfig(1.0, 1.0), _setup=setup)
+        assert exc.value.n_iter == (0 if target == "solve" else want.n_iter)
+        search = smooth2d._GridSearch(lambda la, lb, start: (0.0, None, h.fit_hazard(
+            data, 1, kv_u, kv_s, h.PenaltyConfig(la, lb), _setup=setup)))
+        search.evaluate(1.0, 1.0, None)
+        assert search.table == [(1.0, 1.0, np.inf, exc.value.n_iter, False)]
+
+
+class TestUndetermined:
+    """``_PoissonProblem.undetermined`` against the rank of the stacked dense rows: the tensor
+    rows of the positive-exposure bins and of the summed rows, and the difference rows of the
+    penalized axes.  Their squared singular values are the eigenvalues of the structural
+    information, so the rank counts singular values above 1e-5 of the largest."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_u=st.integers(3, 7), n_s=st.integers(2, 6), c_u=st.integers(3, 8),
+           c_s=st.integers(3, 7), degree=st.integers(0, 3), zero=st.integers(0, 2**42 - 1),
+           rho=st.tuples(st.booleans(), st.booleans()), grouped=st.booleans())
+    def test_matches_the_dense_rank(self, n_u, n_s, c_u, c_s, degree, zero, rho, grouped):
+        deg_u, deg_s = min(degree, c_u - 1), min(degree, c_s - 1)
+        Bu = h.evaluate_basis(np.arange(n_u) + 0.5, h.make_knots(0, n_u, c_u - deg_u, deg_u))
+        Bs = h.evaluate_basis(np.arange(n_s) + 0.5, h.make_knots(0, n_s, c_s - deg_s, deg_s))
+        bits = [(zero >> i) & 1 for i in range(n_u * n_s)]
+        exposure = np.where(bits, 0.0, 1.0).reshape(n_u, n_s)
+        C = None
+        if grouped:                   # the last two fine rows observed as one sum
+            C = np.vstack([np.eye(n_u)[:-2], np.r_[np.zeros(n_u - 2), 1.0, 1.0]])
+            exposure[-2:] = 1.0
+        counts = exposure if C is None else C @ exposure
+        prob = smooth2d._PoissonProblem(glam.ArrayModelWorkspace(Bu, Bs), counts, exposure, C)
+        rows = [np.kron(Bs[k], Bu[j]) for j in range(n_u - 2 * grouped) for k in range(n_s)
+                if exposure[j, k] > 0]
+        if grouped:
+            rows += [np.kron(Bs[k], Bu[-2] + Bu[-1]) for k in range(n_s)]
+        if rho[0]:
+            rows += list(np.kron(np.eye(c_s), h.difference_matrix(c_u, 2)))
+        if rho[1]:
+            rows += list(np.kron(h.difference_matrix(c_s, 2), np.eye(c_u)))
+        rows = np.array(rows)
+        rank = np.linalg.matrix_rank(rows, tol=1e-5 * np.linalg.norm(rows, 2)) if len(rows) else 0
+        penalty = h.PenaltyConfig(*(0.0 if on else -math.inf for on in rho))
+        assert prob.undetermined(penalty) == c_u * c_s - rank
 
 
 class TestInformationCriteria:
@@ -212,9 +265,8 @@ class TestInformationCriteria:
         data = toy_data(rng)
         kv_u, kv_s = toy_knots()
         fit = h.fit_hazard(data, 1, kv_u, kv_s, h.PenaltyConfig(1.0, 1.0, 2))
-        aic, bic = h.information_criteria(fit)
-        assert aic == pytest.approx(fit.deviance + 2.0 * fit.ed, abs=1e-12)
-        assert bic == pytest.approx(fit.deviance + math.log(fit.n_bin) * fit.ed, abs=1e-12)
+        assert fit.aic == pytest.approx(fit.deviance + 2.0 * fit.ed, abs=1e-12)
+        assert fit.bic == pytest.approx(fit.deviance + math.log(fit.n_bin) * fit.ed, abs=1e-12)
 
     def test_bic_exceeds_aic_beyond_e_squared_bins(self):
         rng = np.random.default_rng(8)

@@ -144,10 +144,10 @@ class TestSampleCoefficients:
                                       np.random.default_rng(0))
         assert np.all(draws == [1.0, 2.0])
 
-    def test_jitter_retry_on_semidefinite(self):
+    def test_semidefinite_covariance_is_refused(self):
         Sigma = np.array([[1.0, 1.0], [1.0, 1.0]])  # rank one
-        draws = h.sample_coefficients(np.zeros(2), Sigma, 200, np.random.default_rng(1))
-        assert np.isfinite(draws).all()
+        with pytest.raises(h.Hazard2tsError, match="not positive definite"):
+            h.sample_coefficients(np.zeros(2), Sigma, 200, np.random.default_rng(1))
 
 
 class TestMonteCarloConfig:
