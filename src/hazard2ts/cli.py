@@ -318,33 +318,22 @@ def _pclm_diag(fit, search: SearchConfig):
 # --------------------------------------------------------------------------
 # output helpers
 
-# rows per formatting task: a table of more rows is formatted on the worker pool
+# rows formatted at a time: the kernel's arrays stay a few MB
 _BLOCK_ROWS = 4096
 
 
-def _format_rows(template, columns, flags) -> str:
-    """The CSV lines of equal-length float columns and optional flags, by ``template``."""
-    cells = [col.tolist() for col in columns]
-    if flags is not None:
-        cells.append(["true" if f else "false" for f in flags])
-    return "".join([template % row + "\n" for row in zip(*cells)])
-
-
 def _write_table(path, header, columns, flags=None):
-    """CSV of equal-length float columns at 17 significant digits, then an optional
-    true/false column.  ``%.17g`` gives the same text as ``"{:.17g}".format``.  The rows are
-    formatted _BLOCK_ROWS at a time, the blocks on the worker pool when there are several,
-    and written in order."""
+    """CSV of equal-length float columns, each float the text of ``'%.17g' % v``, then an
+    optional true/false column; :mod:`.floattext` formats _BLOCK_ROWS rows at a time."""
+    from .floattext import format_rows     # here: only a command that writes tables loads it
+
     columns = [np.asarray(col, dtype=float).ravel() for col in columns]
-    template = ",".join(["%.17g"] * len(columns)) + (",%s" if flags is not None else "")
     flags = None if flags is None else np.ravel(flags)
-    blocks = [(_format_rows, (template, [col[lo:lo + _BLOCK_ROWS] for col in columns],
-                              None if flags is None else flags[lo:lo + _BLOCK_ROWS]), {})
-              for lo in range(0, len(columns[0]), _BLOCK_ROWS)]
-    text = _run_tasks(blocks) if len(blocks) > 1 else [_call(task) for task in blocks]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(text)
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode("utf-8"))
+        for lo in range(0, len(columns[0]), _BLOCK_ROWS):
+            fh.write(format_rows([col[lo:lo + _BLOCK_ROWS] for col in columns],
+                                 None if flags is None else flags[lo:lo + _BLOCK_ROWS]))
 
 
 def write_long_csv(path, u_points, s_points, values, extrapolated=None, name="value"):

@@ -139,8 +139,8 @@ def _read_off(x: np.ndarray, take: np.ndarray, shared: bool) -> np.ndarray:
 
 
 def _quadrature(fits: dict, u: BasisRows, K: np.ndarray, delta: float, coefs: dict = None,
-                work: dict = None):
-    """Cumulative hazards and CIFs of every cause over the node ladder.
+                work: dict = None, cumulative: bool = True):
+    """Cumulative hazards (None if not ``cumulative``) and CIFs of every cause over the nodes.
 
     ``u`` holds the u-basis rows (n_rows x c_u) of every cause; ``K`` holds the node
     counts to read off: one row (1 x n_cols) shared by every row for a product
@@ -164,7 +164,7 @@ def _quadrature(fits: dict, u: BasisRows, K: np.ndarray, delta: float, coefs: di
     lead = coefs[causes[0]].shape[:-2]
     shared = len(K) == 1
     K = np.broadcast_to(K, (len(u.points), K.shape[-1]))
-    cumhaz = {ell: np.zeros(lead + K.shape) for ell in causes}
+    cumhaz = {ell: np.zeros(lead + K.shape) for ell in causes} if cumulative else None
     cif = {ell: np.zeros(lead + K.shape) for ell in causes}
     K_row = K.max(axis=1, initial=0)
     K_max = int(K_row.max(initial=0))
@@ -201,7 +201,8 @@ def _quadrature(fits: dict, u: BasisRows, K: np.ndarray, delta: float, coefs: di
         take = (k[:, None] < K[0] if shared else k < K[rows]).astype(float)
         for ell in causes:
             np.multiply(lam[ell], delta, out=tot)
-            cumhaz[ell][..., rows, :] = _read_off(tot, take, shared)
+            if cumulative:
+                cumhaz[ell][..., rows, :] = _read_off(tot, take, shared)
             tot *= S
             cif[ell][..., rows, :] = _read_off(tot, take, shared)
     return cumhaz, cif

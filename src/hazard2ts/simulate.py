@@ -22,6 +22,12 @@ from .lexis import _EDGE_ATOL, LexisGrid, RecordTable, _grid_rows, bin_records
 _MAX_STEP_PROB = 0.1
 
 
+# the parameters of each hazard family; u_ref defaults to 0
+_FAMILIES = {"constant": ("level",), "gompertz-in-u": ("level", "slope", "u_ref"),
+             "unimodal-in-s": ("base", "peak", "mode"),
+             "product-form": ("level", "slope", "u_ref", "base", "peak", "mode")}
+
+
 def hazard_family(name: str, **params):
     """Analytic hazard closure from a named family.
 
@@ -30,49 +36,30 @@ def hazard_family(name: str, **params):
       gompertz-in-u: level at u_ref, doubling controlled by slope (per year of u)
       unimodal-in-s: base + peak * (s / mode) * exp(1 - s / mode)
       product-form:  gompertz-in-u factor times a unimodal-in-s factor
+
+    ValueError for an unknown family or a parameter the family does not take, KeyError
+    naming the first parameter it needs that is missing.
     """
-    if name == "constant":
-        level = float(params["level"])
-
-        def fn(u, s):
-            return np.broadcast_to(level, np.broadcast_shapes(np.shape(u), np.shape(s))).copy()
-
-    elif name == "gompertz-in-u":
-        level = float(params["level"])
-        slope = float(params["slope"])
-        u_ref = float(params.get("u_ref", 0.0))
-
-        def fn(u, s):
-            out = level * np.exp(slope * (np.asarray(u, dtype=float) - u_ref))
-            return np.broadcast_to(out, np.broadcast_shapes(np.shape(u), np.shape(s))).copy()
-
-    elif name == "unimodal-in-s":
-        base = float(params["base"])
-        peak = float(params["peak"])
-        mode = float(params["mode"])
-
-        def fn(u, s):
-            s = np.asarray(s, dtype=float)
-            out = base + peak * (s / mode) * np.exp(1.0 - s / mode)
-            return np.broadcast_to(out, np.broadcast_shapes(np.shape(u), np.shape(s))).copy()
-
-    elif name == "product-form":
-        level = float(params["level"])
-        slope = float(params["slope"])
-        u_ref = float(params.get("u_ref", 0.0))
-        base = float(params["base"])
-        peak = float(params["peak"])
-        mode = float(params["mode"])
-
-        def fn(u, s):
-            u = np.asarray(u, dtype=float)
-            s = np.asarray(s, dtype=float)
-            age_part = level * np.exp(slope * (u - u_ref))
-            dur_part = base + peak * (s / mode) * np.exp(1.0 - s / mode)
-            return age_part * dur_part
-
-    else:
+    if name not in _FAMILIES:
         raise ValueError(f"unknown hazard family {name!r}")
+    p = {"u_ref": 0.0, **{key: float(val) for key, val in params.items()}}
+    missing = [key for key in _FAMILIES[name] if key not in p]
+    if missing:
+        raise KeyError(missing[0])
+    unknown = sorted(set(params) - set(_FAMILIES[name]))
+    if unknown:
+        raise ValueError(f"hazard family {name!r} takes no parameter {', '.join(unknown)}")
+
+    def fn(u, s):
+        u, s = np.asarray(u, dtype=float), np.asarray(s, dtype=float)
+        out = np.ones(np.broadcast_shapes(u.shape, s.shape))
+        if "level" in p:                # constant, or the gompertz-in-u factor
+            out = out * p["level"] * (np.exp(p["slope"] * (u - p["u_ref"])) if "slope" in p
+                                      else 1.0)
+        if "mode" in p:                 # the unimodal-in-s factor
+            out = out * (p["base"] + p["peak"] * (s / p["mode"]) * np.exp(1.0 - s / p["mode"]))
+        return out
+
     return fn
 
 

@@ -132,7 +132,7 @@ def cif_standard_errors(
         coefs = {ell: draws[ell][lo:lo + _DRAW_CHUNK]
                  .reshape(-1, *fits[ell].A.shape[::-1]).transpose(0, 2, 1)
                  for ell in causes}
-        _, cif = _quadrature(fits, u, K, delta, coefs, work)
+        _, cif = _quadrature(fits, u, K, delta, coefs, work, cumulative=False)
         for j in range(len(coefs[causes[0]])):
             for ell in causes:
                 value = cif[ell][j]

@@ -15,7 +15,7 @@ import yaml
 from click.testing import CliRunner
 
 import hazard2ts as h
-from hazard2ts import cli, lexis
+from hazard2ts import cli, floattext, lexis
 from hazard2ts.cli import _write_table, load_config, main
 from hazard2ts.errors import DataError
 
@@ -247,26 +247,48 @@ class TestTableWriter:
 
     @pytest.mark.parametrize("cpus", [{0}, {0, 1, 2}])
     @pytest.mark.parametrize("n_rows", [0, 1, 99, 100, 101, 1001])
-    def test_blocks_on_the_pool_give_the_bytes_of_one_block(self, tmp_path, monkeypatch, cpus,
-                                                            n_rows):
-        """Rows are formatted 100 at a time: several blocks on the pool (of one worker on one
-        CPU), written in order, and one block in this process."""
+    def test_hundred_row_blocks_give_the_bytes_of_one_block(self, tmp_path, monkeypatch, cpus,
+                                                           n_rows):
+        """Rows are formatted 100 at a time in this process, with one CPU or several, and
+        written in order: the bytes of one block, and no worker pool."""
         rng = np.random.default_rng(n_rows)
         columns = [rng.standard_normal(n_rows), 10.0 ** rng.uniform(-310, 308, n_rows)]
         flags = rng.random(n_rows) < 0.5
         whole = tmp_path / "whole.csv"
         _write_table(whole, ["a", "b", "f"], columns, flags)
-        pooled = []
-        run_tasks = cli._run_tasks
-        monkeypatch.setattr(cli, "_run_tasks", lambda tasks: pooled.append(len(tasks))
-                            or run_tasks(tasks))
+        blocks_formatted = []
+        format_rows = floattext.format_rows
+        monkeypatch.setattr(floattext, "format_rows", lambda *args: blocks_formatted.append(1)
+                            or format_rows(*args))
+        monkeypatch.setattr(cli, "_run_tasks", lambda tasks: pytest.fail("a pool was started"))
         monkeypatch.setattr(cli, "_BLOCK_ROWS", 100)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
         blocks = tmp_path / "blocks.csv"
         _write_table(blocks, ["a", "b", "f"], columns, flags)
         assert blocks.read_bytes() == whole.read_bytes()
         assert len(whole.read_text().splitlines()) == n_rows + 1
-        assert pooled == ([] if n_rows <= 100 else [math.ceil(n_rows / 100)])
+        assert len(blocks_formatted) == math.ceil(n_rows / 100)
+
+
+def test_predict_loads_no_multiprocessing(fit_outputs, tmp_path):
+    """A predict table of several blocks is formatted in this process: the command never
+    imports multiprocessing, so it can start no worker pool."""
+    rng = np.random.default_rng(5)
+    n = 2 * cli._BLOCK_ROWS + 1
+    points = tmp_path / "points.csv"
+    np.savetxt(points, np.column_stack([rng.uniform(51, 99, n), rng.uniform(0.1, 10, n)]),
+               delimiter=",", header="u,s", comments="")
+    src = str(Path(h.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys; from hazard2ts.cli import main; main(sys.argv[1:], standalone_mode=False);"
+            " print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('multiprocessing', 'concurrent')))")
+    out = subprocess.run([sys.executable, "-c", code, "predict", "--model",
+                          str(fit_outputs / "model.json"), "--points", str(points), "--out",
+                          str(tmp_path / "pred.csv")], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+    assert len((tmp_path / "pred.csv").read_text().splitlines()) == n + 1
 
 
 class TestFit:
@@ -541,13 +563,16 @@ class TestSimulateCommand:
          "scenario key cause1.level must be a number, got [1]"),
         ("cause1: {name: linear, level: 0.1}\ncause2: {name: constant, level: 0.1}\n",
          "scenario key cause1: unknown hazard family 'linear'"),
+        ("cause1: {name: constant, level: 0.1, slope: 0.5}\ncause2: {name: constant, level: 0.1}"
+         "\n", "scenario key cause1: hazard family 'constant' takes no parameter slope"),
         ("cause1: {name: constant\n", "{path}: not a YAML document"),
     ], ids=["list", "age", "cause1", "no-cause1", "age-lo", "n", "weights", "nested-weight",
-            "family-parameter", "parameter-type", "family", "yaml"])
+            "family-parameter", "parameter-type", "family", "unused-parameter", "yaml"])
     def test_scenario_that_is_no_mapping_exits_2(self, runner, tmp_path, text, message):
-        """A scenario, a block or a value of the wrong kind, a missing key or family parameter
-        and a document that does not parse: once AttributeError, TypeError, KeyError or YAML
-        scanner tracebacks with exit 1, or a bare ``error: 'level'``."""
+        """A scenario, a block or a value of the wrong kind, a missing key or family parameter,
+        one the family does not use, and a document that does not parse: once AttributeError,
+        TypeError, KeyError or YAML scanner tracebacks with exit 1, a bare ``error: 'level'``,
+        or a silent exit 0."""
         scen = tmp_path / "scen.yaml"
         scen.write_text(text)
         result = runner.invoke(main, ["simulate", str(scen), "--out", str(tmp_path / "c.csv")])

@@ -222,11 +222,27 @@ def test_mc_se_unchanged_by_cached_node_basis(tri, monkeypatch):
     # a fresh work dict per batch: node basis and chunk arrays built anew every time
     quadrature = uncertainty._quadrature
     monkeypatch.setattr(uncertainty, "_quadrature",
-                        lambda fits, Bu, K, delta, coefs, work: quadrature(fits, Bu, K, delta,
-                                                                           coefs, {}))
+                        lambda fits, Bu, K, delta, coefs, work, cumulative:
+                        quadrature(fits, Bu, K, delta, coefs, {}, cumulative=cumulative))
     fresh = h.cif_standard_errors(*args)
     for ell in fits:
         assert np.array_equal(cached[ell], fresh[ell])
+
+
+@pytest.mark.parametrize("paired", [False, True])
+def test_quadrature_without_cumulative_hazards_gives_the_same_cifs(tri, paired):
+    """The Monte-Carlo SEs need only the CIFs of each draw: without the cumulative hazards'
+    read-offs the CIFs are bitwise the same, on a product grid and at paired points."""
+    grid, fits = tri
+    u, s, delta = incidence._prepare(fits, np.linspace(0, 10, 9), grid.s_mid[:9], 0.05)
+    K = incidence._n_nodes(s.points, delta)
+    K = K[:, None] if paired else K[None, :]
+    draws = {ell: np.stack([fits[ell].A, 1.01 * fits[ell].A]) for ell in fits}
+    cumhaz, cif = incidence._quadrature(fits, u, K, delta, draws)
+    none, cif_only = incidence._quadrature(fits, u, K, delta, draws, cumulative=False)
+    assert none is None and all(cumhaz[ell].any() for ell in fits)
+    for ell in fits:
+        assert np.array_equal(cif_only[ell], cif[ell])
 
 
 @settings(max_examples=80, deadline=None)

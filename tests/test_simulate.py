@@ -50,6 +50,18 @@ class TestHazardFamilies:
         with pytest.raises(ValueError):
             h.hazard_family("bathtub")
 
+    @pytest.mark.parametrize("name,params,unknown", [
+        ("constant", {"level": 0.1, "slope": 0.5}, "slope"),
+        ("gompertz-in-u", {"level": 0.1, "slope": 0.5, "mode": 2.0, "base": 1.0},
+         "base, mode"),
+        ("unimodal-in-s", {"base": 0.1, "peak": 0.2, "mode": 2.0, "u_ref": 50.0}, "u_ref"),
+    ])
+    def test_parameter_the_family_does_not_use_is_refused(self, name, params, unknown):
+        """Once ignored: a constant hazard with a slope simulated at its level."""
+        with pytest.raises(ValueError, match=f"hazard family '{name}' takes no parameter "
+                                             f"{unknown}$"):
+            h.hazard_family(name, **params)
+
 
 class TestSimulateCohort:
     def test_no_hazard_means_all_censored(self):
