@@ -38,6 +38,7 @@ _VALUES = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
     st.integers(0, 2 ** 64 - 1).map(_from_bits),
     _ties(),
+    # short binary fractions at every scale
     st.builds(lambda m, j, e: math.ldexp(1 + m * 2.0 ** -j, e), st.integers(0, 2 ** 20),
               st.integers(1, 60), st.integers(-600, 600)),
     # powers of ten and their neighbours one ulp away
