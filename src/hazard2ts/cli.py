@@ -28,8 +28,8 @@ import numpy as np
 from . import __version__
 from .basis import KnotVector, difference_matrix, evaluate_basis, make_knots
 from .errors import ConvergenceError, DataError, DomainError
-from .incidence import (BasisRows, age_at_diagnosis, compute_surfaces, quadrature_step,
-                        surfaces_at_points)
+from .incidence import (BasisRows, _thread_map, age_at_diagnosis, compute_surfaces,
+                        quadrature_step, surfaces_at_points)
 from .lexis import (BinnedData, LexisGrid, _load_columns, _parse_csv, bin_records, build_grid,
                     read_records_csv, write_records_csv)
 from .pclm import CompositionSpec, composition_matrix, select_pclm_smoothing, ungroup_events, ungroup_exposure
@@ -318,22 +318,29 @@ def _pclm_diag(fit, search: SearchConfig):
 # --------------------------------------------------------------------------
 # output helpers
 
-# rows formatted at a time: the kernel's arrays stay a few MB
+# rows formatted at a time: the kernel's arrays stay a few MB; blocks formatted at once
 _BLOCK_ROWS = 4096
+_BLOCKS_IN_FLIGHT = 8
 
 
 def _write_table(path, header, columns, flags=None):
     """CSV of equal-length float columns, each float the text of ``'%.17g' % v``, then an
-    optional true/false column; :mod:`.floattext` formats _BLOCK_ROWS rows at a time."""
+    optional true/false column; :mod:`.floattext` formats _BLOCK_ROWS rows at a time, up to
+    _BLOCKS_IN_FLIGHT blocks at once on threads, which are written in order."""
     from .floattext import format_rows     # here: only a command that writes tables loads it
 
     columns = [np.asarray(col, dtype=float).ravel() for col in columns]
     flags = None if flags is None else np.ravel(flags)
+
+    def text(lo):
+        return format_rows([col[lo:lo + _BLOCK_ROWS] for col in columns],
+                           None if flags is None else flags[lo:lo + _BLOCK_ROWS])
+
+    blocks = range(0, len(columns[0]), _BLOCK_ROWS)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode("utf-8"))
-        for lo in range(0, len(columns[0]), _BLOCK_ROWS):
-            fh.write(format_rows([col[lo:lo + _BLOCK_ROWS] for col in columns],
-                                 None if flags is None else flags[lo:lo + _BLOCK_ROWS]))
+        for at in range(0, len(blocks), _BLOCKS_IN_FLIGHT):
+            fh.writelines(_thread_map(text, blocks[at:at + _BLOCKS_IN_FLIGHT]))
 
 
 def write_long_csv(path, u_points, s_points, values, extrapolated=None, name="value"):

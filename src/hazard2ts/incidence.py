@@ -6,9 +6,12 @@ over nodes ``k * delta``, ``k = 0 .. K-1`` with ``K = floor(s / delta)``, so
 an evaluation at s = 0 is exactly zero.  The kernel takes the u-basis rows of
 a point set (a :class:`BasisRows`, which evaluates them once per distinct
 knot vector) and coefficient matrices that may carry a leading draw axis, and works
-through the rows in fixed-size chunks, so memory does not grow with the
-number of points or draws.  The product grid (``compute_surfaces``), paired
-points (``surfaces_at_points`` and the single-point helpers) and the
+through the rows in chunks of a fixed, cache-sized number of row-draws, so memory
+does not grow with the number of points or draws.  The chunks run on the threads
+of :func:`_thread_map`, one per usable CPU: numpy releases the GIL in their array
+work, and a chunk's sums do not depend on the thread that runs it, so the bytes
+do not depend on the number of cores.  The product grid (``compute_surfaces``),
+paired points (``surfaces_at_points`` and the single-point helpers) and the
 Monte-Carlo CIF standard errors in :mod:`.uncertainty` all run through it.
 
 Working in (u, s) = (age at diagnosis, time since diagnosis) is the native
@@ -20,7 +23,11 @@ carries (``FittedHazard.hull``) with one vectorized half-plane test.
 
 from __future__ import annotations
 
+import contextvars
+import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +38,11 @@ from .smooth2d import FittedHazard
 
 # slack (in units of delta) when counting quadrature nodes below s
 _NODE_EPS = 1e-9
-# rows (times draws) per quadrature pass; temporaries are at most _CHUNK x (K_max + 1)
-_CHUNK = 4096
+# rows (times draws) per quadrature chunk, so that a chunk's arrays stay in the cache; a
+# constant, not a share of the cores, so the sums do not depend on the number of threads
+_CHUNK = 1024
+_inside_map = contextvars.ContextVar("inside_map", default=False)
+_work_lock = threading.Lock()
 
 
 @dataclass
@@ -132,10 +142,41 @@ def _view(buffer: np.ndarray, shape: tuple) -> np.ndarray:
     return buffer[:math.prod(shape)].reshape(shape)
 
 
-def _read_off(x: np.ndarray, take: np.ndarray, shared: bool) -> np.ndarray:
-    """Sums of ``x`` over the first K nodes of each entry: ``take`` is the 0/1 (K_c x n_cols)
-    matrix of a shared ``K`` row, or the 0/1 (n_rows x K_c) mask of paired points."""
-    return x @ take if shared else np.einsum("...k,...k->...", x, take)[..., None]
+def _thread_map(fn, items) -> list:
+    """``[fn(item) for item in items]``, run on min(len(items), usable CPUs) threads.
+
+    For numpy work that releases the GIL.  One item, one CPU, or a call from inside a mapped
+    item (its map already fills the CPUs) runs here and starts no thread.  Each thread runs in
+    a copy of the caller's context, so ``np.errstate`` holds there too.  Every thread has
+    ended when this returns; the first failing item in item order raises its exception.
+    """
+    items = list(items)
+    n_threads = min(len(items), len(os.sched_getaffinity(0)))
+    if n_threads < 2 or _inside_map.get():
+        return [fn(item) for item in items]
+    results, errors, taken = [None] * len(items), {}, itertools.count()
+
+    def run():
+        _inside_map.set(True)
+        # items are taken in order, so every item before a failing one has been taken
+        while not errors and (i := next(taken)) < len(items):
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:      # raised again in the calling thread
+                errors[i] = exc
+
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(run,))
+               for _ in range(n_threads)]
+    try:
+        for thread in threads:
+            thread.start()
+    finally:
+        for thread in threads:
+            if thread.ident is not None:
+                thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def _quadrature(fits: dict, u: BasisRows, K: np.ndarray, delta: float, coefs: dict = None,
@@ -148,19 +189,19 @@ def _quadrature(fits: dict, u: BasisRows, K: np.ndarray, delta: float, coefs: di
     defaults to the fitted coefficient matrix and may carry a leading draw
     axis (b x c_u x c_s), which then leads both outputs.  Rows go in order of
     their largest node count (a stable sort: the identity when all rows share
-    one ``K``), _CHUNK row-draws at a time; each chunk works up to its own
-    largest count.  Survival before each node comes from the one prefix sum;
-    the cumulative hazards and CIFs are read off at ``K`` as sums over the
-    first ``K`` nodes, by a 0/1 (K_c x n_cols) matrix for a shared ``K`` row
-    and by a masked row sum for paired points.  The node basis and the chunk
-    arrays (prefix views of buffers sized for the largest chunk) live in
-    ``work``: a caller that passes one dict to repeated calls on one set of
-    fits reuses them, where fresh arrays would page-fault.
+    one ``K``), _CHUNK row-draws to a chunk, the chunks on :func:`_thread_map`;
+    each chunk works up to its own largest count.  Survival before each node
+    comes from the one prefix sum; the cumulative hazards and CIFs are read
+    off at ``K`` as sums over the first ``K`` nodes: by a 0/1 (K_c x n_cols)
+    matrix for a shared ``K`` row, and for paired points as a plain sum up to
+    the chunk's smallest count plus a masked sum of the rest.  The node basis
+    and the spare chunk arrays live in ``work``: a caller that passes one dict
+    to repeated calls on one set of fits reuses them, where fresh arrays would
+    page-fault.  Each running chunk holds its own arrays.
     """
     causes = sorted(fits)
     if coefs is None:
         coefs = {ell: fits[ell].A for ell in causes}
-    Bu = {ell: u.rows(fits[ell].kv_u) for ell in causes}
     lead = coefs[causes[0]].shape[:-2]
     shared = len(K) == 1
     K = np.broadcast_to(K, (len(u.points), K.shape[-1]))
@@ -171,24 +212,30 @@ def _quadrature(fits: dict, u: BasisRows, K: np.ndarray, delta: float, coefs: di
     if K_max == 0:
         return cumhaz, cif
     step = max(1, _CHUNK // math.prod(lead))
-    ladder, size = (K_max, delta, causes), math.prod(lead) * min(step, len(K)) * K_max
+    size = math.prod(lead) * min(step, len(K)) * K_max
     work = {} if work is None else work
-    if work.get("ladder") != ladder or work["size"] < size:
-        nodes = BasisRows(delta * np.arange(K_max))
-        work.update({name: np.empty(size) for name in ("tot", "S", *causes)},
-                    ladder=ladder, size=size,
-                    Bs_nodes={ell: nodes.rows(fits[ell].kv_s) for ell in causes})
+    with _work_lock:              # batches on threads share ``u`` and one work dict
+        Bu = {ell: u.rows(fits[ell].kv_u) for ell in causes}
+        if work.get("ladder") != (K_max, delta, causes):
+            nodes = BasisRows(delta * np.arange(K_max))
+            work.update(ladder=(K_max, delta, causes), spare=[],
+                        Bs_nodes={ell: nodes.rows(fits[ell].kv_s) for ell in causes})
+    Bs_nodes, spare = work["Bs_nodes"], work["spare"]
     order = np.argsort(K_row, kind="stable")
-    for lo in range(0, len(K), step):
-        rows = order[lo:lo + step]
-        K_c = int(K_row[rows[-1]])
-        if K_c == 0:
-            continue
+
+    def chunk(rows):
+        K_lo, K_c = int(K_row[rows[0]]), int(K_row[rows[-1]])
+        try:
+            buffers = spare.pop()
+        except IndexError:
+            buffers = {}
+        if buffers.get("size", 0) < size:
+            buffers = dict({name: np.empty(size) for name in ("tot", "S", *causes)}, size=size)
         shape = lead + (len(rows), K_c)
-        lam = {ell: np.matmul(Bu[ell][rows] @ coefs[ell], work["Bs_nodes"][ell][:K_c].T,
-                              out=_view(work[ell], shape))
+        lam = {ell: np.matmul(Bu[ell][rows] @ coefs[ell], Bs_nodes[ell][:K_c].T,
+                              out=_view(buffers[ell], shape))
                for ell in causes}
-        tot, S = _view(work["tot"], shape), _view(work["S"], shape)
+        tot, S = _view(buffers["tot"], shape), _view(buffers["S"], shape)
         np.copyto(tot, np.exp(lam[causes[0]], out=lam[causes[0]]))
         for ell in causes[1:]:
             tot += np.exp(lam[ell], out=lam[ell])
@@ -197,14 +244,28 @@ def _quadrature(fits: dict, u: BasisRows, K: np.ndarray, delta: float, coefs: di
         S[..., 0] = 0.0
         np.cumsum(tot[..., :-1], axis=-1, out=S[..., 1:])
         np.exp(np.negative(S, out=S), out=S)
-        k = np.arange(K_c)
-        take = (k[:, None] < K[0] if shared else k < K[rows]).astype(float)
+        if shared:
+            take = (np.arange(K_c)[:, None] < K[0]).astype(float)
+        else:
+            # rows go by K: every row takes the first K_lo nodes, a 0/1 mask the rest
+            tail = (np.arange(K_lo, K_c) < K[rows]).astype(float)
+
+        def read_off(x):
+            if shared:
+                return x @ take
+            return (x[..., :K_lo].sum(axis=-1)
+                    + np.einsum("...k,...k->...", x[..., K_lo:], tail))[..., None]
+
         for ell in causes:
             np.multiply(lam[ell], delta, out=tot)
             if cumulative:
-                cumhaz[ell][..., rows, :] = _read_off(tot, take, shared)
+                cumhaz[ell][..., rows, :] = read_off(tot)
             tot *= S
-            cif[ell][..., rows, :] = _read_off(tot, take, shared)
+            cif[ell][..., rows, :] = read_off(tot)
+        spare.append(buffers)
+
+    chunks = [order[lo:lo + step] for lo in range(0, len(K), step)]
+    _thread_map(chunk, [rows for rows in chunks if K_row[rows[-1]] > 0])
     return cumhaz, cif
 
 

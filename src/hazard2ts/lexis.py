@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import array
 import csv
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -35,6 +36,9 @@ _CHUNK = 8192
 # pass over 300k records raised the peak memory of a fit from 80 to 87 MB).
 _READ_ROWS = 65536
 _SHAPE_ERROR = "record columns must be 1-D and of equal length"
+# Rows per formatted block of a written table, and the characters that make csv quote an id
+_WRITE_ROWS = 8192
+_QUOTED = ',"\r\n'
 
 
 @dataclass(frozen=True, eq=False)
@@ -403,13 +407,25 @@ def _read_records_rows(path) -> RecordTable:
 
 
 def write_records_csv(path, table: RecordTable):
-    """Write a table in the same CSV schema that :func:`read_records_csv` ingests."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "u", "s_entry", "s_exit", "cause"])
-        writer.writerows(
-            (rid, f"{u:.17g}", f"{s_entry:.17g}", f"{s_exit:.17g}", cause)
-            for rid, u, s_entry, s_exit, cause in zip(
-                table.id.tolist(), table.u.tolist(), table.s_entry.tolist(),
-                table.s_exit.tolist(), table.cause.tolist())
-        )
+    """Write a table in the same CSV schema that :func:`read_records_csv` ingests.
+
+    The bytes are those of ``csv.writer`` in its default dialect: CRLF line ends, an id
+    quoted, its quotes doubled, only where it holds a comma, a quote, CR or LF.  Each float
+    and the cause are the text of ``'%.17g' % v``, from :mod:`.floattext`, _WRITE_ROWS rows
+    at a time.
+    """
+    from .floattext import format_rows     # here: only a command that writes tables loads it
+
+    ids = table.id.tolist()
+    if any(c in "".join(ids) for c in _QUOTED):
+        ids = ['"' + i.replace('"', '""') + '"' if any(c in i for c in _QUOTED) else i
+               for i in ids]
+    with open(path, "wb") as fh:
+        fh.write(b"id,u,s_entry,s_exit,cause\r\n")
+        for lo in range(0, len(ids), _WRITE_ROWS):
+            part = slice(lo, lo + _WRITE_ROWS)
+            lines = format_rows([table.u[part], table.s_entry[part], table.s_exit[part],
+                                 table.cause[part]]).decode("ascii").split("\n")
+            fh.write("".join(itertools.chain.from_iterable(
+                zip(ids[part], itertools.repeat(","), lines, itertools.repeat("\r\n"))))
+                .encode("utf-8"))

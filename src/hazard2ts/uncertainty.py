@@ -9,7 +9,9 @@ the delta-method transform through exp.  CIF standard errors come from
 repeatedly drawing coefficient vectors from their asymptotic normal
 distribution (independently per cause) and passing the draws, a fixed-size
 batch at a time, through the quadrature kernel of :mod:`.incidence`; one set
-of draws yields the SEs of every cause.
+of draws yields the SEs of every cause.  A bounded number of batches runs at
+once on the threads of ``incidence._thread_map``, and the caller accumulates
+them in draw order, so the SEs are bitwise those of a serial run.
 """
 
 from __future__ import annotations
@@ -20,11 +22,15 @@ import numpy as np
 
 from .basis import KnotVector
 from .errors import Hazard2tsError
-from .incidence import _CHUNK, BasisRows, _n_nodes, _prepare, _quadrature, evaluate_hazard
+from .incidence import BasisRows, _n_nodes, _prepare, _quadrature, _thread_map, evaluate_hazard
 from .smooth2d import FittedHazard
 
-# coefficient draws per quadrature pass
+# points per windowed quadratic form
+_CHUNK = 4096
+# coefficient draws per quadrature pass, and the passes run at a time: at most
+# _IN_FLIGHT batches of CIFs wait to be accumulated
 _DRAW_CHUNK = 16
+_IN_FLIGHT = 8
 
 
 @dataclass(frozen=True)
@@ -110,10 +116,10 @@ def cif_standard_errors(
     Returns ``{cause: se}``.  Coefficients are drawn from N(``fit.coef``,
     ``fit.covariance``), independently across causes (the causes are fitted
     separately; only the exposures are shared), and one set of draws serves
-    all causes.  Draws go through the quadrature kernel
-    _DRAW_CHUNK at a time; the empirical standard deviation (divisor
-    n_draws - 1) is accumulated draw by draw in draw order and is bitwise
-    reproducible for a given seed.
+    all causes.  Draws go through the quadrature kernel _DRAW_CHUNK at a time,
+    _IN_FLIGHT batches at a time on threads; the empirical standard deviation
+    (divisor n_draws - 1) is accumulated draw by draw in draw order, here, and
+    is bitwise reproducible for a given seed whatever the number of cores.
     """
     causes = sorted(fits)
     rng = np.random.default_rng(mc.seed)
@@ -124,19 +130,24 @@ def cif_standard_errors(
     u, s, delta = _prepare(fits, u_points, s_points, delta)
     K = _n_nodes(s.points, delta)[None, :]
 
-    mean = {ell: np.zeros((len(u.points), len(s.points))) for ell in causes}
-    m2 = {ell: np.zeros((len(u.points), len(s.points))) for ell in causes}
-    work = {}                     # the kernel's chunk arrays, reused by every batch
-    for lo in range(0, mc.n_draws, _DRAW_CHUNK):
+    # the causes stacked: one Welford step per draw updates every cause
+    mean, m2 = np.zeros((2, len(causes), len(u.points), len(s.points)))
+    work = {}                     # the kernel's node basis and spare chunk arrays
+
+    def batch_cifs(lo):
         # vec(A) is column-major: draw k holds A[l, m] at index m * c_u + l
         coefs = {ell: draws[ell][lo:lo + _DRAW_CHUNK]
                  .reshape(-1, *fits[ell].A.shape[::-1]).transpose(0, 2, 1)
                  for ell in causes}
-        _, cif = _quadrature(fits, u, K, delta, coefs, work, cumulative=False)
-        for j in range(len(coefs[causes[0]])):
-            for ell in causes:
-                value = cif[ell][j]
-                d1 = value - mean[ell]
-                mean[ell] += d1 / (lo + j + 1)
-                m2[ell] += d1 * (value - mean[ell])
-    return {ell: np.sqrt(m2[ell] / (mc.n_draws - 1)) for ell in causes}
+        cif = _quadrature(fits, u, K, delta, coefs, work, cumulative=False)[1]
+        return np.stack([cif[ell] for ell in causes], axis=1)
+
+    batches = range(0, mc.n_draws, _DRAW_CHUNK)
+    for at in range(0, len(batches), _IN_FLIGHT):
+        window = batches[at:at + _IN_FLIGHT]
+        for lo, values in zip(window, _thread_map(batch_cifs, window)):
+            for j, value in enumerate(values, start=lo + 1):
+                d1 = value - mean
+                mean += d1 / j
+                m2 += d1 * (value - mean)
+    return {ell: np.sqrt(m2[i] / (mc.n_draws - 1)) for i, ell in enumerate(causes)}

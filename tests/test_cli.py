@@ -6,6 +6,7 @@ import operator
 import os
 import subprocess
 import sys
+import threading
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -249,8 +250,8 @@ class TestTableWriter:
     @pytest.mark.parametrize("n_rows", [0, 1, 99, 100, 101, 1001])
     def test_hundred_row_blocks_give_the_bytes_of_one_block(self, tmp_path, monkeypatch, cpus,
                                                            n_rows):
-        """Rows are formatted 100 at a time in this process, with one CPU or several, and
-        written in order: the bytes of one block, and no worker pool."""
+        """Rows are formatted 100 at a time on threads of this process, with one CPU or
+        several, and written in order: the bytes of one block, and no worker pool."""
         rng = np.random.default_rng(n_rows)
         columns = [rng.standard_normal(n_rows), 10.0 ** rng.uniform(-310, 308, n_rows)]
         flags = rng.random(n_rows) < 0.5
@@ -289,6 +290,27 @@ def test_predict_loads_no_multiprocessing(fit_outputs, tmp_path):
                          check=True, timeout=120)
     assert out.stdout.strip() == "[]"
     assert len((tmp_path / "pred.csv").read_text().splitlines()) == n + 1
+
+
+def test_commands_leave_no_thread_running(fit_outputs, cohort_csv, config_yaml, tmp_path,
+                                          monkeypatch):
+    """Every thread of the evaluation and the table writer has ended when a command returns,
+    and none is alive when the worker pool forks."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    threads = threading.active_count()
+    run_tasks = cli._run_tasks
+    monkeypatch.setattr(cli, "_run_tasks", lambda tasks: pytest.fail("a thread is alive")
+                        if threading.active_count() != threads else run_tasks(tasks))
+    rng = np.random.default_rng(6)
+    n = 3 * cli._BLOCK_ROWS + 1
+    points = tmp_path / "points.csv"
+    np.savetxt(points, np.column_stack([rng.uniform(51, 99, n), rng.uniform(0.1, 10, n)]),
+               delimiter=",", header="u,s", comments="")
+    cli.run_predict_pipeline(fit_outputs / "model.json", points, "us", tmp_path / "pred.csv")
+    assert threading.active_count() == threads
+    cli.run_fit_pipeline(load_config(config_yaml), h.read_records_csv(cohort_csv),
+                         tmp_path / "fit")
+    assert threading.active_count() == threads
 
 
 class TestFit:

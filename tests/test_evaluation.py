@@ -2,6 +2,11 @@
 hull test, and models restored from model.json."""
 
 import dataclasses
+import math
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -47,6 +52,29 @@ def dense_paired(fits, u, s, delta):
     cif = {ell: np.sum(np.where(before, lam[ell] * S_nodes * delta, 0.0), axis=1)
            for ell in fits}
     return cumhaz, cif, np.exp(-sum(cumhaz.values()))
+
+
+def loop_paired(fits, u, s, delta):
+    """Cumulative hazards, CIFs and survival at paired points, one point and one node at a
+    time: left rectangles at the nodes k * delta, k < K = floor(s / delta + 1e-9)."""
+    K = [math.floor(s_i / delta + 1e-9) for s_i in s]
+    nodes = delta * np.arange(max(K, default=0))
+    Bs = {ell: h.evaluate_basis(nodes, f.kv_s) for ell, f in fits.items()}
+    cumhaz = {ell: np.zeros(len(u)) for ell in fits}
+    cif = {ell: np.zeros(len(u)) for ell in fits}
+    survival = np.ones(len(u))
+    for i, K_i in enumerate(K):
+        lam = {ell: np.exp(h.evaluate_basis(u[i:i + 1], f.kv_u) @ f.A @ Bs[ell][:K_i].T)[0]
+               for ell, f in fits.items()}
+        total = 0.0                           # the total hazard summed over earlier nodes
+        for k in range(K_i):
+            before = math.exp(-total)         # survival just before node k
+            for ell in fits:
+                cumhaz[ell][i] += lam[ell][k] * delta
+                cif[ell][i] += lam[ell][k] * delta * before
+            total += sum(lam[ell][k] for ell in fits) * delta
+        survival[i] = math.exp(-sum(cumhaz[ell][i] for ell in fits))
+    return cumhaz, cif, survival
 
 
 def triangular_fits():
@@ -144,10 +172,32 @@ def test_paired_kernel_matches_dense_at_chunk_boundary(tri, offset):
     np.testing.assert_allclose(surf.survival[:, 0], survival, rtol=1e-12)
 
 
+@pytest.mark.parametrize("n", [0, 1, incidence._CHUNK - 1, incidence._CHUNK,
+                               incidence._CHUNK + 1])
+def test_paired_kernel_matches_a_loop_over_the_nodes_of_each_point(tri, n):
+    """Unsorted points, s = 0, s on a node and one ulp below it, s below the first node
+    (K = 0) and uniform s: the kernel gives the node-by-node sums of each point to 1e-13, and
+    exactly 0 and 1 at s = 0."""
+    grid, fits = tri
+    delta, rng = 0.05, np.random.default_rng(n)
+    node = delta * rng.integers(1, 200, n)
+    s = np.choose(rng.integers(0, 5, n), [np.zeros(n), node, np.nextafter(node, 0),
+                                          rng.uniform(0, delta, n), rng.uniform(0, 10, n)])
+    u = rng.uniform(0, 10, n)
+    surf = h.surfaces_at_points(fits, u, s, delta)
+    cumhaz, cif, survival = loop_paired(fits, u, s, delta)
+    for ell in fits:
+        np.testing.assert_allclose(surf.cumhaz[ell][:, 0], cumhaz[ell], rtol=1e-13, atol=0)
+        np.testing.assert_allclose(surf.cif[ell][:, 0], cif[ell], rtol=1e-13, atol=0)
+        assert (surf.cumhaz[ell][s == 0] == 0).all() and (surf.cif[ell][s == 0] == 0).all()
+    np.testing.assert_allclose(surf.survival[:, 0], survival, rtol=1e-13, atol=0)
+    assert (surf.survival[s == 0] == 1).all() and surf.survival.shape == (n, 1)
+
+
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_se_kernel_matches_dense_at_chunk_boundary(tri, offset):
     grid, fits = tri
-    n = incidence._CHUNK + offset
+    n = uncertainty._CHUNK + offset
     rng = np.random.default_rng(n)
     u, s = rng.uniform(0, 10, n), rng.uniform(0, 10, n)
     Bu = h.evaluate_basis(u, fits[1].kv_u)
@@ -267,6 +317,132 @@ def test_windowed_se_kernel_matches_dense_quadratic_form(p_u, p_s, seg_u, seg_s,
         mp.setattr(uncertainty, "_CHUNK", chunk)
         got = uncertainty._row_variance(h.BasisRows(u), h.BasisRows(s), kv_u, kv_s, Sigma)
     np.testing.assert_allclose(got, np.sum((X @ Sigma) * X, axis=1), rtol=1e-12)
+
+
+# -- the thread map ------------------------------------------------------------------
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1, 2}])
+def test_thread_map_keeps_item_order_and_raises_the_first_failure(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    threads = threading.active_count()
+    assert incidence._thread_map(math.sqrt, range(7)) == [math.sqrt(x) for x in range(7)]
+
+    def fn(x):
+        if x == 1:                        # fails after item 2 has failed
+            time.sleep(0.05)
+            raise ValueError("item 1")
+        if x == 2:
+            raise ZeroDivisionError("item 2")
+        return x
+
+    with pytest.raises(ValueError, match="item 1"):
+        incidence._thread_map(fn, range(4))
+    assert threading.active_count() == threads
+
+
+def test_thread_map_starts_threads_only_where_they_can_run(monkeypatch):
+    """One thread per item up to the CPUs; none for one item or one CPU, and none for a map
+    inside a mapped item.  The caller's ``np.errstate`` holds in the threads."""
+    started, Thread = [], threading.Thread
+    monkeypatch.setattr(threading, "Thread", lambda *a, **k: started.append(1) or Thread(*a, **k))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert incidence._thread_map(lambda x: incidence._thread_map(abs, [x, -x]), [-1, 2]) \
+        == [[1, 1], [2, 2]]
+    assert len(started) == 2
+    assert incidence._thread_map(abs, [-3]) == [3] and len(started) == 2
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        incidence._thread_map(np.exp, [np.array([1.0]), np.array([1e3])])
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert incidence._thread_map(abs, [-1, -2, -3]) == [1, 2, 3]
+    assert len(started) == 4
+
+
+def test_kernels_give_the_same_bits_on_any_number_of_cpus(tri, monkeypatch):
+    grid, fits = tri
+    rng = np.random.default_rng(8)
+    n = 3 * incidence._CHUNK + 5
+    u, s = rng.uniform(0, 10, n), rng.uniform(0, 10, n)
+    mc = h.MonteCarloConfig(n_draws=11 * uncertainty._DRAW_CHUNK + 3, seed=2)
+    runs = []
+    for cpus in ({0}, {0, 1, 2}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        runs.append((h.surfaces_at_points(fits, u, s, 0.05),
+                     h.cif_standard_errors(fits, np.linspace(0, 10, 7), grid.s_mid, mc, 0.05)))
+    assert_bitwise_equal(*runs)
+
+
+def test_threads_under_contention_lose_no_item_and_share_no_arrays(tri, monkeypatch):
+    """More threads than cores, switching every microsecond: every item runs once, and
+    chunks that run at once never share their arrays (16-row chunks of one call, and batches
+    of draws sharing one work dict), so the surfaces and SEs are the bits of one CPU."""
+    grid, fits = tri
+    rng = np.random.default_rng(9)
+    u, s = rng.uniform(0, 10, 600), rng.uniform(0, 10, 600)
+    mc = h.MonteCarloConfig(n_draws=6 * uncertainty._DRAW_CHUNK, seed=3)
+    monkeypatch.setattr(incidence, "_CHUNK", 16)
+
+    def evaluate():
+        return (h.surfaces_at_points(fits, u, s, 0.05),
+                h.cif_standard_errors(fits, np.linspace(0, 10, 7), grid.s_mid, mc, 0.05))
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    serial = evaluate()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    calls, interval = [], sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert incidence._thread_map(lambda x: calls.append(x) or -x, range(3000)) \
+            == [-x for x in range(3000)]
+        threaded = evaluate()
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(calls) == list(range(3000))
+    assert_bitwise_equal(threaded, serial)
+
+
+def test_a_failing_chunk_raises_its_own_exception(tri, monkeypatch):
+    grid, fits = tri
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    thread_map = incidence._thread_map
+
+    class ChunkFailed(Exception):
+        pass
+
+    def third_fails(fn, items):
+        items = list(items)
+
+        def run(rows):
+            if rows is items[2]:
+                raise ChunkFailed(len(rows))
+            return fn(rows)
+        return thread_map(run, items)
+
+    monkeypatch.setattr(incidence, "_thread_map", third_fails)
+    threads = threading.active_count()
+    rng = np.random.default_rng(3)
+    u, s = rng.uniform(0, 10, 4 * incidence._CHUNK), rng.uniform(0.1, 10, 4 * incidence._CHUNK)
+    with pytest.raises(ChunkFailed):
+        h.surfaces_at_points(fits, u, s, 0.05)
+    assert threading.active_count() == threads
+
+
+def test_monte_carlo_batches_in_flight_stay_bounded(tri, monkeypatch):
+    """20 batches of draws go to the threads at most _IN_FLIGHT at a time, in draw order, each
+    window accumulated before the next starts; the SEs are those of one CPU."""
+    grid, fits = tri
+    args = (fits, np.linspace(0, 10, 7), grid.s_mid,
+            h.MonteCarloConfig(n_draws=20 * uncertainty._DRAW_CHUNK, seed=6), 0.05)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    serial = h.cif_standard_errors(*args)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    windows, thread_map = [], uncertainty._thread_map
+    monkeypatch.setattr(uncertainty, "_thread_map",
+                        lambda fn, items: windows.append(list(items)) or thread_map(fn, items))
+    threaded = h.cif_standard_errors(*args)
+    assert max(map(len, windows)) <= uncertainty._IN_FLIGHT
+    assert sum(windows, []) == list(range(0, 20 * uncertainty._DRAW_CHUNK,
+                                          uncertainty._DRAW_CHUNK))
+    assert_bitwise_equal(threaded, serial)
 
 
 # -- models restored from model.json ----------------------------------------------

@@ -1,9 +1,12 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hazard2ts as h
+from hazard2ts import lexis
 from hazard2ts.errors import DataError
 
 
@@ -138,6 +141,36 @@ class TestCsvIO:
         back = h.read_records_csv(path)
         assert list(zip(back.id.tolist(), back.u.tolist(), back.s_entry.tolist(),
                         back.s_exit.tolist(), back.cause.tolist())) == rows
+
+    @settings(max_examples=60, deadline=None)
+    @given(ids=st.lists(st.one_of(
+               st.sampled_from(["", ",", '"', "\r", "\n", "\r\n", 'a,"b"', "née", "日本",
+                                "x y", " lead", "trail "]),
+               st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+                       max_size=6)), min_size=1, max_size=12),
+           values=st.lists(st.tuples(st.floats(1e-300, 1e300), st.floats(0.0, 1e3),
+                                     st.floats(1e-3, 1e3), st.sampled_from([0, 1, 2])),
+                           min_size=12, max_size=12),
+           rows=st.integers(1, 5))
+    def test_writer_gives_the_bytes_of_csv_writer(self, tmp_path_factory, ids, values, rows):
+        """Ids with commas, quotes, CR, LF, non-ASCII text or nothing at all, over blocks of
+        any size: the bytes ``csv.writer`` writes, CRLF line ends and minimal quoting."""
+        records = [(rid, u, entry, entry + length, cause)
+                   for rid, (u, entry, length, cause) in zip(ids, values)]
+        records = table(*records)
+        path = tmp_path_factory.mktemp("records")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lexis, "_WRITE_ROWS", rows)
+            h.write_records_csv(path / "fast.csv", records)
+        with open(path / "csv.csv", "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["id", "u", "s_entry", "s_exit", "cause"])
+            writer.writerows((rid, f"{u:.17g}", f"{s_entry:.17g}", f"{s_exit:.17g}", cause)
+                             for rid, u, s_entry, s_exit, cause in zip(
+                                 records.id.tolist(), records.u.tolist(),
+                                 records.s_entry.tolist(), records.s_exit.tolist(),
+                                 records.cause.tolist()))
+        assert (path / "fast.csv").read_bytes() == (path / "csv.csv").read_bytes()
 
     def test_missing_s_entry_is_zero(self, tmp_path):
         path = tmp_path / "cohort.csv"
