@@ -42,6 +42,7 @@ from .lexis import (
     RecordTable,
     bin_records,
     build_grid,
+    read_points_csv,
     read_records_csv,
     write_records_csv,
 )

@@ -8,11 +8,12 @@ enabled.  Outputs are long-format CSVs (u, s, value, extrapolated) with 17
 significant digits plus JSON summaries; reruns with the same config and
 seed are byte-identical.
 
-Exit codes: 0 success, 2 data or domain errors, 3 non-convergence.
+Exit codes: 0 success, 2 data, domain and other package errors, 3 non-convergence.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -27,10 +28,10 @@ import numpy as np
 
 from . import __version__
 from .basis import KnotVector, difference_matrix, evaluate_basis, make_knots
-from .errors import ConvergenceError, DataError, DomainError
+from .errors import ConvergenceError, DataError, Hazard2tsError
 from .incidence import (BasisRows, _thread_map, age_at_diagnosis, compute_surfaces,
                         quadrature_step, surfaces_at_points)
-from .lexis import (BinnedData, LexisGrid, _load_columns, _parse_csv, bin_records, build_grid,
+from .lexis import (BinnedData, LexisGrid, bin_records, build_grid, read_points_csv,
                     read_records_csv, write_records_csv)
 from .pclm import CompositionSpec, composition_matrix, select_pclm_smoothing, ungroup_events, ungroup_exposure
 from .simulate import ScenarioSpec, grouped_view, hazard_family, simulate_cohort
@@ -469,13 +470,19 @@ def main():
     ungrouping of a coarse final age interval."""
 
 
-def _fail(exc, code):
-    click.echo(f"error: {exc}", err=True)
-    for detail in getattr(exc, "details", [])[:50]:
-        click.echo(f"  {detail}", err=True)
-    for point in getattr(exc, "points", [])[:50]:
-        click.echo(f"  out of domain: {point}", err=True)
-    sys.exit(code)
+@contextlib.contextmanager
+def _exit_on_error(*also):
+    """Report a package error, or one of the exception types ``also``, with its details and
+    exit: 3 for non-convergence, 2 for anything else (data, domain, an unusable covariance)."""
+    try:
+        yield
+    except (Hazard2tsError, *also) as exc:
+        click.echo(f"error: {exc}", err=True)
+        for detail in getattr(exc, "details", [])[:50]:
+            click.echo(f"  {detail}", err=True)
+        for point in getattr(exc, "points", [])[:50]:
+            click.echo(f"  out of domain: {point}", err=True)
+        sys.exit(3 if isinstance(exc, ConvergenceError) else 2)
 
 
 @main.command("fit")
@@ -488,14 +495,10 @@ def _fail(exc, code):
 def cmd_fit(input_csv, config_path, outdir, seed, draws):
     """Fit both cause-specific hazards from an individual-record CSV and
     write hazard, SE, cumulative-hazard, CIF, and survival tables."""
-    try:
+    with _exit_on_error():
         cfg = load_config(config_path, seed=seed, draws=draws)
         records = read_records_csv(input_csv)
         run_fit_pipeline(cfg, records, Path(outdir))
-    except (DataError, DomainError) as exc:
-        _fail(exc, 2)
-    except ConvergenceError as exc:
-        _fail(exc, 3)
 
 
 def run_fit_pipeline(cfg: RunConfig, records, outdir: Path):
@@ -576,14 +579,10 @@ def cmd_ungroup(input_csv, config_path, outdir):
     """Ungroup the final wide age interval of a cohort CSV onto the fine grid
     (records in the grouped tail carry any age at or above the first grouped
     age), writing fine-grid event counts, exposures, and search diagnostics."""
-    try:
+    with _exit_on_error():
         cfg = load_config(config_path, ungroup=True)
         records = read_records_csv(input_csv)
         run_ungroup_pipeline(cfg, records, Path(outdir))
-    except (DataError, DomainError) as exc:
-        _fail(exc, 2)
-    except ConvergenceError as exc:
-        _fail(exc, 3)
 
 
 def run_ungroup_pipeline(cfg: RunConfig, records, outdir: Path):
@@ -612,13 +611,11 @@ def run_ungroup_pipeline(cfg: RunConfig, records, outdir: Path):
 def cmd_simulate(scenario_yaml, out_csv, n, seed):
     """Draw a synthetic cohort from configured hazard closures and write it
     in the same CSV schema that `fit` ingests."""
-    try:
+    with _exit_on_error(ValueError):
         spec = scenario_from_dict(_read_yaml(scenario_yaml), n_override=n, seed_override=seed)
         records = simulate_cohort(spec)
         write_records_csv(out_csv, records)
         click.echo(f"wrote {len(records)} records to {out_csv}")
-    except (DataError, DomainError, ValueError) as exc:
-        _fail(exc, 2)
 
 
 def scenario_from_dict(raw: dict, n_override=None, seed_override=None) -> ScenarioSpec:
@@ -686,40 +683,13 @@ def scenario_from_dict(raw: dict, n_override=None, seed_override=None) -> Scenar
 def cmd_predict(model_path, points_csv, coords, out_csv):
     """Evaluate a saved model at arbitrary points: hazards, their SEs, CIFs,
     survival, and an extrapolation flag per point."""
-    try:
+    with _exit_on_error():
         run_predict_pipeline(model_path, points_csv, coords, out_csv)
-    except (DataError, DomainError) as exc:
-        _fail(exc, 2)
 
 
 def _read_points(path, coords):
-    """The point columns of a points CSV: ``u`` (``t`` for ``coords == "ts"``) and ``s``, from
-    one C-level pass; a file that pass cannot read is read again row by row."""
-    names = ("u" if coords == "us" else "t", "s")
-    cols = _load_columns(path, names, f"need columns {names[0]!r} and 's'",
-                         dict.fromkeys(names, np.float64))
-    return (cols[names[0]], cols["s"]) if cols is not None else _read_points_rows(path, coords)
-
-
-def _read_points_rows(path, coords):
-    """:func:`_read_points` one row at a time, naming every bad row."""
-    first = "u" if coords == "us" else "t"
-    a_vals, s_vals = [], []
-
-    def make_parser(col):
-        i_a, i_s = col[first], col["s"]
-
-        def parse(row):
-            a, s = float(row[i_a]), float(row[i_s])
-            a_vals.append(a)
-            s_vals.append(s)
-        return parse
-
-    _, problems = _parse_csv(path, (first, "s"), f"need columns {first!r} and 's'", make_parser)
-    if problems:
-        raise DataError(f"{path}: {len(problems)} bad row(s)",
-                        details=[f"row {line}: {msg}" for line, msg in problems])
-    return np.asarray(a_vals), np.asarray(s_vals)
+    """The point columns of a points CSV: ``u`` (``t`` for ``coords == "ts"``) and ``s``."""
+    return read_points_csv(path, "u" if coords == "us" else "t")
 
 
 def run_predict_pipeline(model_path, points_csv, coords, out_csv):

@@ -11,11 +11,17 @@ bin above it except at the top boundary.
 Records are held column-wise in a :class:`RecordTable`, which checks them when
 it is built; reading, binning and at-risk counting work on its arrays, never
 per record.
+
+CSV input comes in two kinds, records and prediction points, each one ordered
+column spec (name -> dtype, converter, default) that drives both the C-level
+``np.loadtxt`` pass and the per-row parser that explains where it fails; both
+kinds refuse bad rows with one error that lists them by line.
 """
 
 from __future__ import annotations
 
 import array
+import contextlib
 import csv
 import itertools
 import math
@@ -282,27 +288,27 @@ def bin_records(table: RecordTable, grid: LexisGrid) -> BinnedData:
     return BinnedData(grid=grid, Y=Y, R=R.reshape(n_u, n_s))
 
 
-def _header(path, reader, required, header_error) -> tuple:
+def _header(path, reader, columns, header_error) -> tuple:
     """The first row of a CSV ``reader`` and its name -> column index map; :class:`DataError`
-    with ``header_error`` (``{header}`` filled in) unless it names every column in
-    ``required``."""
+    with ``header_error`` (``{header}`` filled in) unless it names every required column of
+    the kind ``columns``."""
     header = next(reader, None)
     col = {name: i for i, name in enumerate(header or ())}
-    if not set(required).issubset(col):
+    if any(default is None and name not in col for name, (_, _, default) in columns.items()):
         raise DataError(f"{path}: " + header_error.format(header=header))
     return header, col
 
 
-def _load_columns(path, required, header_error, fields):
-    """The columns ``fields`` (header name -> dtype) of the CSV file ``path``, parsed in C by
+def _load_columns(path, columns, header_error):
+    """The columns of the kind ``columns`` in the CSV file ``path``, parsed in C by
     ``np.loadtxt``, _READ_ROWS rows at a time from one open file, or None where a data row
     does not parse so: the per-row parser then explains.  Fields are split and unquoted as
     ``csv.reader`` does, blank lines are skipped and numbers parse to the values ``float``
-    and ``int`` give; a name missing from the header is left out.  The header is checked as
-    :func:`_parse_csv` checks it."""
+    and ``int`` give; a column missing from the header takes its default.  The header is
+    checked as :func:`_parse_csv` checks it."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        _, col = _header(path, csv.reader(fh), required, header_error)
-        names = [name for name in fields if name in col]
+        _, col = _header(path, csv.reader(fh), columns, header_error)
+        names = [name for name in columns if name in col]
         blocks = []
         with warnings.catch_warnings():
             # loadtxt's notes on input with no rows and on blank lines beside max_rows
@@ -310,45 +316,68 @@ def _load_columns(path, required, header_error, fields):
             while not blocks or len(blocks[-1]) == _READ_ROWS:
                 try:
                     blocks.append(np.loadtxt(
-                        fh, dtype=[(name, fields[name]) for name in names], delimiter=",",
+                        fh, dtype=[(name, columns[name][0]) for name in names], delimiter=",",
                         quotechar='"', comments=None, ndmin=1, max_rows=_READ_ROWS,
                         usecols=[col[name] for name in names], encoding="utf-8"))
                 except ValueError:   # a field that does not parse, a short row, bad bytes
                     return None
-    return {name: np.concatenate([block[name] for block in blocks]) for name in names}
+    n_rows = sum(map(len, blocks))
+    return {name: np.concatenate([block[name] for block in blocks]) if name in col
+            else np.full(n_rows, default, dtype) for name, (dtype, _, default) in columns.items()}
 
 
-def _parse_csv(path, required, header_error, make_parser) -> tuple:
-    """Parse every non-blank data row of the CSV file ``path``, one row at a time.
+def _parse_csv(path, columns, header_error, invalid=lambda *cols: ()) -> dict:
+    """The columns of the kind ``columns`` in the CSV file ``path``, parsed one row at a time.
 
-    The header is checked by :func:`_header`.  ``make_parser(col)``, given the header
-    name -> column index map, returns the per-row function; it stores what it parses and
-    raises ``ValueError`` or ``OverflowError`` on a bad field.  Returns ``(lines,
-    problems)``: the physical line number (header = 1) of each parsed row, and ``(line,
-    message)`` for each bad row, a short one included.
+    The header is checked by :func:`_header`.  Each field, in column order, goes through its
+    column's converter; a column with a default strips its field and takes the default where
+    that is empty or missing from the header.  :class:`DataError` lists, by physical line
+    number (header = 1) and in line order, every non-blank row that does not parse, a short
+    one included, and every row that ``invalid(*cols)`` names by ``(index, message)``.
     """
+    # numeric columns go into typed arrays, which keep no per-row objects
+    out = [[] if dtype is object else array.array(np.dtype(dtype).char)
+           for dtype, _, _ in columns.values()]
     lines, problems = array.array("q"), []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header, col = _header(path, reader, required, header_error)
-        parse = make_parser(col)
+        header, col = _header(path, reader, columns, header_error)
+        fields = [(col.get(name), convert, default)
+                  for name, (_, convert, default) in columns.items()]
         for row in reader:
             if not row:
                 continue
             try:
-                parse(row)
+                values = [convert(row[i]) if default is None else
+                          convert(text) if i is not None and (text := row[i].strip()) else default
+                          for i, convert, default in fields]
+                for column, value in zip(out, values):
+                    column.append(value)   # an int past int64 overflows here
             except (ValueError, OverflowError) as exc:
+                for column in out:         # the columns stay of equal length
+                    del column[len(lines):]
                 problems.append((reader.line_num, str(exc)))
             except IndexError:
                 problems.append((reader.line_num,
                                  f"{len(row)} field(s), the header has {len(header)}"))
             else:
                 lines.append(reader.line_num)
-    return lines, problems
+    cols = {name: np.asarray(column, dtype=dtype)
+            for (name, (dtype, _, _)), column in zip(columns.items(), out)}
+    problems += [(lines[i], msg) for i, msg in invalid(*cols.values())]
+    if problems:
+        listing = [f"row {line}: {msg}" for line, msg in sorted(problems, key=lambda p: p[0])]
+        raise DataError(f"{path}: {len(listing)} bad row(s): {_listing(listing)}", details=listing)
+    return cols
 
 
-_RECORD_HEADER = (("id", "u", "s_exit", "cause"),
-                  "header must contain id,u,s_entry,s_exit,cause (got {header})")
+# The records CSV kind, in the order of RecordTable's columns: header name -> (np.loadtxt dtype,
+# per-row converter, value of a missing column or an empty field, or None where the column
+# is required), and the text of a header that lacks a required column.
+_RECORDS = ({"id": (object, str, None), "u": (np.float64, float, None),
+             "s_entry": (np.float64, float, 0.0), "s_exit": (np.float64, float, None),
+             "cause": (np.int64, int, None)},
+            "header must contain id,u,s_entry,s_exit,cause (got {header})")
 
 
 def read_records_csv(path) -> RecordTable:
@@ -361,49 +390,25 @@ def read_records_csv(path) -> RecordTable:
     empty s_entry field, a bad row) or whose table does not build is read again
     row by row, which gives the values or names the bad rows.
     """
-    cols = _load_columns(path, *_RECORD_HEADER, {"id": object, "u": np.float64,
-                                                 "s_entry": np.float64, "s_exit": np.float64,
-                                                 "cause": np.int64})
+    cols = _load_columns(path, *_RECORDS)
     if cols is not None:
-        s_entry = cols.get("s_entry", np.zeros(len(cols["u"])))
-        try:
-            return RecordTable(cols["id"], cols["u"], s_entry, cols["s_exit"], cols["cause"])
-        except DataError:
-            pass
-    return _read_records_rows(path)
+        with contextlib.suppress(DataError):   # an invalid record: named by its line below
+            return RecordTable(*cols.values())
+    return RecordTable(*_parse_csv(path, *_RECORDS, _problems).values())
 
 
-def _read_records_rows(path) -> RecordTable:
-    """:func:`read_records_csv` one row at a time, naming every bad row."""
-    # numeric columns go into typed arrays, which keep no per-row objects
-    ids, cause = [], array.array("q")
-    u, s_entry, s_exit = array.array("d"), array.array("d"), array.array("d")
+def read_points_csv(path, first) -> tuple:
+    """The columns ``first`` (``u`` or ``t``) and ``s`` of a points CSV, as float64 arrays.
 
-    def make_parser(col):
-        i_id, i_u, i_exit, i_cause = col["id"], col["u"], col["s_exit"], col["cause"]
-        i_entry = col.get("s_entry")
-
-        def parse(row):
-            entry = row[i_entry].strip() if i_entry is not None else ""
-            rid, u_i, entry_i, exit_i = (row[i_id], float(row[i_u]),
-                                         float(entry) if entry else 0.0, float(row[i_exit]))
-            cause.append(int(row[i_cause]))  # may overflow int64: append before the other columns
-            ids.append(rid)
-            u.append(u_i)
-            s_entry.append(entry_i)
-            s_exit.append(exit_i)
-        return parse
-
-    lines, problems = _parse_csv(path, *_RECORD_HEADER, make_parser)
-    cols = (np.asarray(ids, dtype=object), *map(np.asarray, (u, s_entry, s_exit, cause)))
-    try:
-        table = RecordTable(*cols)
-    except DataError:   # name the invalid records by their lines
-        problems += [(lines[i], msg) for i, msg in _problems(*cols)]
-    if problems:
-        listing = [f"row {line}: {msg}" for line, msg in sorted(problems, key=lambda p: p[0])]
-        raise DataError(f"{path}: {len(listing)} bad row(s): {_listing(listing)}", details=listing)
-    return table
+    Read and refused as :func:`read_records_csv` reads and refuses records: one C-level pass,
+    and a file that pass cannot read is read again row by row, naming every bad row.
+    """
+    columns = {first: (np.float64, float, None), "s": (np.float64, float, None)}
+    header_error = f"need columns {first!r} and 's'"
+    cols = _load_columns(path, columns, header_error)
+    if cols is None:
+        cols = _parse_csv(path, columns, header_error)
+    return cols[first], cols["s"]
 
 
 def write_records_csv(path, table: RecordTable):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import KnotVector
-from .errors import Hazard2tsError
+from .errors import DataError, Hazard2tsError
 from .incidence import BasisRows, _n_nodes, _prepare, _quadrature, _thread_map, evaluate_hazard
 from .smooth2d import FittedHazard
 
@@ -120,6 +120,8 @@ def cif_standard_errors(
     _IN_FLIGHT batches at a time on threads; the empirical standard deviation
     (divisor n_draws - 1) is accumulated draw by draw in draw order, here, and
     is bitwise reproducible for a given seed whatever the number of cores.
+    :class:`DataError` names the first cause with a standard error that is not finite (a
+    draw whose hazard overflows: a coefficient barely informed by the data).
     """
     causes = sorted(fits)
     rng = np.random.default_rng(mc.seed)
@@ -143,11 +145,18 @@ def cif_standard_errors(
         return np.stack([cif[ell] for ell in causes], axis=1)
 
     batches = range(0, mc.n_draws, _DRAW_CHUNK)
-    for at in range(0, len(batches), _IN_FLIGHT):
-        window = batches[at:at + _IN_FLIGHT]
-        for lo, values in zip(window, _thread_map(batch_cifs, window)):
-            for j, value in enumerate(values, start=lo + 1):
-                d1 = value - mean
-                mean += d1 / j
-                m2 += d1 * (value - mean)
-    return {ell: np.sqrt(m2[i] / (mc.n_draws - 1)) for i, ell in enumerate(causes)}
+    with np.errstate(over="ignore", invalid="ignore"):   # refused below, not warned about
+        for at in range(0, len(batches), _IN_FLIGHT):
+            window = batches[at:at + _IN_FLIGHT]
+            for lo, values in zip(window, _thread_map(batch_cifs, window)):
+                for j, value in enumerate(values, start=lo + 1):
+                    d1 = value - mean
+                    mean += d1 / j
+                    m2 += d1 * (value - mean)
+        se = np.sqrt(m2 / (mc.n_draws - 1))
+    for i, ell in enumerate(causes):
+        bad = np.count_nonzero(~np.isfinite(se[i]))
+        if bad:
+            raise DataError(f"cause {ell}: {bad} of {se[i].size} Monte-Carlo CIF standard "
+                            "errors are not finite: a coefficient draw overflows the hazard")
+    return {ell: se[i] for i, ell in enumerate(causes)}

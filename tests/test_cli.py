@@ -16,7 +16,7 @@ import yaml
 from click.testing import CliRunner
 
 import hazard2ts as h
-from hazard2ts import cli, floattext, lexis
+from hazard2ts import cli, floattext, lexis, uncertainty
 from hazard2ts.cli import _write_table, load_config, main
 from hazard2ts.errors import DataError
 
@@ -390,6 +390,19 @@ class TestFit:
         result = runner.invoke(main, ["fit", str(cohort_csv), "--config", str(path),
                                       "--out", str(tmp_path / "o")])
         assert result.exit_code == 3
+
+    def test_covariance_that_does_not_factor_exits_2(self, runner, cohort_csv, config_yaml,
+                                                     tmp_path, monkeypatch):
+        """``sample_coefficients`` refuses such a covariance with the base package error: it is
+        reported, and the command exits 2 instead of ending in a traceback."""
+        def refuse(*args):
+            raise h.Hazard2tsError("coefficient covariance not positive definite")
+
+        monkeypatch.setattr(uncertainty, "sample_coefficients", refuse)
+        result = runner.invoke(main, ["fit", str(cohort_csv), "--config", str(config_yaml),
+                                      "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert "error: coefficient covariance not positive definite" in result.output
 
 
     def test_rho_zero_range_fits_and_predicts(self, runner, cohort_csv, tmp_path):

@@ -1,9 +1,9 @@
 """The C-level CSV pass against the per-row reader, for records and for prediction points.
 
-``read_records_csv`` and ``cli._read_points`` read a file with one ``np.loadtxt`` pass and
-fall back to the per-row parser (``lexis._read_records_rows``, ``cli._read_points_rows``)
-only where that pass fails.  On any file, both routes give bitwise equal arrays, or the
-same ``DataError`` message and details.
+``read_records_csv`` and ``read_points_csv`` read a file with one ``np.loadtxt`` pass
+(``lexis._load_columns``) and fall back to the per-row parser (``lexis._parse_csv``) only
+where that pass fails.  On any file, both routes give bitwise equal arrays, or the same
+``DataError`` message and details.
 """
 
 import csv
@@ -98,6 +98,14 @@ def outcome(read, *args):
             for col in value]
 
 
+def per_row(read, *args):
+    """:func:`outcome` of ``read(*args)`` with the C-level pass reading nothing: the per-row
+    parser alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lexis, "_load_columns", lambda *_: None)
+        return outcome(read, *args)
+
+
 def write(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("csv") / "input.csv"
     path.write_bytes(text.encode("utf-8"))
@@ -115,7 +123,7 @@ def test_record_reader_equals_the_per_row_reader(text, rows, tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lexis, "_READ_ROWS", rows)
         fast = outcome(h.read_records_csv, path)
-    assert fast == outcome(lexis._read_records_rows, path)
+    assert fast == per_row(h.read_records_csv, path)
 
 
 @settings(max_examples=200, deadline=None)
@@ -123,20 +131,18 @@ def test_record_reader_equals_the_per_row_reader(text, rows, tmp_path_factory):
 def test_points_reader_equals_the_per_row_reader(spec, rows, tmp_path_factory):
     first, text = spec
     path = write(tmp_path_factory, text)
-    coords = "us" if first == "u" else "ts"
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lexis, "_READ_ROWS", rows)
-        fast = outcome(cli._read_points, path, coords)
-    assert fast == outcome(cli._read_points_rows, path, coords)
+        fast = outcome(h.read_points_csv, path, first)
+    assert fast == per_row(h.read_points_csv, path, first)
 
 
 def test_one_pass_reads_quotes_blank_lines_and_reordered_columns(tmp_path, monkeypatch):
     """These files need no per-row parse: the C-level pass alone reads them."""
-    def per_row(*args):
+    def no_parse(*args):
         raise AssertionError("the per-row parser ran")
 
-    monkeypatch.setattr(lexis, "_read_records_rows", per_row)
-    monkeypatch.setattr(cli, "_read_points_rows", per_row)
+    monkeypatch.setattr(lexis, "_parse_csv", no_parse)
     monkeypatch.setattr(lexis, "_READ_ROWS", 2)
     long_id = "y" * 100_000
     path = tmp_path / "records.csv"
@@ -154,7 +160,7 @@ def test_one_pass_reads_quotes_blank_lines_and_reordered_columns(tmp_path, monke
 
     points = tmp_path / "points.csv"
     points.write_text("s,extra,t\n1.5,a,60\n\nnan,b,inf\n 2 ,c,-1e3\n")
-    t, s = cli._read_points(points, "ts")
+    t, s = h.read_points_csv(points, "t")
     assert np.array_equal(t, [60.0, np.inf, -1e3]) and np.array_equal(s, [1.5, np.nan, 2.0],
                                                                       equal_nan=True)
 
@@ -172,3 +178,37 @@ def test_header_only_points_file_gives_empty_arrays_and_no_warning(tmp_path, coo
     for arr in (first, s):
         assert arr.dtype == np.float64 and arr.shape == (0,)
     assert len(table) == 0
+
+
+def test_bad_point_rows_are_listed_in_the_error_text(tmp_path):
+    """Points are refused as records are: every bad row by its line, in the message too."""
+    path = tmp_path / "points.csv"
+    path.write_text("t,s\n60,1.5\n\noops,2\n61\n62,1e400x\n")
+    with pytest.raises(DataError) as err:
+        h.read_points_csv(path, "t")
+    details = ["row 4: could not convert string to float: 'oops'",
+               "row 5: 1 field(s), the header has 2",
+               "row 6: could not convert string to float: '1e400x'"]
+    assert err.value.details == details
+    assert str(err.value) == f"{path}: 3 bad row(s): " + "; ".join(details)
+
+
+@pytest.mark.parametrize("order", ["overflow first", "invalid first"])
+def test_a_cause_past_int64_and_an_invalid_record_are_named_in_line_order(tmp_path, order):
+    """A cause that does not fit int64 fails its row after the other fields have parsed; the
+    columns stay aligned with the parsed lines, so the invalid record keeps its own line."""
+    rows = ["big,55.0,0,2.0,99999999999999999999", "bad,56.0,3.0,2.0,1"]
+    if order == "invalid first":
+        rows.reverse()
+    path = tmp_path / "cohort.csv"
+    path.write_text("\n".join(["id,u,s_entry,s_exit,cause", "ok,54.0,0,1.0,0", *rows,
+                               "ok2,57.0,,2.5,2"]) + "\n")
+    with pytest.raises(DataError) as err:
+        h.read_records_csv(path)
+    big, bad = (3, 4) if order == "overflow first" else (4, 3)
+    details = err.value.details
+    assert [d.split(":")[0] for d in details] == ["row 3", "row 4"]
+    assert details[bad - 3] == (f"row {bad}: record 'bad': need 0 <= s_entry < s_exit, "
+                                "got (3.0, 2.0)")
+    assert details[big - 3].startswith(f"row {big}: ") and "int too large" in details[big - 3]
+    assert str(err.value) == f"{path}: 2 bad row(s): " + "; ".join(details)

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -187,6 +188,27 @@ class TestCifStandardErrors:
                                      mc=h.MonteCarloConfig(n_draws=10_000, seed=4),
                                      delta=0.02)[1]
         assert abs(se10[0, 0] - se5[0, 0]) / se10[0, 0] < 0.10
+
+    def test_draws_that_overflow_the_hazard_are_refused_without_warnings(self):
+        """An unpenalized 3 x 3 fit of degree-0 bases with a zero-event bin: that bin's
+        coefficient is -24 with an SD of 3e4, so some draws overflow the hazard.  The CIF SEs
+        they would make NaN are refused, naming the cause and the count, with no warning."""
+        grid = h.build_grid(0, 3, 1, 0, 3, 1)
+        rng = np.random.default_rng(1)
+        R = np.full((3, 3), 30.0)
+        Y = {ell: rng.poisson(lam * R).astype(float) for ell, lam in ((1, 0.2), (2, 0.1))}
+        assert Y[2][2, 0] == 0.0
+        binned = h.BinnedData(grid=grid, Y=Y, R=R)
+        kv = h.make_knots(0, 3, 3, 0)
+        fits = {ell: h.fit_hazard(binned, ell, kv, kv, h.PenaltyConfig(-np.inf, -np.inf, 2))
+                for ell in (1, 2)}
+        u, s = [0.1, 1.5, 2.5, 3.0, 1.5, 2.0, 0.6], [0.1, 1.5, 0.5, 3.0, 0.0, 2.0, 0.6]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(h.DataError, match="^cause 2: 21 of 49 Monte-Carlo CIF standard "
+                                                  "errors are not finite"):
+                h.cif_standard_errors(fits, u, s,
+                                      mc=h.MonteCarloConfig(n_draws=20, seed=1), delta=0.05)
 
     def test_minimum_draws_enforced(self):
         with pytest.raises(ValueError):
