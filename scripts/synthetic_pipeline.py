@@ -28,7 +28,6 @@ def main():
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--n", type=int, default=30000)
     parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--draws", type=int, default=200)
     args = parser.parse_args()
 
     hazard1 = h.hazard_family("unimodal-in-s", base=0.02, peak=0.08, mode=2.0)
@@ -49,8 +48,6 @@ def main():
 
     cfg = RunConfig()
     cfg.pclm.enabled = True
-    cfg.seed = args.seed
-    cfg.montecarlo.n_draws = args.draws
 
     t0 = time.perf_counter()
     fits, surf = run_fit_pipeline(cfg, coarsened, args.out)

@@ -4,9 +4,8 @@ Competing-risks records are binned on a regular (age at diagnosis, time
 since diagnosis) grid; per-cause hazard surfaces are penalized tensor-product
 spline fits to the Poisson event counts with exposures as offsets.  Derived
 quantities (cumulative hazards, overall survival, cumulative incidence) come
-from rectangle-rule quadrature, standard errors from the delta method and
-coefficient simulation, and a composite link model ungroups a coarse final
-age interval onto the fine grid.
+from rectangle-rule quadrature, standard errors from the delta method, and a
+composite link model ungroups a coarse final age interval onto the fine grid.
 """
 
 __version__ = "0.1.0"
@@ -66,11 +65,4 @@ from .smooth2d import (
     select_smoothing,
     zero_penalty,
 )
-from .uncertainty import (
-    MonteCarloConfig,
-    cif_standard_errors,
-    sample_coefficients,
-    se_hazard,
-    se_log_hazard,
-    se_log_hazard_points,
-)
+from .uncertainty import cif_standard_errors, se_hazard, se_log_hazard, se_log_hazard_points

@@ -5,8 +5,9 @@ standard analysis setup: 1-year age bins on [50, 100], half-year follow-up
 bins on [0, 10.5], 16 x 10 cubic spline bases, second-order differences,
 BIC-selected smoothing, and ungrouping of ages 90+ onto [90, 100) when
 enabled.  Outputs are long-format CSVs (u, s, value, extrapolated) with 17
-significant digits plus JSON summaries; reruns with the same config and
-seed are byte-identical.
+significant digits plus JSON summaries; reruns with the same config are
+byte-identical.  Every standard error, the CIFs' included, is a delta-method
+one; ``fit --draws``, once a Monte-Carlo draw count, is accepted and ignored.
 
 Exit codes: 0 success, 2 data, domain and other package errors, 3 non-convergence.
 """
@@ -37,7 +38,7 @@ from .pclm import CompositionSpec, composition_matrix, select_pclm_smoothing, un
 from .simulate import ScenarioSpec, grouped_view, hazard_family, simulate_cohort
 from .smooth2d import (FitControl, FittedHazard, PenaltyConfig, SearchConfig, check_criterion,
                        select_smoothing)
-from .uncertainty import MonteCarloConfig, cif_standard_errors, se_log_hazard, se_log_hazard_points
+from .uncertainty import cif_standard_errors, se_log_hazard, se_log_hazard_points
 
 CAUSES = (1, 2)
 
@@ -81,13 +82,8 @@ class PclmConfig:
     log10_phi_step: float = 0.5
 
 
-@dataclass
-class MonteCarloBlock:
-    n_draws: int = 1000
-
-
 # what a run uses, built from a RunConfig by RunConfig.setup
-RunSetup = namedtuple("RunSetup", "grid kv_u kv_s criterion search mc phi_search delta")
+RunSetup = namedtuple("RunSetup", "grid kv_u kv_s criterion search phi_search delta")
 
 
 @dataclass
@@ -98,9 +94,7 @@ class RunConfig:
     selection: SelectionConfig = field(default_factory=SelectionConfig)
     pclm: PclmConfig = field(default_factory=PclmConfig)
     convergence: FitControl = field(default_factory=FitControl)
-    montecarlo: MonteCarloBlock = field(default_factory=MonteCarloBlock)
     delta: float = None  # quadrature step; None means h_s / 10
-    seed: int = 20120501
 
     def setup(self, ungroup: bool = False) -> RunSetup:
         """Build the library objects a run uses, each of which checks its own settings (ValueError
@@ -122,8 +116,7 @@ class RunConfig:
                 raise ValueError(f"pclm.closing_age ({pclm.closing_age}) must equal "
                                  f"grid.u_hi ({g.u_hi})")
             grid.first_grouped_row(pclm.first_grouped_age)
-        return RunSetup(grid, kv_u, kv_s, check_criterion(sel.criterion), search,
-                        MonteCarloConfig(self.montecarlo.n_draws, self.seed), phi_search,
+        return RunSetup(grid, kv_u, kv_s, check_criterion(sel.criterion), search, phi_search,
                         quadrature_step(self.delta, grid.h_s))
 
 
@@ -172,9 +165,9 @@ def _read_yaml(path):
         raise DataError(f"{path}: not a YAML document: {exc}") from None
 
 
-def load_config(path=None, seed=None, draws=None, ungroup=False) -> RunConfig:
-    """The config of a YAML file (defaults when None) with the ``--seed`` and ``--draws``
-    overrides; DataError, before any input is read, for settings that no run can use."""
+def load_config(path=None, ungroup=False) -> RunConfig:
+    """The config of a YAML file (defaults when None); DataError, before any input is read,
+    for settings that no run can use."""
     data = {}
     if path is not None:
         data = _read_yaml(path)
@@ -182,10 +175,6 @@ def load_config(path=None, seed=None, draws=None, ungroup=False) -> RunConfig:
             raise DataError(f"{path}: config must be a mapping")
     try:
         cfg = _update_dataclass(RunConfig(), data)
-        if seed is not None:
-            cfg.seed = seed
-        if draws is not None:
-            cfg.montecarlo.n_draws = draws
         cfg.setup(ungroup)
     except (ValueError, ArithmeticError) as exc:   # ArithmeticError: a grid count past floats
         raise DataError(f"bad run settings: {exc}") from None
@@ -321,13 +310,13 @@ def _pclm_diag(fit, search: SearchConfig):
 
 # rows formatted at a time: the kernel's arrays stay a few MB; blocks formatted at once
 _BLOCK_ROWS = 4096
-_BLOCKS_IN_FLIGHT = 8
+_BLOCKS_AT_ONCE = 8
 
 
 def _write_table(path, header, columns, flags=None):
     """CSV of equal-length float columns, each float the text of ``'%.17g' % v``, then an
     optional true/false column; :mod:`.floattext` formats _BLOCK_ROWS rows at a time, up to
-    _BLOCKS_IN_FLIGHT blocks at once on threads, which are written in order."""
+    _BLOCKS_AT_ONCE blocks at once on threads, which are written in order."""
     from .floattext import format_rows     # here: only a command that writes tables loads it
 
     columns = [np.asarray(col, dtype=float).ravel() for col in columns]
@@ -340,8 +329,8 @@ def _write_table(path, header, columns, flags=None):
     blocks = range(0, len(columns[0]), _BLOCK_ROWS)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode("utf-8"))
-        for at in range(0, len(blocks), _BLOCKS_IN_FLIGHT):
-            fh.writelines(_thread_map(text, blocks[at:at + _BLOCKS_IN_FLIGHT]))
+        for at in range(0, len(blocks), _BLOCKS_AT_ONCE):
+            fh.writelines(_thread_map(text, blocks[at:at + _BLOCKS_AT_ONCE]))
 
 
 def write_long_csv(path, u_points, s_points, values, extrapolated=None, name="value"):
@@ -422,7 +411,8 @@ def save_model(path, cfg: RunConfig, fits: dict):
 
 def load_model(path):
     """The payload of a model file and its fits, every field restored (``candidates`` empty,
-    as ``fit_hazard`` leaves it); DataError, naming the path, where the file is no model."""
+    as ``fit_hazard`` leaves it); DataError, naming the path, where the file is no model or a
+    cause's coefficients or covariance do not have the shape its knots give."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = _read_nonfinite(json.load(fh))
@@ -437,7 +427,7 @@ def load_model(path):
         for key, entry in payload["causes"].items():
             ku, ks = entry["knots_u"], entry["knots_s"]
             pen, sup = entry["penalty"], entry["support"]
-            fits[int(key)] = FittedHazard(
+            fit = FittedHazard(
                 A=np.asarray(entry["coefficients"], dtype=float),
                 penalty=PenaltyConfig(log10_rho_u=pen["log10_rho_u"],
                                       log10_rho_s=pen["log10_rho_s"], d=pen["d"]),
@@ -449,6 +439,13 @@ def load_model(path):
                 hull=(sup["kind"], np.asarray(sup["data"]) if sup["kind"] == "polygon"
                       else tuple(sup["data"])),
             )
+            shape = (fit.kv_u.n_basis, fit.kv_s.n_basis)
+            for name, got, want in (("coefficients", fit.A.shape, shape),
+                                    ("covariance", fit.covariance.shape, (math.prod(shape),) * 2)):
+                if got != want:
+                    raise DataError(f"{path}: cause {key}: {name} of shape {got}, where its "
+                                    f"knots give {want}")
+            fits[int(key)] = fit
         quadrature_step(payload["config"]["delta"], grid.h_s)   # the step predict integrates by
     except KeyError as exc:
         raise DataError(f"{path}: model file has no key {exc}") from None
@@ -490,13 +487,13 @@ def _exit_on_error(*also):
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
               default=None, help="YAML config; defaults are used when omitted.")
 @click.option("--out", "outdir", type=click.Path(file_okay=False), required=True)
-@click.option("--seed", type=int, default=None, help="Override the config seed.")
-@click.option("--draws", type=int, default=None, help="Monte-Carlo draws for CIF SEs.")
-def cmd_fit(input_csv, config_path, outdir, seed, draws):
+@click.option("--draws", type=int, hidden=True, expose_value=False,
+              help="Ignored: the CIF standard errors are closed-form.")
+def cmd_fit(input_csv, config_path, outdir):
     """Fit both cause-specific hazards from an individual-record CSV and
     write hazard, SE, cumulative-hazard, CIF, and survival tables."""
     with _exit_on_error():
-        cfg = load_config(config_path, seed=seed, draws=draws)
+        cfg = load_config(config_path)
         records = read_records_csv(input_csv)
         run_fit_pipeline(cfg, records, Path(outdir))
 
@@ -504,7 +501,7 @@ def cmd_fit(input_csv, config_path, outdir, seed, draws):
 def run_fit_pipeline(cfg: RunConfig, records, outdir: Path):
     """Everything cmd_fit does after argument parsing (importable for tests)."""
     outdir.mkdir(parents=True, exist_ok=True)
-    grid, kv_u, kv_s, criterion, search, mc, phi_search, delta = cfg.setup()
+    grid, kv_u, kv_s, criterion, search, phi_search, delta = cfg.setup()
 
     pclm_diag = None
     if cfg.pclm.enabled:
@@ -521,7 +518,7 @@ def run_fit_pipeline(cfg: RunConfig, records, outdir: Path):
 
     u_pts, s_pts = grid.u_mid, grid.s_mid
     surf = compute_surfaces(fits, u_pts, s_pts, delta=delta)
-    cif_se = cif_standard_errors(fits, u_pts, s_pts, mc=mc, delta=delta)
+    cif_se = cif_standard_errors(fits, u_pts, s_pts, delta=delta)
 
     for ell in CAUSES:
         sub = outdir / f"cause{ell}"
@@ -544,7 +541,6 @@ def run_fit_pipeline(cfg: RunConfig, records, outdir: Path):
     summary = {
         "criterion": cfg.selection.criterion,
         "quadrature_delta": delta,
-        "seed": cfg.seed,
         "config": dataclasses.asdict(cfg),
         "causes": {
             str(ell): {

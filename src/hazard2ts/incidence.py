@@ -5,14 +5,15 @@ cumulative quantity comes from one quadrature kernel: left-rectangle sums
 over nodes ``k * delta``, ``k = 0 .. K-1`` with ``K = floor(s / delta)``, so
 an evaluation at s = 0 is exactly zero.  The kernel takes the u-basis rows of
 a point set (a :class:`BasisRows`, which evaluates them once per distinct
-knot vector) and coefficient matrices that may carry a leading draw axis, and works
-through the rows in chunks of a fixed, cache-sized number of row-draws, so memory
-does not grow with the number of points or draws.  The chunks run on the threads
-of :func:`_thread_map`, one per usable CPU: numpy releases the GIL in their array
-work, and a chunk's sums do not depend on the thread that runs it, so the bytes
-do not depend on the number of cores.  The product grid (``compute_surfaces``),
-paired points (``surfaces_at_points`` and the single-point helpers) and the
-Monte-Carlo CIF standard errors in :mod:`.uncertainty` all run through it.
+knot vector) and works through the rows in chunks of a fixed, cache-sized
+number of rows, so memory does not grow with the number of points.  The chunks
+run on the threads of :func:`_thread_map`, one per usable CPU: numpy releases
+the GIL in their array work, and a chunk's sums do not depend on the thread
+that runs it, so the bytes do not depend on the number of cores.  The product
+grid (``compute_surfaces``), paired points (``surfaces_at_points`` and the
+single-point helpers) and the closed-form CIF standard errors in
+:mod:`.uncertainty`, which read the kernel off at every node count, all run
+through it.
 
 Working in (u, s) = (age at diagnosis, time since diagnosis) is the native
 parametrization; (t, s) = (attained age, time since diagnosis) points are
@@ -38,11 +39,9 @@ from .smooth2d import FittedHazard
 
 # slack (in units of delta) when counting quadrature nodes below s
 _NODE_EPS = 1e-9
-# rows (times draws) per quadrature chunk, so that a chunk's arrays stay in the cache; a
-# constant, not a share of the cores, so the sums do not depend on the number of threads
+# rows per quadrature chunk, so that a chunk's arrays stay in the cache; a constant, not a
+# share of the cores, so the sums do not depend on the number of threads
 _CHUNK = 1024
-_inside_map = contextvars.ContextVar("inside_map", default=False)
-_work_lock = threading.Lock()
 
 
 @dataclass
@@ -145,19 +144,18 @@ def _view(buffer: np.ndarray, shape: tuple) -> np.ndarray:
 def _thread_map(fn, items) -> list:
     """``[fn(item) for item in items]``, run on min(len(items), usable CPUs) threads.
 
-    For numpy work that releases the GIL.  One item, one CPU, or a call from inside a mapped
-    item (its map already fills the CPUs) runs here and starts no thread.  Each thread runs in
-    a copy of the caller's context, so ``np.errstate`` holds there too.  Every thread has
-    ended when this returns; the first failing item in item order raises its exception.
+    For numpy work that releases the GIL.  One item or one CPU runs here and starts no thread.
+    Each thread runs in a copy of the caller's context, so ``np.errstate`` holds there too.
+    Every thread has ended when this returns; the first failing item in item order raises its
+    exception.
     """
     items = list(items)
     n_threads = min(len(items), len(os.sched_getaffinity(0)))
-    if n_threads < 2 or _inside_map.get():
+    if n_threads < 2:
         return [fn(item) for item in items]
     results, errors, taken = [None] * len(items), {}, itertools.count()
 
     def run():
-        _inside_map.set(True)
         # items are taken in order, so every item before a failing one has been taken
         while not errors and (i := next(taken)) < len(items):
             try:
@@ -179,60 +177,45 @@ def _thread_map(fn, items) -> list:
     return results
 
 
-def _quadrature(fits: dict, u: BasisRows, K: np.ndarray, delta: float, coefs: dict = None,
-                work: dict = None, cumulative: bool = True):
-    """Cumulative hazards (None if not ``cumulative``) and CIFs of every cause over the nodes.
+def _quadrature(fits: dict, u: BasisRows, K: np.ndarray, delta: float):
+    """Cumulative hazards and CIFs of every cause over the nodes.
 
     ``u`` holds the u-basis rows (n_rows x c_u) of every cause; ``K`` holds the node
     counts to read off: one row (1 x n_cols) shared by every row for a product
-    grid, or one column (n_rows x 1) for paired points.  ``coefs[ell]``
-    defaults to the fitted coefficient matrix and may carry a leading draw
-    axis (b x c_u x c_s), which then leads both outputs.  Rows go in order of
+    grid, or one column (n_rows x 1) for paired points.  Rows go in order of
     their largest node count (a stable sort: the identity when all rows share
-    one ``K``), _CHUNK row-draws to a chunk, the chunks on :func:`_thread_map`;
+    one ``K``), _CHUNK rows to a chunk, the chunks on :func:`_thread_map`;
     each chunk works up to its own largest count.  Survival before each node
     comes from the one prefix sum; the cumulative hazards and CIFs are read
     off at ``K`` as sums over the first ``K`` nodes: by a 0/1 (K_c x n_cols)
     matrix for a shared ``K`` row, and for paired points as a plain sum up to
-    the chunk's smallest count plus a masked sum of the rest.  The node basis
-    and the spare chunk arrays live in ``work``: a caller that passes one dict
-    to repeated calls on one set of fits reuses them, where fresh arrays would
-    page-fault.  Each running chunk holds its own arrays.
+    the chunk's smallest count plus a masked sum of the rest.  A finished chunk
+    hands its arrays to the next, where fresh arrays would page-fault; each
+    running chunk holds its own.
     """
     causes = sorted(fits)
-    if coefs is None:
-        coefs = {ell: fits[ell].A for ell in causes}
-    lead = coefs[causes[0]].shape[:-2]
     shared = len(K) == 1
     K = np.broadcast_to(K, (len(u.points), K.shape[-1]))
-    cumhaz = {ell: np.zeros(lead + K.shape) for ell in causes} if cumulative else None
-    cif = {ell: np.zeros(lead + K.shape) for ell in causes}
+    cumhaz = {ell: np.zeros(K.shape) for ell in causes}
+    cif = {ell: np.zeros(K.shape) for ell in causes}
     K_row = K.max(axis=1, initial=0)
     K_max = int(K_row.max(initial=0))
     if K_max == 0:
         return cumhaz, cif
-    step = max(1, _CHUNK // math.prod(lead))
-    size = math.prod(lead) * min(step, len(K)) * K_max
-    work = {} if work is None else work
-    with _work_lock:              # batches on threads share ``u`` and one work dict
-        Bu = {ell: u.rows(fits[ell].kv_u) for ell in causes}
-        if work.get("ladder") != (K_max, delta, causes):
-            nodes = BasisRows(delta * np.arange(K_max))
-            work.update(ladder=(K_max, delta, causes), spare=[],
-                        Bs_nodes={ell: nodes.rows(fits[ell].kv_s) for ell in causes})
-    Bs_nodes, spare = work["Bs_nodes"], work["spare"]
-    order = np.argsort(K_row, kind="stable")
+    size = min(_CHUNK, len(K)) * K_max
+    Bu = {ell: u.rows(fits[ell].kv_u) for ell in causes}
+    nodes = BasisRows(delta * np.arange(K_max))
+    Bs_nodes = {ell: nodes.rows(fits[ell].kv_s) for ell in causes}
+    spare, order = [], np.argsort(K_row, kind="stable")
 
     def chunk(rows):
         K_lo, K_c = int(K_row[rows[0]]), int(K_row[rows[-1]])
         try:
             buffers = spare.pop()
         except IndexError:
-            buffers = {}
-        if buffers.get("size", 0) < size:
-            buffers = dict({name: np.empty(size) for name in ("tot", "S", *causes)}, size=size)
-        shape = lead + (len(rows), K_c)
-        lam = {ell: np.matmul(Bu[ell][rows] @ coefs[ell], Bs_nodes[ell][:K_c].T,
+            buffers = {name: np.empty(size) for name in ("tot", "S", *causes)}
+        shape = (len(rows), K_c)
+        lam = {ell: np.matmul(Bu[ell][rows] @ fits[ell].A, Bs_nodes[ell][:K_c].T,
                               out=_view(buffers[ell], shape))
                for ell in causes}
         tot, S = _view(buffers["tot"], shape), _view(buffers["S"], shape)
@@ -241,8 +224,8 @@ def _quadrature(fits: dict, u: BasisRows, K: np.ndarray, delta: float, coefs: di
             tot += np.exp(lam[ell], out=lam[ell])
         tot *= delta
         # survival just before each node: exp(-exclusive prefix sum of the total hazard)
-        S[..., 0] = 0.0
-        np.cumsum(tot[..., :-1], axis=-1, out=S[..., 1:])
+        S[:, 0] = 0.0
+        np.cumsum(tot[:, :-1], axis=-1, out=S[:, 1:])
         np.exp(np.negative(S, out=S), out=S)
         if shared:
             take = (np.arange(K_c)[:, None] < K[0]).astype(float)
@@ -253,18 +236,17 @@ def _quadrature(fits: dict, u: BasisRows, K: np.ndarray, delta: float, coefs: di
         def read_off(x):
             if shared:
                 return x @ take
-            return (x[..., :K_lo].sum(axis=-1)
-                    + np.einsum("...k,...k->...", x[..., K_lo:], tail))[..., None]
+            return (x[:, :K_lo].sum(axis=-1)
+                    + np.einsum("...k,...k->...", x[:, K_lo:], tail))[:, None]
 
         for ell in causes:
             np.multiply(lam[ell], delta, out=tot)
-            if cumulative:
-                cumhaz[ell][..., rows, :] = read_off(tot)
+            cumhaz[ell][rows] = read_off(tot)
             tot *= S
-            cif[ell][..., rows, :] = read_off(tot)
+            cif[ell][rows] = read_off(tot)
         spare.append(buffers)
 
-    chunks = [order[lo:lo + step] for lo in range(0, len(K), step)]
+    chunks = [order[lo:lo + _CHUNK] for lo in range(0, len(K), _CHUNK)]
     _thread_map(chunk, [rows for rows in chunks if K_row[rows[-1]] > 0])
     return cumhaz, cif
 

@@ -1,69 +1,52 @@
-"""Standard errors: delta method for (log-)hazards, simulation for CIFs.
+"""Standard errors by the delta method: of (log-)hazards and of CIFs.
 
 The coefficient covariance is the inverse of the penalized information at
 convergence, which each fit carries (``FittedHazard.covariance``).  SEs of
 the log-hazard at a point follow from the quadratic form x' Sigma x with the
-tensor basis row x; one chunked row-wise kernel
-serves paired points and, on the meshgrid, product grids.  Hazard SEs are
-the delta-method transform through exp.  CIF standard errors come from
-repeatedly drawing coefficient vectors from their asymptotic normal
-distribution (independently per cause) and passing the draws, a fixed-size
-batch at a time, through the quadrature kernel of :mod:`.incidence`; one set
-of draws yields the SEs of every cause.  A bounded number of batches runs at
-once on the threads of ``incidence._thread_map``, and the caller accumulates
-them in draw order, so the SEs are bitwise those of a serial run.
+tensor basis row x; one chunked row-wise kernel serves paired points, on the
+meshgrid product grids, and the CIFs.  Hazard SEs are the delta-method
+transform through exp.  A CIF is a smooth function of every cause's
+coefficients, so its SE is the quadratic form of its gradient, summed over the
+causes (fitted separately, so their coefficients are independent).  The
+gradient with respect to cause m's coefficients is Bu(u) (x) v_m, with v_m a
+combination of prefix sums over the quadrature nodes of the node basis rows,
+weighted by the cumulative hazards and CIFs the quadrature kernel of
+:mod:`.incidence` gives at every node count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .basis import KnotVector
-from .errors import DataError, Hazard2tsError
-from .incidence import BasisRows, _n_nodes, _prepare, _quadrature, _thread_map, evaluate_hazard
+from .errors import DataError
+from .incidence import BasisRows, _n_nodes, _prepare, _quadrature, evaluate_hazard
 from .smooth2d import FittedHazard
 
-# points per windowed quadratic form
+# points per windowed quadratic form, and (u rows) x (node counts or s points) per chunk of
+# CIF gradients
 _CHUNK = 4096
-# coefficient draws per quadrature pass, and the passes run at a time: at most
-# _IN_FLIGHT batches of CIFs wait to be accumulated
-_DRAW_CHUNK = 16
-_IN_FLIGHT = 8
 
 
-@dataclass(frozen=True)
-class MonteCarloConfig:
-    """Number of coefficient draws and the RNG seed."""
+def _row_variance(u_window: tuple, s_window: tuple, c_u: int, Sigma: np.ndarray) -> np.ndarray:
+    """Quadratic forms x_i' Sigma x_i for the tensor rows x_i = s_i (x) u_i.
 
-    n_draws: int = 1000
-    seed: int = 20120501
-
-    def __post_init__(self):
-        if self.n_draws < 2 or self.seed < 0:
-            raise ValueError(f"need at least 2 draws and a nonnegative seed, got {self}")
-
-
-def _row_variance(u: BasisRows, s: BasisRows, kv_u: KnotVector, kv_s: KnotVector,
-                  Sigma: np.ndarray) -> np.ndarray:
-    """Quadratic forms x_i' Sigma x_i for the tensor rows x_i = Bs[i] (x) Bu[i].
-
-    The coefficient index is column-major over (l, m), i.e. m * c_u + l,
-    matching the vectorization used by the fitting kernels.  A row of a
-    degree-p basis is zero outside p + 1 adjacent columns (``BasisRows.window``),
-    so x_i is zero outside a (p_u + 1)(p_s + 1) window and only the matching
-    block of Sigma enters.  Points are taken window by window, _CHUNK at a time.
+    Each factor comes as a window (start, values): row i of it is zero outside the columns
+    start[i] .. start[i] + width - 1, which hold values[i].  A degree-p basis row is such a
+    window of width p + 1 (``BasisRows.window``); a dense row of c_s entries is one that
+    starts at column 0.  The coefficient index is column-major over (l, m), i.e. m * c_u + l,
+    matching the vectorization used by the fitting kernels, so x_i is zero outside one block
+    of columns and only the matching block of Sigma enters.  Points are taken window by
+    window, _CHUNK at a time.
     """
-    c_u, p_u, p_s = kv_u.n_basis, kv_u.degree, kv_s.degree
-    (ju, wu), (js, ws) = u.window(kv_u), s.window(kv_s)
+    (ju, wu), (js, ws) = u_window, s_window
     key = js * c_u + ju               # the coefficient index of each window's first entry
     order = np.argsort(key, kind="stable")
     var = np.empty(len(key))
     for group in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
         for lo in range(0, len(group), _CHUNK):
             i = group[lo:lo + _CHUNK]
-            cols = (key[i[0]] + c_u * np.arange(p_s + 1)[:, None] + np.arange(p_u + 1)).ravel()
+            cols = (key[i[0]] + c_u * np.arange(ws.shape[1])[:, None]
+                    + np.arange(wu.shape[1])).ravel()
             x = (ws[i, :, None] * wu[i, None, :]).reshape(len(i), -1)
             var[i] = np.einsum("ip,ip->i", x @ Sigma[np.ix_(cols, cols)], x)
     return var
@@ -72,8 +55,8 @@ def _row_variance(u: BasisRows, s: BasisRows, kv_u: KnotVector, kv_s: KnotVector
 def se_log_hazard_points(fit: FittedHazard, u_arr, s_arr) -> np.ndarray:
     """Delta-method SE of the log-hazard at paired points (u_i, s_i); ``u_arr`` and ``s_arr``
     may be :class:`BasisRows` shared with other calls at the same points."""
-    var = _row_variance(BasisRows.of(u_arr), BasisRows.of(s_arr), fit.kv_u, fit.kv_s,
-                        fit.covariance)
+    var = _row_variance(BasisRows.of(u_arr).window(fit.kv_u),
+                        BasisRows.of(s_arr).window(fit.kv_s), fit.kv_u.n_basis, fit.covariance)
     return np.sqrt(np.maximum(var, 0.0))
 
 
@@ -88,75 +71,66 @@ def se_hazard(fit: FittedHazard, u_points, s_points) -> np.ndarray:
     return evaluate_hazard(fit, u_points, s_points) * se_log_hazard(fit, u_points, s_points)
 
 
-def sample_coefficients(mean: np.ndarray, Sigma: np.ndarray, n_draws: int,
-                        rng: np.random.Generator) -> np.ndarray:
-    """An (n_draws, len(mean)) array of draws from N(mean, Sigma) via the Cholesky factor of
-    Sigma, ``mean`` in every row for a zero Sigma; Hazard2tsError where Sigma is not positive
-    definite."""
-    Sigma = np.asarray(Sigma, dtype=float)
-    if np.max(np.abs(Sigma)) == 0.0:
-        return np.tile(mean, (n_draws, 1))
-    try:
-        L = np.linalg.cholesky(Sigma)
-    except np.linalg.LinAlgError:
-        raise Hazard2tsError("coefficient covariance not positive definite") from None
-    z = rng.standard_normal((n_draws, len(mean)))
-    return mean[None, :] + z @ L.T
+def _prefix_sums(w: np.ndarray, N: np.ndarray) -> np.ndarray:
+    """sum_{k<K} w[i, k] N[k] for every row i and node count K = 0 .. n_nodes:
+    (rows x n_nodes + 1 x c_s), zero at K = 0."""
+    out = np.zeros((w.shape[0], w.shape[1] + 1, N.shape[1]))
+    np.cumsum(w[:, :, None] * N, axis=1, out=out[:, 1:])
+    return out
 
 
-def cif_standard_errors(
-    fits: dict,
-    u_points,
-    s_points,
-    mc: MonteCarloConfig = MonteCarloConfig(),
-    delta: float = None,
-) -> dict:
-    """Monte-Carlo SEs of every cause's CIF on the product grid of the points.
+def cif_standard_errors(fits: dict, u_points, s_points, delta: float = None) -> dict:
+    """Delta-method SEs of every cause's CIF on the product grid of the points.
 
-    Returns ``{cause: se}``.  Coefficients are drawn from N(``fit.coef``,
-    ``fit.covariance``), independently across causes (the causes are fitted
-    separately; only the exposures are shared), and one set of draws serves
-    all causes.  Draws go through the quadrature kernel _DRAW_CHUNK at a time,
-    _IN_FLIGHT batches at a time on threads; the empirical standard deviation
-    (divisor n_draws - 1) is accumulated draw by draw in draw order, here, and
-    is bitwise reproducible for a given seed whatever the number of cores.
-    :class:`DataError` names the first cause with a standard error that is not finite (a
-    draw whose hazard overflows: a coefficient barely informed by the data).
+    Returns ``{cause: se}``.  With K nodes below s, left rectangles give
+    F_l(K) = sum_{k<K} f_lk, f_lk = h_lk S_k, S_k = exp(-sum_m H_mk), where
+    h_mk = H_m,k+1 - H_mk is cause m's hazard times delta at node k and H, F are the
+    cumulative hazards and CIFs at node count k.  The gradient of F_l(K) with
+    respect to A_m is Bu(u) (x) v_m with
+
+        v_m = [m = l] sum_{k<K} f_lk N_k - F_lK sum_{k<K} h_mk N_k
+              + sum_{k<K} h_mk F_l,k+1 N_k,
+
+    N_k the s-basis row at node k: three prefix sums over the nodes, read off at each
+    s point's K.  H and F come from the quadrature kernel at every node count up to the
+    largest K, for _CHUNK // max(K_max + 1, n_s) u rows at a time, so memory does not grow
+    with the number of u points.  The variance of each cause's CIF sums ``_row_variance``
+    over the causes m, with the u window of the basis row and the dense v_m as the s
+    window.  The SE at s = 0 is exactly 0.  :class:`DataError` names the first cause with
+    a standard error that is not finite.
     """
     causes = sorted(fits)
-    rng = np.random.default_rng(mc.seed)
-    draws = {
-        ell: sample_coefficients(fits[ell].coef, fits[ell].covariance, mc.n_draws, rng)
-        for ell in causes
-    }
     u, s, delta = _prepare(fits, u_points, s_points, delta)
-    K = _n_nodes(s.points, delta)[None, :]
-
-    # the causes stacked: one Welford step per draw updates every cause
-    mean, m2 = np.zeros((2, len(causes), len(u.points), len(s.points)))
-    work = {}                     # the kernel's node basis and spare chunk arrays
-
-    def batch_cifs(lo):
-        # vec(A) is column-major: draw k holds A[l, m] at index m * c_u + l
-        coefs = {ell: draws[ell][lo:lo + _DRAW_CHUNK]
-                 .reshape(-1, *fits[ell].A.shape[::-1]).transpose(0, 2, 1)
-                 for ell in causes}
-        cif = _quadrature(fits, u, K, delta, coefs, work, cumulative=False)[1]
-        return np.stack([cif[ell] for ell in causes], axis=1)
-
-    batches = range(0, mc.n_draws, _DRAW_CHUNK)
+    K = _n_nodes(s.points, delta)
+    K_max = int(K.max(initial=0))
+    ladder = np.arange(K_max + 1)[None, :]          # the kernel read off at every node count
+    nodes = BasisRows(delta * np.arange(K_max))
+    N = {m: nodes.rows(fits[m].kv_s) for m in causes}
+    n_s = len(K)
+    var = {ell: np.zeros((len(u.points), n_s)) for ell in causes}
+    step = max(1, _CHUNK // max(K_max + 1, n_s))
     with np.errstate(over="ignore", invalid="ignore"):   # refused below, not warned about
-        for at in range(0, len(batches), _IN_FLIGHT):
-            window = batches[at:at + _IN_FLIGHT]
-            for lo, values in zip(window, _thread_map(batch_cifs, window)):
-                for j, value in enumerate(values, start=lo + 1):
-                    d1 = value - mean
-                    mean += d1 / j
-                    m2 += d1 * (value - mean)
-        se = np.sqrt(m2 / (mc.n_draws - 1))
-    for i, ell in enumerate(causes):
-        bad = np.count_nonzero(~np.isfinite(se[i]))
+        for lo in range(0, len(u.points), step):
+            rows = BasisRows(u.points[lo:lo + step])
+            H, F = _quadrature(fits, rows, ladder, delta)
+            h = {m: np.diff(H[m], axis=1) for m in causes}
+            hN = {m: _prefix_sums(h[m], N[m])[:, K] for m in causes}
+            for m in causes:
+                ju, wu = rows.window(fits[m].kv_u)
+                u_window = (np.repeat(ju, n_s), np.repeat(wu, n_s, axis=0))
+                for ell in causes:
+                    w = h[m] * F[ell][:, 1:]
+                    if m == ell:
+                        w += np.diff(F[ell], axis=1)
+                    v = (_prefix_sums(w, N[m])[:, K] - F[ell][:, K, None] * hN[m]
+                         ).reshape(-1, N[m].shape[1])
+                    var[ell][lo:lo + step] += _row_variance(
+                        u_window, (np.zeros(len(v), dtype=int), v), fits[m].kv_u.n_basis,
+                        fits[m].covariance).reshape(len(rows.points), n_s)
+        se = {ell: np.sqrt(np.maximum(var[ell], 0.0)) for ell in causes}
+    for ell in causes:
+        bad = np.count_nonzero(~np.isfinite(se[ell]))
         if bad:
-            raise DataError(f"cause {ell}: {bad} of {se[i].size} Monte-Carlo CIF standard "
-                            "errors are not finite: a coefficient draw overflows the hazard")
-    return {ell: se[i] for i, ell in enumerate(causes)}
+            raise DataError(f"cause {ell}: {bad} of {se[ell].size} CIF standard errors are "
+                            "not finite: the hazard or the coefficient covariance overflows")
+    return se

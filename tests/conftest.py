@@ -56,3 +56,49 @@ def scalar_toy():
                         R=np.array([[400.0]]))
     kv = h.make_knots(0, 1, 1, 0)
     return {ell: h.fit_hazard(data, ell, kv, kv, h.zero_penalty()) for ell in (1, 2)}
+
+
+# -- the Monte-Carlo oracle of the CIF standard errors ---------------------------
+
+def sample_coefficients(mean, Sigma, n_draws, rng):
+    """An (n_draws, len(mean)) array of draws from N(mean, Sigma) via the Cholesky factor of
+    Sigma, ``mean`` in every row for a zero Sigma; Hazard2tsError where Sigma is not positive
+    definite."""
+    Sigma = np.asarray(Sigma, dtype=float)
+    if np.max(np.abs(Sigma)) == 0.0:
+        return np.tile(mean, (n_draws, 1))
+    try:
+        L = np.linalg.cholesky(Sigma)
+    except np.linalg.LinAlgError:
+        raise h.Hazard2tsError("coefficient covariance not positive definite") from None
+    z = rng.standard_normal((n_draws, len(mean)))
+    return mean[None, :] + z @ L.T
+
+
+def dense_cif_draws(fits, coefs, u, s, delta):
+    """Left-rectangle CIFs on the product grid of ``u`` and ``s`` for every draw at once:
+    ``coefs[ell]`` holds one column-major vec(A) per row, and the result ``{ell: (n_draws,
+    n_u, n_s)}``.  Nodes k * delta, k < K = floor(s / delta + 1e-9), survival just before each
+    node, every node summed under a 0/1 mask."""
+    K = np.floor(np.asarray(s) / delta + 1e-9).astype(int)
+    nodes = delta * np.arange(K.max())
+    lam = {}
+    for ell, fit in fits.items():
+        A = coefs[ell].reshape(len(coefs[ell]), fit.kv_s.n_basis, fit.kv_u.n_basis)
+        lam[ell] = np.exp(h.evaluate_basis(u, fit.kv_u) @ A.transpose(0, 2, 1)
+                          @ h.evaluate_basis(nodes, fit.kv_s).T)
+    step = sum(lam.values()) * delta
+    survival = np.exp(-(np.cumsum(step, axis=-1) - step))
+    before = (np.arange(len(nodes))[:, None] < K).astype(float)
+    return {ell: (lam[ell] * survival * delta) @ before for ell in fits}
+
+
+def monte_carlo_cif_se(fits, u, s, delta, n_draws, rng, batch=500):
+    """Standard deviations (divisor n_draws - 1) of every cause's CIF over coefficient draws
+    from N(``fit.coef``, ``fit.covariance``), drawn cause after cause from ``rng``."""
+    draws = {ell: sample_coefficients(fits[ell].coef, fits[ell].covariance, n_draws, rng)
+             for ell in sorted(fits)}
+    batches = [dense_cif_draws(fits, {ell: d[lo:lo + batch] for ell, d in draws.items()},
+                               u, s, delta) for lo in range(0, n_draws, batch)]
+    return {ell: np.std(np.concatenate([b[ell] for b in batches]), axis=0, ddof=1)
+            for ell in fits}

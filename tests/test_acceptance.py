@@ -205,6 +205,8 @@ def test_ungrouping_sensitivity():
 
 
 def test_monte_carlo_se_calibration(scalar_toy):
+    """The CIF standard errors on the one-coefficient toy, against the delta method through
+    the continuous constant-hazard CIF: within 5 %, and the same bits on a rerun."""
     fits = scalar_toy
 
     def cif(a1, a2, s=1.0):
@@ -217,14 +219,13 @@ def test_monte_carlo_se_calibration(scalar_toy):
     g2 = (cif(a1, a2 + eps) - cif(a1, a2 - eps)) / (2 * eps)
     se_delta = math.sqrt(g1**2 * fits[1].covariance[0, 0] + g2**2 * fits[2].covariance[0, 0])
 
-    mc = h.MonteCarloConfig(n_draws=10_000, seed=2024)
-    se_mc = h.cif_standard_errors(fits, [0.5], [1.0], mc=mc, delta=0.01)[1]
-    se_mc_again = h.cif_standard_errors(fits, [0.5], [1.0], mc=mc, delta=0.01)[1]
-    rel = abs(se_mc[0, 0] - se_delta) / se_delta
-    deterministic = np.array_equal(se_mc, se_mc_again)
-    _report("monte-carlo-se-calibration", rel < 0.05 and deterministic,
-            f"MC SE {se_mc[0, 0]:.5f} vs delta-method {se_delta:.5f} "
-            f"(relative gap {rel:.3f} < 0.05), seed-deterministic: {deterministic}")
+    se = h.cif_standard_errors(fits, [0.5], [1.0], delta=0.01)[1]
+    se_again = h.cif_standard_errors(fits, [0.5], [1.0], delta=0.01)[1]
+    rel = abs(se[0, 0] - se_delta) / se_delta
+    deterministic = np.array_equal(se, se_again)
+    _report("cif-se-calibration", rel < 0.05 and deterministic,
+            f"closed-form CIF SE {se[0, 0]:.5f} vs delta-method {se_delta:.5f} "
+            f"(relative gap {rel:.3f} < 0.05), rerun-deterministic: {deterministic}")
 
 
 def test_standard_configuration_structure():

@@ -16,7 +16,7 @@ import yaml
 from click.testing import CliRunner
 
 import hazard2ts as h
-from hazard2ts import cli, floattext, lexis, uncertainty
+from hazard2ts import cli, floattext, lexis
 from hazard2ts.cli import _write_table, load_config, main
 from hazard2ts.errors import DataError
 
@@ -29,8 +29,6 @@ FAST_CONFIG = {
         "coarse_step": 2.0,
         "refine_resolution": 0.5,
     },
-    "montecarlo": {"n_draws": 40},
-    "seed": 99,
 }
 
 
@@ -102,9 +100,9 @@ class TestConfig:
 
     def test_nested_override(self, tmp_path):
         path = tmp_path / "ok.yaml"
-        path.write_text("grid: {h_u: 2.5}\nseed: 5\n")
+        path.write_text("grid: {h_u: 2.5}\nd: 3\n")
         cfg = load_config(path)
-        assert cfg.grid.h_u == 2.5 and cfg.seed == 5
+        assert cfg.grid.h_u == 2.5 and cfg.d == 3
         assert cfg.grid.h_s == 0.5  # untouched default
 
     @pytest.mark.parametrize("block", [
@@ -121,15 +119,15 @@ class TestConfig:
         {"basis": {"degree": 2.5}},
         {"d": "two"},
         {"delta": "x"},
-        {"seed": "x"},
-        {"montecarlo": {"n_draws": "x"}},
+        {"seed": "x"},                          # seed and montecarlo: unknown keys since
+        {"montecarlo": {"n_draws": "x"}},       # the CIF SEs are closed-form
         {"selection": {"log10_rho_s_range": [1.0, "x"]}},
         {"convergence": {"max_iter": True}},
         {"grid": 5},
         # out of range, once failing only after the smoothing search
         {"delta": 0},
         {"delta": -0.1},
-        {"seed": -1},
+        {"seed": -1},                           # unknown keys, as above
         {"montecarlo": {"n_draws": 1}},
         {"d": 0},
         # no grid or basis fits, once ValueError tracebacks (exit 1) after the whole read
@@ -200,14 +198,18 @@ class TestConfig:
             assert f"error: {path}: not a YAML document" in result.output
             assert "row 2" not in result.output
 
-    @pytest.mark.parametrize("option", [["--seed", "-1"], ["--draws", "1"], ["--draws", "0"]])
-    def test_bad_seed_or_draws_option_exit_2_before_reading_input(self, runner, tmp_path,
-                                                                  option):
+    def test_seed_is_no_option_and_draws_is_hidden_and_ignored(self, runner, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("id,u,s_entry,s_exit,cause\nx,55,0,notanumber,1\n")
-        result = runner.invoke(main, ["fit", str(bad), "--out", str(tmp_path / "o"), *option])
-        assert result.exit_code == 2, result.output
-        assert "bad run settings" in result.output and "row 2" not in result.output
+        result = runner.invoke(main, ["fit", str(bad), "--out", str(tmp_path / "o"),
+                                      "--seed", "5"])
+        assert result.exit_code == 2 and "No such option" in result.output
+        assert "--seed" in result.output and "row 2" not in result.output
+        for value in ("0", "-1", "1000"):       # read, and the input refused as without it
+            result = runner.invoke(main, ["fit", str(bad), "--out", str(tmp_path / "o"),
+                                          "--draws", value])
+            assert result.exit_code == 2 and "row 2" in result.output, result.output
+        assert "--draws" not in runner.invoke(main, ["fit", "--help"]).output
 
     def test_phi_grid_is_capped_at_max_evals_candidates(self, tmp_path):
         path = tmp_path / "phi.yaml"
@@ -354,6 +356,13 @@ class TestFit:
                     "fit_summary.json", "model.json"):
             assert (outdir / rel).read_bytes() == (fit_outputs / rel).read_bytes()
 
+    def test_draws_option_changes_no_byte(self, runner, cohort_csv, config_yaml, fit_outputs,
+                                          tmp_path):
+        result = runner.invoke(main, ["fit", str(cohort_csv), "--config", str(config_yaml),
+                                      "--draws", "5", "--out", str(tmp_path / "draws")])
+        assert result.exit_code == 0, result.output
+        assert _tree(tmp_path / "draws") == _tree(fit_outputs)
+
     def test_bad_rows_exit_2(self, runner, config_yaml, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("id,u,s_entry,s_exit,cause\nx,55,0,notanumber,1\n")
@@ -393,12 +402,12 @@ class TestFit:
 
     def test_covariance_that_does_not_factor_exits_2(self, runner, cohort_csv, config_yaml,
                                                      tmp_path, monkeypatch):
-        """``sample_coefficients`` refuses such a covariance with the base package error: it is
-        reported, and the command exits 2 instead of ending in a traceback."""
-        def refuse(*args):
+        """The base package error, here from the CIF standard errors, is reported, and the
+        command exits 2 instead of ending in a traceback."""
+        def refuse(*args, **kwargs):
             raise h.Hazard2tsError("coefficient covariance not positive definite")
 
-        monkeypatch.setattr(uncertainty, "sample_coefficients", refuse)
+        monkeypatch.setattr(cli, "cif_standard_errors", refuse)
         result = runner.invoke(main, ["fit", str(cohort_csv), "--config", str(config_yaml),
                                       "--out", str(tmp_path / "o")])
         assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
@@ -543,6 +552,34 @@ class TestPredict:
                                       "--out", str(tmp_path / "o.csv")])
         assert result.exit_code == 2, result.output
         assert f"error: {model}: {message}" in result.output
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("damage,message", [
+        ("covariance", "covariance of shape (47, 47), where its knots give (48, 48)"),
+        ("coefficients", "coefficients of shape (8, 5), where its knots give (8, 6)"),
+        ("knots", "coefficients of shape (8, 6), where its knots give (15, 6)"),
+    ])
+    def test_model_whose_shapes_disagree_with_its_knots_exits_2(self, runner, fit_outputs,
+                                                                tmp_path, damage, message):
+        """A covariance cut by a row and a column once gave standard errors from the wrong
+        entries, with exit 0; coefficients cut by a column, or knots for more of them, once
+        ended in a ValueError traceback.  Each is refused, naming the file and the cause."""
+        payload = json.loads((fit_outputs / "model.json").read_text())
+        entry = payload["causes"]["2"]
+        if damage == "covariance":
+            entry["covariance"] = [row[:-1] for row in entry["covariance"][:-1]]
+        elif damage == "coefficients":
+            entry["coefficients"] = [row[:-1] for row in entry["coefficients"]]
+        else:
+            entry["knots_u"]["n_segments"] = 12
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        pts = tmp_path / "pts.csv"
+        pts.write_text("u,s\n60,5\n")
+        result = runner.invoke(main, ["predict", "--model", str(model), "--points", str(pts),
+                                      "--out", str(tmp_path / "o.csv")])
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit), result.output
+        assert f"error: {model}: cause 2: {message}" in result.output
         assert not (tmp_path / "o.csv").exists()
 
     def test_extrapolated_flag_in_output(self, runner, fit_outputs, tmp_path):
@@ -753,7 +790,7 @@ def test_pclm_fit_checks_the_records_only_when_the_table_is_read(monkeypatch, tm
                         or check(*cols))
     monkeypatch.setattr(cli, "_run_tasks", _serial)   # every stage in this process
     path = tmp_path / "cfg.yaml"
-    path.write_text(yaml.safe_dump({**FAST_CONFIG, "montecarlo": {"n_draws": 10},
+    path.write_text(yaml.safe_dump({**FAST_CONFIG,
                                     "pclm": {"enabled": True, "log10_phi_step": 1.0}}))
     cfg = load_config(path)
     table = h.read_records_csv(grouped_csv)
@@ -779,8 +816,7 @@ class TestWorkerProcesses:
     @pytest.mark.parametrize("command,pclm", [("fit", False), ("fit", True), ("ungroup", True)])
     def test_pool_and_serial_artefacts_are_byte_identical(self, runner, monkeypatch, tmp_path,
                                                           grouped_csv, command, pclm):
-        cfg = {**FAST_CONFIG, "montecarlo": {"n_draws": 10},
-               "pclm": {"enabled": pclm, "log10_phi_step": 1.0}}
+        cfg = {**FAST_CONFIG, "pclm": {"enabled": pclm, "log10_phi_step": 1.0}}
         path = tmp_path / "cfg.yaml"
         path.write_text(yaml.safe_dump(cfg))
         results = self.run_both(runner, monkeypatch, tmp_path,

@@ -208,31 +208,6 @@ def test_se_kernel_matches_dense_at_chunk_boundary(tri, offset):
     np.testing.assert_allclose(got, dense, rtol=1e-12)
 
 
-@pytest.mark.parametrize("n_draws", [uncertainty._DRAW_CHUNK - 1, uncertainty._DRAW_CHUNK,
-                                     uncertainty._DRAW_CHUNK + 1])
-def test_mc_se_matches_per_draw_loop(tri, n_draws):
-    grid, fits = tri
-    # more u rows than one draw batch covers, so rows are chunked as well
-    u_pts = np.linspace(0, 10, incidence._CHUNK // uncertainty._DRAW_CHUNK + 1)
-    s_pts = grid.s_mid[:4]
-    mc = h.MonteCarloConfig(n_draws=n_draws, seed=11)
-    got = h.cif_standard_errors(fits, u_pts, s_pts, mc=mc, delta=0.05)
-
-    rng = np.random.default_rng(mc.seed)
-    draws = {ell: h.sample_coefficients(fits[ell].coef, fits[ell].covariance, n_draws, rng)
-             for ell in (1, 2)}
-    values = {1: [], 2: []}
-    for k in range(n_draws):
-        perturbed = {ell: dataclasses.replace(
-            fits[ell], A=draws[ell][k].reshape(fits[ell].A.shape, order="F")) for ell in (1, 2)}
-        surf = h.compute_surfaces(perturbed, u_pts, s_pts, 0.05)
-        for ell in (1, 2):
-            values[ell].append(surf.cif[ell])
-    for ell in (1, 2):
-        want = np.std(np.array(values[ell]), axis=0, ddof=1)
-        np.testing.assert_allclose(got[ell], want, rtol=1e-10, atol=1e-15)
-
-
 # node values of s (delta = 0.05 on [0, 10]): no node, first nodes, a node edge, the top
 node_s = st.one_of(st.sampled_from([0.0, 0.01, 0.0499, 0.05, 0.1, 9.95, 10.0]),
                    st.floats(0.0, 10.0))
@@ -256,45 +231,6 @@ def test_paired_kernel_matches_dense_on_unsorted_repeated_points(tri, base, pick
     np.testing.assert_allclose(surf.survival[:, 0], survival, rtol=1e-12)
 
 
-def test_mc_se_unchanged_by_cached_node_basis(tri, monkeypatch):
-    grid, fits = tri
-    args = (fits, np.linspace(0, 10, 7), grid.s_mid,
-            h.MonteCarloConfig(n_draws=3 * uncertainty._DRAW_CHUNK + 5, seed=4), 0.05)
-    sizes, evaluate_basis = [], incidence.evaluate_basis
-    monkeypatch.setattr(incidence, "evaluate_basis",
-                        lambda x, kv: sizes.append(np.size(x)) or evaluate_basis(x, kv))
-    cached = h.cif_standard_errors(*args)
-    # u rows, then the node ladder (s up to 9.5: 190 nodes), each once: both causes have
-    # equal knots
-    assert np.array_equal(fits[1].kv_u.knots, fits[2].kv_u.knots)
-    assert np.array_equal(fits[1].kv_s.knots, fits[2].kv_s.knots)
-    assert sizes == [7, 190]
-    # a fresh work dict per batch: node basis and chunk arrays built anew every time
-    quadrature = uncertainty._quadrature
-    monkeypatch.setattr(uncertainty, "_quadrature",
-                        lambda fits, Bu, K, delta, coefs, work, cumulative:
-                        quadrature(fits, Bu, K, delta, coefs, {}, cumulative=cumulative))
-    fresh = h.cif_standard_errors(*args)
-    for ell in fits:
-        assert np.array_equal(cached[ell], fresh[ell])
-
-
-@pytest.mark.parametrize("paired", [False, True])
-def test_quadrature_without_cumulative_hazards_gives_the_same_cifs(tri, paired):
-    """The Monte-Carlo SEs need only the CIFs of each draw: without the cumulative hazards'
-    read-offs the CIFs are bitwise the same, on a product grid and at paired points."""
-    grid, fits = tri
-    u, s, delta = incidence._prepare(fits, np.linspace(0, 10, 9), grid.s_mid[:9], 0.05)
-    K = incidence._n_nodes(s.points, delta)
-    K = K[:, None] if paired else K[None, :]
-    draws = {ell: np.stack([fits[ell].A, 1.01 * fits[ell].A]) for ell in fits}
-    cumhaz, cif = incidence._quadrature(fits, u, K, delta, draws)
-    none, cif_only = incidence._quadrature(fits, u, K, delta, draws, cumulative=False)
-    assert none is None and all(cumhaz[ell].any() for ell in fits)
-    for ell in fits:
-        assert np.array_equal(cif_only[ell], cif[ell])
-
-
 @settings(max_examples=80, deadline=None)
 @given(p_u=st.integers(0, 4), p_s=st.integers(0, 4), seg_u=st.integers(1, 5),
        seg_s=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
@@ -312,11 +248,16 @@ def test_windowed_se_kernel_matches_dense_quadratic_form(p_u, p_s, seg_u, seg_s,
     n_coef = kv_u.n_basis * kv_s.n_basis
     M = rng.standard_normal((n_coef, n_coef))
     Sigma = M @ M.T / n_coef + np.eye(n_coef)
-    X = np.stack([np.kron(Bs[i], Bu[i]) for i in range(len(u))])
+    # the s-part as a basis window, and as a dense row of c_s values (the CIF gradients)
+    dense = rng.standard_normal((len(u), kv_s.n_basis))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(uncertainty, "_CHUNK", chunk)
-        got = uncertainty._row_variance(h.BasisRows(u), h.BasisRows(s), kv_u, kv_s, Sigma)
-    np.testing.assert_allclose(got, np.sum((X @ Sigma) * X, axis=1), rtol=1e-12)
+        for s_window, S in [(h.BasisRows(s).window(kv_s), Bs),
+                            ((np.zeros(len(u), dtype=int), dense), dense)]:
+            X = np.stack([np.kron(S[i], Bu[i]) for i in range(len(u))])
+            got = uncertainty._row_variance(h.BasisRows(u).window(kv_u), s_window,
+                                            kv_u.n_basis, Sigma)
+            np.testing.assert_allclose(got, np.sum((X @ Sigma) * X, axis=1), rtol=1e-12)
 
 
 # -- the thread map ------------------------------------------------------------------
@@ -341,13 +282,12 @@ def test_thread_map_keeps_item_order_and_raises_the_first_failure(monkeypatch, c
 
 
 def test_thread_map_starts_threads_only_where_they_can_run(monkeypatch):
-    """One thread per item up to the CPUs; none for one item or one CPU, and none for a map
-    inside a mapped item.  The caller's ``np.errstate`` holds in the threads."""
+    """One thread per item up to the CPUs; none for one item or one CPU.  The caller's
+    ``np.errstate`` holds in the threads."""
     started, Thread = [], threading.Thread
     monkeypatch.setattr(threading, "Thread", lambda *a, **k: started.append(1) or Thread(*a, **k))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    assert incidence._thread_map(lambda x: incidence._thread_map(abs, [x, -x]), [-1, 2]) \
-        == [[1, 1], [2, 2]]
+    assert incidence._thread_map(abs, [-1, 2]) == [1, 2]
     assert len(started) == 2
     assert incidence._thread_map(abs, [-3]) == [3] and len(started) == 2
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
@@ -362,28 +302,27 @@ def test_kernels_give_the_same_bits_on_any_number_of_cpus(tri, monkeypatch):
     rng = np.random.default_rng(8)
     n = 3 * incidence._CHUNK + 5
     u, s = rng.uniform(0, 10, n), rng.uniform(0, 10, n)
-    mc = h.MonteCarloConfig(n_draws=11 * uncertainty._DRAW_CHUNK + 3, seed=2)
     runs = []
     for cpus in ({0}, {0, 1, 2}):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
         runs.append((h.surfaces_at_points(fits, u, s, 0.05),
-                     h.cif_standard_errors(fits, np.linspace(0, 10, 7), grid.s_mid, mc, 0.05)))
+                     h.cif_standard_errors(fits, np.linspace(0, 10, 70), grid.s_mid, 0.05)))
     assert_bitwise_equal(*runs)
 
 
 def test_threads_under_contention_lose_no_item_and_share_no_arrays(tri, monkeypatch):
     """More threads than cores, switching every microsecond: every item runs once, and
-    chunks that run at once never share their arrays (16-row chunks of one call, and batches
-    of draws sharing one work dict), so the surfaces and SEs are the bits of one CPU."""
+    chunks that run at once never share their arrays (16-row chunks of one call), so the
+    surfaces and the CIF SEs, whose node counts the kernel reads off, are the bits of one
+    CPU."""
     grid, fits = tri
     rng = np.random.default_rng(9)
     u, s = rng.uniform(0, 10, 600), rng.uniform(0, 10, 600)
-    mc = h.MonteCarloConfig(n_draws=6 * uncertainty._DRAW_CHUNK, seed=3)
     monkeypatch.setattr(incidence, "_CHUNK", 16)
 
     def evaluate():
         return (h.surfaces_at_points(fits, u, s, 0.05),
-                h.cif_standard_errors(fits, np.linspace(0, 10, 7), grid.s_mid, mc, 0.05))
+                h.cif_standard_errors(fits, np.linspace(0, 10, 70), grid.s_mid, 0.05))
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     serial = evaluate()
@@ -426,25 +365,6 @@ def test_a_failing_chunk_raises_its_own_exception(tri, monkeypatch):
     assert threading.active_count() == threads
 
 
-def test_monte_carlo_batches_in_flight_stay_bounded(tri, monkeypatch):
-    """20 batches of draws go to the threads at most _IN_FLIGHT at a time, in draw order, each
-    window accumulated before the next starts; the SEs are those of one CPU."""
-    grid, fits = tri
-    args = (fits, np.linspace(0, 10, 7), grid.s_mid,
-            h.MonteCarloConfig(n_draws=20 * uncertainty._DRAW_CHUNK, seed=6), 0.05)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    serial = h.cif_standard_errors(*args)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    windows, thread_map = [], uncertainty._thread_map
-    monkeypatch.setattr(uncertainty, "_thread_map",
-                        lambda fn, items: windows.append(list(items)) or thread_map(fn, items))
-    threaded = h.cif_standard_errors(*args)
-    assert max(map(len, windows)) <= uncertainty._IN_FLIGHT
-    assert sum(windows, []) == list(range(0, 20 * uncertainty._DRAW_CHUNK,
-                                          uncertainty._DRAW_CHUNK))
-    assert_bitwise_equal(threaded, serial)
-
-
 # -- models restored from model.json ----------------------------------------------
 
 def assert_bitwise_equal(a, b, where="fit"):
@@ -480,8 +400,8 @@ def test_loaded_model_evaluates_like_in_memory_fits(tmp_path_factory, n_u, n_s, 
     draw that leaves coefficients undetermined is refused instead, exactly where the dense
     rank of the positive-exposure tensor rows and the penalized axes' difference rows, at
     singular values above 1e-5 of the largest, falls short (the second and third examples: 4
-    of 36 and 2 of 9).  Monte-Carlo CIF standard errors that are not finite (the last
-    example) are refused alike in memory and on disk."""
+    of 36 and 2 of 9).  The CIF standard errors are the same bits too, or refused alike where
+    they are not finite."""
     # more than d = 2 basis functions, at most one per bin, of a degree below their count
     c_u, c_s = min(c[0], n_u), min(c[1], n_s)
     deg_u, deg_s = min(degree[0], c_u - 1), min(degree[1], c_s - 1)
@@ -533,11 +453,10 @@ def test_loaded_model_evaluates_like_in_memory_fits(tmp_path_factory, n_u, n_s, 
                              h.se_log_hazard_points(fits[ell], u, s), "se_log_hazard_points")
         assert_bitwise_equal(h.se_hazard(loaded[ell], u, s), h.se_hazard(fits[ell], u, s),
                              "se_hazard")
-    mc = h.MonteCarloConfig(n_draws=20, seed=seed)
     cif_se = []
     for models in (loaded, fits):
         try:
-            cif_se.append(h.cif_standard_errors(models, u, s, mc=mc, delta=0.05))
+            cif_se.append(h.cif_standard_errors(models, u, s, delta=0.05))
         except h.DataError as exc:
             cif_se.append(str(exc))
     assert_bitwise_equal(*cif_se, "cif_se")

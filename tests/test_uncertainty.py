@@ -1,8 +1,10 @@
 import dataclasses
+import os
 import warnings
 
 import numpy as np
 import pytest
+from conftest import monte_carlo_cif_se, sample_coefficients
 
 import hazard2ts as h
 
@@ -131,85 +133,126 @@ class TestSeHazard:
 
 
 class TestSampleCoefficients:
+    """The sampler of the Monte-Carlo oracle (conftest.py)."""
+
     def test_empirical_covariance_matches(self):
         rng = np.random.default_rng(12)
         A = rng.normal(size=(3, 3))
         Sigma = A @ A.T + 0.5 * np.eye(3)
-        draws = h.sample_coefficients(np.zeros(3), Sigma, 100_000,
-                                      np.random.default_rng(99))
+        draws = sample_coefficients(np.zeros(3), Sigma, 100_000, np.random.default_rng(99))
         emp = np.cov(draws.T)
         assert np.abs(emp - Sigma).max() < 0.03 * np.abs(Sigma).max()
 
     def test_zero_covariance_degenerates(self):
-        draws = h.sample_coefficients(np.array([1.0, 2.0]), np.zeros((2, 2)), 50,
-                                      np.random.default_rng(0))
+        draws = sample_coefficients(np.array([1.0, 2.0]), np.zeros((2, 2)), 50,
+                                    np.random.default_rng(0))
         assert np.all(draws == [1.0, 2.0])
 
     def test_semidefinite_covariance_is_refused(self):
         Sigma = np.array([[1.0, 1.0], [1.0, 1.0]])  # rank one
         with pytest.raises(h.Hazard2tsError, match="not positive definite"):
-            h.sample_coefficients(np.zeros(2), Sigma, 200, np.random.default_rng(1))
+            sample_coefficients(np.zeros(2), Sigma, 200, np.random.default_rng(1))
 
 
-class TestMonteCarloConfig:
-    @pytest.mark.parametrize("kwargs", [{"seed": -1}, {"n_draws": 1}])
-    def test_refuses_what_no_draw_can_use(self, kwargs):
-        with pytest.raises(ValueError):
-            h.MonteCarloConfig(**kwargs)
+def overflow_toy():
+    """An unpenalized 3 x 3 fit of degree-0 bases with a zero-event bin: that bin's
+    coefficient is -24 with an SD of 3e4."""
+    grid = h.build_grid(0, 3, 1, 0, 3, 1)
+    rng = np.random.default_rng(1)
+    R = np.full((3, 3), 30.0)
+    Y = {ell: rng.poisson(lam * R).astype(float) for ell, lam in ((1, 0.2), (2, 0.1))}
+    assert Y[2][2, 0] == 0.0
+    binned = h.BinnedData(grid=grid, Y=Y, R=R)
+    kv = h.make_knots(0, 3, 3, 0)
+    return {ell: h.fit_hazard(binned, ell, kv, kv, h.PenaltyConfig(-np.inf, -np.inf, 2))
+            for ell in (1, 2)}
 
 
 class TestCifStandardErrors:
-    def test_zero_covariance_gives_zero_se(self, scalar_toy):
-        fits = {ell: dataclasses.replace(fit, covariance=np.zeros((1, 1)))
-                for ell, fit in scalar_toy.items()}
-        se = h.cif_standard_errors(fits, [0.5], [1.0],
-                                   mc=h.MonteCarloConfig(n_draws=100, seed=0), delta=0.05)[1]
-        assert np.all(se == 0.0)
+    def test_zero_covariance_gives_zero_se(self, constant_fits, default_grid):
+        fits = {ell: dataclasses.replace(fit, covariance=np.zeros_like(fit.covariance))
+                for ell, fit in constant_fits.items()}
+        se = h.cif_standard_errors(fits, default_grid.u_mid[::7], default_grid.s_mid, delta=0.05)
+        for ell in fits:
+            assert np.all(se[ell] == 0.0)
+
+    def test_se_at_s_zero_is_exactly_zero(self, constant_fits):
+        """No node lies below s = 0 (nor below the first step): the gradient is empty."""
+        se = h.cif_standard_errors(constant_fits, [50.0, 62.3, 100.0], [0.0, 0.01, 0.5],
+                                   delta=0.05)
+        for ell in constant_fits:
+            assert np.all(se[ell][:, :2] == 0.0) and np.all(se[ell][:, 2] > 0.0)
+        assert h.cif_standard_errors(constant_fits, [60.0], [], delta=0.05)[1].shape == (1, 0)
 
     def test_matches_delta_method_oracle(self, scalar_toy):
         fits = scalar_toy
-        mc = h.MonteCarloConfig(n_draws=10_000, seed=2024)
-        se_mc = h.cif_standard_errors(fits, [0.5], [1.0], mc=mc, delta=0.01)[1]
+        se = h.cif_standard_errors(fits, [0.5], [1.0], delta=0.01)[1]
         se_ref = delta_method_cif_se(0.1, 0.05, fits[1].covariance[0, 0],
                                      fits[2].covariance[0, 0], 1.0)
-        assert abs(se_mc[0, 0] - se_ref) / se_ref < 0.05
+        assert abs(se[0, 0] - se_ref) / se_ref < 0.05
 
-    def test_seed_reproducibility_bitwise(self, scalar_toy):
-        mc = h.MonteCarloConfig(n_draws=500, seed=7)
-        a = h.cif_standard_errors(scalar_toy, [0.5], [1.0], mc=mc, delta=0.02)[1]
-        b = h.cif_standard_errors(scalar_toy, [0.5], [1.0], mc=mc, delta=0.02)[1]
-        assert np.array_equal(a, b)
+    @pytest.mark.parametrize("ell,m", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_gradient_matches_central_differences(self, constant_fits, default_grid, ell, m):
+        """With cause m's covariance d d' (vec order) and the other cause's zero, the SE of
+        CIF_ell is |directional derivative along d|: it matches central differences of the
+        kernel's CIF to 1e-6 relative, at grid midpoints and at s off the nodes."""
+        u = np.concatenate([default_grid.u_mid[::9], [50.0, 73.21, 100.0]])
+        s = np.concatenate([default_grid.s_mid[::4], [0.0, 0.049, 0.0513, 3.3333, 10.5]])
+        d = np.random.default_rng(10 * ell + m).standard_normal(constant_fits[m].A.shape)
+        vec = d.flatten(order="F")
+        fits = {k: dataclasses.replace(f, covariance=np.outer(vec, vec) if k == m
+                                       else np.zeros_like(f.covariance))
+                for k, f in constant_fits.items()}
+        se = h.cif_standard_errors(fits, u, s, delta=0.05)[ell]
 
-    def test_stable_between_5000_and_10000_draws(self, scalar_toy):
-        se5 = h.cif_standard_errors(scalar_toy, [0.5], [1.0],
-                                    mc=h.MonteCarloConfig(n_draws=5_000, seed=3),
-                                    delta=0.02)[1]
-        se10 = h.cif_standard_errors(scalar_toy, [0.5], [1.0],
-                                     mc=h.MonteCarloConfig(n_draws=10_000, seed=4),
-                                     delta=0.02)[1]
-        assert abs(se10[0, 0] - se5[0, 0]) / se10[0, 0] < 0.10
+        def cif(t):
+            moved = dict(constant_fits)
+            moved[m] = dataclasses.replace(constant_fits[m], A=constant_fits[m].A + t * d)
+            return h.compute_surfaces(moved, u, s, delta=0.05).cif[ell]
 
-    def test_draws_that_overflow_the_hazard_are_refused_without_warnings(self):
-        """An unpenalized 3 x 3 fit of degree-0 bases with a zero-event bin: that bin's
-        coefficient is -24 with an SD of 3e4, so some draws overflow the hazard.  The CIF SEs
-        they would make NaN are refused, naming the cause and the count, with no warning."""
-        grid = h.build_grid(0, 3, 1, 0, 3, 1)
-        rng = np.random.default_rng(1)
-        R = np.full((3, 3), 30.0)
-        Y = {ell: rng.poisson(lam * R).astype(float) for ell, lam in ((1, 0.2), (2, 0.1))}
-        assert Y[2][2, 0] == 0.0
-        binned = h.BinnedData(grid=grid, Y=Y, R=R)
-        kv = h.make_knots(0, 3, 3, 0)
-        fits = {ell: h.fit_hazard(binned, ell, kv, kv, h.PenaltyConfig(-np.inf, -np.inf, 2))
-                for ell in (1, 2)}
+        eps = 1e-5
+        central = np.abs(cif(eps) - cif(-eps)) / (2 * eps)
+        # every point with two nodes below it (with one, S is 1 and CIF_ell needs A_ell only)
+        assert np.all(central[:, s >= 0.1] > 0)
+        # where the derivative is 0, rounding leaves ~1e-17 of the closed form's sums
+        np.testing.assert_allclose(se, central, rtol=1e-6, atol=1e-12 * central.max())
+
+    def test_agrees_with_monte_carlo_within_2_percent(self, constant_fits):
+        """20 000 coefficient draws through a dense left-rectangle CIF (conftest.py): the
+        standard deviations match the closed form within 2 % at every point, and both are 0
+        at s = 0."""
+        u = np.array([52.5, 65.0, 80.0, 97.5])
+        s = np.array([0.0, 0.73, 2.5, 5.0, 10.25])
+        se = h.cif_standard_errors(constant_fits, u, s, delta=0.05)
+        mc = monte_carlo_cif_se(constant_fits, u, s, 0.05, 20_000, np.random.default_rng(2026))
+        for ell in constant_fits:
+            np.testing.assert_allclose(se[ell], mc[ell], rtol=0.02, atol=0)
+
+    def test_reruns_and_one_cpu_give_the_same_bits(self, constant_fits, default_grid,
+                                                   monkeypatch):
+        args = (constant_fits, default_grid.u_mid, default_grid.s_mid, 0.05)
+        runs = [h.cif_standard_errors(*args), h.cif_standard_errors(*args)]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        runs.append(h.cif_standard_errors(*args))
+        for ell in constant_fits:
+            assert all(np.array_equal(run[ell], runs[0][ell]) for run in runs)
+
+    def test_overflow_toy_gives_finite_ses_without_warnings(self):
+        """The toy whose coefficient draws once overflowed the hazard: the closed form needs
+        only the fitted hazards, so its SEs are finite, and no warning is raised."""
+        fits = overflow_toy()
         u, s = [0.1, 1.5, 2.5, 3.0, 1.5, 2.0, 0.6], [0.1, 1.5, 0.5, 3.0, 0.0, 2.0, 0.6]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(h.DataError, match="^cause 2: 21 of 49 Monte-Carlo CIF standard "
-                                                  "errors are not finite"):
-                h.cif_standard_errors(fits, u, s,
-                                      mc=h.MonteCarloConfig(n_draws=20, seed=1), delta=0.05)
+            se = h.cif_standard_errors(fits, u, s, delta=0.05)
+        for ell in fits:
+            assert np.all(np.isfinite(se[ell])) and np.all(se[ell][:, 4] == 0.0)
 
-    def test_minimum_draws_enforced(self):
-        with pytest.raises(ValueError):
-            h.MonteCarloConfig(n_draws=1)
+    def test_ses_that_are_not_finite_are_refused_without_warnings(self, scalar_toy):
+        fits = dict(scalar_toy)
+        fits[2] = dataclasses.replace(fits[2], covariance=np.array([[np.inf]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(h.DataError, match="^cause 1: 2 of 2 CIF standard errors are "
+                                                  "not finite"):
+                h.cif_standard_errors(fits, [0.5], [0.5, 1.0], delta=0.05)
