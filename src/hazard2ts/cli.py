@@ -68,8 +68,7 @@ class SelectionConfig:
     criterion: str = "BIC"
     log10_rho_u_range: tuple = (-2.0, 7.0)
     log10_rho_s_range: tuple = (-2.0, 7.0)
-    coarse_step: float = 1.0
-    refine_resolution: float = 0.1
+    coarse_step: float = 3.0
 
 
 @dataclass
@@ -106,9 +105,9 @@ class RunConfig:
         for kv in (kv_u, kv_s):
             difference_matrix(kv.n_basis, self.d)
         search = SearchConfig(tuple(sel.log10_rho_u_range), tuple(sel.log10_rho_s_range),
-                              sel.coarse_step, sel.refine_resolution)
-        phi = (pclm.log10_phi_lo, pclm.log10_phi_hi)   # searched unrefined: resolution = step
-        phi_search = SearchConfig(phi, phi, pclm.log10_phi_step, pclm.log10_phi_step)
+                              sel.coarse_step)
+        phi = (pclm.log10_phi_lo, pclm.log10_phi_hi)
+        phi_search = SearchConfig(phi, phi, pclm.log10_phi_step)
         if phi[0] == -math.inf:   # phi = 0: no unpenalized composite link fits the tail rows
             raise ValueError(f"pclm log10 phi range must be finite, got {phi}")
         if ungroup or pclm.enabled:
@@ -280,20 +279,15 @@ def assemble_ungrouped(grouped, body_R, kv_u, kv_s, d, phi_search, ctrl):
     return BinnedData(grid=grid, Y=Y, R=R), diagnostics
 
 
-def _on_edge(value, ends) -> bool:
-    """Whether a selected log10 smoothing parameter is one of an axis's ``SearchConfig.ends``."""
-    # compared exactly first: the rho = 0 axis is -inf
-    return bool(value in ends or min(abs(value - end) for end in ends) <= 1e-6)
-
-
 def _pclm_diag(fit, search: SearchConfig):
-    """A PCLM fit's summary; "on edge" is judged against the ends the ``search`` can reach."""
-    ends = search.ends()
+    """A PCLM fit's summary; "on edge" means the first or last value of the ``search`` grid."""
+    on_edge = [bool(min(abs(value - axis[0]), abs(value - axis[-1])) <= 1e-6)
+               for value, axis in zip(fit.phis, search.axes())]
     return {
         "log10_phi_u": fit.phis[0],
         "log10_phi_s": fit.phis[1],
-        "log10_phi_u_on_edge": _on_edge(fit.phis[0], ends[0]),
-        "log10_phi_s_on_edge": _on_edge(fit.phis[1], ends[1]),
+        "log10_phi_u_on_edge": on_edge[0],
+        "log10_phi_s_on_edge": on_edge[1],
         "aic": fit.aic,
         "ed": fit.ed,
         "deviance": fit.deviance,
@@ -410,9 +404,9 @@ def save_model(path, cfg: RunConfig, fits: dict):
 
 
 def load_model(path):
-    """The payload of a model file and its fits, every field restored (``candidates`` empty,
-    as ``fit_hazard`` leaves it); DataError, naming the path, where the file is no model or a
-    cause's coefficients or covariance do not have the shape its knots give."""
+    """The payload of a model file and its fits, every field restored (``candidates`` and
+    ``on_edge`` as ``fit_hazard`` leaves them); DataError, naming the path, where the file is
+    no model or a cause's coefficients or covariance do not have the shape its knots give."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = _read_nonfinite(json.load(fh))
@@ -537,7 +531,6 @@ def run_fit_pipeline(cfg: RunConfig, records, outdir: Path):
     write_long_csv(outdir / "survival.csv", u_pts, s_pts, surf.survival,
                    surf.extrapolated, name="survival")
 
-    ends = search.ends()
     summary = {
         "criterion": cfg.selection.criterion,
         "quadrature_delta": delta,
@@ -546,8 +539,8 @@ def run_fit_pipeline(cfg: RunConfig, records, outdir: Path):
             str(ell): {
                 "log10_rho_u": fits[ell].penalty.log10_rho_u,
                 "log10_rho_s": fits[ell].penalty.log10_rho_s,
-                "log10_rho_u_on_edge": _on_edge(fits[ell].penalty.log10_rho_u, ends[0]),
-                "log10_rho_s_on_edge": _on_edge(fits[ell].penalty.log10_rho_s, ends[1]),
+                "log10_rho_u_on_edge": fits[ell].on_edge[0],
+                "log10_rho_s_on_edge": fits[ell].on_edge[1],
                 "ed": fits[ell].ed,
                 "deviance": fits[ell].deviance,
                 "aic": fits[ell].aic,

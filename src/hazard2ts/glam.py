@@ -64,6 +64,19 @@ def weighted_inner(ws: ArrayModelWorkspace, W: np.ndarray) -> np.ndarray:
     return 0.5 * (gram + gram.T)
 
 
+def quadratic_diagonal(ws: ArrayModelWorkspace, M: np.ndarray) -> np.ndarray:
+    """The grid array of ``diag((Bs (x) Bu) M (Bs (x) Bu)')`` for a coefficient-space matrix M.
+
+    ``M`` is rearranged into the (l, l') x (m, m') layout of :func:`weighted_inner`'s core and
+    contracted with both row-tensor expansions, without materializing the model matrix.
+    """
+    M = np.asarray(M, dtype=float)
+    if M.shape != (ws.n_coef, ws.n_coef):
+        raise ValueError(f"matrix must be {ws.n_coef}x{ws.n_coef}, got {M.shape}")
+    core = M.reshape(ws.c_s, ws.c_u, ws.c_s, ws.c_u).transpose(1, 3, 0, 2)
+    return ws._rt_u @ core.reshape(ws.c_u**2, ws.c_s**2) @ ws._rt_s.T
+
+
 def weighted_rhs(ws: ArrayModelWorkspace, V: np.ndarray) -> np.ndarray:
     """Right-hand side ``(Bs (x) Bu)' vec(V)`` as the vector ``vec(Bu' V Bs)``."""
     V = np.asarray(V, dtype=float)

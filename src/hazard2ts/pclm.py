@@ -7,8 +7,8 @@ sums the fine rows belonging to the final wide interval.  Gamma is
 difference penalties.  This is the penalized Poisson likelihood of the
 hazard fits with a row-composition matrix in front of the means, so theta
 is estimated by the same damped Newton engine (``smooth2d._newton``, unit
-exposure) and the smoothing parameters by AIC with the hazard fits' search
-(``smooth2d._GridSearch``), over a ``SearchConfig`` whose resolution is its step.
+exposure) and the smoothing parameters by AIC over the coarse grid of a
+``SearchConfig``, with the hazard fits' grid search (``smooth2d._GridSearch``).
 
 Columns are never grouped (the composition along the second axis is the
 identity), which keeps the problem in array form: observed rows that are a
@@ -44,7 +44,7 @@ class CompositionSpec:
             raise ValueError(f"need 2 <= g < n_u, got g={self.g}, n_u={self.n_u}")
 
 
-PHI_SEARCH = SearchConfig((-1.0, 2.0), (-1.0, 2.0), 0.5, 0.5)   # default: [-1, 2] by 0.5, unrefined
+PHI_SEARCH = SearchConfig((-1.0, 2.0), (-1.0, 2.0), 0.5)   # default: [-1, 2] by 0.5
 
 
 def composition_matrix(spec: CompositionSpec) -> np.ndarray:
@@ -138,14 +138,12 @@ def select_pclm_smoothing(
 ) -> PclmFit:
     """AIC search over (log10 phi_u, log10 phi_s), the ranges of ``search`` read as phi's.
 
-    The search is the hazard search (``smooth2d._GridSearch.run``: warm starts, one cold
-    retry, ties toward the larger phi_u + phi_s, pattern refinement down to
-    ``refine_resolution``); the default, :data:`PHI_SEARCH`, is an exhaustive grid.
-    ``fit.candidates`` lists (log10 phi_u, log10 phi_s, aic or inf).
+    The search is the hazard search's coarse grid, ``search.axes()``, exhaustively
+    (``smooth2d._GridSearch.run``: warm starts, one cold retry, ties toward the larger
+    phi_u + phi_s).  ``fit.candidates`` lists (log10 phi_u, log10 phi_s, aic or inf).
     """
     prob = _problem(Z, C_u, Bu, Bs)
-    grid = _GridSearch(lambda lpu, lps, start: _fit(prob, C_u, (float(lpu), float(lps)), d,
-                                                    ctrl, start))
+    grid = _GridSearch(lambda lpu, lps, start: _fit(prob, C_u, (lpu, lps), d, ctrl, start))
     best = grid.run(search).fit
     best.candidates = [row[:3] for row in grid.table]
     return best

@@ -3,8 +3,9 @@
 The log-hazard on the bin grid is a tensor-product spline surface; event
 counts are Poisson with mean ``exposure * exp(log_hazard)``.  Anisotropic
 difference penalties on the coefficient matrix control smoothness along each
-axis.  Smoothing parameters are chosen by AIC or BIC with a coarse grid
-search followed by a pattern-search refinement on the log10 scale.
+axis.  Smoothing parameters are chosen by AIC or BIC: a coarse log10 grid,
+then a box-constrained quasi-Newton descent driven by the exact gradient of
+the criterion (Wood 2008).
 
 One damped Newton engine (``_newton`` on a ``_PoissonProblem``) fits every
 penalized Poisson model of the package, through the array kernels in
@@ -92,6 +93,9 @@ class FittedHazard:
     hull: tuple = field(repr=False)                  # convex hull of positive-exposure bins
     # select_smoothing: (log10 rho_u, log10 rho_s, criterion or inf, Newton steps, cold retry)
     candidates: list = field(default_factory=list, repr=False)
+    # select_smoothing: per axis whether log10 rho sits at an end of its search range with the
+    # criterion falling out of the range there (rho = 0 always)
+    on_edge: tuple = field(default=(False, False), repr=False)
 
     @property
     def coef(self) -> np.ndarray:
@@ -411,25 +415,28 @@ def fit_hazard(data: BinnedData, cause: int, kv_u: KnotVector, kv_s: KnotVector,
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Two-stage smoothing search: coarse log10 grid, then pattern refinement."""
+    """Smoothing search over log10 ranges: a coarse grid, and for the hazards a box quasi-Newton
+    from its best candidate.
+
+    A range is ``(lo, hi)`` with finite ``lo <= hi``, or ``(-inf, -inf)`` for rho = 0.
+    ``max_evals`` caps the fits of a search, the coarse grid included.
+    """
 
     log10_rho_u_range: tuple = (-2.0, 7.0)
     log10_rho_s_range: tuple = (-2.0, 7.0)
-    coarse_step: float = 1.0
-    refine_resolution: float = 0.1
+    coarse_step: float = 3.0
     max_evals: int = 400
 
     def __post_init__(self):
-        # a zero or infinite step would never finish refining (or divide by zero), nor would
-        # a resolution below the 6 decimals candidates are told apart by; np.arange enumerates
-        # finite ranges only, so rho = 0 is the one infinite range (-inf, -inf)
+        # a zero or infinite step enumerates no grid; np.arange enumerates finite ranges only,
+        # so rho = 0 is the one infinite range (-inf, -inf)
         (lo_u, hi_u), (lo_s, hi_s) = self.log10_rho_u_range, self.log10_rho_s_range
         PenaltyConfig(hi_u, hi_s)   # the largest rho of the search is a float
-        if not (0 < self.coarse_step < math.inf and 1e-6 <= self.refine_resolution < math.inf
+        if not (0 < self.coarse_step < math.inf
                 and all(math.isfinite(lo) and lo <= hi or lo == hi == -math.inf
                         for lo, hi in ((lo_u, hi_u), (lo_s, hi_s)))):
-            raise ValueError("need a finite positive coarse_step, a finite refine_resolution of at "
-                             f"least 1e-6 and log10 ranges (lo, hi) with lo <= hi, got {self}")
+            raise ValueError("need a finite positive coarse_step and log10 ranges (lo, hi) with "
+                             f"lo <= hi, got {self}")
         # len(axis) of each of self.axes(), without building it
         n_coarse = math.prod(math.ceil((hi + 1e-9 - lo) / self.coarse_step) if lo > -math.inf
                              else 1 for lo, hi in ((lo_u, hi_u), (lo_s, hi_s)))
@@ -442,25 +449,15 @@ class SearchConfig:
         return tuple(np.arange(lo, hi + 1e-9, self.coarse_step) if lo > -math.inf else
                      np.array([lo]) for lo, hi in (self.log10_rho_u_range, self.log10_rho_s_range))
 
-    def refine_steps(self) -> list:
-        """The steps of the pattern search in turn: ``coarse_step`` halved while the half is at
-        least ``refine_resolution``."""
-        steps = [self.coarse_step / 2.0]
-        while steps[-1] >= self.refine_resolution - 1e-12:
-            steps.append(steps[-1] / 2.0)
-        return steps[:-1]
-
-    def ends(self) -> tuple:
-        """Per axis the (lowest, highest) log10 value the search can reach: the first coarse
-        value, and the top inside the range of the lattice of the finest refinement step."""
-        step = (self.refine_steps() or [self.coarse_step])[-1]
-        return tuple((axis[0], axis[-1] + step * math.floor((hi + 1e-9 - axis[-1]) / step)
-                      if axis[-1] > -math.inf else axis[-1])
-                     for axis, (_, hi) in zip(self.axes(), (self.log10_rho_u_range,
-                                                           self.log10_rho_s_range)))
+    def bounds(self) -> tuple:
+        """``(lo, hi)``: the arrays of each axis's range ends."""
+        return tuple(np.array(ends, dtype=float) for ends in zip(self.log10_rho_u_range,
+                                                                 self.log10_rho_s_range))
 
 
-_Best = namedtuple("_Best", "value tie key coef fit")   # tie = -(a + b): smaller wins
+# a fitted candidate: criterion (inf: failed), tie = -(a + b) (smaller wins), key (6 digits),
+# coefficients and fit (None: failed), and its (log10 a, log10 b)
+_Candidate = namedtuple("_Candidate", "value tie key coef fit point")
 
 
 class _GridSearch:
@@ -475,8 +472,9 @@ class _GridSearch:
     def __init__(self, fit_one):
         self._fit_one, self._cache, self.table, self.best = fit_one, {}, [], None
 
-    def evaluate(self, la, lb, start):
-        """Fit one candidate (once), keeping it if it beats the best; its coefficients or None."""
+    def evaluate(self, la, lb, start) -> _Candidate:
+        """Fit one candidate (once), keeping it if it beats the best."""
+        la, lb = float(la), float(lb)   # numpy's round of a float64 can differ in the 6th digit
         k = (round(la, 6), round(lb, 6))
         if k not in self._cache:
             value, coef, fit, steps = np.inf, None, None, 0
@@ -487,41 +485,170 @@ class _GridSearch:
                     break
                 except ConvergenceError as exc:
                     steps += exc.n_iter
-            self.table.append((float(la), float(lb), value, steps,
-                               start is not None and attempt is None))
-            self._cache[k] = coef
-            cand = _Best(value, -(10.0**la + 10.0**lb), k, coef, fit)
+            self.table.append((la, lb, value, steps, start is not None and attempt is None))
+            cand = _Candidate(value, -(10.0**la + 10.0**lb), k, coef, fit, (la, lb))
+            self._cache[k] = cand
             if fit is not None and (self.best is None or cand[:2] < self.best[:2]):
                 self.best = cand
         return self._cache[k]
 
-    def run(self, search: SearchConfig) -> _Best:
+    def run(self, search: SearchConfig) -> _Candidate:
         """Fit ``search.axes()`` row by row, each candidate from the last converged one of its row
-        (failures do not reset it), each row from the first converged fit of the row before; then
-        pattern-search from the best (axis moves in the ranges, on to the next of
-        ``search.refine_steps()`` when none improves) while under ``max_evals`` were fitted."""
+        (failures do not reset it), each row from the first converged fit of the row before."""
         rows, cols = search.axes()
         row_start = None
         for la in rows:
             done = []                 # converged coefficients of this row
             for lb in cols:
-                coef = self.evaluate(la, lb, done[-1] if done else row_start)
+                coef = self.evaluate(la, lb, done[-1] if done else row_start).coef
                 done += [] if coef is None else [coef]
             row_start = done[0] if done else None
         if self.best is None:
             raise ConvergenceError("smoothing search exhausted without any convergent fit")
-
-        (lo_a, hi_a), (lo_b, hi_b) = search.log10_rho_u_range, search.log10_rho_s_range
-        for step in search.refine_steps():
-            while len(self.table) < search.max_evals:
-                origin = self.best.key
-                for da, db in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
-                    la, lb = self.best.key[0] + da, self.best.key[1] + db
-                    if lo_a - 1e-9 <= la <= hi_a + 1e-9 and lo_b - 1e-9 <= lb <= hi_b + 1e-9:
-                        self.evaluate(la, lb, self.best.coef)
-                if self.best.key == origin:   # no move improved: refine the step
-                    break
         return self.best
+
+
+def _falls_out(point, slope, lo, hi) -> np.ndarray:
+    """Per axis whether ``point`` sits at an end of its range ``[lo, hi]`` (within 1e-6, the
+    resolution of a candidate key) with the criterion's ``slope`` falling out of the range there;
+    a rho = 0 axis always."""
+    return (lo == -np.inf) | (point <= lo + 1e-6) & (slope > 0) | (point >= hi - 1e-6) & (slope < 0)
+
+
+def _wolfe_search(phi, f0: float, d0: float, a_max: float, a_tol: float, budget) -> None:
+    """Strong Wolfe line search along a descent direction (Nocedal & Wright, Alg. 3.5 and 3.6,
+    with c1 = 1e-4 and c2 = 0.9): from the step 1 (at most ``a_max``), doubling the step while
+    the criterion still falls steeply, then zooming by a safeguarded quadratic, or by halving
+    next to a failed trial.  ``phi(a)`` fits the step ``a`` and returns ``(value or inf, slope)``
+    with ``slope()`` the derivative along the direction; ``f0`` and ``d0 < 0`` are those at
+    ``a = 0``.  It stops once a step meets both conditions, when the zoom bracket is under
+    ``a_tol`` wide or while ``budget()`` is false; the trials themselves are the result."""
+    c1, c2 = 1e-4, 0.9
+
+    def zoom(a_lo, f_lo, d_lo, a_hi, f_hi):
+        while budget() and abs(a_hi - a_lo) >= a_tol:
+            width, t = a_hi - a_lo, 0.5
+            curv = f_hi - f_lo - d_lo * width        # of the quadratic through the ends
+            if np.isfinite(f_hi) and curv > 0:
+                t = min(max(-d_lo * width / (2.0 * curv), 0.1), 0.9)
+            a = a_lo + t * width
+            f, slope = phi(a)
+            if not f <= f0 + c1 * a * d0 or f >= f_lo:
+                a_hi, f_hi = a, f
+                continue
+            d = slope()
+            if abs(d) <= -c2 * d0:
+                return
+            if d * (a_hi - a_lo) >= 0:
+                a_hi, f_hi = a_lo, f_lo
+            a_lo, f_lo, d_lo = a, f, d
+
+    a_prev, f_prev, d_prev, a = 0.0, f0, d0, min(1.0, a_max)
+    while budget():
+        f, slope = phi(a)
+        if not f <= f0 + c1 * a * d0 or (a_prev > 0 and f >= f_prev):
+            return zoom(a_prev, f_prev, d_prev, a, f)
+        d = slope()
+        if abs(d) <= -c2 * d0 or a >= a_max:
+            return
+        if d >= 0:
+            return zoom(a, f, d, a_prev, f_prev)
+        a_prev, f_prev, d_prev, a = a, f, d, min(2.0 * a, a_max)
+
+
+def _quasi_newton(grid: _GridSearch, search: SearchConfig, gradient) -> np.ndarray:
+    """Projected BFGS in (log10 a, log10 b) on the box of ``search``'s ranges, from
+    ``grid.best``; returns the criterion gradient at the final best.
+
+    ``gradient(fit)`` is the criterion's derivative along both axes at a converged fit.  An axis
+    whose range is one value, or whose point sits at an end the criterion falls out of, is held;
+    so is one the step would leave the box by.  Each step is a :func:`_wolfe_search` to the
+    box's edge at most, its first step half the coarse step; every trial goes through
+    ``grid.evaluate``, warm-started from the best coefficients, and a failed one counts as
+    ``inf``.  The search goes on from the best fit and stops when the projected gradient is
+    below 1e-8 of the criterion, when a step moves under 1e-6, or at ``max_evals`` fits.
+    """
+    lo, hi = search.bounds()
+    slopes = {}
+
+    def slope(cand):
+        if cand.key not in slopes:
+            slopes[cand.key] = gradient(cand.fit)
+        return slopes[cand.key]
+
+    def budget():
+        return len(grid.table) < search.max_evals
+
+    B, scaled = None, False                   # BFGS Hessian approximation on both axes
+    while budget():
+        cur = grid.best
+        x, g = np.array(cur.point), slope(cur)
+        held = (lo == hi) | _falls_out(x, g, lo, hi)
+        for _ in range(2):                    # a second pass once an axis would leave the box
+            free = ~held
+            if not free.any() or np.max(np.abs(g[free])) <= 1e-8 * max(1.0, abs(cur.value)):
+                return g
+            if B is None:
+                B = np.eye(2) * (2.0 * np.max(np.abs(g[free])) / search.coarse_step)
+            p = np.zeros(2)
+            p[free] = -np.linalg.solve(B[np.ix_(free, free)], g[free])
+            leaving = free & ((x <= lo + 1e-6) & (p < 0) | (x >= hi - 1e-6) & (p > 0))
+            if not leaving.any():
+                break
+            held |= leaving
+        else:
+            return g
+
+        def phi(a):
+            pt = np.where(free, np.clip(x + a * p, lo, hi), x)
+            pt = np.where(free & (pt >= hi - 1e-6), hi, np.where(free & (pt <= lo + 1e-6), lo, pt))
+            cand = grid.evaluate(pt[0], pt[1], grid.best.coef)
+            return cand.value, lambda: float(slope(cand) @ p)
+
+        a_max = min(((hi[i] if p[i] > 0 else lo[i]) - x[i]) / p[i] for i in np.flatnonzero(p))
+        _wolfe_search(phi, cur.value, float(g @ p), a_max, 1e-6 / np.max(np.abs(p)), budget)
+
+        nxt, s = grid.best, np.zeros(2)
+        s[free] = np.array(nxt.point)[free] - x[free]
+        if np.max(np.abs(s)) < 1e-6:
+            return slope(nxt)
+        y = np.where(free, slope(nxt) - g, 0.0)
+        if s @ y > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
+            if not scaled:                    # the first pair scales the start (N&W 6.20)
+                B, scaled = np.eye(2) * (y @ y) / (s @ y), True
+            Bs = B @ s
+            B = B - np.outer(Bs, Bs) / (s @ Bs) + np.outer(y, y) / (s @ y)
+    return slope(grid.best)
+
+
+def _criterion_gradient(prob: _PoissonProblem, fit: FittedHazard, weight: float) -> np.ndarray:
+    """The derivative of ``deviance + weight * ED`` along (log10 rho_u, log10 rho_s) at a
+    converged hazard fit, 0 along an axis with rho = 0 (Wood 2008).
+
+    With ``H = G + P`` at the fit, ``P_j = rho_j ln(10) S_j`` for the axis's penalty block
+    ``S_j`` and ``M = H^-1 P H^-1``: ``da_j = -H^-1 P_j a``, ``dDev_j = -2 (P a)' da_j`` and
+    ``dED_j = sum(mu * (B da_j) * diag(B M B')) - tr(P_j H^-1 G H^-1)``, where
+    ``H^-1 G H^-1 = H^-1 - M``, so G itself is not needed.
+    """
+    ws, pen, H_inv, alpha = prob.ws, fit.penalty, fit.covariance, fit.coef
+    ln10 = math.log(10.0)
+    P_j = [(i, ln10 * rho * _penalty_block(ws.c_u, ws.c_s, pen.d, axis))
+           for i, (rho, axis) in enumerate(((pen.rho_u, "u"), (pen.rho_s, "s"))) if rho > 0]
+    grad = np.zeros(2)
+    if not P_j:
+        return grad
+    P = sum(block for _, block in P_j) / ln10
+    M = H_inv @ P @ H_inv
+    leverage = glam.quadratic_diagonal(ws, M)
+    rest = H_inv - M                          # H^-1 G H^-1
+    Pa = P @ alpha
+    mu = prob.state(alpha)[1]
+    for i, block in P_j:
+        da = -H_inv @ (block @ alpha)
+        dmu = mu * glam.linear_predictor(ws, da.reshape(ws.c_u, ws.c_s, order="F"))
+        grad[i] = -2.0 * float(Pa @ da) + weight * (float(np.vdot(dmu, leverage))
+                                                     - float(np.vdot(block, rest)))
+    return grad
 
 
 def check_criterion(criterion: str) -> str:
@@ -536,12 +663,16 @@ def select_smoothing(data: BinnedData, cause: int, kv_u: KnotVector, kv_s: KnotV
                      ctrl: FitControl = FitControl()) -> FittedHazard:
     """Pick (rho_u, rho_s) minimizing AIC or BIC and return the winning fit.
 
-    The search is :meth:`_GridSearch.run` over ``search``: the coarse log10 grid (warm starts,
-    one cold retry, ties toward the larger rho_u + rho_s), then pattern refinement down to
-    ``refine_resolution``.  Candidates share one prepared problem; ``candidates`` lists them.
+    The search runs :meth:`_GridSearch.run` over the coarse log10 grid of ``search`` (warm
+    starts, one cold retry, ties toward the larger rho_u + rho_s), then :func:`_quasi_newton`
+    from its best candidate on the box of the ranges, driven by the exact criterion gradient of
+    :func:`_criterion_gradient`.  Candidates share one prepared problem; ``candidates`` lists
+    every fit in the order tried, and ``on_edge`` flags an axis whose rho sits at a range end
+    that the criterion falls out of.
     """
     criterion = check_criterion(criterion)
     setup = _prepare(data, cause, kv_u, kv_s)
+    weight = 2.0 if criterion == "AIC" else math.log(setup.n_bin)
 
     def fit_one(lu, ls, start):
         fit = fit_hazard(data, cause, kv_u, kv_s, PenaltyConfig(lu, ls, d), ctrl,
@@ -549,6 +680,10 @@ def select_smoothing(data: BinnedData, cause: int, kv_u: KnotVector, kv_s: KnotV
         return (fit.aic if criterion == "AIC" else fit.bic), fit.coef, fit
 
     grid = _GridSearch(fit_one)
-    best = grid.run(search).fit
+    grid.run(search)
+    slope = _quasi_newton(grid, search, lambda fit: _criterion_gradient(setup.prob, fit, weight))
+    best = grid.best.fit
     best.candidates = grid.table
+    best.on_edge = tuple(bool(v) for v in _falls_out(np.array(grid.best.point), slope,
+                                                      *search.bounds()))
     return best

@@ -1,9 +1,12 @@
 """Shared fixtures: simulated cohorts and fitted surfaces reused across tests."""
 
+import math
+
 import numpy as np
 import pytest
 
 import hazard2ts as h
+from hazard2ts import smooth2d
 
 # analysis defaults used throughout: 1-year x half-year bins, 16 x 10 cubic bases
 GRID_ARGS = (50.0, 100.0, 1.0, 0.0, 10.5, 0.5)
@@ -102,3 +105,61 @@ def monte_carlo_cif_se(fits, u, s, delta, n_draws, rng, batch=500):
                                u, s, delta) for lo in range(0, n_draws, batch)]
     return {ell: np.std(np.concatenate([b[ell] for b in batches]), axis=0, ddof=1)
             for ell in fits}
+
+
+# -- the grid-plus-pattern oracle of the smoothing search ------------------------
+
+def refine_steps(coarse_step, refine_resolution):
+    """The steps of the pattern search in turn: ``coarse_step`` halved while the half is at
+    least ``refine_resolution``."""
+    steps = [coarse_step / 2.0]
+    while steps[-1] >= refine_resolution - 1e-12:
+        steps.append(steps[-1] / 2.0)
+    return steps[:-1]
+
+
+def pattern_ends(search, refine_resolution):
+    """Per axis the (lowest, highest) log10 value the pattern search can reach: the first
+    coarse value, and the top inside the range of the lattice of the finest refinement step."""
+    step = (refine_steps(search.coarse_step, refine_resolution) or [search.coarse_step])[-1]
+    return tuple((axis[0], axis[-1] + step * math.floor((hi + 1e-9 - axis[-1]) / step)
+                  if axis[-1] > -math.inf else axis[-1])
+                 for axis, (_, hi) in zip(search.axes(), (search.log10_rho_u_range,
+                                                       search.log10_rho_s_range)))
+
+
+def grid_pattern_search(fit_one, search, refine_resolution):
+    """The smoothing search before the quasi-Newton descent: the coarse grid of ``search``
+    (``_GridSearch.run``), then a pattern search from the best (axis moves in the ranges, on to
+    the next of the refinement steps when none improves) while under ``search.max_evals`` were
+    fitted.  Returns the ``_GridSearch``, whose ``best`` and ``table`` are the result."""
+    grid = smooth2d._GridSearch(fit_one)
+    grid.run(search)
+    (lo_a, hi_a), (lo_b, hi_b) = search.log10_rho_u_range, search.log10_rho_s_range
+    for step in refine_steps(search.coarse_step, refine_resolution):
+        while len(grid.table) < search.max_evals:
+            origin = grid.best.key
+            for da, db in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
+                la, lb = grid.best.key[0] + da, grid.best.key[1] + db
+                if lo_a - 1e-9 <= la <= hi_a + 1e-9 and lo_b - 1e-9 <= lb <= hi_b + 1e-9:
+                    grid.evaluate(la, lb, grid.best.coef)
+            if grid.best.key == origin:   # no move improved: refine the step
+                break
+    return grid
+
+
+def oracle_smoothing(data, cause, kv_u, kv_s, d=2, criterion="BIC", ranges=((-2.0, 7.0),) * 2,
+                     coarse_step=1.0, refine_resolution=0.1, ctrl=h.FitControl()):
+    """``select_smoothing`` as it was with its grid-plus-pattern search (by default the
+    10 x 10 grid refined down to 0.125): the selected fit, its ``candidates`` the table."""
+    setup = smooth2d._prepare(data, cause, kv_u, kv_s)
+
+    def fit_one(lu, ls, start):
+        fit = h.fit_hazard(data, cause, kv_u, kv_s, h.PenaltyConfig(lu, ls, d), ctrl,
+                           _setup=setup, _start=start)
+        return (fit.aic if criterion == "AIC" else fit.bic), fit.coef, fit
+
+    grid = grid_pattern_search(fit_one, h.SearchConfig(*ranges, coarse_step), refine_resolution)
+    best = grid.best.fit
+    best.candidates = grid.table
+    return best

@@ -188,7 +188,7 @@ def test_ungrouping_sensitivity():
     fine = h.bin_records(records, grid)
     grouped, _ = h.grouped_view(records, grid, 90.0)
     ungrouped, _ = assemble_ungrouped(grouped, fine.R[: grouped.g - 1], kv_u, kv_s,
-                                      2, h.SearchConfig((-1.0, 2.0), (-1.0, 2.0), 0.5, 0.5),
+                                      2, h.SearchConfig((-1.0, 2.0), (-1.0, 2.0), 0.5),
                                       h.FitControl())
 
     below = (fine.R > 0) & (grid.u_mid[:, None] < 90.0)

@@ -27,7 +27,6 @@ FAST_CONFIG = {
         "log10_rho_u_range": [1.0, 5.0],
         "log10_rho_s_range": [1.0, 5.0],
         "coarse_step": 2.0,
-        "refine_resolution": 0.5,
     },
 }
 
@@ -108,7 +107,7 @@ class TestConfig:
     @pytest.mark.parametrize("block", [
         {"selection": {"criterion": "GCV"}},
         {"selection": {"coarse_step": 0}},
-        {"selection": {"refine_resolution": 0.0}},
+        {"selection": {"refine_resolution": 0.0}},      # unknown: the pattern search is gone
         {"selection": {"log10_rho_u_range": [3.0, 1.0]}},
         {"pclm": {"log10_phi_step": 0}},
         {"pclm": {"log10_phi_step": "abc"}},
@@ -152,7 +151,7 @@ class TestConfig:
         {"pclm": {"enabled": True, "log10_phi_lo": -100000.0}},
         # phi = 0: an unpenalized composite link model cannot identify the tail rows
         {"pclm": {"log10_phi_lo": -math.inf, "log10_phi_hi": -math.inf}},
-        # a pattern search that never ended: its moves below 6 decimals refit nothing
+        # a pattern search that never ended, and an unknown key since that search is gone
         {"selection": {"refine_resolution": 1e-13}},
     ])
     def test_bad_search_settings_exit_2_before_reading_input(self, runner, tmp_path, block):
@@ -167,6 +166,23 @@ class TestConfig:
             result = runner.invoke(main, [command, str(bad), "--config", str(path),
                                           "--out", str(tmp_path / "o")])
             assert result.exit_code == 2, result.output
+            assert "row 2" not in result.output
+
+    @pytest.mark.parametrize("value", [0.1, 0.0, 1e-13])
+    def test_refine_resolution_is_an_unknown_key(self, runner, tmp_path, value):
+        """The pattern search and its resolution are gone: the key is refused by name, once
+        a value of 0 or 1e-13 refused as a hang and 0.1 the default."""
+        path = tmp_path / "old.yaml"
+        path.write_text(yaml.safe_dump({"selection": {"refine_resolution": value}}))
+        with pytest.raises(DataError, match="unknown config key selection.'refine_resolution'"):
+            load_config(path)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("id,u,s_entry,s_exit,cause\nx,55,0,notanumber,1\n")
+        for command in ("fit", "ungroup"):
+            result = runner.invoke(main, [command, str(bad), "--config", str(path),
+                                          "--out", str(tmp_path / "o")])
+            assert result.exit_code == 2, result.output
+            assert "unknown config key selection.'refine_resolution'" in result.output
             assert "row 2" not in result.output
 
     def test_ungroup_checks_the_grouped_band_before_reading_input(self, runner, tmp_path):
@@ -372,7 +388,8 @@ class TestFit:
         assert "row 2" in result.output
 
     def test_on_edge_means_an_end_the_search_can_reach(self, runner, cohort_csv, tmp_path):
-        """[1, 4.6] by 2, refined down to 0.5: the search reaches 4.5 at most, its top end."""
+        """[1, 4.6] by 2: the grid stops at 3, the search reaches the range end 4.6 itself.  On
+        edge is an end of the range where a fit 1e-3 inside has the larger criterion."""
         cfg = {**FAST_CONFIG, "selection": {**FAST_CONFIG["selection"],
                                             "log10_rho_u_range": [1.0, 4.6],
                                             "log10_rho_s_range": [1.0, 4.6]}}
@@ -382,13 +399,22 @@ class TestFit:
                                       "--out", str(tmp_path / "o")])
         assert result.exit_code == 0, result.output
         summary = json.loads((tmp_path / "o" / "fit_summary.json").read_text())
+        run = load_config(path).setup()
+        binned = h.bin_records(h.read_records_csv(cohort_csv), run.grid)
         tops = 0
-        for block in summary["causes"].values():
-            for axis in ("u", "s"):
-                value = block[f"log10_rho_{axis}"]
-                on_edge = min(abs(value - end) for end in (1.0, 4.5)) <= 1e-6
-                assert block[f"log10_rho_{axis}_on_edge"] is on_edge
-                tops += abs(value - 4.5) <= 1e-6
+        for ell, block in summary["causes"].items():
+            lrho = [block["log10_rho_u"], block["log10_rho_s"]]
+            for i, axis in enumerate("us"):
+                value, inward = lrho[i], {1.0: 1e-3, 4.6: -1e-3}.get(lrho[i])
+                on_edge = inward is not None
+                if on_edge:
+                    inside = list(lrho)
+                    inside[i] += inward
+                    fits = [h.fit_hazard(binned, int(ell), run.kv_u, run.kv_s,
+                                         h.PenaltyConfig(*point, 2)) for point in (lrho, inside)]
+                    on_edge = fits[1].bic > fits[0].bic
+                assert block[f"log10_rho_{axis}_on_edge"] is on_edge, (ell, axis, value)
+                tops += value == 4.6
         assert tops >= 1   # the case the rule is about occurs
 
     def test_nonconvergence_exit_3(self, runner, cohort_csv, tmp_path):

@@ -4,7 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hazard2ts as h
-from hazard2ts import pclm
+from conftest import grid_pattern_search
+from hazard2ts import cli, pclm
 from hazard2ts.errors import ConvergenceError, DataError
 from hazard2ts.pclm import _problem
 
@@ -158,7 +159,7 @@ class TestSelectPclmSmoothing:
     def test_single_point_grid(self):
         _, _, spec, C, Z, Bu, Bs = small_problem(seed=9)
         fit = h.select_pclm_smoothing(Z, C, Bu, Bs, search=h.SearchConfig((0.5, 0.5), (0.5, 0.5),
-                                                                          0.5, 0.5))
+                                                                          0.5))
         assert fit.phis == (0.5, 0.5)
         assert len(fit.candidates) == 1
 
@@ -174,11 +175,31 @@ class TestSelectPclmSmoothing:
         fit = h.select_pclm_smoothing(Z, C, Bu, Bs)
         assert fit.aic <= min(aic for _, _, aic in fit.candidates) + 1e-9
 
+    @pytest.mark.parametrize("seed, phis, on_edge", [
+        (10, (-0.5, 2.0), (False, True)), (11, (-0.5, 0.0), (False, False)),
+        (3, (-1.0, 2.0), (True, True))])
+    def test_grid_search_is_the_unrefined_oracle(self, seed, phis, on_edge):
+        """The default phi search is the grid-plus-pattern oracle with its resolution at the
+        step: the same table, row order included, bit for bit.  The phi and on-edge flags are
+        those the search selected before the hazard search left the pattern search."""
+        _, _, spec, C, Z, Bu, Bs = small_problem(seed=seed)
+        fit = h.select_pclm_smoothing(Z, C, Bu, Bs)
+        prob = _problem(Z, C, Bu, Bs)
+        oracle = grid_pattern_search(
+            lambda lpu, lps, start: pclm._fit(prob, C, (float(lpu), float(lps)), 2,
+                                              h.FitControl(), start),
+            pclm.PHI_SEARCH, pclm.PHI_SEARCH.coarse_step)
+        assert fit.candidates == [row[:3] for row in oracle.table]
+        assert fit.phis == oracle.best.fit.phis == phis
+        assert np.array_equal(fit.Gamma, oracle.best.fit.Gamma)
+        diag = cli._pclm_diag(fit, pclm.PHI_SEARCH)
+        assert (diag["log10_phi_u_on_edge"], diag["log10_phi_s_on_edge"]) == on_edge
+
     def test_empty_grid_rejected(self):
         _, _, spec, C, Z, Bu, Bs = small_problem(seed=12)
         with pytest.raises(ValueError):
             h.select_pclm_smoothing(Z, C, Bu, Bs, search=h.SearchConfig((1.0, 0.5), (1.0, 0.5),
-                                                                        0.5, 0.5))
+                                                                        0.5))
 
 
 def cold_pclm_search(Z, C, Bu, Bs, phi_grid, ctrl):
@@ -205,7 +226,7 @@ class TestSharedSearch:
     def test_matches_cold_search(self, seed, n_u, n_s, tail, lo, step, n_phi):
         _, _, spec, C, Z, Bu, Bs = small_problem(seed=seed, g=n_u - tail, n_u=n_u, n_s=n_s)
         phi_grid = [lo + step * i for i in range(n_phi)]
-        search = h.SearchConfig((lo, phi_grid[-1]), (lo, phi_grid[-1]), step, step)
+        search = h.SearchConfig((lo, phi_grid[-1]), (lo, phi_grid[-1]), step)
         ctrl = h.FitControl(max_iter=400, dev_rel_tol=1e-14, score_rel_tol=1e-10)
         fit = h.select_pclm_smoothing(Z, C, Bu, Bs, search=search, ctrl=ctrl)
         chosen, cold = cold_pclm_search(Z, C, Bu, Bs, phi_grid, ctrl)
@@ -215,7 +236,7 @@ class TestSharedSearch:
         for lu, ls, aic in fit.candidates:
             assert aic == pytest.approx(cold[(lu, ls)], rel=1e-8, abs=0.0), (lu, ls)
 
-    SEARCH = h.SearchConfig((0.0, 1.0), (0.0, 1.0), 0.5, 0.5)   # the grid 0, 0.5, 1 squared
+    SEARCH = h.SearchConfig((0.0, 1.0), (0.0, 1.0), 0.5)   # the grid 0, 0.5, 1 squared
 
     @staticmethod
     def recording(monkeypatch, doomed):
