@@ -34,7 +34,8 @@ from .incidence import (BasisRows, _thread_map, age_at_diagnosis, compute_surfac
                         quadrature_step, surfaces_at_points)
 from .lexis import (BinnedData, LexisGrid, bin_records, build_grid, read_points_csv,
                     read_records_csv, write_records_csv)
-from .pclm import CompositionSpec, composition_matrix, select_pclm_smoothing, ungroup_events, ungroup_exposure
+from .pclm import (PHI_SEARCH, CompositionSpec, composition_matrix, select_pclm_smoothing,
+                   ungroup_events, ungroup_exposure)
 from .simulate import ScenarioSpec, grouped_view, hazard_family, simulate_cohort
 from .smooth2d import (FitControl, FittedHazard, PenaltyConfig, SearchConfig, check_criterion,
                        select_smoothing)
@@ -76,9 +77,9 @@ class PclmConfig:
     enabled: bool = False
     first_grouped_age: float = 90.0
     closing_age: float = 100.0
-    log10_phi_lo: float = -1.0
-    log10_phi_hi: float = 2.0
-    log10_phi_step: float = 0.5
+    log10_phi_lo: float = PHI_SEARCH.log10_rho_u_range[0]
+    log10_phi_hi: float = PHI_SEARCH.log10_rho_u_range[1]
+    log10_phi_step: float = PHI_SEARCH.coarse_step
 
 
 # what a run uses, built from a RunConfig by RunConfig.setup
@@ -271,23 +272,20 @@ def assemble_ungrouped(grouped, body_R, kv_u, kv_s, d, phi_search, ctrl):
         + [(select_pclm_smoothing, (grouped.at_risk, composition_matrix(spec), Bu_mid, Bs_edges),
             options)])
     Y = {ell: Y_ell for ell, (Y_ell, _) in zip(causes, events)}
-    diagnostics = {f"cause{ell}": _pclm_diag(fit, phi_search)
-                   for ell, (_, fit) in zip(causes, events)}
-    diagnostics["at_risk"] = _pclm_diag(at_risk_fit, phi_search)
+    diagnostics = {f"cause{ell}": _pclm_diag(fit) for ell, (_, fit) in zip(causes, events)}
+    diagnostics["at_risk"] = _pclm_diag(at_risk_fit)
     tail_exposure = ungroup_exposure(at_risk_fit.Gamma[spec.g - 1:], grid.h_s)
     R = np.vstack([np.asarray(body_R), tail_exposure])
     return BinnedData(grid=grid, Y=Y, R=R), diagnostics
 
 
-def _pclm_diag(fit, search: SearchConfig):
-    """A PCLM fit's summary; "on edge" means the first or last value of the ``search`` grid."""
-    on_edge = [bool(min(abs(value - axis[0]), abs(value - axis[-1])) <= 1e-6)
-               for value, axis in zip(fit.phis, search.axes())]
+def _pclm_diag(fit):
+    """A PCLM fit's summary; "on edge" is the search's ``fit.on_edge``."""
     return {
         "log10_phi_u": fit.phis[0],
         "log10_phi_s": fit.phis[1],
-        "log10_phi_u_on_edge": on_edge[0],
-        "log10_phi_s_on_edge": on_edge[1],
+        "log10_phi_u_on_edge": fit.on_edge[0],
+        "log10_phi_s_on_edge": fit.on_edge[1],
         "aic": fit.aic,
         "ed": fit.ed,
         "deviance": fit.deviance,

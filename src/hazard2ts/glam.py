@@ -44,17 +44,18 @@ def linear_predictor(ws: ArrayModelWorkspace, A: np.ndarray) -> np.ndarray:
     return ws.Bu @ A @ ws.Bs.T
 
 
-def weighted_inner(ws: ArrayModelWorkspace, W: np.ndarray) -> np.ndarray:
+def weighted_inner(ws: ArrayModelWorkspace, W: np.ndarray, signed: bool = False) -> np.ndarray:
     """Weighted Gram matrix ``(Bs (x) Bu)' diag(vec W) (Bs (x) Bu)``.
 
     Computed through the row-tensor expansions in O(n_u n_s c_u^2 c_s^2)
     without materializing the model matrix; the result is symmetrized to
-    remove round-off asymmetry before factorization.
+    remove round-off asymmetry before factorization.  Negative weights are
+    refused unless ``signed`` (the result is then indefinite in general).
     """
     W = np.asarray(W, dtype=float)
     if W.shape != (ws.n_u, ws.n_s):
         raise ValueError(f"weight matrix must be {ws.n_u}x{ws.n_s}, got {W.shape}")
-    if np.any(W < 0):
+    if not signed and np.any(W < 0):
         raise ValueError("weights must be nonnegative")
     # core[(l,l'), (m,m')] = sum_jk Bu[j,l] Bu[j,l'] W[j,k] Bs[k,m] Bs[k,m']
     core = ws._rt_u.T @ W @ ws._rt_s

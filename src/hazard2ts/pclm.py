@@ -7,8 +7,11 @@ sums the fine rows belonging to the final wide interval.  Gamma is
 difference penalties.  This is the penalized Poisson likelihood of the
 hazard fits with a row-composition matrix in front of the means, so theta
 is estimated by the same damped Newton engine (``smooth2d._newton``, unit
-exposure) and the smoothing parameters by AIC over the coarse grid of a
-``SearchConfig``, with the hazard fits' grid search (``smooth2d._GridSearch``).
+exposure; full Newton steps on the summed rows' observed information) and
+the smoothing parameters by AIC with the hazard fits' search
+(``smooth2d._GridSearch.select``): a coarse grid of a ``SearchConfig``,
+pattern moves from its best candidate and a box quasi-Newton descent driven
+by the exact AIC gradient (``smooth2d._criterion_gradient``).
 
 Columns are never grouped (the composition along the second axis is the
 identity), which keeps the problem in array form: observed rows that are a
@@ -28,7 +31,8 @@ import numpy as np
 
 from . import glam
 from .errors import DataError
-from .smooth2d import FitControl, PenaltyConfig, SearchConfig, _GridSearch, _newton, _PoissonProblem
+from .smooth2d import (FitControl, PenaltyConfig, SearchConfig, _criterion_gradient, _GridSearch,
+                       _newton, _PoissonProblem)
 
 
 @dataclass(frozen=True)
@@ -44,7 +48,7 @@ class CompositionSpec:
             raise ValueError(f"need 2 <= g < n_u, got g={self.g}, n_u={self.n_u}")
 
 
-PHI_SEARCH = SearchConfig((-1.0, 2.0), (-1.0, 2.0), 0.5)   # default: [-1, 2] by 0.5
+PHI_SEARCH = SearchConfig((-1.0, 2.0), (-1.0, 2.0), 1.0)   # default: a 4 x 4 grid on [-1, 2]
 
 
 def composition_matrix(spec: CompositionSpec) -> np.ndarray:
@@ -67,7 +71,11 @@ class PclmFit:
     ed: float
     aic: float
     n_iter: int
+    covariance: np.ndarray = field(repr=False)      # (Fisher information + P)^-1, symmetrized
     candidates: list = field(default_factory=list)  # (log10_phi_u, log10_phi_s, aic) per search point
+    # select_pclm_smoothing: per axis whether log10 phi sits at an end of its search range with
+    # the AIC falling out of the range there
+    on_edge: tuple = (False, False)
 
 
 def _problem(Z, C_u, Bu: np.ndarray, Bs: np.ndarray) -> _PoissonProblem:
@@ -95,7 +103,8 @@ def _fit(prob: _PoissonProblem, C_u, phis, d: int, ctrl: FitControl, start=None)
     res = _newton(prob, PenaltyConfig(phis[0], phis[1], d), ctrl, start)
     fit = PclmFit(Gamma=res.full, Psi=np.maximum(np.asarray(C_u, dtype=float) @ res.full, 1e-300),
                   theta=res.alpha, phis=tuple(phis), deviance=res.deviance, ed=res.ed,
-                  aic=res.deviance + 2.0 * res.ed, n_iter=res.n_iter)
+                  aic=res.deviance + 2.0 * res.ed, n_iter=res.n_iter,
+                  covariance=0.5 * (res.inverse + res.inverse.T))
     return fit.aic, fit.theta, fit
 
 
@@ -138,14 +147,18 @@ def select_pclm_smoothing(
 ) -> PclmFit:
     """AIC search over (log10 phi_u, log10 phi_s), the ranges of ``search`` read as phi's.
 
-    The search is the hazard search's coarse grid, ``search.axes()``, exhaustively
-    (``smooth2d._GridSearch.run``: warm starts, one cold retry, ties toward the larger
-    phi_u + phi_s).  ``fit.candidates`` lists (log10 phi_u, log10 phi_s, aic or inf).
+    The search is the hazard search, ``smooth2d._GridSearch.select``: the coarse grid of
+    ``search`` (warm starts, one cold retry, ties toward the larger phi_u + phi_s), pattern
+    moves from its best candidate, then a box quasi-Newton descent on the exact AIC gradient.
+    ``fit.candidates`` lists (log10 phi_u, log10 phi_s, aic or inf) in the order tried, and
+    ``fit.on_edge`` flags an axis whose phi sits at a range end that the AIC falls out of.
     """
     prob = _problem(Z, C_u, Bu, Bs)
     grid = _GridSearch(lambda lpu, lps, start: _fit(prob, C_u, (lpu, lps), d, ctrl, start))
-    best = grid.run(search).fit
-    best.candidates = [row[:3] for row in grid.table]
+    on_edge = grid.select(search, lambda fit: _criterion_gradient(
+        prob, PenaltyConfig(*fit.phis, d), fit.theta, fit.covariance, 2.0))
+    best = grid.best.fit
+    best.candidates, best.on_edge = [row[:3] for row in grid.table], on_edge
     return best
 
 

@@ -235,18 +235,39 @@ class _PoissonProblem:
         resid = np.where(self.mask, self.y - mu, 0.0) + full * (self.C.T @ (self.Z / psi - 1.0))
         return glam.weighted_rhs(self.ws, resid)
 
+    def summed_rows(self, weights: np.ndarray) -> np.ndarray:
+        """``V``, one row per summed row i and data column k (i major):
+        ``kron(Bs[k], C[i] (weights[:, k] * Bu))``; at ``weights`` = the fine-grid means these are
+        the rows of ``Q``, whose sums are ``psi``."""
+        ws = self.ws
+        rows = (self.C[:, :, None] * weights).transpose(0, 2, 1) @ ws.Bu  # (groups, n_s, c_u)
+        return (ws.Bs[None, :, :, None] * rows[:, :, None, :]).reshape(-1, ws.n_coef)
+
     def information(self, state) -> np.ndarray:
         """Fisher information ``Q' diag(1 / psi) Q`` at a :meth:`state`."""
         ws, (full, mu, psi, _) = self.ws, state
         info = glam.weighted_inner(ws, mu)
         if len(self.C):
-            rows = (self.C[:, :, None] * full).transpose(0, 2, 1) @ ws.Bu  # (groups, n_s, c_u)
-            V = (ws.Bs[None, :, :, None] * rows[:, :, None, :]).reshape(-1, ws.n_coef)
+            V = self.summed_rows(full)
             # V' (V / psi) by a general product, symmetrized below; W'W with
             # W = V / sqrt(psi) would round differently and move every fit's last bits
             H = V.T @ (V / psi.reshape(-1, 1))
             info += 0.5 * (H + H.T)
         return info
+
+    def observed_information(self, state) -> np.ndarray:
+        """The negative log-likelihood Hessian at a :meth:`state`: the :meth:`information`
+        itself without summed rows, else ``B' diag(mu) B + V' diag(z / psi^2) V - B' diag(gamma *
+        C'(z / psi - 1)) B``.  The summed rows' Fisher weight ``1 / psi`` becomes ``z / psi^2``,
+        and their rows ``V`` bend with the fine means ``gamma``; the first and last terms live
+        on disjoint fine rows and take one :func:`glam.weighted_inner`."""
+        if not len(self.C):
+            return self.information(state)
+        full, mu, psi, _ = state
+        bend = full * (self.C.T @ (self.Z / psi - 1.0))
+        V = self.summed_rows(full)
+        H = V.T @ (V * (self.Z / psi**2).reshape(-1, 1))
+        return glam.weighted_inner(self.ws, mu - bend, signed=True) + 0.5 * (H + H.T)
 
     def undetermined(self, penalty: PenaltyConfig) -> int:
         """How many coefficients neither the data nor the penalty determine (Eilers & Marx 1996):
@@ -270,7 +291,13 @@ _NewtonFit = namedtuple("_NewtonFit", "alpha full deviance n_iter ed inverse")
 
 def _newton(prob: _PoissonProblem, penalty: PenaltyConfig, ctrl: FitControl,
             start=None) -> _NewtonFit:
-    """Damped Newton (Fisher scoring) for the penalized Poisson likelihood.
+    """Damped Newton for the penalized Poisson likelihood.
+
+    Each step solves with the :meth:`~_PoissonProblem.observed_information` plus the penalty,
+    or with the Fisher information plus the penalty (Fisher scoring) where the former has no
+    Cholesky factor or its full step raises the penalized deviance; the two differ only where
+    rows are summed.  The effective dimension and the returned inverse are those of the Fisher
+    information.
 
     Steps are halved while the penalized deviance worsens.  Convergence needs
     a relative change of the penalized deviance below ``ctrl.dev_rel_tol`` and
@@ -321,21 +348,46 @@ def _newton(prob: _PoissonProblem, penalty: PenaltyConfig, ctrl: FitControl,
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"IWLS: {exc} after {it} iterations", n_iter=it) from None
 
+    def fisher_step(st, score):
+        gram = prob.information(st)
+        return np.linalg.solve(gram + P, score), gram
+
+    def newton_step(st, score):
+        """The observed-information step where ``O + P`` has a Cholesky factor, with None for
+        the Fisher information it did not form; else the Fisher step and that information."""
+        if len(prob.C):
+            observed = prob.observed_information(st) + P
+            try:
+                np.linalg.cholesky(observed)
+                return np.linalg.solve(observed, score), None
+            except np.linalg.LinAlgError:
+                pass
+        return fisher_step(st, score)
+
     alpha = prob.start if start is None else start
     st, pen_dev = evaluate(alpha)
     score = score_of(alpha, st)
     score_rel = np.max(np.abs(score)) / prob.score_scale
     converged, it = False, 0
     while converged or it < ctrl.max_iter:
-        gram = prob.information(st)
-        step = linalg(np.linalg.solve, gram + P, score)
+        step, gram = linalg(newton_step, st, score)
         if converged:
             break
         it += 1
 
-        # damped Newton: halve the step while the penalized deviance worsens
+        # an observed-information step that raises the penalized deviance (far from the
+        # optimum its curvature can be near zero) gives way to the Fisher step; then damped
+        # Newton: halve the step while the penalized deviance worsens
         new_alpha = alpha + step
-        new_st, new_pen_dev = evaluate(new_alpha)
+        if gram is None:
+            with np.errstate(over="ignore"):
+                new_st, new_pen_dev = evaluate(new_alpha)
+            if not new_pen_dev <= pen_dev + 1e-10 * (1 + abs(pen_dev)):
+                step, gram = linalg(fisher_step, st, score)
+                new_alpha = alpha + step
+                new_st, new_pen_dev = evaluate(new_alpha)
+        else:
+            new_st, new_pen_dev = evaluate(new_alpha)
         n_halved = 0
         while new_pen_dev > pen_dev + 1e-10 * (1 + abs(pen_dev)) and n_halved < 10:
             step *= 0.5
@@ -361,7 +413,8 @@ def _newton(prob: _PoissonProblem, penalty: PenaltyConfig, ctrl: FitControl,
     p_st, p_pen_dev = evaluate(polish)
     p_score_rel = np.max(np.abs(score_of(polish, p_st))) / prob.score_scale
     if p_score_rel < score_rel and np.isfinite(p_pen_dev):
-        alpha, st = polish, p_st
+        alpha, st, gram = polish, p_st, None
+    if gram is None:
         gram = prob.information(st)
     inverse = linalg(_inverse_spd, gram + P)
     # tr{(G + P)^-1 G} from the symmetric inverse, clamped to [0, n_coef]
@@ -523,6 +576,16 @@ class _GridSearch:
                 if self.best.key == origin:   # no move improved: the next step
                     break
 
+    def select(self, search: SearchConfig, gradient) -> tuple:
+        """The whole search: :meth:`run`, :meth:`pattern`, then :func:`_quasi_newton` driven by
+        ``gradient``.  Returns per axis whether ``best`` sits at a range end that the criterion
+        falls out of (:func:`_falls_out`)."""
+        self.run(search)
+        self.pattern(search)
+        slope = _quasi_newton(self, search, gradient)
+        return tuple(bool(v) for v in _falls_out(np.array(self.best.point), slope,
+                                                  *search.bounds()))
+
 
 def _falls_out(point, slope, lo, hi) -> np.ndarray:
     """Per axis whether ``point`` sits at an end of its range ``[lo, hi]`` (within 1e-6, the
@@ -637,19 +700,26 @@ def _quasi_newton(grid: _GridSearch, search: SearchConfig, gradient) -> np.ndarr
     return slope(grid.best)
 
 
-def _criterion_gradient(prob: _PoissonProblem, fit: FittedHazard, weight: float) -> np.ndarray:
+def _criterion_gradient(prob: _PoissonProblem, pen: PenaltyConfig, alpha: np.ndarray,
+                        H_inv: np.ndarray, weight: float) -> np.ndarray:
     """The derivative of ``deviance + weight * ED`` along (log10 rho_u, log10 rho_s) at a
-    converged hazard fit, 0 along an axis with rho = 0 (Wood 2008).
+    converged fit of ``prob`` with coefficients ``alpha`` and ``H_inv = (F + P)^-1``, F the
+    Fisher information; 0 along an axis with rho = 0 (Wood 2008).
 
-    With ``H = G + P`` at the fit, ``P_j = rho_j ln(10) S_j`` for the axis's penalty block
-    ``S_j`` and ``M = H^-1 P H^-1``: ``da_j = -H^-1 P_j a``, ``dDev_j = -2 (P a)' da_j`` and
-    ``dED_j = sum(mu * (B da_j) * diag(B M B')) - tr(P_j H^-1 G H^-1)``, where
-    ``H^-1 G H^-1 = H^-1 - M``, so G itself is not needed.  ``P_j a`` is formed from the
+    With ``H = F + P``, ``P_j = rho_j ln(10) S_j`` for the axis's penalty block ``S_j`` and
+    ``M = H^-1 P H^-1``: ``da_j = -(O + P)^-1 P_j a`` with O the observed information,
+    ``dDev_j = -2 (P a)' da_j`` and ``dED_j = tr(dF_j M) - tr(P_j H^-1 F H^-1)``, where
+    ``H^-1 F H^-1 = H^-1 - M``, so F itself is not needed.  Rows that are one fine row give
+    ``tr(dF_j M) = sum(mu * (B da_j) * diag(B M B'))``; each summed row r adds
+    ``2 (V M dV')_rr / psi_r - (V M V')_rr dpsi_r / psi_r^2``, with ``dV`` the rows ``V`` of
+    :meth:`_PoissonProblem.summed_rows` at the means times ``B da_j`` and ``dpsi = V da_j``.
+    Without summed rows O is F and ``(O + P)^-1`` is ``H_inv``.  ``P_j a`` is formed from the
     differences of ``A`` along the axis, ``rho_j ln(10) D'(D A)``, as :func:`_newton` forms
     its penalty gradient: ``P @ a`` would lose the small differences of a strongly smoothed
     ``A`` to cancellation.
     """
-    ws, pen, H_inv, A = prob.ws, fit.penalty, fit.covariance, fit.A
+    ws = prob.ws
+    A = alpha.reshape(ws.c_u, ws.c_s, order="F")
     ln10 = math.log(10.0)
     axes = [(i, rho, axis) for i, (rho, axis) in enumerate(((pen.rho_u, "u"), (pen.rho_s, "s")))
             if rho > 0]
@@ -664,13 +734,26 @@ def _criterion_gradient(prob: _PoissonProblem, fit: FittedHazard, weight: float)
     P = sum(rho * _penalty_block(ws.c_u, ws.c_s, pen.d, axis) for _, rho, axis in axes)
     M = H_inv @ P @ H_inv
     leverage = glam.quadratic_diagonal(ws, M)
-    rest = H_inv - M                          # H^-1 G H^-1
-    mu = prob.state(fit.coef)[1]
-    for i, rho, axis in axes:
-        da = -ln10 * (H_inv @ P_a[i])
-        dmu = mu * glam.linear_predictor(ws, da.reshape(ws.c_u, ws.c_s, order="F"))
+    rest = H_inv - M                          # H^-1 F H^-1
+    st = prob.state(alpha)
+    full, mu, psi, _ = st
+    if len(prob.C):
+        observed = prob.observed_information(st) + P
+        da_all = -ln10 * np.linalg.solve(observed, np.column_stack([P_a[i] for i, _, _ in axes]))
+        V = prob.summed_rows(full)
+        VM = V @ M
+        VMV = np.einsum("ij,ij->i", VM, V)
+        psi = psi.reshape(-1)
+    for k, (i, rho, axis) in enumerate(axes):
+        da = da_all[:, k] if len(prob.C) else -ln10 * (H_inv @ P_a[i])
+        eta = glam.linear_predictor(ws, da.reshape(ws.c_u, ws.c_s, order="F"))
+        dF_M = float(np.vdot(mu * eta, leverage))
+        if len(prob.C):
+            dV = prob.summed_rows(full * eta)
+            dF_M += float(2.0 * np.sum(np.einsum("ij,ij->i", VM, dV) / psi)
+                          - np.sum(VMV * (V @ da) / psi**2))
         trace = ln10 * rho * float(np.vdot(_penalty_block(ws.c_u, ws.c_s, pen.d, axis), rest))
-        grad[i] = -2.0 * float(Pa @ da) + weight * (float(np.vdot(dmu, leverage)) - trace)
+        grad[i] = -2.0 * float(Pa @ da) + weight * (dF_M - trace)
     return grad
 
 
@@ -686,13 +769,13 @@ def select_smoothing(data: BinnedData, cause: int, kv_u: KnotVector, kv_s: KnotV
                      ctrl: FitControl = FitControl()) -> FittedHazard:
     """Pick (rho_u, rho_s) minimizing AIC or BIC and return the winning fit.
 
-    The search runs :meth:`_GridSearch.run` over the coarse log10 grid of ``search`` (warm
-    starts, one cold retry, ties toward the larger rho_u + rho_s) and :meth:`_GridSearch.pattern`
-    from its best candidate, then :func:`_quasi_newton` from theirs on the box of the ranges,
-    driven by the exact criterion gradient of :func:`_criterion_gradient`.  The descent only
-    moves to a lower criterion, so the selection is at most the best of the grid and pattern
-    moves: with ``coarse_step`` 1.0 that is the 10 x 10 grid refined to 0.125 of earlier
-    versions, candidate for candidate.  Candidates share one prepared problem; ``candidates``
+    The search is :meth:`_GridSearch.select`: :meth:`_GridSearch.run` over the coarse log10
+    grid of ``search`` (warm starts, one cold retry, ties toward the larger rho_u + rho_s) and
+    :meth:`_GridSearch.pattern` from its best candidate, then :func:`_quasi_newton` from theirs
+    on the box of the ranges, driven by the exact criterion gradient of
+    :func:`_criterion_gradient`.  The descent only moves to a lower criterion, so the selection
+    is at most the best of the grid and pattern moves: with ``coarse_step`` 1.0 that is the
+    10 x 10 grid refined to 0.125 of earlier versions, candidate for candidate.  Candidates share one prepared problem; ``candidates``
     lists every fit in the order tried, and ``on_edge`` flags an axis whose rho sits at a range
     end that the criterion falls out of.
     """
@@ -706,11 +789,8 @@ def select_smoothing(data: BinnedData, cause: int, kv_u: KnotVector, kv_s: KnotV
         return (fit.aic if criterion == "AIC" else fit.bic), fit.coef, fit
 
     grid = _GridSearch(fit_one)
-    grid.run(search)
-    grid.pattern(search)
-    slope = _quasi_newton(grid, search, lambda fit: _criterion_gradient(setup.prob, fit, weight))
+    on_edge = grid.select(search, lambda fit: _criterion_gradient(
+        setup.prob, fit.penalty, fit.coef, fit.covariance, weight))
     best = grid.best.fit
-    best.candidates = grid.table
-    best.on_edge = tuple(bool(v) for v in _falls_out(np.array(grid.best.point), slope,
-                                                      *search.bounds()))
+    best.candidates, best.on_edge = grid.table, on_edge
     return best

@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 import hazard2ts as h
+from conftest import grid_pattern_search
+from hazard2ts import pclm
 from hazard2ts.cli import assemble_ungrouped, load_config, make_bases
 from hazard2ts.smooth2d import penalty_matrix
 
@@ -166,8 +168,17 @@ def test_pclm_round_trip():
 
     corr = np.corrcoef(Y_full[40:].ravel(), y_true[40:].ravel())[0, 1]
     regroup_err = np.abs(C @ fit.Gamma - fit.Psi).max() / max(fit.Psi.max(), 1.0)
-    grid_ok = (len(fit.candidates) == 49
-               and fit.aic <= min(a for _, _, a in fit.candidates) + 1e-9)
+    # the search fits the 4 x 4 grid first and selects at most the exhaustive 7 x 7 grid by
+    # 0.5 that it replaced, from fewer fits
+    prob = pclm._problem(Z, C, Bu, Bs)
+    exhaustive = grid_pattern_search(
+        lambda lpu, lps, start: pclm._fit(prob, C, (lpu, lps), 2, h.FitControl(), start),
+        h.SearchConfig((-1.0, 2.0), (-1.0, 2.0), 0.5), 0.5)
+    grid = [-1.0, 0.0, 1.0, 2.0]
+    grid_ok = ([c[:2] for c in fit.candidates[:16]] == [(a, b) for a in grid for b in grid]
+               and len(fit.candidates) < len(exhaustive.table) == 49
+               and fit.aic <= min(a for _, _, a in fit.candidates) + 1e-9
+               and fit.aic <= exhaustive.best.value * (1 + 1e-6))
     ok = n_events >= 10_000 and corr > 0.95 and regroup_err < 1e-12 and grid_ok
     _report("pclm-round-trip", ok,
             f"{int(n_events)} events, tail correlation {corr:.4f} (>0.95), "
@@ -246,7 +257,7 @@ def test_standard_configuration_structure():
         "tail spans 10 rows": C[-1].sum() == 10.0,
         "difference order 2": cfg.d == 2,
         "criterion BIC": cfg.selection.criterion == "BIC",
-        "phi grid [-1,2] step 0.5": [len(a) for a in cfg.setup().phi_search.axes()] == [7, 7],
+        "phi grid [-1,2] step 1.0": [len(a) for a in cfg.setup().phi_search.axes()] == [4, 4],
     }
     failed = [k for k, v in checks.items() if not v]
     _report("standard-configuration-structure", not failed,

@@ -89,7 +89,7 @@ class TestConfig:
         assert cfg.d == 2 and cfg.selection.criterion == "BIC"
         assert (cfg.pclm.log10_phi_lo, cfg.pclm.log10_phi_hi) == (-1.0, 2.0)
         assert cfg.pclm.closing_age == 100.0
-        assert [len(a) for a in cfg.setup().phi_search.axes()] == [7, 7]
+        assert [len(a) for a in cfg.setup().phi_search.axes()] == [4, 4]
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.yaml"
@@ -229,9 +229,10 @@ class TestConfig:
 
     def test_phi_grid_is_capped_at_max_evals_candidates(self, tmp_path):
         path = tmp_path / "phi.yaml"
-        path.write_text("pclm: {log10_phi_lo: 0.0, log10_phi_hi: 9.5}\n")   # 20 x 20 candidates
+        step = "log10_phi_step: 0.5"
+        path.write_text(f"pclm: {{log10_phi_lo: 0.0, log10_phi_hi: 9.5, {step}}}\n")   # 20 x 20
         assert [len(a) for a in load_config(path).setup().phi_search.axes()] == [20, 20]
-        path.write_text("pclm: {log10_phi_lo: 0.0, log10_phi_hi: 10.0}\n")
+        path.write_text(f"pclm: {{log10_phi_lo: 0.0, log10_phi_hi: 10.0, {step}}}\n")
         with pytest.raises(DataError, match="441 candidates"):
             load_config(path)
 
@@ -771,29 +772,59 @@ class TestUngroupCommand:
         assert set(diag) == {"cause1", "cause2", "at_risk"}
         return outdir, diag
 
+    @staticmethod
+    def on_edge_ends(diag, cfg_path, grouped_csv, lo, hi):
+        """Assert that on edge is an end of [``lo``, ``hi``] where a fit 1e-3 inside has the
+        larger AIC, for every search of ``diag``; returns how many values sit at ``hi``."""
+        cfg = load_config(cfg_path, ungroup=True)
+        run = cfg.setup(ungroup=True)
+        grouped, _ = h.grouped_view(h.read_records_csv(grouped_csv), run.grid,
+                                    cfg.pclm.first_grouped_age)
+        C = h.composition_matrix(h.CompositionSpec(g=grouped.g, n_u=run.grid.n_u))
+        Bu = h.evaluate_basis(run.grid.u_mid, run.kv_u)
+        inputs = {"cause1": (grouped.Z[1], run.grid.s_mid), "cause2": (grouped.Z[2], run.grid.s_mid),
+                  "at_risk": (grouped.at_risk, run.grid.s_edges)}
+        tops = 0
+        for name, block in diag.items():
+            Z, s_points = inputs[name]
+            Bs = h.evaluate_basis(s_points, run.kv_s)
+            phis = [block["log10_phi_u"], block["log10_phi_s"]]
+            for i, axis in enumerate("us"):
+                inward = {lo: 1e-3, hi: -1e-3}.get(phis[i])
+                on_edge = inward is not None
+                if on_edge:
+                    inside = list(phis)
+                    inside[i] += inward
+                    aics = [h.fit_pclm(Z, C, Bu, Bs, d=cfg.d, phis=tuple(point),
+                                       ctrl=cfg.convergence).aic for point in (phis, inside)]
+                    on_edge = aics[1] > aics[0]
+                assert block[f"log10_phi_{axis}_on_edge"] is on_edge, (name, axis, phis[i])
+                tops += phis[i] == hi
+        return tops
+
     def test_outputs_and_diagnostics(self, runner, tmp_path, grouped_csv):
         outdir, diag = self.ungroup(runner, tmp_path, grouped_csv,
                                     {"enabled": True, "first_grouped_age": 90, "closing_age": 100})
-        # exhaustive grid: 7 x 7 candidates at step 0.5 over [-1, 2] squared
-        assert len(diag["cause1"]["candidates"]) == 49
+        # the 4 x 4 grid on [-1, 2] first, then pattern moves and descent: fewer than the 49
+        # candidates of the exhaustive grid by 0.5
+        grid = [-1.0, 0.0, 1.0, 2.0]
         for block in diag.values():
-            for axis in ("u", "s"):
-                on_edge = block[f"log10_phi_{axis}"] in (-1.0, 2.0)
-                assert block[f"log10_phi_{axis}_on_edge"] is on_edge
+            keys = [(c["log10_phi_u"], c["log10_phi_s"]) for c in block["candidates"]]
+            assert keys[:16] == [(lu, ls) for lu in grid for ls in grid]
+            assert 16 <= len(keys) < 49
+        self.on_edge_ends(diag, tmp_path / "cfg.yaml", grouped_csv, -1.0, 2.0)
         exposure = read_csv(outdir / "ungrouped_exposure.csv")
         assert len(exposure) == 50 * 21
 
-    def test_on_edge_means_an_end_of_the_searched_grid(self, runner, tmp_path, grouped_csv):
-        """A step of 0.7 does not divide [-1, 2]: the grid stops at 1.8, its top edge."""
+    def test_on_edge_means_an_end_the_search_can_reach(self, runner, tmp_path, grouped_csv):
+        """A step of 0.7 does not divide [-1, 2]: the grid stops at 1.8, the search reaches the
+        range end 2 itself.  On edge is an end of the range where a fit 1e-3 inside has the
+        larger AIC."""
         _, diag = self.ungroup(runner, tmp_path, grouped_csv, {"log10_phi_step": 0.7})
-        assert len(diag["cause1"]["candidates"]) == 25
-        tops = 0
         for block in diag.values():
-            for axis in ("u", "s"):
-                value = block[f"log10_phi_{axis}"]
-                on_edge = min(abs(value - end) for end in (-1.0, 1.8)) <= 1e-6
-                assert block[f"log10_phi_{axis}_on_edge"] is on_edge
-                tops += abs(value - 1.8) <= 1e-6
+            assert len({(c["log10_phi_u"], c["log10_phi_s"]) for c in block["candidates"]}) \
+                == len(block["candidates"]) >= 25
+        tops = self.on_edge_ends(diag, tmp_path / "cfg.yaml", grouped_csv, -1.0, 2.0)
         assert tops >= 1   # the case the rule is about occurs
 
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import hazard2ts as h
 from conftest import grid_pattern_search
-from hazard2ts import cli, pclm
+from hazard2ts import cli, pclm, smooth2d
 from hazard2ts.errors import ConvergenceError, DataError
 from hazard2ts.pclm import _problem
 
@@ -107,6 +107,37 @@ class TestFitPclm:
             info_dense = Q.T @ (Q / psi_d[:, None])
             assert np.abs(info - info_dense).max() < 1e-10 * np.abs(info_dense).max()
 
+    def test_observed_information_is_the_score_derivative(self):
+        """On summed rows the observed information is minus the derivative of the score: central
+        differences (h = 1e-5) agree to 1e-6 of the largest entry, where the Fisher information
+        is off by more than 1e-3, at the fit and away from it."""
+        _, _, spec, C, Z, Bu, Bs = small_problem(seed=4)
+        prob = _problem(Z, C, Bu, Bs)
+        assert len(prob.C) == 1
+        fit = h.fit_pclm(Z, C, Bu, Bs, phis=(0.0, 0.0))
+        rng = np.random.default_rng(41)
+        for theta in (fit.theta, fit.theta + 0.3 * rng.standard_normal(fit.theta.size)):
+            state = prob.state(theta)
+            fisher = prob.information(state)
+            observed = prob.observed_information(state)
+            step = 1e-5 * np.eye(theta.size)
+            numeric = np.column_stack([
+                (prob.score(prob.state(theta - e)) - prob.score(prob.state(theta + e))) / 2e-5
+                for e in step])
+            scale = np.abs(numeric).max()
+            assert np.abs(observed - numeric).max() <= 1e-6 * scale
+            assert np.abs(fisher - numeric).max() > 1e-3 * scale
+            assert np.array_equal(observed, observed.T)
+
+    def test_observed_information_without_summed_rows_is_the_fisher_information(self):
+        _, _, spec, C, Z, Bu, Bs = small_problem(seed=4)
+        n_u = C.shape[1]
+        prob = _problem(C.T @ Z, np.eye(n_u), Bu, Bs)     # every row observed on its own
+        rng = np.random.default_rng(42)
+        state = prob.state(prob.start + 0.1 * rng.standard_normal(prob.start.size))
+        assert len(prob.C) == 0
+        assert np.array_equal(prob.observed_information(state), prob.information(state))
+
     def test_tight_fit_is_stationary_with_dense_effective_dimension(self):
         _, _, spec, C, Z, Bu, Bs = small_problem(seed=14)
         ctrl = h.FitControl(max_iter=400, dev_rel_tol=1e-14, score_rel_tol=1e-10)
@@ -163,12 +194,18 @@ class TestSelectPclmSmoothing:
         assert fit.phis == (0.5, 0.5)
         assert len(fit.candidates) == 1
 
-    def test_default_grid_has_49_candidates(self):
+    def test_default_grid_has_16_candidates(self):
+        """The default search fits the 4 x 4 grid on [-1, 2] first, row by row, then pattern
+        moves and descent candidates inside the range, each once: fewer than the 49 of the
+        exhaustive grid by 0.5 it replaced."""
         _, _, spec, C, Z, Bu, Bs = small_problem(seed=10)
         fit = h.select_pclm_smoothing(Z, C, Bu, Bs)
-        assert len(fit.candidates) == 49
-        lus = sorted({c[0] for c in fit.candidates})
-        assert lus == [-1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0]
+        grid = [-1.0, 0.0, 1.0, 2.0]
+        assert [c[:2] for c in fit.candidates[:16]] == [(lu, ls) for lu in grid for ls in grid]
+        assert 16 < len(fit.candidates) < 49
+        assert len({(round(lu, 6), round(ls, 6)) for lu, ls, _ in fit.candidates}) \
+            == len(fit.candidates)
+        assert all(-1.0 <= v <= 2.0 for c in fit.candidates for v in c[:2])
 
     def test_selected_minimizes_aic_over_candidates(self):
         _, _, spec, C, Z, Bu, Bs = small_problem(seed=11)
@@ -176,12 +213,14 @@ class TestSelectPclmSmoothing:
         assert fit.aic <= min(aic for _, _, aic in fit.candidates) + 1e-9
 
     @pytest.mark.parametrize("seed, phis, on_edge", [
-        (10, (-0.5, 2.0), (False, True)), (11, (-0.5, 0.0), (False, False)),
-        (3, (-1.0, 2.0), (True, True))])
+        (10, (-0.47978, 2.0), (False, True)), (11, (-0.62009, -0.08211), (False, False)),
+        (3, (-0.84367, 2.0), (False, True))])
     def test_grid_search_is_the_unrefined_oracle(self, seed, phis, on_edge):
-        """The default phi search is the grid-plus-pattern oracle with its resolution at the
-        step: the same table, row order included, bit for bit.  The phi and on-edge flags are
-        those the search selected before the hazard search left the pattern search."""
+        """The default phi search fits the grid-plus-pattern oracle with its resolution at the
+        step, the grid alone, first: the same rows, row order included, bit for bit.  Pattern
+        moves and the descent then select at most the oracle's AIC; on seed 3 they leave the
+        corner (-1, 2) the grid selected.  The on-edge flags are the gradient sign rule at the
+        selected fit, and ``cli`` reports them."""
         _, _, spec, C, Z, Bu, Bs = small_problem(seed=seed)
         fit = h.select_pclm_smoothing(Z, C, Bu, Bs)
         prob = _problem(Z, C, Bu, Bs)
@@ -189,11 +228,39 @@ class TestSelectPclmSmoothing:
             lambda lpu, lps, start: pclm._fit(prob, C, (float(lpu), float(lps)), 2,
                                               h.FitControl(), start),
             pclm.PHI_SEARCH, pclm.PHI_SEARCH.coarse_step)
-        assert fit.candidates == [row[:3] for row in oracle.table]
-        assert fit.phis == oracle.best.fit.phis == phis
-        assert np.array_equal(fit.Gamma, oracle.best.fit.Gamma)
-        diag = cli._pclm_diag(fit, pclm.PHI_SEARCH)
+        assert len(oracle.table) == 16
+        assert fit.candidates[:16] == [row[:3] for row in oracle.table]
+        assert fit.aic <= oracle.best.value
+        assert fit.phis == pytest.approx(phis, abs=1e-4)
+        point = np.array(fit.phis)
+        slope = smooth2d._criterion_gradient(prob, h.PenaltyConfig(*fit.phis, 2), fit.theta,
+                                             fit.covariance, 2.0)
+        assert tuple(smooth2d._falls_out(point, slope, *pclm.PHI_SEARCH.bounds())) == on_edge
+        assert fit.on_edge == on_edge
+        diag = cli._pclm_diag(fit)
         assert (diag["log10_phi_u_on_edge"], diag["log10_phi_s_on_edge"]) == on_edge
+
+    @pytest.mark.parametrize("point", [(0.3, 0.7), (2.0, 2.0)])
+    def test_aic_gradient_matches_central_differences(self, point):
+        """The exact AIC gradient through the summed rows against central differences
+        (Richardson extrapolated from h = 1e-3 and 2e-3) of tightly converged fits, inside the
+        default range and at its top, log10 phi = 2."""
+        _, _, spec, C, Z, Bu, Bs = small_problem(seed=4)
+        prob = _problem(Z, C, Bu, Bs)
+        ctrl = h.FitControl(max_iter=400, dev_rel_tol=1e-14, score_rel_tol=1e-11)
+
+        def aic_at(phis):
+            return h.fit_pclm(Z, C, Bu, Bs, phis=tuple(phis), ctrl=ctrl).aic
+
+        fit = h.fit_pclm(Z, C, Bu, Bs, phis=point, ctrl=ctrl)
+        slope = smooth2d._criterion_gradient(prob, h.PenaltyConfig(*point, 2), fit.theta,
+                                             fit.covariance, 2.0)
+        for i in range(2):
+            aic = {step: aic_at(np.add(point, step * np.eye(2)[i]))
+                   for step in (-2e-3, -1e-3, 1e-3, 2e-3)}
+            d1 = (aic[1e-3] - aic[-1e-3]) / 2e-3
+            d2 = (aic[2e-3] - aic[-2e-3]) / 4e-3
+            assert slope[i] == pytest.approx((4.0 * d1 - d2) / 3.0, rel=1e-6), i
 
     def test_empty_grid_rejected(self):
         _, _, spec, C, Z, Bu, Bs = small_problem(seed=12)
@@ -221,20 +288,44 @@ class TestSharedSearch:
     @given(seed=st.integers(0, 2**16), n_u=st.integers(7, 10), n_s=st.integers(4, 6),
            tail=st.integers(2, 4), lo=st.sampled_from([-1.0, 0.0, 0.5]),
            step=st.sampled_from([0.5, 1.0]), n_phi=st.integers(2, 4))
-    # candidate (-1, 1) stalls at relative score 2e-6 from either start: both drop it
+    # candidate (-1, 1): Fisher scoring stalled at relative score 2e-6 from either start and
+    # both searches dropped it; Newton steps on the observed information converge it in 8
     @example(seed=0, n_u=7, n_s=5, tail=4, lo=-1.0, step=1.0, n_phi=3)
     def test_matches_cold_search(self, seed, n_u, n_s, tail, lo, step, n_phi):
+        """The search fits the cold oracle's grid first, row for row, each candidate's AIC
+        within 1e-8 of its lone cold fit's; then pattern moves and descent trials inside the
+        range, each key once, each as a lone cold fit would.  It selects the least AIC it
+        fitted, at most the cold grid's minimum, with the on-edge flags of the gradient sign
+        rule at the selected fit."""
         _, _, spec, C, Z, Bu, Bs = small_problem(seed=seed, g=n_u - tail, n_u=n_u, n_s=n_s)
         phi_grid = [lo + step * i for i in range(n_phi)]
-        search = h.SearchConfig((lo, phi_grid[-1]), (lo, phi_grid[-1]), step)
+        top = phi_grid[-1]
+        search = h.SearchConfig((lo, top), (lo, top), step)
         ctrl = h.FitControl(max_iter=400, dev_rel_tol=1e-14, score_rel_tol=1e-10)
         fit = h.select_pclm_smoothing(Z, C, Bu, Bs, search=search, ctrl=ctrl)
         chosen, cold = cold_pclm_search(Z, C, Bu, Bs, phi_grid, ctrl)
 
-        assert fit.phis == chosen
-        assert [(lu, ls) for lu, ls, _ in fit.candidates] == list(cold)
-        for lu, ls, aic in fit.candidates:
+        n_grid = len(cold)
+        assert [(lu, ls) for lu, ls, _ in fit.candidates[:n_grid]] == list(cold)
+        for lu, ls, aic in fit.candidates[:n_grid]:
             assert aic == pytest.approx(cold[(lu, ls)], rel=1e-8, abs=0.0), (lu, ls)
+        keys = {(round(lu, 6), round(ls, 6)) for lu, ls, _ in fit.candidates}
+        assert len(keys) == len(fit.candidates)
+        for lu, ls, aic in fit.candidates[n_grid:]:
+            assert lo - 1e-9 <= min(lu, ls) and max(lu, ls) <= top + 1e-9, (lu, ls)
+            try:
+                alone = h.fit_pclm(Z, C, Bu, Bs, phis=(lu, ls), ctrl=ctrl).aic
+            except ConvergenceError:
+                alone = np.inf
+            assert aic == pytest.approx(alone, rel=1e-8, abs=0.0), (lu, ls)
+        assert fit.aic == min(aic for _, _, aic in fit.candidates)
+        assert fit.aic <= cold[chosen] * (1 + 1e-8)
+
+        prob = _problem(Z, C, Bu, Bs)
+        slope = smooth2d._criterion_gradient(prob, h.PenaltyConfig(*fit.phis, 2), fit.theta,
+                                             fit.covariance, 2.0)
+        assert fit.on_edge == tuple(smooth2d._falls_out(np.array(fit.phis), slope,
+                                                        *search.bounds()))
 
     SEARCH = h.SearchConfig((0.0, 1.0), (0.0, 1.0), 0.5)   # the grid 0, 0.5, 1 squared
 
@@ -267,7 +358,9 @@ class TestSharedSearch:
         assert aic[(0.0, 0.5)] == h.fit_pclm(Z, C, Bu, Bs, phis=(0.0, 0.5)).aic
         # failing from both starts drops the candidate
         assert tries[(0.5, 0.0)] == [False, True] and aic[(0.5, 0.0)] == np.inf
-        assert len(fit.candidates) == 9 and np.isfinite(fit.aic)
+        assert [c[:2] for c in fit.candidates[:9]] == [(a, b) for a in (0.0, 0.5, 1.0)
+                                                       for b in (0.0, 0.5, 1.0)]
+        assert np.isfinite(fit.aic)
 
     def test_failed_candidate_keeps_the_warm_start(self, monkeypatch):
         _, _, spec, C, Z, Bu, Bs = small_problem(seed=17)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import hazard2ts as h
 from conftest import grid_pattern_search, oracle_smoothing, pattern_ends
+from test_pclm import small_problem as small_pclm_problem
 from hazard2ts import cli, glam, smooth2d
 from hazard2ts.errors import ConvergenceError, DataError
 from hazard2ts.smooth2d import _prepare, penalty_matrix
@@ -389,19 +390,31 @@ class TestSelectSmoothing:
             assert all(lo - 1e-9 <= value <= lo + width + 1e-9 for value in row[:2])
         assert len({row[:2] for row in grid.table}) == len(grid.table)
 
-    def test_ends_of_the_phi_search_are_its_grid_ends(self):
-        """The PCLM search is its grid, as the oracle with refine_resolution = step: on edge
-        are the first and last grid values, 1.8 at the top of [-1, 2] by 0.7."""
+    def test_ends_of_the_phi_search_are_its_range_ends(self):
+        """By 0.7 the PCLM grid on [-1, 2] stops at 1.8, and the search goes on to the range end
+        2 itself.  On edge is an end of the range where a fit 1e-3 inside has the larger AIC, as
+        for the hazards, and ``cli`` reports the search's flags."""
         search = h.SearchConfig((-1.0, 2.0), (-1.0, 2.0), 0.7)
-        assert pattern_ends(search, 0.7) == ((search.axes()[0][0], search.axes()[0][-1]),) * 2
-        top = search.axes()[0][-1]
-        assert top == pytest.approx(1.8)
-        for phis, flags in (((top, -1.0), [True, True]), ((0.4, top), [False, True]),
-                            ((-0.3, 1.1), [False, False])):
-            fit = SimpleNamespace(phis=phis, aic=0.0, ed=0.0, deviance=0.0, n_iter=1,
-                                  candidates=[])
-            diag = cli._pclm_diag(fit, search)
-            assert [diag["log10_phi_u_on_edge"], diag["log10_phi_s_on_edge"]] == flags
+        assert search.axes()[0][-1] == pytest.approx(1.8)
+        ends = 0
+        for seed in (3, 5, 9, 10):
+            _, _, spec, C, Z, Bu, Bs = small_pclm_problem(seed=seed)
+            fit = h.select_pclm_smoothing(Z, C, Bu, Bs, search=search)
+            diag = cli._pclm_diag(fit)
+            for i, axis in enumerate("us"):
+                value = fit.phis[i]
+                inward = {-1.0: 1e-3, 2.0: -1e-3}.get(value)
+                on_edge = inward is not None
+                if on_edge:
+                    inside = list(fit.phis)
+                    inside[i] += inward
+                    aics = [h.fit_pclm(Z, C, Bu, Bs, phis=tuple(p)).aic
+                            for p in (fit.phis, inside)]
+                    on_edge = aics[1] > aics[0]
+                assert fit.on_edge[i] is diag[f"log10_phi_{axis}_on_edge"] is on_edge, \
+                    (seed, axis, value)
+                ends += value == 2.0
+        assert ends >= 1   # the range end beyond the grid's top is reached
 
     def test_rho_zero_range_is_searched_as_minus_inf(self):
         data = toy_data(np.random.default_rng(12))
@@ -587,7 +600,7 @@ class TestWarmStartedSearch:
         assert first[2] == cold[(round(first[0], 6), round(first[1], 6))]
 
         setup = _prepare(data, 1, kv_u, kv_s)
-        slope = smooth2d._criterion_gradient(setup.prob, fit, 2.0 if criterion == "AIC"
+        slope = smooth2d._criterion_gradient(setup.prob, fit.penalty, fit.coef, fit.covariance, 2.0 if criterion == "AIC"
                                              else math.log(setup.n_bin))
         point = np.array([fit.penalty.log10_rho_u, fit.penalty.log10_rho_s])
         assert list(smooth2d._falls_out(point, slope, *search.bounds())) == list(fit.on_edge)
@@ -744,7 +757,7 @@ class TestCriterionGradient:
             fits = {(i, step): fit_at(np.add(point, step * np.eye(2)[i]))
                     for i in range(2) for step in (-2e-3, -1e-3, 1e-3, 2e-3)}
             for weight in (2.0, math.log(fit.n_bin)):            # AIC, BIC
-                slope = smooth2d._criterion_gradient(setup.prob, fit, weight)
+                slope = smooth2d._criterion_gradient(setup.prob, fit.penalty, fit.coef, fit.covariance, weight)
                 for i in range(2):
                     crit = {step: fits[i, step].deviance + weight * fits[i, step].ed
                             for step in (-2e-3, -1e-3, 1e-3, 2e-3)}
@@ -773,7 +786,7 @@ class TestCriterionGradient:
             fits = {(i, step): fit_at(np.add(point, step * np.eye(2)[i]))
                     for i in range(2) for step in (-0.1, -0.05, 0.05, 0.1)}
             for weight in (2.0, math.log(fit.n_bin)):
-                slope = smooth2d._criterion_gradient(setup.prob, fit, weight)
+                slope = smooth2d._criterion_gradient(setup.prob, fit.penalty, fit.coef, fit.covariance, weight)
                 for i in range(2):
                     crit = {step: fits[i, step].deviance + weight * fits[i, step].ed
                             for step in (-0.1, -0.05, 0.05, 0.1)}
@@ -787,10 +800,10 @@ class TestCriterionGradient:
         kv_u, kv_s = toy_knots()
         setup = _prepare(data, 1, kv_u, kv_s)
         fit = h.fit_hazard(data, 1, kv_u, kv_s, h.PenaltyConfig(-math.inf, 1.0, 2), _setup=setup)
-        slope = smooth2d._criterion_gradient(setup.prob, fit, 2.0)
+        slope = smooth2d._criterion_gradient(setup.prob, fit.penalty, fit.coef, fit.covariance, 2.0)
         assert slope[0] == 0.0 and slope[1] != 0.0
         fit = h.fit_hazard(data, 1, kv_u, kv_s, h.zero_penalty(), _setup=setup)
-        assert list(smooth2d._criterion_gradient(setup.prob, fit, 2.0)) == [0.0, 0.0]
+        assert list(smooth2d._criterion_gradient(setup.prob, fit.penalty, fit.coef, fit.covariance, 2.0)) == [0.0, 0.0]
 
     def test_quadratic_diagonal_is_the_dense_diagonal(self):
         rng = np.random.default_rng(4)
