@@ -30,17 +30,18 @@ def main():
     parser.add_argument("--seed", type=int, default=11)
     args = parser.parse_args()
 
-    hazard1 = h.hazard_family("unimodal-in-s", base=0.02, peak=0.08, mode=2.0)
-    hazard2 = h.hazard_family("gompertz-in-u", level=0.02, slope=0.055, u_ref=60.0)
-    spec = h.ScenarioSpec(hazard1=hazard1, hazard2=hazard2,
+    # the hazards of causes 1, 2, ...: a scenario may name any number of causes
+    hazards = {1: h.hazard_family("unimodal-in-s", base=0.02, peak=0.08, mode=2.0),
+               2: h.hazard_family("gompertz-in-u", level=0.02, slope=0.055, u_ref=60.0)}
+    spec = h.ScenarioSpec(hazards=tuple(hazards.values()),
                           u_lo=50.0, u_hi=100.0, s_max=10.5,
                           n=args.n, seed=args.seed)
 
     t0 = time.perf_counter()
     records = h.simulate_cohort(spec)
-    print(f"simulated {len(records)} subjects "
-          f"({np.count_nonzero(records.cause == 1)} cause-1 events, "
-          f"{np.count_nonzero(records.cause == 2)} cause-2 events) "
+    events = ", ".join(f"{np.count_nonzero(records.cause == ell)} cause-{ell} events"
+                       for ell in hazards)
+    print(f"simulated {len(records)} subjects ({events}) "
           f"in {time.perf_counter() - t0:.1f}s")
 
     # register-style coarsening: ages 90+ recorded only as the group boundary
@@ -54,7 +55,8 @@ def main():
     print(f"pipeline finished in {time.perf_counter() - t0:.1f}s; "
           f"artifacts in {args.out}")
 
-    for ell, closure in ((1, hazard1), (2, hazard2)):
+    # the fit has one hazard per cause code of the records: loop over them, not over 1, 2
+    for ell in sorted(fits):
         fit = fits[ell]
         print(f"cause {ell}: log10 rho = ({fit.penalty.log10_rho_u:.2f}, "
               f"{fit.penalty.log10_rho_s:.2f}), ED = {fit.ed:.1f}, "
@@ -64,8 +66,8 @@ def main():
     uu, ss = np.meshgrid(run.grid.u_mid, run.grid.s_mid, indexing="ij")
     interior = (slice(5, 45), slice(2, 19))
     print("\nfitted vs true hazard (median absolute relative error, interior):")
-    for ell, closure in ((1, hazard1), (2, hazard2)):
-        truth = closure(uu, ss)
+    for ell in sorted(fits):
+        truth = hazards[ell](uu, ss)
         rel = np.abs(surf.hazard[ell][interior] / truth[interior] - 1.0)
         print(f"  cause {ell}: median {np.median(rel):.3f}, 90th pct "
               f"{np.quantile(rel, 0.9):.3f}")
@@ -73,11 +75,12 @@ def main():
     s_line = 10.0
     print(f"\ncumulative incidence at s = {s_line} by age at diagnosis:")
     for u in (55.0, 70.0, 85.0):
-        cif1 = h.cumulative_incidence(fits, 1, u, s_line, run.delta)
-        cif2 = h.cumulative_incidence(fits, 2, u, s_line, run.delta)
+        cifs = {ell: h.cumulative_incidence(fits, ell, u, s_line, run.delta)
+                for ell in sorted(fits)}
         surv = h.overall_survival(fits, u, s_line, run.delta)
-        print(f"  u = {u:5.1f}: CIF1 = {cif1:.3f}, CIF2 = {cif2:.3f}, "
-              f"S = {surv:.3f}, sum = {cif1 + cif2 + surv:.4f}")
+        listing = ", ".join(f"CIF{ell} = {cif:.3f}" for ell, cif in cifs.items())
+        print(f"  u = {u:5.1f}: {listing}, S = {surv:.3f}, "
+              f"sum = {sum(cifs.values()) + surv:.4f}")
 
 
 if __name__ == "__main__":

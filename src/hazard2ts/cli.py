@@ -41,8 +41,6 @@ from .smooth2d import (FitControl, FittedHazard, PenaltyConfig, SearchConfig, ch
                        select_smoothing)
 from .uncertainty import cif_standard_errors, se_log_hazard, se_log_hazard_points
 
-CAUSES = (1, 2)
-
 
 # --------------------------------------------------------------------------
 # configuration
@@ -482,8 +480,8 @@ def _exit_on_error(*also):
 @click.option("--draws", type=int, hidden=True, expose_value=False,
               help="Ignored: the CIF standard errors are closed-form.")
 def cmd_fit(input_csv, config_path, outdir):
-    """Fit both cause-specific hazards from an individual-record CSV and
-    write hazard, SE, cumulative-hazard, CIF, and survival tables."""
+    """Fit the hazard of every cause 1..L (L the largest cause code) from an individual-record
+    CSV and write hazard, SE, cumulative-hazard, CIF, and survival tables."""
     with _exit_on_error():
         cfg = load_config(config_path)
         records = read_records_csv(input_csv)
@@ -505,14 +503,15 @@ def run_fit_pipeline(cfg: RunConfig, records, outdir: Path):
         binned = bin_records(records, grid)
 
     options = {"d": cfg.d, "criterion": criterion, "search": search, "ctrl": cfg.convergence}
-    fits = dict(zip(CAUSES, _run_tasks([(select_smoothing, (binned, ell, kv_u, kv_s), options)
-                                        for ell in CAUSES])))
+    causes = sorted(binned.Y)
+    fits = dict(zip(causes, _run_tasks([(select_smoothing, (binned, ell, kv_u, kv_s), options)
+                                        for ell in causes])))
 
     u_pts, s_pts = grid.u_mid, grid.s_mid
     surf = compute_surfaces(fits, u_pts, s_pts, delta=delta)
     cif_se = cif_standard_errors(fits, u_pts, s_pts, delta=delta)
 
-    for ell in CAUSES:
+    for ell in causes:
         sub = outdir / f"cause{ell}"
         sub.mkdir(exist_ok=True)
         se_eta = se_log_hazard(fits[ell], u_pts, s_pts)
@@ -546,7 +545,7 @@ def run_fit_pipeline(cfg: RunConfig, records, outdir: Path):
                 "n_bin": fits[ell].n_bin,
                 "iterations": fits[ell].n_iter,
             }
-            for ell in CAUSES
+            for ell in causes
         },
         "extrapolation_mask": surf.extrapolated.astype(int),
     }
@@ -581,7 +580,7 @@ def run_ungroup_pipeline(cfg: RunConfig, records, outdir: Path):
         grouped, fine.R[: grouped.g - 1], run.kv_u, run.kv_s, cfg.d, run.phi_search,
         cfg.convergence,
     )
-    for ell in CAUSES:
+    for ell in sorted(binned.Y):
         write_long_csv(outdir / f"ungrouped_events_cause{ell}.csv",
                        grid.u_mid, grid.s_mid, binned.Y[ell], name="count")
     write_long_csv(outdir / "ungrouped_exposure.csv",
@@ -596,8 +595,8 @@ def run_ungroup_pipeline(cfg: RunConfig, records, outdir: Path):
 @click.option("--n", type=int, default=None, help="Override the cohort size.")
 @click.option("--seed", type=int, default=None, help="Override the scenario seed.")
 def cmd_simulate(scenario_yaml, out_csv, n, seed):
-    """Draw a synthetic cohort from configured hazard closures and write it
-    in the same CSV schema that `fit` ingests."""
+    """Draw a synthetic cohort from the hazard closures of the scenario's causes cause1 ..
+    causeL and write it in the same CSV schema that `fit` ingests."""
     with _exit_on_error(ValueError):
         spec = scenario_from_dict(_read_yaml(scenario_yaml), n_override=n, seed_override=seed)
         records = simulate_cohort(spec)
@@ -606,14 +605,21 @@ def cmd_simulate(scenario_yaml, out_csv, n, seed):
 
 
 def scenario_from_dict(raw: dict, n_override=None, seed_override=None) -> ScenarioSpec:
-    """The scenario of a parsed YAML document; DataError naming the key, or the hazard family
-    parameter, that is missing or is no mapping or number where one is needed."""
+    """The scenario of a parsed YAML document, its hazards those of ``cause1`` .. ``causeL``;
+    DataError naming the key or hazard family parameter that is missing, unknown or mistyped."""
     if not isinstance(raw, dict):
         raise DataError(f"scenario must be a mapping, got {raw!r}")
-    blocks = {"age": raw.get("age", {}), "cause1": raw.get("cause1"), "cause2": raw.get("cause2")}
+    first_missing = next(ell for ell in range(1, len(raw) + 2) if f"cause{ell}" not in raw)
+    causes = [f"cause{ell}" for ell in range(1, max(first_missing, 2))]
+    blocks = {"age": raw.get("age", {}), **{key: raw.get(key) for key in causes}}
     for key, block in blocks.items():
         if not isinstance(block, dict):
             raise DataError(f"scenario key {key} must be a mapping, got {block!r}")
+    for prefix, block, known in (("", raw, ("s_max", "n", "seed", "step", *blocks)),
+                                 ("age.", blocks["age"], ("lo", "hi", "weights"))):
+        for key in block:
+            if key not in known:
+                raise DataError(f"unknown scenario key {prefix}{key}")
 
     def number(key, default, kind=float, block=raw, prefix=""):
         val = block.get(key, default)
@@ -648,8 +654,7 @@ def scenario_from_dict(raw: dict, n_override=None, seed_override=None) -> Scenar
             raise DataError(f"scenario key age.weights must be a list of numbers, "
                             f"got {age['weights']!r}") from None
     return ScenarioSpec(
-        hazard1=closure("cause1"),
-        hazard2=closure("cause2"),
+        hazards=tuple(map(closure, causes)),
         u_lo=number("lo", 50.0, block=age, prefix="age."),
         u_hi=number("hi", 100.0, block=age, prefix="age."),
         s_max=number("s_max", 10.5),

@@ -26,13 +26,11 @@ import csv
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
-
-CAUSES = (1, 2)
 
 # Absolute slack for edge comparisons on the time axes (units: years).
 _EDGE_ATOL = 1e-12
@@ -50,8 +48,8 @@ _QUOTED = ',"\r\n'
 @dataclass(frozen=True, eq=False)
 class RecordTable:
     """Records as five equal-length columns (``id`` str, ``u``, ``s_entry``,
-    ``s_exit`` float64, ``cause`` int64); ``cause`` is 0 for right-censoring,
-    1 for the cause of interest, 2 for the competing cause.
+    ``s_exit`` float64, ``cause`` int64); ``cause`` is 0 for right-censoring and
+    ell >= 1 for a failure from competing cause ell.
 
     Building a table checks it: :class:`DataError` lists every invalid record
     (``details``: their ids).  Tables compare by identity; compare them column
@@ -89,7 +87,7 @@ def _problems(ids, u, s_entry, s_exit, cause) -> list:
     """
     bad_u = ~((u > 0) & np.isfinite(u))
     bad_s = ~bad_u & ~((0 <= s_entry) & (s_entry < s_exit))
-    bad_cause = ~bad_u & ~bad_s & ~np.isin(cause, (0, 1, 2))
+    bad_cause = ~bad_u & ~bad_s & (cause < 0)
     out = []
     for i in np.flatnonzero(bad_u | bad_s | bad_cause).tolist():
         if bad_u[i]:
@@ -97,7 +95,7 @@ def _problems(ids, u, s_entry, s_exit, cause) -> list:
         elif bad_s[i]:
             why = f"need 0 <= s_entry < s_exit, got ({float(s_entry[i])}, {float(s_exit[i])})"
         else:
-            why = f"cause must be 0, 1 or 2, got {int(cause[i])}"
+            why = f"cause must be 0 or positive, got {int(cause[i])}"
         out.append((i, f"record {str(ids[i])!r}: {why}"))
     return out
 
@@ -189,24 +187,16 @@ class BinnedData:
     """Per-cause event-count matrices and the shared exposure matrix."""
 
     grid: LexisGrid
-    Y: dict = field(default_factory=dict)  # cause -> n_u x n_s counts (real-valued)
-    R: np.ndarray = None  # n_u x n_s person-years
+    Y: dict               # cause -> n_u x n_s counts (real-valued)
+    R: np.ndarray         # n_u x n_s person-years
 
     def __post_init__(self):
         shape = (self.grid.n_u, self.grid.n_s)
-        if self.R is None:
-            self.R = np.zeros(shape)
-        if not self.Y:
-            self.Y = {ell: np.zeros(shape) for ell in CAUSES}
-        for ell, mat in self.Y.items():
+        for name, mat in [*((f"Y[{ell}]", mat) for ell, mat in self.Y.items()), ("R", self.R)]:
             if mat.shape != shape:
-                raise ValueError(f"Y[{ell}] has shape {mat.shape}, expected {shape}")
+                raise ValueError(f"{name} has shape {mat.shape}, expected {shape}")
             if np.any(mat < 0):
-                raise ValueError(f"Y[{ell}] has negative entries")
-        if self.R.shape != shape:
-            raise ValueError(f"R has shape {self.R.shape}, expected {shape}")
-        if np.any(self.R < 0):
-            raise ValueError("R has negative entries")
+                raise ValueError(f"{name} has negative entries")
 
 
 def build_grid(u_lo: float, u_hi: float, h_u: float, s_lo: float, s_hi: float, h_s: float) -> LexisGrid:
@@ -261,16 +251,22 @@ def _grid_rows(table: RecordTable, grid: LexisGrid) -> np.ndarray:
 
 
 def bin_records(table: RecordTable, grid: LexisGrid) -> BinnedData:
-    """Aggregate the records of ``table`` into event-count and exposure matrices.
-
-    Raises :class:`DataError` listing every record outside the grid by id.
+    """Aggregate the records of ``table`` into event-count and exposure matrices, a count
+    matrix for each cause 1..L, L the largest cause code (at least 1), zero where it has no
+    events.  Raises :class:`DataError` listing every record outside the grid by id, and
+    where L exceeds the number of events, so that a cause surely has none (ids read as causes,
+    say, which would ask for L matrices).
     """
     j = _grid_rows(table, grid)
     n_u, n_s = grid.n_u, grid.n_s
+    n_causes, n_events = max(table.cause.max(initial=0), 1), np.count_nonzero(table.cause)
+    if n_causes > max(n_events, 1):
+        raise DataError(f"the largest cause code is {n_causes}, but {n_events} record(s) fail: "
+                        f"causes 1..{n_causes} cannot all have events")
     cell = j * n_s + _exit_col(table.s_exit, grid)
     Y = {ell: np.bincount(cell[table.cause == ell], minlength=n_u * n_s)
               .reshape(n_u, n_s).astype(np.float64)
-         for ell in CAUSES}
+         for ell in range(1, n_causes + 1)}
 
     # Exact overlap of [s_entry, s_exit) with each s-bin it touches, added in
     # record order so every bin sums in the same order as a per-record loop.

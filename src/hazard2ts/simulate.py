@@ -1,12 +1,12 @@
 """Synthetic cohorts from known cause-specific hazard surfaces.
 
 Event times are drawn by fine-step discrete-hazard simulation: at each step
-of width delta an individual fails from cause 1 with probability
-lambda1 * delta, from cause 2 with probability lambda2 * delta, otherwise
-survives the step; everyone still alive at the administrative horizon is
-right-censored there.  This handles arbitrary bivariate hazard closures
-uniformly; the step must satisfy lambda * delta <= 0.1 everywhere or the
-first-order approximation is rejected.
+of width delta an individual fails from cause ell with probability
+lambda_ell * delta, for each of the causes 1..L, otherwise survives the step;
+everyone still alive at the administrative horizon is right-censored there.
+This handles arbitrary bivariate hazard closures uniformly; the step must
+satisfy lambda * delta <= 0.1 everywhere or the first-order approximation is
+rejected.
 """
 
 from __future__ import annotations
@@ -65,10 +65,10 @@ def hazard_family(name: str, **params):
 
 @dataclass
 class ScenarioSpec:
-    """Cohort generator settings: two hazard closures, age mix, horizon."""
+    """Cohort generator settings: ``hazards``, the hazard closures ``fn(u, s)`` of causes
+    1..L in order, the age mix and the horizon."""
 
-    hazard1: object
-    hazard2: object
+    hazards: tuple
     u_lo: float
     u_hi: float
     s_max: float
@@ -78,6 +78,8 @@ class ScenarioSpec:
     age_weights: np.ndarray = None  # piecewise-uniform weights over equal age slices
 
     def __post_init__(self):
+        if not self.hazards:
+            raise ValueError("need the hazard of at least one cause")
         if self.n < 1:
             raise ValueError(f"cohort size must be >= 1, got {self.n}")
         if self.s_max <= 0 or self.step <= 0:
@@ -97,7 +99,8 @@ def _draw_ages(spec: ScenarioSpec, rng: np.random.Generator) -> np.ndarray:
 
 
 def simulate_cohort(spec: ScenarioSpec) -> RecordTable:
-    """Generate records; deterministic for a given seed."""
+    """Generate records, cause ell for a failure from ``spec.hazards[ell - 1]`` and 0 for
+    censoring at the horizon; deterministic for a given seed."""
     rng = np.random.default_rng(spec.seed)
     u = _draw_ages(spec, rng)
     n = spec.n
@@ -111,24 +114,19 @@ def simulate_cohort(spec: ScenarioSpec) -> RecordTable:
             break
         s_now = step_idx * spec.step
         width = min(spec.step, spec.s_max - s_now)
-        lam1 = np.asarray(spec.hazard1(u[alive], s_now), dtype=float)
-        lam2 = np.asarray(spec.hazard2(u[alive], s_now), dtype=float)
-        p1 = lam1 * width
-        p2 = lam2 * width
-        worst = max(p1.max(initial=0.0), p2.max(initial=0.0))
+        p = np.array([np.broadcast_to(np.asarray(fn(u[alive], s_now), dtype=float) * width,
+                                      alive.shape) for fn in spec.hazards])
+        worst = p.max(initial=0.0)
         if worst > _MAX_STEP_PROB:
-            raise DataError(
-                f"hazard * step = {worst:.3g} exceeds {_MAX_STEP_PROB}; "
-                "use a smaller simulation step"
-            )
-        r = rng.random(alive.size)
-        hit1 = r < p1
-        hit2 = (~hit1) & (r < p1 + p2)
-        any_hit = hit1 | hit2
+            raise DataError(f"hazard * step = {worst:.3g} exceeds {_MAX_STEP_PROB}; "
+                            "use a smaller simulation step")
+        # one draw per individual: the first cause whose cumulative probability exceeds it
+        hit = rng.random(alive.size) < np.cumsum(p, axis=0)
+        any_hit = hit.any(axis=0)
         if np.any(any_hit):
             exits = alive[any_hit]
             s_exit[exits] = s_now + width
-            cause[exits] = np.where(hit1[any_hit], 1, 2)
+            cause[exits] = hit[:, any_hit].argmax(axis=0) + 1
             alive = alive[~any_hit]
 
     width = len(str(n))

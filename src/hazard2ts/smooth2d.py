@@ -106,10 +106,18 @@ class FittedHazard:
         return self.A.size
 
 
+@functools.lru_cache(maxsize=16)
+def _difference(c: int, d: int) -> np.ndarray:
+    """Read-only ``difference_matrix(c, d)``, built once per shape."""
+    D = difference_matrix(c, d)
+    D.flags.writeable = False
+    return D
+
+
 @functools.lru_cache(maxsize=8)
 def _penalty_block(c_u: int, c_s: int, d: int, axis: str) -> np.ndarray:
     """Read-only ``kron(I, Du'Du)`` (axis "u") or ``kron(Ds'Ds, I)``, built once per shape."""
-    D = difference_matrix(c_u if axis == "u" else c_s, d)
+    D = _difference(c_u if axis == "u" else c_s, d)
     block = np.kron(np.eye(c_s), D.T @ D) if axis == "u" else np.kron(D.T @ D, np.eye(c_u))
     block.flags.writeable = False
     return block
@@ -122,6 +130,21 @@ def penalty_matrix(c_u: int, c_s: int, penalty: PenaltyConfig) -> np.ndarray:
         if rho > 0:
             P += rho * _penalty_block(c_u, c_s, penalty.d, axis)
     return P
+
+
+def _penalty_terms(A: np.ndarray, penalty: PenaltyConfig) -> list:
+    """Per penalized axis (u, then s) ``(axis index, rho, rho ||D A||^2, rho D'(D A))``, the
+    last flattened, for the differences ``D A`` of ``A`` along the axis: at strong smoothing
+    they are tiny while :func:`penalty_matrix` is huge, so ``P @ alpha`` would lose them to
+    cancellation."""
+    out = []
+    for i, rho in enumerate((penalty.rho_u, penalty.rho_s)):
+        if rho > 0:
+            D = _difference(A.shape[i], penalty.d)
+            DA = D @ A if i == 0 else A @ D.T
+            out.append((i, rho, rho * float(np.sum(DA ** 2)),
+                        rho * (D.T @ DA if i == 0 else DA @ D).flatten(order="F")))
+    return out
 
 
 def _support_hull(grid, mask: np.ndarray):
@@ -299,12 +322,12 @@ def _newton(prob: _PoissonProblem, penalty: PenaltyConfig, ctrl: FitControl,
     rows are summed.  The effective dimension and the returned inverse are those of the Fisher
     information.
 
-    Steps are halved while the penalized deviance worsens.  Convergence needs
-    a relative change of the penalized deviance below ``ctrl.dev_rel_tol`` and
-    the penalized score below ``ctrl.score_rel_tol`` relative to ``|Q'y|_inf``
-    (grouped counts spread evenly over their fine rows); one polishing step
-    follows, kept only if it lowers the score.  Starts from ``start``, else
-    from the problem's projection of ``ln((y + 0.5) / (exposure + 1))``.
+    Steps are halved while the penalized deviance worsens, 10 times at most; a step that still
+    raises it ends the fit as a ConvergenceError with the last iterate.  Convergence needs a
+    relative change of the penalized deviance below ``ctrl.dev_rel_tol`` and the penalized score
+    below ``ctrl.score_rel_tol`` relative to ``|Q'y|_inf`` (grouped counts spread evenly over
+    their fine rows); one polishing step follows, kept only if it lowers the score.  Starts from
+    ``start``, else from the problem's projection of ``ln((y + 0.5) / (exposure + 1))``.
     """
     c_u, c_s = prob.ws.c_u, prob.ws.c_s
     P = penalty_matrix(c_u, c_s, penalty)
@@ -312,35 +335,14 @@ def _newton(prob: _PoissonProblem, penalty: PenaltyConfig, ctrl: FitControl,
         raise DataError(f"{n_free} of {c_u * c_s} coefficients are determined by neither the data "
                         "nor the penalty: penalize that axis or fit a grid the data cover")
 
-    # factored penalty pieces: at strong smoothing the differences D @ A are
-    # tiny while P's entries are huge, so P @ alpha loses precision to
-    # cancellation; rho * D'(D A) keeps all intermediates small
-    rho_u, rho_s = penalty.rho_u, penalty.rho_s
-    Du = difference_matrix(c_u, penalty.d) if rho_u > 0 else None
-    Ds = difference_matrix(c_s, penalty.d) if rho_s > 0 else None
-
-    def pen_grad(A):
-        out = np.zeros_like(A)
-        if rho_u > 0:
-            out += rho_u * (Du.T @ (Du @ A))
-        if rho_s > 0:
-            out += rho_s * ((A @ Ds.T) @ Ds)
-        return out.flatten(order="F")
-
-    def pen_value(A):
-        val = 0.0
-        if rho_u > 0:
-            val += rho_u * float(np.sum((Du @ A) ** 2))
-        if rho_s > 0:
-            val += rho_s * float(np.sum((A @ Ds.T) ** 2))
-        return val
-
     def evaluate(alpha):
         st = prob.state(alpha)
-        return st, st[3] + pen_value(alpha.reshape(c_u, c_s, order="F"))
+        terms = _penalty_terms(alpha.reshape(c_u, c_s, order="F"), penalty)
+        return st, st[3] + sum(value for _, _, value, _ in terms)
 
     def score_of(alpha, st):
-        return prob.score(st) - pen_grad(alpha.reshape(c_u, c_s, order="F"))
+        terms = _penalty_terms(alpha.reshape(c_u, c_s, order="F"), penalty)
+        return prob.score(st) - sum((grad for *_, grad in terms), np.zeros(c_u * c_s))
 
     def linalg(fn, *args):      # a LinAlgError ends the fit as a ConvergenceError
         try:
@@ -378,22 +380,28 @@ def _newton(prob: _PoissonProblem, penalty: PenaltyConfig, ctrl: FitControl,
         # an observed-information step that raises the penalized deviance (far from the
         # optimum its curvature can be near zero) gives way to the Fisher step; then damped
         # Newton: halve the step while the penalized deviance worsens
+        worse = pen_dev + 1e-10 * (1 + abs(pen_dev))     # a new deviance above this is worse
         new_alpha = alpha + step
         if gram is None:
             with np.errstate(over="ignore"):
                 new_st, new_pen_dev = evaluate(new_alpha)
-            if not new_pen_dev <= pen_dev + 1e-10 * (1 + abs(pen_dev)):
+            if not new_pen_dev <= worse:
                 step, gram = linalg(fisher_step, st, score)
                 new_alpha = alpha + step
                 new_st, new_pen_dev = evaluate(new_alpha)
         else:
             new_st, new_pen_dev = evaluate(new_alpha)
         n_halved = 0
-        while new_pen_dev > pen_dev + 1e-10 * (1 + abs(pen_dev)) and n_halved < 10:
+        while new_pen_dev > worse and n_halved < 10:
             step *= 0.5
             new_alpha = alpha + step
             new_st, new_pen_dev = evaluate(new_alpha)
             n_halved += 1
+        if not new_pen_dev <= worse:
+            raise ConvergenceError(f"IWLS: step {it} still raises the penalized deviance after "
+                                   f"{n_halved} halvings ({new_pen_dev:.6g} > {pen_dev:.6g})",
+                                   last_coef=alpha.reshape(c_u, c_s, order="F"),
+                                   score_norm=score_rel, n_iter=it)
 
         rel_change = abs(new_pen_dev - pen_dev) / (1.0 + abs(new_pen_dev))
         alpha, st, pen_dev = new_alpha, new_st, new_pen_dev
@@ -713,25 +721,17 @@ def _criterion_gradient(prob: _PoissonProblem, pen: PenaltyConfig, alpha: np.nda
     ``tr(dF_j M) = sum(mu * (B da_j) * diag(B M B'))``; each summed row r adds
     ``2 (V M dV')_rr / psi_r - (V M V')_rr dpsi_r / psi_r^2``, with ``dV`` the rows ``V`` of
     :meth:`_PoissonProblem.summed_rows` at the means times ``B da_j`` and ``dpsi = V da_j``.
-    Without summed rows O is F and ``(O + P)^-1`` is ``H_inv``.  ``P_j a`` is formed from the
-    differences of ``A`` along the axis, ``rho_j ln(10) D'(D A)``, as :func:`_newton` forms
-    its penalty gradient: ``P @ a`` would lose the small differences of a strongly smoothed
-    ``A`` to cancellation.
+    Without summed rows O is F and ``(O + P)^-1`` is ``H_inv``.  ``P_j a / ln(10)`` is the
+    factored ``rho_j D'(D A)`` of :func:`_penalty_terms`, as in :func:`_newton`'s score.
     """
     ws = prob.ws
-    A = alpha.reshape(ws.c_u, ws.c_s, order="F")
     ln10 = math.log(10.0)
-    axes = [(i, rho, axis) for i, (rho, axis) in enumerate(((pen.rho_u, "u"), (pen.rho_s, "s")))
-            if rho > 0]
+    terms = _penalty_terms(alpha.reshape(ws.c_u, ws.c_s, order="F"), pen)   # rho_j S_j a
     grad = np.zeros(2)
-    if not axes:
+    if not terms:
         return grad
-    P_a = {}                                  # per axis rho_j S_j a, factored
-    for i, rho, axis in axes:
-        D = difference_matrix(A.shape[0] if axis == "u" else A.shape[1], pen.d)
-        P_a[i] = rho * (D.T @ (D @ A) if axis == "u" else (A @ D.T) @ D).flatten(order="F")
-    Pa = sum(P_a.values())
-    P = sum(rho * _penalty_block(ws.c_u, ws.c_s, pen.d, axis) for _, rho, axis in axes)
+    Pa = sum(P_a for *_, P_a in terms)
+    P = penalty_matrix(ws.c_u, ws.c_s, pen)
     M = H_inv @ P @ H_inv
     leverage = glam.quadratic_diagonal(ws, M)
     rest = H_inv - M                          # H^-1 F H^-1
@@ -739,20 +739,20 @@ def _criterion_gradient(prob: _PoissonProblem, pen: PenaltyConfig, alpha: np.nda
     full, mu, psi, _ = st
     if len(prob.C):
         observed = prob.observed_information(st) + P
-        da_all = -ln10 * np.linalg.solve(observed, np.column_stack([P_a[i] for i, _, _ in axes]))
+        da_all = -ln10 * np.linalg.solve(observed, np.column_stack([P_a for *_, P_a in terms]))
         V = prob.summed_rows(full)
         VM = V @ M
         VMV = np.einsum("ij,ij->i", VM, V)
         psi = psi.reshape(-1)
-    for k, (i, rho, axis) in enumerate(axes):
-        da = da_all[:, k] if len(prob.C) else -ln10 * (H_inv @ P_a[i])
+    for k, (i, rho, _, P_a) in enumerate(terms):
+        da = da_all[:, k] if len(prob.C) else -ln10 * (H_inv @ P_a)
         eta = glam.linear_predictor(ws, da.reshape(ws.c_u, ws.c_s, order="F"))
         dF_M = float(np.vdot(mu * eta, leverage))
         if len(prob.C):
             dV = prob.summed_rows(full * eta)
             dF_M += float(2.0 * np.sum(np.einsum("ij,ij->i", VM, dV) / psi)
                           - np.sum(VMV * (V @ da) / psi**2))
-        trace = ln10 * rho * float(np.vdot(_penalty_block(ws.c_u, ws.c_s, pen.d, axis), rest))
+        trace = ln10 * rho * float(np.vdot(_penalty_block(ws.c_u, ws.c_s, pen.d, "us"[i]), rest))
         grad[i] = -2.0 * float(Pa @ da) + weight * (dF_M - trace)
     return grad
 

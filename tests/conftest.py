@@ -31,8 +31,8 @@ def default_knots():
 def constant_cohort():
     """20,000 subjects under constant competing hazards 0.1 and 0.05 per year."""
     spec = h.ScenarioSpec(
-        hazard1=h.hazard_family("constant", level=CONST_LAM1),
-        hazard2=h.hazard_family("constant", level=CONST_LAM2),
+        hazards=(h.hazard_family("constant", level=CONST_LAM1),
+                 h.hazard_family("constant", level=CONST_LAM2)),
         u_lo=50.0, u_hi=100.0, s_max=10.5, n=20000, seed=42,
     )
     return h.simulate_cohort(spec)

@@ -6,6 +6,7 @@ acceptance is oracle- and property-based, with the standard configuration
 checked structurally.
 """
 
+import dataclasses
 import math
 import time
 
@@ -15,7 +16,7 @@ import pytest
 import hazard2ts as h
 from conftest import grid_pattern_search
 from hazard2ts import pclm
-from hazard2ts.cli import assemble_ungrouped, load_config, make_bases
+from hazard2ts.cli import RunConfig, assemble_ungrouped, load_config, make_bases, run_fit_pipeline
 from hazard2ts.smooth2d import penalty_matrix
 
 
@@ -105,8 +106,8 @@ def test_penalty_limit_effective_dimension(penalty_limit_fit, constant_binned):
 def test_simulation_recovery_timed():
     t0 = time.perf_counter()
     spec = h.ScenarioSpec(
-        hazard1=h.hazard_family("constant", level=0.1),
-        hazard2=h.hazard_family("constant", level=0.05),
+        hazards=(h.hazard_family("constant", level=0.1),
+                 h.hazard_family("constant", level=0.05)),
         u_lo=50.0, u_hi=100.0, s_max=10.5, n=20000, seed=42,
     )
     records = h.simulate_cohort(spec)
@@ -130,6 +131,49 @@ def test_simulation_recovery_timed():
     _report("simulation-recovery", ok,
             f"hazard errors {err1:.3f}/{err2:.3f} (<0.10), "
             f"CIF1(75,10) {cif:.4f} vs {cif_target:.4f} (+/-0.02), {elapsed:.1f}s (<60s)")
+
+
+def test_one_cause_is_the_cause_1_fit_of_two(constant_cohort, constant_fits, default_grid,
+                                            default_knots):
+    """Cause 2 recoded as censoring: the records name one cause, and its fit is bit for bit the
+    cause-1 fit of the two-cause run.  With one cause CIF1 = 1 - S, up to the left-rectangle
+    error, within the 3 delta max lambda bound of the conservation check."""
+    one = dataclasses.replace(constant_cohort, cause=np.where(constant_cohort.cause == 2, 0,
+                                                              constant_cohort.cause))
+    binned = h.bin_records(one, default_grid)
+    fit = h.select_smoothing(binned, 1, *default_knots, criterion="BIC")
+    ref = constant_fits[1]
+    same = (list(binned.Y) == [1] and np.array_equal(fit.A, ref.A)
+            and np.array_equal(fit.covariance, ref.covariance) and fit.candidates == ref.candidates)
+    delta = default_grid.h_s / 10.0
+    surf = h.compute_surfaces({1: fit}, default_grid.u_mid, default_grid.s_mid, delta)
+    gap = np.abs(surf.cif[1] - (1.0 - surf.survival)).max()
+    bound = 3.0 * delta * surf.hazard[1].max()
+    _report("one-cause", same and gap < bound,
+            f"causes {list(binned.Y)}, bitwise the two-cause run's cause-1 fit: {same}; "
+            f"|CIF1 - (1 - S)| {gap:.2e} < {bound:.2e}")
+
+
+def test_three_cause_recovery(tmp_path):
+    """Three constant hazards through simulate and the fit pipeline: each recovered within the
+    interior tolerance of the two-cause recovery check, and S + sum of the CIFs within
+    3 delta max sum(lambda) of 1."""
+    lams = (0.1, 0.05, 0.08)
+    spec = h.ScenarioSpec(hazards=tuple(h.hazard_family("constant", level=lam) for lam in lams),
+                          u_lo=50.0, u_hi=100.0, s_max=10.5, n=30000, seed=24)
+    cfg = RunConfig()
+    fits, surf = run_fit_pipeline(cfg, h.simulate_cohort(spec), tmp_path)
+    interior = (slice(5, 45), slice(2, 19))  # central 80% of each axis
+    errors = [float(np.abs(surf.hazard[ell][interior] / lam - 1).max())
+              for ell, lam in enumerate(lams, 1)]
+    delta = cfg.setup().delta
+    gap = np.abs(surf.survival + sum(surf.cif.values()) - 1.0).max()
+    bound = 3.0 * delta * sum(surf.hazard.values()).max()
+    ok = (sorted(fits) == [1, 2, 3] and (tmp_path / "cause3" / "cif.csv").is_file()
+          and max(errors) < 0.10 and gap < bound)
+    _report("three-cause-recovery", ok,
+            f"causes {sorted(fits)}, hazard errors {', '.join(f'{e:.3f}' for e in errors)} "
+            f"(<0.10), |S + sum CIF - 1| {gap:.2e} < {bound:.2e}")
 
 
 def test_quadrature_conservation(constant_fits, default_grid):
@@ -187,8 +231,8 @@ def test_pclm_round_trip():
 
 def test_ungrouping_sensitivity():
     spec = h.ScenarioSpec(
-        hazard1=h.hazard_family("unimodal-in-s", base=0.02, peak=0.08, mode=2.0),
-        hazard2=h.hazard_family("gompertz-in-u", level=0.02, slope=0.055, u_ref=60.0),
+        hazards=(h.hazard_family("unimodal-in-s", base=0.02, peak=0.08, mode=2.0),
+                 h.hazard_family("gompertz-in-u", level=0.02, slope=0.055, u_ref=60.0)),
         u_lo=50.0, u_hi=100.0, s_max=10.5, n=30000, seed=11,
     )
     records = h.simulate_cohort(spec)

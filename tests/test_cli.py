@@ -20,6 +20,10 @@ from hazard2ts import cli, floattext, lexis
 from hazard2ts.cli import _write_table, load_config, main
 from hazard2ts.errors import DataError
 
+CAUSES_1_TO_3 = ("n: 3000\nseed: 5\ncause1: {name: constant, level: 0.1}\n"
+                 "cause2: {name: gompertz-in-u, level: 0.02, slope: 0.05, u_ref: 60}\n"
+                 "cause3: {name: constant, level: 0.08}\n")
+
 FAST_CONFIG = {
     "grid": {"u_lo": 50, "u_hi": 100, "h_u": 2.0, "s_lo": 0, "s_hi": 10.5, "h_s": 1.5},
     "basis": {"c_u": 8, "c_s": 6, "degree": 3},
@@ -40,8 +44,8 @@ def runner():
 def cohort_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "cohort.csv"
     spec = h.ScenarioSpec(
-        hazard1=h.hazard_family("constant", level=0.1),
-        hazard2=h.hazard_family("constant", level=0.05),
+        hazards=(h.hazard_family("constant", level=0.1),
+                 h.hazard_family("constant", level=0.05)),
         u_lo=50.0, u_hi=100.0, s_max=10.5, n=3000, seed=7,
     )
     h.write_records_csv(path, h.simulate_cohort(spec))
@@ -464,8 +468,8 @@ class TestFit:
         without data.  With rho_u = 0 only the s-penalty ties each row, which leaves its d = 2
         polynomial coefficients free: 10 of 160.  Such a fit was once reported converged, with
         hazards off the data in the thousands per year and more."""
-        spec = h.ScenarioSpec(hazard1=h.hazard_family("constant", level=0.1),
-                              hazard2=h.hazard_family("constant", level=0.05),
+        spec = h.ScenarioSpec(hazards=(h.hazard_family("constant", level=0.1),
+                                       h.hazard_family("constant", level=0.05)),
                               u_lo=70.0, u_hi=100.0, s_max=10.5, n=4000, seed=7)
         csv_path = tmp_path / "aged_70.csv"
         h.write_records_csv(csv_path, h.simulate_cohort(spec))
@@ -679,6 +683,54 @@ class TestSimulateCommand:
         assert f"error: {message.format(path=scen)}" in result.output
         assert not (tmp_path / "c.csv").exists()
 
+    @pytest.mark.parametrize("text,message", [
+        ("sede: 5\n" + CAUSES, "unknown scenario key sede"),
+        ("age: {low: 60}\n" + CAUSES, "unknown scenario key age.low"),
+        ("5: 1\n" + CAUSES, "unknown scenario key 5"),
+        (CAUSES + "cause4: {name: constant, level: 0.1}\n", "unknown scenario key cause4"),
+        ("cause1: {name: constant, level: 0.1}\ncause3: {name: constant, level: 0.1}\n",
+         "unknown scenario key cause3"),
+        (CAUSES + "cause0: {name: constant, level: 0.1}\n", "unknown scenario key cause0"),
+        (CAUSES + "cause02: {name: constant, level: 0.1}\n", "unknown scenario key cause02"),
+    ], ids=["top-level", "age", "number", "gap-after-2", "gap-after-1", "cause0", "padded"])
+    def test_unknown_scenario_key_exits_2(self, runner, tmp_path, text, message):
+        """A key the scenario does not read, or a cause key that does not continue cause1 ..
+        causeL without a gap: once dropped with exit 0."""
+        scen = tmp_path / "scen.yaml"
+        scen.write_text(text)
+        result = runner.invoke(main, ["simulate", str(scen), "--out", str(tmp_path / "c.csv")])
+        assert result.exit_code == 2, result.output
+        assert f"error: {message}\n" in result.output
+        assert not (tmp_path / "c.csv").exists()
+
+    def test_three_causes_run_through_fit_and_predict(self, runner, tmp_path):
+        """The records name the causes: a cause3 scenario gives codes 0..3, `fit` fits and
+        writes cause3/, and `predict` writes the hazard3 .. cif3 columns."""
+        scen, cohort = tmp_path / "scen.yaml", tmp_path / "c.csv"
+        scen.write_text(CAUSES_1_TO_3)
+        assert runner.invoke(main, ["simulate", str(scen), "--out", str(cohort)]).exit_code == 0
+        assert set(h.read_records_csv(cohort).cause.tolist()) == {0, 1, 2, 3}
+        cfg = tmp_path / "fast.yaml"
+        cfg.write_text(yaml.safe_dump(FAST_CONFIG))
+        out = tmp_path / "fit"
+        result = runner.invoke(main, ["fit", str(cohort), "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert sorted(p.name for p in out.glob("cause*")) == ["cause1", "cause2", "cause3"]
+        assert sorted(json.loads((out / "fit_summary.json").read_text())["causes"]) == [
+            "1", "2", "3"]
+        points, pred = tmp_path / "points.csv", tmp_path / "pred.csv"
+        points.write_text("u,s\n60,2\n75,5\n")
+        result = runner.invoke(main, ["predict", "--model", str(out / "model.json"),
+                                      "--points", str(points), "--out", str(pred)])
+        assert result.exit_code == 0, result.output
+        rows = list(csv.DictReader(pred.open()))
+        assert list(rows[0]) == ["u", "s"] + [f"{name}{ell}" for ell in (1, 2, 3) for name in (
+            "hazard", "log_hazard_se", "hazard_se", "cif")] + ["survival", "extrapolated"]
+        for row in rows:   # left rectangles: within 3 delta sum(hazards), delta = 1.5 / 10
+            total = sum(float(row[f"cif{ell}"]) for ell in (1, 2, 3)) + float(row["survival"])
+            assert abs(total - 1.0) < 3 * 0.15 * sum(float(row[f"hazard{ell}"])
+                                                     for ell in (1, 2, 3))
+
     @pytest.mark.parametrize("line,message", [
         ("n: 300.9", "scenario key n must be an integer, got 300.9"),
         ("seed: 5.7", "scenario key seed must be an integer, got 5.7"),
@@ -745,8 +797,8 @@ class TestSimulateCommand:
 def grouped_csv(tmp_path_factory):
     """A small cohort whose ages at or above 90 are reported as 90."""
     spec = h.ScenarioSpec(
-        hazard1=h.hazard_family("constant", level=0.15),
-        hazard2=h.hazard_family("constant", level=0.10),
+        hazards=(h.hazard_family("constant", level=0.15),
+                 h.hazard_family("constant", level=0.10)),
         u_lo=50.0, u_hi=100.0, s_max=10.5, n=2500, seed=13,
     )
     table = h.simulate_cohort(spec)
@@ -887,12 +939,12 @@ class TestWorkerProcesses:
     @pytest.mark.parametrize("pclm", [False, True])
     def test_data_error_in_a_worker_exits_2_as_serial(self, runner, monkeypatch, tmp_path,
                                                       cohort_csv, pclm):
-        """A cause with no events fails its search (the hazard search, or with PCLM the
-        ungrouping of its grouped counts) inside a worker."""
+        """A cause with no events below the largest code fails its search (the hazard search,
+        or with PCLM the ungrouping of its grouped counts) inside a worker."""
         table = h.read_records_csv(cohort_csv)
-        csv_path = tmp_path / "one_cause.csv"
+        csv_path = tmp_path / "no_cause_1.csv"
         h.write_records_csv(csv_path, dataclasses.replace(table, cause=np.where(
-            table.cause == 2, 0, table.cause)))
+            table.cause == 1, 0, table.cause)))
         path = tmp_path / "cfg.yaml"
         path.write_text(yaml.safe_dump({**FAST_CONFIG, "pclm": {"enabled": pclm}}))
         results = self.run_both(runner, monkeypatch, tmp_path,
@@ -900,6 +952,7 @@ class TestWorkerProcesses:
         (pool, _), (serial, _) = results.values()
         assert pool.exit_code == serial.exit_code == 2
         assert "error: " in pool.output and pool.output == serial.output
+        assert ("nothing to ungroup" if pclm else "no events of cause 1") in pool.output
 
     def test_convergence_error_in_a_worker_exits_3_as_serial(self, runner, monkeypatch,
                                                              tmp_path, cohort_csv):
@@ -927,7 +980,7 @@ class TestWorkerProcesses:
 
     def test_error_details_survive_the_worker(self, tmp_path):
         bad = tmp_path / "bad.csv"
-        bad.write_text("id,u,s_entry,s_exit,cause\nx,55,0,notanumber,1\ny,56,0,1,7\n")
+        bad.write_text("id,u,s_entry,s_exit,cause\nx,55,0,notanumber,1\ny,56,0,1,-1\n")
         with pytest.raises(DataError) as local:
             h.read_records_csv(bad)
         with pytest.raises(DataError) as remote:

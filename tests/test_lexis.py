@@ -55,7 +55,7 @@ class TestBinRecords:
         out = h.bin_records(table(rec()), grid)
         # u = 52.3 sits in the third age row, exit 1.2 in the third s-bin
         assert out.Y[1][2, 2] == 1.0
-        assert out.Y[2].sum() == 0.0
+        assert list(out.Y) == [1] and out.Y[1].sum() == 1.0    # causes 1 .. the largest code
         expected_row = np.zeros(21)
         expected_row[:3] = [0.5, 0.5, 0.2]
         assert np.allclose(out.R[2], expected_row, atol=1e-12)
@@ -64,8 +64,28 @@ class TestBinRecords:
     def test_censored_record_adds_no_events(self):
         grid = h.build_grid(50, 100, 1, 0, 10.5, 0.5)
         out = h.bin_records(table(rec(cause=0)), grid)
-        assert out.Y[1].sum() == 0.0 and out.Y[2].sum() == 0.0
+        assert list(out.Y) == [1] and out.Y[1].sum() == 0.0    # at least cause 1
         assert out.R.sum() == pytest.approx(1.2, abs=1e-12)
+
+    def test_causes_run_to_the_largest_code(self):
+        """Causes 1..L for the largest code L, each with its matrix: a cause below L without
+        events is binned as zeros (the fit refuses it)."""
+        grid = h.build_grid(50, 100, 1, 0, 10.5, 0.5)
+        out = h.bin_records(table(rec(cause=0), *(rec(id=f"r{i}", cause=3) for i in (1, 2, 3))),
+                            grid)
+        assert list(out.Y) == [1, 2, 3]
+        assert out.Y[1].sum() == out.Y[2].sum() == 0.0
+        assert out.Y[3][2, 2] == 3.0 and out.Y[3].sum() == 3.0
+
+    def test_more_causes_than_events_are_refused(self):
+        """A largest code above the number of events leaves a cause without events for sure:
+        refused before one count matrix per code is built (a column of ids read as causes)."""
+        grid = h.build_grid(50, 100, 1, 0, 10.5, 0.5)
+        with pytest.raises(DataError, match="the largest cause code is 3, but 2 record"):
+            h.bin_records(table(rec(cause=0), rec(id="r1", cause=3), rec(id="r2", cause=1)),
+                          grid)
+        with pytest.raises(DataError, match="largest cause code is 123456789, but 1 record"):
+            h.bin_records(table(rec(cause=123456789)), grid)
 
     def test_exit_on_edge_goes_below(self):
         grid = h.build_grid(50, 100, 1, 0, 10.5, 0.5)
@@ -104,8 +124,8 @@ class TestBinRecords:
         # refused where the table is built, before any binning
         with pytest.raises(DataError, match="need 0 <= s_entry < s_exit"):
             table(rec(s_entry=2.0, s_exit=1.0))
-        with pytest.raises(DataError, match="cause must be 0, 1 or 2"):
-            table(rec(cause=7))
+        with pytest.raises(DataError, match="cause must be 0 or positive, got -1"):
+            table(rec(cause=-1))
 
     @given(shift=st.integers(min_value=0, max_value=10))
     @settings(max_examples=20, deadline=None)

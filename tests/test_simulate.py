@@ -5,7 +5,7 @@ import pytest
 
 import hazard2ts as h
 from hazard2ts.errors import DataError
-from hazard2ts.simulate import at_risk_matrix
+from hazard2ts.simulate import _draw_ages, at_risk_matrix
 
 
 FIELDS = ("id", "u", "s_entry", "s_exit", "cause")
@@ -17,8 +17,8 @@ def columns(table):
 
 def constant_spec(n=2000, seed=1, lam1=0.1, lam2=0.05, s_max=100.0, step=1e-3):
     return h.ScenarioSpec(
-        hazard1=h.hazard_family("constant", level=lam1),
-        hazard2=h.hazard_family("constant", level=lam2),
+        hazards=(h.hazard_family("constant", level=lam1),
+                 h.hazard_family("constant", level=lam2)),
         u_lo=50.0, u_hi=100.0, s_max=s_max, n=n, seed=seed, step=step,
     )
 
@@ -66,12 +66,63 @@ class TestHazardFamilies:
 class TestSimulateCohort:
     def test_no_hazard_means_all_censored(self):
         spec = h.ScenarioSpec(
-            hazard1=h.hazard_family("constant", level=0.0),
-            hazard2=h.hazard_family("constant", level=0.0),
+            hazards=(h.hazard_family("constant", level=0.0),
+                     h.hazard_family("constant", level=0.0)),
             u_lo=50.0, u_hi=60.0, s_max=5.0, n=50, seed=3,
         )
         records = h.simulate_cohort(spec)
         assert np.all(records.cause == 0) and np.all(records.s_exit == 5.0)
+
+    def test_two_causes_draw_the_two_hazard_stream(self):
+        """For two causes the cumulative draw is the earlier two-hazard step, float for float
+        and draw for draw: cause 1 where r < p1, cause 2 where r < p1 + p2."""
+        hazards = (h.hazard_family("unimodal-in-s", base=0.02, peak=0.08, mode=2.0),
+                   h.hazard_family("gompertz-in-u", level=0.02, slope=0.055, u_ref=60.0))
+        spec = h.ScenarioSpec(hazards=hazards, u_lo=50.0, u_hi=100.0, s_max=10.5, n=400,
+                              seed=17, step=0.01, age_weights=np.array([1.0, 2.0, 1.0]))
+        rng = np.random.default_rng(spec.seed)
+        u = _draw_ages(spec, rng)
+        s_exit = np.full(spec.n, spec.s_max)
+        cause, alive = np.zeros(spec.n, dtype=int), np.arange(spec.n)
+        for k in range(int(math.ceil(spec.s_max / spec.step - 1e-12))):
+            s_now = k * spec.step
+            width = min(spec.step, spec.s_max - s_now)
+            p1, p2 = (np.asarray(fn(u[alive], s_now)) * width for fn in hazards)
+            r = rng.random(alive.size)
+            hit1 = r < p1
+            hit2 = ~hit1 & (r < p1 + p2)
+            hit = hit1 | hit2
+            s_exit[alive[hit]] = s_now + width
+            cause[alive[hit]] = np.where(hit1[hit], 1, 2)
+            alive = alive[~hit]
+        records = h.simulate_cohort(spec)
+        assert np.array_equal(records.u, u) and np.array_equal(records.s_exit, s_exit)
+        assert np.array_equal(records.cause, cause) and np.count_nonzero(cause == 2) > 0
+
+    def test_three_cause_fractions_closed_form(self):
+        # P(cause ell | any event) = lam_ell / sum(lam) for constant hazards
+        lams = (0.1, 0.05, 0.08)
+        spec = h.ScenarioSpec(hazards=tuple(h.hazard_family("constant", level=lam)
+                                            for lam in lams),
+                              u_lo=50.0, u_hi=100.0, s_max=100.0, n=3000, seed=13)
+        records = h.simulate_cohort(spec)
+        assert set(records.cause.tolist()) == {1, 2, 3}
+        n_events = np.count_nonzero(records.cause != 0)
+        for ell, lam in enumerate(lams, 1):
+            p = lam / sum(lams)
+            frac = np.count_nonzero(records.cause == ell) / n_events
+            assert abs(frac - p) < 3.0 * math.sqrt(p * (1 - p) / n_events)
+
+    def test_one_cause_fails_only_from_it(self):
+        spec = h.ScenarioSpec(hazards=(h.hazard_family("constant", level=0.2),),
+                              u_lo=50.0, u_hi=100.0, s_max=10.0, n=500, seed=2)
+        records = h.simulate_cohort(spec)
+        assert set(records.cause.tolist()) == {0, 1}
+        assert np.all(records.s_exit[records.cause == 0] == 10.0)
+
+    def test_a_scenario_needs_a_hazard(self):
+        with pytest.raises(ValueError, match="at least one cause"):
+            h.ScenarioSpec(hazards=(), u_lo=50.0, u_hi=100.0, s_max=10.0, n=5, seed=1)
 
     def test_cause_fraction_closed_form(self):
         # P(cause 1 | any event) = lam1 / (lam1 + lam2) = 2/3

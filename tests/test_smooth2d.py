@@ -107,6 +107,20 @@ class TestFitHazard:
         assert err.value.last_coef is not None
         assert err.value.score_norm is not None
 
+    def test_a_step_still_worse_after_ten_halvings_is_refused(self):
+        """A problem whose deviance rises along every step from the start: the first step,
+        halved ten times, still raises it, and the fit ends there with the start as its last
+        iterate.  Such a step was once taken, and the fit ran to ``max_iter``."""
+        prob = _prepare(toy_data(np.random.default_rng(2)), 1, *toy_knots()).prob
+        state = prob.state
+        prob.state = lambda alpha: (*state(alpha)[:3], state(alpha)[3]
+                                    + 1e6 * float(np.abs(alpha - prob.start).sum()))
+        with pytest.raises(ConvergenceError, match="step 1 still raises the penalized deviance "
+                                                   "after 10 halvings") as err:
+            smooth2d._newton(prob, h.PenaltyConfig(0.0, 0.0, 2), h.FitControl(max_iter=20))
+        assert err.value.n_iter == 1
+        assert np.array_equal(err.value.last_coef.flatten(order="F"), prob.start)
+
     def test_exposure_scaling_shifts_log_hazard(self):
         rng = np.random.default_rng(3)
         data = toy_data(rng)
