@@ -5,8 +5,9 @@ standard analysis setup: 1-year age bins on [50, 100], half-year follow-up
 bins on [0, 10.5], 16 x 10 cubic spline bases, second-order differences,
 BIC-selected smoothing, and ungrouping of ages 90+ onto [90, 100) when
 enabled.  Outputs are long-format CSVs (u, s, value, extrapolated) with 17
-significant digits plus JSON summaries; reruns with the same config are
-byte-identical.  Every standard error, the CIFs' included, is a delta-method
+significant digits plus JSON summaries and the model file, each written in one piece with
+the bytes json.dump writes at ``indent=2, sort_keys=True`` (``write_json``); reruns with the
+same config are byte-identical.  Every standard error, the CIFs' included, is a delta-method
 one; ``fit --draws``, once a Monte-Carlo draw count, is accepted and ignored.
 
 Exit codes: 0 success, 2 data, domain and other package errors, 3 non-convergence.
@@ -22,6 +23,7 @@ import os
 import sys
 from collections import namedtuple
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 import click
@@ -360,10 +362,77 @@ def _read_nonfinite(val):
     return _NONFINITE.get(val, val) if isinstance(val, str) else val
 
 
+# the text of each entry of an integer or float array, as json.dump writes that Python number
+_ENTRY_TEXT = {"f": float.__repr__, "i": int.__repr__, "u": int.__repr__}
+
+
+def _join_rows(rows, nl, brackets="[]"):
+    """The text of a JSON list (an object with ``brackets="{}"``) whose items have the texts
+    ``rows``, or, where ``rows`` nests lists of texts, of the nested lists."""
+    if not rows:
+        return brackets
+    inner = nl + "  "
+    if isinstance(rows[0], list):
+        rows = [_join_rows(row, inner) for row in rows]
+    return brackets[0] + inner + ("," + inner).join(rows) + nl + brackets[1]
+
+
+def _array_text(arr, nl):
+    """``_json_text`` of an integer or float array of at least one dimension: each entry's
+    text made by one C-level call over ``tolist()``, a non-finite one replaced by the text of
+    its ``_json_value`` string, and the texts joined a last-axis row at a time.  A square
+    float64 array that is symmetric bit for bit (a fit's covariance ``0.5 * (H⁻¹ + H⁻ᵀ)``) has
+    only its upper triangle rendered, and those texts are reused for the mirrored entries:
+    comparing bits, not values, keeps a mirrored 0.0 from being written where -0.0 sits."""
+    text = np.empty(arr.shape, dtype=object)
+    square = arr.dtype == np.float64 and arr.ndim == 2 and arr.shape[0] == arr.shape[1]
+    if square and np.array_equal(arr.view(np.uint64), arr.view(np.uint64).T):
+        upper = np.triu_indices(len(arr))
+        text[upper] = list(map(float.__repr__, arr[upper].tolist()))
+        text.T[upper] = text[upper]
+    else:
+        text.reshape(-1)[:] = list(map(_ENTRY_TEXT[arr.dtype.kind], arr.ravel().tolist()))
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        text[bad] = [_json_text(val) for val in arr[bad].tolist()]
+    return _join_rows(text.tolist(), nl)
+
+
+def _json_text(obj, nl="\n"):
+    """The text of ``json.dumps(_json_value(obj), indent=2, sort_keys=True, allow_nan=False)``,
+    its lines after the first starting with ``nl`` (the line break and indent of the enclosing
+    value), made by the C-level primitives json's encoder calls: ``encode_basestring_ascii``,
+    ``int.__repr__`` and ``float.__repr__``.  TypeError for a value of no JSON type, and for a
+    dict key that is not a str (where json.dump would write a number or bool key as text)."""
+    if isinstance(obj, np.ndarray) and obj.ndim and obj.dtype.kind in _ENTRY_TEXT:
+        return _array_text(obj, nl)
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = _json_value(obj)
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True or obj is False:
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return float.__repr__(obj) if math.isfinite(obj) else _quote(_json_value(obj))
+    inner = nl + "  "
+    if isinstance(obj, (list, tuple)):
+        return _join_rows([_json_text(val, inner) for val in obj], nl)
+    if isinstance(obj, dict):
+        return _join_rows([f"{_quote(key)}: {_json_text(obj[key], inner)}" for key in sorted(obj)],
+                          nl, "{}")
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def write_json(path, payload):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_json_value(payload), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    """Write ``payload`` as the bytes json.dump writes for ``_json_value(payload)`` with
+    ``indent=2, sort_keys=True, allow_nan=False``, then a newline (floats in Python's shortest
+    repr), in one write once the whole text is built: a value that cannot be encoded raises
+    before the file is opened, so an existing file at ``path`` is left as it was."""
+    Path(path).write_text(_json_text(payload) + "\n", encoding="utf-8")
 
 
 def _knots_payload(kv: KnotVector):
