@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
+import pickle
 import sys
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -188,17 +190,83 @@ def make_bases(grid: LexisGrid, basis_cfg: BasisConfig):
 
 
 # --------------------------------------------------------------------------
-# independent searches in worker processes
+# independent searches on lanes: this process and forked worker processes
 
-def _call(task):
-    fn, args, kwargs = task
-    return fn(*args, **kwargs)
+def _run_lane(tasks, lane, n_lanes):
+    """The ``(index, ok, value)`` entries of the tasks ``lane, lane + n_lanes, ...`` run in
+    order: ``ok`` and the result, up to the first task that raises, whose entry is the last,
+    not ``ok`` and the exception."""
+    entries = []
+    for index in range(lane, len(tasks), n_lanes):
+        fn, args, kwargs = tasks[index]
+        try:
+            entries.append((index, True, fn(*args, **kwargs)))
+        except Exception as exc:
+            entries.append((index, False, exc))
+            break
+    return entries
+
+
+def _pickled(entry):
+    """The pickle of an ``(index, ok, value)`` entry; where the value does not pickle, or an
+    exception does not unpickle, that of a failed entry whose RuntimeError carries its text."""
+    index, ok, value = entry
+    try:
+        data = pickle.dumps(entry, pickle.HIGHEST_PROTOCOL)
+        if not ok:
+            pickle.loads(data)      # an exception that pickles may still not unpickle
+        return data
+    except Exception as exc:
+        what = "result" if ok else "exception"
+        return pickle.dumps((index, False, RuntimeError(
+            f"task {index}: its {what} {value!r:.200} cannot leave its worker process: {exc}")))
+
+
+def _fork_lane(tasks, lane, n_lanes):
+    """The pid of a forked worker process that runs ``_run_lane`` in ``_blas_threads`` and
+    writes the pickles of its entries to a pipe, and the pipe's read end as a file.  The
+    worker leaves by ``os._exit``, with status 0 once it has written them all."""
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:                # the worker: it never returns into the caller's frames
+        status = 1
+        try:
+            os.close(read_end)
+            with _blas_threads():
+                entries = _run_lane(tasks, lane, n_lanes)
+            data = b"".join(map(_pickled, entries))
+            with open(write_end, "wb") as fh:
+                fh.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    return pid, open(read_end, "rb")
+
+
+def _worker_entries(lane, pid, data, status):
+    """The entries a reaped worker wrote (``data``); where it ended (``os.waitpid``'s
+    ``status``) without writing them all, one failed entry at its lane's first task, whose
+    ChildProcessError names its exit status or signal."""
+    import signal               # here: only the search lanes use it
+
+    code = os.waitstatus_to_exitcode(status)
+    if code == 0 and data:
+        stream = io.BytesIO(data)
+        entries = []
+        while stream.tell() < len(data):
+            entries.append(pickle.load(stream))
+        return entries
+    how = (f"was killed by signal {-code} ({signal.strsignal(-code)})" if code < 0
+           else f"exited with status {code}")
+    return [(lane, False, ChildProcessError(
+        f"worker process {pid} {how} before it returned the results of its tasks"))]
 
 
 def _openblas(name) -> list:
     """The ``name`` function (``"set_num_threads"``, ``"get_num_threads"``) of each OpenBLAS
     build loaded in this process: numpy's, and scipy's once scipy is loaded."""
-    import ctypes               # here: only the worker pool uses it
+    import ctypes               # here: only the search lanes use it
 
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
@@ -215,37 +283,70 @@ def _openblas(name) -> list:
     return found
 
 
-def _set_blas_threads(value):
-    """Run each OpenBLAS loaded in this process on ``value`` threads (the text of
-    ``OPENBLAS_NUM_THREADS``), also where it was loaded before the variable was set."""
+@contextlib.contextmanager
+def _blas_threads():
+    """Each OpenBLAS loaded in this process on the threads of ``OPENBLAS_NUM_THREADS`` inside
+    the block, also where it was loaded before the variable was set, and on the count it had
+    after the block."""
     import ctypes
 
+    value = os.environ.get("OPENBLAS_NUM_THREADS", "")
+    getters, setters = _openblas("get_num_threads"), _openblas("set_num_threads")
+    for fn in getters:
+        fn.restype = ctypes.c_int
+    for fn in setters:
+        fn.argtypes, fn.restype = [ctypes.c_int], None
+    counts = [fn() for fn in getters]
     if value.isdigit() and int(value) > 0:     # else OpenBLAS kept its default: so does this
-        for fn in _openblas("set_num_threads"):
-            fn.argtypes, fn.restype = [ctypes.c_int], None
+        for fn in setters:
             fn(int(value))
+    try:
+        yield
+    finally:
+        for fn, count in zip(setters, counts):
+            fn(count)
 
 
 def _run_tasks(tasks):
-    """``[fn(*args, **kwargs) for fn, args, kwargs in tasks]``, the calls made in forked
-    worker processes, one per usable CPU at most.  ``fn`` is a module-level function and its
-    arguments are pickled.  The first failing task in task order raises its exception here;
-    a worker that dies raises BrokenProcessPool.  Each worker runs the serial library code on
-    the BLAS threads of ``OPENBLAS_NUM_THREADS`` (one, as importing the package sets it), set
-    in the worker: a program that imported numpy before the package started numpy's default
-    count, which forked workers would inherit.  The results are those of the calls made in
-    this process."""
-    import multiprocessing      # here: the imports would cost every command ~20 ms
-    from concurrent.futures import ProcessPoolExecutor
+    """``[fn(*args, **kwargs) for fn, args, kwargs in tasks]``, the tasks dealt round-robin
+    into one lane per usable CPU at most: this process runs lane 0 and forks a worker per
+    other lane (``_fork_lane``), so one task or one CPU forks nothing.  Each lane stops at its
+    first failing task.  The first failing task in task order raises its exception here, as
+    in a serial run; a worker that ended without its results raises ChildProcessError at its
+    lane's first task.  Every worker is killed and reaped before this returns or raises.
+    Every lane runs in ``_blas_threads``: a program that imported numpy before the package
+    started numpy's default count, which this process and its forks would keep.  The results
+    are those of a serial run in a process that imported the package first."""
+    import signal
 
-    pool = ProcessPoolExecutor(min(len(tasks), len(os.sched_getaffinity(0))),
-                               mp_context=multiprocessing.get_context("fork"),
-                               initializer=_set_blas_threads,
-                               initargs=(os.environ.get("OPENBLAS_NUM_THREADS", ""),))
+    n_lanes = max(1, min(len(tasks), len(os.sched_getaffinity(0))))
+    workers = {}                # lane: (pid, read end), until the worker is reaped
     try:
-        return list(pool.map(_call, tasks))
+        for lane in range(1, n_lanes):
+            workers[lane] = _fork_lane(tasks, lane, n_lanes)
+        with _blas_threads():
+            outcome = {index: (ok, value) for index, ok, value in _run_lane(tasks, 0, n_lanes)}
+        if tasks and not outcome[0][0]:     # the first task failed: no worker's comes first
+            raise outcome[0][1]
+        for lane, (pid, pipe) in list(workers.items()):
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del workers[lane]
+            outcome.update((index, (ok, value))
+                           for index, ok, value in _worker_entries(lane, pid, data, status))
+        results = []
+        for index in range(len(tasks)):     # a lane has no entry past its failed task
+            ok, value = outcome[index]
+            if not ok:
+                raise value
+            results.append(value)
+        return results
     finally:
-        pool.shutdown(cancel_futures=True)
+        for pid, pipe in workers.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
 
 
 # --------------------------------------------------------------------------
@@ -256,7 +357,8 @@ def assemble_ungrouped(grouped, body_R, kv_u, kv_s, d, phi_search, ctrl):
 
     Event tails come from composite-link fits per cause; the exposure tail
     is reconstructed from the ungrouped at-risk numbers by the half-bin
-    rule.  The three searches are independent and run in worker processes.
+    rule.  The searches, one per cause and one for the at-risk numbers, are independent and
+    run on ``_run_tasks``'s lanes, the first in this process.
     Returns (BinnedData, diagnostics dict).
     """
     grid = grouped.grid
@@ -354,10 +456,11 @@ def _json_value(obj):
 
 def _read_nonfinite(val):
     """A JSON value with the strings of ``_NONFINITE`` read back as floats.  A list of
-    numbers alone is returned as it is, so a covariance is not walked entry by entry."""
+    numbers alone is returned as it is, its entries' types tested at C level, so a
+    covariance row is not walked entry by entry in Python."""
     if isinstance(val, dict):
         return {key: _read_nonfinite(v) for key, v in val.items()}
-    if isinstance(val, list) and not all(type(v) in (float, int) for v in val):
+    if isinstance(val, list) and not {float, int}.issuperset(map(type, val)):
         return [_read_nonfinite(v) for v in val]
     return _NONFINITE.get(val, val) if isinstance(val, str) else val
 

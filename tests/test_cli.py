@@ -4,10 +4,11 @@ import json
 import math
 import operator
 import os
+import signal
 import subprocess
 import sys
 import threading
-from concurrent.futures.process import BrokenProcessPool
+import time
 from pathlib import Path
 
 import numpy as np
@@ -294,6 +295,19 @@ class TestTableWriter:
         assert len(blocks_formatted) == math.ceil(n_rows / 100)
 
 
+def _pool_modules_after(args):
+    """The multiprocessing and concurrent modules loaded by the end of a command run in a
+    fresh interpreter."""
+    src = str(Path(h.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys; from hazard2ts.cli import main; main(sys.argv[1:], standalone_mode=False);"
+            " print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('multiprocessing', 'concurrent')))")
+    out = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    return out.stdout.strip()
+
+
 def test_predict_loads_no_multiprocessing(fit_outputs, tmp_path):
     """A predict table of several blocks is formatted in this process: the command never
     imports multiprocessing, so it can start no worker pool."""
@@ -302,17 +316,21 @@ def test_predict_loads_no_multiprocessing(fit_outputs, tmp_path):
     points = tmp_path / "points.csv"
     np.savetxt(points, np.column_stack([rng.uniform(51, 99, n), rng.uniform(0.1, 10, n)]),
                delimiter=",", header="u,s", comments="")
-    src = str(Path(h.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = ("import sys; from hazard2ts.cli import main; main(sys.argv[1:], standalone_mode=False);"
-            " print(sorted(m for m in sys.modules if m.split('.')[0] in "
-            "('multiprocessing', 'concurrent')))")
-    out = subprocess.run([sys.executable, "-c", code, "predict", "--model",
-                          str(fit_outputs / "model.json"), "--points", str(points), "--out",
-                          str(tmp_path / "pred.csv")], env=env, capture_output=True, text=True,
-                         check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    assert _pool_modules_after(["predict", "--model", fit_outputs / "model.json", "--points",
+                                points, "--out", tmp_path / "pred.csv"]) == "[]"
     assert len((tmp_path / "pred.csv").read_text().splitlines()) == n + 1
+
+
+@pytest.mark.parametrize("pclm", [False, True])
+def test_fit_loads_no_multiprocessing(grouped_csv, tmp_path, pclm):
+    """The searches of a fit, with and without PCLM, run on forked lanes with no pool
+    module loaded."""
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({**FAST_CONFIG, "pclm": {"enabled": pclm,
+                                                           "log10_phi_step": 1.0}}))
+    out = tmp_path / "fit"
+    assert _pool_modules_after(["fit", grouped_csv, "--config", path, "--out", out]) == "[]"
+    assert (out / "model.json").is_file()
 
 
 def test_commands_leave_no_thread_running(fit_outputs, cohort_csv, config_yaml, tmp_path,
@@ -881,7 +899,7 @@ class TestUngroupCommand:
 
 
 def _serial(tasks):
-    """The worker-pool helper's calls made in this process, in task order."""
+    """``_run_tasks``'s calls made in this process, in task order."""
     return [fn(*args, **kwargs) for fn, args, kwargs in tasks]
 
 
@@ -908,11 +926,30 @@ def test_pclm_fit_checks_the_records_only_when_the_table_is_read(monkeypatch, tm
     assert checked == [len(table)]
 
 
+class _HoldsALock(Exception):
+    def __init__(self):
+        super().__init__("holds a lock")
+        self.lock = threading.Lock()
+
+
+class _TwoArguments(Exception):
+    def __init__(self, first, second):      # unpickled from ``args``, ``(first,)`` alone
+        super().__init__(first)
+        self.second = second
+
+
+def _raise(exc):
+    def task():
+        raise exc
+    return task
+
+
 class TestWorkerProcesses:
-    """The independent smoothing searches run in forked workers, and change nothing."""
+    """The independent smoothing searches run on lanes, this process and forked workers, and
+    change nothing."""
 
     def run_both(self, runner, monkeypatch, tmp_path, args):
-        """The command through the worker pool and through the serial reference."""
+        """The command through ``_run_tasks`` and through the serial reference."""
         results = {}
         for mode in ("pool", "serial"):
             with monkeypatch.context() as mp:
@@ -925,16 +962,20 @@ class TestWorkerProcesses:
     @pytest.mark.parametrize("command,pclm", [("fit", False), ("fit", True), ("ungroup", True)])
     def test_pool_and_serial_artefacts_are_byte_identical(self, runner, monkeypatch, tmp_path,
                                                           grouped_csv, command, pclm):
+        """On two CPUs the 3 PCLM tasks take 2 lanes, this process running 2 of them; on four,
+        one lane each."""
         cfg = {**FAST_CONFIG, "pclm": {"enabled": pclm, "log10_phi_step": 1.0}}
         path = tmp_path / "cfg.yaml"
         path.write_text(yaml.safe_dump(cfg))
-        results = self.run_both(runner, monkeypatch, tmp_path,
-                                [command, str(grouped_csv), "--config", str(path)])
-        for result, _ in results.values():
-            assert result.exit_code == 0, result.output
-        pool, serial = (_tree(out) for _, out in results.values())
-        assert len(pool) == (13 if command == "fit" else 4)
-        assert pool == serial
+        for n_cpus in (2, 4):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
+            results = self.run_both(runner, monkeypatch, tmp_path / f"cpus{n_cpus}",
+                                    [command, str(grouped_csv), "--config", str(path)])
+            for result, _ in results.values():
+                assert result.exit_code == 0, result.output
+            pool, serial = (_tree(out) for _, out in results.values())
+            assert len(pool) == (13 if command == "fit" else 4)
+            assert pool == serial
 
     @pytest.mark.parametrize("pclm", [False, True])
     def test_data_error_in_a_worker_exits_2_as_serial(self, runner, monkeypatch, tmp_path,
@@ -974,17 +1015,52 @@ class TestWorkerProcesses:
         with pytest.raises(ValueError, match="math domain error"):
             cli._run_tasks(failing)
 
-    def test_a_worker_that_dies_raises_instead_of_hanging(self):
-        with pytest.raises(BrokenProcessPool):
+    def test_a_worker_that_dies_raises_instead_of_hanging(self, monkeypatch):
+        """The second task runs in a forked worker, which exits without its results."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        with pytest.raises(ChildProcessError, match="exited with status 3"):
             cli._run_tasks([(math.sqrt, (4.0,), {}), (os._exit, (3,), {})])
 
-    def test_error_details_survive_the_worker(self, tmp_path):
+    def test_a_worker_killed_by_a_signal_raises_instead_of_hanging(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        with pytest.raises(ChildProcessError, match=r"killed by signal 9 \(Killed\)"):
+            cli._run_tasks([(math.sqrt, (4.0,), {}),
+                            (lambda: os.kill(os.getpid(), signal.SIGKILL), (), {})])
+
+    @pytest.mark.parametrize("task,what", [
+        (lambda: lambda: None, "its result <function"),
+        (_raise(_HoldsALock()), r"its exception _HoldsALock\('holds a lock'\)"),
+        (_raise(_TwoArguments("first", "second")), r"its exception _TwoArguments\('first'\)"),
+    ], ids=["result", "exception-that-does-not-pickle", "exception-that-does-not-unpickle"])
+    def test_what_does_not_pickle_leaves_a_worker_as_runtime_error(self, monkeypatch, task,
+                                                                   what):
+        """A local function as a result, an exception holding a lock, and one that pickles
+        but does not unpickle cannot leave the worker: a RuntimeError carries its text."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        with pytest.raises(RuntimeError, match=f"task 1: {what}"):
+            cli._run_tasks([(math.sqrt, (4.0,), {}), (task, (), {})])
+
+    def test_every_worker_is_reaped_when_this_process_fails_first(self, monkeypatch):
+        """Lane 0, in this process, fails at once while a worker sleeps: the call raises
+        without waiting for it, and leaves no child process behind."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="math domain error"):
+            cli._run_tasks([(math.sqrt, (-1.0,), {}), (time.sleep, (60,), {})])
+        assert time.monotonic() - start < 5
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_error_details_survive_the_worker(self, tmp_path, monkeypatch):
+        """The second task runs in a forked worker: the DataError and its details are
+        pickled from it."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         bad = tmp_path / "bad.csv"
         bad.write_text("id,u,s_entry,s_exit,cause\nx,55,0,notanumber,1\ny,56,0,1,-1\n")
         with pytest.raises(DataError) as local:
             h.read_records_csv(bad)
         with pytest.raises(DataError) as remote:
-            cli._run_tasks([(h.read_records_csv, (bad,), {})])
+            cli._run_tasks([(math.sqrt, (4.0,), {}), (h.read_records_csv, (bad,), {})])
         assert str(remote.value) == str(local.value)
         assert remote.value.details == local.value.details and len(local.value.details) == 2
 
@@ -992,7 +1068,7 @@ class TestWorkerProcesses:
 @pytest.mark.parametrize("user_value", [None, "2"])
 def test_import_pins_blas_threads_and_loads_no_multiprocessing(user_value):
     """Importing the command line sets one BLAS thread unless the user chose a number, and
-    leaves multiprocessing to the pool helper that needs it."""
+    loads no multiprocessing."""
     src = str(Path(h.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -1009,8 +1085,8 @@ def test_import_pins_blas_threads_and_loads_no_multiprocessing(user_value):
 
 def test_workers_run_one_blas_thread_when_numpy_was_imported_first():
     """numpy imported before the package has started its BLAS with numpy's default threads,
-    which forked workers would inherit: each task runs on one BLAS thread, or in this
-    process."""
+    which forked workers would inherit: each task runs on one BLAS thread, this process's
+    lane too, and this process has its own count again afterwards."""
     src = str(Path(h.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -1021,15 +1097,16 @@ def test_workers_run_one_blas_thread_when_numpy_was_imported_first():
             "    for fn in fns:\n"
             "        fn.restype = ctypes.c_int\n"
             "    return os.getpid(), [fn() for fn in fns]\n"
-            "print(json.dumps([report(), cli._run_tasks([(report, (), {})] * 2)]))\n")
+            "print(json.dumps([report(), cli._run_tasks([(report, (), {})] * 2), report()]))\n")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120)
-    (parent, loaded), tasks = json.loads(out.stdout)
-    if not loaded:
+    before, tasks, after = json.loads(out.stdout)
+    if not before[1]:
         pytest.skip("numpy's BLAS is no OpenBLAS")
+    assert after == before
     assert len(tasks) == 2
     for pid, threads in tasks:
-        assert pid == parent or threads == [1] * len(loaded)
+        assert threads == [1] * len(before[1])
 
 
 def test_nonfinite_values_are_written_as_strict_json(runner, cohort_csv, tmp_path):
