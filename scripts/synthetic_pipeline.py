@@ -74,10 +74,11 @@ def main():
 
     s_line = 10.0
     print(f"\ncumulative incidence at s = {s_line} by age at diagnosis:")
-    for u in (55.0, 70.0, 85.0):
-        cifs = {ell: h.cumulative_incidence(fits, ell, u, s_line, run.delta)
-                for ell in sorted(fits)}
-        surv = h.overall_survival(fits, u, s_line, run.delta)
+    ages = np.array([55.0, 70.0, 85.0])
+    at_ages = h.surfaces_at_points(fits, ages, np.full(len(ages), s_line), run.delta)
+    for i, u in enumerate(ages):
+        cifs = {ell: at_ages.cif[ell][i, 0] for ell in sorted(fits)}
+        surv = at_ages.survival[i, 0]
         listing = ", ".join(f"CIF{ell} = {cif:.3f}" for ell, cif in cifs.items())
         print(f"  u = {u:5.1f}: {listing}, S = {surv:.3f}, "
               f"sum = {sum(cifs.values()) + surv:.4f}")

@@ -27,13 +27,8 @@ from .incidence import (
     Surfaces,
     age_at_diagnosis,
     compute_surfaces,
-    cumulative_hazard,
-    cumulative_incidence,
     evaluate_hazard,
-    evaluate_log_hazard,
-    overall_survival,
     surfaces_at_points,
-    to_age_coordinates,
 )
 from .lexis import (
     BinnedData,
@@ -65,4 +60,4 @@ from .smooth2d import (
     select_smoothing,
     zero_penalty,
 )
-from .uncertainty import cif_standard_errors, se_hazard, se_log_hazard, se_log_hazard_points
+from .uncertainty import cif_standard_errors, se_log_hazard, se_log_hazard_points

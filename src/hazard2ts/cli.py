@@ -78,7 +78,6 @@ class SelectionConfig:
 class PclmConfig:
     enabled: bool = False
     first_grouped_age: float = 90.0
-    closing_age: float = 100.0
     log10_phi_lo: float = PHI_SEARCH.log10_rho_u_range[0]
     log10_phi_hi: float = PHI_SEARCH.log10_rho_u_range[1]
     log10_phi_step: float = PHI_SEARCH.coarse_step
@@ -114,9 +113,6 @@ class RunConfig:
         if phi[0] == -math.inf:   # phi = 0: no unpenalized composite link fits the tail rows
             raise ValueError(f"pclm log10 phi range must be finite, got {phi}")
         if ungroup or pclm.enabled:
-            if abs(pclm.closing_age - g.u_hi) > 1e-9:
-                raise ValueError(f"pclm.closing_age ({pclm.closing_age}) must equal "
-                                 f"grid.u_hi ({g.u_hi})")
             grid.first_grouped_row(pclm.first_grouped_age)
         return RunSetup(grid, kv_u, kv_s, check_criterion(sel.criterion), search, phi_search,
                         quadrature_step(self.delta, grid.h_s))
@@ -571,10 +567,30 @@ def save_model(path, cfg: RunConfig, fits: dict):
     write_json(path, payload)
 
 
+def _read_support(support) -> tuple:
+    """The hull of a model file's ``support`` entry: ``("polygon", vertices)``, an array of at
+    least 3 rows of 2 finite numbers, or ``("box", (u_min, u_max, s_min, s_max))``, 4 finite
+    numbers with each min <= its max; ValueError for anything else."""
+    kind, data = support["kind"], support["data"]
+    rows = data if kind == "polygon" else [data]
+    width, least = {"polygon": (2, 3), "box": (4, 1)}.get(kind, (0, math.inf))
+    ok = (isinstance(rows, list) and len(rows) >= least
+          and all(isinstance(row, list) and len(row) == width and all(map(_is_number, row))
+                  for row in rows))
+    arr = np.array(rows if ok else math.nan, dtype=float)
+    if not (np.isfinite(arr).all() and (kind == "polygon" or arr[0, 0] <= arr[0, 1]
+                                        and arr[0, 2] <= arr[0, 3])):
+        raise ValueError(f"support must be a polygon of at least 3 finite (u, s) vertices or "
+                         f"a box of 4 finite numbers, each lo <= hi, not kind {kind!r} with "
+                         f"data {data!r:.200}")
+    return (kind, arr) if kind == "polygon" else (kind, tuple(arr[0].tolist()))
+
+
 def load_model(path):
     """The payload of a model file and its fits, every field restored (``candidates`` and
     ``on_edge`` as ``fit_hazard`` leaves them); DataError, naming the path, where the file is
-    no model or a cause's coefficients or covariance do not have the shape its knots give."""
+    no model or a cause's coefficients or covariance do not have the shape its knots give, or
+    its support is no hull (``_read_support``)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = _read_nonfinite(json.load(fh))
@@ -588,7 +604,11 @@ def load_model(path):
         fits = {}
         for key, entry in payload["causes"].items():
             ku, ks = entry["knots_u"], entry["knots_s"]
-            pen, sup = entry["penalty"], entry["support"]
+            pen = entry["penalty"]
+            try:
+                hull = _read_support(entry["support"])
+            except ValueError as exc:
+                raise DataError(f"{path}: cause {key}: {exc}") from None
             fit = FittedHazard(
                 A=np.asarray(entry["coefficients"], dtype=float),
                 penalty=PenaltyConfig(log10_rho_u=pen["log10_rho_u"],
@@ -598,8 +618,7 @@ def load_model(path):
                 grid=grid, deviance=entry["deviance"], ed=entry["ed"], aic=entry["aic"],
                 bic=entry["bic"], n_bin=entry["n_bin"], n_iter=entry["iterations"],
                 covariance=np.asarray(entry["covariance"], dtype=float),
-                hull=(sup["kind"], np.asarray(sup["data"]) if sup["kind"] == "polygon"
-                      else tuple(sup["data"])),
+                hull=hull,
             )
             shape = (fit.kv_u.n_basis, fit.kv_s.n_basis)
             for name, got, want in (("coefficients", fit.A.shape, shape),

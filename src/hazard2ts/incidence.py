@@ -9,17 +9,18 @@ knot vector) and works through the rows in chunks of a fixed, cache-sized
 number of rows, so memory does not grow with the number of points.  The chunks
 run on the threads of :func:`_thread_map`, one per usable CPU: numpy releases
 the GIL in their array work, and a chunk's sums do not depend on the thread
-that runs it, so the bytes do not depend on the number of cores.  The product
-grid (``compute_surfaces``), paired points (``surfaces_at_points`` and the
-single-point helpers) and the closed-form CIF standard errors in
-:mod:`.uncertainty`, which read the kernel off at every node count, all run
-through it.
+that runs it, so the bytes do not depend on the number of cores.  It has three
+callers: the product grid (``compute_surfaces``, which ``fit`` writes), paired
+points (``surfaces_at_points``, which ``predict`` writes) and the closed-form
+CIF standard errors in :mod:`.uncertainty`, which read the kernel off at every
+node count.
 
 Working in (u, s) = (age at diagnosis, time since diagnosis) is the native
 parametrization; (t, s) = (attained age, time since diagnosis) points are
-handled by re-evaluating the basis at u = t - s, never by interpolating stored
-grids.  Extrapolation flags test points against the support hull each fit
-carries (``FittedHazard.hull``) with one vectorized half-plane test.
+evaluated at u = ``age_at_diagnosis(t, s)`` = t - s, re-evaluating the basis
+there, never interpolating stored grids.  Extrapolation flags test points
+against the support hull each fit carries (``FittedHazard.hull``) with one
+vectorized half-plane test.
 """
 
 from __future__ import annotations
@@ -42,36 +43,28 @@ _NODE_EPS = 1e-9
 # rows per quadrature chunk, so that a chunk's arrays stay in the cache; a constant, not a
 # share of the cores, so the sums do not depend on the number of threads
 _CHUNK = 1024
+# slack of the support test: absolute for a box, relative to the vertex scale for a polygon
+_SUPPORT_ATOL = 1e-9
 
 
 @dataclass
 class Surfaces:
-    """Per-cause hazard/cumulative-hazard/CIF plus survival on a point grid.
-
-    ``u_points`` are ages at diagnosis.  ``extrapolated`` flags points outside
-    the convex hull of the positive-exposure bins the fit saw.
+    """Per-cause hazard/cumulative-hazard/CIF plus survival on a point grid or at paired
+    points.  ``extrapolated`` flags points outside the convex hull of the positive-exposure
+    bins the fit saw.
     """
 
-    u_points: np.ndarray
-    s_points: np.ndarray
     hazard: dict
     cumhaz: dict
     survival: np.ndarray
     cif: dict
-    delta: float
-    extrapolated: np.ndarray = None
-
-
-def evaluate_log_hazard(fit: FittedHazard, u_points, s_points) -> np.ndarray:
-    """Log-hazard matrix Bu(u) A Bs(s)' over the product of the point sets."""
-    Bu = evaluate_basis(u_points, fit.kv_u)
-    Bs = evaluate_basis(s_points, fit.kv_s)
-    return Bu @ fit.A @ Bs.T
+    extrapolated: np.ndarray
 
 
 def evaluate_hazard(fit: FittedHazard, u_points, s_points) -> np.ndarray:
     """Hazard matrix exp(Bu(u) A Bs(s)') over the product of the point sets."""
-    return np.exp(evaluate_log_hazard(fit, u_points, s_points))
+    Bu, Bs = evaluate_basis(u_points, fit.kv_u), evaluate_basis(s_points, fit.kv_s)
+    return np.exp(Bu @ fit.A @ Bs.T)
 
 
 def _n_nodes(s: np.ndarray, delta: float) -> np.ndarray:
@@ -267,11 +260,8 @@ def _surfaces(fits: dict, u_points, s_points, delta, paired: bool):
         hazard = {ell: np.exp(Bu[ell] @ fits[ell].A @ Bs[ell].T) for ell in Bu}
         K = _n_nodes(s, delta)[None, :]
     cumhaz, cif = _quadrature(fits, u_rows, K, delta)
-    return Surfaces(
-        u_points=u, s_points=s, hazard=hazard, cumhaz=cumhaz,
-        survival=np.exp(-sum(cumhaz.values())), cif=cif, delta=delta,
-        extrapolated=extrapolation_mask(fits[min(fits)], u, s, paired=paired),
-    )
+    return Surfaces(hazard=hazard, cumhaz=cumhaz, survival=np.exp(-sum(cumhaz.values())),
+                    cif=cif, extrapolated=extrapolation_mask(fits[min(fits)], u, s, paired=paired))
 
 
 def compute_surfaces(fits: dict, u_points, s_points, delta: float = None) -> Surfaces:
@@ -288,21 +278,6 @@ def surfaces_at_points(fits: dict, u_arr, s_arr, delta: float = None) -> Surface
     return _surfaces(fits, u_arr, s_arr, delta, paired=True)
 
 
-def cumulative_hazard(fit: FittedHazard, u: float, s: float, delta: float) -> float:
-    """Left-rectangle cumulative hazard of one cause at a single point."""
-    return float(surfaces_at_points({0: fit}, u, s, delta).cumhaz[0][0, 0])
-
-
-def overall_survival(fits: dict, u: float, s: float, delta: float) -> float:
-    """exp(-sum of cumulated cause-specific hazards) at a single point."""
-    return float(surfaces_at_points(fits, u, s, delta).survival[0, 0])
-
-
-def cumulative_incidence(fits: dict, cause: int, u: float, s: float, delta: float) -> float:
-    """Probability of failing from ``cause`` by s, at a single (u, s) point."""
-    return float(surfaces_at_points(fits, u, s, delta).cif[cause][0, 0])
-
-
 def age_at_diagnosis(t_arr, s_arr) -> np.ndarray:
     """u = t - s of attained-age points (t, s); DomainError where t <= s."""
     t_arr = np.atleast_1d(np.asarray(t_arr, dtype=float))
@@ -315,28 +290,24 @@ def age_at_diagnosis(t_arr, s_arr) -> np.ndarray:
     return t_arr - s_arr
 
 
-def to_age_coordinates(fits: dict, t_arr, s_arr, delta: float = None) -> Surfaces:
-    """Evaluate at attained-age points (t, s) by re-evaluating at u = t - s."""
-    return surfaces_at_points(fits, age_at_diagnosis(t_arr, s_arr), s_arr, delta=delta)
-
-
-def in_support(hull, u, s, atol: float = 1e-9):
+def in_support(hull, u, s):
     """Point-in-convex-polygon test, elementwise over (broadcast) u and s.
 
     A point is inside when it lies on the inner side of every edge of the
-    counterclockwise polygon, up to ``atol`` relative to the vertex scale.
+    counterclockwise polygon, up to _SUPPORT_ATOL relative to the vertex scale.
     """
     kind, data = hull
     u = np.asarray(u, dtype=float)
     s = np.asarray(s, dtype=float)
     if kind == "box":
         u_min, u_max, s_min, s_max = data
-        return (u_min - atol <= u) & (u <= u_max + atol) & (s_min - atol <= s) & (s <= s_max + atol)
+        return ((u_min - _SUPPORT_ATOL <= u) & (u <= u_max + _SUPPORT_ATOL)
+                & (s_min - _SUPPORT_ATOL <= s) & (s <= s_max + _SUPPORT_ATOL))
     verts = np.asarray(data)
     scale = max(np.abs(verts).max(), 1.0)
     inside = np.ones(np.broadcast(u, s).shape, dtype=bool)
     for (ax, ay), (bx, by) in zip(verts, np.roll(verts, -1, axis=0)):
-        inside &= (bx - ax) * (s - ay) - (by - ay) * (u - ax) >= -atol * scale
+        inside &= (bx - ax) * (s - ay) - (by - ay) * (u - ax) >= -_SUPPORT_ATOL * scale
     return inside
 
 

@@ -6,7 +6,7 @@ lambda_ell * delta, for each of the causes 1..L, otherwise survives the step;
 everyone still alive at the administrative horizon is right-censored there.
 This handles arbitrary bivariate hazard closures uniformly; the step must
 satisfy lambda * delta <= 0.1 everywhere or the first-order approximation is
-rejected.
+rejected, as is a hazard value that is negative or not finite.
 """
 
 from __future__ import annotations
@@ -114,8 +114,14 @@ def simulate_cohort(spec: ScenarioSpec) -> RecordTable:
             break
         s_now = step_idx * spec.step
         width = min(spec.step, spec.s_max - s_now)
-        p = np.array([np.broadcast_to(np.asarray(fn(u[alive], s_now), dtype=float) * width,
-                                      alive.shape) for fn in spec.hazards])
+        lam = np.array([np.broadcast_to(np.asarray(fn(u[alive], s_now), dtype=float),
+                                        alive.shape) for fn in spec.hazards])
+        # a NaN makes min and max NaN, which fails both tests
+        if not (lam.min(initial=0.0) >= 0 and lam.max(initial=0.0) < math.inf):
+            ell, i = np.argwhere(~np.isfinite(lam) | (lam < 0))[0]
+            raise DataError(f"cause {ell + 1}: hazard {lam[ell, i]} at (u, s) = "
+                            f"({u[alive[i]]:g}, {s_now:g}) is negative or not finite")
+        p = lam * width
         worst = p.max(initial=0.0)
         if worst > _MAX_STEP_PROB:
             raise DataError(f"hazard * step = {worst:.3g} exceeds {_MAX_STEP_PROB}; "

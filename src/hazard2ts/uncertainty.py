@@ -4,14 +4,14 @@ The coefficient covariance is the inverse of the penalized information at
 convergence, which each fit carries (``FittedHazard.covariance``).  SEs of
 the log-hazard at a point follow from the quadratic form x' Sigma x with the
 tensor basis row x; one chunked row-wise kernel serves paired points, on the
-meshgrid product grids, and the CIFs.  Hazard SEs are the delta-method
-transform through exp.  A CIF is a smooth function of every cause's
-coefficients, so its SE is the quadratic form of its gradient, summed over the
-causes (fitted separately, so their coefficients are independent).  The
-gradient with respect to cause m's coefficients is Bu(u) (x) v_m, with v_m a
-combination of prefix sums over the quadrature nodes of the node basis rows,
-weighted by the cumulative hazards and CIFs the quadrature kernel of
-:mod:`.incidence` gives at every node count.
+meshgrid product grids, and the CIFs (``predict`` writes a hazard's SE as
+the hazard times that of its log, the transform through exp).  A CIF is a
+smooth function of every cause's coefficients, so its SE is the quadratic
+form of its gradient, summed over the causes (fitted separately, so their
+coefficients are independent).  The gradient with respect to cause m's
+coefficients is Bu(u) (x) v_m, with v_m a combination of prefix sums over the
+quadrature nodes of the node basis rows, weighted by the cumulative hazards and
+CIFs the quadrature kernel of :mod:`.incidence` gives at every node count.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DataError
-from .incidence import BasisRows, _n_nodes, _prepare, _quadrature, evaluate_hazard
+from .incidence import BasisRows, _n_nodes, _prepare, _quadrature
 from .smooth2d import FittedHazard
 
 # points per windowed quadratic form, and (u rows) x (node counts or s points) per chunk of
@@ -64,11 +64,6 @@ def se_log_hazard(fit: FittedHazard, u_points, s_points) -> np.ndarray:
     """Delta-method SE of the log-hazard on the product grid of the points."""
     uu, ss = np.meshgrid(u_points, s_points, indexing="ij")
     return se_log_hazard_points(fit, uu.ravel(), ss.ravel()).reshape(uu.shape)
-
-
-def se_hazard(fit: FittedHazard, u_points, s_points) -> np.ndarray:
-    """SE of the hazard itself: hazard times the log-hazard SE, elementwise."""
-    return evaluate_hazard(fit, u_points, s_points) * se_log_hazard(fit, u_points, s_points)
 
 
 def _prefix_sums(w: np.ndarray, N: np.ndarray) -> np.ndarray:

@@ -125,7 +125,7 @@ def test_simulation_recovery_timed():
     err2 = np.abs(lam2[interior] / 0.05 - 1).max()
 
     cif_target = 2.0 / 3.0 * (1 - math.exp(-1.5))  # 0.51791...
-    cif = h.cumulative_incidence(fits, 1, 75.0, 10.0, grid.h_s / 10.0)
+    cif = h.surfaces_at_points(fits, [75.0], [10.0], grid.h_s / 10.0).cif[1][0, 0]
     elapsed = time.perf_counter() - t0
     ok = err1 < 0.10 and err2 < 0.10 and abs(cif - cif_target) < 0.02 and elapsed < 60.0
     _report("simulation-recovery", ok,

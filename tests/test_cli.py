@@ -93,7 +93,6 @@ class TestConfig:
         assert (cfg.basis.c_u, cfg.basis.c_s, cfg.basis.degree) == (16, 10, 3)
         assert cfg.d == 2 and cfg.selection.criterion == "BIC"
         assert (cfg.pclm.log10_phi_lo, cfg.pclm.log10_phi_hi) == (-1.0, 2.0)
-        assert cfg.pclm.closing_age == 100.0
         assert [len(a) for a in cfg.setup().phi_search.axes()] == [4, 4]
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -241,11 +240,14 @@ class TestConfig:
         with pytest.raises(DataError, match="441 candidates"):
             load_config(path)
 
-    def test_closing_age_must_match_grid_top(self, tmp_path):
+    def test_closing_age_is_an_unknown_key(self, tmp_path):
+        """The grouped tail closes at grid.u_hi, once also a key whose one legal value that
+        was: the key is refused by name, as every unknown key is."""
         path = tmp_path / "bad.yaml"
-        path.write_text("pclm: {enabled: true, closing_age: 95}\n")
-        with pytest.raises(DataError, match="closing_age"):
-            load_config(path)
+        for value in (95, 100):
+            path.write_text(f"pclm: {{enabled: true, closing_age: {value}}}\n")
+            with pytest.raises(DataError, match="unknown config key pclm.'closing_age'"):
+                load_config(path)
 
 
 class TestTableWriter:
@@ -631,6 +633,72 @@ class TestPredict:
         assert f"error: {model}: cause 2: {message}" in result.output
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("kind,data", [
+        ("boxx", None),
+        ("polygon", [[1, 2, 3]]),
+        ("box", [1, 2]),
+        ("box", [60.0, 55.0, 0.0, 5.0]),
+        ("polygon", [[50.0, 0.0], [60.0, 0.0]]),
+        ("polygon", [[50.0, 0.0], [60.0, "NaN"], [50.0, 5.0]]),
+        ("polygon", [[50.0, 0.0], ["60", 0.0], [50.0, 5.0]]),
+    ], ids=["unknown-kind", "polygon-row-of-3", "box-of-2", "box-lo-above-hi",
+            "polygon-of-2", "polygon-nan", "polygon-text"])
+    def test_support_that_is_no_hull_exits_2(self, runner, fit_outputs, tmp_path, kind, data):
+        """An unknown kind was once read as a polygon with exit 0, and a polygon row of 3
+        numbers or a box of 2 ended in tracebacks with exit 1.  Each support that is no
+        polygon of at least 3 finite vertices, or no box of 4 finite numbers with lo <= hi,
+        is refused, naming the file and the cause."""
+        payload = json.loads((fit_outputs / "model.json").read_text())
+        support = payload["causes"]["2"]["support"]
+        support["kind"] = kind
+        if data is not None:
+            support["data"] = data
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        pts = tmp_path / "pts.csv"
+        pts.write_text("u,s\n60,5\n")
+        result = runner.invoke(main, ["predict", "--model", str(model), "--points", str(pts),
+                                      "--out", str(tmp_path / "o.csv")])
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit), result.output
+        assert f"error: {model}: cause 2: support must be a polygon" in result.output
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_box_support_is_read_back(self, runner, fit_outputs, tmp_path):
+        """A box support, which a fit on collinear bins writes, is read and flags points."""
+        payload = json.loads((fit_outputs / "model.json").read_text())
+        for entry in payload["causes"].values():
+            entry["support"] = {"kind": "box", "data": [55.0, 65.0, 0.0, 5.0]}
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        pts, out = tmp_path / "pts.csv", tmp_path / "o.csv"
+        pts.write_text("u,s\n60,5\n70,5\n")
+        result = runner.invoke(main, ["predict", "--model", str(model), "--points", str(pts),
+                                      "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert [row["extrapolated"] for row in read_csv(out)] == ["false", "true"]
+
+    @pytest.mark.parametrize("coords", ["us", "ts"])
+    def test_hazard_se_is_hazard_times_log_hazard_se(self, runner, fit_outputs, tmp_path,
+                                                     coords):
+        """``hazard_se<l>`` is ``hazard<l> * log_hazard_se<l>`` bit for bit: the delta-method
+        transform through exp, in the 17 significant digits every float is written with."""
+        rng = np.random.default_rng(4)
+        s = rng.uniform(0.0, 10.5, 200)
+        first = rng.uniform(50.0, 100.0, 200) + (s if coords == "ts" else 0.0)
+        pts, out = tmp_path / "pts.csv", tmp_path / "pred.csv"
+        pts.write_text(("u" if coords == "us" else "t") + ",s\n"
+                       + "".join(f"{a!r},{b!r}\n" for a, b in zip(first.tolist(), s.tolist())))
+        result = runner.invoke(main, ["predict", "--model", str(fit_outputs / "model.json"),
+                                      "--points", str(pts), "--coords", coords,
+                                      "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        rows = read_csv(out)
+        assert len(rows) == 200
+        for row in rows:
+            for ell in (1, 2):
+                lam, se_eta = float(row[f"hazard{ell}"]), float(row[f"log_hazard_se{ell}"])
+                assert float(row[f"hazard_se{ell}"]) == lam * se_eta > 0, row
+
     def test_extrapolated_flag_in_output(self, runner, fit_outputs, tmp_path):
         pts = tmp_path / "edge.csv"
         pts.write_text("u,s\n75,5\n")
@@ -719,6 +787,19 @@ class TestSimulateCommand:
         result = runner.invoke(main, ["simulate", str(scen), "--out", str(tmp_path / "c.csv")])
         assert result.exit_code == 2, result.output
         assert f"error: {message}\n" in result.output
+        assert not (tmp_path / "c.csv").exists()
+
+    @pytest.mark.parametrize("level", ["-0.1", ".nan", ".inf"])
+    def test_hazard_that_is_negative_or_not_finite_exits_2(self, runner, tmp_path, level):
+        """A negative or NaN cause-1 hazard once gave 2000 records, every one censored, with
+        exit 0."""
+        scen = tmp_path / "scen.yaml"
+        scen.write_text(f"n: 2000\ncause1: {{name: constant, level: {level}}}\n"
+                        "cause2: {name: constant, level: 0.1}\n")
+        result = runner.invoke(main, ["simulate", str(scen), "--out", str(tmp_path / "c.csv")])
+        assert result.exit_code == 2, result.output
+        assert "error: cause 1: hazard " in result.output
+        assert "is negative or not finite" in result.output
         assert not (tmp_path / "c.csv").exists()
 
     def test_three_causes_run_through_fit_and_predict(self, runner, tmp_path):
@@ -874,7 +955,7 @@ class TestUngroupCommand:
 
     def test_outputs_and_diagnostics(self, runner, tmp_path, grouped_csv):
         outdir, diag = self.ungroup(runner, tmp_path, grouped_csv,
-                                    {"enabled": True, "first_grouped_age": 90, "closing_age": 100})
+                                    {"enabled": True, "first_grouped_age": 90})
         # the 4 x 4 grid on [-1, 2] first, then pattern moves and descent: fewer than the 49
         # candidates of the exhaustive grid by 0.5
         grid = [-1.0, 0.0, 1.0, 2.0]

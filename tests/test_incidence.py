@@ -67,15 +67,20 @@ class TestEvaluateHazard:
             h.evaluate_hazard(fits[1], [55.0], [1.0])
 
 
+def cumulative_hazard(fit, u, s, delta):
+    """The cumulative hazard of one fit, the only cause of its model, at the point (u, s)."""
+    return h.surfaces_at_points({1: fit}, [u], [s], delta).cumhaz[1][0, 0]
+
+
 class TestCumulativeHazard:
     def test_constant_hazard_value(self):
         grid, fits = make_flat_fits(lam1=0.2)
-        got = h.cumulative_hazard(fits[1], 5.0, 5.0, 0.01)
+        got = cumulative_hazard(fits[1], 5.0, 5.0, 0.01)
         assert abs(got - 1.0) <= 0.01 * 0.2 + 1e-12
 
     def test_zero_at_s_zero(self):
         grid, fits = make_flat_fits()
-        assert h.cumulative_hazard(fits[1], 5.0, 0.0, 0.01) == 0.0
+        assert cumulative_hazard(fits[1], 5.0, 0.0, 0.01) == 0.0
 
     def test_linear_log_hazard_against_antiderivative(self):
         # hazard exp(a + b s): integral (exp(a + b s) - exp(a)) / b
@@ -90,7 +95,7 @@ class TestCumulativeHazard:
         s_eval = 6.0
         exact = (np.exp(a + b * s_eval) - np.exp(a)) / b
         for delta in (0.02, 0.01):
-            got = h.cumulative_hazard(fit, 5.0, s_eval, delta)
+            got = cumulative_hazard(fit, 5.0, s_eval, delta)
             assert abs(got - exact) < 1.0 * delta  # O(delta) rectangle error
 
     @pytest.mark.parametrize("delta", [0.0, -0.05, float("nan"), float("inf")])
@@ -105,8 +110,8 @@ class TestCumulativeHazard:
         rng = np.random.default_rng(1)
         fit.A = rng.normal(scale=0.3, size=fit.A.shape) - 2.0
         s_eval, u_eval = 7.0, 4.0
-        ref = h.cumulative_hazard(fit, u_eval, s_eval, 0.0005)
-        err = [abs(h.cumulative_hazard(fit, u_eval, s_eval, d) - ref)
+        ref = cumulative_hazard(fit, u_eval, s_eval, 0.0005)
+        err = [abs(cumulative_hazard(fit, u_eval, s_eval, d) - ref)
                for d in (0.04, 0.02)]
         assert 1.5 < err[0] / err[1] < 2.5
 
@@ -116,11 +121,12 @@ class TestSurvivalAndCif:
         grid, fits = make_flat_fits()
         for f in fits.values():
             f.A = np.full_like(f.A, -60.0)  # hazard ~ 1e-27
-        assert h.overall_survival(fits, 5.0, 8.0, 0.05) == pytest.approx(1.0, abs=1e-12)
+        got = h.surfaces_at_points(fits, [5.0], [8.0], 0.05).survival[0, 0]
+        assert got == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_hazard_survival(self):
         grid, fits = make_flat_fits(lam1=0.1, lam2=0.1)
-        got = h.overall_survival(fits, 5.0, 1.0, 0.005)
+        got = h.surfaces_at_points(fits, [5.0], [1.0], 0.005).survival[0, 0]
         assert got == pytest.approx(np.exp(-0.2), abs=0.005 * 0.2 + 1e-9)
 
     def test_survival_monotone_in_s(self):
@@ -133,14 +139,14 @@ class TestSurvivalAndCif:
     def test_cif_closed_form(self):
         grid, fits = make_flat_fits(lam1=0.1, lam2=0.05)
         delta = 0.05
-        got = h.cumulative_incidence(fits, 1, 5.0, 10.0, delta)
+        got = h.surfaces_at_points(fits, [5.0], [10.0], delta).cif[1][0, 0]
         exact = cif_constant(0.1, 0.05, 10.0)
         assert exact == pytest.approx(2.0 / 3.0 * (1 - np.exp(-1.5)), abs=1e-12)
         assert abs(got - exact) < 2 * delta
 
     def test_cif_zero_at_origin(self):
         grid, fits = make_flat_fits()
-        assert h.cumulative_incidence(fits, 1, 5.0, 0.0, 0.05) == 0.0
+        assert h.surfaces_at_points(fits, [5.0], [0.0], 0.05).cif[1][0, 0] == 0.0
 
     def test_probability_conservation(self):
         grid, fits = make_flat_fits(lam1=0.12, lam2=0.07)
@@ -155,7 +161,7 @@ class TestAgeCoordinates:
     def test_round_trip_identity(self):
         grid, fits = make_flat_fits()
         u, s = 4.0, 3.0
-        surf_ts = h.to_age_coordinates(fits, [u + s], [s], 0.05)
+        surf_ts = h.surfaces_at_points(fits, h.age_at_diagnosis([u + s], [s]), [s], 0.05)
         surf_us = h.surfaces_at_points(fits, [u], [s], 0.05)
         assert surf_ts.hazard[1][0, 0] == surf_us.hazard[1][0, 0]
         assert surf_ts.cif[1][0, 0] == surf_us.cif[1][0, 0]
@@ -164,14 +170,15 @@ class TestAgeCoordinates:
         grid, fits = make_flat_fits()
         rng = np.random.default_rng(2)
         fits[1].A = rng.normal(scale=0.2, size=fits[1].A.shape) - 2.0
-        lam_ts = h.to_age_coordinates(fits, [9.0], [5.0], 0.05).hazard[1][0, 0]
+        lam_ts = h.surfaces_at_points(fits, h.age_at_diagnosis([9.0], [5.0]), [5.0],
+                                      0.05).hazard[1][0, 0]
         lam_us = h.evaluate_hazard(fits[1], [4.0], [5.0])[0, 0]
         assert lam_ts == pytest.approx(lam_us, abs=1e-12)
 
     def test_t_not_exceeding_s_rejected(self):
         grid, fits = make_flat_fits()
         with pytest.raises(DomainError):
-            h.to_age_coordinates(fits, [3.0], [3.0], 0.05)
+            h.age_at_diagnosis([3.0], [3.0])
 
     def test_grid_cif_agrees_with_paired_cif(self):
         grid, fits = make_flat_fits()

@@ -158,6 +158,27 @@ class TestSimulateCohort:
         with pytest.raises(DataError, match="smaller simulation step"):
             h.simulate_cohort(spec)
 
+    @pytest.mark.parametrize("cause", [1, 2])
+    @pytest.mark.parametrize("level", [-0.1, -1e-300, math.nan, math.inf])
+    def test_negative_or_non_finite_hazard_rejected(self, cause, level):
+        """Such a hazard once gave no failures from that cause (negative, NaN) without a
+        word; it is refused, naming the cause."""
+        levels = {1: 0.1, 2: 0.1, cause: level}
+        spec = h.ScenarioSpec(hazards=tuple(h.hazard_family("constant", level=levels[ell])
+                                            for ell in (1, 2)),
+                              u_lo=50.0, u_hi=100.0, s_max=10.5, n=50, seed=1)
+        with pytest.raises(DataError, match=f"^cause {cause}: hazard .* is negative or not "
+                                            "finite$"):
+            h.simulate_cohort(spec)
+
+    def test_hazard_that_turns_negative_later_is_rejected(self):
+        """The check runs at every step: a hazard negative past s = 2 only is refused too."""
+        spec = h.ScenarioSpec(hazards=(lambda u, s: np.full(np.shape(u), 0.1 if s < 2 else -0.1),
+                                       h.hazard_family("constant", level=0.1)),
+                              u_lo=50.0, u_hi=100.0, s_max=10.5, n=2000, seed=1)
+        with pytest.raises(DataError, match=r"^cause 1: hazard -0\.1 at \(u, s\) = \(.*, 2\)"):
+            h.simulate_cohort(spec)
+
     def test_cohort_size_guard(self):
         with pytest.raises(ValueError):
             constant_spec(n=0)
