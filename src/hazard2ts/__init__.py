@@ -41,15 +41,13 @@ from .lexis import (
     write_records_csv,
 )
 from .pclm import (
-    CompositionSpec,
     PclmFit,
     composition_matrix,
     fit_pclm,
     select_pclm_smoothing,
-    ungroup_events,
     ungroup_exposure,
 )
-from .simulate import GroupedCounts, ScenarioSpec, grouped_view, hazard_family, simulate_cohort
+from .simulate import ScenarioSpec, hazard_family, simulate_cohort
 from .smooth2d import (
     FitControl,
     FittedHazard,

@@ -35,12 +35,11 @@ from . import __version__
 from .basis import KnotVector, difference_matrix, evaluate_basis, make_knots
 from .errors import ConvergenceError, DataError, Hazard2tsError
 from .incidence import (BasisRows, _thread_map, age_at_diagnosis, compute_surfaces,
-                        quadrature_step, surfaces_at_points)
+                        in_support, quadrature_step, surfaces_at_points)
 from .lexis import (BinnedData, LexisGrid, bin_records, build_grid, read_points_csv,
                     read_records_csv, write_records_csv)
-from .pclm import (PHI_SEARCH, CompositionSpec, composition_matrix, select_pclm_smoothing,
-                   ungroup_events, ungroup_exposure)
-from .simulate import ScenarioSpec, grouped_view, hazard_family, simulate_cohort
+from .pclm import PHI_SEARCH, composition_matrix, select_pclm_smoothing, ungroup_exposure
+from .simulate import ScenarioSpec, at_risk_matrix, hazard_family, simulate_cohort
 from .smooth2d import (FitControl, FittedHazard, PenaltyConfig, SearchConfig, check_criterion,
                        select_smoothing)
 from .uncertainty import cif_standard_errors, se_log_hazard, se_log_hazard_points
@@ -348,32 +347,30 @@ def _run_tasks(tasks):
 # --------------------------------------------------------------------------
 # grouped-tail assembly
 
-def assemble_ungrouped(grouped, body_R, kv_u, kv_s, d, phi_search, ctrl):
-    """Build a full fine-grid BinnedData from grouped counts and body exposure.
-
-    Event tails come from composite-link fits per cause; the exposure tail
-    is reconstructed from the ungrouped at-risk numbers by the half-bin
-    rule.  The searches, one per cause and one for the at-risk numbers, are independent and
-    run on ``_run_tasks``'s lanes, the first in this process.
-    Returns (BinnedData, diagnostics dict).
-    """
-    grid = grouped.grid
-    spec = CompositionSpec(g=grouped.g, n_u=grid.n_u)
+def assemble_ungrouped(records, grid, first_grouped_age, kv_u, kv_s, d, phi_search, ctrl):
+    """(BinnedData, diagnostics) of records whose ages from ``first_grouped_age`` (an interior
+    u edge, else DataError) up are one grouped row: the binned rows 1..g-1 with the fitted
+    tail rows ``Gamma[g-1:]`` under them, the exposure's by the half-bin rule.  ``C @`` groups
+    the counts and at-risk numbers, and the searches, one per cause and one for the at-risk
+    numbers, run on ``_run_tasks``'s lanes, the first in this process."""
+    g = grid.first_grouped_row(first_grouped_age) + 1
+    C = composition_matrix(g, grid.n_u)
+    fine = bin_records(records, grid)
     Bu_mid = evaluate_basis(grid.u_mid, kv_u)
     Bs_mid = evaluate_basis(grid.s_mid, kv_s)
     Bs_edges = evaluate_basis(grid.s_edges, kv_s)
 
     options = {"d": d, "search": phi_search, "ctrl": ctrl}
-    causes = sorted(grouped.Z)
+    causes = sorted(fine.Y)
     *events, at_risk_fit = _run_tasks(
-        [(ungroup_events, (grouped.Z[ell], spec, Bu_mid, Bs_mid), options) for ell in causes]
-        + [(select_pclm_smoothing, (grouped.at_risk, composition_matrix(spec), Bu_mid, Bs_edges),
+        [(select_pclm_smoothing, (C @ fine.Y[ell], C, Bu_mid, Bs_mid), options) for ell in causes]
+        + [(select_pclm_smoothing, (C @ at_risk_matrix(records, grid), C, Bu_mid, Bs_edges),
             options)])
-    Y = {ell: Y_ell for ell, (Y_ell, _) in zip(causes, events)}
-    diagnostics = {f"cause{ell}": _pclm_diag(fit) for ell, (_, fit) in zip(causes, events)}
+    Y = {ell: np.vstack([fine.Y[ell][: g - 1], fit.Gamma[g - 1:]])
+         for ell, fit in zip(causes, events)}
+    diagnostics = {f"cause{ell}": _pclm_diag(fit) for ell, fit in zip(causes, events)}
     diagnostics["at_risk"] = _pclm_diag(at_risk_fit)
-    tail_exposure = ungroup_exposure(at_risk_fit.Gamma[spec.g - 1:], grid.h_s)
-    R = np.vstack([np.asarray(body_R), tail_exposure])
+    R = np.vstack([fine.R[: g - 1], ungroup_exposure(at_risk_fit.Gamma[g - 1:], grid.h_s)])
     return BinnedData(grid=grid, Y=Y, R=R), diagnostics
 
 
@@ -569,8 +566,9 @@ def save_model(path, cfg: RunConfig, fits: dict):
 
 def _read_support(support) -> tuple:
     """The hull of a model file's ``support`` entry: ``("polygon", vertices)``, an array of at
-    least 3 rows of 2 finite numbers, or ``("box", (u_min, u_max, s_min, s_max))``, 4 finite
-    numbers with each min <= its max; ValueError for anything else."""
+    least 3 rows of 2 finite numbers that make a convex polygon in counterclockwise order, or
+    ``("box", (u_min, u_max, s_min, s_max))``, 4 finite numbers with each min <= its max;
+    ValueError for anything else."""
     kind, data = support["kind"], support["data"]
     rows = data if kind == "polygon" else [data]
     width, least = {"polygon": (2, 3), "box": (4, 1)}.get(kind, (0, math.inf))
@@ -583,7 +581,16 @@ def _read_support(support) -> tuple:
         raise ValueError(f"support must be a polygon of at least 3 finite (u, s) vertices or "
                          f"a box of 4 finite numbers, each lo <= hi, not kind {kind!r} with "
                          f"data {data!r:.200}")
-    return (kind, arr) if kind == "polygon" else (kind, tuple(arr[0].tolist()))
+    if kind == "box":
+        return kind, tuple(arr[0].tolist())
+    # convex and counterclockwise: a positive signed area (shoelace) and every vertex on the
+    # inner side of every edge, as ``in_support`` tests a point, so no right turn
+    u, s = arr.T
+    if not (np.sum(u * np.roll(s, -1) - np.roll(u, -1) * s) > 0
+            and in_support((kind, arr), u, s).all()):
+        raise ValueError(f"support polygon must be convex with its vertices in counterclockwise "
+                         f"order, not {data!r:.200}")
+    return kind, arr
 
 
 def load_model(path):
@@ -686,10 +693,8 @@ def run_fit_pipeline(cfg: RunConfig, records, outdir: Path):
 
     pclm_diag = None
     if cfg.pclm.enabled:
-        grouped, fine = grouped_view(records, grid, cfg.pclm.first_grouped_age)
-        binned, pclm_diag = assemble_ungrouped(
-            grouped, fine.R[: grouped.g - 1], kv_u, kv_s, cfg.d, phi_search, cfg.convergence
-        )
+        binned, pclm_diag = assemble_ungrouped(records, grid, cfg.pclm.first_grouped_age, kv_u,
+                                               kv_s, cfg.d, phi_search, cfg.convergence)
     else:
         binned = bin_records(records, grid)
 
@@ -766,11 +771,9 @@ def run_ungroup_pipeline(cfg: RunConfig, records, outdir: Path):
     outdir.mkdir(parents=True, exist_ok=True)
     run = cfg.setup(ungroup=True)
     grid = run.grid
-    grouped, fine = grouped_view(records, grid, cfg.pclm.first_grouped_age)
-    binned, diagnostics = assemble_ungrouped(
-        grouped, fine.R[: grouped.g - 1], run.kv_u, run.kv_s, cfg.d, run.phi_search,
-        cfg.convergence,
-    )
+    binned, diagnostics = assemble_ungrouped(records, grid, cfg.pclm.first_grouped_age,
+                                             run.kv_u, run.kv_s, cfg.d, run.phi_search,
+                                             cfg.convergence)
     for ell in sorted(binned.Y):
         write_long_csv(outdir / f"ungrouped_events_cause{ell}.csv",
                        grid.u_mid, grid.s_mid, binned.Y[ell], name="count")

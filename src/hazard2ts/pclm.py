@@ -35,27 +35,18 @@ from .smooth2d import (FitControl, PenaltyConfig, SearchConfig, _criterion_gradi
                        _newton, _PoissonProblem)
 
 
-@dataclass(frozen=True)
-class CompositionSpec:
-    """Row grouping: the first g-1 observed rows are single fine rows, the
-    g-th observed row is the sum of fine rows g..n_u."""
-
-    g: int
-    n_u: int
-
-    def __post_init__(self):
-        if not (2 <= self.g < self.n_u):
-            raise ValueError(f"need 2 <= g < n_u, got g={self.g}, n_u={self.n_u}")
-
-
 PHI_SEARCH = SearchConfig((-1.0, 2.0), (-1.0, 2.0), 1.0)   # default: a 4 x 4 grid on [-1, 2]
 
 
-def composition_matrix(spec: CompositionSpec) -> np.ndarray:
-    """0/1 matrix mapping fine rows to observed rows (every column has one 1)."""
-    C = np.zeros((spec.g, spec.n_u))
-    C[: spec.g - 1, : spec.g - 1] = np.eye(spec.g - 1)
-    C[spec.g - 1, spec.g - 1:] = 1.0
+def composition_matrix(g: int, n_u: int) -> np.ndarray:
+    """The g x n_u 0/1 matrix of the grouped tail: observed rows 1..g-1 are fine rows
+    1..g-1, observed row g sums fine rows g..n_u (every column has one 1); ValueError
+    unless 2 <= g < n_u."""
+    if not (2 <= g < n_u):
+        raise ValueError(f"need 2 <= g < n_u, got g={g}, n_u={n_u}")
+    C = np.zeros((g, n_u))
+    C[: g - 1, : g - 1] = np.eye(g - 1)
+    C[g - 1, g - 1:] = 1.0
     return C
 
 
@@ -160,30 +151,6 @@ def select_pclm_smoothing(
     best = grid.best.fit
     best.candidates, best.on_edge = [row[:3] for row in grid.table], on_edge
     return best
-
-
-def ungroup_events(
-    Z: np.ndarray,
-    spec: CompositionSpec,
-    Bu: np.ndarray,
-    Bs: np.ndarray,
-    d: int = 2,
-    search: SearchConfig = PHI_SEARCH,
-    ctrl: FitControl = FitControl(),
-):
-    """Replace the grouped tail rows of a count matrix by fitted fine rows.
-
-    Returns ``(Y_full, fit)`` where rows 0..g-2 of ``Y_full`` are the
-    observed counts unchanged and rows g-1..n_u-1 come from the fitted fine
-    means; the column sums of the replacement rows equal the fitted grouped
-    tail row by construction.
-    """
-    C_u = composition_matrix(spec)
-    fit = select_pclm_smoothing(Z, C_u, Bu, Bs, d=d, search=search, ctrl=ctrl)
-    Y_full = np.empty((spec.n_u, Z.shape[1]))
-    Y_full[: spec.g - 1] = Z[: spec.g - 1]
-    Y_full[spec.g - 1:] = fit.Gamma[spec.g - 1:]
-    return Y_full, fit
 
 
 def ungroup_exposure(n_at_risk: np.ndarray, h_s: float):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .lexis import _EDGE_ATOL, LexisGrid, RecordTable, _grid_rows, bin_records
+from .lexis import _EDGE_ATOL, LexisGrid, RecordTable, _grid_rows
 
 _MAX_STEP_PROB = 0.1
 
@@ -80,6 +80,9 @@ class ScenarioSpec:
     def __post_init__(self):
         if not self.hazards:
             raise ValueError("need the hazard of at least one cause")
+        for name in ("u_lo", "u_hi", "s_max", "step"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.n < 1:
             raise ValueError(f"cohort size must be >= 1, got {self.n}")
         if self.s_max <= 0 or self.step <= 0:
@@ -140,23 +143,9 @@ def simulate_cohort(spec: ScenarioSpec) -> RecordTable:
                        s_entry=np.zeros(n), s_exit=s_exit, cause=cause)
 
 
-@dataclass
-class GroupedCounts:
-    """Grouped event counts and at-risk numbers as produced for ungrouping.
-
-    ``Z[cause]`` is g x n_s; ``at_risk`` is g x (n_s + 1): column k counts
-    individuals at risk when s-bin k starts, and the last column counts
-    those still under observation at the final bin edge.
-    """
-
-    Z: dict
-    at_risk: np.ndarray
-    grid: LexisGrid
-    g: int
-
-
 def at_risk_matrix(table: RecordTable, grid: LexisGrid) -> np.ndarray:
-    """Fine-grid at-risk counts: n_u rows, n_s + 1 columns (see GroupedCounts).
+    """Fine-grid at-risk counts, n_u x (n_s + 1): column k counts the records at risk when
+    s-bin k starts, and the last column those still under observation at the final bin edge.
 
     Records are checked against the grid as in :func:`bin_records`.
     """
@@ -173,22 +162,3 @@ def at_risk_matrix(table: RecordTable, grid: LexisGrid) -> np.ndarray:
     survivors = (table.cause == 0) & (table.s_exit >= grid.s_edges[-1] - _EDGE_ATOL)
     N[:, n_s] = np.bincount(j[survivors], minlength=n_u)
     return N
-
-
-def grouped_view(table: RecordTable, grid: LexisGrid, first_grouped_age: float):
-    """Collapse all rows at or above ``first_grouped_age`` into one observed row.
-
-    Returns ``(GroupedCounts, BinnedData)`` where the second element is the
-    exact fine-grid binning, kept as the ground truth for recovery checks.
-    """
-    cut = grid.first_grouped_row(first_grouped_age)
-    fine = bin_records(table, grid)
-    g = cut + 1
-    Z = {
-        ell: np.vstack([fine.Y[ell][:cut], fine.Y[ell][cut:].sum(axis=0, keepdims=True)])
-        for ell in fine.Y
-    }
-    N_fine = at_risk_matrix(table, grid)
-    N = np.vstack([N_fine[:cut], N_fine[cut:].sum(axis=0, keepdims=True)])
-    grouped = GroupedCounts(Z=Z, at_risk=N, grid=grid, g=g)
-    return grouped, fine

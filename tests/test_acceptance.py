@@ -201,14 +201,14 @@ def test_pclm_round_trip():
              * (s[None, :] / 2 + 0.2) * np.exp(1 - s[None, :] / 2))
     y_true = rng.poisson(truth).astype(float)
     n_events = y_true.sum()
-    spec = h.CompositionSpec(g=41, n_u=50)
-    C = h.composition_matrix(spec)
+    C = h.composition_matrix(41, 50)
     Z = C @ y_true
     kv_u = h.make_knots(50, 100, 13, 3)
     kv_s = h.make_knots(0, 10.5, 7, 3)
     Bu = h.evaluate_basis(u, kv_u)
     Bs = h.evaluate_basis(s, kv_s)
-    Y_full, fit = h.ungroup_events(Z, spec, Bu, Bs)
+    fit = h.select_pclm_smoothing(Z, C, Bu, Bs)
+    Y_full = np.vstack([Z[:40], fit.Gamma[40:]])
 
     corr = np.corrcoef(Y_full[40:].ravel(), y_true[40:].ravel())[0, 1]
     regroup_err = np.abs(C @ fit.Gamma - fit.Psi).max() / max(fit.Psi.max(), 1.0)
@@ -241,8 +241,7 @@ def test_ungrouping_sensitivity():
     kv_s = h.make_knots(0, 10.5, 7, 3)
 
     fine = h.bin_records(records, grid)
-    grouped, _ = h.grouped_view(records, grid, 90.0)
-    ungrouped, _ = assemble_ungrouped(grouped, fine.R[: grouped.g - 1], kv_u, kv_s,
+    ungrouped, _ = assemble_ungrouped(records, grid, 90.0, kv_u, kv_s,
                                       2, h.SearchConfig((-1.0, 2.0), (-1.0, 2.0), 0.5),
                                       h.FitControl())
 
@@ -291,7 +290,7 @@ def test_standard_configuration_structure():
     Bu = h.evaluate_basis(grid.u_mid, kv_u)
     Bs = h.evaluate_basis(grid.s_mid, kv_s)
     g = int(np.argmin(np.abs(grid.u_edges - cfg.pclm.first_grouped_age))) + 1
-    C = h.composition_matrix(h.CompositionSpec(g=g, n_u=grid.n_u))
+    C = h.composition_matrix(g, grid.n_u)
     checks = {
         "grid 50x21": (grid.n_u, grid.n_s) == (50, 21),
         "Bu 50x16": Bu.shape == (50, 16),

@@ -20,6 +20,7 @@ import hazard2ts as h
 from hazard2ts import cli, floattext, lexis
 from hazard2ts.cli import _write_table, load_config, main
 from hazard2ts.errors import DataError
+from hazard2ts.simulate import at_risk_matrix
 
 CAUSES_1_TO_3 = ("n: 3000\nseed: 5\ncause1: {name: constant, level: 0.1}\n"
                  "cause2: {name: gompertz-in-u, level: 0.02, slope: 0.05, u_ref: 60}\n"
@@ -663,6 +664,38 @@ class TestPredict:
         assert f"error: {model}: cause 2: support must be a polygon" in result.output
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("shape", ["reversed", "non-convex"])
+    def test_support_polygon_not_convex_counterclockwise_exits_2(self, runner, fit_outputs,
+                                                                 tmp_path, shape):
+        """The fitted hull with its vertices reversed was once read, and every point was
+        flagged as extrapolated, with exit 0; a counterclockwise polygon with a reflex vertex
+        was read too.  Both are refused, naming the file and the cause, and no table is
+        written."""
+        payload = json.loads((fit_outputs / "model.json").read_text())
+        support = payload["causes"]["2"]["support"]
+        assert support["kind"] == "polygon"
+        support["data"] = (support["data"][::-1] if shape == "reversed" else
+                           [[50.0, 0.0], [70.0, 0.0], [60.0, 2.0], [70.0, 5.0], [50.0, 5.0]])
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        pts = tmp_path / "pts.csv"
+        pts.write_text("u,s\n60,2\n75,5\n")
+        result = runner.invoke(main, ["predict", "--model", str(model), "--points", str(pts),
+                                      "--out", str(tmp_path / "o.csv")])
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit), result.output
+        assert (f"error: {model}: cause 2: support polygon must be convex with its vertices "
+                "in counterclockwise order") in result.output
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_fitted_support_polygons_are_read_back(self, fit_outputs):
+        """The hulls `fit` writes pass the convexity and orientation check, vertex for
+        vertex."""
+        payload, fits = cli.load_model(fit_outputs / "model.json")
+        for ell, fit in fits.items():
+            support = payload["causes"][str(ell)]["support"]
+            assert support["kind"] == fit.hull[0] == "polygon"
+            assert np.array_equal(fit.hull[1], support["data"])
+
     def test_box_support_is_read_back(self, runner, fit_outputs, tmp_path):
         """A box support, which a fit on collinear bins writes, is read and flags points."""
         payload = json.loads((fit_outputs / "model.json").read_text())
@@ -802,6 +835,22 @@ class TestSimulateCommand:
         assert "is negative or not finite" in result.output
         assert not (tmp_path / "c.csv").exists()
 
+    @pytest.mark.parametrize("text,field", [
+        ("s_max: .inf\n", "s_max"),
+        ("age: {lo: .nan}\n", "u_lo"),
+        ("step: .nan\n", "step"),
+    ], ids=["s-max-inf", "age-lo-nan", "step-nan"])
+    def test_bound_that_is_not_finite_exits_2(self, runner, tmp_path, text, field):
+        """``s_max: .inf`` and ``age: {lo: .nan}`` once ended in OverflowError tracebacks with
+        exit 1, and ``step: .nan`` exited 2 with "cannot convert float NaN to integer"."""
+        scen = tmp_path / "scen.yaml"
+        scen.write_text("n: 50\ncause1: {name: constant, level: 0.1}\n"
+                        "cause2: {name: constant, level: 0.1}\n" + text)
+        result = runner.invoke(main, ["simulate", str(scen), "--out", str(tmp_path / "c.csv")])
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit), result.output
+        assert f"error: {field} must be finite, got " in result.output
+        assert not (tmp_path / "c.csv").exists()
+
     def test_three_causes_run_through_fit_and_predict(self, runner, tmp_path):
         """The records name the causes: a cause3 scenario gives codes 0..3, `fit` fits and
         writes cause3/, and `predict` writes the hazard3 .. cif3 columns."""
@@ -929,12 +978,14 @@ class TestUngroupCommand:
         larger AIC, for every search of ``diag``; returns how many values sit at ``hi``."""
         cfg = load_config(cfg_path, ungroup=True)
         run = cfg.setup(ungroup=True)
-        grouped, _ = h.grouped_view(h.read_records_csv(grouped_csv), run.grid,
-                                    cfg.pclm.first_grouped_age)
-        C = h.composition_matrix(h.CompositionSpec(g=grouped.g, n_u=run.grid.n_u))
+        records = h.read_records_csv(grouped_csv)
+        fine = h.bin_records(records, run.grid)
+        C = h.composition_matrix(run.grid.first_grouped_row(cfg.pclm.first_grouped_age) + 1,
+                                 run.grid.n_u)
         Bu = h.evaluate_basis(run.grid.u_mid, run.kv_u)
-        inputs = {"cause1": (grouped.Z[1], run.grid.s_mid), "cause2": (grouped.Z[2], run.grid.s_mid),
-                  "at_risk": (grouped.at_risk, run.grid.s_edges)}
+        inputs = {"cause1": (C @ fine.Y[1], run.grid.s_mid),
+                  "cause2": (C @ fine.Y[2], run.grid.s_mid),
+                  "at_risk": (C @ at_risk_matrix(records, run.grid), run.grid.s_edges)}
         tops = 0
         for name, block in diag.items():
             Z, s_points = inputs[name]

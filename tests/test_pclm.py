@@ -8,6 +8,7 @@ from conftest import grid_pattern_search
 from hazard2ts import cli, pclm, smooth2d
 from hazard2ts.errors import ConvergenceError, DataError
 from hazard2ts.pclm import _problem
+from hazard2ts.simulate import at_risk_matrix
 
 
 # -- dense oracle for the composite link kernels -----------------------------
@@ -27,44 +28,42 @@ def small_problem(seed=0, g=6, n_u=10, n_s=5, c_u=5, c_s=4):
     truth = 12.0 * np.exp(-0.5 * ((grid.u_mid[:, None] - 4.0) / 2.5) ** 2
                           - 0.1 * grid.s_mid[None, :])
     y_true = rng.poisson(truth).astype(float)
-    spec = h.CompositionSpec(g=g, n_u=n_u)
-    C = h.composition_matrix(spec)
+    C = h.composition_matrix(g, n_u)
     Z = C @ y_true
     kv_u = h.make_knots(0, n_u, c_u - 2, 2)
     kv_s = h.make_knots(0, n_s, c_s - 2, 2)
     Bu = h.evaluate_basis(grid.u_mid, kv_u)
     Bs = h.evaluate_basis(grid.s_mid, kv_s)
-    return grid, y_true, spec, C, Z, Bu, Bs
+    return grid, y_true, g, C, Z, Bu, Bs
 
 
 class TestCompositionMatrix:
     def test_standard_register_dimensions(self):
         # 41 observed rows onto 50 fine rows: identity block plus a 10-wide sum row
-        C = h.composition_matrix(h.CompositionSpec(g=41, n_u=50))
+        C = h.composition_matrix(41, 50)
         assert C.shape == (41, 50)
         assert np.array_equal(C[:40, :40], np.eye(40))
         assert C[40].sum() == 10.0
         assert np.all(C.sum(axis=0) == 1.0)
 
     def test_tiny_example(self):
-        C = h.composition_matrix(h.CompositionSpec(g=2, n_u=3))
+        C = h.composition_matrix(2, 3)
         assert np.array_equal(C, [[1, 0, 0], [0, 1, 1]])
 
     def test_applies_as_partial_sum(self):
-        C = h.composition_matrix(h.CompositionSpec(g=4, n_u=7))
+        C = h.composition_matrix(4, 7)
         v = np.arange(1.0, 8.0)
         assert np.array_equal(C @ v, [1.0, 2.0, 3.0, 4 + 5 + 6 + 7])
 
     def test_row_sums(self):
-        spec = h.CompositionSpec(g=5, n_u=12)
-        C = h.composition_matrix(spec)
+        C = h.composition_matrix(5, 12)
         assert np.array_equal(C.sum(axis=1), [1, 1, 1, 1, 12 - 5 + 1])
 
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
-            h.CompositionSpec(g=5, n_u=5)
+            h.composition_matrix(5, 5)
         with pytest.raises(ValueError):
-            h.CompositionSpec(g=1, n_u=5)
+            h.composition_matrix(1, 5)
 
 
 class TestFitPclm:
@@ -90,7 +89,7 @@ class TestFitPclm:
         assert (pf.deviance, pf.ed, pf.n_iter) == (hf.deviance, hf.ed, hf.n_iter)
 
     def test_kernels_match_dense_formulation(self):
-        _, _, spec, C, Z, Bu, Bs = small_problem(seed=4)
+        _, _, g, C, Z, Bu, Bs = small_problem(seed=4)
         prob = _problem(Z, C, Bu, Bs)
         fit = h.fit_pclm(Z, C, Bu, Bs, phis=(0.0, 0.0))
         z = Z.flatten(order="F")
@@ -111,7 +110,7 @@ class TestFitPclm:
         """On summed rows the observed information is minus the derivative of the score: central
         differences (h = 1e-5) agree to 1e-6 of the largest entry, where the Fisher information
         is off by more than 1e-3, at the fit and away from it."""
-        _, _, spec, C, Z, Bu, Bs = small_problem(seed=4)
+        _, _, g, C, Z, Bu, Bs = small_problem(seed=4)
         prob = _problem(Z, C, Bu, Bs)
         assert len(prob.C) == 1
         fit = h.fit_pclm(Z, C, Bu, Bs, phis=(0.0, 0.0))
@@ -130,7 +129,7 @@ class TestFitPclm:
             assert np.array_equal(observed, observed.T)
 
     def test_observed_information_without_summed_rows_is_the_fisher_information(self):
-        _, _, spec, C, Z, Bu, Bs = small_problem(seed=4)
+        _, _, g, C, Z, Bu, Bs = small_problem(seed=4)
         n_u = C.shape[1]
         prob = _problem(C.T @ Z, np.eye(n_u), Bu, Bs)     # every row observed on its own
         rng = np.random.default_rng(42)
@@ -139,7 +138,7 @@ class TestFitPclm:
         assert np.array_equal(prob.observed_information(state), prob.information(state))
 
     def test_tight_fit_is_stationary_with_dense_effective_dimension(self):
-        _, _, spec, C, Z, Bu, Bs = small_problem(seed=14)
+        _, _, g, C, Z, Bu, Bs = small_problem(seed=14)
         ctrl = h.FitControl(max_iter=400, dev_rel_tol=1e-14, score_rel_tol=1e-10)
         phis = (0.5, -0.5)
         fit = h.fit_pclm(Z, C, Bu, Bs, d=2, phis=phis, ctrl=ctrl)
@@ -155,40 +154,41 @@ class TestFitPclm:
         assert abs(fit.aic - (fit.deviance + 2.0 * ed)) < 1e-8 * fit.aic
 
     def test_composition_must_be_zero_one_and_disjoint(self):
-        _, _, spec, C, Z, Bu, Bs = small_problem(seed=15)
+        _, _, g, C, Z, Bu, Bs = small_problem(seed=15)
         for bad in (0.5 * C, np.vstack([C[:-1], C[-1] + C[0]])):
             with pytest.raises(ValueError, match="composition"):
                 h.fit_pclm(Z, bad, Bu, Bs)
 
     def test_round_trip_recovers_fine_counts(self):
-        grid, y_true, spec, C, Z, Bu, Bs = small_problem(seed=5)
-        Y_full, fit = h.ungroup_events(Z, spec, Bu, Bs)
-        assert np.array_equal(Y_full[: spec.g - 1], Z[: spec.g - 1])
-        tail_hat = Y_full[spec.g - 1:]
-        tail_true = y_true[spec.g - 1:]
+        grid, y_true, g, C, Z, Bu, Bs = small_problem(seed=5)
+        fit = h.select_pclm_smoothing(Z, C, Bu, Bs)
+        Y_full = np.vstack([Z[: g - 1], fit.Gamma[g - 1:]])
+        assert np.array_equal(Y_full[: g - 1], Z[: g - 1])
+        tail_hat = Y_full[g - 1:]
+        tail_true = y_true[g - 1:]
         corr = np.corrcoef(tail_hat.ravel(), tail_true.ravel())[0, 1]
         assert corr > 0.8  # small problem; the full-size bound is in acceptance
 
     def test_regroup_identity_and_positivity(self):
-        _, _, spec, C, Z, Bu, Bs = small_problem(seed=6)
+        _, _, g, C, Z, Bu, Bs = small_problem(seed=6)
         fit = h.fit_pclm(Z, C, Bu, Bs, phis=(0.5, 0.5))
         assert np.abs(C @ fit.Gamma - fit.Psi).max() < 1e-12 * max(fit.Psi.max(), 1.0)
         assert np.all(fit.Gamma > 0)
 
     def test_all_zero_counts_rejected(self):
-        _, _, spec, C, Z, Bu, Bs = small_problem(seed=7)
+        _, _, g, C, Z, Bu, Bs = small_problem(seed=7)
         with pytest.raises(DataError):
             h.fit_pclm(np.zeros_like(Z), C, Bu, Bs)
 
     def test_shape_mismatch_rejected(self):
-        _, _, spec, C, Z, Bu, Bs = small_problem(seed=8)
+        _, _, g, C, Z, Bu, Bs = small_problem(seed=8)
         with pytest.raises(DataError):
             h.fit_pclm(Z[:-1], C, Bu, Bs)
 
 
 class TestSelectPclmSmoothing:
     def test_single_point_grid(self):
-        _, _, spec, C, Z, Bu, Bs = small_problem(seed=9)
+        _, _, g, C, Z, Bu, Bs = small_problem(seed=9)
         fit = h.select_pclm_smoothing(Z, C, Bu, Bs, search=h.SearchConfig((0.5, 0.5), (0.5, 0.5),
                                                                           0.5))
         assert fit.phis == (0.5, 0.5)
@@ -198,7 +198,7 @@ class TestSelectPclmSmoothing:
         """The default search fits the 4 x 4 grid on [-1, 2] first, row by row, then pattern
         moves and descent candidates inside the range, each once: fewer than the 49 of the
         exhaustive grid by 0.5 it replaced."""
-        _, _, spec, C, Z, Bu, Bs = small_problem(seed=10)
+        _, _, g, C, Z, Bu, Bs = small_problem(seed=10)
         fit = h.select_pclm_smoothing(Z, C, Bu, Bs)
         grid = [-1.0, 0.0, 1.0, 2.0]
         assert [c[:2] for c in fit.candidates[:16]] == [(lu, ls) for lu in grid for ls in grid]
@@ -208,7 +208,7 @@ class TestSelectPclmSmoothing:
         assert all(-1.0 <= v <= 2.0 for c in fit.candidates for v in c[:2])
 
     def test_selected_minimizes_aic_over_candidates(self):
-        _, _, spec, C, Z, Bu, Bs = small_problem(seed=11)
+        _, _, g, C, Z, Bu, Bs = small_problem(seed=11)
         fit = h.select_pclm_smoothing(Z, C, Bu, Bs)
         assert fit.aic <= min(aic for _, _, aic in fit.candidates) + 1e-9
 
@@ -221,7 +221,7 @@ class TestSelectPclmSmoothing:
         moves and the descent then select at most the oracle's AIC; on seed 3 they leave the
         corner (-1, 2) the grid selected.  The on-edge flags are the gradient sign rule at the
         selected fit, and ``cli`` reports them."""
-        _, _, spec, C, Z, Bu, Bs = small_problem(seed=seed)
+        _, _, g, C, Z, Bu, Bs = small_problem(seed=seed)
         fit = h.select_pclm_smoothing(Z, C, Bu, Bs)
         prob = _problem(Z, C, Bu, Bs)
         oracle = grid_pattern_search(
@@ -245,7 +245,7 @@ class TestSelectPclmSmoothing:
         """The exact AIC gradient through the summed rows against central differences
         (Richardson extrapolated from h = 1e-3 and 2e-3) of tightly converged fits, inside the
         default range and at its top, log10 phi = 2."""
-        _, _, spec, C, Z, Bu, Bs = small_problem(seed=4)
+        _, _, g, C, Z, Bu, Bs = small_problem(seed=4)
         prob = _problem(Z, C, Bu, Bs)
         ctrl = h.FitControl(max_iter=400, dev_rel_tol=1e-14, score_rel_tol=1e-11)
 
@@ -263,7 +263,7 @@ class TestSelectPclmSmoothing:
             assert slope[i] == pytest.approx((4.0 * d1 - d2) / 3.0, rel=1e-6), i
 
     def test_empty_grid_rejected(self):
-        _, _, spec, C, Z, Bu, Bs = small_problem(seed=12)
+        _, _, g, C, Z, Bu, Bs = small_problem(seed=12)
         with pytest.raises(ValueError):
             h.select_pclm_smoothing(Z, C, Bu, Bs, search=h.SearchConfig((1.0, 0.5), (1.0, 0.5),
                                                                         0.5))
@@ -297,7 +297,7 @@ class TestSharedSearch:
         range, each key once, each as a lone cold fit would.  It selects the least AIC it
         fitted, at most the cold grid's minimum, with the on-edge flags of the gradient sign
         rule at the selected fit."""
-        _, _, spec, C, Z, Bu, Bs = small_problem(seed=seed, g=n_u - tail, n_u=n_u, n_s=n_s)
+        _, _, g, C, Z, Bu, Bs = small_problem(seed=seed, g=n_u - tail, n_u=n_u, n_s=n_s)
         phi_grid = [lo + step * i for i in range(n_phi)]
         top = phi_grid[-1]
         search = h.SearchConfig((lo, top), (lo, top), step)
@@ -346,7 +346,7 @@ class TestSharedSearch:
         return calls
 
     def test_failed_warm_start_is_retried_cold(self, monkeypatch):
-        _, _, spec, C, Z, Bu, Bs = small_problem(seed=16)
+        _, _, g, C, Z, Bu, Bs = small_problem(seed=16)
         calls = self.recording(monkeypatch, {(0.0, 0.5): "warm", (0.5, 0.0): "both"})
         fit = h.select_pclm_smoothing(Z, C, Bu, Bs, search=self.SEARCH)
         aic = {(lu, ls): value for lu, ls, value in fit.candidates}
@@ -363,7 +363,7 @@ class TestSharedSearch:
         assert np.isfinite(fit.aic)
 
     def test_failed_candidate_keeps_the_warm_start(self, monkeypatch):
-        _, _, spec, C, Z, Bu, Bs = small_problem(seed=17)
+        _, _, g, C, Z, Bu, Bs = small_problem(seed=17)
         calls = self.recording(monkeypatch, {(0.0, 0.5): "both"})
         h.select_pclm_smoothing(Z, C, Bu, Bs, search=self.SEARCH)
         starts = {}
@@ -385,14 +385,50 @@ class TestUngroupEvents:
                               - 0.2 * grid.s_mid[None, :])
         y = rng.poisson(truth).astype(float)
         y[12:] = 0.0
-        spec = h.CompositionSpec(g=16, n_u=20)
-        Z = h.composition_matrix(spec) @ y
+        g = 16
+        C = h.composition_matrix(g, 20)
+        Z = C @ y
         kv_u = h.make_knots(0, 20, 6, 3)
         kv_s = h.make_knots(0, 5, 3, 2)
         Bu = h.evaluate_basis(grid.u_mid, kv_u)
         Bs = h.evaluate_basis(grid.s_mid, kv_s)
-        Y_full, fit = h.ungroup_events(Z, spec, Bu, Bs)
-        assert np.all(Y_full[spec.g - 1:] < 1e-6)
+        fit = h.select_pclm_smoothing(Z, C, Bu, Bs)
+        assert np.all(fit.Gamma[g - 1:] < 1e-6)
+
+
+class TestAssembleUngrouped:
+    """``cli.assemble_ungrouped`` keeps the binned body rows and puts the fitted tail rows
+    ``Gamma[g-1:]`` of each search under them."""
+
+    def test_body_rows_are_binned_and_tail_rows_are_fitted(self, monkeypatch, constant_cohort,
+                                                           default_grid):
+        kv_u, kv_s = h.make_knots(50, 100, 13, 3), h.make_knots(0, 10.5, 7, 3)
+        search = h.SearchConfig((-1.0, 2.0), (-1.0, 2.0), 1.0)
+        # the searches in this process, on its BLAS threads, as the oracle fits below run
+        monkeypatch.setattr(cli, "_run_tasks", lambda tasks: [fn(*args, **kwargs)
+                                                              for fn, args, kwargs in tasks])
+        binned, diag = cli.assemble_ungrouped(constant_cohort, default_grid, 90.0, kv_u, kv_s,
+                                              2, search, h.FitControl())
+        fine = h.bin_records(constant_cohort, default_grid)
+        g = 41
+        C = h.composition_matrix(g, default_grid.n_u)
+        Bu = h.evaluate_basis(default_grid.u_mid, kv_u)
+        assert sorted(binned.Y) == sorted(fine.Y) == [1, 2]
+        assert set(diag) == {"cause1", "cause2", "at_risk"}
+        for ell in fine.Y:
+            assert np.array_equal(binned.Y[ell][: g - 1], fine.Y[ell][: g - 1])
+            fit = h.select_pclm_smoothing(C @ fine.Y[ell], C, Bu,
+                                          h.evaluate_basis(default_grid.s_mid, kv_s),
+                                          search=search)
+            assert np.array_equal(binned.Y[ell][g - 1:], fit.Gamma[g - 1:])
+            assert diag[f"cause{ell}"]["aic"] == fit.aic
+        assert np.array_equal(binned.R[: g - 1], fine.R[: g - 1])
+        at_risk = h.select_pclm_smoothing(C @ at_risk_matrix(constant_cohort, default_grid), C,
+                                          Bu, h.evaluate_basis(default_grid.s_edges, kv_s),
+                                          search=search)
+        assert np.array_equal(binned.R[g - 1:],
+                              h.ungroup_exposure(at_risk.Gamma[g - 1:], default_grid.h_s))
+        assert diag["at_risk"]["aic"] == at_risk.aic
 
 
 class TestUngroupExposure:
@@ -423,15 +459,16 @@ class TestUngroupExposure:
 
     def test_simulated_tail_exposure_close_to_truth(self, constant_cohort, default_grid):
         # oracle: exact binned exposure of the same records
-        grouped, fine = h.grouped_view(constant_cohort, default_grid, 90.0)
-        spec = h.CompositionSpec(g=grouped.g, n_u=default_grid.n_u)
-        C = h.composition_matrix(spec)
+        fine = h.bin_records(constant_cohort, default_grid)
+        g = default_grid.first_grouped_row(90.0) + 1
+        C = h.composition_matrix(g, default_grid.n_u)
         kv_u = h.make_knots(50, 100, 13, 3)
         kv_s = h.make_knots(0, 10.5, 7, 3)
         Bu = h.evaluate_basis(default_grid.u_mid, kv_u)
         Bs_edges = h.evaluate_basis(default_grid.s_edges, kv_s)
-        fit = h.select_pclm_smoothing(grouped.at_risk, C, Bu, Bs_edges)
-        tail_exposure = h.ungroup_exposure(fit.Gamma[spec.g - 1:], default_grid.h_s)
-        true_tail = fine.R[spec.g - 1:]
+        fit = h.select_pclm_smoothing(C @ at_risk_matrix(constant_cohort, default_grid), C, Bu,
+                                      Bs_edges)
+        tail_exposure = h.ungroup_exposure(fit.Gamma[g - 1:], default_grid.h_s)
+        true_tail = fine.R[g - 1:]
         rel = abs(tail_exposure.sum() - true_tail.sum()) / true_tail.sum()
         assert rel < 0.05

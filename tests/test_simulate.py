@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import hazard2ts as h
+from hazard2ts.cli import assemble_ungrouped
 from hazard2ts.errors import DataError
 from hazard2ts.simulate import _draw_ages, at_risk_matrix
 
@@ -179,6 +180,14 @@ class TestSimulateCohort:
         with pytest.raises(DataError, match=r"^cause 1: hazard -0\.1 at \(u, s\) = \(.*, 2\)"):
             h.simulate_cohort(spec)
 
+    @pytest.mark.parametrize("field", ["u_lo", "u_hi", "s_max", "step"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_bound_rejected(self, field, value):
+        bounds = {"u_lo": 50.0, "u_hi": 100.0, "s_max": 10.5, "step": 1e-3, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            h.ScenarioSpec(hazards=(h.hazard_family("constant", level=0.1),), n=10, seed=1,
+                           **bounds)
+
     def test_cohort_size_guard(self):
         with pytest.raises(ValueError):
             constant_spec(n=0)
@@ -192,24 +201,30 @@ class TestSimulateCohort:
 
 class TestGroupedView:
     def test_collapse_then_compare_is_exact(self, constant_cohort, default_grid):
-        grouped, fine = h.grouped_view(constant_cohort, default_grid, 90.0)
-        C = h.composition_matrix(h.CompositionSpec(g=grouped.g, n_u=default_grid.n_u))
+        fine = h.bin_records(constant_cohort, default_grid)
+        C = h.composition_matrix(41, default_grid.n_u)
+        N = at_risk_matrix(constant_cohort, default_grid)
         for ell in (1, 2):
-            assert np.array_equal(C @ fine.Y[ell], grouped.Z[ell])
+            stacked = np.vstack([fine.Y[ell][:40], fine.Y[ell][40:].sum(axis=0, keepdims=True)])
+            assert np.array_equal(C @ fine.Y[ell], stacked)
+        assert np.array_equal(C @ N, np.vstack([N[:40], N[40:].sum(axis=0, keepdims=True)]))
 
     def test_no_tail_records_gives_zero_tail_row(self, default_grid):
         spec = constant_spec(n=200, seed=8, s_max=10.5)
         cohort = h.simulate_cohort(spec)
         young = cohort.u < 85.0
         records = h.RecordTable(*(getattr(cohort, name)[young] for name in FIELDS))
-        grouped, _ = h.grouped_view(records, default_grid, 90.0)
+        C = h.composition_matrix(41, default_grid.n_u)
+        fine = h.bin_records(records, default_grid)
         for ell in (1, 2):
-            assert grouped.Z[ell][-1].sum() == 0.0
-        assert grouped.at_risk[-1].sum() == 0.0
+            assert (C @ fine.Y[ell])[-1].sum() == 0.0
+        assert (C @ at_risk_matrix(records, default_grid))[-1].sum() == 0.0
 
     def test_group_boundary_must_hit_an_edge(self, constant_cohort, default_grid):
+        kv_u, kv_s = h.make_knots(50, 100, 13, 3), h.make_knots(0, 10.5, 7, 3)
         with pytest.raises(DataError):
-            h.grouped_view(constant_cohort, default_grid, 90.25)
+            assemble_ungrouped(constant_cohort, default_grid, 90.25, kv_u, kv_s, 2,
+                               h.SearchConfig((-1.0, 2.0), (-1.0, 2.0), 1.0), h.FitControl())
 
     def test_at_risk_counts_are_consistent(self, default_grid):
         records = h.RecordTable(*zip(
