@@ -65,12 +65,15 @@ class BasisConfig:
     degree: int = 3
 
 
+_RHO_SEARCH = SearchConfig()     # the hazard search's defaults
+
+
 @dataclass
 class SelectionConfig:
     criterion: str = "BIC"
-    log10_rho_u_range: tuple = (-2.0, 7.0)
-    log10_rho_s_range: tuple = (-2.0, 7.0)
-    coarse_step: float = 3.0
+    log10_rho_u_range: tuple = _RHO_SEARCH.log10_rho_u_range
+    log10_rho_s_range: tuple = _RHO_SEARCH.log10_rho_s_range
+    coarse_step: float = _RHO_SEARCH.coarse_step
 
 
 @dataclass

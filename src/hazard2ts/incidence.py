@@ -6,10 +6,13 @@ over nodes ``k * delta``, ``k = 0 .. K-1`` with ``K = floor(s / delta)``, so
 an evaluation at s = 0 is exactly zero.  The kernel takes the u-basis rows of
 a point set (a :class:`BasisRows`, which evaluates them once per distinct
 knot vector) and works through the rows in chunks of a fixed, cache-sized
-number of rows, so memory does not grow with the number of points.  The chunks
-run on the threads of :func:`_thread_map`, one per usable CPU: numpy releases
-the GIL in their array work, and a chunk's sums do not depend on the thread
-that runs it, so the bytes do not depend on the number of cores.  It has three
+number of rows, so memory does not grow with the number of points.  Every
+cumulative quantity is a sum over a row's first K nodes, read off by one
+``np.add.reduceat`` (:func:`_sum_first`) whose sums each read their own row
+alone.  The chunks run on the threads of :func:`_thread_map`, one per usable
+CPU, each in arrays of its own: numpy releases the GIL in their array work,
+and a chunk's sums do not depend on the thread that runs it, so the bytes do
+not depend on the number of cores.  It has three
 callers: the product grid (``compute_surfaces``, which ``fit`` writes), paired
 points (``surfaces_at_points``, which ``predict`` writes) and the closed-form
 CIF standard errors in :mod:`.uncertainty`, which read the kernel off at every
@@ -129,11 +132,6 @@ def _prepare(fits: dict, u_points, s_points, delta):
     return u, s, delta
 
 
-def _view(buffer: np.ndarray, shape: tuple) -> np.ndarray:
-    """The contiguous leading part of a flat buffer, shaped ``shape``."""
-    return buffer[:math.prod(shape)].reshape(shape)
-
-
 def _thread_map(fn, items) -> list:
     """``[fn(item) for item in items]``, run on min(len(items), usable CPUs) threads.
 
@@ -170,24 +168,36 @@ def _thread_map(fn, items) -> list:
     return results
 
 
+def _sum_first(flat: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """``out[i, j] = x[i, :K[i, j]].sum()`` for the n = len(K) rows x[i], of one width w, that
+    ``flat`` holds one after another and then one spare entry of 0 (n * w + 1 entries).
+
+    One ``np.add.reduceat`` over the index pairs (start of row i, start + K[i, j]): each sum
+    reads its own row's first K nodes and nothing else, so its bits do not depend on the other
+    rows.  Reduceat takes indices below the array's length only, and reduces a pair with equal
+    ends to the lone entry at the first; the spare entry serves both, as the end of a sum over
+    the whole last row and as both ends of every empty sum.
+    """
+    spare = len(flat) - 1
+    start = np.where(K > 0, spare // len(K) * np.arange(len(K))[:, None], spare)
+    pairs = np.stack([start, start + K], axis=-1)
+    return np.add.reduceat(flat, pairs.ravel())[::2].reshape(K.shape)
+
+
 def _quadrature(fits: dict, u: BasisRows, K: np.ndarray, delta: float):
     """Cumulative hazards and CIFs of every cause over the nodes.
 
     ``u`` holds the u-basis rows (n_rows x c_u) of every cause; ``K`` holds the node
     counts to read off: one row (1 x n_cols) shared by every row for a product
-    grid, or one column (n_rows x 1) for paired points.  Rows go in order of
-    their largest node count (a stable sort: the identity when all rows share
-    one ``K``), _CHUNK rows to a chunk, the chunks on :func:`_thread_map`;
-    each chunk works up to its own largest count.  Survival before each node
-    comes from the one prefix sum; the cumulative hazards and CIFs are read
-    off at ``K`` as sums over the first ``K`` nodes: by a 0/1 (K_c x n_cols)
-    matrix for a shared ``K`` row, and for paired points as a plain sum up to
-    the chunk's smallest count plus a masked sum of the rest.  A finished chunk
-    hands its arrays to the next, where fresh arrays would page-fault; each
-    running chunk holds its own.
+    grid or the node ladder, or one column (n_rows x 1) for paired points.  Rows go
+    in order of their largest node count (a stable sort: the identity when all rows
+    share one ``K``), _CHUNK rows to a chunk, the chunks on :func:`_thread_map`;
+    each chunk works up to its own largest count, in arrays of its own.  Survival
+    before each node comes from the one prefix sum; the cumulative hazards and CIFs
+    are read off at ``K`` by :func:`_sum_first`, so each row's sums depend on its
+    own nodes alone.
     """
     causes = sorted(fits)
-    shared = len(K) == 1
     K = np.broadcast_to(K, (len(u.points), K.shape[-1]))
     cumhaz = {ell: np.zeros(K.shape) for ell in causes}
     cif = {ell: np.zeros(K.shape) for ell in causes}
@@ -195,23 +205,16 @@ def _quadrature(fits: dict, u: BasisRows, K: np.ndarray, delta: float):
     K_max = int(K_row.max(initial=0))
     if K_max == 0:
         return cumhaz, cif
-    size = min(_CHUNK, len(K)) * K_max
     Bu = {ell: u.rows(fits[ell].kv_u) for ell in causes}
     nodes = BasisRows(delta * np.arange(K_max))
     Bs_nodes = {ell: nodes.rows(fits[ell].kv_s) for ell in causes}
-    spare, order = [], np.argsort(K_row, kind="stable")
+    order = np.argsort(K_row, kind="stable")
 
     def chunk(rows):
-        K_lo, K_c = int(K_row[rows[0]]), int(K_row[rows[-1]])
-        try:
-            buffers = spare.pop()
-        except IndexError:
-            buffers = {name: np.empty(size) for name in ("tot", "S", *causes)}
-        shape = (len(rows), K_c)
-        lam = {ell: np.matmul(Bu[ell][rows] @ fits[ell].A, Bs_nodes[ell][:K_c].T,
-                              out=_view(buffers[ell], shape))
-               for ell in causes}
-        tot, S = _view(buffers["tot"], shape), _view(buffers["S"], shape)
+        K_c, K_rows = int(K_row[rows[-1]]), K[rows]
+        lam = {ell: Bu[ell][rows] @ fits[ell].A @ Bs_nodes[ell][:K_c].T for ell in causes}
+        flat = np.zeros(len(rows) * K_c + 1)       # the sums' rows and _sum_first's spare 0
+        tot, S = flat[:-1].reshape(len(rows), K_c), np.empty((len(rows), K_c))
         np.copyto(tot, np.exp(lam[causes[0]], out=lam[causes[0]]))
         for ell in causes[1:]:
             tot += np.exp(lam[ell], out=lam[ell])
@@ -220,24 +223,11 @@ def _quadrature(fits: dict, u: BasisRows, K: np.ndarray, delta: float):
         S[:, 0] = 0.0
         np.cumsum(tot[:, :-1], axis=-1, out=S[:, 1:])
         np.exp(np.negative(S, out=S), out=S)
-        if shared:
-            take = (np.arange(K_c)[:, None] < K[0]).astype(float)
-        else:
-            # rows go by K: every row takes the first K_lo nodes, a 0/1 mask the rest
-            tail = (np.arange(K_lo, K_c) < K[rows]).astype(float)
-
-        def read_off(x):
-            if shared:
-                return x @ take
-            return (x[:, :K_lo].sum(axis=-1)
-                    + np.einsum("...k,...k->...", x[:, K_lo:], tail))[:, None]
-
         for ell in causes:
             np.multiply(lam[ell], delta, out=tot)
-            cumhaz[ell][rows] = read_off(tot)
+            cumhaz[ell][rows] = _sum_first(flat, K_rows)
             tot *= S
-            cif[ell][rows] = read_off(tot)
-        spare.append(buffers)
+            cif[ell][rows] = _sum_first(flat, K_rows)
 
     chunks = [order[lo:lo + _CHUNK] for lo in range(0, len(K), _CHUNK)]
     _thread_map(chunk, [rows for rows in chunks if K_row[rows[-1]] > 0])

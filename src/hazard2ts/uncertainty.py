@@ -9,7 +9,7 @@ the hazard times that of its log, the transform through exp).  A CIF is a
 smooth function of every cause's coefficients, so its SE is the quadratic
 form of its gradient, summed over the causes (fitted separately, so their
 coefficients are independent).  The gradient with respect to cause m's
-coefficients is Bu(u) (x) v_m, with v_m a combination of prefix sums over the
+coefficients is Bu(u) (x) v_m, with v_m a combination of sums over the first
 quadrature nodes of the node basis rows, weighted by the cumulative hazards and
 CIFs the quadrature kernel of :mod:`.incidence` gives at every node count.
 """
@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DataError
-from .incidence import BasisRows, _n_nodes, _prepare, _quadrature
+from .incidence import BasisRows, _n_nodes, _prepare, _quadrature, _sum_first
 from .smooth2d import FittedHazard
 
 # points per windowed quadratic form, and (u rows) x (node counts or s points) per chunk of
@@ -66,14 +66,6 @@ def se_log_hazard(fit: FittedHazard, u_points, s_points) -> np.ndarray:
     return se_log_hazard_points(fit, uu.ravel(), ss.ravel()).reshape(uu.shape)
 
 
-def _prefix_sums(w: np.ndarray, N: np.ndarray) -> np.ndarray:
-    """sum_{k<K} w[i, k] N[k] for every row i and node count K = 0 .. n_nodes:
-    (rows x n_nodes + 1 x c_s), zero at K = 0."""
-    out = np.zeros((w.shape[0], w.shape[1] + 1, N.shape[1]))
-    np.cumsum(w[:, :, None] * N, axis=1, out=out[:, 1:])
-    return out
-
-
 def cif_standard_errors(fits: dict, u_points, s_points, delta: float = None) -> dict:
     """Delta-method SEs of every cause's CIF on the product grid of the points.
 
@@ -86,13 +78,13 @@ def cif_standard_errors(fits: dict, u_points, s_points, delta: float = None) -> 
         v_m = [m = l] sum_{k<K} f_lk N_k - F_lK sum_{k<K} h_mk N_k
               + sum_{k<K} h_mk F_l,k+1 N_k,
 
-    N_k the s-basis row at node k: three prefix sums over the nodes, read off at each
-    s point's K.  H and F come from the quadrature kernel at every node count up to the
-    largest K, for _CHUNK // max(K_max + 1, n_s) u rows at a time, so memory does not grow
-    with the number of u points.  The variance of each cause's CIF sums ``_row_variance``
-    over the causes m, with the u window of the basis row and the dense v_m as the s
-    window.  The SE at s = 0 is exactly 0.  :class:`DataError` names the first cause with
-    a standard error that is not finite.
+    N_k the s-basis row at node k: three sums over the first K nodes, read off at each
+    s point's K by ``incidence._sum_first``.  H and F come from the quadrature kernel at
+    every node count up to the largest K, for _CHUNK // max(K_max + 1, n_s) u rows at a
+    time, so memory does not grow with the number of u points.  The variance of each
+    cause's CIF sums ``_row_variance`` over the causes m, with the u window of the basis row
+    and the dense v_m as the s window.  The SE at s = 0 is exactly 0.  :class:`DataError`
+    names the first cause with a standard error that is not finite.
     """
     causes = sorted(fits)
     u, s, delta = _prepare(fits, u_points, s_points, delta)
@@ -104,12 +96,21 @@ def cif_standard_errors(fits: dict, u_points, s_points, delta: float = None) -> 
     n_s = len(K)
     var = {ell: np.zeros((len(u.points), n_s)) for ell in causes}
     step = max(1, _CHUNK // max(K_max + 1, n_s))
+
+    def node_sums(w, N_m):
+        """sum_{k<K} w[i, k] N_m[k] at each s point's K: (rows x n_s x c_s)."""
+        c_s = N_m.shape[1]
+        flat = np.zeros(w.size * c_s + 1)           # _sum_first's rows and spare 0
+        np.multiply(w[:, None, :], N_m.T, out=flat[:-1].reshape(len(w), c_s, -1))
+        K_rows = np.broadcast_to(K, (len(w) * c_s, n_s))
+        return _sum_first(flat, K_rows).reshape(len(w), c_s, n_s).transpose(0, 2, 1)
+
     with np.errstate(over="ignore", invalid="ignore"):   # refused below, not warned about
         for lo in range(0, len(u.points), step):
             rows = BasisRows(u.points[lo:lo + step])
             H, F = _quadrature(fits, rows, ladder, delta)
             h = {m: np.diff(H[m], axis=1) for m in causes}
-            hN = {m: _prefix_sums(h[m], N[m])[:, K] for m in causes}
+            hN = {m: node_sums(h[m], N[m]) for m in causes}
             for m in causes:
                 ju, wu = rows.window(fits[m].kv_u)
                 u_window = (np.repeat(ju, n_s), np.repeat(wu, n_s, axis=0))
@@ -117,7 +118,7 @@ def cif_standard_errors(fits: dict, u_points, s_points, delta: float = None) -> 
                     w = h[m] * F[ell][:, 1:]
                     if m == ell:
                         w += np.diff(F[ell], axis=1)
-                    v = (_prefix_sums(w, N[m])[:, K] - F[ell][:, K, None] * hN[m]
+                    v = (node_sums(w, N[m]) - F[ell][:, K, None] * hN[m]
                          ).reshape(-1, N[m].shape[1])
                     var[ell][lo:lo + step] += _row_variance(
                         u_window, (np.zeros(len(v), dtype=int), v), fits[m].kv_u.n_basis,

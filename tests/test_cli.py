@@ -96,6 +96,15 @@ class TestConfig:
         assert (cfg.pclm.log10_phi_lo, cfg.pclm.log10_phi_hi) == (-1.0, 2.0)
         assert [len(a) for a in cfg.setup().phi_search.axes()] == [4, 4]
 
+    def test_searches_default_to_the_library_searches(self):
+        """The default config runs the library's default hazard and PCLM searches, whose
+        values the config keys keep."""
+        run = load_config(None).setup()
+        assert run.search == h.SearchConfig() and run.phi_search == h.pclm.PHI_SEARCH
+        sel = load_config(None).selection
+        assert (sel.log10_rho_u_range, sel.log10_rho_s_range, sel.coarse_step) \
+            == ((-2.0, 7.0), (-2.0, 7.0), 3.0)
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("grid: {u_low: 10}\n")

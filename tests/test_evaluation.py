@@ -231,6 +231,61 @@ def test_paired_kernel_matches_dense_on_unsorted_repeated_points(tri, base, pick
     np.testing.assert_allclose(surf.survival[:, 0], survival, rtol=1e-12)
 
 
+@pytest.mark.parametrize("chunk", [1, 3, 1024])
+def test_product_grid_on_unsorted_repeated_s_is_the_sorted_grid_permuted(tri, monkeypatch,
+                                                                         chunk):
+    """s out of order and repeated, s = 0 and s on the top node among them, so that sums over
+    every node end anywhere in a chunk's last row: each column is the sorted call's column,
+    bit for bit, and the node-by-node sums of its points to 1e-13."""
+    grid, fits = tri
+    monkeypatch.setattr(incidence, "_CHUNK", chunk)
+    u = np.array([0.5, 9.5, 3.0, 7.25, 5.0])
+    s = np.array([10.0, 0.0, 2.5, 10.0, 0.03, 5.0, 0.0, 2.5, 9.97, 10.0, 0.05])
+    order = np.argsort(s, kind="stable")
+    got, want = (h.compute_surfaces(fits, u, points, 0.05) for points in (s, s[order]))
+    back = np.argsort(order)
+    for ell in fits:
+        for name in ("cumhaz", "cif"):
+            assert getattr(got, name)[ell].tobytes() == getattr(want, name)[ell][:, back].tobytes()
+        np.testing.assert_allclose(got.hazard[ell], want.hazard[ell][:, back], rtol=1e-14)
+    assert got.survival.tobytes() == want.survival[:, back].tobytes()
+    assert (got.extrapolated == want.extrapolated[:, back]).all()
+    uu, ss = np.meshgrid(u, s, indexing="ij")
+    cumhaz, cif, survival = loop_paired(fits, uu.ravel(), ss.ravel(), 0.05)
+    for ell in fits:
+        np.testing.assert_allclose(got.cumhaz[ell].ravel(), cumhaz[ell], rtol=1e-13, atol=0)
+        np.testing.assert_allclose(got.cif[ell].ravel(), cif[ell], rtol=1e-13, atol=0)
+    np.testing.assert_allclose(got.survival.ravel(), survival, rtol=1e-13, atol=0)
+    assert (got.survival[:, s == 0] == 1).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 8), width=st.integers(0, 12), m=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=1, width=0, m=1, seed=0)
+@example(n=3, width=1, m=2, seed=1)
+def test_sums_over_the_first_nodes_are_row_local(n, width, m, seed):
+    """Sums over each row's first K nodes: those of a subset of the rows, in any order and
+    repeated, are the bits of the same rows of the full call; they match a loop over each
+    row to 1e-13; K = 0 gives exactly 0, and K = width works on the last row."""
+    rng = np.random.default_rng(seed)
+    x = rng.lognormal(0.0, 2.0, (n, width))
+    K = rng.integers(0, width + 1, (n, m))
+    K[-1, rng.integers(m)] = width
+    sub = rng.integers(0, n, rng.integers(1, 2 * n + 1))
+
+    def sum_first(rows):
+        flat = np.zeros(len(rows) * width + 1)          # the rows, then the spare 0
+        flat[:-1] = x[rows].ravel()
+        return incidence._sum_first(flat, K[rows])
+
+    full = sum_first(np.arange(n))
+    want = np.array([[x[i, :k].sum() for k in K[i]] for i in range(n)])
+    np.testing.assert_allclose(full, want, rtol=1e-13, atol=0)
+    assert (full[K == 0] == 0).all() and full.shape == K.shape
+    assert sum_first(sub).tobytes() == full[sub].tobytes()
+
+
 @settings(max_examples=80, deadline=None)
 @given(p_u=st.integers(0, 4), p_s=st.integers(0, 4), seg_u=st.integers(1, 5),
        seg_s=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
@@ -311,10 +366,10 @@ def test_kernels_give_the_same_bits_on_any_number_of_cpus(tri, monkeypatch):
 
 
 def test_threads_under_contention_lose_no_item_and_share_no_arrays(tri, monkeypatch):
-    """More threads than cores, switching every microsecond: every item runs once, and
-    chunks that run at once never share their arrays (16-row chunks of one call), so the
-    surfaces and the CIF SEs, whose node counts the kernel reads off, are the bits of one
-    CPU."""
+    """More threads than cores, switching every microsecond: every item runs once, and the
+    16-row chunks of one call, each of which allocates its own arrays and so shares none,
+    give the surfaces and the CIF SEs, whose node counts the kernel reads off, the bits of
+    one CPU."""
     grid, fits = tri
     rng = np.random.default_rng(9)
     u, s = rng.uniform(0, 10, 600), rng.uniform(0, 10, 600)
