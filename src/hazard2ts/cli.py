@@ -36,10 +36,10 @@ from .basis import KnotVector, difference_matrix, evaluate_basis, make_knots
 from .errors import ConvergenceError, DataError, Hazard2tsError
 from .incidence import (BasisRows, _thread_map, age_at_diagnosis, compute_surfaces,
                         in_support, quadrature_step, surfaces_at_points)
-from .lexis import (BinnedData, LexisGrid, bin_records, build_grid, read_points_csv,
-                    read_records_csv, write_records_csv)
+from .lexis import (BinnedData, LexisGrid, build_grid, read_points_csv, tally_records,
+                    write_records_csv)
 from .pclm import PHI_SEARCH, composition_matrix, select_pclm_smoothing, ungroup_exposure
-from .simulate import ScenarioSpec, at_risk_matrix, hazard_family, simulate_cohort
+from .simulate import ScenarioSpec, hazard_family, simulate_cohort
 from .smooth2d import (FitControl, FittedHazard, PenaltyConfig, SearchConfig, check_criterion,
                        select_smoothing)
 from .uncertainty import cif_standard_errors, se_log_hazard, se_log_hazard_points
@@ -155,14 +155,16 @@ def _update_dataclass(obj, data, prefix=""):
 
 
 def _read_yaml(path):
-    """The document of a YAML file, {} when it is empty; DataError where it does not parse."""
+    """The document of a YAML file, {} when it is empty (a falsy document such as ``[]`` or
+    ``0`` is returned as it is); DataError where it does not parse."""
     import yaml                 # here: `predict`, and `fit` without --config, read no YAML
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return yaml.safe_load(fh) or {}
+            doc = yaml.safe_load(fh)
     except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: not a YAML document: {exc}") from None
+    return {} if doc is None else doc
 
 
 def load_config(path=None, ungroup=False) -> RunConfig:
@@ -351,14 +353,15 @@ def _run_tasks(tasks):
 # grouped-tail assembly
 
 def assemble_ungrouped(records, grid, first_grouped_age, kv_u, kv_s, d, phi_search, ctrl):
-    """(BinnedData, diagnostics) of records whose ages from ``first_grouped_age`` (an interior
-    u edge, else DataError) up are one grouped row: the binned rows 1..g-1 with the fitted
-    tail rows ``Gamma[g-1:]`` under them, the exposure's by the half-bin rule.  ``C @`` groups
-    the counts and at-risk numbers, and the searches, one per cause and one for the at-risk
-    numbers, run on ``_run_tasks``'s lanes, the first in this process."""
+    """(BinnedData, diagnostics) of records (a RecordTable, or the path of a records CSV, whose
+    blocks are tallied on ``_run_tasks``'s lanes) whose ages from ``first_grouped_age`` (an
+    interior u edge, else DataError) up are one grouped row: the binned rows 1..g-1 with the
+    fitted tail rows ``Gamma[g-1:]`` under them, the exposure's by the half-bin rule.
+    ``C @`` groups the counts and at-risk numbers, and the searches, one per cause and one for
+    the at-risk numbers, run on ``_run_tasks``'s lanes, the first in this process."""
     g = grid.first_grouped_row(first_grouped_age) + 1
     C = composition_matrix(g, grid.n_u)
-    fine = bin_records(records, grid)
+    fine, at_risk = tally_records(records, grid, _run_tasks)
     Bu_mid = evaluate_basis(grid.u_mid, kv_u)
     Bs_mid = evaluate_basis(grid.s_mid, kv_s)
     Bs_edges = evaluate_basis(grid.s_edges, kv_s)
@@ -367,8 +370,7 @@ def assemble_ungrouped(records, grid, first_grouped_age, kv_u, kv_s, d, phi_sear
     causes = sorted(fine.Y)
     *events, at_risk_fit = _run_tasks(
         [(select_pclm_smoothing, (C @ fine.Y[ell], C, Bu_mid, Bs_mid), options) for ell in causes]
-        + [(select_pclm_smoothing, (C @ at_risk_matrix(records, grid), C, Bu_mid, Bs_edges),
-            options)])
+        + [(select_pclm_smoothing, (C @ at_risk, C, Bu_mid, Bs_edges), options)])
     Y = {ell: np.vstack([fine.Y[ell][: g - 1], fit.Gamma[g - 1:]])
          for ell, fit in zip(causes, events)}
     diagnostics = {f"cause{ell}": _pclm_diag(fit) for ell, fit in zip(causes, events)}
@@ -684,14 +686,13 @@ def cmd_fit(input_csv, config_path, outdir):
     """Fit the hazard of every cause 1..L (L the largest cause code) from an individual-record
     CSV and write hazard, SE, cumulative-hazard, CIF, and survival tables."""
     with _exit_on_error():
-        cfg = load_config(config_path)
-        records = read_records_csv(input_csv)
-        run_fit_pipeline(cfg, records, Path(outdir))
+        run_fit_pipeline(load_config(config_path), input_csv, Path(outdir))
 
 
 def run_fit_pipeline(cfg: RunConfig, records, outdir: Path):
-    """Everything cmd_fit does after argument parsing (importable for tests)."""
-    outdir.mkdir(parents=True, exist_ok=True)
+    """Everything cmd_fit does after argument parsing (importable for tests): ``records`` is a
+    RecordTable, or the path of a records CSV, whose blocks are tallied on ``_run_tasks``'s
+    lanes.  ``outdir`` is made once the fits are done."""
     grid, kv_u, kv_s, criterion, search, phi_search, delta = cfg.setup()
 
     pclm_diag = None
@@ -699,7 +700,7 @@ def run_fit_pipeline(cfg: RunConfig, records, outdir: Path):
         binned, pclm_diag = assemble_ungrouped(records, grid, cfg.pclm.first_grouped_age, kv_u,
                                                kv_s, cfg.d, phi_search, cfg.convergence)
     else:
-        binned = bin_records(records, grid)
+        binned = tally_records(records, grid, _run_tasks)[0]
 
     options = {"d": cfg.d, "criterion": criterion, "search": search, "ctrl": cfg.convergence}
     causes = sorted(binned.Y)
@@ -710,6 +711,7 @@ def run_fit_pipeline(cfg: RunConfig, records, outdir: Path):
     surf = compute_surfaces(fits, u_pts, s_pts, delta=delta)
     cif_se = cif_standard_errors(fits, u_pts, s_pts, delta=delta)
 
+    outdir.mkdir(parents=True, exist_ok=True)
     for ell in causes:
         sub = outdir / f"cause{ell}"
         sub.mkdir(exist_ok=True)
@@ -765,18 +767,18 @@ def cmd_ungroup(input_csv, config_path, outdir):
     (records in the grouped tail carry any age at or above the first grouped
     age), writing fine-grid event counts, exposures, and search diagnostics."""
     with _exit_on_error():
-        cfg = load_config(config_path, ungroup=True)
-        records = read_records_csv(input_csv)
-        run_ungroup_pipeline(cfg, records, Path(outdir))
+        run_ungroup_pipeline(load_config(config_path, ungroup=True), input_csv, Path(outdir))
 
 
 def run_ungroup_pipeline(cfg: RunConfig, records, outdir: Path):
-    outdir.mkdir(parents=True, exist_ok=True)
+    """Everything cmd_ungroup does after argument parsing, ``records`` as in
+    :func:`run_fit_pipeline`; ``outdir`` is made once the searches are done."""
     run = cfg.setup(ungroup=True)
     grid = run.grid
     binned, diagnostics = assemble_ungrouped(records, grid, cfg.pclm.first_grouped_age,
                                              run.kv_u, run.kv_s, cfg.d, run.phi_search,
                                              cfg.convergence)
+    outdir.mkdir(parents=True, exist_ok=True)
     for ell in sorted(binned.Y):
         write_long_csv(outdir / f"ungrouped_events_cause{ell}.csv",
                        grid.u_mid, grid.s_mid, binned.Y[ell], name="count")

@@ -10,12 +10,18 @@ bin above it except at the top boundary.
 
 Records are held column-wise in a :class:`RecordTable`, which checks them when
 it is built; reading, binning and at-risk counting work on its arrays, never
-per record.
+per record.  A block of records is tallied into integer event counts, at-risk
+steps and survivors plus its (u-row, s_entry, s_exit) columns; the blocks' tallies
+fold into the count, exposure and at-risk matrices, the exposure one s-column at a
+time in record order, so a table gives the same bits as one block or as many.
 
 CSV input comes in two kinds, records and prediction points, each one ordered
 column spec (name -> dtype, converter, default) that drives both the C-level
 ``np.loadtxt`` pass and the per-row parser that explains where it fails; both
-kinds refuse bad rows with one error that lists them by line.
+kinds refuse bad rows with one error that lists them by line.  A records CSV is
+tallied in fixed-size byte blocks, which a caller may run on several processes;
+a file with a quote, or a block that does not parse or check, is read again in
+one sequential pass, which names what it refuses.
 """
 
 from __future__ import annotations
@@ -23,9 +29,12 @@ from __future__ import annotations
 import array
 import contextlib
 import csv
+import io
 import itertools
 import math
+import mmap
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +43,9 @@ from .errors import DataError
 
 # Absolute slack for edge comparisons on the time axes (units: years).
 _EDGE_ATOL = 1e-12
-# Records per exposure chunk: bounds the (record, s-bin) pairs held at once.
-_CHUNK = 8192
+# Bytes per tallied block of a records CSV: a block ends after the first line feed at or past
+# this many bytes, so the cuts depend on the file alone.
+_BLOCK_BYTES = 1 << 20
 # Rows per C-level CSV read: no whole-file temporary beside the columns it fills (one
 # pass over 300k records raised the peak memory of a fit from 80 to 87 MB).
 _READ_ROWS = 65536
@@ -215,9 +225,10 @@ def build_grid(u_lo: float, u_hi: float, h_u: float, s_lo: float, s_hi: float, h
 
 
 def _row_index(u: np.ndarray, grid: LexisGrid) -> np.ndarray:
-    """u-row of each value; an edge value belongs to the bin above, except the top edge."""
-    j = np.floor((u - grid.u_edges[0]) / grid.h_u + _EDGE_ATOL).astype(np.int64)
-    return np.minimum(j, grid.n_u - 1)
+    """u-row of each value; an edge value belongs to the bin above, except the top edge, and
+    a value below the grid to row -1 (clipped before the cast, which would warn past int64)."""
+    j = np.floor((u - grid.u_edges[0]) / grid.h_u + _EDGE_ATOL)
+    return np.clip(j, -1, grid.n_u - 1).astype(np.int64)
 
 
 def _exit_col(s_exit: np.ndarray, grid: LexisGrid) -> np.ndarray:
@@ -250,6 +261,78 @@ def _grid_rows(table: RecordTable, grid: LexisGrid) -> np.ndarray:
     return j
 
 
+# One block of records tallied: the failures as their distinct cause ``codes`` and the
+# ``keys`` (code index * n_u * n_s + cell) with their ``counts``; the at-risk ``steps``
+# (+1 at the bin a record enters, -1 where it leaves, over n_u x (n_s + 1)) and the
+# ``survivors`` per u-row; and per record its u-row, first and stop s-column of
+# exposure and its s_entry and s_exit.
+_Tally = namedtuple("_Tally", "codes keys counts steps survivors rows first stop s_entry s_exit")
+
+
+def _tally(table: RecordTable, grid: LexisGrid) -> _Tally:
+    """The tally of the records of ``table``, checked against the grid by :func:`_grid_rows`."""
+    j = _grid_rows(table, grid)
+    n_u, n_s = grid.n_u, grid.n_s
+    failed = table.cause > 0
+    codes, index = np.unique(table.cause[failed], return_inverse=True)
+    keys, counts = np.unique(index * (n_u * n_s) + j[failed] * n_s
+                             + _exit_col(table.s_exit[failed], grid), return_counts=True)
+    # a record is at risk at the starts of bins k_lo .. stop - 1, and exposed in s-bins
+    # first .. stop - 1
+    k_lo = np.searchsorted(grid.s_edges[:-1], table.s_entry, side="left")
+    stop = np.searchsorted(grid.s_edges[:-1], table.s_exit, side="left")
+    first = np.searchsorted(grid.s_edges[1:], table.s_entry, side="right")
+    size = n_u * (n_s + 1)
+    steps = (np.bincount(j * (n_s + 1) + k_lo, minlength=size)
+             - np.bincount(j * (n_s + 1) + stop, minlength=size))
+    survivors = (table.cause == 0) & (table.s_exit >= grid.s_edges[-1] - _EDGE_ATOL)
+    small = np.min_scalar_type(max(n_u, n_s))    # 19 bytes a record to keep, not 40
+    return _Tally(codes, keys, counts, steps, np.bincount(j[survivors], minlength=n_u),
+                  j.astype(small), first.astype(small), stop.astype(small),
+                  table.s_entry, table.s_exit)
+
+
+def _bins(tallies, grid: LexisGrid) -> BinnedData:
+    """The count and exposure matrices of the records of ``tallies``, blocks in record order:
+    a count matrix for each cause 1..L, L the largest cause code (at least 1), zero where it
+    has no events; :class:`DataError` where L exceeds the number of events.
+
+    Each s-column's exposure adds the blocks' overlaps by one ``np.bincount`` per block whose
+    first n_u weights are the column so far, so every bin sums its records' overlaps in
+    record order, as a per-record loop does."""
+    n_u, n_s = grid.n_u, grid.n_s
+    n_causes = max([int(t.codes[-1]) for t in tallies if len(t.codes)] + [1])
+    n_events = sum(int(t.counts.sum()) for t in tallies)
+    if n_causes > max(n_events, 1):
+        raise DataError(f"the largest cause code is {n_causes}, but {n_events} record(s) fail: "
+                        f"causes 1..{n_causes} cannot all have events")
+    cells, lower, upper = n_u * n_s, grid.s_edges[:-1], grid.s_edges[1:]
+    Y, R, rows = np.zeros(n_causes * cells), np.zeros((n_s, n_u)), np.arange(n_u)
+    for t in tallies:
+        Y += np.bincount((t.codes[t.keys // cells] - 1) * cells + t.keys % cells, t.counts,
+                         minlength=n_causes * cells)
+        for k in range(n_s):
+            part = np.flatnonzero((t.first <= k) & (k < t.stop))
+            overlap = np.minimum(t.s_exit[part], upper[k]) - np.maximum(t.s_entry[part], lower[k])
+            R[k] = np.bincount(np.concatenate([rows, t.rows[part]]),
+                               np.concatenate([R[k], overlap]), minlength=n_u)
+    Y = Y.reshape(n_causes, n_u, n_s)
+    return BinnedData(grid=grid, Y={ell: Y[ell - 1] for ell in range(1, n_causes + 1)},
+                      R=np.ascontiguousarray(R.T))
+
+
+def _at_risk(tallies, grid: LexisGrid) -> np.ndarray:
+    """The at-risk matrix of the records of ``tallies`` (see ``simulate.at_risk_matrix``)."""
+    n_u, n_s = grid.n_u, grid.n_s
+    steps, survivors = np.zeros(n_u * (n_s + 1), dtype=np.int64), np.zeros(n_u, dtype=np.int64)
+    for t in tallies:
+        steps += t.steps
+        survivors += t.survivors
+    N = np.cumsum(steps.reshape(n_u, n_s + 1), axis=1).astype(np.float64)
+    N[:, n_s] = survivors
+    return N
+
+
 def bin_records(table: RecordTable, grid: LexisGrid) -> BinnedData:
     """Aggregate the records of ``table`` into event-count and exposure matrices, a count
     matrix for each cause 1..L, L the largest cause code (at least 1), zero where it has no
@@ -257,31 +340,33 @@ def bin_records(table: RecordTable, grid: LexisGrid) -> BinnedData:
     where L exceeds the number of events, so that a cause surely has none (ids read as causes,
     say, which would ask for L matrices).
     """
-    j = _grid_rows(table, grid)
-    n_u, n_s = grid.n_u, grid.n_s
-    n_causes, n_events = max(table.cause.max(initial=0), 1), np.count_nonzero(table.cause)
-    if n_causes > max(n_events, 1):
-        raise DataError(f"the largest cause code is {n_causes}, but {n_events} record(s) fail: "
-                        f"causes 1..{n_causes} cannot all have events")
-    cell = j * n_s + _exit_col(table.s_exit, grid)
-    Y = {ell: np.bincount(cell[table.cause == ell], minlength=n_u * n_s)
-              .reshape(n_u, n_s).astype(np.float64)
-         for ell in range(1, n_causes + 1)}
+    return _bins([_tally(table, grid)], grid)
 
-    # Exact overlap of [s_entry, s_exit) with each s-bin it touches, added in
-    # record order so every bin sums in the same order as a per-record loop.
-    lower, upper = grid.s_edges[:-1], grid.s_edges[1:]
-    R = np.zeros(n_u * n_s)
-    for start in range(0, len(table), _CHUNK):
-        part = slice(start, start + _CHUNK)
-        entry, exit_ = table.s_entry[part], table.s_exit[part]
-        first = np.searchsorted(upper, entry, side="right")
-        count = np.searchsorted(lower, exit_, side="left") - first
-        rec = np.repeat(np.arange(len(entry)), count)
-        col = first[rec] + np.arange(len(rec)) - np.repeat(np.cumsum(count) - count, count)
-        overlap = np.minimum(exit_[rec], upper[col]) - np.maximum(entry[rec], lower[col])
-        np.add.at(R, j[part][rec] * n_s + col, overlap)
-    return BinnedData(grid=grid, Y=Y, R=R.reshape(n_u, n_s))
+
+def _in_order(tasks) -> list:
+    return [fn(*args, **kwargs) for fn, args, kwargs in tasks]
+
+
+def tally_records(records, grid: LexisGrid, run_tasks=_in_order) -> tuple:
+    """``(bin_records(table, grid), simulate.at_risk_matrix(table, grid))`` bit for bit, from
+    one check of each record against the grid, with ``table`` the :class:`RecordTable`
+    ``records`` or ``read_records_csv(records)`` for the path of a records CSV, and the same
+    refusals.
+
+    A CSV is not built into a table: its byte blocks (:func:`_record_blocks`) are tallied by
+    ``run_tasks``, which takes ``(fn, args, kwargs)`` tasks and returns their results in
+    order, on other processes, say.  A file with a quote in its header, or a block that
+    :func:`_tally_block` declines, is read and binned in one sequential pass instead.
+    """
+    if isinstance(records, RecordTable):
+        tallies = [_tally(records, grid)]
+    else:
+        blocks = _record_blocks(records)
+        tallies = [None] if blocks is None else run_tasks(
+            [(_tally_block, (records, start, stop, blocks[0], grid), {}) for start, stop in blocks[1]])
+        if any(t is None for t in tallies):
+            tallies = [_tally(read_records_csv(records), grid)]
+    return _bins(tallies, grid), _at_risk(tallies, grid)
 
 
 def _header(path, reader, columns, header_error) -> tuple:
@@ -297,26 +382,33 @@ def _header(path, reader, columns, header_error) -> tuple:
 
 def _load_columns(path, columns, header_error):
     """The columns of the kind ``columns`` in the CSV file ``path``, parsed in C by
-    ``np.loadtxt``, _READ_ROWS rows at a time from one open file, or None where a data row
-    does not parse so: the per-row parser then explains.  Fields are split and unquoted as
-    ``csv.reader`` does, blank lines are skipped and numbers parse to the values ``float``
-    and ``int`` give; a column missing from the header takes its default.  The header is
-    checked as :func:`_parse_csv` checks it."""
+    :func:`_loadtxt_columns` from one open file, or None where a data row does not parse so:
+    the per-row parser then explains.  The header is checked as :func:`_parse_csv` checks it."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         _, col = _header(path, csv.reader(fh), columns, header_error)
-        names = [name for name in columns if name in col]
-        blocks = []
-        with warnings.catch_warnings():
-            # loadtxt's notes on input with no rows and on blank lines beside max_rows
-            warnings.simplefilter("ignore", UserWarning)
-            while not blocks or len(blocks[-1]) == _READ_ROWS:
-                try:
-                    blocks.append(np.loadtxt(
-                        fh, dtype=[(name, columns[name][0]) for name in names], delimiter=",",
-                        quotechar='"', comments=None, ndmin=1, max_rows=_READ_ROWS,
-                        usecols=[col[name] for name in names], encoding="utf-8"))
-                except ValueError:   # a field that does not parse, a short row, bad bytes
-                    return None
+        return _loadtxt_columns(fh, columns, col)
+
+
+def _loadtxt_columns(fh, columns, col):
+    """The columns of the kind ``columns`` in the CSV data rows of the text stream ``fh``
+    (opened with ``newline=""``), whose header gave the name -> column index map ``col``,
+    parsed by ``np.loadtxt``, _READ_ROWS rows at a time; None where a row does not parse so.
+    Fields are split and unquoted as ``csv.reader`` does, blank lines are skipped and numbers
+    parse to the values ``float`` and ``int`` give; a column missing from the header takes
+    its default."""
+    names = [name for name in columns if name in col]
+    blocks = []
+    with warnings.catch_warnings():
+        # loadtxt's notes on input with no rows and on blank lines beside max_rows
+        warnings.simplefilter("ignore", UserWarning)
+        while not blocks or len(blocks[-1]) == _READ_ROWS:
+            try:
+                blocks.append(np.loadtxt(
+                    fh, dtype=[(name, columns[name][0]) for name in names], delimiter=",",
+                    quotechar='"', comments=None, ndmin=1, max_rows=_READ_ROWS,
+                    usecols=[col[name] for name in names], encoding="utf-8"))
+            except ValueError:   # a field that does not parse, a short row, bad bytes
+                return None
     n_rows = sum(map(len, blocks))
     return {name: np.concatenate([block[name] for block in blocks]) if name in col
             else np.full(n_rows, default, dtype) for name, (dtype, _, default) in columns.items()}
@@ -391,6 +483,47 @@ def read_records_csv(path) -> RecordTable:
         with contextlib.suppress(DataError):   # an invalid record: named by its line below
             return RecordTable(*cols.values())
     return RecordTable(*_parse_csv(path, *_RECORDS, _problems).values())
+
+
+def _record_blocks(path):
+    """The header's name -> column index map of the records CSV ``path`` and the
+    ``(start, stop)`` byte offsets of its data blocks, each ending after the first line feed
+    at or past _BLOCK_BYTES bytes (the last at the end of the file); None where the header
+    line holds a quote or a CR that does not end it, does not decode or is refused: the
+    sequential read then reads or refuses the file."""
+    with open(path, "rb") as fh:
+        head = fh.readline()
+        if b'"' in head or b"\r" in head.removesuffix(b"\n").removesuffix(b"\r"):
+            return None
+        try:
+            _, col = _header(path, csv.reader([head.decode("utf-8")]), *_RECORDS)
+        except (DataError, UnicodeDecodeError, csv.Error):
+            return None
+        cuts, start = [], len(head)
+        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as data:   # not empty: a header
+            while start < len(data):
+                stop = data.find(b"\n", start + _BLOCK_BYTES - 1) + 1 or len(data)
+                cuts.append((start, stop))
+                start = stop
+    return col, cuts
+
+
+def _tally_block(path, start, stop, col, grid):
+    """The :func:`_tally` of the records in bytes ``start`` .. ``stop`` of the records CSV
+    ``path``, whose header gave the column index map ``col``, parsed as
+    :func:`read_records_csv` parses the whole file; None where the block holds a quote (a
+    quoted field may span blocks), does not decode or parse in the C-level pass, or holds a
+    record that is invalid or outside the grid."""
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        data = fh.read(stop - start)
+    if b'"' in data:
+        return None
+    try:
+        cols = _loadtxt_columns(io.StringIO(data.decode("utf-8"), newline=""), _RECORDS[0], col)
+        return None if cols is None else _tally(RecordTable(*cols.values()), grid)
+    except (DataError, UnicodeDecodeError):
+        return None
 
 
 def read_points_csv(path, first) -> tuple:

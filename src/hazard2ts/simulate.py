@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .lexis import _EDGE_ATOL, LexisGrid, RecordTable, _grid_rows
+from .lexis import LexisGrid, RecordTable, _at_risk, _tally
 
 _MAX_STEP_PROB = 0.1
 
@@ -147,18 +147,7 @@ def at_risk_matrix(table: RecordTable, grid: LexisGrid) -> np.ndarray:
     """Fine-grid at-risk counts, n_u x (n_s + 1): column k counts the records at risk when
     s-bin k starts, and the last column those still under observation at the final bin edge.
 
-    Records are checked against the grid as in :func:`bin_records`.
+    Records are checked against the grid as in :func:`bin_records`; the counts are those
+    ``lexis.tally_records`` folds from blocks of records.
     """
-    j = _grid_rows(table, grid)
-    n_u, n_s = grid.n_u, grid.n_s
-    entry_edges = grid.s_edges[:-1]
-    # a record is at risk at the starts of bins k_lo .. k_hi - 1: +1 / -1 steps, summed along s
-    k_lo = np.searchsorted(entry_edges, table.s_entry, side="left")
-    k_hi = np.searchsorted(entry_edges, table.s_exit, side="left")
-    size = n_u * (n_s + 1)
-    steps = (np.bincount(j * (n_s + 1) + k_lo, minlength=size)
-             - np.bincount(j * (n_s + 1) + k_hi, minlength=size))
-    N = np.cumsum(steps.reshape(n_u, n_s + 1), axis=1).astype(np.float64)
-    survivors = (table.cause == 0) & (table.s_exit >= grid.s_edges[-1] - _EDGE_ATOL)
-    N[:, n_s] = np.bincount(j[survivors], minlength=n_u)
-    return N
+    return _at_risk([_tally(table, grid)], grid)

@@ -151,10 +151,15 @@ def _support_hull(grid, mask: np.ndarray):
     """Convex hull of the positive-exposure bin midpoints, for extrapolation flags.
 
     Returns ("polygon", counterclockwise vertices) or, for degenerate point
-    sets, ("box", (u_min, u_max, s_min, s_max)).
+    sets, ("box", (u_min, u_max, s_min, s_max)).  Only each u-row's lowest and highest
+    positive-exposure midpoint enter the hull: the points between them lie on the segment
+    joining them, so the hull, its vertices and their order are those of all the points.
     """
-    uu, ss = np.meshgrid(grid.u_mid, grid.s_mid, indexing="ij")
-    pts = np.column_stack([uu[mask], ss[mask]])
+    rows = np.flatnonzero(mask.any(axis=1))
+    lowest = mask[rows].argmax(axis=1)
+    highest = mask.shape[1] - 1 - mask[rows, ::-1].argmax(axis=1)
+    pts = np.column_stack([np.repeat(grid.u_mid[rows], 2),
+                           grid.s_mid[np.column_stack([lowest, highest]).ravel()]])
     hull = _convex_hull(pts)
     if len(hull) >= 3:
         return "polygon", hull

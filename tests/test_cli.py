@@ -228,6 +228,28 @@ class TestConfig:
             assert f"error: {path}: not a YAML document" in result.output
             assert "row 2" not in result.output
 
+    @pytest.mark.parametrize("text", ["[]\n", "0\n", "false\n", "''\n", "[1]\n"],
+                             ids=["empty-list", "zero", "false", "empty-string", "list"])
+    @pytest.mark.parametrize("command", ["fit", "ungroup"])
+    def test_config_that_is_no_mapping_exits_2_before_reading_input(self, runner, tmp_path,
+                                                                     command, text):
+        """A falsy document once ran with the defaults, where ``[1]`` was refused."""
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("id,u,s_entry,s_exit,cause\nx,55,0,notanumber,1\n")
+        result = runner.invoke(main, [command, str(bad), "--config", str(path),
+                                      "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2, result.output
+        assert f"error: {path}: config must be a mapping" in result.output
+        assert "row 2" not in result.output
+
+    @pytest.mark.parametrize("text", ["", "# nothing\n", "~\n"], ids=["empty", "comment", "null"])
+    def test_empty_config_runs_with_the_defaults(self, tmp_path, text):
+        path = tmp_path / "empty.yaml"
+        path.write_text(text)
+        assert load_config(path) == cli.RunConfig()
+
     def test_seed_is_no_option_and_draws_is_hidden_and_ignored(self, runner, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("id,u,s_entry,s_exit,cause\nx,55,0,notanumber,1\n")
@@ -779,6 +801,10 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("text,message", [
         ("- 1\n- 2\n", "scenario must be a mapping"),
+        ("[]\n", "scenario must be a mapping, got []"),
+        ("0\n", "scenario must be a mapping, got 0"),
+        ("false\n", "scenario must be a mapping, got False"),
+        ("''\n", "scenario must be a mapping, got ''"),
         ("age: 5\n" + CAUSES, "scenario key age must be a mapping"),
         ("cause1: 5\ncause2: {name: constant, level: 0.1}\n",
          "scenario key cause1 must be a mapping"),
@@ -797,7 +823,7 @@ class TestSimulateCommand:
         ("cause1: {name: constant, level: 0.1, slope: 0.5}\ncause2: {name: constant, level: 0.1}"
          "\n", "scenario key cause1: hazard family 'constant' takes no parameter slope"),
         ("cause1: {name: constant\n", "{path}: not a YAML document"),
-    ], ids=["list", "age", "cause1", "no-cause1", "age-lo", "n", "weights", "nested-weight",
+    ], ids=["list", "empty-list", "zero", "false", "empty-string", "age", "cause1", "no-cause1", "age-lo", "n", "weights", "nested-weight",
             "family-parameter", "parameter-type", "family", "unused-parameter", "yaml"])
     def test_scenario_that_is_no_mapping_exits_2(self, runner, tmp_path, text, message):
         """A scenario, a block or a value of the wrong kind, a missing key or family parameter,

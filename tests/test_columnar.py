@@ -104,14 +104,33 @@ def record_tables(draw, grid, max_size):
     return table_of(rows)
 
 
-def assert_matches_oracle(table, grid):
-    assert np.array_equal(at_risk_matrix(table, grid), oracle_at_risk(table, grid))
+# records per tallied block in the tests that fold a table's blocks
+BLOCK = 8192
+
+
+def block_tallies(table, grid, size):
+    """The tallies of ``table``'s blocks of ``size`` records, in record order."""
+    return [lexis._tally(h.RecordTable(*(getattr(table, name)[lo:lo + size] for name in FIELDS)),
+                         grid) for lo in range(0, len(table), size)]
+
+
+def assert_matches_oracle(table, grid, size=None):
+    """``bin_records`` and ``at_risk_matrix`` of ``table``, or with ``size`` the fold of its
+    blocks of ``size`` records, equal the per-record loops bit for bit."""
+    def bins():
+        if size is None:
+            return h.bin_records(table, grid)
+        return lexis._bins(block_tallies(table, grid, size), grid)
+
+    at_risk = (at_risk_matrix(table, grid) if size is None
+               else lexis._at_risk(block_tallies(table, grid, size), grid))
+    assert np.array_equal(at_risk, oracle_at_risk(table, grid))
     Y, R = oracle_bin_records(table, grid)
     if len(Y) > max(sum(c > 0 for c in table.cause.tolist()), 1):   # a cause surely empty
         with pytest.raises(DataError, match=f"the largest cause code is {len(Y)}, "):
-            h.bin_records(table, grid)
+            bins()
         return
-    binned = h.bin_records(table, grid)
+    binned = bins()
     assert list(binned.Y) == list(Y)
     for ell in Y:
         assert np.array_equal(binned.Y[ell], Y[ell])
@@ -122,16 +141,18 @@ def assert_matches_oracle(table, grid):
 @given(data=st.data())
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_small_chunks_match_per_record_loops(grid, data, monkeypatch):
-    # chunks of 5 records, so 1..30 records fall on both sides of a chunk boundary
-    monkeypatch.setattr(lexis, "_CHUNK", 5)
-    assert_matches_oracle(data.draw(record_tables(grid, max_size=30)), grid)
+def test_small_chunks_match_per_record_loops(grid, data):
+    # blocks of 5 records, so 1..30 records fall on both sides of a block boundary, folded in
+    # record order as one table is
+    table = data.draw(record_tables(grid, max_size=30))
+    assert_matches_oracle(table, grid)
+    assert_matches_oracle(table, grid, size=5)
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_records_around_the_chunk_size_match_per_record_loops(offset):
     grid = GRIDS[0]
-    n = lexis._CHUNK + offset
+    n = BLOCK + offset
     rng = np.random.default_rng(n)
     u = np.where(rng.random(n) < 0.3, rng.integers(50, 101, n), rng.uniform(50, 100, n))
     s_entry = np.where(rng.random(n) < 0.8, 0.0, rng.integers(0, 20, n) * 0.5)
@@ -141,6 +162,7 @@ def test_records_around_the_chunk_size_match_per_record_loops(offset):
     table = h.RecordTable([f"r{i}" for i in range(n)], u, s_entry, s_exit,
                           rng.integers(0, 3, n))
     assert_matches_oracle(table, grid)
+    assert_matches_oracle(table, grid, size=BLOCK)
 
 
 @given(rows=st.lists(st.tuples(

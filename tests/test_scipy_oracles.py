@@ -13,7 +13,7 @@ from scipy.spatial import ConvexHull, QhullError
 
 import hazard2ts as h
 from hazard2ts.basis import _EDGE_RTOL
-from hazard2ts.smooth2d import _support_hull
+from hazard2ts.smooth2d import _convex_hull, _support_hull
 
 
 def scipy_design(x, kv):
@@ -99,3 +99,23 @@ class TestSupportHullAgainstQhull:
         kind, hull = _support_hull(grid, np.ones((5, 5), dtype=bool))
         assert kind == "polygon"
         assert hull.tolist() == [[0.5, 0.5], [4.5, 0.5], [4.5, 4.5], [0.5, 4.5]]
+
+    @given(data=st.data(), which=st.integers(0, len(GRIDS) - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_row_extremes_give_the_hull_of_all_points(self, data, which):
+        """Each u-row's lowest and highest positive midpoint alone give the vertices, their
+        order and the degenerate box of the hull of every positive midpoint, bit for bit."""
+        grid = GRIDS[which]
+        shape = (len(grid.u_mid), len(grid.s_mid))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        mask = rng.random(shape) < data.draw(st.sampled_from([0.0, 0.01, 0.05, 0.3, 0.9, 1.0]))
+        mask.flat[rng.integers(mask.size)] = True      # at least one positive bin
+        uu, ss = np.meshgrid(grid.u_mid, grid.s_mid, indexing="ij")
+        pts = np.column_stack([uu[mask], ss[mask]])
+        hull = _convex_hull(pts)
+        kind, got = _support_hull(grid, mask)
+        if len(hull) >= 3:
+            assert kind == "polygon" and got.tobytes() == hull.tobytes()
+        else:
+            assert (kind, got) == ("box", (pts[:, 0].min(), pts[:, 0].max(), pts[:, 1].min(),
+                                           pts[:, 1].max()))
