@@ -8,7 +8,8 @@ enabled.  Outputs are long-format CSVs (u, s, value, extrapolated) with 17
 significant digits plus JSON summaries and the model file, each written in one piece with
 the bytes json.dump writes at ``indent=2, sort_keys=True`` (``write_json``); reruns with the
 same config are byte-identical.  Every standard error, the CIFs' included, is a delta-method
-one; ``fit --draws``, once a Monte-Carlo draw count, is accepted and ignored.
+one; ``fit --draws``, once a Monte-Carlo draw count, is accepted and ignored.  Independent
+tasks run on lanes, whose results come back in task order as each is done.
 
 Exit codes: 0 success, 2 data, domain and other package errors, 3 non-convergence.
 """
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import io
 import json
 import math
 import os
@@ -190,77 +190,49 @@ def make_bases(grid: LexisGrid, basis_cfg: BasisConfig):
 
 
 # --------------------------------------------------------------------------
-# independent searches on lanes: this process and forked worker processes
+# independent tasks on lanes: this process and forked worker processes
 
-def _run_lane(tasks, lane, n_lanes):
-    """The ``(index, ok, value)`` entries of the tasks ``lane, lane + n_lanes, ...`` run in
-    order: ``ok`` and the result, up to the first task that raises, whose entry is the last,
-    not ``ok`` and the exception."""
-    entries = []
-    for index in range(lane, len(tasks), n_lanes):
-        fn, args, kwargs = tasks[index]
-        try:
-            entries.append((index, True, fn(*args, **kwargs)))
-        except Exception as exc:
-            entries.append((index, False, exc))
-            break
-    return entries
-
-
-def _pickled(entry):
-    """The pickle of an ``(index, ok, value)`` entry; where the value does not pickle, or an
-    exception does not unpickle, that of a failed entry whose RuntimeError carries its text."""
-    index, ok, value = entry
+def _pickled(index, ok, value):
+    """The pickle of task ``index``'s outcome ``(ok, value)``; where the value does not pickle,
+    or an exception does not unpickle, that of a failure whose RuntimeError carries its text."""
     try:
-        data = pickle.dumps(entry, pickle.HIGHEST_PROTOCOL)
+        data = pickle.dumps((ok, value), pickle.HIGHEST_PROTOCOL)
         if not ok:
             pickle.loads(data)      # an exception that pickles may still not unpickle
         return data
     except Exception as exc:
         what = "result" if ok else "exception"
-        return pickle.dumps((index, False, RuntimeError(
+        return pickle.dumps((False, RuntimeError(
             f"task {index}: its {what} {value!r:.200} cannot leave its worker process: {exc}")))
 
 
 def _fork_lane(tasks, lane, n_lanes):
-    """The pid of a forked worker process that runs ``_run_lane`` in ``_blas_threads`` and
-    writes the pickles of its entries to a pipe, and the pipe's read end as a file.  The
-    worker leaves by ``os._exit``, with status 0 once it has written them all."""
+    """The pid of a forked worker process that runs the tasks ``lane, lane + n_lanes, ...`` in
+    ``_blas_threads`` up to the first that raises, writing each outcome's pickle to a pipe as
+    it has it (a full pipe holds it back), and the pipe's read end as a file.  The worker
+    leaves by ``os._exit``, with status 0 once it has written its last outcome."""
     read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:                # the worker: it never returns into the caller's frames
         status = 1
         try:
             os.close(read_end)
-            with _blas_threads():
-                entries = _run_lane(tasks, lane, n_lanes)
-            data = b"".join(map(_pickled, entries))
-            with open(write_end, "wb") as fh:
-                fh.write(data)
+            with open(write_end, "wb") as fh, _blas_threads():
+                for index in range(lane, len(tasks), n_lanes):
+                    fn, args, kwargs = tasks[index]
+                    try:
+                        ok, value = True, fn(*args, **kwargs)
+                    except Exception as exc:
+                        ok, value = False, exc
+                    fh.write(_pickled(index, ok, value))
+                    fh.flush()
+                    if not ok:
+                        break
             status = 0
         finally:
             os._exit(status)
     os.close(write_end)
     return pid, open(read_end, "rb")
-
-
-def _worker_entries(lane, pid, data, status):
-    """The entries a reaped worker wrote (``data``); where it ended (``os.waitpid``'s
-    ``status``) without writing them all, one failed entry at its lane's first task, whose
-    ChildProcessError names its exit status or signal."""
-    import signal               # here: only the search lanes use it
-
-    code = os.waitstatus_to_exitcode(status)
-    if code == 0 and data:
-        stream = io.BytesIO(data)
-        entries = []
-        while stream.tell() < len(data):
-            entries.append(pickle.load(stream))
-        return entries
-    how = (f"was killed by signal {-code} ({signal.strsignal(-code)})" if code < 0
-           else f"exited with status {code}")
-    return [(lane, False, ChildProcessError(
-        f"worker process {pid} {how} before it returned the results of its tasks"))]
 
 
 def _openblas(name) -> list:
@@ -307,17 +279,17 @@ def _blas_threads():
             fn(count)
 
 
-def _run_tasks(tasks):
-    """``[fn(*args, **kwargs) for fn, args, kwargs in tasks]``, the tasks dealt round-robin
-    into one lane per usable CPU at most: this process runs lane 0 and forks a worker per
-    other lane (``_fork_lane``), so one task or one CPU forks nothing.  Each lane stops at its
-    first failing task.  The first failing task in task order raises its exception here, as
-    in a serial run; a worker that ended without its results raises ChildProcessError at its
-    lane's first task.  Every worker is killed and reaped before this returns or raises.
-    Every lane runs in ``_blas_threads``: a program that imported numpy before the package
-    started numpy's default count, which this process and its forks would keep.  The results
-    are those of a serial run in a process that imported the package first."""
-    import signal
+def _lane_results(tasks):
+    """``fn(*args, **kwargs) for fn, args, kwargs in tasks``, yielded in task order as each is
+    done, the tasks dealt round-robin into one lane per usable CPU at most: this process runs
+    lane 0 and forks a worker per other lane (``_fork_lane``), so one task or one CPU forks
+    nothing.  Each lane stops at its first failing task, and the first in task order raises
+    here, as in a serial run; a worker that ended before an outcome raises ChildProcessError,
+    naming its exit status or signal, at that task.  Every worker is killed and reaped once
+    the generator ends, raises or is closed, and this process runs in ``_blas_threads`` until
+    then: a program that imported numpy before the package started numpy's default count,
+    which this process and its forks would keep."""
+    import signal               # here: only the lanes use it
 
     n_lanes = max(1, min(len(tasks), len(os.sched_getaffinity(0))))
     workers = {}                # lane: (pid, read end), until the worker is reaped
@@ -325,23 +297,25 @@ def _run_tasks(tasks):
         for lane in range(1, n_lanes):
             workers[lane] = _fork_lane(tasks, lane, n_lanes)
         with _blas_threads():
-            outcome = {index: (ok, value) for index, ok, value in _run_lane(tasks, 0, n_lanes)}
-        if tasks and not outcome[0][0]:     # the first task failed: no worker's comes first
-            raise outcome[0][1]
-        for lane, (pid, pipe) in list(workers.items()):
-            with pipe:
-                data = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            del workers[lane]
-            outcome.update((index, (ok, value))
-                           for index, ok, value in _worker_entries(lane, pid, data, status))
-        results = []
-        for index in range(len(tasks)):     # a lane has no entry past its failed task
-            ok, value = outcome[index]
-            if not ok:
-                raise value
-            results.append(value)
-        return results
+            for index, (fn, args, kwargs) in enumerate(tasks):
+                lane = index % n_lanes
+                if lane == 0:
+                    yield fn(*args, **kwargs)
+                    continue
+                pid, pipe = workers[lane]
+                try:
+                    ok, value = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):     # none, or cut short
+                    del workers[lane]
+                    pipe.close()
+                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    how = (f"was killed by signal {-code} ({signal.strsignal(-code)})"
+                           if code < 0 else f"exited with status {code}")
+                    raise ChildProcessError(f"worker process {pid} {how} before it returned "
+                                            f"the result of task {index}") from None
+                if not ok:
+                    raise value
+                yield value
     finally:
         for pid, pipe in workers.values():
             os.kill(pid, signal.SIGKILL)
@@ -349,19 +323,23 @@ def _run_tasks(tasks):
             pipe.close()
 
 
+def _run_tasks(tasks) -> list:
+    return list(_lane_results(tasks))
+
+
 # --------------------------------------------------------------------------
 # grouped-tail assembly
 
 def assemble_ungrouped(records, grid, first_grouped_age, kv_u, kv_s, d, phi_search, ctrl):
     """(BinnedData, diagnostics) of records (a RecordTable, or the path of a records CSV, whose
-    blocks are tallied on ``_run_tasks``'s lanes) whose ages from ``first_grouped_age`` (an
+    blocks are tallied on ``_lane_results``' lanes) whose ages from ``first_grouped_age`` (an
     interior u edge, else DataError) up are one grouped row: the binned rows 1..g-1 with the
     fitted tail rows ``Gamma[g-1:]`` under them, the exposure's by the half-bin rule.
     ``C @`` groups the counts and at-risk numbers, and the searches, one per cause and one for
     the at-risk numbers, run on ``_run_tasks``'s lanes, the first in this process."""
     g = grid.first_grouped_row(first_grouped_age) + 1
     C = composition_matrix(g, grid.n_u)
-    fine, at_risk = tally_records(records, grid, _run_tasks)
+    fine, at_risk = tally_records(records, grid, _lane_results)
     Bu_mid = evaluate_basis(grid.u_mid, kv_u)
     Bs_mid = evaluate_basis(grid.s_mid, kv_s)
     Bs_edges = evaluate_basis(grid.s_edges, kv_s)
@@ -691,8 +669,8 @@ def cmd_fit(input_csv, config_path, outdir):
 
 def run_fit_pipeline(cfg: RunConfig, records, outdir: Path):
     """Everything cmd_fit does after argument parsing (importable for tests): ``records`` is a
-    RecordTable, or the path of a records CSV, whose blocks are tallied on ``_run_tasks``'s
-    lanes.  ``outdir`` is made once the fits are done."""
+    RecordTable, or the path of a records CSV, whose blocks are tallied on ``_lane_results``'
+    lanes and folded as they arrive.  ``outdir`` is made once the fits are done."""
     grid, kv_u, kv_s, criterion, search, phi_search, delta = cfg.setup()
 
     pclm_diag = None
@@ -700,7 +678,7 @@ def run_fit_pipeline(cfg: RunConfig, records, outdir: Path):
         binned, pclm_diag = assemble_ungrouped(records, grid, cfg.pclm.first_grouped_age, kv_u,
                                                kv_s, cfg.d, phi_search, cfg.convergence)
     else:
-        binned = tally_records(records, grid, _run_tasks)[0]
+        binned = tally_records(records, grid, _lane_results)[0]
 
     options = {"d": cfg.d, "criterion": criterion, "search": search, "ctrl": cfg.convergence}
     causes = sorted(binned.Y)

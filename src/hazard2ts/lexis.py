@@ -11,17 +11,17 @@ bin above it except at the top boundary.
 Records are held column-wise in a :class:`RecordTable`, which checks them when
 it is built; reading, binning and at-risk counting work on its arrays, never
 per record.  A block of records is tallied into integer event counts, at-risk
-steps and survivors plus its (u-row, s_entry, s_exit) columns; the blocks' tallies
-fold into the count, exposure and at-risk matrices, the exposure one s-column at a
-time in record order, so a table gives the same bits as one block or as many.
+steps and survivors plus its (u-row, s_entry, s_exit) columns; one fold takes each
+block's tally as it arrives, the exposure one s-column at a time in record order, so
+a table gives the same bits as one block or as many.
 
 CSV input comes in two kinds, records and prediction points, each one ordered
 column spec (name -> dtype, converter, default) that drives both the C-level
 ``np.loadtxt`` pass and the per-row parser that explains where it fails; both
 kinds refuse bad rows with one error that lists them by line.  A records CSV is
-tallied in fixed-size byte blocks, which a caller may run on several processes;
-a file with a quote, or a block that does not parse or check, is read again in
-one sequential pass, which names what it refuses.
+tallied in fixed-size byte blocks, cut by a seek and one line read each, which a
+caller may run on several processes; a file with a quote, or a block that does not
+parse or check, is read again in one sequential pass, which names what it refuses.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import csv
 import io
 import itertools
 import math
-import mmap
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass
@@ -292,45 +291,55 @@ def _tally(table: RecordTable, grid: LexisGrid) -> _Tally:
                   table.s_entry, table.s_exit)
 
 
-def _bins(tallies, grid: LexisGrid) -> BinnedData:
-    """The count and exposure matrices of the records of ``tallies``, blocks in record order:
-    a count matrix for each cause 1..L, L the largest cause code (at least 1), zero where it
-    has no events; :class:`DataError` where L exceeds the number of events.
+_Folded = namedtuple("_Folded", "codes keys counts R N")
 
-    Each s-column's exposure adds the blocks' overlaps by one ``np.bincount`` per block whose
-    first n_u weights are the column so far, so every bin sums its records' overlaps in
-    record order, as a per-record loop does."""
+
+def _fold(tallies, grid: LexisGrid) -> _Folded:
+    """The matrices of the records of ``tallies``, blocks in record order read once, each
+    folded as it arrives; None at the first tally that is None.  The failures stay as a block
+    tallies them: the sorted distinct cause ``codes``, and the ``counts`` at the ``keys`` (code
+    index * n_u * n_s + cell).  Each s-column of the exposure ``R`` adds a block's overlaps by
+    one ``np.bincount`` whose first n_u weights are the column so far, so every bin sums its
+    records' overlaps in record order, as a per-record loop does; ``N`` is the at-risk matrix."""
     n_u, n_s = grid.n_u, grid.n_s
-    n_causes = max([int(t.codes[-1]) for t in tallies if len(t.codes)] + [1])
-    n_events = sum(int(t.counts.sum()) for t in tallies)
-    if n_causes > max(n_events, 1):
-        raise DataError(f"the largest cause code is {n_causes}, but {n_events} record(s) fail: "
-                        f"causes 1..{n_causes} cannot all have events")
-    cells, lower, upper = n_u * n_s, grid.s_edges[:-1], grid.s_edges[1:]
-    Y, R, rows = np.zeros(n_causes * cells), np.zeros((n_s, n_u)), np.arange(n_u)
+    cells, lower, upper, rows = n_u * n_s, grid.s_edges[:-1], grid.s_edges[1:], np.arange(n_u)
+    codes = keys = np.zeros(0, dtype=np.int64)
+    counts, R = np.zeros(0), np.zeros((n_s, n_u))
+    steps, survivors = np.zeros(n_u * (n_s + 1), dtype=np.int64), np.zeros(n_u, dtype=np.int64)
     for t in tallies:
-        Y += np.bincount((t.codes[t.keys // cells] - 1) * cells + t.keys % cells, t.counts,
-                         minlength=n_causes * cells)
+        if t is None:
+            return None
+        merged = np.union1d(codes, t.codes)
+        keys, index = np.unique(np.concatenate(
+            [np.searchsorted(merged, c)[k // cells] * cells + k % cells
+             for c, k in ((codes, keys), (t.codes, t.keys))]), return_inverse=True)
+        counts, codes = np.bincount(index, np.concatenate([counts, t.counts])), merged
+        steps += t.steps
+        survivors += t.survivors
         for k in range(n_s):
             part = np.flatnonzero((t.first <= k) & (k < t.stop))
             overlap = np.minimum(t.s_exit[part], upper[k]) - np.maximum(t.s_entry[part], lower[k])
             R[k] = np.bincount(np.concatenate([rows, t.rows[part]]),
                                np.concatenate([R[k], overlap]), minlength=n_u)
-    Y = Y.reshape(n_causes, n_u, n_s)
-    return BinnedData(grid=grid, Y={ell: Y[ell - 1] for ell in range(1, n_causes + 1)},
-                      R=np.ascontiguousarray(R.T))
-
-
-def _at_risk(tallies, grid: LexisGrid) -> np.ndarray:
-    """The at-risk matrix of the records of ``tallies`` (see ``simulate.at_risk_matrix``)."""
-    n_u, n_s = grid.n_u, grid.n_s
-    steps, survivors = np.zeros(n_u * (n_s + 1), dtype=np.int64), np.zeros(n_u, dtype=np.int64)
-    for t in tallies:
-        steps += t.steps
-        survivors += t.survivors
     N = np.cumsum(steps.reshape(n_u, n_s + 1), axis=1).astype(np.float64)
     N[:, n_s] = survivors
-    return N
+    return _Folded(codes, keys, counts, np.ascontiguousarray(R.T), N)
+
+
+def _binned(folded: _Folded, grid: LexisGrid) -> BinnedData:
+    """The count and exposure matrices of ``folded``: a count matrix for each cause 1..L, L the
+    largest cause code (at least 1), zero where it has no events; :class:`DataError` where L
+    exceeds the number of events."""
+    n_causes = max([*folded.codes[-1:].tolist(), 1])
+    n_events = int(folded.counts.sum())
+    if n_causes > max(n_events, 1):
+        raise DataError(f"the largest cause code is {n_causes}, but {n_events} record(s) fail: "
+                        f"causes 1..{n_causes} cannot all have events")
+    cells, keys = grid.n_u * grid.n_s, folded.keys
+    Y = np.zeros((n_causes, cells))
+    Y[folded.codes[keys // cells] - 1, keys % cells] = folded.counts
+    return BinnedData(grid=grid, R=folded.R, Y={ell: Y[ell - 1].reshape(grid.n_u, grid.n_s)
+                                                for ell in range(1, n_causes + 1)})
 
 
 def bin_records(table: RecordTable, grid: LexisGrid) -> BinnedData:
@@ -340,11 +349,12 @@ def bin_records(table: RecordTable, grid: LexisGrid) -> BinnedData:
     where L exceeds the number of events, so that a cause surely has none (ids read as causes,
     say, which would ask for L matrices).
     """
-    return _bins([_tally(table, grid)], grid)
+    return _binned(_fold([_tally(table, grid)], grid), grid)
 
 
-def _in_order(tasks) -> list:
-    return [fn(*args, **kwargs) for fn, args, kwargs in tasks]
+def _in_order(tasks):
+    for fn, args, kwargs in tasks:
+        yield fn(*args, **kwargs)
 
 
 def tally_records(records, grid: LexisGrid, run_tasks=_in_order) -> tuple:
@@ -354,19 +364,24 @@ def tally_records(records, grid: LexisGrid, run_tasks=_in_order) -> tuple:
     refusals.
 
     A CSV is not built into a table: its byte blocks (:func:`_record_blocks`) are tallied by
-    ``run_tasks``, which takes ``(fn, args, kwargs)`` tasks and returns their results in
-    order, on other processes, say.  A file with a quote in its header, or a block that
-    :func:`_tally_block` declines, is read and binned in one sequential pass instead.
+    ``run_tasks``, which takes ``(fn, args, kwargs)`` tasks and gives their results in order,
+    from other processes, say, and each tally is folded as it arrives, so no more than a
+    block's is held.  A file with a quote in its header, or a block that :func:`_tally_block`
+    declines, is read and binned in one sequential pass instead; a generator of results is
+    closed at the first block that declines.
     """
+    folded = None
     if isinstance(records, RecordTable):
-        tallies = [_tally(records, grid)]
-    else:
-        blocks = _record_blocks(records)
-        tallies = [None] if blocks is None else run_tasks(
-            [(_tally_block, (records, start, stop, blocks[0], grid), {}) for start, stop in blocks[1]])
-        if any(t is None for t in tallies):
-            tallies = [_tally(read_records_csv(records), grid)]
-    return _bins(tallies, grid), _at_risk(tallies, grid)
+        folded = _fold([_tally(records, grid)], grid)
+    elif (blocks := _record_blocks(records)) is not None:
+        tallies = run_tasks([(_tally_block, (records, start, stop, blocks[0], grid), {})
+                             for start, stop in blocks[1]])
+        folded = _fold(tallies, grid)
+        if folded is None and hasattr(tallies, "close"):
+            tallies.close()
+    if folded is None:
+        folded = _fold([_tally(read_records_csv(records), grid)], grid)
+    return _binned(folded, grid), folded.N
 
 
 def _header(path, reader, columns, header_error) -> tuple:
@@ -499,12 +514,13 @@ def _record_blocks(path):
             _, col = _header(path, csv.reader([head.decode("utf-8")]), *_RECORDS)
         except (DataError, UnicodeDecodeError, csv.Error):
             return None
-        cuts, start = [], len(head)
-        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as data:   # not empty: a header
-            while start < len(data):
-                stop = data.find(b"\n", start + _BLOCK_BYTES - 1) + 1 or len(data)
-                cuts.append((start, stop))
-                start = stop
+        cuts, start, end = [], len(head), fh.seek(0, io.SEEK_END)
+        while start < end:
+            fh.seek(start + _BLOCK_BYTES - 1)
+            fh.readline()                   # to the first line feed from there, or the end
+            stop = min(fh.tell(), end)      # a seek past the end tells its own offset
+            cuts.append((start, stop))
+            start = stop
     return col, cuts
 
 

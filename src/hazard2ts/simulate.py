@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .lexis import LexisGrid, RecordTable, _at_risk, _tally
+from .lexis import LexisGrid, RecordTable, _fold, _tally
 
 _MAX_STEP_PROB = 0.1
 
@@ -150,4 +150,4 @@ def at_risk_matrix(table: RecordTable, grid: LexisGrid) -> np.ndarray:
     Records are checked against the grid as in :func:`bin_records`; the counts are those
     ``lexis.tally_records`` folds from blocks of records.
     """
-    return _at_risk([_tally(table, grid)], grid)
+    return _fold([_tally(table, grid)], grid).N

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import operator
@@ -1215,6 +1216,19 @@ class TestWorkerProcesses:
         with pytest.raises(ValueError, match="math domain error"):
             cli._run_tasks([(math.sqrt, (-1.0,), {}), (time.sleep, (60,), {})])
         assert time.monotonic() - start < 5
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_workers_result_comes_back_before_its_lane_is_done(self, monkeypatch):
+        """The worker runs tasks 1 and 3: its first result comes back while task 3 sleeps, so
+        the first three results arrive at once, and closing the generator reaps the worker."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        start = time.monotonic()
+        results = cli._lane_results([(math.sqrt, (4.0,), {}), (math.sqrt, (9.0,), {}),
+                                     (math.sqrt, (16.0,), {}), (time.sleep, (60,), {})])
+        assert list(itertools.islice(results, 3)) == [2.0, 3.0, 4.0]
+        assert time.monotonic() - start < 5
+        results.close()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 

@@ -120,10 +120,10 @@ def assert_matches_oracle(table, grid, size=None):
     def bins():
         if size is None:
             return h.bin_records(table, grid)
-        return lexis._bins(block_tallies(table, grid, size), grid)
+        return lexis._binned(lexis._fold(block_tallies(table, grid, size), grid), grid)
 
     at_risk = (at_risk_matrix(table, grid) if size is None
-               else lexis._at_risk(block_tallies(table, grid, size), grid))
+               else lexis._fold(block_tallies(table, grid, size), grid).N)
     assert np.array_equal(at_risk, oracle_at_risk(table, grid))
     Y, R = oracle_bin_records(table, grid)
     if len(Y) > max(sum(c > 0 for c in table.cause.tolist()), 1):   # a cause surely empty

@@ -8,6 +8,9 @@ write the same bytes and refuse a file with the same message and exit code.
 """
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -101,6 +104,32 @@ def test_blocks_end_after_a_line_feed_and_tile_the_data(tmp_path, monkeypatch):
         assert b"\n" not in data[start + 99:stop - 1]     # the first line feed past 100 bytes
 
 
+def test_cutting_a_large_file_reads_only_around_the_cuts(tmp_path):
+    """Cutting a 36 MiB records file raises the peak memory of a fresh process by under 8 MB:
+    the file is neither mapped nor read whole to find the cuts.  The peak is the process's
+    own VmHWM: its ru_maxrss would start at this test runner's, which Linux carries over
+    into a child's exec."""
+    if not Path("/proc/self/status").exists():
+        pytest.skip("no /proc/self/status to read the peak memory from")
+    path = tmp_path / "records.csv"
+    path.write_bytes(b"id,u,s_entry,s_exit,cause\n" + b"r,60.5,0,1.25,1\n" * (36 << 16))
+    src = str(Path(h.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys\n"
+            "from hazard2ts import lexis\n"
+            "def peak_kib():\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        return int(next(line for line in fh if line.startswith('VmHWM')).split()[1])\n"
+            "before = peak_kib()\n"
+            "col, cuts = lexis._record_blocks(sys.argv[1])\n"
+            "print(peak_kib() - before, len(cuts))\n")
+    out = subprocess.run([sys.executable, "-c", code, str(path)], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    grown_kib, n_blocks = map(int, out.stdout.split())
+    assert n_blocks == 36
+    assert grown_kib < 8000
+
+
 @pytest.mark.parametrize("head", [b'"id",u,s_entry,s_exit,cause\n', b"id,u,s_entry,s_exit\n",
                                   b"id,u\rs_entry,s_exit,cause\n", b"", b"\xffid,u\n"],
                          ids=["quoted", "no-cause", "lone-cr", "empty", "bad-bytes"])
@@ -177,6 +206,8 @@ def test_commands_on_blocks_give_the_sequential_bytes_and_refusals(
     for cpus in (1, 3):
         on_lanes(monkeypatch, 120, cpus)       # two or three rows a block
         assert run(command, path, config, tmp_path / f"blocks{cpus}") == (code, output, files)
+    with pytest.raises(ChildProcessError):     # every lane reaped, a declined block's included
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_a_file_without_quotes_is_tallied_without_a_table(rows, config, tmp_path, monkeypatch):
