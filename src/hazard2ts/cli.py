@@ -441,52 +441,72 @@ def _read_nonfinite(val):
     return _NONFINITE.get(val, val) if isinstance(val, str) else val
 
 
-# the text of each entry of an integer or float array, as json.dump writes that Python number
-_ENTRY_TEXT = {"f": float.__repr__, "i": int.__repr__, "u": int.__repr__}
+def _array_pieces(arr, nl, out):
+    """:func:`_json_pieces` of a float array of one or two dimensions and at least one entry,
+    laid out at once in a byte buffer of fixed-width slots padded with zero bytes, a row of the
+    array to a row of the buffer: a matrix row's ``,``, line break and indent; each entry's
+    ``,``, line break and indent and text, from :func:`.floattext.repr_fields` (a non-finite
+    entry the text of its ``_json_value`` string); the row's closing line break, indent and
+    ``]``.  The first ``,`` of a row is its ``[``, and the first of the buffer the array's."""
+    from .floattext import repr_fields     # here: only a command that writes a model loads it
 
-
-def _join_rows(rows, nl, brackets="[]"):
-    """The text of a JSON list (an object with ``brackets="{}"``) whose items have the texts
-    ``rows``, or, where ``rows`` nests lists of texts, of the nested lists."""
-    if not rows:
-        return brackets
-    inner = nl + "  "
-    if isinstance(rows[0], list):
-        rows = [_join_rows(row, inner) for row in rows]
-    return brackets[0] + inner + ("," + inner).join(rows) + nl + brackets[1]
-
-
-def _array_text(arr, nl):
-    """``_json_text`` of an integer or float array of at least one dimension: each entry's
-    text made by one C-level call over ``tolist()``, a non-finite one replaced by the text of
-    its ``_json_value`` string, and the texts joined a last-axis row at a time.  A square
-    float64 array that is symmetric bit for bit (a fit's covariance ``0.5 * (H⁻¹ + H⁻ᵀ)``) has
-    only its upper triangle rendered, and those texts are reused for the mirrored entries:
-    comparing bits, not values, keeps a mirrored 0.0 from being written where -0.0 sits."""
-    text = np.empty(arr.shape, dtype=object)
-    square = arr.dtype == np.float64 and arr.ndim == 2 and arr.shape[0] == arr.shape[1]
-    if square and np.array_equal(arr.view(np.uint64), arr.view(np.uint64).T):
-        upper = np.triu_indices(len(arr))
-        text[upper] = list(map(float.__repr__, arr[upper].tolist()))
-        text.T[upper] = text[upper]
-    else:
-        text.reshape(-1)[:] = list(map(_ENTRY_TEXT[arr.dtype.kind], arr.ravel().tolist()))
-    bad = ~np.isfinite(arr)
+    rows = np.asarray(arr, dtype=float).reshape(-1, arr.shape[-1])
+    fields = repr_fields(rows).reshape(*rows.shape, 32)
+    bad = ~np.isfinite(rows)
     if bad.any():
-        text[bad] = [_json_text(val) for val in arr[bad].tolist()]
-    return _join_rows(text.tolist(), nl)
+        fields[bad] = [np.frombuffer(_quote(_json_value(val)).encode().ljust(32, b"\0"),
+                                     np.uint8) for val in rows[bad].tolist()]
+    row_nl = nl + "  " * (arr.ndim - 1)    # where the rows' lines start
+    lead, sep, close = (np.frombuffer(text.encode(), np.uint8)
+                        for text in ("," + row_nl if arr.ndim == 2 else "", "," + row_nl + "  ",
+                                     row_nl + "]"))
+    slot = len(sep) + 32
+    text = bytearray(len(rows) * (len(lead) + rows.shape[1] * slot + len(close)))
+    buf = np.frombuffer(text, np.uint8).reshape(len(rows), -1)
+    buf[:, :len(lead)] = lead
+    entries = buf[:, len(lead):-len(close)].reshape(*rows.shape, slot)
+    entries[..., :len(sep)] = sep
+    entries[..., len(sep):] = fields
+    entries[:, 0, 0] = ord("[")             # a row's first "," opens it
+    buf[:, -len(close):] = close
+    buf[0, 0] = ord("[")                    # and the first row's opens the array
+    out.append(text.translate(None, b"\0").decode("ascii"))
+    if arr.ndim == 2:
+        out.append(nl + "]")
+    return out
 
 
-def _json_text(obj, nl="\n"):
-    """The text of ``json.dumps(_json_value(obj), indent=2, sort_keys=True, allow_nan=False)``,
-    its lines after the first starting with ``nl`` (the line break and indent of the enclosing
-    value), made by the C-level primitives json's encoder calls: ``encode_basestring_ascii``,
-    ``int.__repr__`` and ``float.__repr__``.  TypeError for a value of no JSON type, and for a
-    dict key that is not a str (where json.dump would write a number or bool key as text)."""
-    if isinstance(obj, np.ndarray) and obj.ndim and obj.dtype.kind in _ENTRY_TEXT:
-        return _array_text(obj, nl)
-    if isinstance(obj, (np.ndarray, np.generic)):
+def _json_pieces(obj, nl, out):
+    """Append to the list ``out`` the text of ``json.dumps(_json_value(obj), indent=2,
+    sort_keys=True, allow_nan=False)``, in pieces, its lines after the first starting with
+    ``nl`` (the line break and indent of the enclosing value), made by the C-level primitives
+    json's encoder calls: ``encode_basestring_ascii``, ``int.__repr__`` and ``float.__repr__``,
+    whose bytes :func:`_array_pieces` writes for a float array.  Each piece is copied once, when
+    the pieces are joined.  TypeError for a value of no JSON type, and for a dict key that is
+    not a str (where json.dump would write a number or bool key as text)."""
+    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim and obj.size:
+        if obj.ndim <= 2:
+            return _array_pieces(obj, nl, out)
+        obj = list(obj)
+    elif isinstance(obj, (np.ndarray, np.generic)):
         obj = _json_value(obj)
+    inner = nl + "  "
+    if isinstance(obj, dict):
+        items, brackets = [(_quote(key) + ": ", obj[key]) for key in sorted(obj)], "{}"
+    elif isinstance(obj, (list, tuple)):
+        items, brackets = [("", val) for val in obj], "[]"
+    else:
+        out.append(_scalar_text(obj))
+        return out
+    for i, (head, val) in enumerate(items):
+        out.append(("," if i else brackets[0]) + inner + head)
+        _json_pieces(val, inner, out)
+    out.append(nl + brackets[1] if items else brackets)
+    return out
+
+
+def _scalar_text(obj):
+    """The text json.dump writes for a str, None, bool, int or float."""
     if isinstance(obj, str):
         return _quote(obj)
     if obj is None:
@@ -497,12 +517,6 @@ def _json_text(obj, nl="\n"):
         return int.__repr__(obj)
     if isinstance(obj, float):
         return float.__repr__(obj) if math.isfinite(obj) else _quote(_json_value(obj))
-    inner = nl + "  "
-    if isinstance(obj, (list, tuple)):
-        return _join_rows([_json_text(val, inner) for val in obj], nl)
-    if isinstance(obj, dict):
-        return _join_rows([f"{_quote(key)}: {_json_text(obj[key], inner)}" for key in sorted(obj)],
-                          nl, "{}")
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
@@ -511,7 +525,7 @@ def write_json(path, payload):
     ``indent=2, sort_keys=True, allow_nan=False``, then a newline (floats in Python's shortest
     repr), in one write once the whole text is built: a value that cannot be encoded raises
     before the file is opened, so an existing file at ``path`` is left as it was."""
-    Path(path).write_text(_json_text(payload) + "\n", encoding="utf-8")
+    Path(path).write_text("".join(_json_pieces(payload, "\n", []) + ["\n"]), encoding="utf-8")
 
 
 def _knots_payload(kv: KnotVector):

@@ -20,8 +20,9 @@ column spec (name -> dtype, converter, default) that drives both the C-level
 ``np.loadtxt`` pass and the per-row parser that explains where it fails; both
 kinds refuse bad rows with one error that lists them by line.  A records CSV is
 tallied in fixed-size byte blocks, cut by a seek and one line read each, which a
-caller may run on several processes; a file with a quote, or a block that does not
-parse or check, is read again in one sequential pass, which names what it refuses.
+caller may run on several processes; a file with a quote or with no line feed in
+its first 64 KiB, or a block that does not parse or check, is read again in one
+sequential pass, which names what it refuses.
 """
 
 from __future__ import annotations
@@ -45,6 +46,9 @@ _EDGE_ATOL = 1e-12
 # Bytes per tallied block of a records CSV: a block ends after the first line feed at or past
 # this many bytes, so the cuts depend on the file alone.
 _BLOCK_BYTES = 1 << 20
+# The most bytes read for the header line of a records CSV to be cut into blocks: a file with
+# no line feed within them (a CR-only file, say) is left to the sequential read.
+_HEADER_BYTES = 1 << 16
 # Rows per C-level CSV read: no whole-file temporary beside the columns it fills (one
 # pass over 300k records raised the peak memory of a fit from 80 to 87 MB).
 _READ_ROWS = 65536
@@ -291,6 +295,12 @@ def _tally(table: RecordTable, grid: LexisGrid) -> _Tally:
                   table.s_entry, table.s_exit)
 
 
+def _sorted_unique(items):
+    """The distinct ``items`` in a sorted list: np.unique's plain call imports numpy.ma (11-15
+    ms) on first use, through np.ma.is_masked, and a fit needs none of it."""
+    return sorted(set(items))
+
+
 _Folded = namedtuple("_Folded", "codes keys counts R N")
 
 
@@ -309,7 +319,7 @@ def _fold(tallies, grid: LexisGrid) -> _Folded:
     for t in tallies:
         if t is None:
             return None
-        merged = np.union1d(codes, t.codes)
+        merged = np.array(_sorted_unique([*codes.tolist(), *t.codes.tolist()]), dtype=np.int64)
         keys, index = np.unique(np.concatenate(
             [np.searchsorted(merged, c)[k // cells] * cells + k % cells
              for c, k in ((codes, keys), (t.codes, t.keys))]), return_inverse=True)
@@ -481,6 +491,10 @@ _RECORDS = ({"id": (object, str, None), "u": (np.float64, float, None),
              "s_entry": (np.float64, float, 0.0), "s_exit": (np.float64, float, None),
              "cause": (np.int64, int, None)},
             "header must contain id,u,s_entry,s_exit,cause (got {header})")
+# The records as a block reads them: the ids as zero-width bytes, so that np.loadtxt still
+# refuses a row that lacks the field but keeps none of its text; only the sequential read,
+# which names the records it refuses, reads ids.
+_TALLIED = {**_RECORDS[0], "id": ("S0", str, None)}
 
 
 def read_records_csv(path) -> RecordTable:
@@ -503,12 +517,14 @@ def read_records_csv(path) -> RecordTable:
 def _record_blocks(path):
     """The header's name -> column index map of the records CSV ``path`` and the
     ``(start, stop)`` byte offsets of its data blocks, each ending after the first line feed
-    at or past _BLOCK_BYTES bytes (the last at the end of the file); None where the header
-    line holds a quote or a CR that does not end it, does not decode or is refused: the
-    sequential read then reads or refuses the file."""
+    at or past _BLOCK_BYTES bytes (the last at the end of the file); None where no line feed
+    ends the header within _HEADER_BYTES bytes, or the header line holds a quote or a CR that
+    does not end it, does not decode or is refused: the sequential read then reads or refuses
+    the file."""
     with open(path, "rb") as fh:
-        head = fh.readline()
-        if b'"' in head or b"\r" in head.removesuffix(b"\n").removesuffix(b"\r"):
+        head = fh.readline(_HEADER_BYTES)
+        if (len(head) == _HEADER_BYTES and not head.endswith(b"\n") or b'"' in head
+                or b"\r" in head.removesuffix(b"\n").removesuffix(b"\r")):
             return None
         try:
             _, col = _header(path, csv.reader([head.decode("utf-8")]), *_RECORDS)
@@ -527,16 +543,16 @@ def _record_blocks(path):
 def _tally_block(path, start, stop, col, grid):
     """The :func:`_tally` of the records in bytes ``start`` .. ``stop`` of the records CSV
     ``path``, whose header gave the column index map ``col``, parsed as
-    :func:`read_records_csv` parses the whole file; None where the block holds a quote (a
-    quoted field may span blocks), does not decode or parse in the C-level pass, or holds a
-    record that is invalid or outside the grid."""
+    :func:`read_records_csv` parses the whole file but for the ids (``_TALLIED``); None where
+    the block holds a quote (a quoted field may span blocks), does not decode or parse in the
+    C-level pass, or holds a record that is invalid or outside the grid."""
     with open(path, "rb") as fh:
         fh.seek(start)
         data = fh.read(stop - start)
     if b'"' in data:
         return None
     try:
-        cols = _loadtxt_columns(io.StringIO(data.decode("utf-8"), newline=""), _RECORDS[0], col)
+        cols = _loadtxt_columns(io.StringIO(data.decode("utf-8"), newline=""), _TALLIED, col)
         return None if cols is None else _tally(RecordTable(*cols.values()), grid)
     except (DataError, UnicodeDecodeError):
         return None

@@ -25,7 +25,7 @@ import numpy as np
 from . import glam
 from .basis import KnotVector, difference_matrix, evaluate_basis
 from .errors import ConvergenceError, DataError
-from .lexis import BinnedData
+from .lexis import BinnedData, _sorted_unique
 
 
 @dataclass(frozen=True)
@@ -170,7 +170,7 @@ def _convex_hull(pts: np.ndarray) -> np.ndarray:
     """Counterclockwise hull vertices of 2-D points from the lexicographically least (Andrew's
     monotone chain); a point within 1e-12 of the vertex scale of the line through its neighbours
     is dropped as collinear, and all-collinear points give fewer than 3 vertices."""
-    uniq = [tuple(p) for p in np.unique(pts, axis=0)]   # sorted by u, then s
+    uniq = _sorted_unique(map(tuple, pts.tolist()))     # sorted by u, then s
     tol = 1e-12 * max(np.abs(pts).max(initial=0.0), 1.0)
 
     def chain(seq):

@@ -1,4 +1,5 @@
-"""The table kernel writes every float64 as ``'%.17g' % v`` writes it, byte for byte."""
+"""The two kernels write every float64 as ``'%.17g' % v`` and ``float.__repr__(v)`` write it,
+byte for byte."""
 
 import math
 import operator
@@ -8,7 +9,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hazard2ts.floattext import format_rows
+from hazard2ts.floattext import format_rows, repr_fields
 
 
 def _from_bits(bits: int) -> float:
@@ -74,3 +75,32 @@ def test_kernel_writes_the_bytes_of_percent_17g(values, n_cols, with_flags):
 
 def test_empty_block_writes_nothing():
     assert bytes(format_rows([np.zeros(0), np.zeros(0)], np.zeros(0, bool))) == b""
+
+
+# the cases a shortest-digits printer gets wrong, beside those of %g
+_REPR_VALUES = st.one_of(
+    _VALUES,
+    st.builds(math.ldexp, st.sampled_from([1.0, -1.0]), st.integers(-1074, 1023)),
+    st.integers(-2 ** 64, 2 ** 64).map(float),
+    # short decimals, whose shortest digits are far fewer than 17
+    st.builds(lambda m, x: float(f"{m}e{x}"), st.integers(-99999, 99999), st.integers(-200, 200)),
+    st.integers(1, 2 ** 52 - 1).map(_from_bits),                      # subnormals
+    # both sides of the switches between fixed and exponential repr
+    st.builds(lambda end, ulps: (np.float64(end) + ulps * np.spacing(end)).item(),
+              st.sampled_from([1e-4, -1e-4, 1e-5, -1e-5, 1e16, -1e16]), st.integers(-3, 3)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(values=st.lists(_REPR_VALUES, min_size=1, max_size=60))
+# Python writes these: ties between the two 16-digit neighbours, the ends of the interval
+# (2**53's lower half is a quarter ulp) at 16 and 15 digits, and a 17th digit's tie
+@example(values=[5.960464477539062e-07, 8.344650268554688e-06, 9007199254740992.0,
+                 3.152519739159347e+16, 5.17913957147607e+16, 2.9802322387695312e-08])
+@example(values=[0.0, -0.0, 1.0, -2.5, 0.1, 1e16, 9999999999999998.0, 1e-4, 1e-5, 1e22,
+                 123456789012345.67, math.inf, -math.inf, math.nan])
+def test_repr_kernel_writes_the_bytes_of_float_repr(values):
+    fields = repr_fields(np.array(values, dtype=float))
+    assert fields.shape == (len(values), 32)
+    assert [bytes(row).replace(b"\0", b"") for row in fields] \
+        == [float.__repr__(v).encode() for v in values]

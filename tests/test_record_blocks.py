@@ -104,15 +104,13 @@ def test_blocks_end_after_a_line_feed_and_tile_the_data(tmp_path, monkeypatch):
         assert b"\n" not in data[start + 99:stop - 1]     # the first line feed past 100 bytes
 
 
-def test_cutting_a_large_file_reads_only_around_the_cuts(tmp_path):
-    """Cutting a 36 MiB records file raises the peak memory of a fresh process by under 8 MB:
-    the file is neither mapped nor read whole to find the cuts.  The peak is the process's
-    own VmHWM: its ru_maxrss would start at this test runner's, which Linux carries over
-    into a child's exec."""
+def record_blocks_in_a_fresh_process(path):
+    """The growth of the peak memory, in KiB, of a fresh process running
+    ``lexis._record_blocks(path)``, and its number of blocks (None where it declines).  The
+    peak is the process's own VmHWM: its ru_maxrss would start at this test runner's, which
+    Linux carries over into a child's exec."""
     if not Path("/proc/self/status").exists():
         pytest.skip("no /proc/self/status to read the peak memory from")
-    path = tmp_path / "records.csv"
-    path.write_bytes(b"id,u,s_entry,s_exit,cause\n" + b"r,60.5,0,1.25,1\n" * (36 << 16))
     src = str(Path(h.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = ("import sys\n"
@@ -121,13 +119,44 @@ def test_cutting_a_large_file_reads_only_around_the_cuts(tmp_path):
             "    with open('/proc/self/status') as fh:\n"
             "        return int(next(line for line in fh if line.startswith('VmHWM')).split()[1])\n"
             "before = peak_kib()\n"
-            "col, cuts = lexis._record_blocks(sys.argv[1])\n"
-            "print(peak_kib() - before, len(cuts))\n")
+            "blocks = lexis._record_blocks(sys.argv[1])\n"
+            "print(peak_kib() - before, None if blocks is None else len(blocks[1]))\n")
     out = subprocess.run([sys.executable, "-c", code, str(path)], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    grown_kib, n_blocks = map(int, out.stdout.split())
+    grown_kib, n_blocks = out.stdout.split()
+    return int(grown_kib), None if n_blocks == "None" else int(n_blocks)
+
+
+def test_cutting_a_large_file_reads_only_around_the_cuts(tmp_path):
+    """Cutting a 36 MiB records file raises the peak memory of a fresh process by under 8 MB:
+    the file is neither mapped nor read whole to find the cuts."""
+    path = tmp_path / "records.csv"
+    path.write_bytes(b"id,u,s_entry,s_exit,cause\n" + b"r,60.5,0,1.25,1\n" * (36 << 16))
+    grown_kib, n_blocks = record_blocks_in_a_fresh_process(path)
     assert n_blocks == 36
     assert grown_kib < 8000
+
+
+def test_a_file_with_no_line_feed_is_declined_from_a_bounded_header_read(tmp_path):
+    """A 36 MiB records file with CR-only line ends is declined after reading at most
+    _HEADER_BYTES of it as its header line, not read whole: the peak memory of a fresh process
+    grows by under 8 MB."""
+    path = tmp_path / "records.csv"
+    path.write_bytes(b"id,u,s_entry,s_exit,cause\r" + b"r,60.5,0,1.25,1\r" * (36 << 16))
+    grown_kib, n_blocks = record_blocks_in_a_fresh_process(path)
+    assert n_blocks is None
+    assert grown_kib < 8000
+
+
+def test_a_row_short_of_its_last_field_declines_its_block_where_that_is_the_id(tmp_path):
+    """The blocks read no id text, but a row that lacks the id field, the header's last,
+    declines its block as a row short of any other field does; the sequential read names it."""
+    path = tmp_path / "records.csv"
+    path.write_bytes(b"u,s_entry,s_exit,cause,id\n60.5,0,1.25,1,a\n61,0,2,0\n")
+    col, cuts = lexis._record_blocks(path)
+    assert [lexis._tally_block(path, start, stop, col, GRIDS[0]) for start, stop in cuts] == [None]
+    with pytest.raises(DataError, match="row 3: 4 field"):
+        lexis.tally_records(path, GRIDS[0], cli._run_tasks)
 
 
 @pytest.mark.parametrize("head", [b'"id",u,s_entry,s_exit,cause\n', b"id,u,s_entry,s_exit\n",
