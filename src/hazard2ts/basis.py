@@ -76,17 +76,9 @@ def make_knots(lo: float, hi: float, n_segments: int, degree: int = 3) -> KnotVe
     return KnotVector(degree=degree, boundary_lo=float(lo), boundary_hi=float(hi), knots=knots)
 
 
-def evaluate_basis(points, kv: KnotVector) -> np.ndarray:
-    """Evaluate all basis functions of ``kv`` at the given points.
-
-    Every point must lie in [boundary_lo, boundary_hi] (NaN does not); the
-    upper boundary maps to the last interval (intervals are half-open, closed
-    at the top of the domain).  Rows of the returned matrix sum to one; no
-    points give a matrix of no rows.
-    """
-    x = np.atleast_1d(np.asarray(points, dtype=float)).copy()
-    if x.ndim != 1:
-        raise ValueError("points must be one-dimensional")
+def check_domain(x: np.ndarray, kv: KnotVector) -> None:
+    """DomainError, counting and listing them, unless every point of the float array ``x``
+    lies in [boundary_lo, boundary_hi] up to _EDGE_RTOL (NaN does not)."""
     lo, hi = kv.boundary_lo, kv.boundary_hi
     slack = _EDGE_RTOL * max(abs(lo), abs(hi), 1.0)
     outside = ~((x >= lo - slack) & (x <= hi + slack))   # NaN is outside too
@@ -97,7 +89,21 @@ def evaluate_basis(points, kv: KnotVector) -> np.ndarray:
             f"{bad[:10]}{'...' if len(bad) > 10 else ''}",
             points=bad,
         )
-    np.clip(x, lo, hi, out=x)
+
+
+def evaluate_basis(points, kv: KnotVector) -> np.ndarray:
+    """Evaluate all basis functions of ``kv`` at the given points.
+
+    Every point must lie in [boundary_lo, boundary_hi] (:func:`check_domain`); the
+    upper boundary maps to the last interval (intervals are half-open, closed
+    at the top of the domain).  Rows of the returned matrix sum to one; no
+    points give a matrix of no rows.
+    """
+    x = np.atleast_1d(np.asarray(points, dtype=float)).copy()
+    if x.ndim != 1:
+        raise ValueError("points must be one-dimensional")
+    check_domain(x, kv)
+    np.clip(x, kv.boundary_lo, kv.boundary_hi, out=x)
     # x lies in knot interval [t_i, t_i+1), i = degree + seg, at local coordinate r in [0, 1].
     # On uniform knots the degree-k functions j = i-k..i there (c = j - i + k) take the values
     # b_k[c] = ((r + k - c) b_k-1[c-1] + (c + 1 - r) b_k-1[c]) / k, each term >= 0.

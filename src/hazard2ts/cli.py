@@ -9,7 +9,8 @@ significant digits plus JSON summaries and the model file, each written in one p
 the bytes json.dump writes at ``indent=2, sort_keys=True`` (``write_json``); reruns with the
 same config are byte-identical.  Every standard error, the CIFs' included, is a delta-method
 one; ``fit --draws``, once a Monte-Carlo draw count, is accepted and ignored.  Independent
-tasks run on lanes, whose results come back in task order as each is done.
+tasks run on lanes (the record blocks and searches of ``fit`` and ``ungroup``, ``predict``'s
+blocks of points), whose results come back in task order as each is done.
 
 Exit codes: 0 success, 2 data, domain and other package errors, 3 non-convergence.
 """
@@ -34,7 +35,7 @@ import numpy as np
 from . import __version__
 from .basis import KnotVector, difference_matrix, evaluate_basis, make_knots
 from .errors import ConvergenceError, DataError, Hazard2tsError
-from .incidence import (BasisRows, _thread_map, age_at_diagnosis, compute_surfaces,
+from .incidence import (BasisRows, age_at_diagnosis, check_points, compute_surfaces,
                         in_support, quadrature_step, surfaces_at_points)
 from .lexis import (BinnedData, LexisGrid, build_grid, read_points_csv, tally_records,
                     write_records_csv)
@@ -378,36 +379,39 @@ def _pclm_diag(fit):
 # --------------------------------------------------------------------------
 # output helpers
 
-# rows formatted at a time: the kernel's arrays stay a few MB; blocks formatted at once
-_BLOCK_ROWS = 4096
-_BLOCKS_AT_ONCE = 8
+# rows to a block: of a table formatted at once, and of the points a predict task evaluates
+_BLOCK_ROWS = 8192
 
 
-def _write_table(path, header, columns, flags=None):
-    """CSV of equal-length float columns, each float the text of ``'%.17g' % v``, then an
-    optional true/false column; :mod:`.floattext` formats _BLOCK_ROWS rows at a time, up to
-    _BLOCKS_AT_ONCE blocks at once on threads, which are written in order."""
+def _row_blocks(columns, flags=None):
+    """The CSV lines of equal-length float columns, each float the text of ``'%.17g' % v``,
+    then an optional true/false column, _BLOCK_ROWS rows to a block from :mod:`.floattext`."""
     from .floattext import format_rows     # here: only a command that writes tables loads it
 
     columns = [np.asarray(col, dtype=float).ravel() for col in columns]
     flags = None if flags is None else np.ravel(flags)
+    for lo in range(0, len(columns[0]), _BLOCK_ROWS):
+        yield format_rows([col[lo:lo + _BLOCK_ROWS] for col in columns],
+                          None if flags is None else flags[lo:lo + _BLOCK_ROWS])
 
-    def text(lo):
-        return format_rows([col[lo:lo + _BLOCK_ROWS] for col in columns],
-                           None if flags is None else flags[lo:lo + _BLOCK_ROWS])
 
-    blocks = range(0, len(columns[0]), _BLOCK_ROWS)
+def _write_table(path, header, blocks):
+    """A CSV of the column names ``header`` and then the formatted ``blocks`` of rows, written
+    in order as they come; where a block raises, the partial file is removed."""
     with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode("utf-8"))
-        for at in range(0, len(blocks), _BLOCKS_AT_ONCE):
-            fh.writelines(_thread_map(text, blocks[at:at + _BLOCKS_AT_ONCE]))
+        try:
+            fh.write((",".join(header) + "\n").encode("utf-8"))
+            fh.writelines(blocks)
+        except BaseException:
+            os.unlink(path)
+            raise
 
 
 def write_long_csv(path, u_points, s_points, values, extrapolated=None, name="value"):
     """Long-format table over the product grid: u, s, value[, extrapolated]."""
     columns = (np.repeat(u_points, len(s_points)), np.tile(s_points, len(u_points)), values)
     _write_table(path, ["u", "s", name] + (["extrapolated"] if extrapolated is not None else []),
-                 columns, extrapolated)
+                 _row_blocks(columns, extrapolated))
 
 
 # RFC 8259 JSON has no number for a non-finite float (log10 rho = -inf, the AIC of a
@@ -866,8 +870,21 @@ def scenario_from_dict(raw: dict, n_override=None, seed_override=None) -> Scenar
 def cmd_predict(model_path, points_csv, coords, out_csv):
     """Evaluate a saved model at arbitrary points: hazards, their SEs, CIFs,
     survival, and an extrapolation flag per point."""
+    _keep_freed_heap()
     with _exit_on_error():
         run_predict_pipeline(model_path, points_csv, coords, out_csv)
+
+
+def _keep_freed_heap():
+    """Where glibc's malloc serves this process, take allocations under 32 MB from the heap
+    and keep up to 64 MB of it when freed, as glibc does by itself once it has freed a 32 MB
+    array, so that each block of points reuses the pages of the block before."""
+    import ctypes
+
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt(-1, 64 << 20)       # M_TRIM_THRESHOLD
+        mallopt(-3, 32 << 20)       # M_MMAP_THRESHOLD
 
 
 def _read_points(path, coords):
@@ -875,27 +892,36 @@ def _read_points(path, coords):
     return read_points_csv(path, "u" if coords == "us" else "t")
 
 
+def _predict_rows(fits, columns, delta):
+    """The formatted rows of one block of points: its ``columns`` u, s[, t], then each cause's
+    hazard, its log's SE, its SE and CIF, then survival and the extrapolation flag."""
+    from .floattext import format_rows
+
+    u_rows, s_rows = BasisRows(columns[0]), BasisRows(columns[1])   # for surfaces and SEs
+    surf = surfaces_at_points(fits, u_rows, s_rows, delta=delta)
+    columns = list(columns)
+    for ell in sorted(fits):
+        lam, se_eta = surf.hazard[ell][:, 0], se_log_hazard_points(fits[ell], u_rows, s_rows)
+        columns += [lam, se_eta, lam * se_eta, surf.cif[ell][:, 0]]
+    return format_rows(columns + [surf.survival[:, 0]], surf.extrapolated)
+
+
 def run_predict_pipeline(model_path, points_csv, coords, out_csv):
+    """Everything cmd_predict does after argument parsing: every point is read and checked
+    before ``out_csv`` is opened, then the blocks are evaluated on the lanes, written in order."""
     payload, fits = load_model(model_path)
     first, s_arr = _read_points(points_csv, coords)
     delta = payload["config"].get("delta")   # None: the default step of the quadrature
-
     u_arr = age_at_diagnosis(first, s_arr) if coords == "ts" else first
-    # one point set: each distinct knot vector's rows serve the surfaces and the SEs
-    u_rows, s_rows = BasisRows(u_arr), BasisRows(s_arr)
-    surf = surfaces_at_points(fits, u_rows, s_rows, delta=delta)
-    se_eta = {ell: se_log_hazard_points(fits[ell], u_rows, s_rows) for ell in fits}
+    check_points(fits, u_arr, s_arr, delta)
 
-    cols, columns = ["u", "s"], [u_arr, s_arr]
-    if coords == "ts":
-        cols.append("t")
-        columns.append(first)
-    for ell in sorted(fits):
-        lam = surf.hazard[ell][:, 0]
-        cols += [f"hazard{ell}", f"log_hazard_se{ell}", f"hazard_se{ell}", f"cif{ell}"]
-        columns += [lam, se_eta[ell], lam * se_eta[ell], surf.cif[ell][:, 0]]
-    _write_table(out_csv, cols + ["survival", "extrapolated"],
-                 columns + [surf.survival[:, 0]], surf.extrapolated)
+    columns = [u_arr, s_arr] + ([first] if coords == "ts" else [])
+    names = ("hazard", "log_hazard_se", "hazard_se", "cif")
+    header = ["u", "s", "t"][:len(columns)] + [f"{a}{ell}" for ell in sorted(fits) for a in names]
+    tasks = [(_predict_rows, (fits, [col[lo:lo + _BLOCK_ROWS] for col in columns], delta), {})
+             for lo in range(0, len(s_arr), _BLOCK_ROWS)]
+    with contextlib.closing(_lane_results(tasks)) as blocks:
+        _write_table(out_csv, header + ["survival", "extrapolated"], blocks)
     return out_csv
 
 

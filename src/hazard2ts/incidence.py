@@ -9,10 +9,8 @@ knot vector) and works through the rows in chunks of a fixed, cache-sized
 number of rows, so memory does not grow with the number of points.  Every
 cumulative quantity is a sum over a row's first K nodes, read off by one
 ``np.add.reduceat`` (:func:`_sum_first`) whose sums each read their own row
-alone.  The chunks run on the threads of :func:`_thread_map`, one per usable
-CPU, each in arrays of its own: numpy releases the GIL in their array work,
-and a chunk's sums do not depend on the thread that runs it, so the bytes do
-not depend on the number of cores.  It has three
+alone.  The kernels run serially in the calling thread: ``predict`` runs them on
+its blocks of points in the command line's lanes.  The quadrature has three
 callers: the product grid (``compute_surfaces``, which ``fit`` writes), paired
 points (``surfaces_at_points``, which ``predict`` writes) and the closed-form
 CIF standard errors in :mod:`.uncertainty`, which read the kernel off at every
@@ -28,23 +26,18 @@ vectorized half-plane test.
 
 from __future__ import annotations
 
-import contextvars
-import itertools
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import KnotVector, evaluate_basis
+from .basis import KnotVector, check_domain, evaluate_basis
 from .errors import DomainError
 from .smooth2d import FittedHazard
 
 # slack (in units of delta) when counting quadrature nodes below s
 _NODE_EPS = 1e-9
-# rows per quadrature chunk, so that a chunk's arrays stay in the cache; a constant, not a
-# share of the cores, so the sums do not depend on the number of threads
+# rows per quadrature chunk, so that a chunk's arrays stay in the cache
 _CHUNK = 1024
 # slack of the support test: absolute for a box, relative to the vertex scale for a polygon
 _SUPPORT_ATOL = 1e-9
@@ -132,42 +125,6 @@ def _prepare(fits: dict, u_points, s_points, delta):
     return u, s, delta
 
 
-def _thread_map(fn, items) -> list:
-    """``[fn(item) for item in items]``, run on min(len(items), usable CPUs) threads.
-
-    For numpy work that releases the GIL.  One item or one CPU runs here and starts no thread.
-    Each thread runs in a copy of the caller's context, so ``np.errstate`` holds there too.
-    Every thread has ended when this returns; the first failing item in item order raises its
-    exception.
-    """
-    items = list(items)
-    n_threads = min(len(items), len(os.sched_getaffinity(0)))
-    if n_threads < 2:
-        return [fn(item) for item in items]
-    results, errors, taken = [None] * len(items), {}, itertools.count()
-
-    def run():
-        # items are taken in order, so every item before a failing one has been taken
-        while not errors and (i := next(taken)) < len(items):
-            try:
-                results[i] = fn(items[i])
-            except BaseException as exc:      # raised again in the calling thread
-                errors[i] = exc
-
-    threads = [threading.Thread(target=contextvars.copy_context().run, args=(run,))
-               for _ in range(n_threads)]
-    try:
-        for thread in threads:
-            thread.start()
-    finally:
-        for thread in threads:
-            if thread.ident is not None:
-                thread.join()
-    if errors:
-        raise errors[min(errors)]
-    return results
-
-
 def _sum_first(flat: np.ndarray, K: np.ndarray) -> np.ndarray:
     """``out[i, j] = x[i, :K[i, j]].sum()`` for the n = len(K) rows x[i], of one width w, that
     ``flat`` holds one after another and then one spare entry of 0 (n * w + 1 entries).
@@ -191,11 +148,10 @@ def _quadrature(fits: dict, u: BasisRows, K: np.ndarray, delta: float):
     counts to read off: one row (1 x n_cols) shared by every row for a product
     grid or the node ladder, or one column (n_rows x 1) for paired points.  Rows go
     in order of their largest node count (a stable sort: the identity when all rows
-    share one ``K``), _CHUNK rows to a chunk, the chunks on :func:`_thread_map`;
-    each chunk works up to its own largest count, in arrays of its own.  Survival
-    before each node comes from the one prefix sum; the cumulative hazards and CIFs
-    are read off at ``K`` by :func:`_sum_first`, so each row's sums depend on its
-    own nodes alone.
+    share one ``K``), _CHUNK rows to a chunk; each chunk works up to its own largest
+    count.  Survival before each node comes from the one prefix sum; the cumulative
+    hazards and CIFs are read off at ``K`` by :func:`_sum_first`, so each row's sums
+    depend on its own nodes alone.
     """
     causes = sorted(fits)
     K = np.broadcast_to(K, (len(u.points), K.shape[-1]))
@@ -209,9 +165,11 @@ def _quadrature(fits: dict, u: BasisRows, K: np.ndarray, delta: float):
     nodes = BasisRows(delta * np.arange(K_max))
     Bs_nodes = {ell: nodes.rows(fits[ell].kv_s) for ell in causes}
     order = np.argsort(K_row, kind="stable")
-
-    def chunk(rows):
+    for lo in range(0, len(K), _CHUNK):
+        rows = order[lo:lo + _CHUNK]
         K_c, K_rows = int(K_row[rows[-1]]), K[rows]
+        if K_c == 0:
+            continue
         lam = {ell: Bu[ell][rows] @ fits[ell].A @ Bs_nodes[ell][:K_c].T for ell in causes}
         flat = np.zeros(len(rows) * K_c + 1)       # the sums' rows and _sum_first's spare 0
         tot, S = flat[:-1].reshape(len(rows), K_c), np.empty((len(rows), K_c))
@@ -228,10 +186,17 @@ def _quadrature(fits: dict, u: BasisRows, K: np.ndarray, delta: float):
             cumhaz[ell][rows] = _sum_first(flat, K_rows)
             tot *= S
             cif[ell][rows] = _sum_first(flat, K_rows)
-
-    chunks = [order[lo:lo + _CHUNK] for lo in range(0, len(K), _CHUNK)]
-    _thread_map(chunk, [rows for rows in chunks if K_row[rows[-1]] > 0])
     return cumhaz, cif
+
+
+def check_points(fits: dict, u_points, s_points, delta: float = None) -> None:
+    """The refusals of :func:`surfaces_at_points` at the paired points, in its order, with no
+    basis evaluated (DomainError), for a caller that evaluates them block by block: a refusal
+    then counts and lists the bad points of all the blocks."""
+    u, s, _ = _prepare(fits, u_points, s_points, delta)
+    for points, kv in ([(u.points, fits[ell].kv_u) for ell in sorted(fits)]
+                       + [(s.points, fits[ell].kv_s) for ell in sorted(fits)]):
+        check_domain(points, kv)
 
 
 def _surfaces(fits: dict, u_points, s_points, delta, paired: bool):

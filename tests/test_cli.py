@@ -19,7 +19,7 @@ from click.testing import CliRunner
 
 import hazard2ts as h
 from hazard2ts import cli, floattext, lexis
-from hazard2ts.cli import _write_table, load_config, main
+from hazard2ts.cli import _row_blocks, _write_table, load_config, main
 from hazard2ts.errors import DataError
 from hazard2ts.simulate import at_risk_matrix
 
@@ -294,7 +294,8 @@ class TestTableWriter:
         columns = [values, values[::-1], 10.0 ** rng.uniform(-310, 308, values.size)]
         flags = rng.random(values.size) < 0.5 if with_flags else None
         path = tmp_path / "t.csv"
-        _write_table(path, ["a", "b", "c"] + (["f"] if with_flags else []), columns, flags)
+        _write_table(path, ["a", "b", "c"] + (["f"] if with_flags else []),
+                     _row_blocks(columns, flags))
 
         lines = ["a,b,c" + (",f" if with_flags else "")]
         for i in range(values.size):
@@ -309,13 +310,13 @@ class TestTableWriter:
     @pytest.mark.parametrize("n_rows", [0, 1, 99, 100, 101, 1001])
     def test_hundred_row_blocks_give_the_bytes_of_one_block(self, tmp_path, monkeypatch, cpus,
                                                            n_rows):
-        """Rows are formatted 100 at a time on threads of this process, with one CPU or
-        several, and written in order: the bytes of one block, and no worker pool."""
+        """Rows are formatted 100 at a time in this process, with one CPU or several, and
+        written in order: the bytes of one block, and no worker pool."""
         rng = np.random.default_rng(n_rows)
         columns = [rng.standard_normal(n_rows), 10.0 ** rng.uniform(-310, 308, n_rows)]
         flags = rng.random(n_rows) < 0.5
         whole = tmp_path / "whole.csv"
-        _write_table(whole, ["a", "b", "f"], columns, flags)
+        _write_table(whole, ["a", "b", "f"], _row_blocks(columns, flags))
         blocks_formatted = []
         format_rows = floattext.format_rows
         monkeypatch.setattr(floattext, "format_rows", lambda *args: blocks_formatted.append(1)
@@ -324,7 +325,7 @@ class TestTableWriter:
         monkeypatch.setattr(cli, "_BLOCK_ROWS", 100)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
         blocks = tmp_path / "blocks.csv"
-        _write_table(blocks, ["a", "b", "f"], columns, flags)
+        _write_table(blocks, ["a", "b", "f"], _row_blocks(columns, flags))
         assert blocks.read_bytes() == whole.read_bytes()
         assert len(whole.read_text().splitlines()) == n_rows + 1
         assert len(blocks_formatted) == math.ceil(n_rows / 100)
@@ -344,7 +345,7 @@ def _pool_modules_after(args):
 
 
 def test_predict_loads_no_multiprocessing(fit_outputs, tmp_path):
-    """A predict table of several blocks is formatted in this process: the command never
+    """A predict table of several blocks is evaluated on forked lanes: the command never
     imports multiprocessing, so it can start no worker pool."""
     rng = np.random.default_rng(5)
     n = 2 * cli._BLOCK_ROWS + 1
@@ -370,23 +371,22 @@ def test_fit_loads_no_multiprocessing(grouped_csv, tmp_path, pclm):
 
 def test_commands_leave_no_thread_running(fit_outputs, cohort_csv, config_yaml, tmp_path,
                                           monkeypatch):
-    """Every thread of the evaluation and the table writer has ended when a command returns,
-    and none is alive when the worker pool forks."""
+    """No thread is alive when a lane forks, for predict's blocks or fit's searches, and none
+    is left when a command returns."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    threads = threading.active_count()
-    run_tasks = cli._run_tasks
-    monkeypatch.setattr(cli, "_run_tasks", lambda tasks: pytest.fail("a thread is alive")
-                        if threading.active_count() != threads else run_tasks(tasks))
+    threads, forks, fork = threading.active_count(), [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("a thread is alive")
+                        if threading.active_count() != threads else forks.append(1) or fork())
     rng = np.random.default_rng(6)
     n = 3 * cli._BLOCK_ROWS + 1
     points = tmp_path / "points.csv"
     np.savetxt(points, np.column_stack([rng.uniform(51, 99, n), rng.uniform(0.1, 10, n)]),
                delimiter=",", header="u,s", comments="")
     cli.run_predict_pipeline(fit_outputs / "model.json", points, "us", tmp_path / "pred.csv")
-    assert threading.active_count() == threads
+    assert threading.active_count() == threads and len(forks) == 2
     cli.run_fit_pipeline(load_config(config_yaml), h.read_records_csv(cohort_csv),
                          tmp_path / "fit")
-    assert threading.active_count() == threads
+    assert threading.active_count() == threads and len(forks) == 3
 
 
 class TestFit:
@@ -772,6 +772,113 @@ class TestPredict:
                                       "--points", str(pts), "--out", str(out)])
         assert result.exit_code == 0
         assert read_csv(out)[0]["extrapolated"] in ("true", "false")
+
+
+
+def _write_points(path, first, s, coords="us"):
+    path.write_text(("u" if coords == "us" else "t") + ",s\n"
+                    + "".join(f"{a!r},{b!r}\n" for a, b in zip(first.tolist(), s.tolist())))
+    return path
+
+
+class TestPredictBlocks:
+    """``predict`` checks every point first, then deals blocks of _BLOCK_ROWS points to the
+    lanes and writes them in file order."""
+
+    def refusal_of_the_whole_file(self, model, first, s, coords):
+        """The error of evaluating every point at once, as one block: the refusal a file
+        gets whatever its blocks."""
+        payload, fits = cli.load_model(model)
+        with pytest.raises(h.errors.Hazard2tsError) as exc:
+            u = h.age_at_diagnosis(first, s) if coords == "ts" else first
+            h.surfaces_at_points(fits, u, s, payload["config"]["delta"])
+        return exc.value
+
+    @pytest.mark.parametrize("bad", ["u-outside", "s-beyond", "nan", "t-not-above-s"])
+    def test_a_bad_point_in_the_first_and_last_block_is_refused_before_any_lane(
+            self, runner, fit_outputs, tmp_path, monkeypatch, bad):
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 100)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(cli, "_lane_results", lambda tasks: pytest.fail("a lane started"))
+        rng = np.random.default_rng(11)
+        s = rng.uniform(0.1, 10.0, 250)
+        first = rng.uniform(51.0, 99.0, 250)
+        coords = "ts" if bad == "t-not-above-s" else "us"
+        if coords == "ts":
+            first = first + s
+        for i, value in ((0, 1.0), (249, 2.0)):      # blocks 0 and 2
+            if bad == "u-outside":
+                first[i] = 100.0 + 20 * value
+            elif bad == "s-beyond":
+                s[i] = 10.5 + value
+            elif bad == "nan":
+                first[i] = math.nan
+            else:
+                first[i] = s[i] - value
+        model, out = fit_outputs / "model.json", tmp_path / "pred.csv"
+        want = self.refusal_of_the_whole_file(model, first, s, coords)
+        result = runner.invoke(main, ["predict", "--model", str(model), "--points",
+                                      str(_write_points(tmp_path / "pts.csv", first, s, coords)),
+                                      "--coords", coords, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.output.splitlines()[0] == f"error: {want}"
+        assert len(getattr(want, "points", ())) == (0 if bad == "s-beyond" else 2)
+        for point in getattr(want, "points", ()):
+            assert f"  out of domain: {point}" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1, 2}])
+    def test_a_block_that_fails_leaves_no_partial_table(self, runner, fit_outputs, tmp_path,
+                                                        monkeypatch, cpus):
+        """The last of three blocks raises, in this process on one CPU and in a worker on
+        three, after the first blocks are written: the command exits 2 and no file is left."""
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 100)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        predict_rows = cli._predict_rows
+
+        def last_block_fails(fits, columns, delta):
+            if len(columns[0]) < 100:
+                raise DataError("the last block failed")
+            return predict_rows(fits, columns, delta)
+
+        monkeypatch.setattr(cli, "_predict_rows", last_block_fails)
+        rng = np.random.default_rng(12)
+        pts = _write_points(tmp_path / "pts.csv", rng.uniform(51, 99, 250),
+                            rng.uniform(0.1, 10, 250))
+        out = tmp_path / "pred.csv"
+        result = runner.invoke(main, ["predict", "--model", str(fit_outputs / "model.json"),
+                                      "--points", str(pts), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "error: the last block failed" in result.output
+        assert not out.exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("coords", ["us", "ts"])
+    @pytest.mark.parametrize("blocks,offset", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 1)],
+                             ids=["0", "1", "B-1", "B", "B+1", "2B+1"])
+    def test_one_cpu_and_three_write_the_same_bytes_in_file_order(
+            self, runner, fit_outputs, tmp_path, monkeypatch, coords, blocks, offset):
+        n = blocks * cli._BLOCK_ROWS + offset
+        rng = np.random.default_rng(n)
+        s = rng.uniform(0.0, 10.5, n)
+        first = rng.uniform(50.0, 100.0, n) + (s if coords == "ts" else 0.0)
+        pts = _write_points(tmp_path / "pts.csv", first, s, coords)
+        tables = []
+        for cpus in ({0}, {0, 1, 2}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            out = tmp_path / f"pred{len(cpus)}.csv"
+            result = runner.invoke(main, ["predict", "--model", str(fit_outputs / "model.json"),
+                                          "--points", str(pts), "--coords", coords,
+                                          "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            tables.append(out.read_bytes())
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+        assert tables[0] == tables[1]
+        rows = [line.split(",") for line in tables[1].decode().splitlines()[1:]]
+        got = [(float(row[2 if coords == "ts" else 0]), float(row[1])) for row in rows]
+        assert got == list(zip(first.tolist(), s.tolist()))
 
 
 class TestSimulateCommand:

@@ -4,9 +4,6 @@ hull test, and models restored from model.json."""
 import dataclasses
 import math
 import os
-import sys
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -315,42 +312,7 @@ def test_windowed_se_kernel_matches_dense_quadratic_form(p_u, p_s, seg_u, seg_s,
             np.testing.assert_allclose(got, np.sum((X @ Sigma) * X, axis=1), rtol=1e-12)
 
 
-# -- the thread map ------------------------------------------------------------------
-
-@pytest.mark.parametrize("cpus", [{0}, {0, 1, 2}])
-def test_thread_map_keeps_item_order_and_raises_the_first_failure(monkeypatch, cpus):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-    threads = threading.active_count()
-    assert incidence._thread_map(math.sqrt, range(7)) == [math.sqrt(x) for x in range(7)]
-
-    def fn(x):
-        if x == 1:                        # fails after item 2 has failed
-            time.sleep(0.05)
-            raise ValueError("item 1")
-        if x == 2:
-            raise ZeroDivisionError("item 2")
-        return x
-
-    with pytest.raises(ValueError, match="item 1"):
-        incidence._thread_map(fn, range(4))
-    assert threading.active_count() == threads
-
-
-def test_thread_map_starts_threads_only_where_they_can_run(monkeypatch):
-    """One thread per item up to the CPUs; none for one item or one CPU.  The caller's
-    ``np.errstate`` holds in the threads."""
-    started, Thread = [], threading.Thread
-    monkeypatch.setattr(threading, "Thread", lambda *a, **k: started.append(1) or Thread(*a, **k))
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    assert incidence._thread_map(abs, [-1, 2]) == [1, 2]
-    assert len(started) == 2
-    assert incidence._thread_map(abs, [-3]) == [3] and len(started) == 2
-    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-        incidence._thread_map(np.exp, [np.array([1.0]), np.array([1e3])])
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert incidence._thread_map(abs, [-1, -2, -3]) == [1, 2, 3]
-    assert len(started) == 4
-
+# -- the number of CPUs ------------------------------------------------------------
 
 def test_kernels_give_the_same_bits_on_any_number_of_cpus(tri, monkeypatch):
     grid, fits = tri
@@ -363,61 +325,6 @@ def test_kernels_give_the_same_bits_on_any_number_of_cpus(tri, monkeypatch):
         runs.append((h.surfaces_at_points(fits, u, s, 0.05),
                      h.cif_standard_errors(fits, np.linspace(0, 10, 70), grid.s_mid, 0.05)))
     assert_bitwise_equal(*runs)
-
-
-def test_threads_under_contention_lose_no_item_and_share_no_arrays(tri, monkeypatch):
-    """More threads than cores, switching every microsecond: every item runs once, and the
-    16-row chunks of one call, each of which allocates its own arrays and so shares none,
-    give the surfaces and the CIF SEs, whose node counts the kernel reads off, the bits of
-    one CPU."""
-    grid, fits = tri
-    rng = np.random.default_rng(9)
-    u, s = rng.uniform(0, 10, 600), rng.uniform(0, 10, 600)
-    monkeypatch.setattr(incidence, "_CHUNK", 16)
-
-    def evaluate():
-        return (h.surfaces_at_points(fits, u, s, 0.05),
-                h.cif_standard_errors(fits, np.linspace(0, 10, 70), grid.s_mid, 0.05))
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    serial = evaluate()
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-    calls, interval = [], sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        assert incidence._thread_map(lambda x: calls.append(x) or -x, range(3000)) \
-            == [-x for x in range(3000)]
-        threaded = evaluate()
-    finally:
-        sys.setswitchinterval(interval)
-    assert sorted(calls) == list(range(3000))
-    assert_bitwise_equal(threaded, serial)
-
-
-def test_a_failing_chunk_raises_its_own_exception(tri, monkeypatch):
-    grid, fits = tri
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    thread_map = incidence._thread_map
-
-    class ChunkFailed(Exception):
-        pass
-
-    def third_fails(fn, items):
-        items = list(items)
-
-        def run(rows):
-            if rows is items[2]:
-                raise ChunkFailed(len(rows))
-            return fn(rows)
-        return thread_map(run, items)
-
-    monkeypatch.setattr(incidence, "_thread_map", third_fails)
-    threads = threading.active_count()
-    rng = np.random.default_rng(3)
-    u, s = rng.uniform(0, 10, 4 * incidence._CHUNK), rng.uniform(0.1, 10, 4 * incidence._CHUNK)
-    with pytest.raises(ChunkFailed):
-        h.surfaces_at_points(fits, u, s, 0.05)
-    assert threading.active_count() == threads
 
 
 # -- models restored from model.json ----------------------------------------------
