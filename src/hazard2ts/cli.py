@@ -23,6 +23,7 @@ import json
 import math
 import os
 import pickle
+import stat
 import sys
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -208,17 +209,17 @@ def _pickled(index, ok, value):
 
 
 def _fork_lane(tasks, lane, n_lanes):
-    """The pid of a forked worker process that runs the tasks ``lane, lane + n_lanes, ...`` in
-    ``_blas_threads`` up to the first that raises, writing each outcome's pickle to a pipe as
-    it has it (a full pipe holds it back), and the pipe's read end as a file.  The worker
-    leaves by ``os._exit``, with status 0 once it has written its last outcome."""
+    """The pid of a forked worker process that runs the tasks ``lane, lane + n_lanes, ...`` on
+    the BLAS count it inherits, up to the first that raises, writing each outcome's pickle to a
+    pipe as it has it (a full pipe holds it back), and the pipe's read end as a file.  The
+    worker leaves by ``os._exit``, with status 0 once it has written its last outcome."""
     read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:                # the worker: it never returns into the caller's frames
         status = 1
         try:
             os.close(read_end)
-            with open(write_end, "wb") as fh, _blas_threads():
+            with open(write_end, "wb") as fh:
                 for index in range(lane, len(tasks), n_lanes):
                     fn, args, kwargs = tasks[index]
                     try:
@@ -287,17 +288,17 @@ def _lane_results(tasks):
     nothing.  Each lane stops at its first failing task, and the first in task order raises
     here, as in a serial run; a worker that ended before an outcome raises ChildProcessError,
     naming its exit status or signal, at that task.  Every worker is killed and reaped once
-    the generator ends, raises or is closed, and this process runs in ``_blas_threads`` until
-    then: a program that imported numpy before the package started numpy's default count,
-    which this process and its forks would keep."""
+    the generator ends, raises or is closed.  This process enters ``_blas_threads`` before it
+    forks and leaves it then, so every lane runs on one count, which each worker inherits: a
+    program that imported numpy before the package started numpy's default count."""
     import signal               # here: only the lanes use it
 
     n_lanes = max(1, min(len(tasks), len(os.sched_getaffinity(0))))
     workers = {}                # lane: (pid, read end), until the worker is reaped
-    try:
-        for lane in range(1, n_lanes):
-            workers[lane] = _fork_lane(tasks, lane, n_lanes)
-        with _blas_threads():
+    with _blas_threads():
+        try:
+            for lane in range(1, n_lanes):
+                workers[lane] = _fork_lane(tasks, lane, n_lanes)
             for index, (fn, args, kwargs) in enumerate(tasks):
                 lane = index % n_lanes
                 if lane == 0:
@@ -317,15 +318,11 @@ def _lane_results(tasks):
                 if not ok:
                     raise value
                 yield value
-    finally:
-        for pid, pipe in workers.values():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            pipe.close()
-
-
-def _run_tasks(tasks) -> list:
-    return list(_lane_results(tasks))
+        finally:
+            for pid, pipe in workers.values():
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pipe.close()
 
 
 # --------------------------------------------------------------------------
@@ -337,7 +334,7 @@ def assemble_ungrouped(records, grid, first_grouped_age, kv_u, kv_s, d, phi_sear
     interior u edge, else DataError) up are one grouped row: the binned rows 1..g-1 with the
     fitted tail rows ``Gamma[g-1:]`` under them, the exposure's by the half-bin rule.
     ``C @`` groups the counts and at-risk numbers, and the searches, one per cause and one for
-    the at-risk numbers, run on ``_run_tasks``'s lanes, the first in this process."""
+    the at-risk numbers, run on ``_lane_results``' lanes, the first in this process."""
     g = grid.first_grouped_row(first_grouped_age) + 1
     C = composition_matrix(g, grid.n_u)
     fine, at_risk = tally_records(records, grid, _lane_results)
@@ -347,7 +344,7 @@ def assemble_ungrouped(records, grid, first_grouped_age, kv_u, kv_s, d, phi_sear
 
     options = {"d": d, "search": phi_search, "ctrl": ctrl}
     causes = sorted(fine.Y)
-    *events, at_risk_fit = _run_tasks(
+    *events, at_risk_fit = _lane_results(
         [(select_pclm_smoothing, (C @ fine.Y[ell], C, Bu_mid, Bs_mid), options) for ell in causes]
         + [(select_pclm_smoothing, (C @ at_risk, C, Bu_mid, Bs_edges), options)])
     Y = {ell: np.vstack([fine.Y[ell][: g - 1], fit.Gamma[g - 1:]])
@@ -397,13 +394,14 @@ def _row_blocks(columns, flags=None):
 
 def _write_table(path, header, blocks):
     """A CSV of the column names ``header`` and then the formatted ``blocks`` of rows, written
-    in order as they come; where a block raises, the partial file is removed."""
+    in order as they come; where a block raises, the file is removed if it is a regular one."""
     with open(path, "wb") as fh:
         try:
             fh.write((",".join(header) + "\n").encode("utf-8"))
             fh.writelines(blocks)
         except BaseException:
-            os.unlink(path)
+            if stat.S_ISREG(os.lstat(path).st_mode):    # not /dev/stdout, a pipe or a link
+                os.unlink(path)
             raise
 
 
@@ -700,8 +698,9 @@ def run_fit_pipeline(cfg: RunConfig, records, outdir: Path):
 
     options = {"d": cfg.d, "criterion": criterion, "search": search, "ctrl": cfg.convergence}
     causes = sorted(binned.Y)
-    fits = dict(zip(causes, _run_tasks([(select_smoothing, (binned, ell, kv_u, kv_s), options)
-                                        for ell in causes])))
+    # strict: the runner is read to its end, which reaps its workers and restores the count
+    fits = dict(zip(causes, _lane_results([(select_smoothing, (binned, ell, kv_u, kv_s), options)
+                                           for ell in causes]), strict=True))
 
     u_pts, s_pts = grid.u_mid, grid.s_mid
     surf = compute_surfaces(fits, u_pts, s_pts, delta=delta)

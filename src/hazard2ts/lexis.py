@@ -306,19 +306,17 @@ _Folded = namedtuple("_Folded", "codes keys counts R N")
 
 def _fold(tallies, grid: LexisGrid) -> _Folded:
     """The matrices of the records of ``tallies``, blocks in record order read once, each
-    folded as it arrives; None at the first tally that is None.  The failures stay as a block
-    tallies them: the sorted distinct cause ``codes``, and the ``counts`` at the ``keys`` (code
-    index * n_u * n_s + cell).  Each s-column of the exposure ``R`` adds a block's overlaps by
-    one ``np.bincount`` whose first n_u weights are the column so far, so every bin sums its
-    records' overlaps in record order, as a per-record loop does; ``N`` is the at-risk matrix."""
+    folded as it arrives.  The failures stay as a block tallies them: the sorted distinct
+    cause ``codes``, and the ``counts`` at the ``keys`` (code index * n_u * n_s + cell).  Each
+    s-column of the exposure ``R`` adds a block's overlaps by one ``np.bincount`` whose first
+    n_u weights are the column so far, so every bin sums its records' overlaps in record
+    order, as a per-record loop does; ``N`` is the at-risk matrix."""
     n_u, n_s = grid.n_u, grid.n_s
     cells, lower, upper, rows = n_u * n_s, grid.s_edges[:-1], grid.s_edges[1:], np.arange(n_u)
     codes = keys = np.zeros(0, dtype=np.int64)
     counts, R = np.zeros(0), np.zeros((n_s, n_u))
     steps, survivors = np.zeros(n_u * (n_s + 1), dtype=np.int64), np.zeros(n_u, dtype=np.int64)
     for t in tallies:
-        if t is None:
-            return None
         merged = np.array(_sorted_unique([*codes.tolist(), *t.codes.tolist()]), dtype=np.int64)
         keys, index = np.unique(np.concatenate(
             [np.searchsorted(merged, c)[k // cells] * cells + k % cells
@@ -375,20 +373,18 @@ def tally_records(records, grid: LexisGrid, run_tasks=_in_order) -> tuple:
 
     A CSV is not built into a table: its byte blocks (:func:`_record_blocks`) are tallied by
     ``run_tasks``, which takes ``(fn, args, kwargs)`` tasks and gives their results in order,
-    from other processes, say, and each tally is folded as it arrives, so no more than a
-    block's is held.  A file with a quote in its header, or a block that :func:`_tally_block`
-    declines, is read and binned in one sequential pass instead; a generator of results is
-    closed at the first block that declines.
+    from other processes, say, and raises the first task's exception in order; each tally is
+    folded as it arrives, so no more than a block's is held.  A file with a quote in its
+    header, or a block that :func:`_tally_block` declines (``_Declined``), is read and binned
+    in one sequential pass instead.
     """
     folded = None
     if isinstance(records, RecordTable):
         folded = _fold([_tally(records, grid)], grid)
     elif (blocks := _record_blocks(records)) is not None:
-        tallies = run_tasks([(_tally_block, (records, start, stop, blocks[0], grid), {})
-                             for start, stop in blocks[1]])
-        folded = _fold(tallies, grid)
-        if folded is None and hasattr(tallies, "close"):
-            tallies.close()
+        with contextlib.suppress(_Declined):
+            folded = _fold(run_tasks([(_tally_block, (records, start, stop, blocks[0], grid), {})
+                                      for start, stop in blocks[1]]), grid)
     if folded is None:
         folded = _fold([_tally(read_records_csv(records), grid)], grid)
     return _binned(folded, grid), folded.N
@@ -540,22 +536,26 @@ def _record_blocks(path):
     return col, cuts
 
 
+class _Declined(Exception):
+    """A block of records that :func:`_tally_block` leaves to the sequential read."""
+
+
 def _tally_block(path, start, stop, col, grid):
     """The :func:`_tally` of the records in bytes ``start`` .. ``stop`` of the records CSV
     ``path``, whose header gave the column index map ``col``, parsed as
-    :func:`read_records_csv` parses the whole file but for the ids (``_TALLIED``); None where
-    the block holds a quote (a quoted field may span blocks), does not decode or parse in the
-    C-level pass, or holds a record that is invalid or outside the grid."""
+    :func:`read_records_csv` parses the whole file but for the ids (``_TALLIED``); raises
+    ``_Declined`` where the block holds a quote (a quoted field may span blocks), does not
+    decode or parse in the C-level pass, or holds a record that is invalid or outside the
+    grid."""
     with open(path, "rb") as fh:
         fh.seek(start)
         data = fh.read(stop - start)
-    if b'"' in data:
-        return None
-    try:
-        cols = _loadtxt_columns(io.StringIO(data.decode("utf-8"), newline=""), _TALLIED, col)
-        return None if cols is None else _tally(RecordTable(*cols.values()), grid)
-    except (DataError, UnicodeDecodeError):
-        return None
+    if b'"' not in data:
+        with contextlib.suppress(DataError, UnicodeDecodeError):
+            cols = _loadtxt_columns(io.StringIO(data.decode("utf-8"), newline=""), _TALLIED, col)
+            if cols is not None:
+                return _tally(RecordTable(*cols.values()), grid)
+    raise _Declined
 
 
 def read_points_csv(path, first) -> tuple:

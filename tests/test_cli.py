@@ -305,13 +305,27 @@ class TestTableWriter:
             lines.append(",".join(row))
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
+    def test_a_block_that_raises_into_a_symlink_leaves_the_link(self, tmp_path):
+        """Only a regular file is removed where a block raises: a symbolic link survives, as a
+        device such as /dev/stdout does."""
+        link = tmp_path / "link.csv"
+        link.symlink_to(tmp_path / "target.csv")
+
+        def blocks():
+            yield b"1\n"
+            raise DataError("a block failed")
+
+        with pytest.raises(DataError, match="a block failed"):
+            _write_table(link, ["a"], blocks())
+        assert link.is_symlink() and os.readlink(link) == str(tmp_path / "target.csv")
+
 
     @pytest.mark.parametrize("cpus", [{0}, {0, 1, 2}])
     @pytest.mark.parametrize("n_rows", [0, 1, 99, 100, 101, 1001])
     def test_hundred_row_blocks_give_the_bytes_of_one_block(self, tmp_path, monkeypatch, cpus,
                                                            n_rows):
         """Rows are formatted 100 at a time in this process, with one CPU or several, and
-        written in order: the bytes of one block, and no worker pool."""
+        written in order: the bytes of one block, and no lane started."""
         rng = np.random.default_rng(n_rows)
         columns = [rng.standard_normal(n_rows), 10.0 ** rng.uniform(-310, 308, n_rows)]
         flags = rng.random(n_rows) < 0.5
@@ -321,7 +335,7 @@ class TestTableWriter:
         format_rows = floattext.format_rows
         monkeypatch.setattr(floattext, "format_rows", lambda *args: blocks_formatted.append(1)
                             or format_rows(*args))
-        monkeypatch.setattr(cli, "_run_tasks", lambda tasks: pytest.fail("a pool was started"))
+        monkeypatch.setattr(cli, "_lane_results", lambda tasks: pytest.fail("a lane started"))
         monkeypatch.setattr(cli, "_BLOCK_ROWS", 100)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
         blocks = tmp_path / "blocks.csv"
@@ -1174,8 +1188,9 @@ class TestUngroupCommand:
 
 
 def _serial(tasks):
-    """``_run_tasks``'s calls made in this process, in task order."""
-    return [fn(*args, **kwargs) for fn, args, kwargs in tasks]
+    """``_lane_results``' calls made in this process, in task order."""
+    for fn, args, kwargs in tasks:
+        yield fn(*args, **kwargs)
 
 
 def _tree(outdir):
@@ -1190,7 +1205,7 @@ def test_pclm_fit_checks_the_records_only_when_the_table_is_read(monkeypatch, tm
     check = lexis._problems
     monkeypatch.setattr(lexis, "_problems", lambda *cols: checked.append(len(cols[0]))
                         or check(*cols))
-    monkeypatch.setattr(cli, "_run_tasks", _serial)   # every stage in this process
+    monkeypatch.setattr(cli, "_lane_results", _serial)   # every stage in this process
     path = tmp_path / "cfg.yaml"
     path.write_text(yaml.safe_dump({**FAST_CONFIG,
                                     "pclm": {"enabled": True, "log10_phi_step": 1.0}}))
@@ -1224,12 +1239,14 @@ class TestWorkerProcesses:
     change nothing."""
 
     def run_both(self, runner, monkeypatch, tmp_path, args):
-        """The command through ``_run_tasks`` and through the serial reference."""
+        """The command through ``_lane_results`` and through the serial reference, which
+        forks at no stage."""
         results = {}
         for mode in ("pool", "serial"):
             with monkeypatch.context() as mp:
                 if mode == "serial":
-                    mp.setattr(cli, "_run_tasks", _serial)
+                    mp.setattr(cli, "_lane_results", _serial)
+                    mp.setattr(os, "fork", lambda: pytest.fail("a lane forked"))
                 out = tmp_path / mode
                 results[mode] = (runner.invoke(main, args + ["--out", str(out)]), out)
         return results
@@ -1284,23 +1301,23 @@ class TestWorkerProcesses:
     def test_results_and_first_error_come_in_task_order(self, monkeypatch, cpus):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
         tasks = [(math.sqrt, (float(x),), {}) for x in range(6)]
-        assert cli._run_tasks(tasks) == [math.sqrt(x) for x in range(6)]
+        assert list(cli._lane_results(tasks)) == [math.sqrt(x) for x in range(6)]
         failing = [(math.sqrt, (4.0,), {}), (math.sqrt, (-1.0,), {}),
                    (operator.truediv, (1.0, 0.0), {})]
         with pytest.raises(ValueError, match="math domain error"):
-            cli._run_tasks(failing)
+            list(cli._lane_results(failing))
 
     def test_a_worker_that_dies_raises_instead_of_hanging(self, monkeypatch):
         """The second task runs in a forked worker, which exits without its results."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         with pytest.raises(ChildProcessError, match="exited with status 3"):
-            cli._run_tasks([(math.sqrt, (4.0,), {}), (os._exit, (3,), {})])
+            list(cli._lane_results([(math.sqrt, (4.0,), {}), (os._exit, (3,), {})]))
 
     def test_a_worker_killed_by_a_signal_raises_instead_of_hanging(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         with pytest.raises(ChildProcessError, match=r"killed by signal 9 \(Killed\)"):
-            cli._run_tasks([(math.sqrt, (4.0,), {}),
-                            (lambda: os.kill(os.getpid(), signal.SIGKILL), (), {})])
+            list(cli._lane_results([(math.sqrt, (4.0,), {}),
+                                    (lambda: os.kill(os.getpid(), signal.SIGKILL), (), {})]))
 
     @pytest.mark.parametrize("task,what", [
         (lambda: lambda: None, "its result <function"),
@@ -1313,7 +1330,7 @@ class TestWorkerProcesses:
         but does not unpickle cannot leave the worker: a RuntimeError carries its text."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         with pytest.raises(RuntimeError, match=f"task 1: {what}"):
-            cli._run_tasks([(math.sqrt, (4.0,), {}), (task, (), {})])
+            list(cli._lane_results([(math.sqrt, (4.0,), {}), (task, (), {})]))
 
     def test_every_worker_is_reaped_when_this_process_fails_first(self, monkeypatch):
         """Lane 0, in this process, fails at once while a worker sleeps: the call raises
@@ -1321,7 +1338,7 @@ class TestWorkerProcesses:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         start = time.monotonic()
         with pytest.raises(ValueError, match="math domain error"):
-            cli._run_tasks([(math.sqrt, (-1.0,), {}), (time.sleep, (60,), {})])
+            list(cli._lane_results([(math.sqrt, (-1.0,), {}), (time.sleep, (60,), {})]))
         assert time.monotonic() - start < 5
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -1348,7 +1365,7 @@ class TestWorkerProcesses:
         with pytest.raises(DataError) as local:
             h.read_records_csv(bad)
         with pytest.raises(DataError) as remote:
-            cli._run_tasks([(math.sqrt, (4.0,), {}), (h.read_records_csv, (bad,), {})])
+            list(cli._lane_results([(math.sqrt, (4.0,), {}), (h.read_records_csv, (bad,), {})]))
         assert str(remote.value) == str(local.value)
         assert remote.value.details == local.value.details and len(local.value.details) == 2
 
@@ -1374,18 +1391,23 @@ def test_import_pins_blas_threads_and_loads_no_multiprocessing(user_value):
 def test_workers_run_one_blas_thread_when_numpy_was_imported_first():
     """numpy imported before the package has started its BLAS with numpy's default threads,
     which forked workers would inherit: each task runs on one BLAS thread, this process's
-    lane too, and this process has its own count again afterwards."""
+    lane too, and this process has its own count again afterwards.  The count is set in this
+    process alone, before the fork: no worker looks up a BLAS function."""
     src = str(Path(h.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env.pop(var, None)
     code = ("import ctypes, json, os, numpy, hazard2ts.cli as cli\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}   # one worker, on any machine\n"
+            "openblas, callers = cli._openblas, []\n"
+            "cli._openblas = lambda name: callers.append(os.getpid()) or openblas(name)\n"
             "def report():\n"
-            "    fns = cli._openblas('get_num_threads')\n"
+            "    fns = openblas('get_num_threads')\n"
             "    for fn in fns:\n"
             "        fn.restype = ctypes.c_int\n"
-            "    return os.getpid(), [fn() for fn in fns]\n"
-            "print(json.dumps([report(), cli._run_tasks([(report, (), {})] * 2), report()]))\n")
+            "    return os.getpid(), [fn() for fn in fns], callers\n"
+            "print(json.dumps([report()[:2], list(cli._lane_results([(report, (), {})] * 2)), "
+            "report()[:2]]))\n")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120)
     before, tasks, after = json.loads(out.stdout)
@@ -1393,8 +1415,11 @@ def test_workers_run_one_blas_thread_when_numpy_was_imported_first():
         pytest.skip("numpy's BLAS is no OpenBLAS")
     assert after == before
     assert len(tasks) == 2
-    for pid, threads in tasks:
+    for pid, threads, _ in tasks:
         assert threads == [1] * len(before[1])
+    assert tasks[1][0] != before[0]     # the second task ran in a worker
+    for _, _, seen in tasks:            # the lookups each task's process had made by then
+        assert seen and set(seen) == {before[0]}
 
 
 def test_nonfinite_values_are_written_as_strict_json(runner, cohort_csv, tmp_path):

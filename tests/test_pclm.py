@@ -405,8 +405,8 @@ class TestAssembleUngrouped:
         kv_u, kv_s = h.make_knots(50, 100, 13, 3), h.make_knots(0, 10.5, 7, 3)
         search = h.SearchConfig((-1.0, 2.0), (-1.0, 2.0), 1.0)
         # the searches in this process, on its BLAS threads, as the oracle fits below run
-        monkeypatch.setattr(cli, "_run_tasks", lambda tasks: [fn(*args, **kwargs)
-                                                              for fn, args, kwargs in tasks])
+        monkeypatch.setattr(cli, "_lane_results", lambda tasks: (fn(*args, **kwargs)
+                                                                 for fn, args, kwargs in tasks))
         binned, diag = cli.assemble_ungrouped(constant_cohort, default_grid, 90.0, kv_u, kv_s,
                                               2, search, h.FitControl())
         fine = h.bin_records(constant_cohort, default_grid)

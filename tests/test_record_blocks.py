@@ -1,7 +1,9 @@
 """The records CSV tallied in byte blocks against the table it would be read into.
 
 ``lexis.tally_records`` cuts a records CSV into byte blocks, tallies each block (on
-``cli._run_tasks``' lanes in ``fit`` and ``ungroup``) and folds the tallies in record order.
+``cli._lane_results``' lanes in ``fit`` and ``ungroup``) and folds the tallies in record order,
+each as it arrives.  A block that the tally declines raises ``lexis._Declined`` through the
+runner, which stops its lane and reaps every worker, and the file is read sequentially.
 Whatever the block size and the number of lanes, it gives the bits of ``bin_records`` and
 ``at_risk_matrix`` of ``read_records_csv``, or raises the same ``DataError``; the commands
 write the same bytes and refuse a file with the same message and exit code.
@@ -45,7 +47,7 @@ def table_path(path, grid):
 
 
 def on_lanes(monkeypatch, block, cpus):
-    """Blocks of ``block`` bytes on ``cpus`` lanes (``cli._run_tasks``)."""
+    """Blocks of ``block`` bytes on ``cpus`` lanes (``cli._lane_results``)."""
     monkeypatch.setattr(lexis, "_BLOCK_BYTES", block)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
@@ -85,7 +87,7 @@ def test_csv_tally_equals_the_table_path(text, grid, cpus, block, tmp_path_facto
     path = write(tmp_path_factory, text)
     with pytest.MonkeyPatch.context() as mp:
         on_lanes(mp, block, cpus)
-        blocks = outcome(lambda: lexis.tally_records(path, grid, cli._run_tasks))
+        blocks = outcome(lambda: lexis.tally_records(path, grid, cli._lane_results))
     assert blocks == outcome(lambda: table_path(path, grid))
 
 
@@ -154,9 +156,11 @@ def test_a_row_short_of_its_last_field_declines_its_block_where_that_is_the_id(t
     path = tmp_path / "records.csv"
     path.write_bytes(b"u,s_entry,s_exit,cause,id\n60.5,0,1.25,1,a\n61,0,2,0\n")
     col, cuts = lexis._record_blocks(path)
-    assert [lexis._tally_block(path, start, stop, col, GRIDS[0]) for start, stop in cuts] == [None]
+    assert len(cuts) == 1
+    with pytest.raises(lexis._Declined):
+        lexis._tally_block(path, *cuts[0], col, GRIDS[0])
     with pytest.raises(DataError, match="row 3: 4 field"):
-        lexis.tally_records(path, GRIDS[0], cli._run_tasks)
+        lexis.tally_records(path, GRIDS[0], cli._lane_results)
 
 
 @pytest.mark.parametrize("head", [b'"id",u,s_entry,s_exit,cause\n', b"id,u,s_entry,s_exit\n",
@@ -248,5 +252,6 @@ def test_a_file_without_quotes_is_tallied_without_a_table(rows, config, tmp_path
 
     monkeypatch.setattr(lexis, "read_records_csv", no_table)
     on_lanes(monkeypatch, 500, 3)
-    binned, N = lexis.tally_records(path, h.build_grid(50, 100, 2, 0, 10.5, 1.5), cli._run_tasks)
+    binned, N = lexis.tally_records(path, h.build_grid(50, 100, 2, 0, 10.5, 1.5),
+                                    cli._lane_results)
     assert sum(Y.sum() for Y in binned.Y.values()) + N[:, -1].sum() == len(rows)
